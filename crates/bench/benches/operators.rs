@@ -7,6 +7,7 @@
 //! offline build has no external benchmark framework.
 
 use rsv_bench::{bench, mtps, Table};
+use rsv_exec::{expect_infallible, ExecPolicy};
 use rsv_hashtab::{CuckooTable, DoubleHashTable, JoinSink, LinearTable};
 use rsv_partition::conflict::{serialize_conflicts_native, serialize_conflicts_scatter};
 use rsv_partition::histogram::{
@@ -199,9 +200,11 @@ fn bench_sort_and_join(t: &mut Table) {
     let secs = bench(REPS, || {
         let mut k = keys.clone();
         let mut p = pays.clone();
-        dispatch!(backend, s => {
-            rsv_sort::lsb_radixsort_vector(s, &mut k, &mut p, &rsv_sort::SortConfig::default())
-        });
+        expect_infallible(dispatch!(backend, s => {
+            rsv_sort::radixsort_pairs(
+                s, true, &mut k, &mut p, &rsv_sort::SortConfig::default(), &ExecPolicy::new(1),
+            )
+        }));
         std::hint::black_box(k);
     });
     t.row(vec![
@@ -212,9 +215,11 @@ fn bench_sort_and_join(t: &mut Table) {
     let mut rng = rsv_data::rng(2003);
     let w = rsv_data::join_workload(N / 8, N, 1.0, 1.0, &mut rng);
     let secs = bench(REPS, || {
-        let r = dispatch!(backend, s => {
-            rsv_join::join_max_partition(s, true, &w.inner, &w.outer, 1)
-        });
+        let (r, _) = expect_infallible(dispatch!(backend, s => {
+            rsv_join::join_max_partition(
+                s, true, &w.inner, &w.outer, &ExecPolicy::new(1), rsv_join::DEFAULT_PART_TUPLES,
+            )
+        }));
         std::hint::black_box(r.matches());
     });
     t.row(vec![

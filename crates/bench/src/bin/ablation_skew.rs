@@ -11,10 +11,10 @@
 //! Usage: `cargo run --release -p rsv-bench --bin ablation_skew [--scale X]`
 
 use rsv_bench::{banner, bench, mtps, record, Measurement, Scale, Table};
-use rsv_exec::{ExecPolicy, DEFAULT_MORSEL_TUPLES};
+use rsv_exec::{expect_infallible, ExecPolicy, DEFAULT_MORSEL_TUPLES};
 use rsv_hashtab::{JoinSink, LinearTable};
 use rsv_partition::histogram::histogram_scalar;
-use rsv_partition::parallel::partition_pass_policy;
+use rsv_partition::parallel::partition_pass;
 use rsv_partition::shuffle::shuffle_vector_buffered;
 use rsv_partition::RadixFn;
 use rsv_simd::dispatch;
@@ -132,11 +132,9 @@ fn main() {
                 let mut op = vec![0u32; n];
                 let mut stats = None;
                 let secs = bench(2, || {
-                    let (_, st) = dispatch!(backend, s => {
-                        partition_pass_policy(
-                            s, true, f, keys, &pays, &mut ok, &mut op, &policy,
-                        )
-                    });
+                    let (_, st) = expect_infallible(dispatch!(backend, s => {
+                        partition_pass(s, true, f, keys, &pays, &mut ok, &mut op, &policy)
+                    }));
                     stats = Some(st);
                 });
                 let m = mtps(n, secs);

@@ -5,11 +5,9 @@
 //! Usage: `cargo run --release -p rsv-bench --bin fig14_radixsort [--scale X]`
 
 use rsv_bench::{banner, bench, record, Measurement, Scale, Table};
-use rsv_simd::dispatch;
-use rsv_sort::{
-    lsb_radixsort_keys_scalar, lsb_radixsort_keys_vector, lsb_radixsort_scalar,
-    lsb_radixsort_vector, SortConfig,
-};
+use rsv_exec::{expect_infallible, ExecPolicy};
+use rsv_simd::{dispatch, Portable};
+use rsv_sort::{radixsort_keys, radixsort_pairs, SortConfig};
 
 fn main() {
     banner(
@@ -20,10 +18,9 @@ fn main() {
     );
     let scale = Scale::from_env();
     let backend = rsv_bench::backend();
-    let cfg = SortConfig {
-        radix_bits: 8,
-        ..SortConfig::default()
-    };
+    let cfg = SortConfig { radix_bits: 8 };
+    let policy = ExecPolicy::new(1);
+    let portable = Portable::<16>::new();
     println!(
         "radix bits: {}, vector backend: {}\n",
         cfg.radix_bits,
@@ -50,21 +47,27 @@ fn main() {
 
         let ks = bench(2, || {
             let mut k = keys.clone();
-            lsb_radixsort_keys_scalar(&mut k, &cfg);
+            expect_infallible(radixsort_keys(portable, false, &mut k, &cfg, &policy));
         });
         let kv = bench(2, || {
             let mut k = keys.clone();
-            dispatch!(backend, s => { lsb_radixsort_keys_vector(s, &mut k, &cfg) });
+            expect_infallible(dispatch!(backend, s => {
+                radixsort_keys(s, true, &mut k, &cfg, &policy)
+            }));
         });
         let ps = bench(2, || {
             let mut k = keys.clone();
             let mut p = pays.clone();
-            lsb_radixsort_scalar(&mut k, &mut p, &cfg);
+            expect_infallible(radixsort_pairs(
+                portable, false, &mut k, &mut p, &cfg, &policy,
+            ));
         });
         let pv = bench(2, || {
             let mut k = keys.clone();
             let mut p = pays.clone();
-            dispatch!(backend, s => { lsb_radixsort_vector(s, &mut k, &mut p, &cfg) });
+            expect_infallible(dispatch!(backend, s => {
+                radixsort_pairs(s, true, &mut k, &mut p, &cfg, &policy)
+            }));
         });
         for (series, v) in [
             ("key-scalar", ks),

@@ -6,7 +6,10 @@
 //! Usage: `cargo run --release -p rsv-bench --bin fig15_join_variants [--scale X]`
 
 use rsv_bench::{banner, bench, record, Measurement, Scale, Table};
-use rsv_join::{join_max_partition, join_min_partition, join_no_partition, JoinVariant};
+use rsv_exec::{expect_infallible, ExecPolicy};
+use rsv_join::{
+    join_max_partition, join_min_partition, join_no_partition, JoinVariant, DEFAULT_PART_TUPLES,
+};
 use rsv_simd::dispatch;
 
 fn main() {
@@ -21,6 +24,7 @@ fn main() {
     let n = scale.tuples(25_000_000, 1 << 16);
     let backend = rsv_bench::backend();
     let threads = 1;
+    let policy = ExecPolicy::new(threads);
     println!(
         "|R| = |S| = {n}, threads: {threads}, backend: {}\n",
         backend.name()
@@ -43,19 +47,19 @@ fn main() {
             let label = variant.label();
             let mut timings = None;
             let total = bench(2, || {
-                let r = dispatch!(backend, s => {
+                let (r, _) = expect_infallible(dispatch!(backend, s => {
                     match variant {
                         JoinVariant::NoPartition => {
-                            join_no_partition(s, vectorized, &w.inner, &w.outer, threads)
+                            join_no_partition(s, vectorized, &w.inner, &w.outer, &policy)
                         }
                         JoinVariant::MinPartition => {
-                            join_min_partition(s, vectorized, &w.inner, &w.outer, threads)
+                            join_min_partition(s, vectorized, &w.inner, &w.outer, &policy)
                         }
-                        JoinVariant::MaxPartition => {
-                            join_max_partition(s, vectorized, &w.inner, &w.outer, threads)
-                        }
+                        JoinVariant::MaxPartition => join_max_partition(
+                            s, vectorized, &w.inner, &w.outer, &policy, DEFAULT_PART_TUPLES,
+                        ),
                     }
-                });
+                }));
                 assert_eq!(r.matches(), w.expected_matches, "{label} wrong result");
                 timings = Some(r.timings);
             });

@@ -14,10 +14,10 @@
 //! Usage: `cargo run --release -p rsv-bench --bin fig16_scalability [--scale X]`
 
 use rsv_bench::{banner, bench, record, Measurement, Scale, Table};
-use rsv_exec::ExecPolicy;
-use rsv_join::{join_max_partition, join_max_partition_policy, DEFAULT_PART_TUPLES};
-use rsv_simd::dispatch;
-use rsv_sort::{lsb_radixsort_scalar, lsb_radixsort_vector_stats, SortConfig};
+use rsv_exec::{expect_infallible, ExecPolicy};
+use rsv_join::{join_max_partition, DEFAULT_PART_TUPLES};
+use rsv_simd::{dispatch, Portable};
+use rsv_sort::{radixsort_pairs, SortConfig};
 
 fn main() {
     banner(
@@ -55,39 +55,34 @@ fn main() {
     ]);
     let mut worker_reports: Vec<(usize, String, String)> = Vec::new();
     for threads in threads_list {
-        let cfg = SortConfig {
-            radix_bits: 8,
-            threads,
-            ..SortConfig::default()
-        };
+        let cfg = SortConfig { radix_bits: 8 };
         let policy = ExecPolicy::new(threads);
         let ss = bench(2, || {
             let mut k = keys.clone();
             let mut p = pays.clone();
-            lsb_radixsort_scalar(&mut k, &mut p, &cfg);
+            let s = Portable::<16>::new();
+            expect_infallible(radixsort_pairs(s, false, &mut k, &mut p, &cfg, &policy));
         });
         let mut sort_stats = None;
         let sv = bench(2, || {
             let mut k = keys.clone();
             let mut p = pays.clone();
-            let st = dispatch!(backend, s => {
-                lsb_radixsort_vector_stats(s, &mut k, &mut p, &cfg)
-            });
+            let st = expect_infallible(dispatch!(backend, s => {
+                radixsort_pairs(s, true, &mut k, &mut p, &cfg, &policy)
+            }));
             sort_stats = Some(st);
         });
         let js = bench(2, || {
-            let r = dispatch!(backend, s => {
-                join_max_partition(s, false, &w.inner, &w.outer, threads)
-            });
+            let (r, _) = expect_infallible(dispatch!(backend, s => {
+                join_max_partition(s, false, &w.inner, &w.outer, &policy, DEFAULT_PART_TUPLES)
+            }));
             assert_eq!(r.matches(), w.expected_matches);
         });
         let mut join_stats = None;
         let jv = bench(2, || {
-            let (r, st) = dispatch!(backend, s => {
-                join_max_partition_policy(
-                    s, true, &w.inner, &w.outer, &policy, DEFAULT_PART_TUPLES,
-                )
-            });
+            let (r, st) = expect_infallible(dispatch!(backend, s => {
+                join_max_partition(s, true, &w.inner, &w.outer, &policy, DEFAULT_PART_TUPLES)
+            }));
             assert_eq!(r.matches(), w.expected_matches);
             join_stats = Some(st);
         });

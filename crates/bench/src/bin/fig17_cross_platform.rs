@@ -6,9 +6,10 @@
 //! Usage: `cargo run --release -p rsv-bench --bin fig17_cross_platform [--scale X]`
 
 use rsv_bench::{banner, bench, record, Measurement, Scale, Table};
-use rsv_join::join_max_partition;
+use rsv_exec::{expect_infallible, ExecPolicy};
+use rsv_join::{join_max_partition, DEFAULT_PART_TUPLES};
 use rsv_simd::{dispatch, Backend};
-use rsv_sort::{lsb_radixsort_vector, SortConfig};
+use rsv_sort::{radixsort_pairs, SortConfig};
 
 fn main() {
     banner(
@@ -40,17 +41,19 @@ fn main() {
     ]);
     let mut first_sort = None;
     for b in Backend::all_available() {
-        let cfg = SortConfig {
-            radix_bits: 8,
-            ..SortConfig::default()
-        };
+        let cfg = SortConfig { radix_bits: 8 };
+        let policy = ExecPolicy::new(1);
         let sort_s = bench(2, || {
             let mut k = keys.clone();
             let mut p = pays.clone();
-            dispatch!(b, s => { lsb_radixsort_vector(s, &mut k, &mut p, &cfg) });
+            expect_infallible(dispatch!(b, s => {
+                radixsort_pairs(s, true, &mut k, &mut p, &cfg, &policy)
+            }));
         });
         let join_s = bench(2, || {
-            let r = dispatch!(b, s => { join_max_partition(s, true, &w.inner, &w.outer, 1) });
+            let (r, _) = expect_infallible(dispatch!(b, s => {
+                join_max_partition(s, true, &w.inner, &w.outer, &policy, DEFAULT_PART_TUPLES)
+            }));
             assert_eq!(r.matches(), w.expected_matches);
         });
         record(&Measurement {

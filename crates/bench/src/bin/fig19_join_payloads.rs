@@ -8,7 +8,8 @@
 //! Usage: `cargo run --release -p rsv-bench --bin fig19_join_payloads [--scale X]`
 
 use rsv_bench::{banner, bench, record, Measurement, Scale, Table};
-use rsv_join::join_max_partition;
+use rsv_exec::{expect_infallible, ExecPolicy};
+use rsv_join::{join_max_partition, DEFAULT_PART_TUPLES};
 use rsv_partition::histogram::histogram_scalar;
 use rsv_partition::multicol::{apply_destinations_u64, compute_destinations};
 use rsv_partition::HashFn;
@@ -76,7 +77,10 @@ fn main() {
                 let (_sk, _scols) = partition_with_columns(s, &w.outer.keys, &s_cols, fanout);
                 // join on (key, rid); wide payloads are dereferenced via the
                 // rids in the join output
-                let r = join_max_partition(s, true, &w.inner, &w.outer, 1);
+                let policy = ExecPolicy::new(1);
+                let (r, _) = expect_infallible(join_max_partition(
+                    s, true, &w.inner, &w.outer, &policy, DEFAULT_PART_TUPLES,
+                ));
                 matches = r.matches();
             });
         });

@@ -12,7 +12,7 @@
 //! * `column-histogram-fused` — the fused compressed histogram must match
 //!   the scalar histogram over the raw column, sequential and parallel.
 
-use rsv_exec::ExecPolicy;
+use rsv_exec::{expect_infallible, ExecPolicy};
 use rsv_partition::{histogram::histogram_scalar, RadixFn};
 use rsv_scan::{scan_scalar_branching, ScanPredicate, ScanVariant};
 use rsv_simd::Backend;
@@ -81,7 +81,7 @@ fn run_select_parallel(backend: Backend, threads: usize, input: &CaseInput) -> V
     let n = rel.len();
     let mut ok = vec![0u32; n];
     let mut op = vec![0u32; n];
-    let (count, _) = select_fused_parallel(
+    let (count, _) = expect_infallible(select_fused_parallel(
         backend,
         ScanVariant::VectorSelStoreIndirect,
         &c.keys,
@@ -90,7 +90,7 @@ fn run_select_parallel(backend: Backend, threads: usize, input: &CaseInput) -> V
         &mut ok,
         &mut op,
         &ExecPolicy::new(threads),
-    );
+    ));
     ordered_pairs(&ok[..count], &op[..count])
 }
 
@@ -194,8 +194,12 @@ pub fn register(r: &mut Registry) {
                 threaded: true,
                 run: |b, t, i| {
                     let col = CompressedColumn::pack(b, &i.keys);
-                    let (hist, _) =
-                        crate::histogram_fused_parallel(b, &col, radix(i), &ExecPolicy::new(t));
+                    let (hist, _) = expect_infallible(crate::histogram_fused_parallel(
+                        b,
+                        &col,
+                        radix(i),
+                        &ExecPolicy::new(t),
+                    ));
                     let mut out = Vec::new();
                     put_len(&mut out, hist.len());
                     put_u32s(&mut out, &hist);

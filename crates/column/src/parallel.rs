@@ -7,7 +7,9 @@
 //! runs in morsel order (identical to the sequential scan's output), and
 //! the histogram merges per-worker counts by commutative addition.
 
-use rsv_exec::{parallel_scope_stats, ExecPolicy, MorselQueue, SchedulerStats, SharedBuffer};
+use rsv_exec::{
+    parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats, SharedBuffer,
+};
 use rsv_partition::PartitionFn;
 use rsv_scan::{ScanPredicate, ScanVariant};
 use rsv_simd::{Backend, Simd};
@@ -22,7 +24,10 @@ use crate::{
 /// at their front (input order preserved) and the qualifier count is
 /// returned alongside per-worker scheduler stats. Output matches the
 /// sequential [`select_fused`](crate::select_fused) byte for byte at any
-/// thread count.
+/// thread count. Honours `policy.run`'s cancel token (checked at every
+/// morsel claim) and surfaces worker panics as
+/// [`EngineError::WorkerPanicked`]; on error the output vectors keep their
+/// length but hold unspecified contents.
 #[allow(clippy::too_many_arguments)]
 pub fn select_fused_parallel(
     backend: Backend,
@@ -33,7 +38,7 @@ pub fn select_fused_parallel(
     out_keys: &mut Vec<u32>,
     out_pays: &mut Vec<u32>,
     policy: &ExecPolicy,
-) -> (usize, SchedulerStats) {
+) -> Result<(usize, SchedulerStats), EngineError> {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
     assert_eq!(out_keys.len(), keys.len(), "output length mismatch");
     assert_eq!(out_pays.len(), pays.len(), "output length mismatch");
@@ -47,7 +52,7 @@ pub fn select_fused_parallel(
     let counts = SharedBuffer::from_vec(vec![0usize; m]);
     let ok_buf = SharedBuffer::from_vec(std::mem::take(out_keys));
     let op_buf = SharedBuffer::from_vec(std::mem::take(out_pays));
-    let (_, stats) = parallel_scope_stats(t, |ctx| {
+    let scope = parallel_scope_try(t, |ctx| {
         // SAFETY: each morsel writes only the output region at its own
         // input offsets plus its own count slot, and every morsel id is
         // claimed exactly once; reads happen after the scope joins.
@@ -70,37 +75,40 @@ pub fn select_fused_parallel(
         }
     });
 
+    // Hand the (possibly partial) buffers back before any early return so
+    // the caller's vectors keep their length.
+    *out_keys = ok_buf.into_vec();
+    *out_pays = op_buf.into_vec();
+    let (_, stats) = scope?;
+    policy.run.check_cancelled()?;
+
     // Compact the per-morsel runs front-to-back. Runs only move left
     // (dest ≤ src), so processing in morsel order never clobbers a run
     // that has not been moved yet.
-    let counts = counts.into_vec();
-    let mut ok = ok_buf.into_vec();
-    let mut op = op_buf.into_vec();
     let mut dest = 0usize;
-    for (id, &c) in counts.iter().enumerate() {
+    for (id, &c) in counts.into_vec().iter().enumerate() {
         let src = q.range_of(id).start;
         if src != dest {
-            ok.copy_within(src..src + c, dest);
-            op.copy_within(src..src + c, dest);
+            out_keys.copy_within(src..src + c, dest);
+            out_pays.copy_within(src..src + c, dest);
         }
         dest += c;
     }
-    *out_keys = ok;
-    *out_pays = op;
-    (dest, stats)
+    Ok((dest, stats))
 }
 
 /// Parallel fused compressed histogram: per-worker replicated partial
 /// counts over block-aligned morsels, merged by addition (commutative, so
-/// the result is independent of the steal schedule).
+/// the result is independent of the steal schedule). Fails like
+/// [`select_fused_parallel`].
 pub fn histogram_fused_parallel<F: PartitionFn + Send + Sync>(
     backend: Backend,
     col: &CompressedColumn,
     f: F,
     policy: &ExecPolicy,
-) -> (Vec<u32>, SchedulerStats) {
+) -> Result<(Vec<u32>, SchedulerStats), EngineError> {
     let q = MorselQueue::new(col.len(), policy, BLOCK_LEN);
-    let (hists, stats) = parallel_scope_stats(policy.threads, |ctx| {
+    let (hists, stats) = parallel_scope_try(policy.threads, |ctx| {
         rsv_simd::dispatch!(backend, s => {
             let mut partial = vec![0u32; f.fanout() * S::LANES];
             for mo in ctx.morsels(&q) {
@@ -110,14 +118,15 @@ pub fn histogram_fused_parallel<F: PartitionFn + Send + Sync>(
             }
             reduce_partial(s, &partial, f.fanout())
         })
-    });
+    })?;
+    policy.run.check_cancelled()?;
     let mut hist = vec![0u32; f.fanout()];
     for h in hists {
         for (a, b) in hist.iter_mut().zip(h) {
             *a += b;
         }
     }
-    (hist, stats)
+    Ok((hist, stats))
 }
 
 #[cfg(test)]
@@ -154,7 +163,8 @@ mod tests {
                 let mut gp = vec![0u32; n];
                 let (gn, stats) = select_fused_parallel(
                     backend, variant, &ck, &cp, pred, &mut gk, &mut gp, &policy,
-                );
+                )
+                .unwrap();
                 assert_eq!(gn, en, "t={threads} morsel={morsel}");
                 assert_eq!(&gk[..gn], &ek[..en]);
                 assert_eq!(&gp[..gn], &ep[..en]);
@@ -175,7 +185,7 @@ mod tests {
         let col = CompressedColumn::pack(backend, &keys);
         for threads in [1usize, 2, 8] {
             let policy = ExecPolicy::new(threads).with_morsel_tuples(3 * BLOCK_LEN);
-            let (got, _) = histogram_fused_parallel(backend, &col, f, &policy);
+            let (got, _) = histogram_fused_parallel(backend, &col, f, &policy).unwrap();
             assert_eq!(got, expected, "t={threads}");
         }
     }

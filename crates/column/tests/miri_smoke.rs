@@ -85,7 +85,8 @@ fn parallel_select_small() {
     let policy = ExecPolicy::new(2).with_morsel_tuples(BLOCK_LEN);
     let mut gk = vec![0u32; n];
     let mut gp = vec![0u32; n];
-    let (g, _) = select_fused_parallel(backend, variant, &ck, &cp, pred, &mut gk, &mut gp, &policy);
+    let (g, _) =
+        select_fused_parallel(backend, variant, &ck, &cp, pred, &mut gk, &mut gp, &policy).unwrap();
     assert_eq!(g, e);
     assert_eq!(&gk[..g], &ek[..e]);
     assert_eq!(&gp[..g], &ep[..e]);

@@ -45,7 +45,7 @@ pub use rsv_sort::SortConfig;
 pub use rsv_exec::{CancelToken, EngineError, MemoryBudget, RunContext};
 
 use rsv_exec::{
-    parallel_scope_stats, parallel_scope_try, ExecPolicy, MorselQueue, SharedBuffer,
+    expect_infallible, parallel_scope_try, ExecPolicy, MorselQueue, SharedBuffer,
     DEFAULT_MORSEL_TUPLES,
 };
 use rsv_partition::twopass::MAX_DIRECT_FANOUT;
@@ -112,33 +112,16 @@ impl Engine {
         self.backend
     }
 
-    fn policy(&self) -> ExecPolicy {
-        ExecPolicy::new(self.threads).with_morsel_tuples(self.morsel_tuples)
-    }
-
-    fn policy_with(&self, run: &RunContext) -> ExecPolicy {
-        self.policy().with_run(run.clone())
+    fn policy(&self, run: &RunContext) -> ExecPolicy {
+        ExecPolicy::new(self.threads)
+            .with_morsel_tuples(self.morsel_tuples)
+            .with_run(run.clone())
     }
 
     /// Selection scan: all tuples with `lower ≤ key ≤ upper` (paper §4,
     /// vectorized Algorithm 3), morsel-parallel.
     pub fn select(&self, rel: &Relation, lower: u32, upper: u32) -> Relation {
-        let pred = ScanPredicate { lower, upper };
-        let mut out_keys = vec![0u32; rel.len()];
-        let mut out_pays = vec![0u32; rel.len()];
-        let (n, _) = rsv_scan::scan_parallel(
-            self.backend,
-            ScanVariant::VectorSelStoreIndirect,
-            &rel.keys,
-            &rel.payloads,
-            pred,
-            &mut out_keys,
-            &mut out_pays,
-            &self.policy(),
-        );
-        out_keys.truncate(n);
-        out_pays.truncate(n);
-        Relation::new(out_keys, out_pays)
+        expect_infallible(self.try_select(rel, lower, upper, &RunContext::default()))
     }
 
     /// Fallible [`Engine::select`] under a [`RunContext`]: the output
@@ -154,23 +137,19 @@ impl Engine {
         upper: u32,
         run: &RunContext,
     ) -> Result<Relation, EngineError> {
-        let pred = ScanPredicate { lower, upper };
-        let out_bytes = 2 * (rel.len() as u64) * std::mem::size_of::<u32>() as u64;
-        run.reserve(out_bytes)?;
+        let _out = run.reserve(2 * column_bytes(rel.len()))?;
         let mut out_keys = vec![0u32; rel.len()];
         let mut out_pays = vec![0u32; rel.len()];
-        let r = rsv_scan::scan_parallel_try(
+        let (n, _) = rsv_scan::scan_parallel(
             self.backend,
             ScanVariant::VectorSelStoreIndirect,
             &rel.keys,
             &rel.payloads,
-            pred,
+            ScanPredicate { lower, upper },
             &mut out_keys,
             &mut out_pays,
-            &self.policy_with(run),
-        );
-        run.budget.release(out_bytes);
-        let (n, _) = r?;
+            &self.policy(run),
+        )?;
         out_keys.truncate(n);
         out_pays.truncate(n);
         Ok(Relation::new(out_keys, out_pays))
@@ -193,7 +172,19 @@ impl Engine {
     /// block-aligned morsels. Output is byte-identical to
     /// `self.select(&self.decompress(rel), lower, upper)`.
     pub fn select_compressed(&self, rel: &CompressedRelation, lower: u32, upper: u32) -> Relation {
-        let pred = ScanPredicate { lower, upper };
+        expect_infallible(self.try_select_compressed(rel, lower, upper, &RunContext::default()))
+    }
+
+    /// Fallible [`Engine::select_compressed`] under a [`RunContext`], with
+    /// the guarantees of [`Engine::try_select`].
+    pub fn try_select_compressed(
+        &self,
+        rel: &CompressedRelation,
+        lower: u32,
+        upper: u32,
+        run: &RunContext,
+    ) -> Result<Relation, EngineError> {
+        let _out = run.reserve(2 * column_bytes(rel.len()))?;
         let mut out_keys = vec![0u32; rel.len()];
         let mut out_pays = vec![0u32; rel.len()];
         let (n, _) = rsv_column::select_fused_parallel(
@@ -201,14 +192,14 @@ impl Engine {
             ScanVariant::VectorSelStoreIndirect,
             &rel.keys,
             &rel.payloads,
-            pred,
+            ScanPredicate { lower, upper },
             &mut out_keys,
             &mut out_pays,
-            &self.policy(),
-        );
+            &self.policy(run),
+        )?;
         out_keys.truncate(n);
         out_pays.truncate(n);
-        Relation::new(out_keys, out_pays)
+        Ok(Relation::new(out_keys, out_pays))
     }
 
     /// Hash join `inner ⋈ outer` on the key columns using the paper's
@@ -225,22 +216,7 @@ impl Engine {
         outer: &Relation,
         variant: JoinVariant,
     ) -> JoinResult {
-        let policy = self.policy();
-        dispatch!(self.backend, s => {
-            match variant {
-                JoinVariant::NoPartition => {
-                    rsv_join::join_no_partition_policy(s, true, inner, outer, &policy).0
-                }
-                JoinVariant::MinPartition => {
-                    rsv_join::join_min_partition_policy(s, true, inner, outer, &policy).0
-                }
-                JoinVariant::MaxPartition => {
-                    rsv_join::join_max_partition_policy(
-                        s, true, inner, outer, &policy, rsv_join::DEFAULT_PART_TUPLES,
-                    ).0
-                }
-            }
-        })
+        expect_infallible(self.try_hash_join_variant(inner, outer, variant, &RunContext::default()))
     }
 
     /// Fallible [`Engine::hash_join`] (max-partition variant) under a
@@ -265,41 +241,53 @@ impl Engine {
         variant: JoinVariant,
         run: &RunContext,
     ) -> Result<JoinResult, EngineError> {
-        let policy = self.policy_with(run);
-        dispatch!(self.backend, s => {
+        let policy = self.policy(run);
+        let (result, _) = dispatch!(self.backend, s => {
             match variant {
                 JoinVariant::NoPartition => {
-                    rsv_join::join_no_partition_policy_try(s, true, inner, outer, &policy)
-                        .map(|r| r.0)
+                    rsv_join::join_no_partition(s, true, inner, outer, &policy)
                 }
                 JoinVariant::MinPartition => {
-                    rsv_join::join_min_partition_policy_try(s, true, inner, outer, &policy)
-                        .map(|r| r.0)
+                    rsv_join::join_min_partition(s, true, inner, outer, &policy)
                 }
-                JoinVariant::MaxPartition => {
-                    rsv_join::join_max_partition_policy_try(
-                        s, true, inner, outer, &policy, rsv_join::DEFAULT_PART_TUPLES,
-                    ).map(|r| r.0)
-                }
+                JoinVariant::MaxPartition => rsv_join::join_max_partition(
+                    s, true, inner, outer, &policy, rsv_join::DEFAULT_PART_TUPLES,
+                ),
             }
-        })
+        })?;
+        Ok(result)
     }
 
     /// Bloom-filter semi-join (paper §6): keep the tuples of `rel` whose
     /// key is (probably) present in `filter_keys`. Probing is
     /// morsel-parallel; qualifiers keep input order.
     pub fn bloom_semijoin(&self, rel: &Relation, filter_keys: &[u32]) -> Relation {
+        expect_infallible(self.try_bloom_semijoin(rel, filter_keys, &RunContext::default()))
+    }
+
+    /// Fallible [`Engine::bloom_semijoin`] under a [`RunContext`]: the
+    /// probe's position and output columns are gated by the memory
+    /// budget, cancellation is observed at morsel-claim boundaries, and a
+    /// worker panic surfaces as [`EngineError::WorkerPanicked`].
+    pub fn try_bloom_semijoin(
+        &self,
+        rel: &Relation,
+        filter_keys: &[u32],
+        run: &RunContext,
+    ) -> Result<Relation, EngineError> {
+        let n = rel.len();
+        // probe positions plus the two probe output columns
+        let _scratch = run.reserve(3 * column_bytes(n))?;
         let mut filter = BloomFilter::new(filter_keys.len(), 10, 5);
         filter.build(filter_keys);
-        let n = rel.len();
-        let q = MorselQueue::new(n, &self.policy(), 16);
+        let q = MorselQueue::new(n, &self.policy(run), 16);
         let m = q.morsel_count();
         let positions: Vec<u32> = (0..n as u32).collect();
         let counts = SharedBuffer::from_vec(vec![0usize; m]);
         let ok_buf = SharedBuffer::from_vec(vec![0u32; n]);
         let oi_buf = SharedBuffer::from_vec(vec![0u32; n]);
         let filter_ref = &filter;
-        parallel_scope_stats(self.threads, |ctx| {
+        parallel_scope_try(self.threads, |ctx| {
             // SAFETY: each morsel writes only the output region at its own
             // input offsets plus its own count slot; reads happen after
             // the scope joins.
@@ -322,7 +310,8 @@ impl Engine {
                     });
                 });
             }
-        });
+        })?;
+        run.check_cancelled()?;
         // Compact the per-morsel qualifier runs in morsel order (runs only
         // move left, so front-to-back copies never clobber a pending run).
         let counts = counts.into_vec();
@@ -343,23 +332,12 @@ impl Engine {
         idxs.sort_unstable();
         let out_keys: Vec<u32> = idxs.iter().map(|&i| rel.keys[i as usize]).collect();
         let out_pays: Vec<u32> = idxs.iter().map(|&i| rel.payloads[i as usize]).collect();
-        Relation::new(out_keys, out_pays)
+        Ok(Relation::new(out_keys, out_pays))
     }
 
     /// Stable LSB radixsort by key (paper §8).
     pub fn sort(&self, rel: &mut Relation) {
-        let cfg = SortConfig {
-            radix_bits: 8,
-            threads: self.threads,
-            morsel_tuples: self.morsel_tuples,
-        };
-        let mut keys = std::mem::take(&mut rel.keys);
-        let mut pays = std::mem::take(&mut rel.payloads);
-        dispatch!(self.backend, s => {
-            rsv_sort::lsb_radixsort_vector(s, &mut keys, &mut pays, &cfg)
-        });
-        rel.keys = keys;
-        rel.payloads = pays;
+        expect_infallible(self.try_sort(rel, &RunContext::default()))
     }
 
     /// Fallible [`Engine::sort`] under a [`RunContext`]: the radixsort's
@@ -368,39 +346,25 @@ impl Engine {
     /// On error the relation keeps its tuples (possibly partially
     /// reordered — rerun to completion to sort them).
     pub fn try_sort(&self, rel: &mut Relation, run: &RunContext) -> Result<(), EngineError> {
-        let cfg = SortConfig {
-            radix_bits: 8,
-            threads: self.threads,
-            morsel_tuples: self.morsel_tuples,
-        };
-        let mut keys = std::mem::take(&mut rel.keys);
-        let mut pays = std::mem::take(&mut rel.payloads);
-        let r = dispatch!(self.backend, s => {
-            rsv_sort::radixsort_pairs_try(s, true, &mut keys, &mut pays, &cfg, run)
-        });
-        rel.keys = keys;
-        rel.payloads = pays;
-        r.map(|_| ())
+        let policy = self.policy(run);
+        dispatch!(self.backend, s => {
+            rsv_sort::radixsort_pairs(
+                s, true, &mut rel.keys, &mut rel.payloads, &SortConfig::default(), &policy,
+            )
+        })?;
+        Ok(())
     }
 
     /// Hash-partition a relation into `fanout` parts (paper §7, buffered
     /// shuffling), morsel-parallel and stable. Returns the partitioned
-    /// relation and the partition start offsets.
+    /// relation and the partition start offsets. A fanout of 0 is clamped
+    /// to 1.
     ///
     /// Fanouts past [`rsv_partition::twopass::MAX_DIRECT_FANOUT`] degrade
     /// transparently to a two-pass decomposition (the single-pass staging
     /// buffers would outgrow the cache) with byte-identical output.
     pub fn hash_partition(&self, rel: &Relation, fanout: usize) -> (Relation, Vec<u32>) {
-        let f = rsv_partition::HashFn::new(fanout);
-        let mut out_keys = vec![0u32; rel.len()];
-        let mut out_pays = vec![0u32; rel.len()];
-        let pass = dispatch!(self.backend, s => {
-            rsv_partition::twopass::hash_partition_twopass(
-                s, true, f, &rel.keys, &rel.payloads, &mut out_keys, &mut out_pays,
-                &self.policy(), MAX_DIRECT_FANOUT,
-            ).0
-        });
-        (Relation::new(out_keys, out_pays), pass.partition_starts)
+        expect_infallible(self.try_hash_partition(rel, fanout, &RunContext::default()))
     }
 
     /// Fallible [`Engine::hash_partition`] under a [`RunContext`]: the
@@ -412,25 +376,22 @@ impl Engine {
         fanout: usize,
         run: &RunContext,
     ) -> Result<(Relation, Vec<u32>), EngineError> {
-        let f = rsv_partition::HashFn::new(fanout);
-        let out_bytes = 2 * (rel.len() as u64) * std::mem::size_of::<u32>() as u64;
-        run.reserve(out_bytes)?;
+        let f = rsv_partition::HashFn::new(fanout.max(1));
+        let _out = run.reserve(2 * column_bytes(rel.len()))?;
         let mut out_keys = vec![0u32; rel.len()];
         let mut out_pays = vec![0u32; rel.len()];
-        let r = dispatch!(self.backend, s => {
-            rsv_partition::twopass::hash_partition_twopass_try(
+        let (pass, _) = dispatch!(self.backend, s => {
+            rsv_partition::twopass::hash_partition_twopass(
                 s, true, f, &rel.keys, &rel.payloads, &mut out_keys, &mut out_pays,
-                &self.policy_with(run), MAX_DIRECT_FANOUT,
+                &self.policy(run), MAX_DIRECT_FANOUT,
             )
-        });
-        run.budget.release(out_bytes);
-        let (pass, _) = r?;
+        })?;
         Ok((Relation::new(out_keys, out_pays), pass.partition_starts))
     }
 
     /// Which partition a key belongs to under [`Engine::hash_partition`].
     pub fn hash_partition_of(&self, key: u32, fanout: usize) -> usize {
-        rsv_partition::HashFn::new(fanout).partition(key)
+        rsv_partition::HashFn::new(fanout.max(1)).partition(key)
     }
 
     /// Group-by aggregation: per distinct key, `COUNT(*)` and
@@ -442,31 +403,7 @@ impl Engine {
     /// `expected_groups` sizes the aggregation tables; it may be any upper
     /// bound (e.g. `rel.len()`).
     pub fn group_by_sum(&self, rel: &Relation, expected_groups: usize) -> Vec<(u32, u32, u64)> {
-        let q = MorselQueue::new(rel.len(), &self.policy(), 16);
-        let (tables, _) = parallel_scope_stats(self.threads, |ctx| {
-            let mut table = rsv_hashtab::GroupAggTable::new(expected_groups.max(1), 0.5);
-            for mo in ctx.morsels(&q) {
-                ctx.phase("aggregate", || {
-                    let r = mo.range.clone();
-                    dispatch!(self.backend, s => {
-                        table.update_vector(s, &rel.keys[r.clone()], &rel.payloads[r])
-                    });
-                });
-            }
-            table
-        });
-        let mut merged: std::collections::BTreeMap<u32, (u32, u64)> = Default::default();
-        for table in &tables {
-            for (k, c, sum) in table.iter() {
-                let e = merged.entry(k).or_default();
-                e.0 += c;
-                e.1 += sum;
-            }
-        }
-        merged
-            .into_iter()
-            .map(|(k, (c, sum))| (k, c, sum))
-            .collect()
+        expect_infallible(self.try_group_by_sum(rel, expected_groups, &RunContext::default()))
     }
 
     /// Fallible [`Engine::group_by_sum`] under a [`RunContext`]:
@@ -479,8 +416,8 @@ impl Engine {
         expected_groups: usize,
         run: &RunContext,
     ) -> Result<Vec<(u32, u32, u64)>, EngineError> {
-        let q = MorselQueue::new(rel.len(), &self.policy_with(run), 16);
-        let scope = parallel_scope_try(self.threads, |ctx| {
+        let q = MorselQueue::new(rel.len(), &self.policy(run), 16);
+        let (tables, _) = parallel_scope_try(self.threads, |ctx| {
             let mut table = rsv_hashtab::GroupAggTable::new(expected_groups.max(1), 0.5);
             for mo in ctx.morsels(&q) {
                 ctx.phase("aggregate", || {
@@ -491,11 +428,7 @@ impl Engine {
                 });
             }
             table
-        });
-        let (tables, _) = match scope {
-            Ok(v) => v,
-            Err(wp) => return Err(wp.into_engine_error()),
-        };
+        })?;
         run.check_cancelled()?;
         let mut merged: std::collections::BTreeMap<u32, (u32, u64)> = Default::default();
         for table in &tables {
@@ -510,6 +443,12 @@ impl Engine {
             .map(|(k, (c, sum))| (k, c, sum))
             .collect())
     }
+}
+
+/// Bytes of one `n`-value `u32` column, the unit of the operators' budget
+/// reservations.
+fn column_bytes(n: usize) -> u64 {
+    (n as u64) * std::mem::size_of::<u32>() as u64
 }
 
 #[cfg(test)]

@@ -73,6 +73,17 @@ fn op_select(e: &Engine, run: &RunContext) -> Result<u64, EngineError> {
     Ok(digest(&[&r.keys, &r.payloads]))
 }
 
+fn op_select_compressed(e: &Engine, run: &RunContext) -> Result<u64, EngineError> {
+    let packed = e.compress(&rel(12_000));
+    let r = e.try_select_compressed(&packed, 1 << 8, 1 << 30, run)?;
+    Ok(digest(&[&r.keys, &r.payloads]))
+}
+
+fn op_bloom_semijoin(e: &Engine, run: &RunContext) -> Result<u64, EngineError> {
+    let r = e.try_bloom_semijoin(&rel(12_000), &rel(3_000).keys, run)?;
+    Ok(digest(&[&r.keys, &r.payloads]))
+}
+
 fn join_digest(e: &Engine, v: JoinVariant, run: &RunContext) -> Result<u64, EngineError> {
     let result = e.try_hash_join_variant(&rel(3_000), &rel(12_000), v, run)?;
     let mut d = 0u64;
@@ -130,6 +141,8 @@ fn op_group_by(e: &Engine, run: &RunContext) -> Result<u64, EngineError> {
 
 const OPS: &[Op] = &[
     ("select", op_select),
+    ("select-compressed", op_select_compressed),
+    ("bloom-semijoin", op_bloom_semijoin),
     ("join-no-partition", op_join_no),
     ("join-min-partition", op_join_min),
     ("join-max-partition", op_join_max),

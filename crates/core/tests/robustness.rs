@@ -54,6 +54,7 @@ fn cancelled_run_fails_every_operator_without_claiming_work() {
     let engine = Engine::new().with_threads(4).with_morsel_tuples(256);
     let inner = rel(4_000);
     let outer = rel(16_000);
+    let packed = engine.compress(&outer);
 
     type Op<'a> = (
         &'a str,
@@ -63,6 +64,22 @@ fn cancelled_run_fails_every_operator_without_claiming_work() {
         (
             "select",
             Box::new(|run| engine.try_select(&outer, 0, u32::MAX, run).map(|_| ())),
+        ),
+        (
+            "select-compressed",
+            Box::new(|run| {
+                engine
+                    .try_select_compressed(&packed, 0, u32::MAX, run)
+                    .map(|_| ())
+            }),
+        ),
+        (
+            "bloom-semijoin",
+            Box::new(|run| {
+                engine
+                    .try_bloom_semijoin(&outer, &inner.keys, run)
+                    .map(|_| ())
+            }),
         ),
         (
             "join-no-partition",
@@ -137,6 +154,7 @@ fn budget_exceeded_is_typed_and_releases_everything() {
     let engine = Engine::new().with_threads(2);
     let inner = rel(4_000);
     let outer = rel(16_000);
+    let packed = engine.compress(&outer);
 
     type Op<'a> = (
         &'a str,
@@ -146,6 +164,22 @@ fn budget_exceeded_is_typed_and_releases_everything() {
         (
             "select",
             Box::new(|run| engine.try_select(&outer, 0, u32::MAX, run).map(|_| ())),
+        ),
+        (
+            "select-compressed",
+            Box::new(|run| {
+                engine
+                    .try_select_compressed(&packed, 0, u32::MAX, run)
+                    .map(|_| ())
+            }),
+        ),
+        (
+            "bloom-semijoin",
+            Box::new(|run| {
+                engine
+                    .try_bloom_semijoin(&outer, &inner.keys, run)
+                    .map(|_| ())
+            }),
         ),
         (
             "join-no-partition",
@@ -245,9 +279,9 @@ fn cancelled_sort_leaves_relation_intact() {
     assert!(r.keys.windows(2).all(|w| w[0] <= w[1]));
 }
 
-/// `with_threads(0)` / `with_morsel_tuples(0)` clamp to 1 instead of
-/// asserting: the degenerate configuration degrades to a working
-/// single-threaded engine with byte-identical results.
+/// `with_threads(0)` / `with_morsel_tuples(0)` and a partition fanout of
+/// 0 clamp to 1 instead of asserting: the degenerate configuration
+/// degrades to a working engine with byte-identical results.
 #[test]
 fn zero_threads_and_zero_morsel_tuples_clamp_to_one() {
     let r = rel(5_000);
@@ -262,6 +296,13 @@ fn zero_threads_and_zero_morsel_tuples_clamp_to_one() {
     let ga = clamped.group_by_sum(&r, r.len());
     let gb = reference.group_by_sum(&r, r.len());
     assert_eq!(ga, gb);
+
+    let pa = clamped
+        .try_hash_partition(&r, 0, &RunContext::new())
+        .expect("fanout 0 clamps to 1");
+    assert_eq!(pa, reference.hash_partition(&r, 1));
+    assert_eq!(clamped.hash_partition(&r, 0), pa);
+    assert_eq!(clamped.hash_partition_of(r.keys[0], 0), 0);
 }
 
 /// Cuckoo rehash exhaustion (0.97 load factor is far past the two-choice

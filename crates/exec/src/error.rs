@@ -1,11 +1,12 @@
 //! The workspace-level error taxonomy for fallible operator execution.
 //!
-//! Every `Engine::try_*` entry point (and the operator-crate `*_try`
-//! functions underneath) returns `Result<_, EngineError>`. The infallible
-//! legacy APIs delegate to the fallible ones and panic only on outcomes
-//! that cannot occur without an explicit [`RunContext`](crate::RunContext)
-//! (cancellation, budgets) or a genuine bug (a worker panic, which they
-//! re-raise with its original message).
+//! Every operator crate's parallel entry point and every `Engine::try_*`
+//! method returns `Result<_, EngineError>`. The infallible `Engine`
+//! methods run the `try_` ones under a default
+//! [`RunContext`](crate::RunContext) and panic only on outcomes that
+//! cannot occur without an explicit one (cancellation, budgets) or on a
+//! genuine bug (a worker panic, which they re-raise with its original
+//! message).
 
 use std::any::Any;
 
@@ -93,7 +94,7 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Unwrap a fallible-operator result on an **infallible** legacy path: a
+/// Unwrap a fallible-operator result on an **infallible** path: a
 /// [`EngineError::WorkerPanicked`] re-raises the worker's panic (with its
 /// original message), anything else is a bug because the default
 /// [`RunContext`](crate::RunContext) can be neither cancelled nor

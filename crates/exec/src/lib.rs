@@ -31,10 +31,10 @@ pub use aligned::AlignedVec;
 pub use error::{expect_infallible, panic_message, EngineError};
 pub use morsel::{ExecPolicy, Morsel, MorselQueue, DEFAULT_MORSEL_TUPLES};
 pub use parallel::{
-    chunk_ranges, parallel_scope, parallel_scope_stats, parallel_scope_try, Morsels,
-    ParallelContext, SchedulerStats, WorkerPanic, WorkerStats,
+    chunk_ranges, parallel_scope, parallel_scope_try, Morsels, ParallelContext, SchedulerStats,
+    WorkerPanic, WorkerStats,
 };
 pub use platform::{platform_report, PlatformReport};
-pub use run::{CancelToken, MemoryBudget, RunContext};
+pub use run::{CancelToken, MemoryBudget, Reservation, RunContext};
 pub use shared::{SharedBuffer, SlotMap};
 pub use timing::{throughput_mtps, time, time_n, Timed};

@@ -146,15 +146,10 @@ impl MorselQueue {
 
     /// A queue of `count` indivisible tasks (partitions to build, parts to
     /// probe, ...) rather than tuple ranges: morsel `i` is `i..i + 1`.
-    pub fn tasks(count: usize, workers: usize) -> MorselQueue {
-        Self::build(count, count, workers, 1, CancelToken::new())
-    }
-
-    /// Like [`MorselQueue::tasks`], but honouring `policy.run`'s cancel
-    /// token, so task-granular phases (per-partition build/probe) stop at
-    /// task boundaries too.
-    pub fn tasks_policy(count: usize, workers: usize, policy: &ExecPolicy) -> MorselQueue {
-        Self::build(count, count, workers, 1, policy.run.cancel_token())
+    /// Claims honour `policy.run`'s cancel token, so task-granular phases
+    /// stop at task boundaries too.
+    pub fn tasks(count: usize, policy: &ExecPolicy) -> MorselQueue {
+        Self::build(count, count, policy.threads, 1, policy.run.cancel_token())
     }
 
     fn build(
@@ -319,7 +314,7 @@ mod tests {
 
     #[test]
     fn task_queue_is_unit_granularity() {
-        let q = MorselQueue::tasks(7, 3);
+        let q = MorselQueue::tasks(7, &ExecPolicy::new(3));
         assert_eq!(q.morsel_count(), 7);
         for id in 0..7 {
             assert_eq!(q.range_of(id), id..id + 1);
@@ -337,9 +332,9 @@ mod tests {
     }
 
     #[test]
-    fn task_policy_queue_honours_cancel() {
+    fn task_queue_honours_cancel() {
         let policy = ExecPolicy::new(1);
-        let q = MorselQueue::tasks_policy(5, 1, &policy);
+        let q = MorselQueue::tasks(5, &policy);
         assert!(q.claim(0).is_some());
         policy.run.cancel.cancel();
         assert!(q.claim(0).is_none());

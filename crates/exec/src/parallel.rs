@@ -6,8 +6,8 @@
 //! siblings drain at the next morsel-claim boundary) and defects from the
 //! phase barrier (so siblings blocked on it are released instead of
 //! deadlocking). [`parallel_scope_try`] surfaces the first panic as a
-//! [`WorkerPanic`]; the infallible [`parallel_scope_stats`] delegates to it
-//! and re-raises the original payload.
+//! [`WorkerPanic`], which `?` converts into
+//! [`EngineError::WorkerPanicked`](crate::EngineError::WorkerPanicked).
 
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
@@ -49,7 +49,7 @@ pub fn chunk_ranges(n: usize, t: usize, align: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// What one worker did during a [`parallel_scope_stats`] region.
+/// What one worker did during a [`parallel_scope_try`] region.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Morsels this worker claimed (own span and stolen).
@@ -150,13 +150,13 @@ pub struct WorkerPanic {
     pub payload: Box<dyn std::any::Any + Send>,
 }
 
-impl WorkerPanic {
-    /// Convert into the workspace error, stringifying the payload (the
-    /// operator `*_try` functions' standard mapping).
-    pub fn into_engine_error(self) -> crate::EngineError {
+impl From<WorkerPanic> for crate::EngineError {
+    /// Stringify the payload, so an operator can propagate a scope's
+    /// panic with `?`.
+    fn from(wp: WorkerPanic) -> Self {
         crate::EngineError::WorkerPanicked {
-            payload: crate::error::panic_message(self.payload.as_ref()),
-            morsel: self.morsel,
+            payload: crate::error::panic_message(wp.payload.as_ref()),
+            morsel: wp.morsel,
         }
     }
 }
@@ -315,38 +315,27 @@ impl Iterator for Morsels<'_, '_> {
     }
 }
 
-/// Run `t` workers, giving each a [`ParallelContext`], and collect their
-/// results in thread-id order.
-///
-/// Workers run on `t - 1` spawned threads plus the calling thread, so
-/// `parallel_scope(1, f)` has no spawn overhead.
+/// [`parallel_scope_try`] for callers that want only the results: a
+/// worker panic is re-raised on the calling thread with its original
+/// payload, after every sibling has drained.
 pub fn parallel_scope<R, F>(t: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(&ParallelContext<'_>) -> R + Sync,
 {
-    parallel_scope_stats(t, f).0
-}
-
-/// [`parallel_scope`], additionally returning per-worker scheduler stats
-/// (morsels claimed, steals, tuples, per-phase times).
-///
-/// A worker panic is re-raised on the calling thread with its original
-/// payload — after every sibling has drained cleanly (no results are
-/// silently discarded, no thread is left stranded on a barrier).
-pub fn parallel_scope_stats<R, F>(t: usize, f: F) -> (Vec<R>, SchedulerStats)
-where
-    R: Send,
-    F: Fn(&ParallelContext<'_>) -> R + Sync,
-{
     match parallel_scope_try(t, f) {
-        Ok(out) => out,
+        Ok((results, _)) => results,
         Err(wp) => std::panic::resume_unwind(wp.payload),
     }
 }
 
-/// [`parallel_scope_stats`] with panic isolation surfaced as a value: if
-/// any worker panics, the first panic is returned as [`WorkerPanic`]
+/// Run `t` workers, giving each a [`ParallelContext`], and collect their
+/// results in thread-id order plus per-worker scheduler stats (morsels
+/// claimed, steals, tuples, per-phase times). Workers run on `t - 1`
+/// spawned threads plus the calling thread, so `t == 1` has no spawn
+/// overhead.
+///
+/// If any worker panics, the first panic is returned as [`WorkerPanic`]
 /// (worker id, last claimed morsel, original payload) instead of
 /// unwinding. The panicking worker trips a shared abort flag — siblings
 /// stop at their next morsel-claim boundary — and defects from the phase
@@ -562,13 +551,14 @@ mod tests {
         let n = 100_000;
         let policy = ExecPolicy::new(3).with_morsel_tuples(1024);
         let queue = MorselQueue::new(n, &policy, 16);
-        let (sums, stats) = parallel_scope_stats(3, |ctx| {
+        let (sums, stats) = parallel_scope_try(3, |ctx| {
             let mut sum = 0usize;
             for m in ctx.morsels(&queue) {
                 sum += ctx.phase("work", || m.range.len());
             }
             sum
-        });
+        })
+        .unwrap();
         assert_eq!(sums.iter().sum::<usize>(), n);
         assert_eq!(stats.total_tuples(), n as u64);
         assert_eq!(stats.total_morsels(), queue.morsel_count() as u64);

@@ -2,8 +2,8 @@
 //!
 //! A [`RunContext`] travels inside [`ExecPolicy`](crate::ExecPolicy) into
 //! every parallel operator. It is cheap to clone (two `Arc`s) and its
-//! default is inert — uncancellable, unlimited — so the infallible legacy
-//! APIs pay nothing for it.
+//! default is inert — uncancellable, unlimited — so the infallible
+//! `Engine` methods pay nothing for it.
 //!
 //! **Cancellation latency is bounded by one morsel**: the token's flag is
 //! checked at every morsel-claim boundary
@@ -72,10 +72,11 @@ impl MemoryBudget {
         }
     }
 
-    /// Reserve `bytes` against the budget. Fails (without reserving) when
-    /// the limit would be exceeded. The `exec.budget.reserve` failpoint
-    /// can deny any reservation deterministically.
-    pub fn reserve(&self, bytes: u64) -> Result<(), EngineError> {
+    /// Reserve `bytes` against the budget until the returned
+    /// [`Reservation`] drops. Fails (without reserving) when the limit
+    /// would be exceeded. The `exec.budget.reserve` failpoint can deny any
+    /// reservation deterministically.
+    pub fn reserve(&self, bytes: u64) -> Result<Reservation<'_>, EngineError> {
         let injected = rsv_testkit::failpoint!("exec.budget.reserve");
         let Some(state) = &self.state else {
             return if injected {
@@ -85,7 +86,10 @@ impl MemoryBudget {
                     used: 0,
                 })
             } else {
-                Ok(())
+                Ok(Reservation {
+                    budget: self,
+                    bytes,
+                })
             };
         };
         // CAS loop: reserve only if the new total stays within the limit,
@@ -107,14 +111,18 @@ impl MemoryBudget {
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return Ok(()),
+                Ok(_) => {
+                    return Ok(Reservation {
+                        budget: self,
+                        bytes,
+                    })
+                }
                 Err(cur) => used = cur,
             }
         }
     }
 
-    /// Return `bytes` to the budget (for buffers freed mid-query).
-    pub fn release(&self, bytes: u64) {
+    fn release(&self, bytes: u64) {
         if let Some(state) = &self.state {
             let mut used = state.used.load(Ordering::Relaxed);
             loop {
@@ -145,9 +153,25 @@ impl MemoryBudget {
     }
 }
 
+/// Bytes reserved against a [`MemoryBudget`], returned to it when the
+/// guard drops — on success, on an early `?` return and during a panic
+/// unwind alike, so no exit path can leak a reservation.
+#[must_use = "dropping a Reservation releases its bytes at once"]
+#[derive(Debug)]
+pub struct Reservation<'a> {
+    budget: &'a MemoryBudget,
+    bytes: u64,
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        self.budget.release(self.bytes);
+    }
+}
+
 /// Everything a fallible operator run carries: a [`CancelToken`] and a
 /// [`MemoryBudget`]. `Default` is inert (uncancellable, unlimited), which
-/// is what the infallible legacy APIs run under.
+/// is what the infallible `Engine` methods run under.
 #[derive(Debug, Clone, Default)]
 pub struct RunContext {
     /// The query's cancellation token.
@@ -194,8 +218,9 @@ impl RunContext {
         }
     }
 
-    /// Reserve `bytes` against the budget, first honouring cancellation.
-    pub fn reserve(&self, bytes: u64) -> Result<(), EngineError> {
+    /// Reserve `bytes` against the budget until the returned
+    /// [`Reservation`] drops, first honouring cancellation.
+    pub fn reserve(&self, bytes: u64) -> Result<Reservation<'_>, EngineError> {
         self.check_cancelled()?;
         self.budget.reserve(bytes)
     }
@@ -211,7 +236,7 @@ mod tests {
         let ctx = RunContext::new();
         assert!(!ctx.is_cancelled());
         ctx.check_cancelled().unwrap();
-        ctx.reserve(u64::MAX).unwrap();
+        let _all = ctx.reserve(u64::MAX).unwrap();
         assert_eq!(ctx.budget.used(), 0);
         assert_eq!(ctx.budget.limit(), None);
     }
@@ -224,14 +249,14 @@ mod tests {
         token.cancel();
         assert!(ctx.is_cancelled());
         assert_eq!(ctx.check_cancelled(), Err(EngineError::Cancelled));
-        assert_eq!(ctx.reserve(1), Err(EngineError::Cancelled));
+        assert_eq!(ctx.reserve(1).unwrap_err(), EngineError::Cancelled);
     }
 
     #[test]
     fn budget_reserves_and_releases() {
         let b = MemoryBudget::bytes(100);
-        b.reserve(60).unwrap();
-        b.reserve(40).unwrap();
+        let sixty = b.reserve(60).unwrap();
+        let _forty = b.reserve(40).unwrap();
         let err = b.reserve(1).unwrap_err();
         assert_eq!(
             err,
@@ -241,9 +266,9 @@ mod tests {
                 used: 100
             }
         );
-        b.release(50);
-        b.reserve(30).unwrap();
-        assert_eq!(b.used(), 80);
+        drop(sixty);
+        let _thirty = b.reserve(30).unwrap();
+        assert_eq!(b.used(), 70);
     }
 
     #[test]
@@ -251,7 +276,25 @@ mod tests {
         let b = MemoryBudget::bytes(10);
         assert!(b.reserve(11).is_err());
         assert_eq!(b.used(), 0);
-        b.reserve(10).unwrap();
+        let _ten = b.reserve(10).unwrap();
         assert_eq!(b.used(), 10);
+    }
+
+    /// A reservation held across a failing `?` or a panic is released by
+    /// the unwinding, not by the code that failed.
+    #[test]
+    fn reservation_released_on_early_return_and_unwind() {
+        fn work(run: &RunContext) -> Result<(), EngineError> {
+            let _scratch = run.budget.reserve(64)?;
+            assert_eq!(run.budget.used(), 64);
+            run.check_cancelled()?;
+            panic!("worker died holding its reservation");
+        }
+        let run = RunContext::new().with_memory_limit(100);
+        assert!(std::panic::catch_unwind(|| work(&run)).is_err());
+        assert_eq!(run.budget.used(), 0);
+        run.cancel_token().cancel();
+        assert_eq!(work(&run), Err(EngineError::Cancelled));
+        assert_eq!(run.budget.used(), 0);
     }
 }

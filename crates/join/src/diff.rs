@@ -6,8 +6,11 @@
 //! unspecified (vectorized probing is unstable and sinks are
 //! per-thread), so results compare as sorted triple multisets.
 
-use crate::{join_max_partition, join_min_partition, join_no_partition, JoinResult};
+use crate::{
+    join_max_partition, join_min_partition, join_no_partition, JoinResult, DEFAULT_PART_TUPLES,
+};
 use rsv_data::Relation;
+use rsv_exec::{expect_infallible, ExecPolicy};
 use rsv_simd::dispatch;
 use rsv_testkit::diff::{canonical_triples, CaseInput, DiffOp, Kernel, Registry};
 use std::collections::HashMap;
@@ -40,13 +43,17 @@ fn result_bytes(res: JoinResult) -> Vec<u8> {
 }
 
 macro_rules! join_kernel {
-    ($name:literal, $func:ident, $vectorized:expr) => {
+    ($name:literal, $func:ident, $vectorized:expr $(, $extra:expr)*) => {
         Kernel {
             name: $name,
             threaded: true,
             run: |b, t, i| {
                 let (inner, outer) = relations(i);
-                result_bytes(dispatch!(b, s => { $func(s, $vectorized, &inner, &outer, t) }))
+                let policy = ExecPolicy::new(t);
+                let (res, _) = expect_infallible(dispatch!(b, s => {
+                    $func(s, $vectorized, &inner, &outer, &policy $(, $extra)*)
+                }));
+                result_bytes(res)
             },
         }
     };
@@ -63,8 +70,18 @@ pub fn register(r: &mut Registry) {
             join_kernel!("no-partition-vector", join_no_partition, true),
             join_kernel!("min-partition-scalar", join_min_partition, false),
             join_kernel!("min-partition-vector", join_min_partition, true),
-            join_kernel!("max-partition-scalar", join_max_partition, false),
-            join_kernel!("max-partition-vector", join_max_partition, true),
+            join_kernel!(
+                "max-partition-scalar",
+                join_max_partition,
+                false,
+                DEFAULT_PART_TUPLES
+            ),
+            join_kernel!(
+                "max-partition-vector",
+                join_max_partition,
+                true,
+                DEFAULT_PART_TUPLES
+            ),
         ],
     });
 }

@@ -13,7 +13,9 @@
 //!
 //! All variants emit `(key, inner payload, outer payload)` triples into
 //! per-thread [`JoinSink`]s and report a per-phase timing breakdown
-//! (the Figure 15 stacked bars).
+//! (the Figure 15 stacked bars). Each is one fallible function taking an
+//! [`rsv_exec::ExecPolicy`] and returning the result with per-worker
+//! scheduler stats, or a typed [`rsv_exec::EngineError`].
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -23,14 +25,9 @@ mod max_partition;
 mod min_partition;
 mod no_partition;
 
-pub use max_partition::{
-    join_max_partition, join_max_partition_policy, join_max_partition_policy_try,
-    join_max_partition_with_target, DEFAULT_PART_TUPLES,
-};
-pub use min_partition::{
-    join_min_partition, join_min_partition_policy, join_min_partition_policy_try,
-};
-pub use no_partition::{join_no_partition, join_no_partition_policy, join_no_partition_policy_try};
+pub use max_partition::{join_max_partition, DEFAULT_PART_TUPLES};
+pub use min_partition::join_min_partition;
+pub use no_partition::join_no_partition;
 
 use rsv_hashtab::JoinSink;
 use std::time::Duration;

@@ -6,15 +6,13 @@
 use std::time::Instant;
 
 use rsv_data::Relation;
-use rsv_exec::{
-    expect_infallible, parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
-};
+use rsv_exec::{parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats};
 use rsv_hashtab::{
     lp_build_scalar_raw, lp_build_vertical_raw, lp_probe_scalar_raw, lp_probe_vertical_raw,
     JoinSink, MulHash, EMPTY_PAIR,
 };
 use rsv_partition::histogram::{histogram_scalar, histogram_vector_replicated, prefix_sum};
-use rsv_partition::parallel::partition_pass_policy_try;
+use rsv_partition::parallel::partition_pass;
 use rsv_partition::shuffle::{shuffle_scalar_buffered, shuffle_vector_buffered};
 use rsv_partition::HashFn;
 use rsv_simd::Simd;
@@ -32,65 +30,17 @@ const MAX_PASS_FANOUT: usize = 256;
 /// Per-worker task-phase results: a sink plus build/probe nanoseconds.
 type TaskResults = Vec<(JoinSink, u64, u64)>;
 
-/// Execute the max-partition join with the default cache target.
+/// Execute the max-partition join with morsel scheduling and an
+/// inner-part tuple target ([`DEFAULT_PART_TUPLES`] by default), returning
+/// per-worker scheduler stats. Each cache-resident part becomes one
+/// stealable build+probe task, so a worker stuck on a skew-inflated part
+/// does not stall the join.
+///
+/// Honours `policy.run`: the partitioned copies of both relations (and the
+/// second-level scratch) are gated by the memory budget, cancellation is
+/// observed at every morsel/task claim and between second-level passes,
+/// and worker panics surface as [`EngineError::WorkerPanicked`].
 pub fn join_max_partition<S: Simd>(
-    s: S,
-    vectorized: bool,
-    inner: &Relation,
-    outer: &Relation,
-    threads: usize,
-) -> JoinResult {
-    join_max_partition_with_target(s, vectorized, inner, outer, threads, DEFAULT_PART_TUPLES)
-}
-
-/// As [`join_max_partition`] with an explicit inner-part tuple target.
-pub fn join_max_partition_with_target<S: Simd>(
-    s: S,
-    vectorized: bool,
-    inner: &Relation,
-    outer: &Relation,
-    threads: usize,
-    part_target: usize,
-) -> JoinResult {
-    join_max_partition_policy(
-        s,
-        vectorized,
-        inner,
-        outer,
-        &ExecPolicy::new(threads),
-        part_target,
-    )
-    .0
-}
-
-/// [`join_max_partition_with_target`] with explicit morsel scheduling,
-/// returning per-worker scheduler stats. Each cache-resident part becomes
-/// one stealable build+probe task, so a worker stuck on a skew-inflated
-/// part no longer stalls the join.
-pub fn join_max_partition_policy<S: Simd>(
-    s: S,
-    vectorized: bool,
-    inner: &Relation,
-    outer: &Relation,
-    policy: &ExecPolicy,
-    part_target: usize,
-) -> (JoinResult, SchedulerStats) {
-    expect_infallible(join_max_partition_policy_try(
-        s,
-        vectorized,
-        inner,
-        outer,
-        policy,
-        part_target,
-    ))
-}
-
-/// Fallible [`join_max_partition_policy`]: honours `policy.run` — the
-/// partitioned copies of both relations (and the second-level scratch) are
-/// gated by the memory budget, cancellation is observed at every
-/// morsel/task claim and between second-level passes, and worker panics
-/// surface as [`EngineError::WorkerPanicked`].
-pub fn join_max_partition_policy_try<S: Simd>(
     s: S,
     vectorized: bool,
     inner: &Relation,
@@ -103,15 +53,6 @@ pub fn join_max_partition_policy_try<S: Simd>(
     let table_hash = MulHash::nth(0);
     let f1_factor = MulHash::nth(2).factor();
     let f2_factor = MulHash::nth(3).factor();
-
-    // Memory charged so far; released before every return below.
-    let mut reserved = 0u64;
-    macro_rules! bail {
-        ($e:expr) => {{
-            policy.run.budget.release(reserved);
-            return Err($e);
-        }};
-    }
 
     // ------------------------------------------------------------------
     // Phase 1: partition both relations with the same function(s) until
@@ -127,9 +68,8 @@ pub fn join_max_partition_policy_try<S: Simd>(
 
     let mut stats = SchedulerStats::default();
     let cols_bytes = 2 * ((inner.len() + outer.len()) as u64) * std::mem::size_of::<u32>() as u64;
-    policy.run.reserve(cols_bytes)?;
-    reserved += cols_bytes;
-    let inner_part = partition_relation(
+    let _cols = policy.run.reserve(cols_bytes)?;
+    let (mut ik, mut ip, istarts, ihist) = partition_relation(
         s,
         vectorized,
         f1,
@@ -137,12 +77,8 @@ pub fn join_max_partition_policy_try<S: Simd>(
         &inner.payloads,
         policy,
         &mut stats,
-    );
-    let (mut ik, mut ip, istarts, ihist) = match inner_part {
-        Ok(v) => v,
-        Err(e) => bail!(e),
-    };
-    let outer_part = partition_relation(
+    )?;
+    let (mut ok_, mut op, ostarts, ohist) = partition_relation(
         s,
         vectorized,
         f1,
@@ -150,11 +86,7 @@ pub fn join_max_partition_policy_try<S: Simd>(
         &outer.payloads,
         policy,
         &mut stats,
-    );
-    let (mut ok_, mut op, ostarts, ohist) = match outer_part {
-        Ok(v) => v,
-        Err(e) => bail!(e),
-    };
+    )?;
 
     // Second-level split for oversized parts, with an independent hash.
     let mut parts: Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> = Vec::new();
@@ -174,16 +106,11 @@ pub fn join_max_partition_policy_try<S: Simd>(
         // distributing parts among threads.
         let scratch_bytes =
             2 * (ik.len().max(ok_.len()) as u64) * std::mem::size_of::<u32>() as u64;
-        if let Err(e) = policy.run.reserve(scratch_bytes) {
-            bail!(e);
-        }
-        reserved += scratch_bytes;
+        let _scratch = policy.run.reserve(scratch_bytes)?;
         let mut sk = vec![0u32; ik.len().max(ok_.len())];
         let mut sp = vec![0u32; ik.len().max(ok_.len())];
         for &(p, sub_fanout) in &second {
-            if let Err(e) = policy.run.check_cancelled() {
-                bail!(e);
-            }
+            policy.run.check_cancelled()?;
             rsv_metrics::count(rsv_metrics::Metric::JoinPartitionFanout, sub_fanout as u64);
             let f2 = HashFn::with_factor(sub_fanout, f2_factor);
             let ir = istarts[p] as usize..istarts[p] as usize + ihist[p] as usize;
@@ -223,73 +150,67 @@ pub fn join_max_partition_policy_try<S: Simd>(
     // so the reported split is the workers' accumulated time.
     // ------------------------------------------------------------------
     let t0 = Instant::now();
-    let task_q = MorselQueue::tasks_policy(parts.len(), threads, policy);
+    let task_q = MorselQueue::tasks(parts.len(), policy);
     let ik_ref = &ik;
     let ip_ref = &ip;
     let ok_ref = &ok_;
     let op_ref = &op;
     let parts_ref = &parts;
-    let task_scope: Result<(TaskResults, _), _> =
-        parallel_scope_try(threads, |ctx| {
-            let mut sink = JoinSink::with_capacity(1024);
-            let mut build_ns = 0u64;
-            let mut probe_ns = 0u64;
-            for task in ctx.morsels(&task_q) {
-                let _ = rsv_testkit::failpoint!("join.task");
-                let (ir, or) = &parts_ref[task.id];
-                if ir.is_empty() || or.is_empty() {
-                    continue;
-                }
-                ctx.phase("build+probe", || {
-                    let tb = Instant::now();
-                    let buckets = (ir.len() * 2 + 1).max(2);
-                    let mut pairs = vec![EMPTY_PAIR; buckets];
-                    if vectorized {
-                        lp_build_vertical_raw(
-                            s,
-                            &mut pairs,
-                            table_hash,
-                            &ik_ref[ir.clone()],
-                            &ip_ref[ir.clone()],
-                        );
-                    } else {
-                        lp_build_scalar_raw(
-                            &mut pairs,
-                            table_hash,
-                            &ik_ref[ir.clone()],
-                            &ip_ref[ir.clone()],
-                        );
-                    }
-                    build_ns += tb.elapsed().as_nanos() as u64;
-                    let tp = Instant::now();
-                    if vectorized {
-                        lp_probe_vertical_raw(
-                            s,
-                            &pairs,
-                            table_hash,
-                            &ok_ref[or.clone()],
-                            &op_ref[or.clone()],
-                            &mut sink,
-                        );
-                    } else {
-                        lp_probe_scalar_raw(
-                            &pairs,
-                            table_hash,
-                            &ok_ref[or.clone()],
-                            &op_ref[or.clone()],
-                            &mut sink,
-                        );
-                    }
-                    probe_ns += tp.elapsed().as_nanos() as u64;
-                });
+    let (results, task_stats): (TaskResults, _) = parallel_scope_try(threads, |ctx| {
+        let mut sink = JoinSink::with_capacity(1024);
+        let mut build_ns = 0u64;
+        let mut probe_ns = 0u64;
+        for task in ctx.morsels(&task_q) {
+            let _ = rsv_testkit::failpoint!("join.task");
+            let (ir, or) = &parts_ref[task.id];
+            if ir.is_empty() || or.is_empty() {
+                continue;
             }
-            (sink, build_ns, probe_ns)
-        });
-    policy.run.budget.release(reserved);
-    let (results, task_stats) = match task_scope {
-        Ok(v) => v,
-        Err(wp) => return Err(wp.into_engine_error()),
-    };
+            ctx.phase("build+probe", || {
+                let tb = Instant::now();
+                let buckets = (ir.len() * 2 + 1).max(2);
+                let mut pairs = vec![EMPTY_PAIR; buckets];
+                if vectorized {
+                    lp_build_vertical_raw(
+                        s,
+                        &mut pairs,
+                        table_hash,
+                        &ik_ref[ir.clone()],
+                        &ip_ref[ir.clone()],
+                    );
+                } else {
+                    lp_build_scalar_raw(
+                        &mut pairs,
+                        table_hash,
+                        &ik_ref[ir.clone()],
+                        &ip_ref[ir.clone()],
+                    );
+                }
+                build_ns += tb.elapsed().as_nanos() as u64;
+                let tp = Instant::now();
+                if vectorized {
+                    lp_probe_vertical_raw(
+                        s,
+                        &pairs,
+                        table_hash,
+                        &ok_ref[or.clone()],
+                        &op_ref[or.clone()],
+                        &mut sink,
+                    );
+                } else {
+                    lp_probe_scalar_raw(
+                        &pairs,
+                        table_hash,
+                        &ok_ref[or.clone()],
+                        &op_ref[or.clone()],
+                        &mut sink,
+                    );
+                }
+                probe_ns += tp.elapsed().as_nanos() as u64;
+            });
+        }
+        (sink, build_ns, probe_ns)
+    })?;
     policy.run.check_cancelled()?;
     let build_probe = t0.elapsed();
     stats.merge(&task_stats);
@@ -330,7 +251,7 @@ fn partition_relation<S: Simd>(
     let mut dk = vec![0u32; keys.len()];
     let mut dp = vec![0u32; pays.len()];
     let (pass, pass_stats) =
-        partition_pass_policy_try(s, vectorized, f, keys, pays, &mut dk, &mut dp, policy)?;
+        partition_pass(s, vectorized, f, keys, pays, &mut dk, &mut dp, policy)?;
     stats.merge(&pass_stats);
     Ok((dk, dp, pass.partition_starts, pass.hist))
 }
@@ -386,6 +307,26 @@ mod tests {
     use crate::test_support::{reference_fingerprint, workload};
     use rsv_simd::Portable;
 
+    fn join(
+        s: Portable<16>,
+        vectorized: bool,
+        inner: &Relation,
+        outer: &Relation,
+        threads: usize,
+        target: usize,
+    ) -> JoinResult {
+        join_max_partition(
+            s,
+            vectorized,
+            inner,
+            outer,
+            &ExecPolicy::new(threads),
+            target,
+        )
+        .unwrap()
+        .0
+    }
+
     #[test]
     fn matches_reference() {
         let s = Portable::<16>::new();
@@ -394,7 +335,7 @@ mod tests {
         for threads in [1usize, 3] {
             for vectorized in [false, true] {
                 // small target forces a deep partitioning tree
-                let r = join_max_partition_with_target(s, vectorized, &inner, &outer, threads, 128);
+                let r = join(s, vectorized, &inner, &outer, threads, 128);
                 assert_eq!(r.matches(), n, "threads={threads} vec={vectorized}");
                 assert_eq!(r.fingerprint(), expected);
             }
@@ -407,7 +348,7 @@ mod tests {
         // force fanout1 to clamp so second-level passes must run
         let (inner, outer) = workload(10_000, 20_000, 222);
         let (expected, n) = reference_fingerprint(&inner, &outer);
-        let r = join_max_partition_with_target(s, true, &inner, &outer, 2, 16);
+        let r = join(s, true, &inner, &outer, 2, 16);
         assert_eq!(r.matches(), n);
         assert_eq!(r.fingerprint(), expected);
     }
@@ -417,7 +358,7 @@ mod tests {
         let s = Portable::<16>::new();
         let w = rsv_data::join_workload(2_000, 8_000, 5.0, 0.2, &mut rsv_data::rng(223));
         let (expected, n) = reference_fingerprint(&w.inner, &w.outer);
-        let r = join_max_partition_with_target(s, true, &w.inner, &w.outer, 2, 256);
+        let r = join(s, true, &w.inner, &w.outer, 2, 256);
         assert_eq!(r.matches(), n);
         assert_eq!(r.fingerprint(), expected);
     }
@@ -430,12 +371,12 @@ mod tests {
         let run = RunContext::new();
         run.cancel_token().cancel();
         let policy = ExecPolicy::new(2).with_run(run);
-        let err = join_max_partition_policy_try(s, true, &inner, &outer, &policy, 128)
+        let err = join_max_partition(s, true, &inner, &outer, &policy, 128)
             .expect_err("cancelled join must fail");
         assert!(matches!(err, EngineError::Cancelled), "{err}");
         let run = RunContext::new().with_memory_limit(100);
         let policy = ExecPolicy::new(2).with_run(run);
-        let err = join_max_partition_policy_try(s, true, &inner, &outer, &policy, 128)
+        let err = join_max_partition(s, true, &inner, &outer, &policy, 128)
             .expect_err("budget must deny the partitioned columns");
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
         assert_eq!(policy.run.budget.used(), 0);
@@ -446,7 +387,7 @@ mod tests {
         let s = Portable::<16>::new();
         let (inner, outer) = workload(5_000, 5_000, 224);
         let (expected, n) = reference_fingerprint(&inner, &outer);
-        let r = join_max_partition(s, true, &inner, &outer, 1);
+        let r = join(s, true, &inner, &outer, 1, DEFAULT_PART_TUPLES);
         assert_eq!(r.matches(), n);
         assert_eq!(r.fingerprint(), expected);
     }

@@ -7,14 +7,13 @@ use std::time::Instant;
 
 use rsv_data::Relation;
 use rsv_exec::{
-    expect_infallible, parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
-    SharedBuffer,
+    parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats, SharedBuffer,
 };
 use rsv_hashtab::{
     lp_build_scalar_raw, lp_build_vertical_raw, lp_probe_one_raw, JoinSink, MulHash, EMPTY_KEY,
     EMPTY_PAIR,
 };
-use rsv_partition::parallel::partition_pass_policy_try;
+use rsv_partition::parallel::partition_pass;
 use rsv_partition::{HashFn, PartitionFn};
 use rsv_simd::{MaskLike, Simd};
 
@@ -23,37 +22,14 @@ use crate::{JoinResult, JoinTimings};
 /// Maximum vector width any backend exposes (for stack lane buffers).
 const MAX_LANES: usize = 32;
 
-/// Execute the min-partition join with `threads` threads (and as many
-/// inner partitions).
+/// Execute the min-partition join with morsel scheduling (and one inner
+/// partition per worker), returning per-worker scheduler stats.
+///
+/// Honours `policy.run`: the partitioned columns and the shared sub-table
+/// allocation are gated by the memory budget, cancellation is observed at
+/// every morsel/task claim, and worker panics surface as
+/// [`EngineError::WorkerPanicked`].
 pub fn join_min_partition<S: Simd>(
-    s: S,
-    vectorized: bool,
-    inner: &Relation,
-    outer: &Relation,
-    threads: usize,
-) -> JoinResult {
-    join_min_partition_policy(s, vectorized, inner, outer, &ExecPolicy::new(threads)).0
-}
-
-/// [`join_min_partition`] with explicit morsel scheduling, returning
-/// per-worker scheduler stats.
-pub fn join_min_partition_policy<S: Simd>(
-    s: S,
-    vectorized: bool,
-    inner: &Relation,
-    outer: &Relation,
-    policy: &ExecPolicy,
-) -> (JoinResult, SchedulerStats) {
-    expect_infallible(join_min_partition_policy_try(
-        s, vectorized, inner, outer, policy,
-    ))
-}
-
-/// Fallible [`join_min_partition_policy`]: honours `policy.run` — the
-/// partitioned columns and the shared sub-table allocation are gated by
-/// the memory budget, cancellation is observed at every morsel/task claim,
-/// and worker panics surface as [`EngineError::WorkerPanicked`].
-pub fn join_min_partition_policy_try<S: Simd>(
     s: S,
     vectorized: bool,
     inner: &Relation,
@@ -72,10 +48,10 @@ pub fn join_min_partition_policy_try<S: Simd>(
     // pass itself runs morselized).
     let t0 = Instant::now();
     let col_bytes = 2 * (inner.len() as u64) * std::mem::size_of::<u32>() as u64;
-    policy.run.reserve(col_bytes)?;
+    let _cols = policy.run.reserve(col_bytes)?;
     let mut part_k = vec![0u32; inner.len()];
     let mut part_p = vec![0u32; inner.len()];
-    let pass_result = partition_pass_policy_try(
+    let (pass, mut stats) = partition_pass(
         s,
         vectorized,
         part_fn,
@@ -84,14 +60,7 @@ pub fn join_min_partition_policy_try<S: Simd>(
         &mut part_k,
         &mut part_p,
         policy,
-    );
-    let (pass, mut stats) = match pass_result {
-        Ok(v) => v,
-        Err(e) => {
-            policy.run.budget.release(col_bytes);
-            return Err(e);
-        }
-    };
+    )?;
     let partition = t0.elapsed();
 
     // Phase 2: build the private sub-tables — one task per part, stealable
@@ -101,15 +70,10 @@ pub fn join_min_partition_policy_try<S: Simd>(
     let max_part = pass.hist.iter().copied().max().unwrap_or(0) as usize;
     let tsize = (max_part * 2 + 1).next_multiple_of(2).max(2);
     let table_bytes = (parts * tsize * std::mem::size_of::<u64>()) as u64;
-    if let Err(e) = policy.run.reserve(table_bytes) {
-        policy.run.budget.release(col_bytes);
-        return Err(e);
-    }
-    let reserved = col_bytes + table_bytes;
-    let release = || policy.run.budget.release(reserved);
+    let _table = policy.run.reserve(table_bytes)?;
     let table = SharedBuffer::from_vec(vec![EMPTY_PAIR; parts * tsize]);
-    let build_q = MorselQueue::tasks_policy(parts, threads, policy);
-    let build_scope = parallel_scope_try(threads, |ctx| {
+    let build_q = MorselQueue::tasks(parts, policy);
+    let (_, build_stats) = parallel_scope_try(threads, |ctx| {
         // SAFETY: each task touches only its own part's sub-table slice,
         // and every task id is claimed exactly once.
         let view = unsafe { table.view_mut() };
@@ -133,18 +97,8 @@ pub fn join_min_partition_policy_try<S: Simd>(
                 }
             });
         }
-    });
-    let build_stats = match build_scope {
-        Ok((_, st)) => st,
-        Err(wp) => {
-            release();
-            return Err(wp.into_engine_error());
-        }
-    };
-    if let Err(e) = policy.run.check_cancelled() {
-        release();
-        return Err(e);
-    }
+    })?;
+    policy.run.check_cancelled()?;
     let build = t0.elapsed();
     stats.merge(&build_stats);
 
@@ -153,7 +107,7 @@ pub fn join_min_partition_policy_try<S: Simd>(
     let pairs: &[u64] = unsafe { table.view() };
     let t0 = Instant::now();
     let probe_q = MorselQueue::new(outer.len(), policy, S::LANES);
-    let probe_scope = parallel_scope_try(threads, |ctx| {
+    let (sinks, probe_stats) = parallel_scope_try(threads, |ctx| {
         let mut sink = JoinSink::with_capacity(1024);
         for mo in ctx.morsels(&probe_q) {
             let _ = rsv_testkit::failpoint!("join.probe.morsel");
@@ -188,12 +142,7 @@ pub fn join_min_partition_policy_try<S: Simd>(
             });
         }
         sink
-    });
-    release();
-    let (sinks, probe_stats) = match probe_scope {
-        Ok(v) => v,
-        Err(wp) => return Err(wp.into_engine_error()),
-    };
+    })?;
     policy.run.check_cancelled()?;
     let probe = t0.elapsed();
     stats.merge(&probe_stats);
@@ -303,6 +252,18 @@ mod tests {
     use crate::test_support::{reference_fingerprint, workload};
     use rsv_simd::Portable;
 
+    fn join(
+        s: Portable<16>,
+        vectorized: bool,
+        inner: &Relation,
+        outer: &Relation,
+        threads: usize,
+    ) -> JoinResult {
+        join_min_partition(s, vectorized, inner, outer, &ExecPolicy::new(threads))
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn matches_reference() {
         let s = Portable::<16>::new();
@@ -310,7 +271,7 @@ mod tests {
         let (expected, n) = reference_fingerprint(&inner, &outer);
         for threads in [1usize, 2, 4] {
             for vectorized in [false, true] {
-                let r = join_min_partition(s, vectorized, &inner, &outer, threads);
+                let r = join(s, vectorized, &inner, &outer, threads);
                 assert_eq!(r.matches(), n, "threads={threads} vec={vectorized}");
                 assert_eq!(r.fingerprint(), expected);
             }
@@ -322,7 +283,7 @@ mod tests {
         let s = Portable::<16>::new();
         let w = rsv_data::join_workload(1_000, 5_000, 2.5, 0.4, &mut rsv_data::rng(212));
         let (expected, n) = reference_fingerprint(&w.inner, &w.outer);
-        let r = join_min_partition(s, true, &w.inner, &w.outer, 3);
+        let r = join(s, true, &w.inner, &w.outer, 3);
         assert_eq!(r.matches(), n);
         assert_eq!(r.fingerprint(), expected);
     }
@@ -335,12 +296,12 @@ mod tests {
         let run = RunContext::new();
         run.cancel_token().cancel();
         let policy = ExecPolicy::new(2).with_run(run);
-        let err = join_min_partition_policy_try(s, true, &inner, &outer, &policy)
+        let err = join_min_partition(s, true, &inner, &outer, &policy)
             .expect_err("cancelled join must fail");
         assert!(matches!(err, EngineError::Cancelled), "{err}");
         let run = RunContext::new().with_memory_limit(100);
         let policy = ExecPolicy::new(2).with_run(run);
-        let err = join_min_partition_policy_try(s, true, &inner, &outer, &policy)
+        let err = join_min_partition(s, true, &inner, &outer, &policy)
             .expect_err("budget must deny the partitioned columns");
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
         assert_eq!(policy.run.budget.used(), 0);
@@ -350,7 +311,7 @@ mod tests {
     fn timings_are_populated() {
         let s = Portable::<16>::new();
         let (inner, outer) = workload(1_000, 2_000, 213);
-        let r = join_min_partition(s, true, &inner, &outer, 2);
+        let r = join(s, true, &inner, &outer, 2);
         assert!(r.timings.total() >= r.timings.probe);
     }
 }

@@ -6,9 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use rsv_data::Relation;
-use rsv_exec::{
-    expect_infallible, parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
-};
+use rsv_exec::{parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats};
 use rsv_hashtab::{
     lp_probe_scalar_raw, lp_probe_vertical_raw, JoinSink, MulHash, EMPTY_KEY, EMPTY_PAIR,
 };
@@ -43,40 +41,17 @@ fn atomic_insert(table: &[AtomicU64], hash: MulHash, key: u32, pay: u32) {
     }
 }
 
-/// Execute the no-partition join. `vectorized` selects the probe kernel;
-/// the build is scalar either way (paper: "building the hash table cannot
-/// be fully vectorized because atomic operations are not supported in
+/// Execute the no-partition join with morsel scheduling, returning
+/// per-worker scheduler stats. `vectorized` selects the probe kernel; the
+/// build is scalar either way (paper: "building the hash table cannot be
+/// fully vectorized because atomic operations are not supported in
 /// SIMD").
+///
+/// Honours `policy.run`: the shared hash table is gated by the memory
+/// budget, cancellation is observed at every morsel-claim boundary (build
+/// and probe), and a worker panic surfaces as
+/// [`EngineError::WorkerPanicked`] after the sibling workers drain.
 pub fn join_no_partition<S: Simd>(
-    s: S,
-    vectorized: bool,
-    inner: &Relation,
-    outer: &Relation,
-    threads: usize,
-) -> JoinResult {
-    join_no_partition_policy(s, vectorized, inner, outer, &ExecPolicy::new(threads)).0
-}
-
-/// [`join_no_partition`] with explicit morsel scheduling, returning
-/// per-worker scheduler stats.
-pub fn join_no_partition_policy<S: Simd>(
-    s: S,
-    vectorized: bool,
-    inner: &Relation,
-    outer: &Relation,
-    policy: &ExecPolicy,
-) -> (JoinResult, SchedulerStats) {
-    expect_infallible(join_no_partition_policy_try(
-        s, vectorized, inner, outer, policy,
-    ))
-}
-
-/// Fallible [`join_no_partition_policy`]: honours `policy.run` — the
-/// shared hash table is gated by the memory budget, cancellation is
-/// observed at every morsel-claim boundary (build and probe), and a
-/// worker panic surfaces as [`EngineError::WorkerPanicked`] after the
-/// sibling workers drain.
-pub fn join_no_partition_policy_try<S: Simd>(
     s: S,
     vectorized: bool,
     inner: &Relation,
@@ -89,15 +64,13 @@ pub fn join_no_partition_policy_try<S: Simd>(
     let hash = MulHash::nth(0);
     let buckets = (inner.len() * 2).max(inner.len() + 1).max(2);
     let table_bytes = (buckets * std::mem::size_of::<u64>()) as u64;
-    policy.run.reserve(table_bytes)?;
+    let _table = policy.run.reserve(table_bytes)?;
     let table: Vec<AtomicU64> = (0..buckets).map(|_| AtomicU64::new(EMPTY_PAIR)).collect();
-    // Everything below must release the reservation before returning.
-    let release = || policy.run.budget.release(table_bytes);
 
     // Build: workers claim inner-relation morsels and insert with CAS.
     let t0 = Instant::now();
     let build_q = MorselQueue::new(inner.len(), policy, 1);
-    let build_scope = parallel_scope_try(t, |ctx| {
+    let (_, mut stats) = parallel_scope_try(t, |ctx| {
         for mo in ctx.morsels(&build_q) {
             let _ = rsv_testkit::failpoint!("join.build.morsel");
             ctx.phase("build", || {
@@ -106,18 +79,8 @@ pub fn join_no_partition_policy_try<S: Simd>(
                 }
             });
         }
-    });
-    let (_, mut stats) = match build_scope {
-        Ok(v) => v,
-        Err(wp) => {
-            release();
-            return Err(wp.into_engine_error());
-        }
-    };
-    if let Err(e) = policy.run.check_cancelled() {
-        release();
-        return Err(e);
-    }
+    })?;
+    policy.run.check_cancelled()?;
     let build = t0.elapsed();
 
     // The build threads were joined: the table is now plain read-only data.
@@ -130,7 +93,7 @@ pub fn join_no_partition_policy_try<S: Simd>(
     // needed, matches accumulate in per-worker sinks.
     let t0 = Instant::now();
     let probe_q = MorselQueue::new(outer.len(), policy, S::LANES);
-    let probe_scope = parallel_scope_try(t, |ctx| {
+    let (sinks, probe_stats) = parallel_scope_try(t, |ctx| {
         let mut sink = JoinSink::with_capacity(1024);
         for mo in ctx.morsels(&probe_q) {
             let _ = rsv_testkit::failpoint!("join.probe.morsel");
@@ -157,12 +120,7 @@ pub fn join_no_partition_policy_try<S: Simd>(
             });
         }
         sink
-    });
-    release();
-    let (sinks, probe_stats) = match probe_scope {
-        Ok(v) => v,
-        Err(wp) => return Err(wp.into_engine_error()),
-    };
+    })?;
     policy.run.check_cancelled()?;
     let probe = t0.elapsed();
     stats.merge(&probe_stats);
@@ -186,6 +144,18 @@ mod tests {
     use crate::test_support::{reference_fingerprint, workload};
     use rsv_simd::Portable;
 
+    fn join(
+        s: Portable<16>,
+        vectorized: bool,
+        inner: &Relation,
+        outer: &Relation,
+        threads: usize,
+    ) -> JoinResult {
+        join_no_partition(s, vectorized, inner, outer, &ExecPolicy::new(threads))
+            .unwrap()
+            .0
+    }
+
     #[test]
     fn matches_reference_scalar_and_vector() {
         let s = Portable::<16>::new();
@@ -193,7 +163,7 @@ mod tests {
         let (expected, n) = reference_fingerprint(&inner, &outer);
         for threads in [1usize, 4] {
             for vectorized in [false, true] {
-                let r = join_no_partition(s, vectorized, &inner, &outer, threads);
+                let r = join(s, vectorized, &inner, &outer, threads);
                 assert_eq!(r.matches(), n, "threads={threads} vec={vectorized}");
                 assert_eq!(r.fingerprint(), expected);
             }
@@ -205,7 +175,7 @@ mod tests {
         let s = Portable::<16>::new();
         let w = rsv_data::join_workload(900, 3_000, 3.0, 0.5, &mut rsv_data::rng(202));
         let (expected, n) = reference_fingerprint(&w.inner, &w.outer);
-        let r = join_no_partition(s, true, &w.inner, &w.outer, 2);
+        let r = join(s, true, &w.inner, &w.outer, 2);
         assert_eq!(r.matches(), n);
         assert_eq!(r.fingerprint(), expected);
     }
@@ -219,19 +189,19 @@ mod tests {
         let run = RunContext::new();
         run.cancel_token().cancel();
         let policy = ExecPolicy::new(4).with_run(run);
-        let err = join_no_partition_policy_try(s, true, &inner, &outer, &policy)
+        let err = join_no_partition(s, true, &inner, &outer, &policy)
             .expect_err("cancelled join must fail");
         assert!(matches!(err, EngineError::Cancelled), "{err}");
         // too-small budget: the shared table reservation is denied cleanly
         let run = RunContext::new().with_memory_limit(64);
         let policy = ExecPolicy::new(4).with_run(run);
-        let err = join_no_partition_policy_try(s, true, &inner, &outer, &policy)
+        let err = join_no_partition(s, true, &inner, &outer, &policy)
             .expect_err("budget must deny the table");
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
         assert_eq!(policy.run.budget.used(), 0);
         // the same engine state still answers the query afterwards
         let (expected, n) = reference_fingerprint(&inner, &outer);
-        let r = join_no_partition(s, true, &inner, &outer, 4);
+        let r = join(s, true, &inner, &outer, 4);
         assert_eq!(r.matches(), n);
         assert_eq!(r.fingerprint(), expected);
     }
@@ -241,9 +211,9 @@ mod tests {
         let s = Portable::<16>::new();
         let empty = Relation::default();
         let (inner, _) = workload(10, 10, 203);
-        let r = join_no_partition(s, true, &inner, &empty, 2);
+        let r = join(s, true, &inner, &empty, 2);
         assert_eq!(r.matches(), 0);
-        let r = join_no_partition(s, true, &empty, &inner, 2);
+        let r = join(s, true, &empty, &inner, 2);
         assert_eq!(r.matches(), 0);
     }
 }

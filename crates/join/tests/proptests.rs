@@ -2,7 +2,8 @@
 //! each other and with a `HashMap` reference on arbitrary workloads.
 
 use rsv_data::Relation;
-use rsv_join::{join_max_partition, join_min_partition, join_no_partition};
+use rsv_exec::ExecPolicy;
+use rsv_join::{join_max_partition, join_min_partition, join_no_partition, DEFAULT_PART_TUPLES};
 use rsv_simd::Backend;
 use rsv_testkit as tk;
 use std::collections::HashMap;
@@ -36,7 +37,7 @@ fn all_variants_match_reference() {
     tk::check("all_variants_match_reference", 24, 0x1011, |rng| {
         let inner_keys = join_keys(rng, 1, 150);
         let outer_keys = join_keys(rng, 0, 300);
-        let threads = 1 + rng.index(3);
+        let policy = ExecPolicy::new(1 + rng.index(3));
 
         let inner = Relation::with_rid_payloads(inner_keys);
         let outer = Relation::with_rid_payloads(outer_keys);
@@ -44,15 +45,17 @@ fn all_variants_match_reference() {
         let backend = Backend::best();
         rsv_simd::dispatch!(backend, s => {
             for vectorized in [false, true] {
-                let r = join_no_partition(s, vectorized, &inner, &outer, threads);
+                let (r, _) = join_no_partition(s, vectorized, &inner, &outer, &policy).unwrap();
                 assert_eq!(r.matches(), expected_n, "no-partition vec={vectorized}");
                 assert_eq!(r.fingerprint(), expected_fp);
 
-                let r = join_min_partition(s, vectorized, &inner, &outer, threads);
+                let (r, _) = join_min_partition(s, vectorized, &inner, &outer, &policy).unwrap();
                 assert_eq!(r.matches(), expected_n, "min-partition vec={vectorized}");
                 assert_eq!(r.fingerprint(), expected_fp);
 
-                let r = join_max_partition(s, vectorized, &inner, &outer, threads);
+                let (r, _) =
+                    join_max_partition(s, vectorized, &inner, &outer, &policy, DEFAULT_PART_TUPLES)
+                        .unwrap();
                 assert_eq!(r.matches(), expected_n, "max-partition vec={vectorized}");
                 assert_eq!(r.fingerprint(), expected_fp);
             }

@@ -10,14 +10,14 @@ use crate::histogram::{
     histogram_scalar, histogram_vector_compressed, histogram_vector_replicated,
     histogram_vector_serialized, prefix_sum,
 };
-use crate::parallel::partition_pass_policy;
+use crate::parallel::partition_pass;
 use crate::range::RangePartitioner;
 use crate::shuffle::{
     shuffle_scalar_buffered, shuffle_scalar_unbuffered, shuffle_vector_buffered,
     shuffle_vector_buffered_unstable, shuffle_vector_unbuffered,
 };
 use crate::{HashFn, PartitionFn, RadixFn};
-use rsv_exec::ExecPolicy;
+use rsv_exec::{expect_infallible, ExecPolicy};
 use rsv_simd::{dispatch, Backend};
 use rsv_testkit::diff::{ordered_pairs, put_u32s, CaseInput, DiffOp, Kernel, Registry};
 use rsv_testkit::Rng;
@@ -171,11 +171,11 @@ fn run_pass(backend: Backend, threads: usize, input: &CaseInput, vectorized: boo
     let mut dk = vec![0u32; n];
     let mut dp = vec![0u32; n];
     let policy = ExecPolicy::new(threads);
-    let (pass, _) = dispatch!(backend, s => {
-        partition_pass_policy(
+    let (pass, _) = expect_infallible(dispatch!(backend, s => {
+        partition_pass(
             s, vectorized, f, &input.keys, &input.pays, &mut dk, &mut dp, &policy,
         )
-    });
+    }));
     let mut out = encode_hist(&pass.partition_starts);
     out.extend_from_slice(&encode_hist(&pass.hist));
     out.extend_from_slice(&ordered_pairs(&dk, &dp));

@@ -21,8 +21,8 @@
 //! which runs after the barrier and therefore after every flush.
 
 use rsv_exec::{
-    expect_infallible, parallel_scope_try, AlignedVec, EngineError, ExecPolicy, MorselQueue,
-    SchedulerStats, SharedBuffer, SlotMap,
+    parallel_scope_try, AlignedVec, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
+    SharedBuffer, SlotMap,
 };
 use rsv_simd::Simd;
 
@@ -62,53 +62,20 @@ pub struct PassOutput {
     pub hist: Vec<u32>,
 }
 
-/// Run one stable buffered-shuffle partitioning pass with `threads`
-/// workers, writing the partitioned columns into `dst_k`/`dst_p` (which
-/// must have the input length).
-#[allow(clippy::too_many_arguments)]
-pub fn partition_pass_parallel<S: Simd, F: PartitionFn + Sync>(
-    s: S,
-    vectorized: bool,
-    f: F,
-    src_k: &[u32],
-    src_p: &[u32],
-    dst_k: &mut Vec<u32>,
-    dst_p: &mut Vec<u32>,
-    threads: usize,
-) -> PassOutput {
-    let policy = ExecPolicy::new(threads);
-    partition_pass_policy(s, vectorized, f, src_k, src_p, dst_k, dst_p, &policy).0
-}
-
-/// [`partition_pass_parallel`] with explicit morsel scheduling, returning
-/// per-worker scheduler stats alongside the pass output.
+/// Run one stable buffered-shuffle partitioning pass with morsel
+/// scheduling, writing the partitioned columns into `dst_k`/`dst_p` (which
+/// must have the input length) and returning per-worker scheduler stats
+/// alongside the pass output.
 ///
 /// The output is byte-identical for every `policy.threads` value; it also
 /// does not depend on `policy.morsel_tuples`, because the interleaved
 /// offsets key each morsel's slice to the morsel's *input order*, making
 /// the pass a stable partition of the input regardless of granularity.
+/// Honours `policy.run`'s cancel token at every morsel/task claim and
+/// surfaces worker panics as [`EngineError::WorkerPanicked`]. On error the
+/// output vectors keep their length but hold unspecified contents.
 #[allow(clippy::too_many_arguments)]
-pub fn partition_pass_policy<S: Simd, F: PartitionFn + Sync>(
-    s: S,
-    vectorized: bool,
-    f: F,
-    src_k: &[u32],
-    src_p: &[u32],
-    dst_k: &mut Vec<u32>,
-    dst_p: &mut Vec<u32>,
-    policy: &ExecPolicy,
-) -> (PassOutput, SchedulerStats) {
-    expect_infallible(partition_pass_policy_try(
-        s, vectorized, f, src_k, src_p, dst_k, dst_p, policy,
-    ))
-}
-
-/// Fallible [`partition_pass_policy`]: honours `policy.run`'s cancel token
-/// at every morsel/task claim and surfaces worker panics as
-/// [`EngineError::WorkerPanicked`]. On error the output vectors keep their
-/// length but hold unspecified contents.
-#[allow(clippy::too_many_arguments)]
-pub fn partition_pass_policy_try<S: Simd, F: PartitionFn + Sync>(
+pub fn partition_pass<S: Simd, F: PartitionFn + Sync>(
     s: S,
     vectorized: bool,
     f: F,
@@ -128,7 +95,7 @@ pub fn partition_pass_policy_try<S: Simd, F: PartitionFn + Sync>(
     let hist_q = MorselQueue::new(n, policy, S::LANES);
     let m = hist_q.morsel_count();
     let hist_slots: SlotMap<Vec<u32>> = SlotMap::new(m);
-    let scope = parallel_scope_try(t, |ctx| {
+    let (_, mut stats) = parallel_scope_try(t, |ctx| {
         for mo in ctx.morsels(&hist_q) {
             let _ = rsv_testkit::failpoint!("partition.histogram.morsel");
             let h = ctx.phase("histogram", || {
@@ -142,11 +109,7 @@ pub fn partition_pass_policy_try<S: Simd, F: PartitionFn + Sync>(
             // SAFETY: each morsel id is claimed exactly once.
             unsafe { hist_slots.put(mo.id, h) };
         }
-    });
-    let mut stats = match scope {
-        Ok((_, stats)) => stats,
-        Err(wp) => return Err(wp.into_engine_error()),
-    };
+    })?;
     // A cancelled pass may have left histogram slots unfilled: bail before
     // reading them.
     policy.run.check_cancelled()?;
@@ -174,7 +137,7 @@ pub fn partition_pass_policy_try<S: Simd, F: PartitionFn + Sync>(
     // The cleanup queue must share the run's cancel token: a shuffle phase
     // cut short by cancellation leaves staging slots unfilled, and a
     // cancelled claim is what keeps cleanup from reading them.
-    let cleanup_q = MorselQueue::tasks_policy(m, t, policy);
+    let cleanup_q = MorselQueue::tasks(m, policy);
     let staged: SlotMap<(AlignedVec<u64>, Vec<u32>)> = SlotMap::new(m);
     let slots = if vectorized { S::LANES } else { scalar_slots() };
     let out_k = SharedBuffer::from_vec(std::mem::take(dst_k));
@@ -233,10 +196,7 @@ pub fn partition_pass_policy_try<S: Simd, F: PartitionFn + Sync>(
     });
     *dst_k = out_k.into_vec();
     *dst_p = out_p.into_vec();
-    match shuffle_scope {
-        Ok((_, shuffle_stats)) => stats.merge(&shuffle_stats),
-        Err(wp) => return Err(wp.into_engine_error()),
-    }
+    stats.merge(&shuffle_scope?.1);
     policy.run.check_cancelled()?;
 
     let mut partition_starts = Vec::with_capacity(f.fanout());
@@ -281,9 +241,10 @@ mod tests {
             for vectorized in [false, true] {
                 let mut dk = vec![0u32; keys.len()];
                 let mut dp = vec![0u32; keys.len()];
-                let out = partition_pass_parallel(
-                    s, vectorized, f, &keys, &pays, &mut dk, &mut dp, threads,
-                );
+                let policy = ExecPolicy::new(threads);
+                let (out, _) =
+                    partition_pass(s, vectorized, f, &keys, &pays, &mut dk, &mut dp, &policy)
+                        .unwrap();
                 // region check + stability within each morsel's slice is
                 // implied; check partition function and global stability
                 for p in 0..f.fanout() {
@@ -320,7 +281,7 @@ mod tests {
                 let mut dk = vec![0u32; keys.len()];
                 let mut dp = vec![0u32; keys.len()];
                 let (_, stats) =
-                    partition_pass_policy(s, true, f, &keys, &pays, &mut dk, &mut dp, &policy);
+                    partition_pass(s, true, f, &keys, &pays, &mut dk, &mut dp, &policy).unwrap();
                 assert!(stats.total_tuples() > 0);
                 match &reference {
                     None => reference = Some((dk, dp)),

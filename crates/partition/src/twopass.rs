@@ -5,7 +5,7 @@
 //! partition *per morsel*; past a few thousand partitions that working set
 //! evicts the very cache lines buffering was meant to protect (the paper's
 //! own argument for multi-pass partitioning, Section 7.4). Instead of
-//! asserting on a large fanout, [`hash_partition_twopass_try`] splits a
+//! asserting on a large fanout, [`hash_partition_twopass`] splits a
 //! fanout `F > max_direct` into
 //!
 //! * **pass 1**: a stable partition on the *coarse* key
@@ -22,13 +22,12 @@
 //! direct `F`-way stable pass, which is what the equivalence tests assert.
 
 use rsv_exec::{
-    expect_infallible, parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
-    SharedBuffer,
+    parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats, SharedBuffer,
 };
 use rsv_simd::Simd;
 
 use crate::histogram::{histogram_scalar, histogram_vector_replicated};
-use crate::parallel::{partition_pass_policy_try, PassOutput};
+use crate::parallel::{partition_pass, PassOutput};
 use crate::shuffle::{shuffle_scalar_buffered, shuffle_vector_buffered};
 use crate::{HashFn, PartitionFn};
 
@@ -88,25 +87,6 @@ impl PartitionFn for FineFn {
     }
 }
 
-/// Infallible [`hash_partition_twopass_try`] (for benches and callers
-/// without a [`rsv_exec::RunContext`]).
-#[allow(clippy::too_many_arguments)]
-pub fn hash_partition_twopass<S: Simd>(
-    s: S,
-    vectorized: bool,
-    f: HashFn,
-    src_k: &[u32],
-    src_p: &[u32],
-    dst_k: &mut Vec<u32>,
-    dst_p: &mut Vec<u32>,
-    policy: &ExecPolicy,
-    max_direct: usize,
-) -> (PassOutput, SchedulerStats) {
-    expect_infallible(hash_partition_twopass_try(
-        s, vectorized, f, src_k, src_p, dst_k, dst_p, policy, max_direct,
-    ))
-}
-
 /// Stable hash partition that transparently degrades to two passes when
 /// `f.fanout() > max_direct` (`max_direct` must be a power of two). The
 /// output — partitioned columns, histogram, partition starts — is
@@ -114,7 +94,7 @@ pub fn hash_partition_twopass<S: Simd>(
 /// route differs. Honours `policy.run` (cancellation at claim boundaries,
 /// memory budget for the inter-pass scratch columns).
 #[allow(clippy::too_many_arguments)]
-pub fn hash_partition_twopass_try<S: Simd>(
+pub fn hash_partition_twopass<S: Simd>(
     s: S,
     vectorized: bool,
     f: HashFn,
@@ -131,7 +111,7 @@ pub fn hash_partition_twopass_try<S: Simd>(
     );
     let fanout = f.fanout();
     if fanout <= max_direct {
-        return partition_pass_policy_try(s, vectorized, f, src_k, src_p, dst_k, dst_p, policy);
+        return partition_pass(s, vectorized, f, src_k, src_p, dst_k, dst_p, policy);
     }
     let n = src_k.len();
     let t = policy.threads;
@@ -146,25 +126,18 @@ pub fn hash_partition_twopass_try<S: Simd>(
     // Pass 1 into scratch columns (the only extra memory the degradation
     // costs — gated by the run's budget).
     let scratch_bytes = 2 * (n as u64) * std::mem::size_of::<u32>() as u64;
-    policy.run.reserve(scratch_bytes)?;
+    let _scratch = policy.run.reserve(scratch_bytes)?;
     let mut mid_k = vec![0u32; n];
     let mut mid_p = vec![0u32; n];
-    let coarse_result = partition_pass_policy_try(
+    let (coarse_out, mut stats) = partition_pass(
         s, vectorized, coarse, src_k, src_p, &mut mid_k, &mut mid_p, policy,
-    );
-    let (coarse_out, mut stats) = match coarse_result {
-        Ok(v) => v,
-        Err(e) => {
-            policy.run.budget.release(scratch_bytes);
-            return Err(e);
-        }
-    };
+    )?;
 
     // Pass 2: one task per coarse region; each task histograms its region
     // on the fine key and shuffles it — stably — into the region's slice
     // of the final output. Regions are disjoint in both columns, so tasks
     // never overlap.
-    let q = MorselQueue::tasks_policy(regions, t, policy);
+    let q = MorselQueue::tasks(regions, policy);
     let out_k = SharedBuffer::from_vec(std::mem::take(dst_k));
     let out_p = SharedBuffer::from_vec(std::mem::take(dst_p));
     let global_hist = SharedBuffer::from_vec(vec![0u32; fanout]);
@@ -207,13 +180,7 @@ pub fn hash_partition_twopass_try<S: Simd>(
     });
     *dst_k = out_k.into_vec();
     *dst_p = out_p.into_vec();
-    drop(mid_k);
-    drop(mid_p);
-    policy.run.budget.release(scratch_bytes);
-    match scope {
-        Ok((_, fine_stats)) => stats.merge(&fine_stats),
-        Err(wp) => return Err(wp.into_engine_error()),
-    }
+    stats.merge(&scope?.1);
     policy.run.check_cancelled()?;
 
     let hist = global_hist.into_vec();
@@ -253,16 +220,16 @@ mod tests {
             let mut rk = vec![0u32; keys.len()];
             let mut rp = vec![0u32; keys.len()];
             let policy = ExecPolicy::new(1);
-            let (reference, _) = crate::parallel::partition_pass_policy(
-                s, vectorized, f, &keys, &pays, &mut rk, &mut rp, &policy,
-            );
+            let (reference, _) =
+                partition_pass(s, vectorized, f, &keys, &pays, &mut rk, &mut rp, &policy).unwrap();
             for threads in [1usize, 2, 8] {
                 let policy = ExecPolicy::new(threads).with_morsel_tuples(1024);
                 let mut dk = vec![0u32; keys.len()];
                 let mut dp = vec![0u32; keys.len()];
                 let (out, stats) = hash_partition_twopass(
                     s, vectorized, f, &keys, &pays, &mut dk, &mut dp, &policy, 16,
-                );
+                )
+                .unwrap();
                 assert_eq!(dk, rk, "keys differ (t={threads} vec={vectorized})");
                 assert_eq!(dp, rp, "pays differ (t={threads} vec={vectorized})");
                 assert_eq!(out.hist, reference.hist);
@@ -284,7 +251,8 @@ mod tests {
         let mut dk = vec![0u32; 1000];
         let mut dp = vec![0u32; 1000];
         let (out, _) =
-            hash_partition_twopass(s, true, f, &keys, &pays, &mut dk, &mut dp, &policy, 16);
+            hash_partition_twopass(s, true, f, &keys, &pays, &mut dk, &mut dp, &policy, 16)
+                .unwrap();
         let total: u32 = out.hist.iter().sum();
         assert_eq!(total, 1000);
     }
@@ -301,9 +269,8 @@ mod tests {
         let policy = ExecPolicy::new(2).with_run(run);
         let mut dk = vec![0u32; keys.len()];
         let mut dp = vec![0u32; keys.len()];
-        let err =
-            hash_partition_twopass_try(s, true, f, &keys, &pays, &mut dk, &mut dp, &policy, 16)
-                .expect_err("budget must deny the scratch columns");
+        let err = hash_partition_twopass(s, true, f, &keys, &pays, &mut dk, &mut dp, &policy, 16)
+            .expect_err("budget must deny the scratch columns");
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
         // nothing stays reserved after the failure
         assert_eq!(policy.run.budget.used(), 0);

@@ -5,7 +5,7 @@
 //! reordering — not just a wrong qualifier set — counts as a divergence.
 
 use crate::{scan, scan_parallel, ScanPredicate, ScanVariant};
-use rsv_exec::ExecPolicy;
+use rsv_exec::{expect_infallible, ExecPolicy};
 use rsv_simd::Backend;
 use rsv_testkit::diff::{ordered_pairs, CaseInput, DiffOp, Kernel, Registry};
 
@@ -44,7 +44,7 @@ fn run_parallel(backend: Backend, threads: usize, input: &CaseInput) -> Vec<u8> 
     let n = input.keys.len();
     let mut ok = vec![0u32; n];
     let mut op = vec![0u32; n];
-    let (c, _) = scan_parallel(
+    let (c, _) = expect_infallible(scan_parallel(
         backend,
         ScanVariant::VectorSelStoreIndirect,
         &input.keys,
@@ -53,7 +53,7 @@ fn run_parallel(backend: Backend, threads: usize, input: &CaseInput) -> Vec<u8> 
         &mut ok,
         &mut op,
         &ExecPolicy::new(threads),
-    );
+    ));
     ordered_pairs(&ok[..c], &op[..c])
 }
 

@@ -28,7 +28,7 @@ mod parallel;
 mod scalar;
 mod vector;
 
-pub use parallel::{scan_parallel, scan_parallel_try};
+pub use parallel::scan_parallel;
 pub use scalar::{scan_scalar_branching, scan_scalar_branchless};
 pub use vector::{
     scan_vector_bitextract_direct, scan_vector_bitextract_indirect, scan_vector_selstore_direct,

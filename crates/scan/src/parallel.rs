@@ -9,8 +9,7 @@
 //! sequential scan's output for every thread count and morsel size.
 
 use rsv_exec::{
-    expect_infallible, parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
-    SharedBuffer,
+    parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats, SharedBuffer,
 };
 use rsv_simd::Backend;
 
@@ -20,29 +19,12 @@ use crate::{scan, ScanPredicate, ScanVariant};
 ///
 /// `out_keys` / `out_pays` must have the input length; qualifiers end up
 /// at their front (input order preserved) and the qualifier count is
-/// returned alongside per-worker scheduler stats.
+/// returned alongside per-worker scheduler stats. Honours `policy.run`'s
+/// cancel token (checked at every morsel claim) and surfaces worker
+/// panics as [`EngineError::WorkerPanicked`]. On error the output vectors
+/// keep their length but hold unspecified contents.
 #[allow(clippy::too_many_arguments)]
 pub fn scan_parallel(
-    backend: Backend,
-    variant: ScanVariant,
-    keys: &[u32],
-    pays: &[u32],
-    pred: ScanPredicate,
-    out_keys: &mut Vec<u32>,
-    out_pays: &mut Vec<u32>,
-    policy: &ExecPolicy,
-) -> (usize, SchedulerStats) {
-    expect_infallible(scan_parallel_try(
-        backend, variant, keys, pays, pred, out_keys, out_pays, policy,
-    ))
-}
-
-/// Fallible [`scan_parallel`]: honours `policy.run`'s cancel token (checked
-/// at every morsel claim) and surfaces worker panics as
-/// [`EngineError::WorkerPanicked`]. On error the output vectors keep their
-/// length but hold unspecified contents.
-#[allow(clippy::too_many_arguments)]
-pub fn scan_parallel_try(
     backend: Backend,
     variant: ScanVariant,
     keys: &[u32],
@@ -87,38 +69,23 @@ pub fn scan_parallel_try(
     });
     // Hand the (possibly partial) buffers back before any early return so
     // the caller's vectors keep their length.
-    let counts = counts.into_vec();
-    let mut ok = ok_buf.into_vec();
-    let mut op = op_buf.into_vec();
-    let restore = |ok: Vec<u32>, op: Vec<u32>, out_keys: &mut Vec<u32>, out_pays: &mut Vec<u32>| {
-        *out_keys = ok;
-        *out_pays = op;
-    };
-    let stats = match scope {
-        Ok((_, stats)) => stats,
-        Err(wp) => {
-            restore(ok, op, out_keys, out_pays);
-            return Err(wp.into_engine_error());
-        }
-    };
-    if policy.run.is_cancelled() {
-        restore(ok, op, out_keys, out_pays);
-        return Err(EngineError::Cancelled);
-    }
+    *out_keys = ok_buf.into_vec();
+    *out_pays = op_buf.into_vec();
+    let (_, stats) = scope?;
+    policy.run.check_cancelled()?;
 
     // Compact the per-morsel runs front-to-back. Runs only move left
     // (dest ≤ src), so processing in morsel order never clobbers a run
     // that has not been moved yet.
     let mut dest = 0usize;
-    for (id, &c) in counts.iter().enumerate() {
+    for (id, &c) in counts.into_vec().iter().enumerate() {
         let src = q.range_of(id).start;
         if src != dest {
-            ok.copy_within(src..src + c, dest);
-            op.copy_within(src..src + c, dest);
+            out_keys.copy_within(src..src + c, dest);
+            out_pays.copy_within(src..src + c, dest);
         }
         dest += c;
     }
-    restore(ok, op, out_keys, out_pays);
     Ok((dest, stats))
 }
 
@@ -152,7 +119,8 @@ mod tests {
                 let mut gp = vec![0u32; n];
                 let (got_n, stats) = scan_parallel(
                     backend, variant, &keys, &pays, pred, &mut gk, &mut gp, &policy,
-                );
+                )
+                .unwrap();
                 assert_eq!(got_n, expect_n, "t={threads} morsel={morsel}");
                 assert_eq!(&gk[..got_n], &ek[..expect_n]);
                 assert_eq!(&gp[..got_n], &ep[..expect_n]);
@@ -175,7 +143,8 @@ mod tests {
             &mut ok,
             &mut op,
             &policy,
-        );
+        )
+        .unwrap();
         assert_eq!(n, 0);
     }
 }

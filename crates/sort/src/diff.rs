@@ -5,8 +5,9 @@
 //! width, thread count, and backend, so the encoding is simply the
 //! ordered output columns.
 
-use crate::{lsb_radixsort_scalar, lsb_radixsort_vector, SortConfig};
-use rsv_simd::{dispatch, Backend};
+use crate::{radixsort_pairs, SortConfig};
+use rsv_exec::{expect_infallible, ExecPolicy};
+use rsv_simd::{dispatch, Backend, Portable};
 use rsv_testkit::diff::{ordered_pairs, CaseInput, DiffOp, Kernel, Registry};
 use rsv_testkit::Rng;
 
@@ -16,40 +17,34 @@ fn radix_bits(input: &CaseInput) -> u32 {
     [1u32, 4, 5, 8, 11, 16][rng.index(6)]
 }
 
-fn reference(input: &CaseInput) -> Vec<u8> {
+fn sorted(
+    backend: Backend,
+    vectorized: bool,
+    bits: u32,
+    threads: usize,
+    input: &CaseInput,
+) -> Vec<u8> {
     let mut keys = input.keys.clone();
     let mut pays = input.pays.clone();
-    let cfg = SortConfig {
-        radix_bits: 8,
-        threads: 1,
-        ..SortConfig::default()
-    };
-    lsb_radixsort_scalar(&mut keys, &mut pays, &cfg);
+    let cfg = SortConfig { radix_bits: bits };
+    let policy = ExecPolicy::new(threads);
+    expect_infallible(dispatch!(backend, s => {
+        radixsort_pairs(s, vectorized, &mut keys, &mut pays, &cfg, &policy)
+    }));
     ordered_pairs(&keys, &pays)
+}
+
+fn reference(input: &CaseInput) -> Vec<u8> {
+    sorted(Backend::Portable(Portable::new()), false, 8, 1, input)
 }
 
 fn run_scalar(_backend: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
-    let mut keys = input.keys.clone();
-    let mut pays = input.pays.clone();
-    let cfg = SortConfig {
-        radix_bits: radix_bits(input),
-        threads,
-        ..SortConfig::default()
-    };
-    lsb_radixsort_scalar(&mut keys, &mut pays, &cfg);
-    ordered_pairs(&keys, &pays)
+    let portable = Backend::Portable(Portable::new());
+    sorted(portable, false, radix_bits(input), threads, input)
 }
 
 fn run_vector(backend: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
-    let mut keys = input.keys.clone();
-    let mut pays = input.pays.clone();
-    let cfg = SortConfig {
-        radix_bits: radix_bits(input),
-        threads,
-        ..SortConfig::default()
-    };
-    dispatch!(backend, s => { lsb_radixsort_vector(s, &mut keys, &mut pays, &cfg) });
-    ordered_pairs(&keys, &pays)
+    sorted(backend, true, radix_bits(input), threads, input)
 }
 
 /// Register the radixsort operator.

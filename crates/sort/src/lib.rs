@@ -10,12 +10,18 @@
 //! stable and keyed by morsel input order, the sorted output is
 //! byte-identical for any thread count and morsel size.
 //!
-//! * [`lsb_radixsort_scalar`] / [`lsb_radixsort_vector`] — key + one
-//!   payload column (the Figure 14 workload), any thread count,
-//! * [`lsb_radixsort_keys_scalar`] / [`lsb_radixsort_keys_vector`] —
-//!   key-only sorting,
+//! * [`radixsort_pairs`] — key + one payload column (the Figure 14
+//!   workload), scalar or vectorized, any thread count,
+//! * [`radixsort_keys`] — key-only sorting,
 //! * [`multicol::lsb_radixsort_multicol`] — key + arbitrary payload
 //!   columns of mixed widths via destination replay (Figure 18).
+//!
+//! Both parallel sorts take an [`ExecPolicy`] and return
+//! `Result<SchedulerStats, EngineError>`: cancellation is observed at
+//! morsel-claim boundaries of every pass, worker panics surface as
+//! [`EngineError::WorkerPanicked`], and the ping-pong scratch column is
+//! gated by the run's memory budget. On error the columns keep their
+//! length and hold the last completed pass's tuple order.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -24,34 +30,25 @@ pub mod diff;
 pub mod multicol;
 
 use rsv_exec::{
-    expect_infallible, parallel_scope_stats, EngineError, ExecPolicy, MorselQueue, RunContext,
-    SchedulerStats, SharedBuffer, SlotMap, DEFAULT_MORSEL_TUPLES,
+    parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats, SharedBuffer, SlotMap,
 };
 use rsv_partition::histogram::{histogram_scalar, histogram_vector_replicated};
-use rsv_partition::parallel::{interleaved_offsets, partition_pass_policy_try};
+use rsv_partition::parallel::{interleaved_offsets, partition_pass};
 use rsv_partition::shuffle::scalar_slots;
 use rsv_partition::{PartitionFn, RadixFn};
 use rsv_simd::Simd;
 
-/// Radixsort tuning knobs.
+/// Radixsort tuning knobs (threads and morsel size come from the
+/// [`ExecPolicy`]).
 #[derive(Debug, Clone, Copy)]
 pub struct SortConfig {
     /// Radix bits per pass (the paper's optimal fanout is 5–8 bits).
     pub radix_bits: u32,
-    /// Worker threads.
-    pub threads: usize,
-    /// Tuples per scheduling morsel (`usize::MAX` = the paper's static
-    /// equal split). Does not affect the sorted output.
-    pub morsel_tuples: usize,
 }
 
 impl Default for SortConfig {
     fn default() -> Self {
-        SortConfig {
-            radix_bits: 8,
-            threads: 1,
-            morsel_tuples: DEFAULT_MORSEL_TUPLES,
-        }
+        SortConfig { radix_bits: 8 }
     }
 }
 
@@ -61,7 +58,6 @@ impl SortConfig {
             self.radix_bits >= 1 && self.radix_bits <= 16,
             "radix bits must be in 1..=16"
         );
-        assert!(self.threads >= 1, "need at least one thread");
         32u32.div_ceil(self.radix_bits)
     }
 
@@ -69,107 +65,40 @@ impl SortConfig {
         let shift = pass * self.radix_bits;
         RadixFn::new(shift, self.radix_bits.min(32 - shift))
     }
-
-    fn policy(&self) -> ExecPolicy {
-        ExecPolicy::new(self.threads).with_morsel_tuples(self.morsel_tuples)
-    }
 }
 
-fn radixsort_pairs<S: Simd>(
+/// Parallel LSB radixsort of `(key, payload)` pairs (stable); the
+/// scalar kernels run when `vectorized` is false.
+pub fn radixsort_pairs<S: Simd>(
     s: S,
     vectorized: bool,
     keys: &mut Vec<u32>,
     pays: &mut Vec<u32>,
     cfg: &SortConfig,
-) -> SchedulerStats {
-    expect_infallible(radixsort_pairs_try(
-        s,
-        vectorized,
-        keys,
-        pays,
-        cfg,
-        &RunContext::default(),
-    ))
-}
-
-/// Fallible radixsort of `(key, payload)` pairs under a [`RunContext`]:
-/// cancellation is observed at morsel-claim boundaries of every pass,
-/// worker panics surface as [`EngineError::WorkerPanicked`], and the
-/// ping-pong scratch columns are gated by the run's memory budget. On
-/// error the columns keep their length but hold unspecified tuple order.
-pub fn radixsort_pairs_try<S: Simd>(
-    s: S,
-    vectorized: bool,
-    keys: &mut Vec<u32>,
-    pays: &mut Vec<u32>,
-    cfg: &SortConfig,
-    run: &RunContext,
+    policy: &ExecPolicy,
 ) -> Result<SchedulerStats, EngineError> {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
     let n = keys.len();
-    let policy = cfg.policy().with_run(run.clone());
     let scratch_bytes = 2 * (n as u64) * std::mem::size_of::<u32>() as u64;
-    run.reserve(scratch_bytes)?;
+    let _scratch = policy.run.reserve(scratch_bytes)?;
     let mut stats = SchedulerStats::default();
-    let mut src_k = std::mem::take(keys);
-    let mut src_p = std::mem::take(pays);
     let mut dst_k = vec![0u32; n];
     let mut dst_p = vec![0u32; n];
-    let mut result = Ok(());
     for pass in 0..cfg.passes() {
         let f = cfg.pass_fn(pass);
         rsv_metrics::count(rsv_metrics::Metric::SortPasses, 1);
         rsv_metrics::count(rsv_metrics::Metric::SortBytesMoved, 8 * n as u64);
-        match partition_pass_policy_try(
-            s, vectorized, f, &src_k, &src_p, &mut dst_k, &mut dst_p, &policy,
-        ) {
-            Ok((_, pass_stats)) => stats.merge(&pass_stats),
-            Err(e) => {
-                result = Err(e);
-                break;
-            }
-        }
-        std::mem::swap(&mut src_k, &mut dst_k);
-        std::mem::swap(&mut src_p, &mut dst_p);
+        let (_, pass_stats) =
+            partition_pass(s, vectorized, f, keys, pays, &mut dst_k, &mut dst_p, policy)?;
+        stats.merge(&pass_stats);
+        std::mem::swap(keys, &mut dst_k);
+        std::mem::swap(pays, &mut dst_p);
     }
-    // Always hand columns back (possibly partially sorted on error) so the
-    // caller's relation keeps its tuples.
-    *keys = src_k;
-    *pays = src_p;
-    drop(dst_k);
-    drop(dst_p);
-    run.budget.release(scratch_bytes);
-    result.map(|()| stats)
-}
-
-/// Scalar parallel LSB radixsort of `(key, payload)` pairs (stable).
-pub fn lsb_radixsort_scalar(keys: &mut Vec<u32>, pays: &mut Vec<u32>, cfg: &SortConfig) {
-    radixsort_pairs(rsv_simd::Portable::<16>::new(), false, keys, pays, cfg);
-}
-
-/// Vectorized parallel LSB radixsort of `(key, payload)` pairs (stable).
-pub fn lsb_radixsort_vector<S: Simd>(
-    s: S,
-    keys: &mut Vec<u32>,
-    pays: &mut Vec<u32>,
-    cfg: &SortConfig,
-) {
-    radixsort_pairs(s, true, keys, pays, cfg);
-}
-
-/// [`lsb_radixsort_vector`], returning per-worker scheduler stats
-/// accumulated over every radix pass.
-pub fn lsb_radixsort_vector_stats<S: Simd>(
-    s: S,
-    keys: &mut Vec<u32>,
-    pays: &mut Vec<u32>,
-    cfg: &SortConfig,
-) -> SchedulerStats {
-    radixsort_pairs(s, true, keys, pays, cfg)
+    Ok(stats)
 }
 
 /// One parallel stable partitioning pass of a key column only, morselized
-/// exactly like [`rsv_partition::parallel::partition_pass_policy`]: per-
+/// exactly like [`rsv_partition::parallel::partition_pass`]: per-
 /// morsel histograms and staging buffers keyed by morsel id, interleaved
 /// offsets in morsel (= input) order, and a barrier before the per-morsel
 /// cleanup tasks.
@@ -180,14 +109,14 @@ fn pass_keys<S: Simd>(
     src_k: &[u32],
     dst_k: &mut Vec<u32>,
     policy: &ExecPolicy,
-) -> SchedulerStats {
+) -> Result<SchedulerStats, EngineError> {
     let n = src_k.len();
     let t = policy.threads;
 
     let hist_q = MorselQueue::new(n, policy, S::LANES);
     let m = hist_q.morsel_count();
     let hist_slots: SlotMap<Vec<u32>> = SlotMap::new(m);
-    let (_, mut stats) = parallel_scope_stats(t, |ctx| {
+    let (_, mut stats) = parallel_scope_try(t, |ctx| {
         for mo in ctx.morsels(&hist_q) {
             let h = ctx.phase("histogram", || {
                 let ks = &src_k[mo.range.clone()];
@@ -200,7 +129,9 @@ fn pass_keys<S: Simd>(
             // SAFETY: each morsel id is claimed exactly once.
             unsafe { hist_slots.put(mo.id, h) };
         }
-    });
+    })?;
+    // A cancelled pass may have left histogram slots unfilled.
+    policy.run.check_cancelled()?;
     let mut hists: Vec<Vec<u32>> = hist_slots
         .into_values()
         .into_iter()
@@ -213,15 +144,15 @@ fn pass_keys<S: Simd>(
     let bases = interleaved_offsets(&hists);
 
     let shuffle_q = MorselQueue::new(n, policy, S::LANES);
-    let cleanup_q = MorselQueue::tasks(m, t);
+    let cleanup_q = MorselQueue::tasks(m, policy);
     let staged: SlotMap<(Vec<u32>, Vec<u32>)> = SlotMap::new(m);
     let slots = if vectorized { S::LANES } else { scalar_slots() };
     let out_k = SharedBuffer::from_vec(std::mem::take(dst_k));
-    let (_, shuffle_stats) = parallel_scope_stats(t, |ctx| {
+    let shuffle_scope = parallel_scope_try(t, |ctx| {
         // SAFETY: morsels write disjoint regions from the interleaved
         // prefix sums; transiently clobbered first lines are repaired by
         // their owning morsels' cleanup after the barrier (see the safety
-        // note on `partition_pass_policy`).
+        // note on `partition_pass`).
         let ok = unsafe { out_k.view_mut() };
         for mo in ctx.morsels(&shuffle_q) {
             ctx.phase("shuffle", || {
@@ -249,9 +180,10 @@ fn pass_keys<S: Simd>(
             });
         }
     });
-    stats.merge(&shuffle_stats);
     *dst_k = out_k.into_vec();
-    stats
+    stats.merge(&shuffle_scope?.1);
+    policy.run.check_cancelled()?;
+    Ok(stats)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -349,41 +281,34 @@ fn keys_buffer_cleanup(slots: usize, buf: &[u32], base: &[u32], off: &[u32], out
     }
 }
 
-fn radixsort_keys<S: Simd>(
+/// Parallel LSB radixsort of a key column; the scalar kernels run when
+/// `vectorized` is false.
+pub fn radixsort_keys<S: Simd>(
     s: S,
     vectorized: bool,
     keys: &mut Vec<u32>,
     cfg: &SortConfig,
-) -> SchedulerStats {
+    policy: &ExecPolicy,
+) -> Result<SchedulerStats, EngineError> {
     let n = keys.len();
-    let policy = cfg.policy();
+    let scratch_bytes = (n as u64) * std::mem::size_of::<u32>() as u64;
+    let _scratch = policy.run.reserve(scratch_bytes)?;
     let mut stats = SchedulerStats::default();
-    let mut src = std::mem::take(keys);
     let mut dst = vec![0u32; n];
     for pass in 0..cfg.passes() {
         let f = cfg.pass_fn(pass);
         rsv_metrics::count(rsv_metrics::Metric::SortPasses, 1);
         rsv_metrics::count(rsv_metrics::Metric::SortBytesMoved, 4 * n as u64);
-        stats.merge(&pass_keys(s, vectorized, f, &src, &mut dst, &policy));
-        std::mem::swap(&mut src, &mut dst);
+        stats.merge(&pass_keys(s, vectorized, f, keys, &mut dst, policy)?);
+        std::mem::swap(keys, &mut dst);
     }
-    *keys = src;
-    stats
-}
-
-/// Scalar parallel LSB radixsort of a key column.
-pub fn lsb_radixsort_keys_scalar(keys: &mut Vec<u32>, cfg: &SortConfig) {
-    radixsort_keys(rsv_simd::Portable::<16>::new(), false, keys, cfg);
-}
-
-/// Vectorized parallel LSB radixsort of a key column.
-pub fn lsb_radixsort_keys_vector<S: Simd>(s: S, keys: &mut Vec<u32>, cfg: &SortConfig) {
-    radixsort_keys(s, true, keys, cfg);
+    Ok(stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsv_exec::{RunContext, DEFAULT_MORSEL_TUPLES};
     use rsv_simd::Portable;
 
     fn workload(n: usize, seed: u64) -> (Vec<u32>, Vec<u32>) {
@@ -391,6 +316,10 @@ mod tests {
         let keys = rsv_data::uniform_u32(n, &mut rng);
         let pays: Vec<u32> = (0..n as u32).collect();
         (keys, pays)
+    }
+
+    fn cfg(radix_bits: u32) -> SortConfig {
+        SortConfig { radix_bits }
     }
 
     fn check_sorted_pairs(keys: &[u32], pays: &[u32], orig_keys: &[u32]) {
@@ -409,11 +338,12 @@ mod tests {
 
     #[test]
     fn scalar_sort_matches_std() {
+        let s = Portable::<16>::new();
         for n in [0usize, 1, 100, 10_000] {
             let (keys, pays) = workload(n, 111);
             let mut k = keys.clone();
             let mut p = pays.clone();
-            lsb_radixsort_scalar(&mut k, &mut p, &SortConfig::default());
+            radixsort_pairs(s, false, &mut k, &mut p, &cfg(8), &ExecPolicy::new(1)).unwrap();
             check_sorted_pairs(&k, &p, &keys);
         }
     }
@@ -425,7 +355,7 @@ mod tests {
             let (keys, pays) = workload(n, 112);
             let mut k = keys.clone();
             let mut p = pays.clone();
-            lsb_radixsort_vector(s, &mut k, &mut p, &SortConfig::default());
+            radixsort_pairs(s, true, &mut k, &mut p, &cfg(8), &ExecPolicy::new(1)).unwrap();
             check_sorted_pairs(&k, &p, &keys);
         }
     }
@@ -437,15 +367,7 @@ mod tests {
         for bits in [4u32, 5, 6, 8, 11, 16] {
             let mut k = keys.clone();
             let mut p = pays.clone();
-            lsb_radixsort_vector(
-                s,
-                &mut k,
-                &mut p,
-                &SortConfig {
-                    radix_bits: bits,
-                    ..SortConfig::default()
-                },
-            );
+            radixsort_pairs(s, true, &mut k, &mut p, &cfg(bits), &ExecPolicy::new(1)).unwrap();
             check_sorted_pairs(&k, &p, &keys);
         }
     }
@@ -461,31 +383,13 @@ mod tests {
             .collect();
         let pays: Vec<u32> = (0..30_000).collect();
         for threads in [1usize, 2, 3, 4] {
-            let mut k = keys.clone();
-            let mut p = pays.clone();
-            lsb_radixsort_vector(
-                s,
-                &mut k,
-                &mut p,
-                &SortConfig {
-                    radix_bits: 8,
-                    threads,
-                    ..SortConfig::default()
-                },
-            );
-            check_sorted_pairs(&k, &p, &keys);
-            let mut ks = keys.clone();
-            let mut ps = pays.clone();
-            lsb_radixsort_scalar(
-                &mut ks,
-                &mut ps,
-                &SortConfig {
-                    radix_bits: 8,
-                    threads,
-                    ..SortConfig::default()
-                },
-            );
-            check_sorted_pairs(&ks, &ps, &keys);
+            for vectorized in [true, false] {
+                let mut k = keys.clone();
+                let mut p = pays.clone();
+                let policy = ExecPolicy::new(threads);
+                radixsort_pairs(s, vectorized, &mut k, &mut p, &cfg(8), &policy).unwrap();
+                check_sorted_pairs(&k, &p, &keys);
+            }
         }
     }
 
@@ -497,27 +401,12 @@ mod tests {
                 let (keys, _) = workload(n, 115);
                 let mut expected = keys.clone();
                 expected.sort_unstable();
-                let mut k = keys.clone();
-                lsb_radixsort_keys_vector(
-                    s,
-                    &mut k,
-                    &SortConfig {
-                        radix_bits: 8,
-                        threads,
-                        ..SortConfig::default()
-                    },
-                );
-                assert_eq!(k, expected, "vector n={n} threads={threads}");
-                let mut k = keys.clone();
-                lsb_radixsort_keys_scalar(
-                    &mut k,
-                    &SortConfig {
-                        radix_bits: 8,
-                        threads,
-                        ..SortConfig::default()
-                    },
-                );
-                assert_eq!(k, expected, "scalar n={n} threads={threads}");
+                for vectorized in [true, false] {
+                    let mut k = keys.clone();
+                    let policy = ExecPolicy::new(threads);
+                    radixsort_keys(s, vectorized, &mut k, &cfg(8), &policy).unwrap();
+                    assert_eq!(k, expected, "vec={vectorized} n={n} threads={threads}");
+                }
             }
         }
     }
@@ -532,19 +421,19 @@ mod tests {
         let mut p = pays.clone();
         let run = RunContext::new();
         run.cancel_token().cancel();
-        let cfg = SortConfig {
-            radix_bits: 8,
-            threads: 4,
-            morsel_tuples: 1024,
-        };
-        let err = radixsort_pairs_try(s, true, &mut k, &mut p, &cfg, &run)
+        let policy = ExecPolicy::new(4).with_morsel_tuples(1024);
+        let cancelled = policy.clone().with_run(run);
+        let err = radixsort_pairs(s, true, &mut k, &mut p, &cfg(8), &cancelled)
             .expect_err("pre-cancelled run must fail");
         assert!(matches!(err, EngineError::Cancelled), "{err}");
         assert_eq!(k.len(), keys.len());
         assert_eq!(p.len(), pays.len());
-        // the engine is immediately reusable with a fresh context
-        radixsort_pairs_try(s, true, &mut k, &mut p, &cfg, &RunContext::new())
-            .expect("fresh run must succeed");
+        let err = radixsort_keys(s, true, &mut k, &cfg(8), &cancelled)
+            .expect_err("pre-cancelled key-only run must fail");
+        assert!(matches!(err, EngineError::Cancelled), "{err}");
+        assert_eq!(k.len(), keys.len());
+        // the same columns sort under a fresh context
+        radixsort_pairs(s, true, &mut k, &mut p, &cfg(8), &policy).expect("fresh run must succeed");
         let mut expect = keys.clone();
         expect.sort_unstable();
         assert_eq!(k, expect);
@@ -558,15 +447,11 @@ mod tests {
         let (mut keys, mut pays) = workload(10_000, 7);
         // sort needs 2 * 10_000 * 4 = 80_000 B of scratch; allow less
         let run = RunContext::new().with_memory_limit(1_000);
-        let cfg = SortConfig {
-            radix_bits: 8,
-            threads: 2,
-            morsel_tuples: DEFAULT_MORSEL_TUPLES,
-        };
-        let err = radixsort_pairs_try(s, true, &mut keys, &mut pays, &cfg, &run)
+        let policy = ExecPolicy::new(2).with_run(run);
+        let err = radixsort_pairs(s, true, &mut keys, &mut pays, &cfg(8), &policy)
             .expect_err("budget must deny the scratch columns");
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
-        assert_eq!(run.budget.used(), 0);
+        assert_eq!(policy.run.budget.used(), 0);
         assert_eq!(keys.len(), 10_000);
     }
 
@@ -579,14 +464,10 @@ mod tests {
         let mut reference: Option<(Vec<u32>, Vec<u32>)> = None;
         for threads in [1usize, 2, 3, 8] {
             for morsel in [1024usize, DEFAULT_MORSEL_TUPLES, usize::MAX] {
-                let cfg = SortConfig {
-                    radix_bits: 8,
-                    threads,
-                    morsel_tuples: morsel,
-                };
+                let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
                 let mut k = keys.clone();
                 let mut p = pays.clone();
-                let stats = lsb_radixsort_vector_stats(s, &mut k, &mut p, &cfg);
+                let stats = radixsort_pairs(s, true, &mut k, &mut p, &cfg(8), &policy).unwrap();
                 // 4 passes at 8 bits, each scheduling every tuple through
                 // the histogram and shuffle queues (cleanup tasks add a
                 // few more scheduling units on top)
@@ -599,7 +480,7 @@ mod tests {
                     }
                 }
                 let mut ko = keys.clone();
-                radixsort_keys(s, true, &mut ko, &cfg);
+                radixsort_keys(s, true, &mut ko, &cfg(8), &policy).unwrap();
                 let r = reference.as_ref().unwrap();
                 let mut expect = r.0.clone();
                 expect.sort_unstable();
@@ -615,34 +496,17 @@ mod tests {
     #[test]
     fn accelerated_backends_sort() {
         let (keys, pays) = workload(50_000, 116);
+        let policy = ExecPolicy::new(2);
         if let Some(s) = rsv_simd::Avx512::new() {
             let mut k = keys.clone();
             let mut p = pays.clone();
-            lsb_radixsort_vector(
-                s,
-                &mut k,
-                &mut p,
-                &SortConfig {
-                    radix_bits: 8,
-                    threads: 2,
-                    ..SortConfig::default()
-                },
-            );
+            radixsort_pairs(s, true, &mut k, &mut p, &cfg(8), &policy).unwrap();
             check_sorted_pairs(&k, &p, &keys);
         }
         if let Some(s) = rsv_simd::Avx2::new() {
             let mut k = keys.clone();
             let mut p = pays.clone();
-            lsb_radixsort_vector(
-                s,
-                &mut k,
-                &mut p,
-                &SortConfig {
-                    radix_bits: 8,
-                    threads: 2,
-                    ..SortConfig::default()
-                },
-            );
+            radixsort_pairs(s, true, &mut k, &mut p, &cfg(8), &policy).unwrap();
             check_sorted_pairs(&k, &p, &keys);
         }
     }

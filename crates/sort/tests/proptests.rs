@@ -1,9 +1,10 @@
 //! Property tests: radixsort equals `sort_unstable` and is stable, for
 //! arbitrary inputs, radix widths, and thread counts.
 
-use rsv_simd::Backend;
+use rsv_exec::ExecPolicy;
+use rsv_simd::{Backend, Portable};
 use rsv_sort::multicol::{lsb_radixsort_multicol, PayloadColumn};
-use rsv_sort::{lsb_radixsort_keys_vector, lsb_radixsort_scalar, lsb_radixsort_vector, SortConfig};
+use rsv_sort::{radixsort_keys, radixsort_pairs, SortConfig};
 use rsv_testkit as tk;
 
 #[test]
@@ -13,18 +14,15 @@ fn sorts_arbitrary_inputs() {
         let bits = [4u32, 8, 11][rng.index(3)];
         let threads = 1 + rng.index(3);
 
-        let cfg = SortConfig {
-            radix_bits: bits,
-            threads,
-            ..SortConfig::default()
-        };
+        let cfg = SortConfig { radix_bits: bits };
+        let policy = ExecPolicy::new(threads);
         let pays: Vec<u32> = (0..keys.len() as u32).collect();
         let mut expected = keys.clone();
         expected.sort_unstable();
 
         let mut k = keys.clone();
         let mut p = pays.clone();
-        lsb_radixsort_scalar(&mut k, &mut p, &cfg);
+        radixsort_pairs(Portable::<16>::new(), false, &mut k, &mut p, &cfg, &policy).unwrap();
         assert_eq!(&k, &expected, "scalar keys");
         check_stable(&keys, &k, &p);
 
@@ -32,12 +30,12 @@ fn sorts_arbitrary_inputs() {
         rsv_simd::dispatch!(backend, s => {
             let mut k = keys.clone();
             let mut p = pays.clone();
-            lsb_radixsort_vector(s, &mut k, &mut p, &cfg);
+            radixsort_pairs(s, true, &mut k, &mut p, &cfg, &policy).unwrap();
             assert_eq!(&k, &expected, "vector keys");
             check_stable(&keys, &k, &p);
 
             let mut k = keys.clone();
-            lsb_radixsort_keys_vector(s, &mut k, &cfg);
+            radixsort_keys(s, true, &mut k, &cfg, &policy).unwrap();
             assert_eq!(&k, &expected, "key-only");
         });
     });
