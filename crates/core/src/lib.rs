@@ -17,6 +17,8 @@
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+// Engine code surfaces failures as typed `EngineError`s, not panics.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod profile;
 
@@ -397,27 +399,36 @@ impl Engine {
     /// Group-by aggregation: per distinct key, `COUNT(*)` and
     /// `SUM(payload)` (vectorized hash aggregation, paper §5's second
     /// hash-table use case). Returns `(key, count, sum)` rows sorted by
-    /// key — workers aggregate claimed morsels into private tables whose
-    /// merge is commutative, so the result is schedule-independent.
+    /// key, one per distinct key. Every `u32` key is accepted, `u32::MAX`
+    /// included.
     ///
-    /// `expected_groups` sizes the aggregation tables; it may be any upper
-    /// bound (e.g. `rel.len()`).
+    /// Workers aggregate claimed morsels into private tables. The other
+    /// tables are then merged in place into the one holding the most
+    /// groups, whose rows are sorted by key. The merge is commutative and
+    /// keys are unique, so the result is schedule-independent.
+    ///
+    /// `expected_groups` sizes each worker's table; it may be any
+    /// estimate (e.g. `rel.len()`), since tables grow past it.
     pub fn group_by_sum(&self, rel: &Relation, expected_groups: usize) -> Vec<(u32, u32, u64)> {
         expect_infallible(self.try_group_by_sum(rel, expected_groups, &RunContext::default()))
     }
 
     /// Fallible [`Engine::group_by_sum`] under a [`RunContext`]:
     /// cancellation is observed at morsel-claim boundaries and a worker
-    /// panic (e.g. an aggregation-table overflow) surfaces as
-    /// [`EngineError::WorkerPanicked`] after the sibling workers drain.
+    /// panic surfaces as [`EngineError::WorkerPanicked`] after the sibling
+    /// workers drain. The workers' tables as sized by `expected_groups`
+    /// are reserved against the budget first, so a budget smaller than
+    /// that fails with [`EngineError::BudgetExceeded`].
     pub fn try_group_by_sum(
         &self,
         rel: &Relation,
         expected_groups: usize,
         run: &RunContext,
     ) -> Result<Vec<(u32, u32, u64)>, EngineError> {
+        let table_bytes = rsv_hashtab::GroupAggTable::bytes_for(expected_groups.max(1), 0.5);
+        let _tables = run.reserve(self.threads as u64 * table_bytes)?;
         let q = MorselQueue::new(rel.len(), &self.policy(run), 16);
-        let (tables, _) = parallel_scope_try(self.threads, |ctx| {
+        let (mut tables, _) = parallel_scope_try(self.threads, |ctx| {
             let mut table = rsv_hashtab::GroupAggTable::new(expected_groups.max(1), 0.5);
             for mo in ctx.morsels(&q) {
                 ctx.phase("aggregate", || {
@@ -430,18 +441,14 @@ impl Engine {
             table
         })?;
         run.check_cancelled()?;
-        let mut merged: std::collections::BTreeMap<u32, (u32, u64)> = Default::default();
+        let Some(largest) = (0..tables.len()).max_by_key(|&i| tables[i].groups()) else {
+            return Ok(Vec::new());
+        };
+        let mut merged = tables.swap_remove(largest);
         for table in &tables {
-            for (k, c, sum) in table.iter() {
-                let e = merged.entry(k).or_default();
-                e.0 += c;
-                e.1 += sum;
-            }
+            merged.merge(table);
         }
-        Ok(merged
-            .into_iter()
-            .map(|(k, (c, sum))| (k, c, sum))
-            .collect())
+        Ok(merged.into_sorted_rows())
     }
 }
 

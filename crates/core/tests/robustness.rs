@@ -216,6 +216,10 @@ fn budget_exceeded_is_typed_and_releases_everything() {
             "hash-partition",
             Box::new(|run| engine.try_hash_partition(&outer, 64, run).map(|_| ())),
         ),
+        (
+            "group-by-sum",
+            Box::new(|run| engine.try_group_by_sum(&outer, 1_000, run).map(|_| ())),
+        ),
     ];
 
     for (name, op) in &ops {

@@ -8,6 +8,15 @@
 //! lane; lanes that would read-modify-write the same bucket in one vector
 //! are *deferred* to the next iteration (the same first-occurrence rule the
 //! paper's unstable hash shuffling uses), so no increment is ever lost.
+//!
+//! The table accepts the full `u32` key domain. The one key the bucket
+//! array cannot hold, [`EMPTY_KEY`] (`u32::MAX`, the empty-bucket
+//! sentinel), is aggregated out of band in a side slot: the scalar path
+//! routes it there, and the vector kernel masks sentinel lanes with one
+//! compare, adds them to the slot and refills those lanes.
+//!
+//! Partial tables combine with [`GroupAggTable::merge`], and
+//! [`GroupAggTable::into_sorted_rows`] emits the result ordered by key.
 
 use rsv_simd::{MaskLike, Simd};
 
@@ -44,6 +53,12 @@ impl std::error::Error for AggTableFull {}
 /// — doubling the bucket array and rehashing — before that point is
 /// reached; [`GroupAggTable::try_update`] instead reports saturation as
 /// [`AggTableFull`] for callers that sized the table deliberately.
+///
+/// # The sentinel key
+///
+/// [`EMPTY_KEY`] marks empty buckets, so its group lives in a side slot
+/// `(count, sum)` outside the bucket array. It never occupies a bucket
+/// and so never counts against saturation.
 #[derive(Debug, Clone)]
 pub struct GroupAggTable {
     keys: Vec<u32>,
@@ -51,7 +66,10 @@ pub struct GroupAggTable {
     sum_lo: Vec<u32>,
     sum_hi: Vec<u32>,
     hash: MulHash,
+    /// Groups stored in the bucket array (the side slot excluded).
     groups: usize,
+    /// `(count, sum)` of the [`EMPTY_KEY`] group, once it has been seen.
+    sentinel: Option<(u32, u64)>,
 }
 
 impl GroupAggTable {
@@ -66,12 +84,20 @@ impl GroupAggTable {
             sum_hi: vec![0; buckets],
             hash: MulHash::nth(0),
             groups: 0,
+            sentinel: None,
         }
+    }
+
+    /// Bytes [`GroupAggTable::new`] allocates for `capacity` groups at
+    /// `load_factor` (four `u32` arrays over the buckets), the unit of a
+    /// caller's memory-budget reservation.
+    pub fn bytes_for(capacity: usize, load_factor: f64) -> u64 {
+        (bucket_count(capacity, load_factor) * 4 * std::mem::size_of::<u32>()) as u64
     }
 
     /// Number of distinct groups seen so far.
     pub fn groups(&self) -> usize {
-        self.groups
+        self.groups + usize::from(self.sentinel.is_some())
     }
 
     /// Number of buckets.
@@ -82,9 +108,7 @@ impl GroupAggTable {
     /// Update one tuple with scalar code, growing the table if a new
     /// group would otherwise saturate it.
     pub fn update(&mut self, key: u32, value: u32) {
-        while self.try_update(key, value).is_err() {
-            self.grow();
-        }
+        self.add(key, 1, u64::from(value));
     }
 
     /// Update one tuple, refusing (rather than growing) when a new group
@@ -93,15 +117,49 @@ impl GroupAggTable {
     /// The probe loop always terminates: the table keeps the invariant
     /// `groups ≤ buckets − 1` (at least one empty bucket), and a probe
     /// that would break it returns [`AggTableFull`] *before* inserting.
+    /// [`EMPTY_KEY`] goes to the side slot and always succeeds.
     ///
     /// # Errors
     /// [`AggTableFull`] if `key` is a new group and `groups + 1` would
     /// reach the bucket count. Existing groups always update.
     pub fn try_update(&mut self, key: u32, value: u32) -> Result<(), AggTableFull> {
-        assert_ne!(
-            key, EMPTY_KEY,
-            "key {key:#x} is the reserved empty sentinel"
-        );
+        self.try_add(key, 1, u64::from(value))
+    }
+
+    /// Add every group of `other` (count and sum) into `self`, growing
+    /// under [`GroupAggTable::update`]'s rule. The tables may have
+    /// different bucket counts; the result equals aggregating both inputs
+    /// into one table.
+    pub fn merge(&mut self, other: &GroupAggTable) {
+        for (key, count, sum) in other.iter() {
+            self.add(key, count, sum);
+        }
+    }
+
+    /// The `(key, count, sum)` rows, sorted by key (keys are unique, so
+    /// the order is fully determined).
+    pub fn into_sorted_rows(self) -> Vec<(u32, u32, u64)> {
+        let mut rows = Vec::with_capacity(self.groups());
+        rows.extend(self.iter());
+        rows.sort_unstable_by_key(|&(key, _, _)| key);
+        rows
+    }
+
+    /// [`GroupAggTable::try_add`], growing until the group fits.
+    fn add(&mut self, key: u32, count: u32, sum: u64) {
+        while self.try_add(key, count, sum).is_err() {
+            self.grow();
+        }
+    }
+
+    /// Add `count` tuples summing to `sum` to `key`'s group.
+    fn try_add(&mut self, key: u32, count: u32, sum: u64) -> Result<(), AggTableFull> {
+        if key == EMPTY_KEY {
+            let slot = self.sentinel.get_or_insert((0, 0));
+            slot.0 += count;
+            slot.1 += sum;
+            return Ok(());
+        }
         let t = self.keys.len();
         let mut h = self.hash.bucket(key, t);
         loop {
@@ -122,10 +180,10 @@ impl GroupAggTable {
                 h = 0;
             }
         }
-        self.counts[h] += 1;
-        let (lo, carry) = self.sum_lo[h].overflowing_add(value);
+        self.counts[h] += count;
+        let (lo, carry) = self.sum_lo[h].overflowing_add(sum as u32);
         self.sum_lo[h] = lo;
-        self.sum_hi[h] += u32::from(carry);
+        self.sum_hi[h] += (sum >> 32) as u32 + u32::from(carry);
         Ok(())
     }
 
@@ -168,7 +226,8 @@ impl GroupAggTable {
     /// new groups (with the Algorithm 7 scatter/gather-back conflict
     /// check), and read-modify-write count and sum for the lanes that are
     /// the *first* occurrence of their bucket in this vector; all other
-    /// lanes retry next iteration.
+    /// lanes retry next iteration. Lanes holding [`EMPTY_KEY`] go to the
+    /// side slot and are refilled.
     pub fn update_vector<S: Simd>(&mut self, s: S, keys: &[u32], values: &[u32]) {
         assert_eq!(keys.len(), values.len(), "column length mismatch");
         s.vectorize(
@@ -181,7 +240,6 @@ impl GroupAggTable {
         let w = S::LANES;
         let n = keys.len();
         let mut t = self.keys.len();
-        debug_assert!(!keys.contains(&EMPTY_KEY), "empty-sentinel key in input");
         let f = s.splat(self.hash.factor());
         let mut tn = s.splat(t as u32);
         let empty = s.splat(EMPTY_KEY);
@@ -208,12 +266,22 @@ impl GroupAggTable {
             k = s.selective_load(k, m, &keys[i..]);
             v = s.selective_load(v, m, &values[i..]);
             i += m.count();
+            // Sentinel-key lanes aggregate into the side slot and take no
+            // part in the probe below; they are refilled with `upd`.
+            let sent = s.cmpeq(k, empty);
+            if sent.any() {
+                let mut va = [0u32; MAX_LANES];
+                s.store(v, &mut va[..w]);
+                for lane in sent.iter_set() {
+                    self.update(EMPTY_KEY, va[lane]);
+                }
+            }
             let mut h = s.add(s.mulhi(s.mullo(k, f), tn), o);
             let over = s.cmpge(h, tn);
             h = s.blend(over, s.sub(h, tn), h);
             let tk = s.gather(&self.keys, h);
             // Lanes whose bucket is empty try to claim it for a new group.
-            let empt = s.cmpeq(tk, empty);
+            let empt = sent.andnot(s.cmpeq(tk, empty));
             if empt.any() {
                 s.scatter_masked(&mut self.keys, empt, h, lane_ids);
                 let back = s.gather_masked(lane_ids, empt, &self.keys, h);
@@ -226,7 +294,7 @@ impl GroupAggTable {
             }
             // Re-read bucket keys (claims may have just landed).
             let tk = s.gather(&self.keys, h);
-            let found = s.cmpeq(tk, k);
+            let found = sent.andnot(s.cmpeq(tk, k));
             // Defer all but the first lane touching each bucket: the
             // read-modify-write below would otherwise lose increments.
             let first = s.cmpeq(s.conflict(h), s.zero());
@@ -245,10 +313,10 @@ impl GroupAggTable {
                 }
             }
             // Lanes that found a different, occupied key probe onward.
-            let miss = found.not().and(empt.not());
+            let miss = found.or(empt).or(sent).not();
             o = s.blend(miss, s.add(o, one), s.zero());
             // Refill only the lanes that completed their update.
-            m = upd;
+            m = upd.or(sent);
         }
         // Drain in-flight lanes and the tail with scalar code.
         let mut ka = [0u32; MAX_LANES];
@@ -263,7 +331,8 @@ impl GroupAggTable {
         }
     }
 
-    /// Iterate over `(group key, count, sum)` results.
+    /// Iterate over `(group key, count, sum)` results in bucket order,
+    /// with the [`EMPTY_KEY`] group (if any) last.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32, u64)> + '_ {
         self.keys
             .iter()
@@ -276,6 +345,7 @@ impl GroupAggTable {
                     u64::from(self.sum_lo[h]) | (u64::from(self.sum_hi[h]) << 32),
                 )
             })
+            .chain(self.sentinel.map(|(count, sum)| (EMPTY_KEY, count, sum)))
     }
 }
 
@@ -412,6 +482,153 @@ mod tests {
         let mut t = GroupAggTable::new(2, 0.5);
         t.update_scalar(&keys, &values);
         assert_eq!(collect(&t), reference(&keys, &values));
+    }
+
+    /// Keys from `domain` with every `every`-th tuple the sentinel.
+    fn with_sentinels(n: usize, domain: u32, every: usize, seed: u64) -> (Vec<u32>, Vec<u32>) {
+        let mut rng = rsv_data::rng(seed);
+        let keys = rsv_data::uniform_u32(n, &mut rng)
+            .iter()
+            .enumerate()
+            .map(|(i, k)| {
+                if i % every == every - 1 {
+                    EMPTY_KEY
+                } else {
+                    k % domain
+                }
+            })
+            .collect();
+        (keys, rsv_data::uniform_u32(n, &mut rng))
+    }
+
+    #[test]
+    fn sentinel_key_scalar_path() {
+        let (keys, values) = with_sentinels(1000, 50, 7, 75);
+        let mut t = GroupAggTable::new(50, 0.5);
+        t.update_scalar(&keys, &values);
+        assert_eq!(collect(&t), reference(&keys, &values));
+        assert_eq!(t.groups(), 51);
+        assert_eq!(t.iter().last().map(|r| r.0), Some(EMPTY_KEY));
+        // the side slot never needs a bucket, even in a saturated table
+        let mut full = GroupAggTable::new(3, 0.9);
+        for k in 0..full.buckets() as u32 - 1 {
+            full.update(k, 1);
+        }
+        assert_eq!(full.try_update(EMPTY_KEY, 5), Ok(()));
+        assert_eq!(collect(&full)[&EMPTY_KEY], (1, 5));
+    }
+
+    #[test]
+    fn sentinel_key_vector_body() {
+        // one sentinel among 64 tuples, 16 among 4,016, and a run of
+        // sentinels that fills whole vectors
+        let run = (
+            [vec![EMPTY_KEY; 40], vec![3; 40]].concat(),
+            (0..80).collect::<Vec<u32>>(),
+        );
+        let cases = [
+            with_sentinels(64, 97, 64, 76),
+            with_sentinels(4016, 97, 251, 76),
+            run,
+        ];
+        for b in rsv_simd::Backend::all_available() {
+            for (keys, values) in &cases {
+                let mut t = GroupAggTable::new(97, 0.5);
+                rsv_simd::dispatch!(b, s => { t.update_vector(s, keys, values) });
+                assert_eq!(collect(&t), reference(keys, values), "{}", b.name());
+                let counted: usize = t.iter().map(|r| r.1 as usize).sum();
+                assert_eq!(counted, keys.len(), "{}: tuples lost", b.name());
+            }
+        }
+    }
+
+    #[test]
+    fn sentinel_key_vector_tail() {
+        let s = Portable::<16>::new();
+        // 16 + 5 tuples: the sentinel sits in the scalar tail
+        let mut keys: Vec<u32> = (0..21).map(|k| k % 6).collect();
+        keys[19] = EMPTY_KEY;
+        let values: Vec<u32> = (100..121).collect();
+        let mut t = GroupAggTable::new(8, 0.5);
+        t.update_vector(s, &keys, &values);
+        assert_eq!(collect(&t), reference(&keys, &values));
+        assert_eq!(collect(&t)[&EMPTY_KEY], (1, 119));
+    }
+
+    fn table_of(keys: &[u32], values: &[u32], capacity: usize) -> GroupAggTable {
+        let mut t = GroupAggTable::new(capacity, 0.5);
+        t.update_scalar(keys, values);
+        t
+    }
+
+    #[test]
+    fn merge_tables_of_different_bucket_counts() {
+        let (keys, values) = with_sentinels(6000, 700, 97, 77);
+        let (a, b) = (keys.split_at(2500), values.split_at(2500));
+        let grown = table_of(a.1, b.1, 2); // grew from ~4 buckets
+        let mut fresh = table_of(a.0, b.0, 700);
+        assert_ne!(grown.buckets(), fresh.buckets());
+        fresh.merge(&grown);
+        assert_eq!(collect(&fresh), reference(&keys, &values));
+        assert_eq!(fresh.groups(), reference(&keys, &values).len());
+    }
+
+    #[test]
+    fn merge_grows_the_destination() {
+        let keys: Vec<u32> = (0..2000u32).collect();
+        let values: Vec<u32> = keys.iter().map(|k| k * 3).collect();
+        let mut small = table_of(&keys[..3], &values[..3], 3);
+        let buckets = small.buckets();
+        small.merge(&table_of(&keys[3..], &values[3..], 2000));
+        assert!(small.buckets() > buckets, "merge must grow");
+        assert_eq!(collect(&small), reference(&keys, &values));
+    }
+
+    #[test]
+    fn merge_carries_partial_sums_into_high_word() {
+        let half = u32::MAX / 4 * 3; // each partial sum < 2^32, total > 2^32
+        let mut a = table_of(&[9], &[half], 4);
+        a.merge(&table_of(&[9, EMPTY_KEY], &[half, half], 4));
+        a.merge(&table_of(&[EMPTY_KEY], &[half], 4));
+        let rows = a.into_sorted_rows();
+        assert_eq!(
+            rows,
+            vec![
+                (9, 2, 2 * u64::from(half)),
+                (EMPTY_KEY, 2, 2 * u64::from(half))
+            ]
+        );
+        assert!(2 * u64::from(half) > u64::from(u32::MAX));
+    }
+
+    #[test]
+    fn merge_into_empty_table_equals_source() {
+        let (keys, values) = with_sentinels(3000, 400, 50, 78);
+        let source = table_of(&keys, &values, 400);
+        let mut empty = GroupAggTable::new(1, 0.5);
+        empty.merge(&source);
+        assert_eq!(empty.groups(), source.groups());
+        assert_eq!(empty.into_sorted_rows(), source.into_sorted_rows());
+    }
+
+    #[test]
+    fn sorted_rows_are_ascending_with_sentinel_last() {
+        let (keys, values) = with_sentinels(2000, 300, 40, 79);
+        let rows = table_of(&keys, &values, 300).into_sorted_rows();
+        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(rows.last().map(|r| r.0), Some(EMPTY_KEY));
+        let mut expected: Vec<_> = reference(&keys, &values)
+            .into_iter()
+            .map(|(k, (c, s))| (k, c, s))
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(rows, expected);
+    }
+
+    #[test]
+    fn bytes_for_matches_allocation() {
+        let t = GroupAggTable::new(1000, 0.5);
+        assert_eq!(GroupAggTable::bytes_for(1000, 0.5), 16 * t.buckets() as u64);
     }
 
     #[cfg(target_arch = "x86_64")]

@@ -10,7 +10,7 @@ use crate::{
     BucketScheme, BucketizedTable, CuckooTable, DoubleHashTable, GroupAggTable, JoinSink,
     LinearTable,
 };
-use rsv_simd::dispatch;
+use rsv_simd::{dispatch, Backend};
 use rsv_testkit::diff::{canonical_triples, CaseInput, DiffOp, Kernel, Registry};
 use rsv_testkit::Rng;
 
@@ -122,9 +122,8 @@ fn horizontal_reference(input: &CaseInput) -> Vec<u8> {
 
 // --- grouped aggregation ----------------------------------------------
 
-fn agg_bytes(t: &GroupAggTable) -> Vec<u8> {
-    let mut groups: Vec<(u32, u32, u64)> = t.iter().collect();
-    groups.sort_unstable();
+fn agg_bytes(t: GroupAggTable) -> Vec<u8> {
+    let groups = t.into_sorted_rows();
     let mut out = Vec::with_capacity(16 * groups.len());
     for (k, c, s) in groups {
         out.extend_from_slice(&k.to_le_bytes());
@@ -137,7 +136,29 @@ fn agg_bytes(t: &GroupAggTable) -> Vec<u8> {
 fn agg_reference(input: &CaseInput) -> Vec<u8> {
     let mut t = GroupAggTable::new(input.capacity, input.load_factor);
     t.update_scalar(&input.keys, &input.pays);
-    agg_bytes(&t)
+    agg_bytes(t)
+}
+
+/// Aggregate `threads` contiguous chunks of the input into one table each
+/// with the vector kernel, then merge them all into the first.
+fn agg_vector_merged(b: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
+    let chunk = input.keys.len().div_ceil(threads.max(1)).max(1);
+    let mut tables = input
+        .keys
+        .chunks(chunk)
+        .zip(input.pays.chunks(chunk))
+        .map(|(keys, pays)| {
+            let mut t = GroupAggTable::new(input.capacity, input.load_factor);
+            dispatch!(b, s => { t.update_vector(s, keys, pays) });
+            t
+        });
+    let mut merged = tables
+        .next()
+        .unwrap_or_else(|| GroupAggTable::new(input.capacity, input.load_factor));
+    for t in tables {
+        merged.merge(&t);
+    }
+    agg_bytes(merged)
 }
 
 /// Register the linear-probing, double-hashing, cuckoo, horizontal and
@@ -285,14 +306,21 @@ pub fn register(r: &mut Registry) {
     r.register(DiffOp {
         name: "agg-group",
         reference: agg_reference,
-        kernels: vec![Kernel {
-            name: "update-vector",
-            threaded: false,
-            run: |b, _, i| {
-                let mut t = GroupAggTable::new(i.capacity, i.load_factor);
-                dispatch!(b, s => { t.update_vector(s, &i.keys, &i.pays) });
-                agg_bytes(&t)
+        kernels: vec![
+            Kernel {
+                name: "update-vector",
+                threaded: false,
+                run: |b, _, i| {
+                    let mut t = GroupAggTable::new(i.capacity, i.load_factor);
+                    dispatch!(b, s => { t.update_vector(s, &i.keys, &i.pays) });
+                    agg_bytes(t)
+                },
             },
-        }],
+            Kernel {
+                name: "update-vector-merged",
+                threaded: true,
+                run: agg_vector_merged,
+            },
+        ],
     });
 }

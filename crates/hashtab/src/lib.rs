@@ -17,8 +17,11 @@
 //!
 //! # Key domain
 //!
-//! `u32::MAX` is reserved as the *empty bucket* sentinel ([`EMPTY_KEY`]);
+//! `u32::MAX` is the *empty bucket* sentinel ([`EMPTY_KEY`]). The join
+//! tables (linear, double, cuckoo, bucketized) still reserve it:
 //! inserting it panics in debug builds and is rejected by `try_insert`.
+//! [`GroupAggTable`] accepts it, aggregating its group out of band in a
+//! side slot.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

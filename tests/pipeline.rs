@@ -70,6 +70,17 @@ fn all_join_variants_produce_identical_results() {
     }
 }
 
+/// Scalar group-by: `(key, count, sum)` per distinct key, ascending.
+fn reference_group_by(rel: &Relation) -> Vec<(u32, u32, u64)> {
+    let mut groups: std::collections::BTreeMap<u32, (u32, u64)> = Default::default();
+    for (k, v) in rel.iter() {
+        let e = groups.entry(k).or_default();
+        e.0 += 1;
+        e.1 += u64::from(v);
+    }
+    groups.into_iter().map(|(k, (c, s))| (k, c, s)).collect()
+}
+
 #[test]
 fn group_by_sum_matches_scalar_reference() {
     let mut rng = data::rng(404);
@@ -79,15 +90,7 @@ fn group_by_sum_matches_scalar_reference() {
         .collect();
     let pays = data::uniform_u32(50_000, &mut rng);
     let rel = Relation::new(keys, pays);
-
-    let mut expected: std::collections::BTreeMap<u32, (u32, u64)> = Default::default();
-    for (k, v) in rel.iter() {
-        let e = expected.entry(k).or_default();
-        e.0 += 1;
-        e.1 += u64::from(v);
-    }
-    let expected: Vec<(u32, u32, u64)> =
-        expected.into_iter().map(|(k, (c, s))| (k, c, s)).collect();
+    let expected = reference_group_by(&rel);
 
     for threads in [1usize, 3] {
         let engine = Engine::new().with_threads(threads);
@@ -97,6 +100,45 @@ fn group_by_sum_matches_scalar_reference() {
             rows.windows(2).all(|w| w[0].0 < w[1].0),
             "not sorted by key"
         );
+    }
+}
+
+/// `u32::MAX` is an ordinary group key: none of its tuples is lost, and
+/// its row comes last.
+#[test]
+fn group_by_sum_keeps_the_max_key() {
+    let mut rng = data::rng(406);
+    let keys: Vec<u32> = data::uniform_u32(40_000, &mut rng)
+        .iter()
+        .enumerate()
+        .map(|(i, k)| if i % 97 == 5 { u32::MAX } else { k % 300 })
+        .collect();
+    let rel = Relation::new(keys, data::uniform_u32(40_000, &mut rng));
+    let expected = reference_group_by(&rel);
+    assert_eq!(expected.last().map(|r| r.0), Some(u32::MAX));
+
+    for threads in [1usize, 3] {
+        let rows = Engine::new().with_threads(threads).group_by_sum(&rel, 300);
+        assert_eq!(rows, expected, "threads={threads}");
+    }
+}
+
+/// With `expected_groups = 1` every worker table starts tiny and grows on
+/// its own schedule, so the merged tables differ in bucket count.
+#[test]
+fn group_by_sum_merges_grown_worker_tables() {
+    let mut rng = data::rng(407);
+    // an odd multiplier permutes 0..2^16, so every group occurs
+    let keys: Vec<u32> = (0..200_000u32)
+        .map(|i| i.wrapping_mul(40_503) % (1 << 16))
+        .collect();
+    let rel = Relation::new(keys, data::uniform_u32(200_000, &mut rng));
+    let expected = reference_group_by(&rel);
+    assert_eq!(expected.len(), 1 << 16);
+
+    for threads in [1usize, 2, 8] {
+        let rows = Engine::new().with_threads(threads).group_by_sum(&rel, 1);
+        assert_eq!(rows, expected, "threads={threads}");
     }
 }
 
