@@ -82,19 +82,8 @@ pub fn select_fused_parallel(
     let (_, stats) = scope?;
     policy.run.check_cancelled()?;
 
-    // Compact the per-morsel runs front-to-back. Runs only move left
-    // (dest ≤ src), so processing in morsel order never clobbers a run
-    // that has not been moved yet.
-    let mut dest = 0usize;
-    for (id, &c) in counts.into_vec().iter().enumerate() {
-        let src = q.range_of(id).start;
-        if src != dest {
-            out_keys.copy_within(src..src + c, dest);
-            out_pays.copy_within(src..src + c, dest);
-        }
-        dest += c;
-    }
-    Ok((dest, stats))
+    let n_out = q.compact_runs(&counts.into_vec(), &mut [out_keys, out_pays]);
+    Ok((n_out, stats))
 }
 
 /// Parallel fused compressed histogram: per-worker replicated partial

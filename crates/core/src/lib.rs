@@ -314,20 +314,10 @@ impl Engine {
             }
         })?;
         run.check_cancelled()?;
-        // Compact the per-morsel qualifier runs in morsel order (runs only
-        // move left, so front-to-back copies never clobber a pending run).
-        let counts = counts.into_vec();
         let mut idxs = oi_buf.into_vec();
         drop(ok_buf);
-        let mut dest = 0usize;
-        for (id, &c) in counts.iter().enumerate() {
-            let src = q.range_of(id).start;
-            if src != dest {
-                idxs.copy_within(src..src + c, dest);
-            }
-            dest += c;
-        }
-        idxs.truncate(dest);
+        let n_out = q.compact_runs(&counts.into_vec(), &mut [&mut idxs]);
+        idxs.truncate(n_out);
         // Restore strict input order: positions are unique, so the sorted
         // qualifier set — and therefore the output — is byte-identical
         // for every thread count and morsel size.

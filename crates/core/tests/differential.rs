@@ -49,6 +49,7 @@ fn registry_covers_every_operator_family() {
         "agg-group",
         "bloom-probe",
         "sort-radix",
+        "sort-radix-keys",
         "join",
         "column-roundtrip",
         "column-select-fused",

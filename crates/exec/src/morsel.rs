@@ -200,6 +200,26 @@ impl MorselQueue {
         self.bounds[id]..self.bounds[id + 1]
     }
 
+    /// Compact per-morsel output runs to the front of every column in
+    /// `cols`, in morsel order, and return the total run length. Morsel
+    /// `id` left a run of `counts[id]` values at the start of its own range
+    /// ([`MorselQueue::range_of`]). Runs only move left (a run's
+    /// destination never lies past its source), so copying front to back
+    /// never clobbers a run that has not moved yet.
+    pub fn compact_runs(&self, counts: &[usize], cols: &mut [&mut [u32]]) -> usize {
+        let mut dest = 0usize;
+        for (id, &c) in counts.iter().enumerate() {
+            let src = self.range_of(id).start;
+            if src != dest {
+                for col in cols.iter_mut() {
+                    col.copy_within(src..src + c, dest);
+                }
+            }
+            dest += c;
+        }
+        dest
+    }
+
     /// Claim the next morsel for `worker`: own span first, then steal from
     /// the other workers in round-robin order. Returns `None` once every
     /// span is drained (cursors only grow, so `None` is final) **or the

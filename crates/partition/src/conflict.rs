@@ -57,6 +57,7 @@ pub fn serialize_conflicts_native<S: Simd>(s: S, h: S::V) -> S::V {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use rsv_simd::Portable;
 

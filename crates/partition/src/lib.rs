@@ -22,6 +22,8 @@
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+// Engine code surfaces typed errors, not panics (DESIGN.md §5e).
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod conflict;
 pub mod diff;

@@ -1,4 +1,5 @@
-//! One parallel, stable partitioning pass over key/payload pairs.
+//! One parallel, stable partitioning pass over key/payload pairs or over a
+//! key column alone.
 //!
 //! The paper's thread decomposition (Sections 8 and 9) splits the input
 //! equally among threads. Here the input is instead cut into SIMD-aligned
@@ -28,8 +29,8 @@ use rsv_simd::Simd;
 
 use crate::histogram::{histogram_scalar, histogram_vector_replicated};
 use crate::shuffle::{
-    scalar_slots, shuffle_buffer_cleanup, shuffle_scalar_buffered_core,
-    shuffle_vector_buffered_core,
+    shuffle_buffer_cleanup, shuffle_scalar_buffered_core, shuffle_vector_buffered_core, Staged,
+    SCALAR_SLOTS,
 };
 use crate::PartitionFn;
 
@@ -54,7 +55,7 @@ pub fn interleaved_offsets(hists: &[Vec<u32>]) -> Vec<Vec<u32>> {
 }
 
 /// Result of a parallel partitioning pass.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PassOutput {
     /// Partition start offsets (into the output columns).
     pub partition_starts: Vec<u32>,
@@ -86,8 +87,40 @@ pub fn partition_pass<S: Simd, F: PartitionFn + Sync>(
     policy: &ExecPolicy,
 ) -> Result<(PassOutput, SchedulerStats), EngineError> {
     assert_eq!(src_k.len(), src_p.len(), "column length mismatch");
-    assert_eq!(dst_k.len(), src_k.len(), "output length mismatch");
     assert_eq!(dst_p.len(), src_p.len(), "output length mismatch");
+    pass::<S, F, u64>(s, vectorized, f, src_k, src_p, dst_k, dst_p, policy)
+}
+
+/// [`partition_pass`] over a key column alone (key-only radixsort): the
+/// same pass, staging bare keys instead of key + payload pairs.
+pub fn partition_pass_keys<S: Simd, F: PartitionFn + Sync>(
+    s: S,
+    vectorized: bool,
+    f: F,
+    src_k: &[u32],
+    dst_k: &mut Vec<u32>,
+    policy: &ExecPolicy,
+) -> Result<(PassOutput, SchedulerStats), EngineError> {
+    // bare-key staging drops the payload: the key column stands in for it,
+    // and no payload column is written
+    let mut no_pays = Vec::new();
+    pass::<S, F, u32>(s, vectorized, f, src_k, src_k, dst_k, &mut no_pays, policy)
+}
+
+/// The pass behind [`partition_pass`] and [`partition_pass_keys`], staging
+/// tuples of type `T`.
+#[allow(clippy::too_many_arguments)]
+fn pass<S: Simd, F: PartitionFn + Sync, T: Staged>(
+    s: S,
+    vectorized: bool,
+    f: F,
+    src_k: &[u32],
+    src_p: &[u32],
+    dst_k: &mut Vec<u32>,
+    dst_p: &mut Vec<u32>,
+    policy: &ExecPolicy,
+) -> Result<(PassOutput, SchedulerStats), EngineError> {
+    assert_eq!(dst_k.len(), src_k.len(), "output length mismatch");
     let n = src_k.len();
     let t = policy.threads;
 
@@ -110,14 +143,12 @@ pub fn partition_pass<S: Simd, F: PartitionFn + Sync>(
             unsafe { hist_slots.put(mo.id, h) };
         }
     })?;
-    // A cancelled pass may have left histogram slots unfilled: bail before
-    // reading them.
-    policy.run.check_cancelled()?;
+    // Only a cancelled scope leaves a morsel's histogram slot unfilled.
     let mut hists: Vec<Vec<u32>> = hist_slots
         .into_values()
         .into_iter()
-        .map(|h| h.expect("every morsel histogrammed"))
-        .collect();
+        .collect::<Option<_>>()
+        .ok_or(EngineError::Cancelled)?;
     if hists.is_empty() {
         // empty input: zero morsels, but the offsets below need one region
         hists.push(vec![0u32; f.fanout()]);
@@ -138,8 +169,8 @@ pub fn partition_pass<S: Simd, F: PartitionFn + Sync>(
     // cut short by cancellation leaves staging slots unfilled, and a
     // cancelled claim is what keeps cleanup from reading them.
     let cleanup_q = MorselQueue::tasks(m, policy);
-    let staged: SlotMap<(AlignedVec<u64>, Vec<u32>)> = SlotMap::new(m);
-    let slots = if vectorized { S::LANES } else { scalar_slots() };
+    let staged: SlotMap<(AlignedVec<T>, Vec<u32>)> = SlotMap::new(m);
+    let slots = if vectorized { S::LANES } else { SCALAR_SLOTS };
     let out_k = SharedBuffer::from_vec(std::mem::take(dst_k));
     let out_p = SharedBuffer::from_vec(std::mem::take(dst_p));
     let shuffle_scope = parallel_scope_try(t, |ctx| {
@@ -155,7 +186,7 @@ pub fn partition_pass<S: Simd, F: PartitionFn + Sync>(
             ctx.phase("shuffle", || {
                 let r = mo.range.clone();
                 let mut off = bases[mo.id].clone();
-                let mut buf: AlignedVec<u64> = AlignedVec::zeroed(f.fanout() * slots);
+                let mut buf: AlignedVec<T> = AlignedVec::zeroed(f.fanout() * slots);
                 if vectorized {
                     shuffle_vector_buffered_core(
                         s,
@@ -216,6 +247,7 @@ pub fn partition_pass<S: Simd, F: PartitionFn + Sync>(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::{HashFn, PartitionFn};
     use rsv_simd::Portable;
@@ -227,6 +259,27 @@ mod tests {
         // partition 0: t0 at 0..2, t1 at 2..3; partition 1: t0 at 3..6, t1 at 6..10
         assert_eq!(off[0], vec![0, 3]);
         assert_eq!(off[1], vec![2, 6]);
+    }
+
+    /// The key-only pass over `keys` must reproduce the pair pass's key
+    /// column `dk` and its [`PassOutput`].
+    fn assert_keys_pass_matches<F: PartitionFn + Sync>(
+        vectorized: bool,
+        f: F,
+        keys: &[u32],
+        policy: &ExecPolicy,
+        dk: &[u32],
+        out: &PassOutput,
+    ) {
+        let s = Portable::<16>::new();
+        let mut ko = vec![0u32; keys.len()];
+        let (out_k, _) = partition_pass_keys(s, vectorized, f, keys, &mut ko, policy).unwrap();
+        let ctx = format!(
+            "vec={vectorized} t={} morsel={}",
+            policy.threads, policy.morsel_tuples
+        );
+        assert_eq!(ko, dk, "key-only keys differ ({ctx})");
+        assert_eq!(&out_k, out, "key-only pass output differs ({ctx})");
     }
 
     #[test]
@@ -262,11 +315,14 @@ mod tests {
                 let a = rsv_data::multiset_fingerprint(keys.iter().zip(&pays));
                 let b = rsv_data::multiset_fingerprint(dk.iter().zip(&dp));
                 assert_eq!(a, b);
+                assert_keys_pass_matches(vectorized, f, &keys, &policy, &dk, &out);
             }
         }
     }
 
-    /// The pass output must not depend on thread count or morsel size.
+    /// The pass output must not depend on thread count or morsel size. The
+    /// small morsels make the cleanup repair first lines across morsel
+    /// boundaries, at both staging widths.
     #[test]
     fn pass_output_independent_of_schedule() {
         let s = Portable::<16>::new();
@@ -280,9 +336,10 @@ mod tests {
                 let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
                 let mut dk = vec![0u32; keys.len()];
                 let mut dp = vec![0u32; keys.len()];
-                let (_, stats) =
+                let (out, stats) =
                     partition_pass(s, true, f, &keys, &pays, &mut dk, &mut dp, &policy).unwrap();
                 assert!(stats.total_tuples() > 0);
+                assert_keys_pass_matches(true, f, &keys, &policy, &dk, &out);
                 match &reference {
                     None => reference = Some((dk, dp)),
                     Some((rk, rp)) => {

@@ -15,6 +15,10 @@
 //! partial line directly) repairs it — exactly the paper's "fix the first
 //! cache line of each partition" note.
 //!
+//! The buffered kernels stage either of Figure 14's tuple widths (the
+//! `Staged` trait): a bare `u32` key, or a key + payload pair packed into a
+//! `u64`. The width is a type parameter, so each compiles to its own loop.
+//!
 //! The vector variants serialize lane conflicts per Algorithm 13 so the
 //! radix shuffle is **stable**; [`shuffle_vector_buffered_unstable`] is the
 //! paper's hash-partitioning variant that instead defers conflicting lanes
@@ -29,14 +33,100 @@ use crate::histogram::prefix_sum;
 use crate::PartitionFn;
 
 /// Slots per partition in the scalar staging buffer.
-const SCALAR_SLOTS: usize = 16;
+pub(crate) const SCALAR_SLOTS: usize = 16;
 
 /// Maximum vector width any backend exposes (for stack lane buffers).
 const MAX_LANES: usize = 32;
 
+/// A tuple the buffered shuffles stage per partition: a bare key (`u32`)
+/// or a key + payload pair packed into a `u64`, key in the low half. A bare
+/// key ignores the payload input and the payload output column `op`.
+pub(crate) trait Staged: Copy + Send {
+    /// The staged form of tuple `(k, v)`.
+    fn pack(k: u32, v: u32) -> Self;
+    /// Write this tuple to output slot `q` of the key/payload columns.
+    fn write(self, q: usize, ok: &mut [u32], op: &mut [u32]);
+    /// Stage the active lanes' tuples at `buf[idx[i]]`.
+    fn scatter_masked<S: Simd>(s: S, buf: &mut [Self], m: S::M, idx: S::V, k: S::V, v: S::V);
+    /// Stream one full `S::LANES`-tuple line to output slots `at..`.
+    fn stream_line<S: Simd>(s: S, line: &[Self], at: usize, ok: &mut [u32], op: &mut [u32]);
+}
+
+impl Staged for u32 {
+    #[inline(always)]
+    fn pack(k: u32, _: u32) -> u32 {
+        k
+    }
+
+    #[inline(always)]
+    fn write(self, q: usize, ok: &mut [u32], _: &mut [u32]) {
+        ok[q] = self;
+    }
+
+    #[inline(always)]
+    fn scatter_masked<S: Simd>(s: S, buf: &mut [u32], m: S::M, idx: S::V, k: S::V, _: S::V) {
+        s.scatter_masked(buf, m, idx, k);
+    }
+
+    #[inline(always)]
+    fn stream_line<S: Simd>(s: S, line: &[u32], at: usize, ok: &mut [u32], _: &mut [u32]) {
+        s.store_stream(s.load(line), &mut ok[at..]);
+    }
+}
+
+impl Staged for u64 {
+    #[inline(always)]
+    fn pack(k: u32, v: u32) -> u64 {
+        u64::from(k) | (u64::from(v) << 32)
+    }
+
+    #[inline(always)]
+    fn write(self, q: usize, ok: &mut [u32], op: &mut [u32]) {
+        ok[q] = self as u32;
+        op[q] = (self >> 32) as u32;
+    }
+
+    #[inline(always)]
+    fn scatter_masked<S: Simd>(s: S, buf: &mut [u64], m: S::M, idx: S::V, k: S::V, v: S::V) {
+        s.scatter_pairs_masked(buf, m, idx, k, v);
+    }
+
+    #[inline(always)]
+    fn stream_line<S: Simd>(s: S, line: &[u64], at: usize, ok: &mut [u32], op: &mut [u32]) {
+        let (k, v) = s.load_pairs(line);
+        s.store_stream(k, &mut ok[at..]);
+        s.store_stream(v, &mut op[at..]);
+    }
+}
+
+/// Stage tuple `(k, v)` in its partition's `slots`-tuple line of `buf` and
+/// write the line out once it fills; returns whether it did.
+#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn pair(k: u32, v: u32) -> u64 {
-    u64::from(k) | (u64::from(v) << 32)
+fn stage<F: PartitionFn, T: Staged>(
+    f: &F,
+    k: u32,
+    v: u32,
+    slots: usize,
+    off: &mut [u32],
+    buf: &mut [T],
+    out_keys: &mut [u32],
+    out_pays: &mut [u32],
+) -> bool {
+    let p = f.partition(k);
+    let o = off[p] as usize;
+    let slot = o & (slots - 1);
+    buf[p * slots + slot] = T::pack(k, v);
+    off[p] = (o + 1) as u32;
+    let full = slot == slots - 1;
+    if full {
+        // a full line: flush it to the (aligned) output region
+        let target = o + 1 - slots;
+        for (j, &t) in buf[p * slots..(p + 1) * slots].iter().enumerate() {
+            t.write(target + j, out_keys, out_pays);
+        }
+    }
+    full
 }
 
 fn check_inputs<F: PartitionFn>(f: &F, keys: &[u32], pays: &[u32], hist: &[u32], out: usize) {
@@ -97,12 +187,12 @@ pub fn shuffle_scalar_buffered<F: PartitionFn>(
 /// input chunk with its own `off`/`buf`, threads synchronize, and then each
 /// runs [`shuffle_buffer_cleanup`] (the paper: "the buffer cleanup occurs
 /// after synchronizing, to fix the first cache line of each partition").
-pub fn shuffle_scalar_buffered_core<F: PartitionFn>(
+pub(crate) fn shuffle_scalar_buffered_core<F: PartitionFn, T: Staged>(
     f: F,
     keys: &[u32],
     pays: &[u32],
     off: &mut [u32],
-    buf: &mut [u64],
+    buf: &mut [T],
     out_keys: &mut [u32],
     out_pays: &mut [u32],
 ) {
@@ -114,28 +204,9 @@ pub fn shuffle_scalar_buffered_core<F: PartitionFn>(
     rsv_metrics::count(Metric::PartShuffleTuples, keys.len() as u64);
     let mut flushes = 0u64;
     for (&k, &v) in keys.iter().zip(pays) {
-        let p = f.partition(k);
-        let o = off[p] as usize;
-        let slot = o & (SCALAR_SLOTS - 1);
-        buf[p * SCALAR_SLOTS + slot] = pair(k, v);
-        off[p] = (o + 1) as u32;
-        if slot == SCALAR_SLOTS - 1 {
-            // a full line: flush it to the (aligned) output region
-            flushes += 1;
-            let target = o + 1 - SCALAR_SLOTS;
-            for j in 0..SCALAR_SLOTS {
-                let pr = buf[p * SCALAR_SLOTS + j];
-                out_keys[target + j] = pr as u32;
-                out_pays[target + j] = (pr >> 32) as u32;
-            }
-        }
+        flushes += u64::from(stage(&f, k, v, SCALAR_SLOTS, off, buf, out_keys, out_pays));
     }
     rsv_metrics::count(Metric::PartBufferFlushes, flushes);
-}
-
-/// Slots per partition used by [`shuffle_scalar_buffered_core`].
-pub const fn scalar_slots() -> usize {
-    SCALAR_SLOTS
 }
 
 /// Write every partition's final partial line from the staging buffer to
@@ -144,9 +215,9 @@ pub const fn scalar_slots() -> usize {
 ///
 /// `slots` must match the staging-buffer slot count the core pass used,
 /// `base` the partition start offsets, and `off` the final offsets.
-pub fn shuffle_buffer_cleanup(
+pub(crate) fn shuffle_buffer_cleanup<T: Staged>(
     slots: usize,
-    buf: &[u64],
+    buf: &[T],
     base: &[u32],
     off: &[u32],
     out_keys: &mut [u32],
@@ -162,9 +233,7 @@ pub fn shuffle_buffer_cleanup(
         flushed += (start - base[p] as usize) as u64;
         residual += (off[p] as usize - start) as u64;
         for q in start..off[p] as usize {
-            let pr = buf[p * slots + (q & (slots - 1))];
-            out_keys[q] = pr as u32;
-            out_pays[q] = (pr >> 32) as u32;
+            buf[p * slots + (q & (slots - 1))].write(q, out_keys, out_pays);
         }
     }
     rsv_metrics::count(Metric::PartTuplesFlushed, flushed);
@@ -281,15 +350,16 @@ fn shuffle_vector_buffered_inner<S: Simd, F: PartitionFn>(
 
 /// The main loop of vectorized buffered shuffling (Algorithm 15), without
 /// the cleanup pass — see [`shuffle_scalar_buffered_core`] for the
-/// multi-threaded usage pattern. `buf` must hold `fanout · S::LANES` pairs.
+/// multi-threaded usage pattern. `buf` must hold `fanout · S::LANES`
+/// tuples.
 #[allow(clippy::too_many_arguments)]
-pub fn shuffle_vector_buffered_core<S: Simd, F: PartitionFn>(
+pub(crate) fn shuffle_vector_buffered_core<S: Simd, F: PartitionFn, T: Staged>(
     s: S,
     f: F,
     keys: &[u32],
     pays: &[u32],
     off: &mut [u32],
-    buf: &mut [u64],
+    buf: &mut [T],
     out_keys: &mut [u32],
     out_pays: &mut [u32],
     stable: bool,
@@ -351,29 +421,24 @@ pub fn shuffle_vector_buffered_core<S: Simd, F: PartitionFn>(
                 let ob = s.add(s.and(o, wm1), c);
                 let slot = s.add(s.mullo(h, wv), ob);
                 let store_now = active.and(s.cmplt(ob, wv));
-                s.scatter_pairs_masked(buf, store_now, slot, k, v);
+                T::scatter_masked(s, buf, store_now, slot, k, v);
                 let trigger = active.and(s.cmpeq(ob, wm1));
                 if trigger.any() {
                     let n_flush = s.selective_store(&mut flush_parts[..], trigger, h);
                     flushes += n_flush as u64;
-                    stream_bytes += (n_flush * w * 8) as u64;
+                    stream_bytes += (n_flush * w * std::mem::size_of::<T>()) as u64;
                     for &p in &flush_parts[..n_flush] {
                         let p = p as usize;
                         // the line just completed ends at the last offset
                         // this partition reached, rounded down
                         let target = (off[p] as usize & !(w - 1)) - w;
-                        flush_line(
-                            s,
-                            &buf[p * w..],
-                            &mut out_keys[target..],
-                            &mut out_pays[target..],
-                        );
+                        T::stream_line(s, &buf[p * w..], target, out_keys, out_pays);
                     }
                     // lanes that overflowed past the flushed line now store
                     // into the freshly emptied slots
                     let late = active.and(s.cmpge(ob, wv));
                     let slot2 = s.add(s.mullo(h, wv), s.sub(ob, wv));
-                    s.scatter_pairs_masked(buf, late, slot2, k, v);
+                    T::scatter_masked(s, buf, late, slot2, k, v);
                 }
                 reload = if stable { S::M::all() } else { active };
             }
@@ -390,34 +455,13 @@ pub fn shuffle_vector_buffered_core<S: Simd, F: PartitionFn>(
                 .chain(keys[i..].iter().copied().zip(pays[i..].iter().copied()))
                 .collect();
             for (kk, vv) in pending {
-                let p = f.partition(kk);
-                let o = off[p] as usize;
-                let slot = o & (w - 1);
-                buf[p * w + slot] = pair(kk, vv);
-                off[p] = (o + 1) as u32;
-                if slot == w - 1 {
-                    flushes += 1;
-                    let target = o + 1 - w;
-                    for j in 0..w {
-                        let pr = buf[p * w + j];
-                        out_keys[target + j] = pr as u32;
-                        out_pays[target + j] = (pr >> 32) as u32;
-                    }
-                }
+                flushes += u64::from(stage(&f, kk, vv, w, off, buf, out_keys, out_pays));
             }
             rsv_metrics::count(Metric::PartConflictsSerialized, conflicts);
             rsv_metrics::count(Metric::PartBufferFlushes, flushes);
             rsv_metrics::count(Metric::PartStreamingStoreBytes, stream_bytes);
         },
     );
-}
-
-/// Flush one completed line from the staging buffer with streaming stores.
-#[inline(always)]
-fn flush_line<S: Simd>(s: S, line: &[u64], out_keys: &mut [u32], out_pays: &mut [u32]) {
-    let (k, v) = s.load_pairs(line);
-    s.store_stream(k, out_keys);
-    s.store_stream(v, out_pays);
 }
 
 #[cfg(test)]

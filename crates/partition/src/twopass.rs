@@ -201,6 +201,7 @@ pub fn hash_partition_twopass<S: Simd>(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use rsv_simd::Portable;
 

@@ -3,12 +3,13 @@
 //! The full 32-bit LSB radixsort yields one canonical answer — keys
 //! ascending, equal keys in input (stable) order — for *every* radix
 //! width, thread count, and backend, so the encoding is simply the
-//! ordered output columns.
+//! ordered output columns. `sort-radix` sorts key + payload pairs and
+//! `sort-radix-keys` the key column alone.
 
-use crate::{radixsort_pairs, SortConfig};
+use crate::{radixsort_keys, radixsort_pairs, SortConfig};
 use rsv_exec::{expect_infallible, ExecPolicy};
 use rsv_simd::{dispatch, Backend, Portable};
-use rsv_testkit::diff::{ordered_pairs, CaseInput, DiffOp, Kernel, Registry};
+use rsv_testkit::diff::{ordered_pairs, put_len, put_u32s, CaseInput, DiffOp, Kernel, Registry};
 use rsv_testkit::Rng;
 
 /// A case-seeded radix width; the sorted output must not depend on it.
@@ -47,7 +48,41 @@ fn run_vector(backend: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
     sorted(backend, true, radix_bits(input), threads, input)
 }
 
-/// Register the radixsort operator.
+/// Canonical bytes of an ordered key column.
+fn ordered_keys(keys: &[u32]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + 4 * keys.len());
+    put_len(&mut out, keys.len());
+    put_u32s(&mut out, keys);
+    out
+}
+
+fn sorted_keys(backend: Backend, vectorized: bool, threads: usize, input: &CaseInput) -> Vec<u8> {
+    let mut keys = input.keys.clone();
+    let cfg = SortConfig {
+        radix_bits: radix_bits(input),
+    };
+    let policy = ExecPolicy::new(threads);
+    expect_infallible(dispatch!(backend, s => {
+        radixsort_keys(s, vectorized, &mut keys, &cfg, &policy)
+    }));
+    ordered_keys(&keys)
+}
+
+fn reference_keys(input: &CaseInput) -> Vec<u8> {
+    let mut keys = input.keys.clone();
+    keys.sort_unstable();
+    ordered_keys(&keys)
+}
+
+fn run_scalar_keys(_backend: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
+    sorted_keys(Backend::Portable(Portable::new()), false, threads, input)
+}
+
+fn run_vector_keys(backend: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
+    sorted_keys(backend, true, threads, input)
+}
+
+/// Register the pair and key-only radixsort operators.
 pub fn register(r: &mut Registry) {
     r.register(DiffOp {
         name: "sort-radix",
@@ -62,6 +97,22 @@ pub fn register(r: &mut Registry) {
                 name: "vector-parallel",
                 threaded: true,
                 run: run_vector,
+            },
+        ],
+    });
+    r.register(DiffOp {
+        name: "sort-radix-keys",
+        reference: reference_keys,
+        kernels: vec![
+            Kernel {
+                name: "scalar-parallel",
+                threaded: true,
+                run: run_scalar_keys,
+            },
+            Kernel {
+                name: "vector-parallel",
+                threaded: true,
+                run: run_vector_keys,
             },
         ],
     });

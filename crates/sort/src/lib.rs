@@ -2,17 +2,20 @@
 //!
 //! "Large-scale sorting is synonymous to partitioning": least-significant-
 //! bit radixsort is a sequence of *stable* partitioning passes over the
-//! radix of each key, and the paper's fastest method for 32-bit keys. Each
-//! pass runs histogram generation and buffered shuffling — shared-nothing
-//! across morsels claimed from a work-stealing queue (see
-//! [`rsv_exec::MorselQueue`]), interleaving the partition outputs through
-//! a global prefix sum over all morsels' histograms. Because every pass is
-//! stable and keyed by morsel input order, the sorted output is
-//! byte-identical for any thread count and morsel size.
+//! radix of each key, and the paper's fastest method for 32-bit keys. Both
+//! parallel sorts are loops over rsv-partition's one buffered pass
+//! ([`rsv_partition::parallel`]): histogram generation and buffered
+//! shuffling, shared-nothing across morsels claimed from a work-stealing
+//! queue (see [`rsv_exec::MorselQueue`]), interleaving the partition
+//! outputs through a global prefix sum over all morsels' histograms.
+//! Because every pass is stable and keyed by morsel input order, the
+//! sorted output is byte-identical for any thread count and morsel size.
 //!
 //! * [`radixsort_pairs`] — key + one payload column (the Figure 14
-//!   workload), scalar or vectorized, any thread count,
-//! * [`radixsort_keys`] — key-only sorting,
+//!   workload), scalar or vectorized, any thread count, one
+//!   `partition_pass` per radix digit,
+//! * [`radixsort_keys`] — key-only sorting (Figure 14's other tuple
+//!   width), one `partition_pass_keys` per radix digit,
 //! * [`multicol::lsb_radixsort_multicol`] — key + arbitrary payload
 //!   columns of mixed widths via destination replay (Figure 18).
 //!
@@ -25,17 +28,15 @@
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+// Engine code surfaces typed errors, not panics (DESIGN.md §5e).
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod diff;
 pub mod multicol;
 
-use rsv_exec::{
-    parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats, SharedBuffer, SlotMap,
-};
-use rsv_partition::histogram::{histogram_scalar, histogram_vector_replicated};
-use rsv_partition::parallel::{interleaved_offsets, partition_pass};
-use rsv_partition::shuffle::scalar_slots;
-use rsv_partition::{PartitionFn, RadixFn};
+use rsv_exec::{EngineError, ExecPolicy, SchedulerStats};
+use rsv_partition::parallel::{partition_pass, partition_pass_keys};
+use rsv_partition::RadixFn;
 use rsv_simd::Simd;
 
 /// Radixsort tuning knobs (threads and morsel size come from the
@@ -97,190 +98,6 @@ pub fn radixsort_pairs<S: Simd>(
     Ok(stats)
 }
 
-/// One parallel stable partitioning pass of a key column only, morselized
-/// exactly like [`rsv_partition::parallel::partition_pass`]: per-
-/// morsel histograms and staging buffers keyed by morsel id, interleaved
-/// offsets in morsel (= input) order, and a barrier before the per-morsel
-/// cleanup tasks.
-fn pass_keys<S: Simd>(
-    s: S,
-    vectorized: bool,
-    f: RadixFn,
-    src_k: &[u32],
-    dst_k: &mut Vec<u32>,
-    policy: &ExecPolicy,
-) -> Result<SchedulerStats, EngineError> {
-    let n = src_k.len();
-    let t = policy.threads;
-
-    let hist_q = MorselQueue::new(n, policy, S::LANES);
-    let m = hist_q.morsel_count();
-    let hist_slots: SlotMap<Vec<u32>> = SlotMap::new(m);
-    let (_, mut stats) = parallel_scope_try(t, |ctx| {
-        for mo in ctx.morsels(&hist_q) {
-            let h = ctx.phase("histogram", || {
-                let ks = &src_k[mo.range.clone()];
-                if vectorized {
-                    histogram_vector_replicated(s, f, ks)
-                } else {
-                    histogram_scalar(f, ks)
-                }
-            });
-            // SAFETY: each morsel id is claimed exactly once.
-            unsafe { hist_slots.put(mo.id, h) };
-        }
-    })?;
-    // A cancelled pass may have left histogram slots unfilled.
-    policy.run.check_cancelled()?;
-    let mut hists: Vec<Vec<u32>> = hist_slots
-        .into_values()
-        .into_iter()
-        .map(|h| h.expect("every morsel histogrammed"))
-        .collect();
-    if hists.is_empty() {
-        // empty input: zero morsels, but the offsets below need one region
-        hists.push(vec![0u32; f.fanout()]);
-    }
-    let bases = interleaved_offsets(&hists);
-
-    let shuffle_q = MorselQueue::new(n, policy, S::LANES);
-    let cleanup_q = MorselQueue::tasks(m, policy);
-    let staged: SlotMap<(Vec<u32>, Vec<u32>)> = SlotMap::new(m);
-    let slots = if vectorized { S::LANES } else { scalar_slots() };
-    let out_k = SharedBuffer::from_vec(std::mem::take(dst_k));
-    let shuffle_scope = parallel_scope_try(t, |ctx| {
-        // SAFETY: morsels write disjoint regions from the interleaved
-        // prefix sums; transiently clobbered first lines are repaired by
-        // their owning morsels' cleanup after the barrier (see the safety
-        // note on `partition_pass`).
-        let ok = unsafe { out_k.view_mut() };
-        for mo in ctx.morsels(&shuffle_q) {
-            ctx.phase("shuffle", || {
-                let mut off = bases[mo.id].clone();
-                let mut buf = vec![0u32; f.fanout() * slots];
-                keys_buffered_core(
-                    s,
-                    vectorized,
-                    f,
-                    &src_k[mo.range.clone()],
-                    &mut off,
-                    &mut buf,
-                    ok,
-                );
-                // SAFETY: one writer per morsel id, read after the barrier.
-                unsafe { staged.put(mo.id, (buf, off)) };
-            });
-        }
-        ctx.barrier();
-        for task in ctx.morsels(&cleanup_q) {
-            ctx.phase("cleanup", || {
-                // SAFETY: all writers crossed the barrier above.
-                let (buf, off) = unsafe { staged.get(task.id) };
-                keys_buffer_cleanup(slots, buf, &bases[task.id], off, ok);
-            });
-        }
-    });
-    *dst_k = out_k.into_vec();
-    stats.merge(&shuffle_scope?.1);
-    policy.run.check_cancelled()?;
-    Ok(stats)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn keys_buffered_core<S: Simd>(
-    s: S,
-    vectorized: bool,
-    f: RadixFn,
-    keys: &[u32],
-    off: &mut [u32],
-    buf: &mut [u32],
-    out: &mut [u32],
-) {
-    let w = S::LANES;
-    let slots = if vectorized { w } else { scalar_slots() };
-    assert_eq!(
-        buf.len(),
-        f.fanout() * slots,
-        "staging buffer size mismatch"
-    );
-    if vectorized {
-        s.vectorize(
-            #[inline(always)]
-            || {
-                use rsv_partition::conflict::serialize_conflicts_native;
-                use rsv_simd::MaskLike;
-                let one = s.splat(1);
-                let wv = s.splat(w as u32);
-                let wm1 = s.splat(w as u32 - 1);
-                let mut flush_parts = [0u32; 32];
-                let mut i = 0usize;
-                while i + w <= keys.len() {
-                    let k = s.load(&keys[i..]);
-                    let h = f.partition_vector(s, k);
-                    let c = serialize_conflicts_native(s, h);
-                    let o = s.gather(off, h);
-                    let pos = s.add(o, c);
-                    s.scatter(off, h, s.add(pos, one));
-                    let ob = s.add(s.and(o, wm1), c);
-                    let slot = s.add(s.mullo(h, wv), ob);
-                    let store_now = s.cmplt(ob, wv);
-                    s.scatter_masked(buf, store_now, slot, k);
-                    let trigger = s.cmpeq(ob, wm1);
-                    if trigger.any() {
-                        let nf = s.selective_store(&mut flush_parts[..], trigger, h);
-                        for &p in &flush_parts[..nf] {
-                            let p = p as usize;
-                            let target = (off[p] as usize & !(w - 1)) - w;
-                            let line = s.load(&buf[p * w..]);
-                            s.store_stream(line, &mut out[target..]);
-                        }
-                        let late = s.cmpge(ob, wv);
-                        let slot2 = s.add(s.mullo(h, wv), s.sub(ob, wv));
-                        s.scatter_masked(buf, late, slot2, k);
-                    }
-                    i += w;
-                }
-                for &kk in &keys[i..] {
-                    keys_scalar_step(f, kk, off, buf, out, w);
-                }
-            },
-        );
-    } else {
-        for &kk in keys {
-            keys_scalar_step(f, kk, off, buf, out, slots);
-        }
-    }
-}
-
-#[inline(always)]
-fn keys_scalar_step(
-    f: RadixFn,
-    k: u32,
-    off: &mut [u32],
-    buf: &mut [u32],
-    out: &mut [u32],
-    slots: usize,
-) {
-    let p = f.partition(k);
-    let o = off[p] as usize;
-    let slot = o & (slots - 1);
-    buf[p * slots + slot] = k;
-    off[p] = (o + 1) as u32;
-    if slot == slots - 1 {
-        let target = o + 1 - slots;
-        out[target..target + slots].copy_from_slice(&buf[p * slots..p * slots + slots]);
-    }
-}
-
-fn keys_buffer_cleanup(slots: usize, buf: &[u32], base: &[u32], off: &[u32], out: &mut [u32]) {
-    for p in 0..base.len() {
-        let start = (off[p] as usize & !(slots - 1)).max(base[p] as usize);
-        for q in start..off[p] as usize {
-            out[q] = buf[p * slots + (q & (slots - 1))];
-        }
-    }
-}
-
 /// Parallel LSB radixsort of a key column; the scalar kernels run when
 /// `vectorized` is false.
 pub fn radixsort_keys<S: Simd>(
@@ -299,7 +116,8 @@ pub fn radixsort_keys<S: Simd>(
         let f = cfg.pass_fn(pass);
         rsv_metrics::count(rsv_metrics::Metric::SortPasses, 1);
         rsv_metrics::count(rsv_metrics::Metric::SortBytesMoved, 4 * n as u64);
-        stats.merge(&pass_keys(s, vectorized, f, keys, &mut dst, policy)?);
+        let (_, pass_stats) = partition_pass_keys(s, vectorized, f, keys, &mut dst, policy)?;
+        stats.merge(&pass_stats);
         std::mem::swap(keys, &mut dst);
     }
     Ok(stats)
@@ -307,6 +125,7 @@ pub fn radixsort_keys<S: Simd>(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use rsv_exec::{RunContext, DEFAULT_MORSEL_TUPLES};
     use rsv_simd::Portable;
