@@ -5,7 +5,9 @@
 //! aggregates") and [25] studies its contention behavior. This experiment
 //! sweeps the number of distinct groups from register-pressure-small to
 //! RAM-resident, comparing the scalar loop against the vertical vectorized
-//! update kernel (which defers read-modify-write conflicts between lanes).
+//! update (lane-replicated tables while one copy per lane fits in L1d,
+//! otherwise one shared table with read-modify-write conflicts between
+//! lanes deferred).
 //!
 //! Usage: `cargo run --release -p rsv-bench --bin ext_aggregation [--scale X]`
 
@@ -18,9 +20,9 @@ fn main() {
         "ext-agg",
         "group-by aggregation (COUNT, SUM(u32) -> u64)",
         "on out-of-order CPUs the scalar loop (one increment per cycle) is \
-         hard to beat; lane-conflict deferral serializes the vector kernel \
-         at tiny group counts, and the two converge once cache misses on \
-         the group table dominate (the Phi result [25] favors vector)",
+         hard to beat; per-lane replicas keep tiny group counts free of \
+         lane conflicts, and the two converge once cache misses on the \
+         group table dominate (the Phi result [25] favors vector)",
     );
     let scale = Scale::from_env();
     let n = scale.tuples(16 << 20, 1 << 16);

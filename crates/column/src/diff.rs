@@ -8,7 +8,8 @@
 //!   vectorized, or by random access.
 //! * `column-select-fused` — the fused compressed scan must match the
 //!   scalar scan over the raw column byte-for-byte (ordered qualifiers)
-//!   for all six variants plus the morsel-parallel run.
+//!   for all six variants plus the morsel-parallel run (with the
+//!   `Engine`'s direct selective-store variant).
 //! * `column-histogram-fused` — the fused compressed histogram must match
 //!   the scalar histogram over the raw column, sequential and parallel.
 
@@ -83,7 +84,7 @@ fn run_select_parallel(backend: Backend, threads: usize, input: &CaseInput) -> V
     let mut op = vec![0u32; n];
     let (count, _) = expect_infallible(select_fused_parallel(
         backend,
-        ScanVariant::VectorSelStoreIndirect,
+        ScanVariant::VectorSelStoreDirect,
         &c.keys,
         &c.payloads,
         pred(input),
@@ -167,7 +168,7 @@ pub fn register(r: &mut Registry) {
             select_kernel!("fused-bitextract-indirect", VectorBitExtractIndirect),
             select_kernel!("fused-selstore-indirect", VectorSelStoreIndirect),
             Kernel {
-                name: "parallel-fused-selstore-indirect",
+                name: "parallel-fused-selstore-direct",
                 threaded: true,
                 run: run_select_parallel,
             },

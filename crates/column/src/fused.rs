@@ -196,7 +196,9 @@ fn select_scalar(
 
 /// Vectorized fused scan, direct materialization: decode the key vector,
 /// evaluate the predicate, and decode the payload vector only when some
-/// lane qualifies.
+/// lane qualifies. A payload block's decode context is set up (and
+/// counted as a decoded block) on its first qualifier, so blocks with no
+/// qualifier never touch the payload column.
 #[allow(clippy::too_many_arguments)]
 fn select_vector_direct<S: Simd>(
     s: S,
@@ -221,12 +223,13 @@ fn select_vector_direct<S: Simd>(
                 let bi = start / BLOCK_LEN;
                 let blk_len = (range.end - start).min(BLOCK_LEN);
                 let kc: BlockCtx<'_, S> = BlockCtx::new(s, keys, &keys.blocks[bi]);
-                let pc: BlockCtx<'_, S> = BlockCtx::new(s, pays, &pays.blocks[bi]);
+                let mut pc: Option<BlockCtx<'_, S>> = None;
                 let mut off = 0;
                 while off + w <= blk_len {
                     let k = kc.decode(s, off);
                     let m = s.cmpge(k, lower).and(s.cmple(k, upper));
                     if m.any() {
+                        let pc = pc.get_or_insert_with(|| BlockCtx::new(s, pays, &pays.blocks[bi]));
                         let v = pc.decode(s, off);
                         if selstore {
                             s.selective_store(&mut out_keys[j..], m, k);
@@ -244,6 +247,7 @@ fn select_vector_direct<S: Simd>(
                 for t in off..blk_len {
                     let kv = kc.decode_one(t);
                     if pred.matches(kv) {
+                        let pc = pc.get_or_insert_with(|| BlockCtx::new(s, pays, &pays.blocks[bi]));
                         out_keys[j] = kv;
                         out_pays[j] = pc.decode_one(t);
                         j += 1;
@@ -537,6 +541,50 @@ mod tests {
                 assert_eq!(gn, n);
                 assert_eq!(gk, keys, "{}", backend.name());
                 assert_eq!(gp, pays);
+            }
+        }
+    }
+
+    #[test]
+    fn direct_scan_decodes_only_qualifying_payload_blocks() {
+        // Sorted keys: a narrow predicate qualifies tuples in few blocks.
+        // The last block is partial, so its qualifier may sit in the
+        // scalar tail.
+        let n = 8 * BLOCK_LEN + 77;
+        let keys: Vec<u32> = (0..n as u32).map(|k| 3 * k).collect();
+        let pays: Vec<u32> = (0..n as u32).collect();
+        let last = keys[n - 1];
+        let b = BLOCK_LEN as u32;
+        for (lower, upper) in [(3 * (2 * b - 5), 3 * (3 * b + 10)), (last, last), (1, 2)] {
+            let pred = ScanPredicate { lower, upper };
+            let key_blocks = keys.chunks(BLOCK_LEN).count() as u64;
+            let payload_blocks = keys
+                .chunks(BLOCK_LEN)
+                .filter(|blk| blk.iter().any(|&k| pred.matches(k)))
+                .count() as u64;
+            for backend in Backend::all_available() {
+                let ck = CompressedColumn::pack(backend, &keys);
+                let cp = CompressedColumn::pack(backend, &pays);
+                for variant in [
+                    ScanVariant::VectorBitExtractDirect,
+                    ScanVariant::VectorSelStoreDirect,
+                ] {
+                    let mut gk = vec![0u32; n];
+                    let mut gp = vec![0u32; n];
+                    let (gn, sink) = rsv_metrics::collect(|| {
+                        select_fused(backend, variant, &ck, &cp, pred, &mut gk, &mut gp)
+                    });
+                    let expected: Vec<u32> =
+                        keys.iter().copied().filter(|&k| pred.matches(k)).collect();
+                    assert_eq!(&gk[..gn], &expected[..]);
+                    assert_eq!(
+                        sink.total().get(rsv_metrics::Metric::ColBlocksDecoded),
+                        key_blocks + payload_blocks,
+                        "{} {} [{lower}, {upper}]",
+                        backend.name(),
+                        variant.label()
+                    );
+                }
             }
         }
     }

@@ -41,6 +41,8 @@
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+// Engine code surfaces failures as typed errors, not panics.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod diff;
 mod fused;

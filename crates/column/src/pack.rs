@@ -107,8 +107,9 @@ pub(crate) fn pack_scalar(values: &[u32], forced: Option<u8>) -> CompressedColum
         blocks: Vec::new(),
     };
     for chunk in values.chunks(BLOCK_LEN) {
-        let min = *chunk.iter().min().unwrap();
-        let max = *chunk.iter().max().unwrap();
+        let (min, max) = chunk
+            .iter()
+            .fold((u32::MAX, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
         let (min, width) = block_meta(chunk, min, max, forced);
         let offset = col.words.len();
         col.words.resize(offset + FORMAT_LANES * width as usize, 0);
@@ -165,9 +166,9 @@ fn min_max_vector<S: Simd>(s: S, vals: &[u32]) -> (u32, u32) {
         }
         let mut a = [0u32; FORMAT_LANES];
         s.store(minv, &mut a[..w]);
-        lo = *a[..w].iter().min().unwrap();
+        lo = a[..w].iter().fold(lo, |m, &v| m.min(v));
         s.store(maxv, &mut a[..w]);
-        hi = *a[..w].iter().max().unwrap();
+        hi = a[..w].iter().fold(hi, |m, &v| m.max(v));
     }
     for &v in &vals[i..] {
         lo = lo.min(v);

@@ -120,6 +120,7 @@ pub fn histogram_fused_parallel<F: PartitionFn + Send + Sync>(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::select_fused;
     use rsv_partition::{histogram::histogram_scalar, RadixFn};

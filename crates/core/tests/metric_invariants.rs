@@ -9,7 +9,7 @@
 //! `RSV_DIFF_*` replay knobs as the differential suite apply, so a
 //! failing oracle prints a seed that re-runs exactly the offending case.
 
-use rsv_core::column::CompressedColumn;
+use rsv_core::column::{CompressedColumn, BLOCK_LEN};
 use rsv_core::hashtab::CuckooTable;
 use rsv_core::metrics::{Counters, Metric};
 use rsv_testkit::diff::{run_registry_metered, DiffConfig, MeteredRun, Registry};
@@ -166,17 +166,24 @@ fn check(run: &MeteredRun<'_>) {
             }
         }
         "column-select-fused" => {
-            // direct variants decode key and payload blocks in lockstep;
-            // indirect variants decode only key blocks (payloads come
-            // through the random-access directory, which is not a block
-            // decode)
-            let per_block = if run.kernel.contains("indirect") {
-                1
+            // every variant decodes every key block. Scalar variants also
+            // decode every payload block; direct variants decode only the
+            // payload blocks holding a qualifier; indirect variants decode
+            // none (payloads come through the random-access directory,
+            // which is not a block decode)
+            let (lower, upper) = run.input.bounds;
+            let chunks = run.input.keys.chunks(BLOCK_LEN);
+            let key_blocks = chunks.len() as u64;
+            let payload_blocks = if run.kernel.contains("indirect") {
+                0
+            } else if run.kernel.contains("direct") {
+                chunks
+                    .filter(|blk| blk.iter().any(|k| (lower..=upper).contains(k)))
+                    .count() as u64
             } else {
-                2
+                key_blocks
             };
-            let blocks =
-                per_block * CompressedColumn::pack_scalar(&run.input.keys).block_count() as u64;
+            let blocks = key_blocks + payload_blocks;
             if run.kernel.starts_with("parallel") {
                 assert!(c.get(Metric::ColBlocksDecoded) >= blocks);
             } else {

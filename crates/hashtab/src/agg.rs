@@ -5,9 +5,16 @@
 //! [`GroupAggTable`] maintains per-group `COUNT(*)` and a 64-bit
 //! `SUM(value)` in an open-addressing table with linear probing. The
 //! vertical vectorized update path processes a different input tuple per
-//! lane; lanes that would read-modify-write the same bucket in one vector
-//! are *deferred* to the next iteration (the same first-occurrence rule the
-//! paper's unstable hash shuffling uses), so no increment is ever lost.
+//! lane, with one of two kernels chosen by the table's size:
+//!
+//! * while one copy of the bucket arrays per lane fits in L1d (32 KiB),
+//!   each lane aggregates into its own replica, as the paper's §7 does
+//!   with partition counts, so lanes never conflict; the replicas are
+//!   merged into the table afterwards;
+//! * larger tables are updated in place. Lanes that would
+//!   read-modify-write the same bucket in one vector are *deferred* to the
+//!   next iteration (the same first-occurrence rule the paper's unstable
+//!   hash shuffling uses), so no increment is ever lost.
 //!
 //! The table accepts the full `u32` key domain. The one key the bucket
 //! array cannot hold, [`EMPTY_KEY`] (`u32::MAX`, the empty-bucket
@@ -24,6 +31,16 @@ use crate::{bucket_count, MulHash, EMPTY_KEY};
 
 /// Maximum vector width any backend exposes (for stack lane buffers).
 const MAX_LANES: usize = 32;
+
+/// L1d bytes the per-lane replicas of the replicated kernel may occupy.
+const REPLICA_BYTES: usize = 32 << 10;
+
+/// Do `lanes` replicas of a `buckets`-bucket table (four `u32` arrays
+/// each) fit in L1d? If so, [`GroupAggTable::update_vector`] runs the
+/// replicated kernel; otherwise the conflict-deferring one.
+pub(crate) fn replicas_fit_l1(buckets: usize, lanes: usize) -> bool {
+    buckets * lanes * 4 * std::mem::size_of::<u32>() <= REPLICA_BYTES
+}
 
 /// The error returned by [`GroupAggTable::try_update`] when inserting a
 /// new group would saturate the table (no empty bucket would remain, so a
@@ -220,23 +237,122 @@ impl GroupAggTable {
         }
     }
 
-    /// Aggregate whole columns with the vertical vectorized kernel.
+    /// Aggregate whole columns with a vertical vectorized kernel, one
+    /// input tuple per lane. Of two kernels, the table's own size picks
+    /// one:
     ///
-    /// Per iteration: hash a vector of keys, gather their buckets, insert
-    /// new groups (with the Algorithm 7 scatter/gather-back conflict
-    /// check), and read-modify-write count and sum for the lanes that are
-    /// the *first* occurrence of their bucket in this vector; all other
-    /// lanes retry next iteration. Lanes holding [`EMPTY_KEY`] go to the
-    /// side slot and are refilled.
+    /// * **Replicated** (paper §7's count replication), when one copy of
+    ///   the bucket arrays per lane fits in L1d
+    ///   (`buckets × S::LANES × 16 B ≤ 32 KiB`, i.e. up to 64 groups at
+    ///   load 0.5 with 16 lanes). Lane ℓ probes and updates only its own
+    ///   replica, at `h·W + ℓ`, so no two lanes ever touch the same slot
+    ///   and nothing is deferred. Each lane counts the groups it claims;
+    ///   before any replica could fill, the replicas are merged into the
+    ///   table and the rest of the input goes to the conflict kernel.
+    ///   The replicas are merged once more at the end.
+    /// * **Conflict-deferring**, for larger tables: hash a vector of keys,
+    ///   gather their buckets, insert new groups (with the Algorithm 7
+    ///   scatter/gather-back conflict check), and read-modify-write count
+    ///   and sum for the lanes that are the *first* occurrence of their
+    ///   bucket in this vector; all other lanes retry next iteration.
+    ///
+    /// In both, lanes holding [`EMPTY_KEY`] go to the side slot and are
+    /// refilled.
     pub fn update_vector<S: Simd>(&mut self, s: S, keys: &[u32], values: &[u32]) {
         assert_eq!(keys.len(), values.len(), "column length mismatch");
+        // Both kernels are `#[inline(always)]` and called from this one
+        // closure, so their intrinsics compile under the backend's target
+        // features; called from anywhere else they run many times slower.
         s.vectorize(
             #[inline(always)]
-            || self.update_vector_impl(s, keys, values),
+            || {
+                let done = if replicas_fit_l1(self.buckets(), S::LANES) {
+                    self.update_replicated(s, keys, values)
+                } else {
+                    0
+                };
+                self.update_conflict(s, &keys[done..], &values[done..]);
+            },
         );
     }
 
-    fn update_vector_impl<S: Simd>(&mut self, s: S, keys: &[u32], values: &[u32]) {
+    /// The replicated kernel of [`GroupAggTable::update_vector`]. Returns
+    /// how many leading tuples it aggregated into the table; the caller
+    /// hands the rest to [`GroupAggTable::update_conflict`].
+    #[inline(always)]
+    fn update_replicated<S: Simd>(&mut self, s: S, keys: &[u32], values: &[u32]) -> usize {
+        let w = S::LANES;
+        let n = keys.len();
+        let t = self.keys.len();
+        // Replica of lane ℓ holds bucket h at index h·W + ℓ.
+        let mut rkeys = vec![EMPTY_KEY; t * w];
+        let mut rcounts = vec![0u32; t * w];
+        let mut rlo = vec![0u32; t * w];
+        let mut rhi = vec![0u32; t * w];
+        let f = s.splat(self.hash.factor());
+        let tn = s.splat(t as u32);
+        let wn = s.splat(w as u32);
+        let empty = s.splat(EMPTY_KEY);
+        let one = s.splat(1);
+        let lane_ids = s.iota();
+        // A replica needs one empty bucket to end a probe for a missing
+        // key, so no lane may claim more than `t − 1` groups; a lane
+        // claims at most one per iteration.
+        let full = s.splat(t as u32 - 2);
+        let mut claims = s.zero();
+        let mut k = s.zero();
+        let mut v = s.zero();
+        let mut o = s.zero();
+        let mut m = S::M::all(); // lanes to refill
+        let mut i = 0usize;
+        while i + w <= n && !s.cmpgt(claims, full).any() {
+            k = s.selective_load(k, m, &keys[i..]);
+            v = s.selective_load(v, m, &values[i..]);
+            i += m.count();
+            let sent = s.cmpeq(k, empty);
+            if sent.any() {
+                self.update_lanes(s, k, v, sent);
+            }
+            let mut h = s.add(s.mulhi(s.mullo(k, f), tn), o);
+            let over = s.cmpge(h, tn);
+            h = s.blend(over, s.sub(h, tn), h);
+            let idx = s.add(s.mullo(h, wn), lane_ids);
+            let tk = s.gather(&rkeys, idx);
+            // Every slot belongs to one lane: claims never conflict.
+            let claim = sent.andnot(s.cmpeq(tk, empty));
+            if claim.any() {
+                s.scatter_masked(&mut rkeys, claim, idx, k);
+                claims = s.blend(claim, s.add(claims, one), claims);
+            }
+            let upd = sent.andnot(s.cmpeq(tk, k)).or(claim);
+            let c = s.gather_masked(s.zero(), upd, &rcounts, idx);
+            s.scatter_masked(&mut rcounts, upd, idx, s.add(c, one));
+            let lo = s.gather_masked(s.zero(), upd, &rlo, idx);
+            let new_lo = s.add(lo, v);
+            s.scatter_masked(&mut rlo, upd, idx, new_lo);
+            let carry = s.cmplt(new_lo, lo).and(upd);
+            if carry.any() {
+                let hi = s.gather_masked(s.zero(), carry, &rhi, idx);
+                s.scatter_masked(&mut rhi, carry, idx, s.add(hi, one));
+            }
+            // Lanes that found a different key probe onward.
+            m = upd.or(sent);
+            o = s.blend(m, s.zero(), s.add(o, one));
+        }
+        // Drain in-flight lanes with scalar code, then merge the replicas.
+        self.update_lanes(s, k, v, m.not());
+        for (slot, &key) in rkeys.iter().enumerate() {
+            if key != EMPTY_KEY {
+                let sum = u64::from(rlo[slot]) | (u64::from(rhi[slot]) << 32);
+                self.add(key, rcounts[slot], sum);
+            }
+        }
+        i
+    }
+
+    /// The conflict-deferring kernel of [`GroupAggTable::update_vector`].
+    #[inline(always)]
+    fn update_conflict<S: Simd>(&mut self, s: S, keys: &[u32], values: &[u32]) {
         let w = S::LANES;
         let n = keys.len();
         let mut t = self.keys.len();
@@ -270,11 +386,7 @@ impl GroupAggTable {
             // part in the probe below; they are refilled with `upd`.
             let sent = s.cmpeq(k, empty);
             if sent.any() {
-                let mut va = [0u32; MAX_LANES];
-                s.store(v, &mut va[..w]);
-                for lane in sent.iter_set() {
-                    self.update(EMPTY_KEY, va[lane]);
-                }
+                self.update_lanes(s, k, v, sent);
             }
             let mut h = s.add(s.mulhi(s.mullo(k, f), tn), o);
             let over = s.cmpge(h, tn);
@@ -319,15 +431,22 @@ impl GroupAggTable {
             m = upd.or(sent);
         }
         // Drain in-flight lanes and the tail with scalar code.
-        let mut ka = [0u32; MAX_LANES];
-        let mut va = [0u32; MAX_LANES];
-        s.store(k, &mut ka[..w]);
-        s.store(v, &mut va[..w]);
-        for lane in m.not().iter_set() {
-            self.update(ka[lane], va[lane]);
-        }
+        self.update_lanes(s, k, v, m.not());
         for idx in i..n {
             self.update(keys[idx], values[idx]);
+        }
+    }
+
+    /// Update the tuples held in the `lanes` of `k` and `v` with scalar
+    /// code.
+    #[inline(always)]
+    fn update_lanes<S: Simd>(&mut self, s: S, k: S::V, v: S::V, lanes: S::M) {
+        let mut ka = [0u32; MAX_LANES];
+        let mut va = [0u32; MAX_LANES];
+        s.store(k, &mut ka[..S::LANES]);
+        s.store(v, &mut va[..S::LANES]);
+        for lane in lanes.iter_set() {
+            self.update(ka[lane], va[lane]);
         }
     }
 
@@ -386,21 +505,95 @@ mod tests {
 
     #[test]
     fn vector_matches_reference() {
-        let s = Portable::<16>::new();
-        let mut rng = rsv_data::rng(72);
-        for (n, domain) in [(5000usize, 97u32), (1000, 3), (64, 64), (10_000, 5000)] {
-            let keys: Vec<u32> = rsv_data::uniform_u32(n, &mut rng)
-                .iter()
-                .map(|k| k % domain)
-                .collect();
-            let values = rsv_data::uniform_u32(n, &mut rng);
-            let mut t = GroupAggTable::new(domain as usize, 0.5);
-            t.update_vector(s, &keys, &values);
-            assert_eq!(
-                collect(&t),
-                reference(&keys, &values),
-                "n={n} domain={domain}"
-            );
+        // Domains 64 and 128 are the largest whose replicas fit in L1d at
+        // 16 and 8 lanes; 65 and 129 the smallest that do not.
+        let cases = [
+            (5000usize, 97u32),
+            (1000, 3),
+            (64, 64),
+            (5000, 64),
+            (5000, 65),
+            (5000, 128),
+            (5000, 129),
+            (10_000, 5000),
+        ];
+        for b in rsv_simd::Backend::all_available() {
+            let mut rng = rsv_data::rng(72);
+            let mut kernels = [false; 2];
+            for (n, domain) in cases {
+                let keys: Vec<u32> = rsv_data::uniform_u32(n, &mut rng)
+                    .iter()
+                    .map(|k| k % domain)
+                    .collect();
+                let values = rsv_data::uniform_u32(n, &mut rng);
+                let mut t = GroupAggTable::new(domain as usize, 0.5);
+                kernels[usize::from(replicas_fit_l1(t.buckets(), b.lanes()))] = true;
+                rsv_simd::dispatch!(b, s => { t.update_vector(s, &keys, &values) });
+                assert_eq!(
+                    collect(&t),
+                    reference(&keys, &values),
+                    "{} n={n} domain={domain}",
+                    b.name()
+                );
+            }
+            assert_eq!(kernels, [true; 2], "{}: both kernels run", b.name());
+        }
+    }
+
+    #[test]
+    fn replica_bound_is_l1_sized() {
+        // four u32 arrays per replica, one replica per lane, 32 KiB
+        assert!(replicas_fit_l1(128, 16));
+        assert!(!replicas_fit_l1(129, 16));
+        assert!(replicas_fit_l1(256, 8));
+        assert!(!replicas_fit_l1(257, 8));
+        // at load 0.5: 64 groups fit with 16 lanes, 65 do not
+        assert!(replicas_fit_l1(GroupAggTable::new(64, 0.5).buckets(), 16));
+        assert!(!replicas_fit_l1(GroupAggTable::new(65, 0.5).buckets(), 16));
+        // a 2^18-group table never replicates, even with one lane
+        assert!(!replicas_fit_l1(
+            GroupAggTable::new(1 << 18, 0.5).buckets(),
+            1
+        ));
+    }
+
+    #[test]
+    fn replicated_kernel_hands_off_before_a_replica_fills() {
+        // 10,000 distinct keys into a table sized for 4 groups: every lane
+        // claims a new group per vector, so the replicas would fill after a
+        // handful of vectors; the rest of the input goes to the conflict
+        // kernel, which grows the table.
+        let keys: Vec<u32> = (0..10_000u32)
+            .map(|k| k.wrapping_mul(0x9E37_79B9))
+            .collect();
+        let values: Vec<u32> = (0..10_000u32).collect();
+        for b in rsv_simd::Backend::all_available() {
+            let mut t = GroupAggTable::new(4, 0.5);
+            let buckets = t.buckets();
+            assert!(replicas_fit_l1(buckets, b.lanes()));
+            rsv_simd::dispatch!(b, s => { t.update_vector(s, &keys, &values) });
+            assert_eq!(collect(&t), reference(&keys, &values), "{}", b.name());
+            assert_eq!(t.groups(), 10_000);
+            assert!(t.buckets() > buckets, "{}: table must grow", b.name());
+        }
+    }
+
+    #[test]
+    fn replicated_kernel_handles_sentinels_and_carries() {
+        // A few groups with values near u32::MAX, so every lane's low sum
+        // word wraps many times, with the sentinel key mixed in (including
+        // a run of whole sentinel vectors).
+        let (mut keys, _) = with_sentinels(20_000, 5, 13, 80);
+        keys.splice(100..100, [EMPTY_KEY; 64]);
+        let values: Vec<u32> = (0..keys.len() as u32).map(|i| u32::MAX - i % 7).collect();
+        for b in rsv_simd::Backend::all_available() {
+            let mut t = GroupAggTable::new(5, 0.5);
+            assert!(replicas_fit_l1(t.buckets(), b.lanes()));
+            rsv_simd::dispatch!(b, s => { t.update_vector(s, &keys, &values) });
+            let m = collect(&t);
+            assert_eq!(m, reference(&keys, &values), "{}", b.name());
+            assert_eq!(m.len(), 6, "{}: 5 groups and the sentinel", b.name());
+            assert!(m.values().all(|&(_, sum)| sum > u64::from(u32::MAX)));
         }
     }
 

@@ -46,7 +46,7 @@ fn run_parallel(backend: Backend, threads: usize, input: &CaseInput) -> Vec<u8> 
     let mut op = vec![0u32; n];
     let (c, _) = expect_infallible(scan_parallel(
         backend,
-        ScanVariant::VectorSelStoreIndirect,
+        ScanVariant::VectorSelStoreDirect,
         &input.keys,
         &input.pays,
         pred(input),
@@ -69,7 +69,8 @@ macro_rules! variant_kernel {
 
 /// Register the scan operator: scalar-branching reference against the
 /// branchless scalar, all four vector variants, and the morsel-parallel
-/// scan across thread counts.
+/// scan (with the `Engine`'s direct selective-store variant) across thread
+/// counts.
 pub fn register(r: &mut Registry) {
     r.register(DiffOp {
         name: "scan",
@@ -81,7 +82,7 @@ pub fn register(r: &mut Registry) {
             variant_kernel!("vector-bitextract-indirect", VectorBitExtractIndirect),
             variant_kernel!("vector-selstore-indirect", VectorSelStoreIndirect),
             Kernel {
-                name: "parallel-selstore-indirect",
+                name: "parallel-selstore-direct",
                 threaded: true,
                 run: run_parallel,
             },

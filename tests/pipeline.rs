@@ -143,6 +143,26 @@ fn group_by_sum_merges_grown_worker_tables() {
 }
 
 #[test]
+fn group_by_sum_small_estimate_many_groups() {
+    // An estimate of 4 groups starts every worker on the lane-replicated
+    // kernel; 2^14 groups make each worker hand off to the in-place kernel
+    // and grow its table.
+    let mut rng = data::rng(408);
+    // an odd multiplier permutes 0..2^14, so every group occurs
+    let keys: Vec<u32> = (0..100_000u32)
+        .map(|i| i.wrapping_mul(40_503) % (1 << 14))
+        .collect();
+    let rel = Relation::new(keys, data::uniform_u32(100_000, &mut rng));
+    let expected = reference_group_by(&rel);
+    assert_eq!(expected.len(), 1 << 14);
+
+    for threads in [1usize, 2, 3] {
+        let rows = Engine::new().with_threads(threads).group_by_sum(&rel, 4);
+        assert_eq!(rows, expected, "threads={threads}");
+    }
+}
+
+#[test]
 fn hash_partition_matches_scalar_reference() {
     let mut rng = data::rng(405);
     let rel = Relation::with_rid_payloads(data::uniform_u32(40_000, &mut rng));
