@@ -3,12 +3,14 @@
 //! Both entry points snap interior morsel boundaries to [`BLOCK_LEN`], so
 //! every morsel starts on a block boundary and no block is split across
 //! workers — each morsel decodes its blocks independently. Results are
-//! schedule-independent: the fused scan compacts per-morsel qualifier
-//! runs in morsel order (identical to the sequential scan's output), and
-//! the histogram merges per-worker counts by commutative addition.
+//! schedule-independent: the fused scan is one call of the
+//! order-preserving filter driver ([`rsv_exec::filter_parallel`]), which
+//! compacts per-morsel qualifier runs in morsel order (identical to the
+//! sequential scan's output), and the histogram merges per-worker counts
+//! by commutative addition.
 
 use rsv_exec::{
-    parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats, SharedBuffer,
+    filter_parallel, parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
 };
 use rsv_partition::PartitionFn;
 use rsv_scan::{ScanPredicate, ScanVariant};
@@ -20,70 +22,26 @@ use crate::{
 
 /// Parallel fused compressed selection scan.
 ///
-/// `out_keys` / `out_pays` must have the column length; qualifiers end up
-/// at their front (input order preserved) and the qualifier count is
-/// returned alongside per-worker scheduler stats. Output matches the
-/// sequential [`select_fused`](crate::select_fused) byte for byte at any
-/// thread count. Honours `policy.run`'s cancel token (checked at every
-/// morsel claim) and surfaces worker panics as
-/// [`EngineError::WorkerPanicked`]; on error the output vectors keep their
-/// length but hold unspecified contents.
-#[allow(clippy::too_many_arguments)]
+/// Returns the qualifying keys and payloads in input order, plus
+/// per-worker scheduler stats. Output matches the sequential
+/// [`select_fused`](crate::select_fused) byte for byte at any thread
+/// count. The two output columns are reserved on `policy.run`'s budget;
+/// the run's cancel token is checked at every morsel claim, and worker
+/// panics surface as [`EngineError::WorkerPanicked`].
 pub fn select_fused_parallel(
     backend: Backend,
     variant: ScanVariant,
     keys: &CompressedColumn,
     pays: &CompressedColumn,
     pred: ScanPredicate,
-    out_keys: &mut Vec<u32>,
-    out_pays: &mut Vec<u32>,
     policy: &ExecPolicy,
-) -> Result<(usize, SchedulerStats), EngineError> {
+) -> Result<(Vec<u32>, Vec<u32>, SchedulerStats), EngineError> {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
-    assert_eq!(out_keys.len(), keys.len(), "output length mismatch");
-    assert_eq!(out_pays.len(), pays.len(), "output length mismatch");
-    let n = keys.len();
-    let t = policy.threads;
-
     // Block-aligned morsels: every morsel starts at a multiple of
     // BLOCK_LEN, which select_fused_range requires.
-    let q = MorselQueue::new(n, policy, BLOCK_LEN);
-    let m = q.morsel_count();
-    let counts = SharedBuffer::from_vec(vec![0usize; m]);
-    let ok_buf = SharedBuffer::from_vec(std::mem::take(out_keys));
-    let op_buf = SharedBuffer::from_vec(std::mem::take(out_pays));
-    let scope = parallel_scope_try(t, |ctx| {
-        // SAFETY: each morsel writes only the output region at its own
-        // input offsets plus its own count slot, and every morsel id is
-        // claimed exactly once; reads happen after the scope joins.
-        let (ok, op, cs) = unsafe { (ok_buf.view_mut(), op_buf.view_mut(), counts.view_mut()) };
-        for mo in ctx.morsels(&q) {
-            ctx.phase("fused-scan", || {
-                let r = mo.range.clone();
-                let c = select_fused_range(
-                    backend,
-                    variant,
-                    keys,
-                    pays,
-                    pred,
-                    r.clone(),
-                    &mut ok[r.clone()],
-                    &mut op[r],
-                );
-                cs[mo.id] = c;
-            });
-        }
-    });
-
-    // Hand the (possibly partial) buffers back before any early return so
-    // the caller's vectors keep their length.
-    *out_keys = ok_buf.into_vec();
-    *out_pays = op_buf.into_vec();
-    let (_, stats) = scope?;
-    policy.run.check_cancelled()?;
-
-    let n_out = q.compact_runs(&counts.into_vec(), &mut [out_keys, out_pays]);
-    Ok((n_out, stats))
+    filter_parallel(keys.len(), BLOCK_LEN, "fused-scan", policy, |r, ok, op| {
+        select_fused_range(backend, variant, keys, pays, pred, r, ok, op)
+    })
 }
 
 /// Parallel fused compressed histogram: per-worker replicated partial
@@ -149,15 +107,10 @@ mod tests {
         for threads in [1usize, 2, 3, 8] {
             for morsel in [700usize, 4 * BLOCK_LEN, usize::MAX] {
                 let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
-                let mut gk = vec![0u32; n];
-                let mut gp = vec![0u32; n];
-                let (gn, stats) = select_fused_parallel(
-                    backend, variant, &ck, &cp, pred, &mut gk, &mut gp, &policy,
-                )
-                .unwrap();
-                assert_eq!(gn, en, "t={threads} morsel={morsel}");
-                assert_eq!(&gk[..gn], &ek[..en]);
-                assert_eq!(&gp[..gn], &ep[..en]);
+                let (gk, gp, stats) =
+                    select_fused_parallel(backend, variant, &ck, &cp, pred, &policy).unwrap();
+                assert_eq!(gk, &ek[..en], "t={threads} morsel={morsel}");
+                assert_eq!(gp, &ep[..en]);
                 assert_eq!(stats.total_tuples(), n as u64);
             }
         }

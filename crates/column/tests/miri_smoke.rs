@@ -83,11 +83,7 @@ fn parallel_select_small() {
     let mut ep = vec![0u32; n];
     let e = select_fused(backend, variant, &ck, &cp, pred, &mut ek, &mut ep);
     let policy = ExecPolicy::new(2).with_morsel_tuples(BLOCK_LEN);
-    let mut gk = vec![0u32; n];
-    let mut gp = vec![0u32; n];
-    let (g, _) =
-        select_fused_parallel(backend, variant, &ck, &cp, pred, &mut gk, &mut gp, &policy).unwrap();
-    assert_eq!(g, e);
-    assert_eq!(&gk[..g], &ek[..e]);
-    assert_eq!(&gp[..g], &ep[..e]);
+    let (gk, gp, _) = select_fused_parallel(backend, variant, &ck, &cp, pred, &policy).unwrap();
+    assert_eq!(gk, &ek[..e]);
+    assert_eq!(gp, &ep[..e]);
 }

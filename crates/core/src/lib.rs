@@ -47,7 +47,7 @@ pub use rsv_sort::SortConfig;
 pub use rsv_exec::{CancelToken, EngineError, MemoryBudget, RunContext};
 
 use rsv_exec::{
-    expect_infallible, parallel_scope_try, ExecPolicy, MorselQueue, SharedBuffer,
+    column_bytes, expect_infallible, filter_parallel, parallel_scope_try, ExecPolicy, MorselQueue,
     DEFAULT_MORSEL_TUPLES,
 };
 use rsv_partition::twopass::MAX_DIRECT_FANOUT;
@@ -130,12 +130,13 @@ impl Engine {
         expect_infallible(self.try_select(rel, lower, upper, &RunContext::default()))
     }
 
-    /// Fallible [`Engine::select`] under a [`RunContext`]: the output
-    /// buffers are gated by the run's memory budget, cancellation is
-    /// observed at morsel-claim boundaries (so the latency from
-    /// [`CancelToken::cancel`] to return is bounded by one morsel), and a
-    /// worker panic surfaces as [`EngineError::WorkerPanicked`] instead of
-    /// unwinding through the caller.
+    /// Fallible [`Engine::select`] under a [`RunContext`]: the two output
+    /// columns (8 bytes per input tuple) are gated by the run's memory
+    /// budget, cancellation is observed at morsel-claim boundaries (so the
+    /// latency from [`CancelToken::cancel`] to return is bounded by one
+    /// morsel), and a worker panic surfaces as
+    /// [`EngineError::WorkerPanicked`] instead of unwinding through the
+    /// caller.
     pub fn try_select(
         &self,
         rel: &Relation,
@@ -143,22 +144,15 @@ impl Engine {
         upper: u32,
         run: &RunContext,
     ) -> Result<Relation, EngineError> {
-        let _out = run.reserve(2 * column_bytes(rel.len()))?;
-        let mut out_keys = vec![0u32; rel.len()];
-        let mut out_pays = vec![0u32; rel.len()];
-        let (n, _) = rsv_scan::scan_parallel(
+        let (keys, payloads, _) = rsv_scan::scan_parallel(
             self.backend,
             ScanVariant::VectorSelStoreDirect,
             &rel.keys,
             &rel.payloads,
             ScanPredicate { lower, upper },
-            &mut out_keys,
-            &mut out_pays,
             &self.policy(run),
         )?;
-        out_keys.truncate(n);
-        out_pays.truncate(n);
-        Ok(Relation::new(out_keys, out_pays))
+        Ok(Relation::new(keys, payloads))
     }
 
     /// Compress a relation's columns (FOR + bit-packing, block directory)
@@ -193,22 +187,15 @@ impl Engine {
         upper: u32,
         run: &RunContext,
     ) -> Result<Relation, EngineError> {
-        let _out = run.reserve(2 * column_bytes(rel.len()))?;
-        let mut out_keys = vec![0u32; rel.len()];
-        let mut out_pays = vec![0u32; rel.len()];
-        let (n, _) = rsv_column::select_fused_parallel(
+        let (keys, payloads, _) = rsv_column::select_fused_parallel(
             self.backend,
             ScanVariant::VectorSelStoreDirect,
             &rel.keys,
             &rel.payloads,
             ScanPredicate { lower, upper },
-            &mut out_keys,
-            &mut out_pays,
             &self.policy(run),
         )?;
-        out_keys.truncate(n);
-        out_pays.truncate(n);
-        Ok(Relation::new(out_keys, out_pays))
+        Ok(Relation::new(keys, payloads))
     }
 
     /// Hash join `inner ⋈ outer` on the key columns using the paper's
@@ -275,9 +262,10 @@ impl Engine {
     }
 
     /// Fallible [`Engine::bloom_semijoin`] under a [`RunContext`]: the
-    /// probe's position and output columns are gated by the memory
-    /// budget, cancellation is observed at morsel-claim boundaries, and a
-    /// worker panic surfaces as [`EngineError::WorkerPanicked`].
+    /// probe's positions and the two output columns (12 bytes per input
+    /// tuple) are gated by the memory budget, cancellation is observed at
+    /// morsel-claim boundaries, and a worker panic surfaces as
+    /// [`EngineError::WorkerPanicked`].
     pub fn try_bloom_semijoin(
         &self,
         rel: &Relation,
@@ -285,53 +273,31 @@ impl Engine {
         run: &RunContext,
     ) -> Result<Relation, EngineError> {
         let n = rel.len();
-        // probe positions plus the two probe output columns
-        let _scratch = run.reserve(3 * column_bytes(n))?;
+        // The morsels' probe positions in flight; the driver reserves the
+        // two output columns.
+        let _positions = run.reserve(column_bytes(n))?;
         let mut filter = BloomFilter::new(filter_keys.len(), 10, 5);
         filter.build(filter_keys);
-        let q = MorselQueue::new(n, &self.policy(run), 16);
-        let m = q.morsel_count();
-        let positions: Vec<u32> = (0..n as u32).collect();
-        let counts = SharedBuffer::from_vec(vec![0usize; m]);
-        let ok_buf = SharedBuffer::from_vec(vec![0u32; n]);
-        let oi_buf = SharedBuffer::from_vec(vec![0u32; n]);
-        let filter_ref = &filter;
-        parallel_scope_try(self.threads, |ctx| {
-            // SAFETY: each morsel writes only the output region at its own
-            // input offsets plus its own count slot; reads happen after
-            // the scope joins.
-            let (ok, oi, cs) = unsafe { (ok_buf.view_mut(), oi_buf.view_mut(), counts.view_mut()) };
-            for mo in ctx.morsels(&q) {
-                ctx.phase("bloom-probe", || {
-                    let r = mo.range.clone();
-                    // probe with the input *position* as the payload: the
-                    // vectorized probe recirculates partially-checked
-                    // lanes and so emits qualifiers out of input order —
-                    // the positions let us restore it below.
-                    cs[mo.id] = dispatch!(self.backend, s => {
-                        filter_ref.probe_vector(
-                            s,
-                            &rel.keys[r.clone()],
-                            &positions[r.clone()],
-                            &mut ok[r.clone()],
-                            &mut oi[r],
-                        )
-                    });
+        let (keys, payloads, _) =
+            filter_parallel(n, 16, "bloom-probe", &self.policy(run), |r, ok, op| {
+                // Probe with the input *positions* as payloads: the vector
+                // probe recirculates partially-checked lanes and so emits
+                // qualifiers out of input order. Sorting the morsel's
+                // surviving positions restores it, and gathering through
+                // them fills in keys and payloads in place.
+                let positions: Vec<u32> = (r.start as u32..r.end as u32).collect();
+                let kept = dispatch!(self.backend, s => {
+                    filter.probe_vector(s, &rel.keys[r.clone()], &positions, ok, op)
                 });
-            }
-        })?;
-        run.check_cancelled()?;
-        let mut idxs = oi_buf.into_vec();
-        drop(ok_buf);
-        let n_out = q.compact_runs(&counts.into_vec(), &mut [&mut idxs]);
-        idxs.truncate(n_out);
-        // Restore strict input order: positions are unique, so the sorted
-        // qualifier set — and therefore the output — is byte-identical
-        // for every thread count and morsel size.
-        idxs.sort_unstable();
-        let out_keys: Vec<u32> = idxs.iter().map(|&i| rel.keys[i as usize]).collect();
-        let out_pays: Vec<u32> = idxs.iter().map(|&i| rel.payloads[i as usize]).collect();
-        Ok(Relation::new(out_keys, out_pays))
+                op[..kept].sort_unstable();
+                for (k, p) in ok[..kept].iter_mut().zip(&mut op[..kept]) {
+                    let i = *p as usize;
+                    *k = rel.keys[i];
+                    *p = rel.payloads[i];
+                }
+                kept
+            })?;
+        Ok(Relation::new(keys, payloads))
     }
 
     /// Stable LSB radixsort by key (paper §8).
@@ -447,12 +413,6 @@ impl Engine {
         }
         Ok(merged.into_sorted_rows())
     }
-}
-
-/// Bytes of one `n`-value `u32` column, the unit of the operators' budget
-/// reservations.
-fn column_bytes(n: usize) -> u64 {
-    (n as u64) * std::mem::size_of::<u32>() as u64
 }
 
 #[cfg(test)]

@@ -247,6 +247,65 @@ fn budget_exceeded_is_typed_and_releases_everything() {
     assert_eq!(run.budget.used(), 0, "success path leaked reservation");
 }
 
+/// The filter operators reserve exactly their documented bytes: 8 per
+/// input tuple for the two selects (their two output columns) and 12 for
+/// the Bloom semi-join (the output columns plus the probe positions). A
+/// budget of exactly that succeeds, one byte less fails, and both leave
+/// nothing reserved.
+#[test]
+fn filter_operators_reserve_their_documented_bytes() {
+    let engine = Engine::new().with_threads(2);
+    let inner = rel(4_000);
+    let outer = rel(16_000);
+    let packed = engine.compress(&outer);
+    let n = outer.len() as u64;
+
+    type Op<'a> = (
+        &'a str,
+        u64,
+        Box<dyn Fn(&RunContext) -> Result<(), EngineError> + 'a>,
+    );
+    let ops: Vec<Op> = vec![
+        (
+            "select",
+            8 * n,
+            Box::new(|run| engine.try_select(&outer, 0, u32::MAX, run).map(|_| ())),
+        ),
+        (
+            "select-compressed",
+            8 * n,
+            Box::new(|run| {
+                engine
+                    .try_select_compressed(&packed, 0, u32::MAX, run)
+                    .map(|_| ())
+            }),
+        ),
+        (
+            "bloom-semijoin",
+            12 * n,
+            Box::new(|run| {
+                engine
+                    .try_bloom_semijoin(&outer, &inner.keys, run)
+                    .map(|_| ())
+            }),
+        ),
+    ];
+
+    for (name, bytes, op) in &ops {
+        let run = RunContext::new().with_memory_limit(*bytes);
+        op(&run).unwrap_or_else(|e| panic!("{name}: a {bytes} B budget failed: {e}"));
+        assert_eq!(run.budget.used(), 0, "{name}: success leaked reservation");
+
+        let run = RunContext::new().with_memory_limit(bytes - 1);
+        let result = op(&run);
+        assert!(
+            matches!(result, Err(EngineError::BudgetExceeded { .. })),
+            "{name}: expected BudgetExceeded one byte short, got {result:?}"
+        );
+        assert_eq!(run.budget.used(), 0, "{name}: failure leaked reservation");
+    }
+}
+
 /// Cancelling mid-operator must not corrupt caller-owned columns:
 /// `try_sort` restores the input relation (same tuples, possibly
 /// unsorted) before returning `Cancelled`.

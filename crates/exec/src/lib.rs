@@ -6,10 +6,11 @@
 //! crate keeps those phase barriers but replaces the static equal split
 //! with morsel-driven work stealing (see [`MorselQueue`]): inputs are cut
 //! into SIMD-aligned morsels that workers claim from per-worker atomic
-//! cursors, stealing when their own span runs dry. It also provides the
-//! 64-byte aligned buffers the buffered-shuffling and streaming-store code
-//! paths need, and per-worker scheduler instrumentation
-//! ([`SchedulerStats`]).
+//! cursors, stealing when their own span runs dry. [`filter_parallel`] is
+//! the one order-preserving morsel filter the selection scans and the
+//! Bloom semi-join run on. The crate also provides the 64-byte aligned
+//! buffers the buffered-shuffling and streaming-store code paths need,
+//! and per-worker scheduler instrumentation ([`SchedulerStats`]).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -29,12 +30,12 @@ mod timing;
 
 pub use aligned::AlignedVec;
 pub use error::{expect_infallible, panic_message, EngineError};
-pub use morsel::{ExecPolicy, Morsel, MorselQueue, DEFAULT_MORSEL_TUPLES};
+pub use morsel::{filter_parallel, ExecPolicy, Morsel, MorselQueue, DEFAULT_MORSEL_TUPLES};
 pub use parallel::{
     chunk_ranges, parallel_scope, parallel_scope_try, Morsels, ParallelContext, SchedulerStats,
     WorkerPanic, WorkerStats,
 };
 pub use platform::{platform_report, PlatformReport};
-pub use run::{CancelToken, MemoryBudget, Reservation, RunContext};
+pub use run::{column_bytes, CancelToken, MemoryBudget, Reservation, RunContext};
 pub use shared::{SharedBuffer, SlotMap};
 pub use timing::{throughput_mtps, time, time_n, Timed};

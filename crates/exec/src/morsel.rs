@@ -23,8 +23,10 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::parallel::chunk_ranges;
-use crate::run::{CancelToken, RunContext};
+use crate::error::EngineError;
+use crate::parallel::{chunk_ranges, parallel_scope_try, SchedulerStats};
+use crate::run::{column_bytes, CancelToken, RunContext};
+use crate::shared::SharedBuffer;
 
 /// Default morsel size in tuples. 16K tuples of key+payload (128 KB) fit
 /// comfortably in L2 next to the shuffle staging buffers, while still
@@ -188,32 +190,24 @@ impl MorselQueue {
         self.bounds.len() - 1
     }
 
-    /// Number of tuples the queue covers.
-    // `bounds` always holds at least the leading 0.
-    #[allow(clippy::unwrap_used)]
-    pub fn tuple_count(&self) -> usize {
-        *self.bounds.last().unwrap()
-    }
-
     /// The tuple range of morsel `id`.
     pub fn range_of(&self, id: usize) -> Range<usize> {
         self.bounds[id]..self.bounds[id + 1]
     }
 
-    /// Compact per-morsel output runs to the front of every column in
-    /// `cols`, in morsel order, and return the total run length. Morsel
-    /// `id` left a run of `counts[id]` values at the start of its own range
+    /// Compact per-morsel output runs to the front of both columns, in
+    /// morsel order, and return the total run length. Morsel `id` left a
+    /// run of `counts[id]` values at the start of its own range
     /// ([`MorselQueue::range_of`]). Runs only move left (a run's
     /// destination never lies past its source), so copying front to back
     /// never clobbers a run that has not moved yet.
-    pub fn compact_runs(&self, counts: &[usize], cols: &mut [&mut [u32]]) -> usize {
+    fn compact_runs(&self, counts: &[usize], keys: &mut [u32], pays: &mut [u32]) -> usize {
         let mut dest = 0usize;
         for (id, &c) in counts.iter().enumerate() {
             let src = self.range_of(id).start;
             if src != dest {
-                for col in cols.iter_mut() {
-                    col.copy_within(src..src + c, dest);
-                }
+                keys.copy_within(src..src + c, dest);
+                pays.copy_within(src..src + c, dest);
             }
             dest += c;
         }
@@ -256,6 +250,62 @@ impl MorselQueue {
     }
 }
 
+/// Morsel-parallel, order-preserving filter over `0..n` tuples: the one
+/// driver behind the selection scans and the Bloom semi-join.
+///
+/// Reserves and allocates two `n`-value output columns on `policy.run`,
+/// morselizes `0..n` with interior boundaries aligned to `align`, and
+/// calls `kernel(range, out_keys, out_pays)` once per morsel under the
+/// timed phase `phase`. The kernel writes the morsel's qualifiers to the
+/// front of the two slices — the morsel's own output region, as long as
+/// `range` — and returns how many it wrote. The runs are then compacted
+/// in morsel order, so the returned columns hold exactly what a
+/// sequential pass over `0..n` would keep, for every thread count and
+/// morsel size, at their exact length.
+///
+/// Fails with [`EngineError::BudgetExceeded`] when the two columns do not
+/// fit the budget, [`EngineError::Cancelled`] once the run is cancelled
+/// (checked at every morsel claim) and [`EngineError::WorkerPanicked`]
+/// when a kernel panics.
+pub fn filter_parallel<K>(
+    n: usize,
+    align: usize,
+    phase: &'static str,
+    policy: &ExecPolicy,
+    kernel: K,
+) -> Result<(Vec<u32>, Vec<u32>, SchedulerStats), EngineError>
+where
+    K: Fn(Range<usize>, &mut [u32], &mut [u32]) -> usize + Sync,
+{
+    let _out = policy.run.reserve(2 * column_bytes(n))?;
+    let q = MorselQueue::new(n, policy, align);
+    let counts = SharedBuffer::zeroed(q.morsel_count());
+    let keys = SharedBuffer::zeroed(n);
+    let pays = SharedBuffer::zeroed(n);
+    let (_, stats) = parallel_scope_try(policy.threads, |ctx| {
+        // SAFETY: each morsel writes only the output region at its own
+        // input offsets plus its own count slot, and every morsel id is
+        // claimed exactly once; reads happen after the scope joins.
+        let (ok, op, cs) = unsafe { (keys.view_mut(), pays.view_mut(), counts.view_mut()) };
+        for mo in ctx.morsels(&q) {
+            let _ = rsv_testkit::failpoint!("exec.filter.morsel");
+            let r = mo.range;
+            cs[mo.id] = ctx.phase(phase, || {
+                kernel(r.clone(), &mut ok[r.clone()], &mut op[r.clone()])
+            });
+        }
+    })?;
+    policy.run.check_cancelled()?;
+    let (mut keys, mut pays) = (keys.into_vec(), pays.into_vec());
+    let kept = q.compact_runs(&counts.into_vec(), &mut keys, &mut pays);
+    // Truncate, do not shrink: a shrinking realloc turns the n-word
+    // blocks into smaller ones whose later free moves glibc's dynamic
+    // mmap threshold, which made peak memory vary from run to run.
+    keys.truncate(kept);
+    pays.truncate(kept);
+    Ok((keys, pays, stats))
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -266,7 +316,6 @@ mod tests {
     fn covers_input_with_aligned_boundaries() {
         let policy = ExecPolicy::new(3).with_morsel_tuples(100);
         let q = MorselQueue::new(10_000, &policy, 16);
-        assert_eq!(q.tuple_count(), 10_000);
         assert!(q.morsel_count() >= 10_000 / 128);
         let mut prev = 0;
         for id in 0..q.morsel_count() {
@@ -358,6 +407,59 @@ mod tests {
         assert!(q.claim(0).is_some());
         policy.run.cancel.cancel();
         assert!(q.claim(0).is_none());
+    }
+
+    /// The driver against a sequential filter: every schedule keeps the
+    /// same qualifiers in input order, whatever fraction a kernel keeps.
+    #[test]
+    fn filter_parallel_matches_sequential_filter() {
+        let keep: [fn(usize) -> bool; 3] = [|_| false, |_| true, |i| i % 3 == 0];
+        for n in [0usize, 1, 1000] {
+            let vals: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2654435761)).collect();
+            for (k, keeps) in keep.iter().enumerate() {
+                let kept: Vec<usize> = (0..n).filter(|&i| keeps(i)).collect();
+                let want_keys: Vec<u32> = kept.iter().map(|&i| vals[i]).collect();
+                let want_pays: Vec<u32> = kept.iter().map(|&i| i as u32).collect();
+                for threads in [1usize, 2, 3, 8] {
+                    for morsel in [1usize, 7, 1024, usize::MAX] {
+                        let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
+                        let (keys, pays, stats) =
+                            filter_parallel(n, 4, "filter", &policy, |r, ok, op| {
+                                let mut c = 0;
+                                for i in r.filter(|&i| keeps(i)) {
+                                    ok[c] = vals[i];
+                                    op[c] = i as u32;
+                                    c += 1;
+                                }
+                                c
+                            })
+                            .unwrap();
+                        let at = format!("n={n} kernel={k} t={threads} morsel={morsel}");
+                        assert_eq!(keys, want_keys, "{at}");
+                        assert_eq!(pays, want_pays, "{at}");
+                        assert_eq!(stats.total_tuples(), n as u64, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn filter_parallel_reserves_both_columns() {
+        let n = 100;
+        let kernel = |r: Range<usize>, _: &mut [u32], _: &mut [u32]| r.len();
+        let exact = RunContext::new().with_memory_limit(2 * column_bytes(n));
+        let policy = ExecPolicy::new(2).with_run(exact.clone());
+        let (keys, _, _) = filter_parallel(n, 16, "filter", &policy, kernel).unwrap();
+        assert_eq!(keys.len(), n);
+        assert_eq!(exact.budget.used(), 0);
+        let short = RunContext::new().with_memory_limit(2 * column_bytes(n) - 1);
+        let policy = ExecPolicy::new(2).with_run(short.clone());
+        assert!(matches!(
+            filter_parallel(n, 16, "filter", &policy, kernel),
+            Err(EngineError::BudgetExceeded { .. })
+        ));
+        assert_eq!(short.budget.used(), 0);
     }
 
     #[test]

@@ -153,6 +153,12 @@ impl MemoryBudget {
     }
 }
 
+/// Bytes of one `n`-value `u32` column, the unit of the operators' budget
+/// reservations.
+pub fn column_bytes(n: usize) -> u64 {
+    (n as u64) * std::mem::size_of::<u32>() as u64
+}
+
 /// Bytes reserved against a [`MemoryBudget`], returned to it when the
 /// guard drops — on success, on an early `?` return and during a panic
 /// unwind alike, so no exit path can leak a reservation.

@@ -56,11 +56,6 @@ impl LinearTable {
         self.pairs.len() * 8
     }
 
-    /// Direct access to the interleaved buckets (for tests and experiments).
-    pub fn raw_pairs(&self) -> &[u64] {
-        &self.pairs
-    }
-
     #[inline(always)]
     fn check_space(&self) {
         assert!(self.len < self.pairs.len(), "hash table is full");

@@ -8,7 +8,9 @@
 //! results are canonicalized by sorting rows first: vectorized probing is
 //! inherently unstable in row order, but the row *multiset* must match.
 
-use rethinking_simd::{data, exec::DEFAULT_MORSEL_TUPLES, Engine, JoinVariant, Relation};
+use rethinking_simd::{
+    data, exec::DEFAULT_MORSEL_TUPLES, Backend, BloomFilter, Engine, JoinVariant, Relation,
+};
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
 const MORSELS: [usize; 3] = [1024, DEFAULT_MORSEL_TUPLES, usize::MAX];
@@ -63,6 +65,46 @@ fn bloom_semijoin_is_schedule_independent() {
         let out = e.bloom_semijoin(&rel, filter_keys);
         (out.keys, out.payloads)
     });
+}
+
+/// The semi-join's survivors leave in input order: every schedule and
+/// backend matches a scalar filter over the Engine's filter, on duplicate
+/// keys, the domain's ends (0 and `u32::MAX`) and sizes around one and
+/// many vectors.
+#[test]
+fn bloom_semijoin_keeps_input_order() {
+    let filter_keys: Vec<u32> = [0, u32::MAX, 0]
+        .into_iter()
+        .chain((0..64).map(|i| i * 2))
+        .collect();
+    let mut filter = BloomFilter::new(filter_keys.len(), 10, 5);
+    filter.build(&filter_keys);
+    for n in [0usize, 1, 15, 17, 1023, 1025] {
+        // A 100-value domain, so keys repeat, with both ends mixed in.
+        let keys: Vec<u32> = (0..n as u32)
+            .map(|i| match i % 9 {
+                0 => 0,
+                1 => u32::MAX,
+                _ => i.wrapping_mul(2654435761) % 100,
+            })
+            .collect();
+        let rel = Relation::with_rid_payloads(keys);
+        let (want_keys, want_pays): (Vec<u32>, Vec<u32>) =
+            rel.iter().filter(|&(k, _)| filter.contains(k)).unzip();
+        for backend in Backend::all_available() {
+            for threads in THREADS {
+                for morsel in MORSELS {
+                    let engine = Engine::with_backend(backend)
+                        .with_threads(threads)
+                        .with_morsel_tuples(morsel);
+                    let out = engine.bloom_semijoin(&rel, &filter_keys);
+                    let at = format!("n={n} {backend:?} threads={threads} morsel={morsel}");
+                    assert_eq!(out.keys, want_keys, "{at}");
+                    assert_eq!(out.payloads, want_pays, "{at}");
+                }
+            }
+        }
+    }
 }
 
 #[test]
