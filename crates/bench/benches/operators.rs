@@ -16,7 +16,7 @@ use rsv_partition::histogram::{
 use rsv_partition::shuffle::{shuffle_scalar_buffered, shuffle_vector_buffered};
 use rsv_partition::RadixFn;
 use rsv_scan::{scan, ScanPredicate, ScanVariant};
-use rsv_simd::{dispatch, Backend, Simd};
+use rsv_simd::{dispatch, Backend, KernelKind, Simd};
 
 const N: usize = 1 << 20;
 const REPS: usize = 5;
@@ -202,7 +202,7 @@ fn bench_sort_and_join(t: &mut Table) {
         let mut p = pays.clone();
         expect_infallible(dispatch!(backend, s => {
             rsv_sort::radixsort_pairs(
-                s, true, &mut k, &mut p, &rsv_sort::SortConfig::default(), &ExecPolicy::new(1),
+                KernelKind::Vector(s), &mut k, &mut p, &rsv_sort::SortConfig::default(), &ExecPolicy::new(1),
             )
         }));
         std::hint::black_box(k);
@@ -217,7 +217,7 @@ fn bench_sort_and_join(t: &mut Table) {
     let secs = bench(REPS, || {
         let (r, _) = expect_infallible(dispatch!(backend, s => {
             rsv_join::join_max_partition(
-                s, true, &w.inner, &w.outer, &ExecPolicy::new(1), rsv_join::DEFAULT_PART_TUPLES,
+                KernelKind::Vector(s), &w.inner, &w.outer, &ExecPolicy::new(1), rsv_join::DEFAULT_PART_TUPLES,
             )
         }));
         std::hint::black_box(r.matches());

@@ -17,7 +17,7 @@ use rsv_partition::histogram::histogram_scalar;
 use rsv_partition::parallel::partition_pass;
 use rsv_partition::shuffle::shuffle_vector_buffered;
 use rsv_partition::RadixFn;
-use rsv_simd::dispatch;
+use rsv_simd::{dispatch, KernelKind};
 
 fn main() {
     banner(
@@ -133,7 +133,7 @@ fn main() {
                 let mut stats = None;
                 let secs = bench(2, || {
                     let (_, st) = expect_infallible(dispatch!(backend, s => {
-                        partition_pass(s, true, f, keys, &pays, &mut ok, &mut op, &policy)
+                        partition_pass(KernelKind::Vector(s), f, keys, &pays, &mut ok, &mut op, &policy)
                     }));
                     stats = Some(st);
                 });

@@ -6,7 +6,7 @@
 
 use rsv_bench::{banner, bench, record, Measurement, Scale, Table};
 use rsv_exec::{expect_infallible, ExecPolicy};
-use rsv_simd::{dispatch, Portable};
+use rsv_simd::{dispatch, KernelKind};
 use rsv_sort::{radixsort_keys, radixsort_pairs, SortConfig};
 
 fn main() {
@@ -20,7 +20,6 @@ fn main() {
     let backend = rsv_bench::backend();
     let cfg = SortConfig { radix_bits: 8 };
     let policy = ExecPolicy::new(1);
-    let portable = Portable::<16>::new();
     println!(
         "radix bits: {}, vector backend: {}\n",
         cfg.radix_bits,
@@ -47,26 +46,30 @@ fn main() {
 
         let ks = bench(2, || {
             let mut k = keys.clone();
-            expect_infallible(radixsort_keys(portable, false, &mut k, &cfg, &policy));
+            expect_infallible(radixsort_keys(KernelKind::SCALAR, &mut k, &cfg, &policy));
         });
         let kv = bench(2, || {
             let mut k = keys.clone();
             expect_infallible(dispatch!(backend, s => {
-                radixsort_keys(s, true, &mut k, &cfg, &policy)
+                radixsort_keys(KernelKind::Vector(s), &mut k, &cfg, &policy)
             }));
         });
         let ps = bench(2, || {
             let mut k = keys.clone();
             let mut p = pays.clone();
             expect_infallible(radixsort_pairs(
-                portable, false, &mut k, &mut p, &cfg, &policy,
+                KernelKind::SCALAR,
+                &mut k,
+                &mut p,
+                &cfg,
+                &policy,
             ));
         });
         let pv = bench(2, || {
             let mut k = keys.clone();
             let mut p = pays.clone();
             expect_infallible(dispatch!(backend, s => {
-                radixsort_pairs(s, true, &mut k, &mut p, &cfg, &policy)
+                radixsort_pairs(KernelKind::Vector(s), &mut k, &mut p, &cfg, &policy)
             }));
         });
         for (series, v) in [

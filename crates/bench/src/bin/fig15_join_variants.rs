@@ -6,11 +6,31 @@
 //! Usage: `cargo run --release -p rsv-bench --bin fig15_join_variants [--scale X]`
 
 use rsv_bench::{banner, bench, record, Measurement, Scale, Table};
+use rsv_data::Relation;
 use rsv_exec::{expect_infallible, ExecPolicy};
 use rsv_join::{
-    join_max_partition, join_min_partition, join_no_partition, JoinVariant, DEFAULT_PART_TUPLES,
+    join_max_partition, join_min_partition, join_no_partition, JoinResult, JoinVariant,
+    DEFAULT_PART_TUPLES,
 };
-use rsv_simd::dispatch;
+use rsv_simd::{dispatch, KernelKind, Simd};
+
+/// One join of `variant` with `kind`'s kernels.
+fn join<S: Simd>(
+    kind: KernelKind<S>,
+    variant: JoinVariant,
+    inner: &Relation,
+    outer: &Relation,
+    policy: &ExecPolicy,
+) -> JoinResult {
+    let (r, _) = expect_infallible(match variant {
+        JoinVariant::NoPartition => join_no_partition(kind, inner, outer, policy),
+        JoinVariant::MinPartition => join_min_partition(kind, inner, outer, policy),
+        JoinVariant::MaxPartition => {
+            join_max_partition(kind, inner, outer, policy, DEFAULT_PART_TUPLES)
+        }
+    });
+    r
+}
 
 fn main() {
     banner(
@@ -41,30 +61,22 @@ fn main() {
         "total (s)",
         "speedup",
     ]);
+    let scalar = |v| join(KernelKind::SCALAR, v, &w.inner, &w.outer, &policy);
+    let vector = |v| dispatch!(backend, s => { join(KernelKind::Vector(s), v, &w.inner, &w.outer, &policy) });
     let mut scalar_totals = Vec::new();
-    for vectorized in [false, true] {
+    for (kind, run) in [
+        ("scalar", &scalar as &dyn Fn(JoinVariant) -> JoinResult),
+        ("vector", &vector),
+    ] {
         for variant in JoinVariant::ALL {
             let label = variant.label();
             let mut timings = None;
             let total = bench(2, || {
-                let (r, _) = expect_infallible(dispatch!(backend, s => {
-                    match variant {
-                        JoinVariant::NoPartition => {
-                            join_no_partition(s, vectorized, &w.inner, &w.outer, &policy)
-                        }
-                        JoinVariant::MinPartition => {
-                            join_min_partition(s, vectorized, &w.inner, &w.outer, &policy)
-                        }
-                        JoinVariant::MaxPartition => join_max_partition(
-                            s, vectorized, &w.inner, &w.outer, &policy, DEFAULT_PART_TUPLES,
-                        ),
-                    }
-                }));
+                let r = run(variant);
                 assert_eq!(r.matches(), w.expected_matches, "{label} wrong result");
                 timings = Some(r.timings);
             });
             let t = timings.unwrap();
-            let kind = if vectorized { "vector" } else { "scalar" };
             let name = format!("{label}-{kind}");
             record(&Measurement {
                 experiment: "fig15",
@@ -75,12 +87,12 @@ fn main() {
                 backend: backend.name(),
                 threads,
             });
-            let speedup = if vectorized {
-                let idx = scalar_totals.iter().position(|(l, _)| *l == label).unwrap();
-                format!("{:.2}x", scalar_totals[idx].1 / total)
-            } else {
+            let speedup = if kind == "scalar" {
                 scalar_totals.push((label, total));
                 "1.00x".into()
+            } else {
+                let idx = scalar_totals.iter().position(|(l, _)| *l == label).unwrap();
+                format!("{:.2}x", scalar_totals[idx].1 / total)
             };
             table.row(vec![
                 name,

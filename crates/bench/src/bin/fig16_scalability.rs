@@ -16,7 +16,7 @@
 use rsv_bench::{banner, bench, record, Measurement, Scale, Table};
 use rsv_exec::{expect_infallible, ExecPolicy};
 use rsv_join::{join_max_partition, DEFAULT_PART_TUPLES};
-use rsv_simd::{dispatch, Portable};
+use rsv_simd::{dispatch, KernelKind};
 use rsv_sort::{radixsort_pairs, SortConfig};
 
 fn main() {
@@ -60,28 +60,37 @@ fn main() {
         let ss = bench(2, || {
             let mut k = keys.clone();
             let mut p = pays.clone();
-            let s = Portable::<16>::new();
-            expect_infallible(radixsort_pairs(s, false, &mut k, &mut p, &cfg, &policy));
+            expect_infallible(radixsort_pairs(
+                KernelKind::SCALAR,
+                &mut k,
+                &mut p,
+                &cfg,
+                &policy,
+            ));
         });
         let mut sort_stats = None;
         let sv = bench(2, || {
             let mut k = keys.clone();
             let mut p = pays.clone();
             let st = expect_infallible(dispatch!(backend, s => {
-                radixsort_pairs(s, true, &mut k, &mut p, &cfg, &policy)
+                radixsort_pairs(KernelKind::Vector(s), &mut k, &mut p, &cfg, &policy)
             }));
             sort_stats = Some(st);
         });
         let js = bench(2, || {
-            let (r, _) = expect_infallible(dispatch!(backend, s => {
-                join_max_partition(s, false, &w.inner, &w.outer, &policy, DEFAULT_PART_TUPLES)
-            }));
+            let (r, _) = expect_infallible(join_max_partition(
+                KernelKind::SCALAR,
+                &w.inner,
+                &w.outer,
+                &policy,
+                DEFAULT_PART_TUPLES,
+            ));
             assert_eq!(r.matches(), w.expected_matches);
         });
         let mut join_stats = None;
         let jv = bench(2, || {
             let (r, st) = expect_infallible(dispatch!(backend, s => {
-                join_max_partition(s, true, &w.inner, &w.outer, &policy, DEFAULT_PART_TUPLES)
+                join_max_partition(KernelKind::Vector(s), &w.inner, &w.outer, &policy, DEFAULT_PART_TUPLES)
             }));
             assert_eq!(r.matches(), w.expected_matches);
             join_stats = Some(st);

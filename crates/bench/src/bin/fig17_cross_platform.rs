@@ -8,7 +8,7 @@
 use rsv_bench::{banner, bench, record, Measurement, Scale, Table};
 use rsv_exec::{expect_infallible, ExecPolicy};
 use rsv_join::{join_max_partition, DEFAULT_PART_TUPLES};
-use rsv_simd::{dispatch, Backend};
+use rsv_simd::{dispatch, Backend, KernelKind};
 use rsv_sort::{radixsort_pairs, SortConfig};
 
 fn main() {
@@ -47,12 +47,12 @@ fn main() {
             let mut k = keys.clone();
             let mut p = pays.clone();
             expect_infallible(dispatch!(b, s => {
-                radixsort_pairs(s, true, &mut k, &mut p, &cfg, &policy)
+                radixsort_pairs(KernelKind::Vector(s), &mut k, &mut p, &cfg, &policy)
             }));
         });
         let join_s = bench(2, || {
             let (r, _) = expect_infallible(dispatch!(b, s => {
-                join_max_partition(s, true, &w.inner, &w.outer, &policy, DEFAULT_PART_TUPLES)
+                join_max_partition(KernelKind::Vector(s), &w.inner, &w.outer, &policy, DEFAULT_PART_TUPLES)
             }));
             assert_eq!(r.matches(), w.expected_matches);
         });

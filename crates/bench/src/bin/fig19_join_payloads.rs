@@ -13,7 +13,7 @@ use rsv_join::{join_max_partition, DEFAULT_PART_TUPLES};
 use rsv_partition::histogram::histogram_scalar;
 use rsv_partition::multicol::{apply_destinations_u64, compute_destinations};
 use rsv_partition::HashFn;
-use rsv_simd::{dispatch, Simd};
+use rsv_simd::{dispatch, KernelKind, Simd};
 
 /// Partition `cols` alongside a key column (one destination pass + one
 /// replay per column) — the per-pass cost Figure 19 adds per payload.
@@ -79,7 +79,7 @@ fn main() {
                 // rids in the join output
                 let policy = ExecPolicy::new(1);
                 let (r, _) = expect_infallible(join_max_partition(
-                    s, true, &w.inner, &w.outer, &policy, DEFAULT_PART_TUPLES,
+                    KernelKind::Vector(s), &w.inner, &w.outer, &policy, DEFAULT_PART_TUPLES,
                 ));
                 matches = r.matches();
             });

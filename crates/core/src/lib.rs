@@ -53,7 +53,7 @@ use rsv_exec::{
 use rsv_partition::twopass::MAX_DIRECT_FANOUT;
 use rsv_partition::PartitionFn;
 use rsv_scan::{ScanPredicate, ScanVariant};
-use rsv_simd::dispatch;
+use rsv_simd::{dispatch, KernelKind};
 
 /// A vectorized in-memory query engine over 32-bit key/payload columns.
 ///
@@ -241,13 +241,13 @@ impl Engine {
         let (result, _) = dispatch!(self.backend, s => {
             match variant {
                 JoinVariant::NoPartition => {
-                    rsv_join::join_no_partition(s, true, inner, outer, &policy)
+                    rsv_join::join_no_partition(KernelKind::Vector(s), inner, outer, &policy)
                 }
                 JoinVariant::MinPartition => {
-                    rsv_join::join_min_partition(s, true, inner, outer, &policy)
+                    rsv_join::join_min_partition(KernelKind::Vector(s), inner, outer, &policy)
                 }
                 JoinVariant::MaxPartition => rsv_join::join_max_partition(
-                    s, true, inner, outer, &policy, rsv_join::DEFAULT_PART_TUPLES,
+                    KernelKind::Vector(s), inner, outer, &policy, rsv_join::DEFAULT_PART_TUPLES,
                 ),
             }
         })?;
@@ -314,7 +314,8 @@ impl Engine {
         let policy = self.policy(run);
         dispatch!(self.backend, s => {
             rsv_sort::radixsort_pairs(
-                s, true, &mut rel.keys, &mut rel.payloads, &SortConfig::default(), &policy,
+                KernelKind::Vector(s), &mut rel.keys, &mut rel.payloads, &SortConfig::default(),
+                &policy,
             )
         })?;
         Ok(())
@@ -347,7 +348,7 @@ impl Engine {
         let mut out_pays = vec![0u32; rel.len()];
         let (pass, _) = dispatch!(self.backend, s => {
             rsv_partition::twopass::hash_partition_twopass(
-                s, true, f, &rel.keys, &rel.payloads, &mut out_keys, &mut out_pays,
+                KernelKind::Vector(s), f, &rel.keys, &rel.payloads, &mut out_keys, &mut out_pays,
                 &self.policy(run), MAX_DIRECT_FANOUT,
             )
         })?;

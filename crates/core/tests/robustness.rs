@@ -21,6 +21,7 @@
 use rsv_core::hashtab::{FallbackTable, JoinSink, LinearTable, MulHash};
 use rsv_core::metrics::{self, Metric};
 use rsv_core::partition::twopass::MAX_DIRECT_FANOUT;
+use rsv_core::simd::KernelKind;
 use rsv_core::{CancelToken, Engine, EngineError, JoinVariant, Relation, RunContext};
 
 fn rel(n: usize) -> Relation {
@@ -247,13 +248,15 @@ fn budget_exceeded_is_typed_and_releases_everything() {
     assert_eq!(run.budget.used(), 0, "success path leaked reservation");
 }
 
-/// The filter operators reserve exactly their documented bytes: 8 per
-/// input tuple for the two selects (their two output columns) and 12 for
-/// the Bloom semi-join (the output columns plus the probe positions). A
-/// budget of exactly that succeeds, one byte less fails, and both leave
-/// nothing reserved.
+/// The operators reserve exactly their documented bytes per input tuple:
+/// 8 for the two selects (their two output columns), 12 for the Bloom
+/// semi-join (the output columns plus the probe positions), 8 for the sort
+/// (its ping-pong scratch columns), and 8 for a hash partition (its output
+/// columns) plus 8 more past `MAX_DIRECT_FANOUT` (the two-pass scratch
+/// columns). A budget of exactly that succeeds, one byte less fails, and
+/// both leave nothing reserved.
 #[test]
-fn filter_operators_reserve_their_documented_bytes() {
+fn operators_reserve_their_documented_bytes() {
     let engine = Engine::new().with_threads(2);
     let inner = rel(4_000);
     let outer = rel(16_000);
@@ -286,6 +289,25 @@ fn filter_operators_reserve_their_documented_bytes() {
             Box::new(|run| {
                 engine
                     .try_bloom_semijoin(&outer, &inner.keys, run)
+                    .map(|_| ())
+            }),
+        ),
+        (
+            "sort",
+            8 * n,
+            Box::new(|run| engine.try_sort(&mut outer.clone(), run)),
+        ),
+        (
+            "hash-partition",
+            8 * n,
+            Box::new(|run| engine.try_hash_partition(&outer, 16, run).map(|_| ())),
+        ),
+        (
+            "hash-partition-two-pass",
+            16 * n,
+            Box::new(|run| {
+                engine
+                    .try_hash_partition(&outer, 2 * MAX_DIRECT_FANOUT, run)
                     .map(|_| ())
             }),
         ),
@@ -385,9 +407,9 @@ fn cuckoo_exhaustion_falls_back_byte_identically() {
     let backend = rsv_core::simd::Backend::best();
     let ((fallback_out, direct_out, fell_back), sink) = metrics::collect(|| {
         rsv_core::simd::dispatch!(backend, s => {
-            let table = FallbackTable::build(s, true, &keys, &pays, n, 0.97);
+            let table = FallbackTable::build(KernelKind::Vector(s), &keys, &pays, n, 0.97);
             let mut out = JoinSink::with_capacity(n);
-            table.probe(s, true, &probe_keys, &probe_pays, &mut out);
+            table.probe(KernelKind::Vector(s), &probe_keys, &probe_pays, &mut out);
 
             let mut direct = LinearTable::with_hash(n, 0.97, MulHash::nth(0));
             direct.build_vertical(s, &keys, &pays);
@@ -419,7 +441,7 @@ fn healthy_cuckoo_build_counts_no_fallback() {
     let backend = rsv_core::simd::Backend::best();
     let (fell_back, sink) = metrics::collect(|| {
         rsv_core::simd::dispatch!(backend, s => {
-            FallbackTable::build(s, true, &keys, &pays, 1_000, 0.5).fell_back()
+            FallbackTable::build(KernelKind::Vector(s), &keys, &pays, 1_000, 0.5).fell_back()
         })
     });
     assert!(!fell_back);

@@ -12,7 +12,7 @@
 //! which `crates/core/tests/robustness.rs` asserts.
 
 use rsv_metrics::Metric;
-use rsv_simd::Simd;
+use rsv_simd::{KernelKind, Simd};
 
 use crate::cuckoo::CuckooTable;
 use crate::linear::LinearTable;
@@ -35,24 +35,21 @@ pub struct FallbackTable {
 }
 
 impl FallbackTable {
-    /// Build from unique-key columns: cuckoo first, linear probing on
-    /// rehash exhaustion. `vectorized` selects the build kernel for both
-    /// routes.
+    /// Build from unique-key columns with `kind`'s build kernels: cuckoo
+    /// first, linear probing on rehash exhaustion.
     pub fn build<S: Simd>(
-        s: S,
-        vectorized: bool,
+        kind: KernelKind<S>,
         keys: &[u32],
         pays: &[u32],
         capacity: usize,
         load_factor: f64,
     ) -> Self {
         let mut cuckoo = CuckooTable::new(capacity, load_factor);
-        let failed = if vectorized {
-            cuckoo.build_vertical(s, keys, pays).is_err()
-        } else {
-            cuckoo.build_scalar(keys, pays).is_err()
+        let built = match kind {
+            KernelKind::Scalar => cuckoo.build_scalar(keys, pays),
+            KernelKind::Vector(s) => cuckoo.build_vertical(s, keys, pays),
         };
-        if !failed {
+        if built.is_ok() {
             return FallbackTable {
                 inner: Inner::Cuckoo(cuckoo),
             };
@@ -60,10 +57,9 @@ impl FallbackTable {
         drop(cuckoo);
         rsv_metrics::count(Metric::FallbackBuilds, 1);
         let mut linear = LinearTable::with_hash(capacity, load_factor, MulHash::nth(0));
-        if vectorized {
-            linear.build_vertical(s, keys, pays);
-        } else {
-            linear.build_scalar(keys, pays);
+        match kind {
+            KernelKind::Scalar => linear.build_scalar(keys, pays),
+            KernelKind::Vector(s) => linear.build_vertical(s, keys, pays),
         }
         FallbackTable {
             inner: Inner::Linear(linear),
@@ -96,31 +92,22 @@ impl FallbackTable {
         }
     }
 
-    /// Probe, emitting `(key, table payload, probe payload)` matches;
-    /// `vectorized` selects the probe kernel.
+    /// Probe with `kind`'s kernel, emitting `(key, table payload, probe
+    /// payload)` matches.
     pub fn probe<S: Simd>(
         &self,
-        s: S,
-        vectorized: bool,
+        kind: KernelKind<S>,
         keys: &[u32],
         pays: &[u32],
         out: &mut JoinSink,
     ) {
-        match &self.inner {
-            Inner::Cuckoo(t) => {
-                if vectorized {
-                    t.probe_vertical_select(s, keys, pays, out);
-                } else {
-                    t.probe_scalar_branching(keys, pays, out);
-                }
+        match (&self.inner, kind) {
+            (Inner::Cuckoo(t), KernelKind::Scalar) => t.probe_scalar_branching(keys, pays, out),
+            (Inner::Cuckoo(t), KernelKind::Vector(s)) => {
+                t.probe_vertical_select(s, keys, pays, out)
             }
-            Inner::Linear(t) => {
-                if vectorized {
-                    t.probe_vertical(s, keys, pays, out);
-                } else {
-                    t.probe_scalar(keys, pays, out);
-                }
-            }
+            (Inner::Linear(t), KernelKind::Scalar) => t.probe_scalar(keys, pays, out),
+            (Inner::Linear(t), KernelKind::Vector(s)) => t.probe_vertical(s, keys, pays, out),
         }
     }
 }
@@ -133,28 +120,27 @@ mod tests {
 
     #[test]
     fn healthy_build_stays_cuckoo() {
-        let s = Portable::<16>::new();
         let mut rng = rsv_data::rng(61);
         let keys = rsv_data::unique_u32(500, &mut rng);
         let pays: Vec<u32> = (0..500).collect();
-        let t = FallbackTable::build(s, true, &keys, &pays, keys.len(), 0.5);
+        let kind = KernelKind::Vector(Portable::<16>::new());
+        let t = FallbackTable::build(kind, &keys, &pays, keys.len(), 0.5);
         assert!(!t.fell_back());
         assert_eq!(t.len(), keys.len());
     }
 
     #[test]
     fn overfull_build_falls_back_and_answers() {
-        let s = Portable::<16>::new();
         let mut rng = rsv_data::rng(62);
         let keys = rsv_data::unique_u32(2_000, &mut rng);
         let pays: Vec<u32> = (0..2_000).collect();
         // 97% occupancy is far past cuckoo's two-choice threshold: every
         // rehash attempt fails, linear probing takes over.
-        let t = FallbackTable::build(s, false, &keys, &pays, keys.len(), 0.97);
+        let t = FallbackTable::build(KernelKind::SCALAR, &keys, &pays, keys.len(), 0.97);
         assert!(t.fell_back());
         assert_eq!(t.len(), keys.len());
         let mut sink = JoinSink::with_capacity(0);
-        t.probe(s, false, &keys, &pays, &mut sink);
+        t.probe(KernelKind::SCALAR, &keys, &pays, &mut sink);
         assert_eq!(sink.len(), keys.len());
     }
 }

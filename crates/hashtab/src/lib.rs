@@ -43,9 +43,8 @@ pub use cuckoo::{CuckooBuildError, CuckooTable};
 pub use fallback::FallbackTable;
 pub use horizontal::{BucketScheme, BucketizedCuckoo, BucketizedTable};
 pub use linear::{
-    dh_probe_vertical_strands_raw, lp_build_scalar_raw, lp_build_vertical_raw, lp_insert_raw,
-    lp_probe_one_raw, lp_probe_scalar_raw, lp_probe_vertical_raw, lp_probe_vertical_strands_raw,
-    DoubleHashTable, LinearTable,
+    dh_probe_vertical_strands_raw, lp_build_raw, lp_insert_raw, lp_probe_one_raw, lp_probe_raw,
+    lp_probe_vertical_strands_raw, DoubleHashTable, LinearTable,
 };
 pub use sink::JoinSink;
 

@@ -2,7 +2,7 @@
 //! vertically vectorized build/probe.
 
 use rsv_metrics::Metric;
-use rsv_simd::{MaskLike, Simd};
+use rsv_simd::{KernelKind, MaskLike, Simd};
 
 use crate::sink::JoinSink;
 use crate::{bucket_count, next_prime, MulHash, EMPTY_KEY, EMPTY_PAIR};
@@ -122,22 +122,11 @@ impl LinearTable {
         Ok(())
     }
 
-    /// Probe one key, resuming `offset` buckets into its chain, emitting
-    /// `(key, table payload, probe payload)` matches.
-    #[inline]
-    fn probe_one_from(&self, key: u32, pay: u32, offset: usize, out: &mut JoinSink) {
-        lp_probe_one_raw(&self.pairs, self.hash, key, pay, offset, out);
-    }
-
     /// Scalar probe (paper Algorithm 4): for every probe tuple, walk the
     /// chain and emit all matches.
     pub fn probe_scalar(&self, keys: &[u32], pays: &[u32], out: &mut JoinSink) {
-        assert_eq!(keys.len(), pays.len(), "column length mismatch");
         let _ = rsv_testkit::failpoint!("hashtab.lp.probe");
-        rsv_metrics::count(Metric::LpKeysProbed, keys.len() as u64);
-        for (&k, &p) in keys.iter().zip(pays) {
-            self.probe_one_from(k, p, 0, out);
-        }
+        lp_probe_raw(KernelKind::SCALAR, &self.pairs, self.hash, keys, pays, out);
     }
 
     /// Vertically vectorized build (paper Algorithm 7): a different input
@@ -145,18 +134,17 @@ impl LinearTable {
     /// and a scatter/gather-back round detects lane conflicts.
     pub fn build_vertical<S: Simd>(&mut self, s: S, keys: &[u32], pays: &[u32]) {
         assert_eq!(keys.len(), pays.len(), "column length mismatch");
-        s.vectorize(
-            #[inline(always)]
-            || self.build_vertical_impl(s, keys, pays),
-        );
-    }
-
-    fn build_vertical_impl<S: Simd>(&mut self, s: S, keys: &[u32], pays: &[u32]) {
         assert!(
             self.len + keys.len() < self.pairs.len(),
             "hash table too small for build"
         );
-        lp_build_vertical_raw(s, &mut self.pairs, self.hash, keys, pays);
+        lp_build_raw(
+            KernelKind::Vector(s),
+            &mut self.pairs,
+            self.hash,
+            keys,
+            pays,
+        );
         self.len += keys.len();
     }
 
@@ -165,16 +153,15 @@ impl LinearTable {
     /// so every lane stays busy ("out-of-order" probing — the output order
     /// differs from the input order).
     pub fn probe_vertical<S: Simd>(&self, s: S, keys: &[u32], pays: &[u32], out: &mut JoinSink) {
-        assert_eq!(keys.len(), pays.len(), "column length mismatch");
         let _ = rsv_testkit::failpoint!("hashtab.lp.probe");
-        s.vectorize(
-            #[inline(always)]
-            || self.probe_vertical_impl(s, keys, pays, out),
+        lp_probe_raw(
+            KernelKind::Vector(s),
+            &self.pairs,
+            self.hash,
+            keys,
+            pays,
+            out,
         );
-    }
-
-    fn probe_vertical_impl<S: Simd>(&self, s: S, keys: &[u32], pays: &[u32], out: &mut JoinSink) {
-        lp_probe_vertical_raw(s, &self.pairs, self.hash, keys, pays, out);
     }
 
     /// Vertically vectorized probe with four interleaved probe states (see
@@ -546,18 +533,33 @@ pub fn lp_probe_one_raw(
     rsv_metrics::count(Metric::LpProbes, steps);
 }
 
-/// Scalar build (Algorithm 6) into a raw bucket slice.
-pub fn lp_build_scalar_raw(pairs: &mut [u64], hash: MulHash, keys: &[u32], pays: &[u32]) {
+/// Build into a raw bucket slice with `kind`'s kernel: scalar
+/// (Algorithm 6) or vertically vectorized (Algorithm 7). The caller must
+/// leave at least one bucket empty.
+pub fn lp_build_raw<S: Simd>(
+    kind: KernelKind<S>,
+    pairs: &mut [u64],
+    hash: MulHash,
+    keys: &[u32],
+    pays: &[u32],
+) {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
     assert!(keys.len() < pairs.len(), "bucket slice too small for build");
     rsv_metrics::count(Metric::LpKeysBuilt, keys.len() as u64);
-    for (&k, &p) in keys.iter().zip(pays) {
-        lp_insert_raw(pairs, hash, k, p, 0);
+    match kind {
+        KernelKind::Scalar => {
+            for (&k, &p) in keys.iter().zip(pays) {
+                lp_insert_raw(pairs, hash, k, p, 0);
+            }
+        }
+        KernelKind::Vector(s) => build_vertical_raw(s, pairs, hash, keys, pays),
     }
 }
 
-/// Scalar probe (Algorithm 4) over a raw bucket slice.
-pub fn lp_probe_scalar_raw(
+/// Probe a raw bucket slice with `kind`'s kernel: scalar (Algorithm 4) or
+/// vertically vectorized (Algorithm 5).
+pub fn lp_probe_raw<S: Simd>(
+    kind: KernelKind<S>,
     pairs: &[u64],
     hash: MulHash,
     keys: &[u32],
@@ -566,27 +568,22 @@ pub fn lp_probe_scalar_raw(
 ) {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
     rsv_metrics::count(Metric::LpKeysProbed, keys.len() as u64);
-    for (&k, &p) in keys.iter().zip(pays) {
-        lp_probe_one_raw(pairs, hash, k, p, 0, out);
+    match kind {
+        KernelKind::Scalar => {
+            for (&k, &p) in keys.iter().zip(pays) {
+                lp_probe_one_raw(pairs, hash, k, p, 0, out);
+            }
+        }
+        KernelKind::Vector(s) => probe_vertical_raw(s, pairs, hash, keys, pays, out),
     }
 }
 
-/// Vertically vectorized build (Algorithm 7) into a raw bucket slice. The
-/// caller must leave at least one bucket empty.
-pub fn lp_build_vertical_raw<S: Simd>(
-    s: S,
-    pairs: &mut [u64],
-    hash: MulHash,
-    keys: &[u32],
-    pays: &[u32],
-) {
-    assert_eq!(keys.len(), pays.len(), "column length mismatch");
-    assert!(keys.len() < pairs.len(), "bucket slice too small for build");
+/// The body of [`lp_build_raw`]'s vector kernel.
+fn build_vertical_raw<S: Simd>(s: S, pairs: &mut [u64], hash: MulHash, keys: &[u32], pays: &[u32]) {
     debug_assert!(
         !keys.contains(&EMPTY_KEY),
         "empty-sentinel key in build input"
     );
-    rsv_metrics::count(Metric::LpKeysBuilt, keys.len() as u64);
     s.vectorize(
         #[inline(always)]
         || {
@@ -639,8 +636,8 @@ pub fn lp_build_vertical_raw<S: Simd>(
     );
 }
 
-/// Vertically vectorized probe (Algorithm 5) over a raw bucket slice.
-pub fn lp_probe_vertical_raw<S: Simd>(
+/// The body of [`lp_probe_raw`]'s vector kernel.
+fn probe_vertical_raw<S: Simd>(
     s: S,
     pairs: &[u64],
     hash: MulHash,
@@ -648,8 +645,6 @@ pub fn lp_probe_vertical_raw<S: Simd>(
     pays: &[u32],
     out: &mut JoinSink,
 ) {
-    assert_eq!(keys.len(), pays.len(), "column length mismatch");
-    rsv_metrics::count(Metric::LpKeysProbed, keys.len() as u64);
     s.vectorize(
         #[inline(always)]
         || {

@@ -11,24 +11,42 @@ use crate::{
 };
 use rsv_data::Relation;
 use rsv_exec::{expect_infallible, ExecPolicy};
-use rsv_simd::dispatch;
+use rsv_simd::{dispatch, KernelKind};
 use rsv_testkit::diff::{canonical_triples, CaseInput, DiffOp, Kernel, Registry};
 use std::collections::HashMap;
 
+/// The case's inner and outer relations. The case's probe keys are drawn
+/// independently of its build keys and so almost never match; every other
+/// outer key is therefore replaced by a build key it selects, so about
+/// half the probes hit and a join that misplaces tuples changes the output.
 fn relations(input: &CaseInput) -> (Relation, Relation) {
+    let build = &input.build_keys;
+    let outer_keys = input
+        .keys
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| {
+            if i % 2 == 0 {
+                build[k as usize % build.len()]
+            } else {
+                k
+            }
+        })
+        .collect();
     (
-        Relation::new(input.build_keys.clone(), input.build_pays.clone()),
-        Relation::new(input.keys.clone(), input.pays.clone()),
+        Relation::new(build.clone(), input.build_pays.clone()),
+        Relation::new(outer_keys, input.pays.clone()),
     )
 }
 
 fn reference(input: &CaseInput) -> Vec<u8> {
+    let (inner, outer) = relations(input);
     let mut map: HashMap<u32, Vec<u32>> = HashMap::new();
-    for (&k, &p) in input.build_keys.iter().zip(&input.build_pays) {
+    for (k, p) in inner.iter() {
         map.entry(k).or_default().push(p);
     }
     let mut triples: Vec<(u32, u32, u32)> = Vec::new();
-    for (&k, &p) in input.keys.iter().zip(&input.pays) {
+    for (k, p) in outer.iter() {
         if let Some(inner_pays) = map.get(&k) {
             for &ip in inner_pays {
                 triples.push((k, ip, p));
@@ -42,16 +60,21 @@ fn result_bytes(res: JoinResult) -> Vec<u8> {
     canonical_triples(res.sinks.iter().flat_map(|s| s.iter()).collect())
 }
 
+/// A max-partition part target small enough that fuzzed build sides
+/// (at most 700 tuples) get a first-level fanout above one and oversized
+/// parts that take the second-level split.
+const SMALL_PART_TUPLES: usize = 16;
+
 macro_rules! join_kernel {
-    ($name:literal, $func:ident, $vectorized:expr $(, $extra:expr)*) => {
+    ($name:literal, $func:ident, $s:ident => $kind:expr $(, $extra:expr)*) => {
         Kernel {
             name: $name,
             threaded: true,
             run: |b, t, i| {
                 let (inner, outer) = relations(i);
                 let policy = ExecPolicy::new(t);
-                let (res, _) = expect_infallible(dispatch!(b, s => {
-                    $func(s, $vectorized, &inner, &outer, &policy $(, $extra)*)
+                let (res, _) = expect_infallible(dispatch!(b, $s => {
+                    $func($kind, &inner, &outer, &policy $(, $extra)*)
                 }));
                 result_bytes(res)
             },
@@ -59,28 +82,41 @@ macro_rules! join_kernel {
     };
 }
 
-/// Register the join operator: no/min/max-partition, scalar and
-/// vectorized probes, across thread counts.
+/// Register the join operator: no/min/max-partition (max-partition at the
+/// default and a small part target), scalar and vectorized, across thread
+/// counts.
 pub fn register(r: &mut Registry) {
     r.register(DiffOp {
         name: "join",
         reference,
         kernels: vec![
-            join_kernel!("no-partition-scalar", join_no_partition, false),
-            join_kernel!("no-partition-vector", join_no_partition, true),
-            join_kernel!("min-partition-scalar", join_min_partition, false),
-            join_kernel!("min-partition-vector", join_min_partition, true),
+            join_kernel!("no-partition-scalar", join_no_partition, _s => KernelKind::SCALAR),
+            join_kernel!("no-partition-vector", join_no_partition, s => KernelKind::Vector(s)),
+            join_kernel!("min-partition-scalar", join_min_partition, _s => KernelKind::SCALAR),
+            join_kernel!("min-partition-vector", join_min_partition, s => KernelKind::Vector(s)),
             join_kernel!(
                 "max-partition-scalar",
                 join_max_partition,
-                false,
+                _s => KernelKind::SCALAR,
                 DEFAULT_PART_TUPLES
             ),
             join_kernel!(
                 "max-partition-vector",
                 join_max_partition,
-                true,
+                s => KernelKind::Vector(s),
                 DEFAULT_PART_TUPLES
+            ),
+            join_kernel!(
+                "max-partition-scalar-small-parts",
+                join_max_partition,
+                _s => KernelKind::SCALAR,
+                SMALL_PART_TUPLES
+            ),
+            join_kernel!(
+                "max-partition-vector-small-parts",
+                join_max_partition,
+                s => KernelKind::Vector(s),
+                SMALL_PART_TUPLES
             ),
         ],
     });

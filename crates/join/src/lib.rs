@@ -19,6 +19,8 @@
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+// Engine code surfaces typed errors, not panics (DESIGN.md §5e).
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod diff;
 mod max_partition;

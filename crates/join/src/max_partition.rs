@@ -6,16 +6,14 @@
 use std::time::Instant;
 
 use rsv_data::Relation;
-use rsv_exec::{parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats};
-use rsv_hashtab::{
-    lp_build_scalar_raw, lp_build_vertical_raw, lp_probe_scalar_raw, lp_probe_vertical_raw,
-    JoinSink, MulHash, EMPTY_PAIR,
+use rsv_exec::{
+    column_bytes, parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
 };
-use rsv_partition::histogram::{histogram_scalar, histogram_vector_replicated, prefix_sum};
+use rsv_hashtab::{lp_build_raw, lp_probe_raw, JoinSink, MulHash, EMPTY_PAIR};
 use rsv_partition::parallel::partition_pass;
-use rsv_partition::shuffle::{shuffle_scalar_buffered, shuffle_vector_buffered};
+use rsv_partition::shuffle::partition_buffered;
 use rsv_partition::HashFn;
-use rsv_simd::Simd;
+use rsv_simd::{KernelKind, Simd};
 
 use crate::{JoinResult, JoinTimings};
 
@@ -30,19 +28,18 @@ const MAX_PASS_FANOUT: usize = 256;
 /// Per-worker task-phase results: a sink plus build/probe nanoseconds.
 type TaskResults = Vec<(JoinSink, u64, u64)>;
 
-/// Execute the max-partition join with morsel scheduling and an
-/// inner-part tuple target ([`DEFAULT_PART_TUPLES`] by default), returning
-/// per-worker scheduler stats. Each cache-resident part becomes one
-/// stealable build+probe task, so a worker stuck on a skew-inflated part
-/// does not stall the join.
+/// Execute the max-partition join with `kind`'s kernels, morsel
+/// scheduling and an inner-part tuple target ([`DEFAULT_PART_TUPLES`] by
+/// default), returning per-worker scheduler stats. Each cache-resident
+/// part becomes one stealable build+probe task, so a worker stuck on a
+/// skew-inflated part does not stall the join.
 ///
 /// Honours `policy.run`: the partitioned copies of both relations (and the
 /// second-level scratch) are gated by the memory budget, cancellation is
 /// observed at every morsel/task claim and between second-level passes,
 /// and worker panics surface as [`EngineError::WorkerPanicked`].
 pub fn join_max_partition<S: Simd>(
-    s: S,
-    vectorized: bool,
+    kind: KernelKind<S>,
     inner: &Relation,
     outer: &Relation,
     policy: &ExecPolicy,
@@ -67,26 +64,12 @@ pub fn join_max_partition<S: Simd>(
     let f1 = HashFn::with_factor(fanout1, f1_factor);
 
     let mut stats = SchedulerStats::default();
-    let cols_bytes = 2 * ((inner.len() + outer.len()) as u64) * std::mem::size_of::<u32>() as u64;
-    let _cols = policy.run.reserve(cols_bytes)?;
-    let (mut ik, mut ip, istarts, ihist) = partition_relation(
-        s,
-        vectorized,
-        f1,
-        &inner.keys,
-        &inner.payloads,
-        policy,
-        &mut stats,
-    )?;
-    let (mut ok_, mut op, ostarts, ohist) = partition_relation(
-        s,
-        vectorized,
-        f1,
-        &outer.keys,
-        &outer.payloads,
-        policy,
-        &mut stats,
-    )?;
+    let _cols = policy
+        .run
+        .reserve(2 * column_bytes(inner.len() + outer.len()))?;
+    let (mut ik, mut ip, istarts, ihist) = partition_relation(kind, f1, inner, policy, &mut stats)?;
+    let (mut ok_, mut op, ostarts, ohist) =
+        partition_relation(kind, f1, outer, policy, &mut stats)?;
 
     // Second-level split for oversized parts, with an independent hash.
     let mut parts: Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> = Vec::new();
@@ -104,37 +87,18 @@ pub fn join_max_partition<S: Simd>(
     if !second.is_empty() {
         // Split the oversized parts in place (ping to scratch and back),
         // distributing parts among threads.
-        let scratch_bytes =
-            2 * (ik.len().max(ok_.len()) as u64) * std::mem::size_of::<u32>() as u64;
-        let _scratch = policy.run.reserve(scratch_bytes)?;
-        let mut sk = vec![0u32; ik.len().max(ok_.len())];
-        let mut sp = vec![0u32; ik.len().max(ok_.len())];
+        let scratch_len = ik.len().max(ok_.len());
+        let _scratch = policy.run.reserve(2 * column_bytes(scratch_len))?;
+        let mut sk = vec![0u32; scratch_len];
+        let mut sp = vec![0u32; scratch_len];
         for &(p, sub_fanout) in &second {
             policy.run.check_cancelled()?;
             rsv_metrics::count(rsv_metrics::Metric::JoinPartitionFanout, sub_fanout as u64);
             let f2 = HashFn::with_factor(sub_fanout, f2_factor);
             let ir = istarts[p] as usize..istarts[p] as usize + ihist[p] as usize;
             let or = ostarts[p] as usize..ostarts[p] as usize + ohist[p] as usize;
-            let (ib, ih) = subpartition(
-                s,
-                vectorized,
-                f2,
-                &mut ik,
-                &mut ip,
-                ir.clone(),
-                &mut sk,
-                &mut sp,
-            );
-            let (ob, oh) = subpartition(
-                s,
-                vectorized,
-                f2,
-                &mut ok_,
-                &mut op,
-                or.clone(),
-                &mut sk,
-                &mut sp,
-            );
+            let (ib, ih) = subpartition(kind, f2, &mut ik, &mut ip, ir.clone(), &mut sk, &mut sp);
+            let (ob, oh) = subpartition(kind, f2, &mut ok_, &mut op, or.clone(), &mut sk, &mut sp);
             for q in 0..sub_fanout {
                 let isub = ir.start + ib[q] as usize..ir.start + ib[q] as usize + ih[q] as usize;
                 let osub = or.start + ob[q] as usize..or.start + ob[q] as usize + oh[q] as usize;
@@ -170,42 +134,12 @@ pub fn join_max_partition<S: Simd>(
                 let tb = Instant::now();
                 let buckets = (ir.len() * 2 + 1).max(2);
                 let mut pairs = vec![EMPTY_PAIR; buckets];
-                if vectorized {
-                    lp_build_vertical_raw(
-                        s,
-                        &mut pairs,
-                        table_hash,
-                        &ik_ref[ir.clone()],
-                        &ip_ref[ir.clone()],
-                    );
-                } else {
-                    lp_build_scalar_raw(
-                        &mut pairs,
-                        table_hash,
-                        &ik_ref[ir.clone()],
-                        &ip_ref[ir.clone()],
-                    );
-                }
+                let (ks, ps) = (&ik_ref[ir.clone()], &ip_ref[ir.clone()]);
+                lp_build_raw(kind, &mut pairs, table_hash, ks, ps);
                 build_ns += tb.elapsed().as_nanos() as u64;
                 let tp = Instant::now();
-                if vectorized {
-                    lp_probe_vertical_raw(
-                        s,
-                        &pairs,
-                        table_hash,
-                        &ok_ref[or.clone()],
-                        &op_ref[or.clone()],
-                        &mut sink,
-                    );
-                } else {
-                    lp_probe_scalar_raw(
-                        &pairs,
-                        table_hash,
-                        &ok_ref[or.clone()],
-                        &op_ref[or.clone()],
-                        &mut sink,
-                    );
-                }
+                let (ks, ps) = (&ok_ref[or.clone()], &op_ref[or.clone()]);
+                lp_probe_raw(kind, &pairs, table_hash, ks, ps, &mut sink);
                 probe_ns += tp.elapsed().as_nanos() as u64;
             });
         }
@@ -238,30 +172,26 @@ pub fn join_max_partition<S: Simd>(
 
 /// One full-relation partitioning pass; returns the partitioned columns,
 /// partition starts and histogram, merging scheduler stats into `stats`.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
+#[allow(clippy::type_complexity)]
 fn partition_relation<S: Simd>(
-    s: S,
-    vectorized: bool,
+    kind: KernelKind<S>,
     f: HashFn,
-    keys: &[u32],
-    pays: &[u32],
+    rel: &Relation,
     policy: &ExecPolicy,
     stats: &mut SchedulerStats,
 ) -> Result<(Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>), EngineError> {
-    let mut dk = vec![0u32; keys.len()];
-    let mut dp = vec![0u32; pays.len()];
+    let mut dk = vec![0u32; rel.len()];
+    let mut dp = vec![0u32; rel.len()];
     let (pass, pass_stats) =
-        partition_pass(s, vectorized, f, keys, pays, &mut dk, &mut dp, policy)?;
+        partition_pass(kind, f, &rel.keys, &rel.payloads, &mut dk, &mut dp, policy)?;
     stats.merge(&pass_stats);
     Ok((dk, dp, pass.partition_starts, pass.hist))
 }
 
 /// Partition `cols[range]` in place through scratch space; returns local
 /// partition starts and histogram.
-#[allow(clippy::too_many_arguments)]
 fn subpartition<S: Simd>(
-    s: S,
-    vectorized: bool,
+    kind: KernelKind<S>,
     f: HashFn,
     keys: &mut [u32],
     pays: &mut [u32],
@@ -270,61 +200,36 @@ fn subpartition<S: Simd>(
     scratch_p: &mut [u32],
 ) -> (Vec<u32>, Vec<u32>) {
     let n = range.len();
-    let hist = if vectorized {
-        histogram_vector_replicated(s, f, &keys[range.clone()])
-    } else {
-        histogram_scalar(f, &keys[range.clone()])
-    };
-    if vectorized {
-        shuffle_vector_buffered(
-            s,
-            f,
-            &keys[range.clone()],
-            &pays[range.clone()],
-            &hist,
-            &mut scratch_k[..n],
-            &mut scratch_p[..n],
-        );
-    } else {
-        shuffle_scalar_buffered(
-            f,
-            &keys[range.clone()],
-            &pays[range.clone()],
-            &hist,
-            &mut scratch_k[..n],
-            &mut scratch_p[..n],
-        );
-    }
+    let (starts, hist) = partition_buffered(
+        kind,
+        f,
+        &keys[range.clone()],
+        &pays[range.clone()],
+        &mut scratch_k[..n],
+        &mut scratch_p[..n],
+    );
     keys[range.clone()].copy_from_slice(&scratch_k[..n]);
     pays[range].copy_from_slice(&scratch_p[..n]);
-    let (starts, _) = prefix_sum(&hist, 0);
     (starts, hist)
 }
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::test_support::{reference_fingerprint, workload};
     use rsv_simd::Portable;
 
     fn join(
-        s: Portable<16>,
-        vectorized: bool,
+        kind: KernelKind<Portable<16>>,
         inner: &Relation,
         outer: &Relation,
         threads: usize,
         target: usize,
     ) -> JoinResult {
-        join_max_partition(
-            s,
-            vectorized,
-            inner,
-            outer,
-            &ExecPolicy::new(threads),
-            target,
-        )
-        .unwrap()
-        .0
+        join_max_partition(kind, inner, outer, &ExecPolicy::new(threads), target)
+            .unwrap()
+            .0
     }
 
     #[test]
@@ -333,10 +238,10 @@ mod tests {
         let (inner, outer) = workload(3_000, 12_000, 221);
         let (expected, n) = reference_fingerprint(&inner, &outer);
         for threads in [1usize, 3] {
-            for vectorized in [false, true] {
+            for kind in [KernelKind::Scalar, KernelKind::Vector(s)] {
                 // small target forces a deep partitioning tree
-                let r = join(s, vectorized, &inner, &outer, threads, 128);
-                assert_eq!(r.matches(), n, "threads={threads} vec={vectorized}");
+                let r = join(kind, &inner, &outer, threads, 128);
+                assert_eq!(r.matches(), n, "threads={threads} {kind:?}");
                 assert_eq!(r.fingerprint(), expected);
             }
         }
@@ -344,21 +249,21 @@ mod tests {
 
     #[test]
     fn two_level_partitioning_kicks_in() {
-        let s = Portable::<16>::new();
+        let kind = KernelKind::Vector(Portable::<16>::new());
         // force fanout1 to clamp so second-level passes must run
         let (inner, outer) = workload(10_000, 20_000, 222);
         let (expected, n) = reference_fingerprint(&inner, &outer);
-        let r = join(s, true, &inner, &outer, 2, 16);
+        let r = join(kind, &inner, &outer, 2, 16);
         assert_eq!(r.matches(), n);
         assert_eq!(r.fingerprint(), expected);
     }
 
     #[test]
     fn duplicate_inner_keys() {
-        let s = Portable::<16>::new();
+        let kind = KernelKind::Vector(Portable::<16>::new());
         let w = rsv_data::join_workload(2_000, 8_000, 5.0, 0.2, &mut rsv_data::rng(223));
         let (expected, n) = reference_fingerprint(&w.inner, &w.outer);
-        let r = join(s, true, &w.inner, &w.outer, 2, 256);
+        let r = join(kind, &w.inner, &w.outer, 2, 256);
         assert_eq!(r.matches(), n);
         assert_eq!(r.fingerprint(), expected);
     }
@@ -366,17 +271,17 @@ mod tests {
     #[test]
     fn cancel_and_budget_fail_fast() {
         use rsv_exec::RunContext;
-        let s = Portable::<16>::new();
+        let kind = KernelKind::Vector(Portable::<16>::new());
         let (inner, outer) = workload(3_000, 12_000, 225);
         let run = RunContext::new();
         run.cancel_token().cancel();
         let policy = ExecPolicy::new(2).with_run(run);
-        let err = join_max_partition(s, true, &inner, &outer, &policy, 128)
+        let err = join_max_partition(kind, &inner, &outer, &policy, 128)
             .expect_err("cancelled join must fail");
         assert!(matches!(err, EngineError::Cancelled), "{err}");
         let run = RunContext::new().with_memory_limit(100);
         let policy = ExecPolicy::new(2).with_run(run);
-        let err = join_max_partition(s, true, &inner, &outer, &policy, 128)
+        let err = join_max_partition(kind, &inner, &outer, &policy, 128)
             .expect_err("budget must deny the partitioned columns");
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
         assert_eq!(policy.run.budget.used(), 0);
@@ -384,10 +289,10 @@ mod tests {
 
     #[test]
     fn default_target_join() {
-        let s = Portable::<16>::new();
+        let kind = KernelKind::Vector(Portable::<16>::new());
         let (inner, outer) = workload(5_000, 5_000, 224);
         let (expected, n) = reference_fingerprint(&inner, &outer);
-        let r = join(s, true, &inner, &outer, 1, DEFAULT_PART_TUPLES);
+        let r = join(kind, &inner, &outer, 1, DEFAULT_PART_TUPLES);
         assert_eq!(r.matches(), n);
         assert_eq!(r.fingerprint(), expected);
     }

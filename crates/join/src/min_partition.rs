@@ -7,31 +7,29 @@ use std::time::Instant;
 
 use rsv_data::Relation;
 use rsv_exec::{
-    parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats, SharedBuffer,
+    column_bytes, parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
+    SharedBuffer,
 };
-use rsv_hashtab::{
-    lp_build_scalar_raw, lp_build_vertical_raw, lp_probe_one_raw, JoinSink, MulHash, EMPTY_KEY,
-    EMPTY_PAIR,
-};
+use rsv_hashtab::{lp_build_raw, lp_probe_one_raw, JoinSink, MulHash, EMPTY_KEY, EMPTY_PAIR};
 use rsv_partition::parallel::partition_pass;
 use rsv_partition::{HashFn, PartitionFn};
-use rsv_simd::{MaskLike, Simd};
+use rsv_simd::{KernelKind, MaskLike, Simd};
 
 use crate::{JoinResult, JoinTimings};
 
 /// Maximum vector width any backend exposes (for stack lane buffers).
 const MAX_LANES: usize = 32;
 
-/// Execute the min-partition join with morsel scheduling (and one inner
-/// partition per worker), returning per-worker scheduler stats.
+/// Execute the min-partition join with `kind`'s kernels and morsel
+/// scheduling (and one inner partition per worker), returning per-worker
+/// scheduler stats.
 ///
 /// Honours `policy.run`: the partitioned columns and the shared sub-table
 /// allocation are gated by the memory budget, cancellation is observed at
 /// every morsel/task claim, and worker panics surface as
 /// [`EngineError::WorkerPanicked`].
 pub fn join_min_partition<S: Simd>(
-    s: S,
-    vectorized: bool,
+    kind: KernelKind<S>,
     inner: &Relation,
     outer: &Relation,
     policy: &ExecPolicy,
@@ -47,13 +45,11 @@ pub fn join_min_partition<S: Simd>(
     // Phase 1: partition the inner relation into one part per thread (the
     // pass itself runs morselized).
     let t0 = Instant::now();
-    let col_bytes = 2 * (inner.len() as u64) * std::mem::size_of::<u32>() as u64;
-    let _cols = policy.run.reserve(col_bytes)?;
+    let _cols = policy.run.reserve(2 * column_bytes(inner.len()))?;
     let mut part_k = vec![0u32; inner.len()];
     let mut part_p = vec![0u32; inner.len()];
     let (pass, mut stats) = partition_pass(
-        s,
-        vectorized,
+        kind,
         part_fn,
         &inner.keys,
         &inner.payloads,
@@ -84,17 +80,13 @@ pub fn join_min_partition<S: Simd>(
                 let start = pass.partition_starts[p] as usize;
                 let end = start + pass.hist[p] as usize;
                 let sub = &mut view[p * tsize..(p + 1) * tsize];
-                if vectorized {
-                    lp_build_vertical_raw(
-                        s,
-                        sub,
-                        table_hash,
-                        &part_k[start..end],
-                        &part_p[start..end],
-                    );
-                } else {
-                    lp_build_scalar_raw(sub, table_hash, &part_k[start..end], &part_p[start..end]);
-                }
+                lp_build_raw(
+                    kind,
+                    sub,
+                    table_hash,
+                    &part_k[start..end],
+                    &part_p[start..end],
+                );
             });
         }
     })?;
@@ -113,32 +105,8 @@ pub fn join_min_partition<S: Simd>(
             let _ = rsv_testkit::failpoint!("join.probe.morsel");
             ctx.phase("probe", || {
                 let r = mo.range.clone();
-                if vectorized {
-                    probe_vertical_multi(
-                        s,
-                        pairs,
-                        tsize,
-                        part_fn,
-                        table_hash,
-                        &outer.keys[r.clone()],
-                        &outer.payloads[r],
-                        &mut sink,
-                    );
-                } else {
-                    rsv_metrics::count(rsv_metrics::Metric::LpKeysProbed, r.len() as u64);
-                    for i in r {
-                        let k = outer.keys[i];
-                        let p = part_fn.partition(k);
-                        lp_probe_one_raw(
-                            &pairs[p * tsize..(p + 1) * tsize],
-                            table_hash,
-                            k,
-                            outer.payloads[i],
-                            0,
-                            &mut sink,
-                        );
-                    }
-                }
+                let (ks, ps) = (&outer.keys[r.clone()], &outer.payloads[r]);
+                probe_multi(kind, pairs, tsize, part_fn, table_hash, ks, ps, &mut sink);
             });
         }
         sink
@@ -158,6 +126,34 @@ pub fn join_min_partition<S: Simd>(
         },
         stats,
     ))
+}
+
+/// Probe across `parts` concatenated sub-tables of `tsize` buckets each
+/// with `kind`'s kernel: per key, the scalar loop hashes to a table and
+/// walks its chain; the vector kernel is [`probe_vertical_multi`].
+#[allow(clippy::too_many_arguments)]
+fn probe_multi<S: Simd>(
+    kind: KernelKind<S>,
+    pairs: &[u64],
+    tsize: usize,
+    part_fn: HashFn,
+    table_hash: MulHash,
+    keys: &[u32],
+    pays: &[u32],
+    out: &mut JoinSink,
+) {
+    match kind {
+        KernelKind::Scalar => {
+            rsv_metrics::count(rsv_metrics::Metric::LpKeysProbed, keys.len() as u64);
+            for (&k, &v) in keys.iter().zip(pays) {
+                let p = part_fn.partition(k);
+                lp_probe_one_raw(&pairs[p * tsize..(p + 1) * tsize], table_hash, k, v, 0, out);
+            }
+        }
+        KernelKind::Vector(s) => {
+            probe_vertical_multi(s, pairs, tsize, part_fn, table_hash, keys, pays, out)
+        }
+    }
 }
 
 /// Vertically vectorized probe across `parts` concatenated sub-tables of
@@ -248,18 +244,18 @@ fn probe_vertical_multi<S: Simd>(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::test_support::{reference_fingerprint, workload};
     use rsv_simd::Portable;
 
     fn join(
-        s: Portable<16>,
-        vectorized: bool,
+        kind: KernelKind<Portable<16>>,
         inner: &Relation,
         outer: &Relation,
         threads: usize,
     ) -> JoinResult {
-        join_min_partition(s, vectorized, inner, outer, &ExecPolicy::new(threads))
+        join_min_partition(kind, inner, outer, &ExecPolicy::new(threads))
             .unwrap()
             .0
     }
@@ -270,9 +266,9 @@ mod tests {
         let (inner, outer) = workload(3_000, 12_000, 211);
         let (expected, n) = reference_fingerprint(&inner, &outer);
         for threads in [1usize, 2, 4] {
-            for vectorized in [false, true] {
-                let r = join(s, vectorized, &inner, &outer, threads);
-                assert_eq!(r.matches(), n, "threads={threads} vec={vectorized}");
+            for kind in [KernelKind::Scalar, KernelKind::Vector(s)] {
+                let r = join(kind, &inner, &outer, threads);
+                assert_eq!(r.matches(), n, "threads={threads} {kind:?}");
                 assert_eq!(r.fingerprint(), expected);
             }
         }
@@ -280,10 +276,10 @@ mod tests {
 
     #[test]
     fn duplicate_inner_keys() {
-        let s = Portable::<16>::new();
+        let kind = KernelKind::Vector(Portable::<16>::new());
         let w = rsv_data::join_workload(1_000, 5_000, 2.5, 0.4, &mut rsv_data::rng(212));
         let (expected, n) = reference_fingerprint(&w.inner, &w.outer);
-        let r = join(s, true, &w.inner, &w.outer, 3);
+        let r = join(kind, &w.inner, &w.outer, 3);
         assert_eq!(r.matches(), n);
         assert_eq!(r.fingerprint(), expected);
     }
@@ -291,17 +287,17 @@ mod tests {
     #[test]
     fn cancel_and_budget_fail_fast() {
         use rsv_exec::RunContext;
-        let s = Portable::<16>::new();
+        let kind = KernelKind::Vector(Portable::<16>::new());
         let (inner, outer) = workload(3_000, 12_000, 214);
         let run = RunContext::new();
         run.cancel_token().cancel();
         let policy = ExecPolicy::new(2).with_run(run);
-        let err = join_min_partition(s, true, &inner, &outer, &policy)
+        let err = join_min_partition(kind, &inner, &outer, &policy)
             .expect_err("cancelled join must fail");
         assert!(matches!(err, EngineError::Cancelled), "{err}");
         let run = RunContext::new().with_memory_limit(100);
         let policy = ExecPolicy::new(2).with_run(run);
-        let err = join_min_partition(s, true, &inner, &outer, &policy)
+        let err = join_min_partition(kind, &inner, &outer, &policy)
             .expect_err("budget must deny the partitioned columns");
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
         assert_eq!(policy.run.budget.used(), 0);
@@ -309,9 +305,9 @@ mod tests {
 
     #[test]
     fn timings_are_populated() {
-        let s = Portable::<16>::new();
+        let kind = KernelKind::Vector(Portable::<16>::new());
         let (inner, outer) = workload(1_000, 2_000, 213);
-        let r = join(s, true, &inner, &outer, 2);
+        let r = join(kind, &inner, &outer, 2);
         assert!(r.timings.total() >= r.timings.probe);
     }
 }

@@ -7,10 +7,8 @@ use std::time::Instant;
 
 use rsv_data::Relation;
 use rsv_exec::{parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats};
-use rsv_hashtab::{
-    lp_probe_scalar_raw, lp_probe_vertical_raw, JoinSink, MulHash, EMPTY_KEY, EMPTY_PAIR,
-};
-use rsv_simd::Simd;
+use rsv_hashtab::{lp_probe_raw, JoinSink, MulHash, EMPTY_KEY, EMPTY_PAIR};
+use rsv_simd::{KernelKind, Simd};
 
 use crate::{JoinResult, JoinTimings};
 
@@ -42,8 +40,8 @@ fn atomic_insert(table: &[AtomicU64], hash: MulHash, key: u32, pay: u32) {
 }
 
 /// Execute the no-partition join with morsel scheduling, returning
-/// per-worker scheduler stats. `vectorized` selects the probe kernel; the
-/// build is scalar either way (paper: "building the hash table cannot be
+/// per-worker scheduler stats. `kind` selects the probe kernel; the build
+/// is scalar either way (paper: "building the hash table cannot be
 /// fully vectorized because atomic operations are not supported in
 /// SIMD").
 ///
@@ -52,8 +50,7 @@ fn atomic_insert(table: &[AtomicU64], hash: MulHash, key: u32, pay: u32) {
 /// and probe), and a worker panic surfaces as
 /// [`EngineError::WorkerPanicked`] after the sibling workers drain.
 pub fn join_no_partition<S: Simd>(
-    s: S,
-    vectorized: bool,
+    kind: KernelKind<S>,
     inner: &Relation,
     outer: &Relation,
     policy: &ExecPolicy,
@@ -99,24 +96,14 @@ pub fn join_no_partition<S: Simd>(
             let _ = rsv_testkit::failpoint!("join.probe.morsel");
             ctx.phase("probe", || {
                 let r = mo.range.clone();
-                if vectorized {
-                    lp_probe_vertical_raw(
-                        s,
-                        pairs,
-                        hash,
-                        &outer.keys[r.clone()],
-                        &outer.payloads[r],
-                        &mut sink,
-                    );
-                } else {
-                    lp_probe_scalar_raw(
-                        pairs,
-                        hash,
-                        &outer.keys[r.clone()],
-                        &outer.payloads[r],
-                        &mut sink,
-                    );
-                }
+                lp_probe_raw(
+                    kind,
+                    pairs,
+                    hash,
+                    &outer.keys[r.clone()],
+                    &outer.payloads[r],
+                    &mut sink,
+                );
             });
         }
         sink
@@ -140,18 +127,18 @@ pub fn join_no_partition<S: Simd>(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::test_support::{reference_fingerprint, workload};
     use rsv_simd::Portable;
 
     fn join(
-        s: Portable<16>,
-        vectorized: bool,
+        kind: KernelKind<Portable<16>>,
         inner: &Relation,
         outer: &Relation,
         threads: usize,
     ) -> JoinResult {
-        join_no_partition(s, vectorized, inner, outer, &ExecPolicy::new(threads))
+        join_no_partition(kind, inner, outer, &ExecPolicy::new(threads))
             .unwrap()
             .0
     }
@@ -162,9 +149,9 @@ mod tests {
         let (inner, outer) = workload(2_000, 10_000, 201);
         let (expected, n) = reference_fingerprint(&inner, &outer);
         for threads in [1usize, 4] {
-            for vectorized in [false, true] {
-                let r = join(s, vectorized, &inner, &outer, threads);
-                assert_eq!(r.matches(), n, "threads={threads} vec={vectorized}");
+            for kind in [KernelKind::Scalar, KernelKind::Vector(s)] {
+                let r = join(kind, &inner, &outer, threads);
+                assert_eq!(r.matches(), n, "threads={threads} {kind:?}");
                 assert_eq!(r.fingerprint(), expected);
             }
         }
@@ -172,10 +159,10 @@ mod tests {
 
     #[test]
     fn duplicate_inner_keys() {
-        let s = Portable::<16>::new();
+        let kind = KernelKind::Vector(Portable::<16>::new());
         let w = rsv_data::join_workload(900, 3_000, 3.0, 0.5, &mut rsv_data::rng(202));
         let (expected, n) = reference_fingerprint(&w.inner, &w.outer);
-        let r = join(s, true, &w.inner, &w.outer, 2);
+        let r = join(kind, &w.inner, &w.outer, 2);
         assert_eq!(r.matches(), n);
         assert_eq!(r.fingerprint(), expected);
     }
@@ -183,37 +170,37 @@ mod tests {
     #[test]
     fn cancel_and_budget_fail_fast() {
         use rsv_exec::RunContext;
-        let s = Portable::<16>::new();
+        let kind = KernelKind::Vector(Portable::<16>::new());
         let (inner, outer) = workload(2_000, 10_000, 204);
         // pre-cancelled run: no phase makes progress
         let run = RunContext::new();
         run.cancel_token().cancel();
         let policy = ExecPolicy::new(4).with_run(run);
-        let err = join_no_partition(s, true, &inner, &outer, &policy)
-            .expect_err("cancelled join must fail");
+        let err =
+            join_no_partition(kind, &inner, &outer, &policy).expect_err("cancelled join must fail");
         assert!(matches!(err, EngineError::Cancelled), "{err}");
         // too-small budget: the shared table reservation is denied cleanly
         let run = RunContext::new().with_memory_limit(64);
         let policy = ExecPolicy::new(4).with_run(run);
-        let err = join_no_partition(s, true, &inner, &outer, &policy)
+        let err = join_no_partition(kind, &inner, &outer, &policy)
             .expect_err("budget must deny the table");
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
         assert_eq!(policy.run.budget.used(), 0);
         // the same engine state still answers the query afterwards
         let (expected, n) = reference_fingerprint(&inner, &outer);
-        let r = join(s, true, &inner, &outer, 4);
+        let r = join(kind, &inner, &outer, 4);
         assert_eq!(r.matches(), n);
         assert_eq!(r.fingerprint(), expected);
     }
 
     #[test]
     fn empty_relations() {
-        let s = Portable::<16>::new();
+        let kind = KernelKind::Vector(Portable::<16>::new());
         let empty = Relation::default();
         let (inner, _) = workload(10, 10, 203);
-        let r = join(s, true, &inner, &empty, 2);
+        let r = join(kind, &inner, &empty, 2);
         assert_eq!(r.matches(), 0);
-        let r = join(s, true, &empty, &inner, 2);
+        let r = join(kind, &empty, &inner, 2);
         assert_eq!(r.matches(), 0);
     }
 }

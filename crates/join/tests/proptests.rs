@@ -4,7 +4,7 @@
 use rsv_data::Relation;
 use rsv_exec::ExecPolicy;
 use rsv_join::{join_max_partition, join_min_partition, join_no_partition, DEFAULT_PART_TUPLES};
-use rsv_simd::Backend;
+use rsv_simd::{Backend, KernelKind};
 use rsv_testkit as tk;
 use std::collections::HashMap;
 
@@ -44,19 +44,18 @@ fn all_variants_match_reference() {
         let (expected_fp, expected_n) = reference(&inner, &outer);
         let backend = Backend::best();
         rsv_simd::dispatch!(backend, s => {
-            for vectorized in [false, true] {
-                let (r, _) = join_no_partition(s, vectorized, &inner, &outer, &policy).unwrap();
-                assert_eq!(r.matches(), expected_n, "no-partition vec={vectorized}");
+            for kind in [KernelKind::Scalar, KernelKind::Vector(s)] {
+                let (r, _) = join_no_partition(kind, &inner, &outer, &policy).unwrap();
+                assert_eq!(r.matches(), expected_n, "no-partition {kind:?}");
                 assert_eq!(r.fingerprint(), expected_fp);
 
-                let (r, _) = join_min_partition(s, vectorized, &inner, &outer, &policy).unwrap();
-                assert_eq!(r.matches(), expected_n, "min-partition vec={vectorized}");
+                let (r, _) = join_min_partition(kind, &inner, &outer, &policy).unwrap();
+                assert_eq!(r.matches(), expected_n, "min-partition {kind:?}");
                 assert_eq!(r.fingerprint(), expected_fp);
 
                 let (r, _) =
-                    join_max_partition(s, vectorized, &inner, &outer, &policy, DEFAULT_PART_TUPLES)
-                        .unwrap();
-                assert_eq!(r.matches(), expected_n, "max-partition vec={vectorized}");
+                    join_max_partition(kind, &inner, &outer, &policy, DEFAULT_PART_TUPLES).unwrap();
+                assert_eq!(r.matches(), expected_n, "max-partition {kind:?}");
                 assert_eq!(r.fingerprint(), expected_fp);
             }
         });

@@ -18,7 +18,7 @@ use crate::shuffle::{
 };
 use crate::{HashFn, PartitionFn, RadixFn};
 use rsv_exec::{expect_infallible, ExecPolicy};
-use rsv_simd::{dispatch, Backend};
+use rsv_simd::{dispatch, KernelKind, Simd};
 use rsv_testkit::diff::{ordered_pairs, put_u32s, CaseInput, DiffOp, Kernel, Registry};
 use rsv_testkit::Rng;
 
@@ -165,17 +165,21 @@ fn pass_reference(input: &CaseInput) -> Vec<u8> {
     out
 }
 
-fn run_pass(backend: Backend, threads: usize, input: &CaseInput, vectorized: bool) -> Vec<u8> {
+fn run_pass<S: Simd>(kind: KernelKind<S>, threads: usize, input: &CaseInput) -> Vec<u8> {
     let f = radix_fn(input);
     let n = input.keys.len();
     let mut dk = vec![0u32; n];
     let mut dp = vec![0u32; n];
     let policy = ExecPolicy::new(threads);
-    let (pass, _) = expect_infallible(dispatch!(backend, s => {
-        partition_pass(
-            s, vectorized, f, &input.keys, &input.pays, &mut dk, &mut dp, &policy,
-        )
-    }));
+    let (pass, _) = expect_infallible(partition_pass(
+        kind,
+        f,
+        &input.keys,
+        &input.pays,
+        &mut dk,
+        &mut dp,
+        &policy,
+    ));
     let mut out = encode_hist(&pass.partition_starts);
     out.extend_from_slice(&encode_hist(&pass.hist));
     out.extend_from_slice(&ordered_pairs(&dk, &dp));
@@ -287,12 +291,12 @@ pub fn register(r: &mut Registry) {
             Kernel {
                 name: "parallel-scalar",
                 threaded: true,
-                run: |b, t, i| run_pass(b, t, i, false),
+                run: |_, t, i| run_pass(KernelKind::SCALAR, t, i),
             },
             Kernel {
                 name: "parallel-vectorized",
                 threaded: true,
-                run: |b, t, i| run_pass(b, t, i, true),
+                run: |b, t, i| dispatch!(b, s => { run_pass(KernelKind::Vector(s), t, i) }),
             },
         ],
     });

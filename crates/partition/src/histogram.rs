@@ -13,10 +13,19 @@
 //!   4× more fanout in cache), flushed to 32-bit totals on overflow.
 
 use rsv_metrics::Metric;
-use rsv_simd::{MaskLike, Simd};
+use rsv_simd::{KernelKind, MaskLike, Simd};
 
 use crate::conflict::serialize_conflicts_native;
 use crate::PartitionFn;
+
+/// The partition passes' histogram: [`histogram_scalar`] or
+/// [`histogram_vector_replicated`].
+pub fn histogram<S: Simd, F: PartitionFn>(kind: KernelKind<S>, f: F, keys: &[u32]) -> Vec<u32> {
+    match kind {
+        KernelKind::Scalar => histogram_scalar(f, keys),
+        KernelKind::Vector(s) => histogram_vector_replicated(s, f, keys),
+    }
+}
 
 /// Scalar histogram: one increment per key.
 pub fn histogram_scalar<F: PartitionFn>(f: F, keys: &[u32]) -> Vec<u32> {

@@ -25,9 +25,9 @@ use rsv_exec::{
     parallel_scope_try, AlignedVec, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
     SharedBuffer, SlotMap,
 };
-use rsv_simd::Simd;
+use rsv_simd::{KernelKind, Simd};
 
-use crate::histogram::{histogram_scalar, histogram_vector_replicated};
+use crate::histogram::{histogram, prefix_sum};
 use crate::shuffle::{
     shuffle_buffer_cleanup, shuffle_scalar_buffered_core, shuffle_vector_buffered_core, Staged,
     SCALAR_SLOTS,
@@ -63,10 +63,10 @@ pub struct PassOutput {
     pub hist: Vec<u32>,
 }
 
-/// Run one stable buffered-shuffle partitioning pass with morsel
-/// scheduling, writing the partitioned columns into `dst_k`/`dst_p` (which
-/// must have the input length) and returning per-worker scheduler stats
-/// alongside the pass output.
+/// Run one stable buffered-shuffle partitioning pass with `kind`'s
+/// kernels and morsel scheduling, writing the partitioned columns into
+/// `dst_k`/`dst_p` (which must have the input length) and returning
+/// per-worker scheduler stats alongside the pass output.
 ///
 /// The output is byte-identical for every `policy.threads` value; it also
 /// does not depend on `policy.morsel_tuples`, because the interleaved
@@ -75,10 +75,8 @@ pub struct PassOutput {
 /// Honours `policy.run`'s cancel token at every morsel/task claim and
 /// surfaces worker panics as [`EngineError::WorkerPanicked`]. On error the
 /// output vectors keep their length but hold unspecified contents.
-#[allow(clippy::too_many_arguments)]
 pub fn partition_pass<S: Simd, F: PartitionFn + Sync>(
-    s: S,
-    vectorized: bool,
+    kind: KernelKind<S>,
     f: F,
     src_k: &[u32],
     src_p: &[u32],
@@ -88,14 +86,13 @@ pub fn partition_pass<S: Simd, F: PartitionFn + Sync>(
 ) -> Result<(PassOutput, SchedulerStats), EngineError> {
     assert_eq!(src_k.len(), src_p.len(), "column length mismatch");
     assert_eq!(dst_p.len(), src_p.len(), "output length mismatch");
-    pass::<S, F, u64>(s, vectorized, f, src_k, src_p, dst_k, dst_p, policy)
+    pass::<S, F, u64>(kind, f, src_k, src_p, dst_k, dst_p, policy)
 }
 
 /// [`partition_pass`] over a key column alone (key-only radixsort): the
 /// same pass, staging bare keys instead of key + payload pairs.
 pub fn partition_pass_keys<S: Simd, F: PartitionFn + Sync>(
-    s: S,
-    vectorized: bool,
+    kind: KernelKind<S>,
     f: F,
     src_k: &[u32],
     dst_k: &mut Vec<u32>,
@@ -104,15 +101,13 @@ pub fn partition_pass_keys<S: Simd, F: PartitionFn + Sync>(
     // bare-key staging drops the payload: the key column stands in for it,
     // and no payload column is written
     let mut no_pays = Vec::new();
-    pass::<S, F, u32>(s, vectorized, f, src_k, src_k, dst_k, &mut no_pays, policy)
+    pass::<S, F, u32>(kind, f, src_k, src_k, dst_k, &mut no_pays, policy)
 }
 
 /// The pass behind [`partition_pass`] and [`partition_pass_keys`], staging
 /// tuples of type `T`.
-#[allow(clippy::too_many_arguments)]
 fn pass<S: Simd, F: PartitionFn + Sync, T: Staged>(
-    s: S,
-    vectorized: bool,
+    kind: KernelKind<S>,
     f: F,
     src_k: &[u32],
     src_p: &[u32],
@@ -131,14 +126,7 @@ fn pass<S: Simd, F: PartitionFn + Sync, T: Staged>(
     let (_, mut stats) = parallel_scope_try(t, |ctx| {
         for mo in ctx.morsels(&hist_q) {
             let _ = rsv_testkit::failpoint!("partition.histogram.morsel");
-            let h = ctx.phase("histogram", || {
-                let ks = &src_k[mo.range.clone()];
-                if vectorized {
-                    histogram_vector_replicated(s, f, ks)
-                } else {
-                    histogram_scalar(f, ks)
-                }
-            });
+            let h = ctx.phase("histogram", || histogram(kind, f, &src_k[mo.range.clone()]));
             // SAFETY: each morsel id is claimed exactly once.
             unsafe { hist_slots.put(mo.id, h) };
         }
@@ -170,7 +158,10 @@ fn pass<S: Simd, F: PartitionFn + Sync, T: Staged>(
     // cancelled claim is what keeps cleanup from reading them.
     let cleanup_q = MorselQueue::tasks(m, policy);
     let staged: SlotMap<(AlignedVec<T>, Vec<u32>)> = SlotMap::new(m);
-    let slots = if vectorized { S::LANES } else { SCALAR_SLOTS };
+    let slots = match kind {
+        KernelKind::Scalar => SCALAR_SLOTS,
+        KernelKind::Vector(_) => S::LANES,
+    };
     let out_k = SharedBuffer::from_vec(std::mem::take(dst_k));
     let out_p = SharedBuffer::from_vec(std::mem::take(dst_p));
     let shuffle_scope = parallel_scope_try(t, |ctx| {
@@ -187,28 +178,14 @@ fn pass<S: Simd, F: PartitionFn + Sync, T: Staged>(
                 let r = mo.range.clone();
                 let mut off = bases[mo.id].clone();
                 let mut buf: AlignedVec<T> = AlignedVec::zeroed(f.fanout() * slots);
-                if vectorized {
-                    shuffle_vector_buffered_core(
-                        s,
-                        f,
-                        &src_k[r.clone()],
-                        &src_p[r],
-                        &mut off,
-                        &mut buf,
-                        ok,
-                        op,
-                        true,
-                    );
-                } else {
-                    shuffle_scalar_buffered_core(
-                        f,
-                        &src_k[r.clone()],
-                        &src_p[r],
-                        &mut off,
-                        &mut buf,
-                        ok,
-                        op,
-                    );
+                let (ks, ps) = (&src_k[r.clone()], &src_p[r]);
+                match kind {
+                    KernelKind::Scalar => {
+                        shuffle_scalar_buffered_core(f, ks, ps, &mut off, &mut buf, ok, op)
+                    }
+                    KernelKind::Vector(s) => {
+                        shuffle_vector_buffered_core(s, f, ks, ps, &mut off, &mut buf, ok, op, true)
+                    }
                 }
                 // SAFETY: one writer per morsel id, read only after the
                 // barrier below.
@@ -230,12 +207,7 @@ fn pass<S: Simd, F: PartitionFn + Sync, T: Staged>(
     stats.merge(&shuffle_scope?.1);
     policy.run.check_cancelled()?;
 
-    let mut partition_starts = Vec::with_capacity(f.fanout());
-    let mut acc = 0u32;
-    for &c in &hist {
-        partition_starts.push(acc);
-        acc += c;
-    }
+    let (partition_starts, _) = prefix_sum(&hist, 0);
     Ok((
         PassOutput {
             partition_starts,
@@ -264,18 +236,17 @@ mod tests {
     /// The key-only pass over `keys` must reproduce the pair pass's key
     /// column `dk` and its [`PassOutput`].
     fn assert_keys_pass_matches<F: PartitionFn + Sync>(
-        vectorized: bool,
+        kind: KernelKind<Portable<16>>,
         f: F,
         keys: &[u32],
         policy: &ExecPolicy,
         dk: &[u32],
         out: &PassOutput,
     ) {
-        let s = Portable::<16>::new();
         let mut ko = vec![0u32; keys.len()];
-        let (out_k, _) = partition_pass_keys(s, vectorized, f, keys, &mut ko, policy).unwrap();
+        let (out_k, _) = partition_pass_keys(kind, f, keys, &mut ko, policy).unwrap();
         let ctx = format!(
-            "vec={vectorized} t={} morsel={}",
+            "{kind:?} t={} morsel={}",
             policy.threads, policy.morsel_tuples
         );
         assert_eq!(ko, dk, "key-only keys differ ({ctx})");
@@ -291,13 +262,12 @@ mod tests {
         let pays: Vec<u32> = (0..20_000).collect();
         let f = HashFn::new(53);
         for threads in [1usize, 2, 4] {
-            for vectorized in [false, true] {
+            for kind in [KernelKind::Scalar, KernelKind::Vector(s)] {
                 let mut dk = vec![0u32; keys.len()];
                 let mut dp = vec![0u32; keys.len()];
                 let policy = ExecPolicy::new(threads);
                 let (out, _) =
-                    partition_pass(s, vectorized, f, &keys, &pays, &mut dk, &mut dp, &policy)
-                        .unwrap();
+                    partition_pass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy).unwrap();
                 // region check + stability within each morsel's slice is
                 // implied; check partition function and global stability
                 for p in 0..f.fanout() {
@@ -315,7 +285,7 @@ mod tests {
                 let a = rsv_data::multiset_fingerprint(keys.iter().zip(&pays));
                 let b = rsv_data::multiset_fingerprint(dk.iter().zip(&dp));
                 assert_eq!(a, b);
-                assert_keys_pass_matches(vectorized, f, &keys, &policy, &dk, &out);
+                assert_keys_pass_matches(kind, f, &keys, &policy, &dk, &out);
             }
         }
     }
@@ -325,7 +295,7 @@ mod tests {
     /// boundaries, at both staging widths.
     #[test]
     fn pass_output_independent_of_schedule() {
-        let s = Portable::<16>::new();
+        let kind = KernelKind::Vector(Portable::<16>::new());
         let mut rng = rsv_data::rng(132);
         let keys = rsv_data::uniform_u32(30_000, &mut rng);
         let pays: Vec<u32> = (0..30_000).collect();
@@ -337,9 +307,9 @@ mod tests {
                 let mut dk = vec![0u32; keys.len()];
                 let mut dp = vec![0u32; keys.len()];
                 let (out, stats) =
-                    partition_pass(s, true, f, &keys, &pays, &mut dk, &mut dp, &policy).unwrap();
+                    partition_pass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy).unwrap();
                 assert!(stats.total_tuples() > 0);
-                assert_keys_pass_matches(true, f, &keys, &policy, &dk, &out);
+                assert_keys_pass_matches(kind, f, &keys, &policy, &dk, &out);
                 match &reference {
                     None => reference = Some((dk, dp)),
                     Some((rk, rp)) => {

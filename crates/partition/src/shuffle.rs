@@ -26,10 +26,10 @@
 
 use rsv_exec::AlignedVec;
 use rsv_metrics::Metric;
-use rsv_simd::{MaskLike, Simd};
+use rsv_simd::{KernelKind, MaskLike, Simd};
 
 use crate::conflict::serialize_conflicts_native;
-use crate::histogram::prefix_sum;
+use crate::histogram::{histogram, prefix_sum};
 use crate::PartitionFn;
 
 /// Slots per partition in the scalar staging buffer.
@@ -177,6 +177,28 @@ pub fn shuffle_scalar_buffered<F: PartitionFn>(
     shuffle_scalar_buffered_core(f, keys, pays, &mut off, &mut buf, out_keys, out_pays);
     shuffle_buffer_cleanup(SCALAR_SLOTS, &buf, &base, &off, out_keys, out_pays);
     base
+}
+
+/// A serial stable partition of `keys`/`pays` into `out_keys`/`out_pays`:
+/// the [`histogram`] of `kind`, then its buffered shuffle
+/// ([`shuffle_scalar_buffered`] or [`shuffle_vector_buffered`]). Returns
+/// the partition starts and the histogram.
+pub fn partition_buffered<S: Simd, F: PartitionFn>(
+    kind: KernelKind<S>,
+    f: F,
+    keys: &[u32],
+    pays: &[u32],
+    out_keys: &mut [u32],
+    out_pays: &mut [u32],
+) -> (Vec<u32>, Vec<u32>) {
+    let hist = histogram(kind, f, keys);
+    let starts = match kind {
+        KernelKind::Scalar => shuffle_scalar_buffered(f, keys, pays, &hist, out_keys, out_pays),
+        KernelKind::Vector(s) => {
+            shuffle_vector_buffered(s, f, keys, pays, &hist, out_keys, out_pays)
+        }
+    };
+    (starts, hist)
 }
 
 /// The main loop of scalar buffered shuffling, without the cleanup pass.

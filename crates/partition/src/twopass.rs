@@ -22,13 +22,14 @@
 //! direct `F`-way stable pass, which is what the equivalence tests assert.
 
 use rsv_exec::{
-    parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats, SharedBuffer,
+    column_bytes, parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
+    SharedBuffer,
 };
-use rsv_simd::Simd;
+use rsv_simd::{KernelKind, Simd};
 
-use crate::histogram::{histogram_scalar, histogram_vector_replicated};
+use crate::histogram::prefix_sum;
 use crate::parallel::{partition_pass, PassOutput};
-use crate::shuffle::{shuffle_scalar_buffered, shuffle_vector_buffered};
+use crate::shuffle::partition_buffered;
 use crate::{HashFn, PartitionFn};
 
 /// Largest fanout the engine partitions in one pass; beyond it the
@@ -95,8 +96,7 @@ impl PartitionFn for FineFn {
 /// memory budget for the inter-pass scratch columns).
 #[allow(clippy::too_many_arguments)]
 pub fn hash_partition_twopass<S: Simd>(
-    s: S,
-    vectorized: bool,
+    kind: KernelKind<S>,
     f: HashFn,
     src_k: &[u32],
     src_p: &[u32],
@@ -111,7 +111,7 @@ pub fn hash_partition_twopass<S: Simd>(
     );
     let fanout = f.fanout();
     if fanout <= max_direct {
-        return partition_pass(s, vectorized, f, src_k, src_p, dst_k, dst_p, policy);
+        return partition_pass(kind, f, src_k, src_p, dst_k, dst_p, policy);
     }
     let n = src_k.len();
     let t = policy.threads;
@@ -125,13 +125,11 @@ pub fn hash_partition_twopass<S: Simd>(
 
     // Pass 1 into scratch columns (the only extra memory the degradation
     // costs — gated by the run's budget).
-    let scratch_bytes = 2 * (n as u64) * std::mem::size_of::<u32>() as u64;
-    let _scratch = policy.run.reserve(scratch_bytes)?;
+    let _scratch = policy.run.reserve(2 * column_bytes(n))?;
     let mut mid_k = vec![0u32; n];
     let mut mid_p = vec![0u32; n];
-    let (coarse_out, mut stats) = partition_pass(
-        s, vectorized, coarse, src_k, src_p, &mut mid_k, &mut mid_p, policy,
-    )?;
+    let (coarse_out, mut stats) =
+        partition_pass(kind, coarse, src_k, src_p, &mut mid_k, &mut mid_p, policy)?;
 
     // Pass 2: one task per coarse region; each task histograms its region
     // on the fine key and shuffles it — stably — into the region's slice
@@ -160,20 +158,14 @@ pub fn hash_partition_twopass<S: Simd>(
                     base: base as u32,
                     fanout: fan2,
                 };
-                let ks = &mid_k[start..start + len];
-                let ps = &mid_p[start..start + len];
-                let h = if vectorized {
-                    histogram_vector_replicated(s, fine, ks)
-                } else {
-                    histogram_scalar(fine, ks)
-                };
-                let dst_ks = &mut ok[start..start + len];
-                let dst_ps = &mut op[start..start + len];
-                if vectorized {
-                    shuffle_vector_buffered(s, fine, ks, ps, &h, dst_ks, dst_ps);
-                } else {
-                    shuffle_scalar_buffered(fine, ks, ps, &h, dst_ks, dst_ps);
-                }
+                let (_, h) = partition_buffered(
+                    kind,
+                    fine,
+                    &mid_k[start..start + len],
+                    &mid_p[start..start + len],
+                    &mut ok[start..start + len],
+                    &mut op[start..start + len],
+                );
                 gh[base..base + fan2].copy_from_slice(&h);
             });
         }
@@ -184,12 +176,7 @@ pub fn hash_partition_twopass<S: Simd>(
     policy.run.check_cancelled()?;
 
     let hist = global_hist.into_vec();
-    let mut partition_starts = Vec::with_capacity(fanout);
-    let mut acc = 0u32;
-    for &c in &hist {
-        partition_starts.push(acc);
-        acc += c;
-    }
+    let (partition_starts, _) = prefix_sum(&hist, 0);
     Ok((
         PassOutput {
             partition_starts,
@@ -207,7 +194,7 @@ mod tests {
 
     /// The two-pass route must be byte-identical to the direct single-pass
     /// shuffle — same columns, same histogram, same starts — across thread
-    /// counts and both kernel flavours.
+    /// counts and both kernel kinds.
     #[test]
     fn twopass_is_byte_identical_to_direct() {
         let s = Portable::<16>::new();
@@ -217,22 +204,21 @@ mod tests {
         // fanout 53 > max_direct 16 forces two passes (and a ragged last
         // region: 53 = 3 * 16 + 5)
         let f = HashFn::new(53);
-        for vectorized in [false, true] {
+        for kind in [KernelKind::Scalar, KernelKind::Vector(s)] {
             let mut rk = vec![0u32; keys.len()];
             let mut rp = vec![0u32; keys.len()];
             let policy = ExecPolicy::new(1);
             let (reference, _) =
-                partition_pass(s, vectorized, f, &keys, &pays, &mut rk, &mut rp, &policy).unwrap();
+                partition_pass(kind, f, &keys, &pays, &mut rk, &mut rp, &policy).unwrap();
             for threads in [1usize, 2, 8] {
                 let policy = ExecPolicy::new(threads).with_morsel_tuples(1024);
                 let mut dk = vec![0u32; keys.len()];
                 let mut dp = vec![0u32; keys.len()];
-                let (out, stats) = hash_partition_twopass(
-                    s, vectorized, f, &keys, &pays, &mut dk, &mut dp, &policy, 16,
-                )
-                .unwrap();
-                assert_eq!(dk, rk, "keys differ (t={threads} vec={vectorized})");
-                assert_eq!(dp, rp, "pays differ (t={threads} vec={vectorized})");
+                let (out, stats) =
+                    hash_partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy, 16)
+                        .unwrap();
+                assert_eq!(dk, rk, "keys differ (t={threads} {kind:?})");
+                assert_eq!(dp, rp, "pays differ (t={threads} {kind:?})");
                 assert_eq!(out.hist, reference.hist);
                 assert_eq!(out.partition_starts, reference.partition_starts);
                 assert!(stats.total_tuples() > 0);
@@ -242,7 +228,7 @@ mod tests {
 
     #[test]
     fn small_fanout_stays_single_pass() {
-        let s = Portable::<16>::new();
+        let kind = KernelKind::Vector(Portable::<16>::new());
         let keys: Vec<u32> = (0..1000)
             .map(|i: u32| 2654435761u32.wrapping_mul(i))
             .collect();
@@ -252,8 +238,7 @@ mod tests {
         let mut dk = vec![0u32; 1000];
         let mut dp = vec![0u32; 1000];
         let (out, _) =
-            hash_partition_twopass(s, true, f, &keys, &pays, &mut dk, &mut dp, &policy, 16)
-                .unwrap();
+            hash_partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy, 16).unwrap();
         let total: u32 = out.hist.iter().sum();
         assert_eq!(total, 1000);
     }
@@ -261,7 +246,7 @@ mod tests {
     #[test]
     fn budget_gates_scratch_columns() {
         use rsv_exec::RunContext;
-        let s = Portable::<16>::new();
+        let kind = KernelKind::Vector(Portable::<16>::new());
         let keys: Vec<u32> = (0..10_000u32).collect();
         let pays = keys.clone();
         let f = HashFn::new(100);
@@ -270,7 +255,7 @@ mod tests {
         let policy = ExecPolicy::new(2).with_run(run);
         let mut dk = vec![0u32; keys.len()];
         let mut dp = vec![0u32; keys.len()];
-        let err = hash_partition_twopass(s, true, f, &keys, &pays, &mut dk, &mut dp, &policy, 16)
+        let err = hash_partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy, 16)
             .expect_err("budget must deny the scratch columns");
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
         // nothing stays reserved after the failure

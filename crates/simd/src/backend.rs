@@ -117,6 +117,24 @@ impl Backend {
     }
 }
 
+/// Which of an operator's two kernels to run: the scalar loop, or the
+/// vectorized kernel on backend token `S`. The paper pairs the two for
+/// every operator (§5–§9); the operator crates match on this value inside
+/// the crate that owns the kernels.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum KernelKind<S> {
+    /// The scalar kernel.
+    Scalar,
+    /// The vectorized kernel on backend `S`.
+    Vector(S),
+}
+
+impl KernelKind<Portable<16>> {
+    /// The scalar kernel for callers without a backend token; the scalar
+    /// kernels never touch its vector type.
+    pub const SCALAR: Self = KernelKind::Scalar;
+}
+
 /// Instantiate a generic SIMD expression for a [`Backend`] value.
 ///
 /// `$s` is bound to the backend token inside `$body`:

@@ -57,7 +57,7 @@ mod avx2;
 #[cfg(target_arch = "x86_64")]
 mod avx512;
 
-pub use backend::Backend;
+pub use backend::{Backend, KernelKind};
 pub use mask::LaneMask;
 pub use portable::Portable;
 pub use simd_trait::{MaskLike, SetLanes, Simd};

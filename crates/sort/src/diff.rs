@@ -8,7 +8,7 @@
 
 use crate::{radixsort_keys, radixsort_pairs, SortConfig};
 use rsv_exec::{expect_infallible, ExecPolicy};
-use rsv_simd::{dispatch, Backend, Portable};
+use rsv_simd::{dispatch, Backend, KernelKind, Simd};
 use rsv_testkit::diff::{ordered_pairs, put_len, put_u32s, CaseInput, DiffOp, Kernel, Registry};
 use rsv_testkit::Rng;
 
@@ -18,34 +18,25 @@ fn radix_bits(input: &CaseInput) -> u32 {
     [1u32, 4, 5, 8, 11, 16][rng.index(6)]
 }
 
-fn sorted(
-    backend: Backend,
-    vectorized: bool,
-    bits: u32,
-    threads: usize,
-    input: &CaseInput,
-) -> Vec<u8> {
+fn sorted<S: Simd>(kind: KernelKind<S>, bits: u32, threads: usize, input: &CaseInput) -> Vec<u8> {
     let mut keys = input.keys.clone();
     let mut pays = input.pays.clone();
     let cfg = SortConfig { radix_bits: bits };
     let policy = ExecPolicy::new(threads);
-    expect_infallible(dispatch!(backend, s => {
-        radixsort_pairs(s, vectorized, &mut keys, &mut pays, &cfg, &policy)
-    }));
+    expect_infallible(radixsort_pairs(kind, &mut keys, &mut pays, &cfg, &policy));
     ordered_pairs(&keys, &pays)
 }
 
 fn reference(input: &CaseInput) -> Vec<u8> {
-    sorted(Backend::Portable(Portable::new()), false, 8, 1, input)
+    sorted(KernelKind::SCALAR, 8, 1, input)
 }
 
 fn run_scalar(_backend: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
-    let portable = Backend::Portable(Portable::new());
-    sorted(portable, false, radix_bits(input), threads, input)
+    sorted(KernelKind::SCALAR, radix_bits(input), threads, input)
 }
 
 fn run_vector(backend: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
-    sorted(backend, true, radix_bits(input), threads, input)
+    dispatch!(backend, s => { sorted(KernelKind::Vector(s), radix_bits(input), threads, input) })
 }
 
 /// Canonical bytes of an ordered key column.
@@ -56,15 +47,13 @@ fn ordered_keys(keys: &[u32]) -> Vec<u8> {
     out
 }
 
-fn sorted_keys(backend: Backend, vectorized: bool, threads: usize, input: &CaseInput) -> Vec<u8> {
+fn sorted_keys<S: Simd>(kind: KernelKind<S>, threads: usize, input: &CaseInput) -> Vec<u8> {
     let mut keys = input.keys.clone();
     let cfg = SortConfig {
         radix_bits: radix_bits(input),
     };
     let policy = ExecPolicy::new(threads);
-    expect_infallible(dispatch!(backend, s => {
-        radixsort_keys(s, vectorized, &mut keys, &cfg, &policy)
-    }));
+    expect_infallible(radixsort_keys(kind, &mut keys, &cfg, &policy));
     ordered_keys(&keys)
 }
 
@@ -75,11 +64,11 @@ fn reference_keys(input: &CaseInput) -> Vec<u8> {
 }
 
 fn run_scalar_keys(_backend: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
-    sorted_keys(Backend::Portable(Portable::new()), false, threads, input)
+    sorted_keys(KernelKind::SCALAR, threads, input)
 }
 
 fn run_vector_keys(backend: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
-    sorted_keys(backend, true, threads, input)
+    dispatch!(backend, s => { sorted_keys(KernelKind::Vector(s), threads, input) })
 }
 
 /// Register the pair and key-only radixsort operators.

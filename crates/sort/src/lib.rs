@@ -34,10 +34,10 @@
 pub mod diff;
 pub mod multicol;
 
-use rsv_exec::{EngineError, ExecPolicy, SchedulerStats};
+use rsv_exec::{column_bytes, EngineError, ExecPolicy, SchedulerStats};
 use rsv_partition::parallel::{partition_pass, partition_pass_keys};
 use rsv_partition::RadixFn;
-use rsv_simd::Simd;
+use rsv_simd::{KernelKind, Simd};
 
 /// Radixsort tuning knobs (threads and morsel size come from the
 /// [`ExecPolicy`]).
@@ -68,11 +68,10 @@ impl SortConfig {
     }
 }
 
-/// Parallel LSB radixsort of `(key, payload)` pairs (stable); the
-/// scalar kernels run when `vectorized` is false.
+/// Parallel LSB radixsort of `(key, payload)` pairs (stable) with
+/// `kind`'s partitioning kernels.
 pub fn radixsort_pairs<S: Simd>(
-    s: S,
-    vectorized: bool,
+    kind: KernelKind<S>,
     keys: &mut Vec<u32>,
     pays: &mut Vec<u32>,
     cfg: &SortConfig,
@@ -80,8 +79,7 @@ pub fn radixsort_pairs<S: Simd>(
 ) -> Result<SchedulerStats, EngineError> {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
     let n = keys.len();
-    let scratch_bytes = 2 * (n as u64) * std::mem::size_of::<u32>() as u64;
-    let _scratch = policy.run.reserve(scratch_bytes)?;
+    let _scratch = policy.run.reserve(2 * column_bytes(n))?;
     let mut stats = SchedulerStats::default();
     let mut dst_k = vec![0u32; n];
     let mut dst_p = vec![0u32; n];
@@ -89,8 +87,7 @@ pub fn radixsort_pairs<S: Simd>(
         let f = cfg.pass_fn(pass);
         rsv_metrics::count(rsv_metrics::Metric::SortPasses, 1);
         rsv_metrics::count(rsv_metrics::Metric::SortBytesMoved, 8 * n as u64);
-        let (_, pass_stats) =
-            partition_pass(s, vectorized, f, keys, pays, &mut dst_k, &mut dst_p, policy)?;
+        let (_, pass_stats) = partition_pass(kind, f, keys, pays, &mut dst_k, &mut dst_p, policy)?;
         stats.merge(&pass_stats);
         std::mem::swap(keys, &mut dst_k);
         std::mem::swap(pays, &mut dst_p);
@@ -98,25 +95,23 @@ pub fn radixsort_pairs<S: Simd>(
     Ok(stats)
 }
 
-/// Parallel LSB radixsort of a key column; the scalar kernels run when
-/// `vectorized` is false.
+/// Parallel LSB radixsort of a key column with `kind`'s partitioning
+/// kernels.
 pub fn radixsort_keys<S: Simd>(
-    s: S,
-    vectorized: bool,
+    kind: KernelKind<S>,
     keys: &mut Vec<u32>,
     cfg: &SortConfig,
     policy: &ExecPolicy,
 ) -> Result<SchedulerStats, EngineError> {
     let n = keys.len();
-    let scratch_bytes = (n as u64) * std::mem::size_of::<u32>() as u64;
-    let _scratch = policy.run.reserve(scratch_bytes)?;
+    let _scratch = policy.run.reserve(column_bytes(n))?;
     let mut stats = SchedulerStats::default();
     let mut dst = vec![0u32; n];
     for pass in 0..cfg.passes() {
         let f = cfg.pass_fn(pass);
         rsv_metrics::count(rsv_metrics::Metric::SortPasses, 1);
         rsv_metrics::count(rsv_metrics::Metric::SortBytesMoved, 4 * n as u64);
-        let (_, pass_stats) = partition_pass_keys(s, vectorized, f, keys, &mut dst, policy)?;
+        let (_, pass_stats) = partition_pass_keys(kind, f, keys, &mut dst, policy)?;
         stats.merge(&pass_stats);
         std::mem::swap(keys, &mut dst);
     }
@@ -157,43 +152,49 @@ mod tests {
 
     #[test]
     fn scalar_sort_matches_std() {
-        let s = Portable::<16>::new();
         for n in [0usize, 1, 100, 10_000] {
             let (keys, pays) = workload(n, 111);
             let mut k = keys.clone();
             let mut p = pays.clone();
-            radixsort_pairs(s, false, &mut k, &mut p, &cfg(8), &ExecPolicy::new(1)).unwrap();
+            radixsort_pairs(
+                KernelKind::SCALAR,
+                &mut k,
+                &mut p,
+                &cfg(8),
+                &ExecPolicy::new(1),
+            )
+            .unwrap();
             check_sorted_pairs(&k, &p, &keys);
         }
     }
 
     #[test]
     fn vector_sort_matches_std() {
-        let s = Portable::<16>::new();
+        let vector = KernelKind::Vector(Portable::<16>::new());
         for n in [0usize, 1, 17, 1000, 20_000] {
             let (keys, pays) = workload(n, 112);
             let mut k = keys.clone();
             let mut p = pays.clone();
-            radixsort_pairs(s, true, &mut k, &mut p, &cfg(8), &ExecPolicy::new(1)).unwrap();
+            radixsort_pairs(vector, &mut k, &mut p, &cfg(8), &ExecPolicy::new(1)).unwrap();
             check_sorted_pairs(&k, &p, &keys);
         }
     }
 
     #[test]
     fn different_radix_bits() {
-        let s = Portable::<16>::new();
+        let vector = KernelKind::Vector(Portable::<16>::new());
         let (keys, pays) = workload(5000, 113);
         for bits in [4u32, 5, 6, 8, 11, 16] {
             let mut k = keys.clone();
             let mut p = pays.clone();
-            radixsort_pairs(s, true, &mut k, &mut p, &cfg(bits), &ExecPolicy::new(1)).unwrap();
+            radixsort_pairs(vector, &mut k, &mut p, &cfg(bits), &ExecPolicy::new(1)).unwrap();
             check_sorted_pairs(&k, &p, &keys);
         }
     }
 
     #[test]
     fn multithreaded_sort_is_stable() {
-        let s = Portable::<16>::new();
+        let vector = KernelKind::Vector(Portable::<16>::new());
         // narrow key domain -> many duplicates to stress stability
         let mut rng = rsv_data::rng(114);
         let keys: Vec<u32> = rsv_data::uniform_u32(30_000, &mut rng)
@@ -202,11 +203,11 @@ mod tests {
             .collect();
         let pays: Vec<u32> = (0..30_000).collect();
         for threads in [1usize, 2, 3, 4] {
-            for vectorized in [true, false] {
+            for kind in [vector, KernelKind::Scalar] {
                 let mut k = keys.clone();
                 let mut p = pays.clone();
                 let policy = ExecPolicy::new(threads);
-                radixsort_pairs(s, vectorized, &mut k, &mut p, &cfg(8), &policy).unwrap();
+                radixsort_pairs(kind, &mut k, &mut p, &cfg(8), &policy).unwrap();
                 check_sorted_pairs(&k, &p, &keys);
             }
         }
@@ -214,17 +215,17 @@ mod tests {
 
     #[test]
     fn key_only_sort() {
-        let s = Portable::<16>::new();
+        let vector = KernelKind::Vector(Portable::<16>::new());
         for threads in [1usize, 3] {
             for n in [0usize, 1, 31, 12_345] {
                 let (keys, _) = workload(n, 115);
                 let mut expected = keys.clone();
                 expected.sort_unstable();
-                for vectorized in [true, false] {
+                for kind in [vector, KernelKind::Scalar] {
                     let mut k = keys.clone();
                     let policy = ExecPolicy::new(threads);
-                    radixsort_keys(s, vectorized, &mut k, &cfg(8), &policy).unwrap();
-                    assert_eq!(k, expected, "vec={vectorized} n={n} threads={threads}");
+                    radixsort_keys(kind, &mut k, &cfg(8), &policy).unwrap();
+                    assert_eq!(k, expected, "{kind:?} n={n} threads={threads}");
                 }
             }
         }
@@ -234,7 +235,7 @@ mod tests {
     /// claiming any morsels, and hands back columns of the right length.
     #[test]
     fn cancelled_sort_returns_columns() {
-        let s = Portable::<16>::new();
+        let vector = KernelKind::Vector(Portable::<16>::new());
         let (keys, pays) = workload(10_000, 42);
         let mut k = keys.clone();
         let mut p = pays.clone();
@@ -242,17 +243,17 @@ mod tests {
         run.cancel_token().cancel();
         let policy = ExecPolicy::new(4).with_morsel_tuples(1024);
         let cancelled = policy.clone().with_run(run);
-        let err = radixsort_pairs(s, true, &mut k, &mut p, &cfg(8), &cancelled)
+        let err = radixsort_pairs(vector, &mut k, &mut p, &cfg(8), &cancelled)
             .expect_err("pre-cancelled run must fail");
         assert!(matches!(err, EngineError::Cancelled), "{err}");
         assert_eq!(k.len(), keys.len());
         assert_eq!(p.len(), pays.len());
-        let err = radixsort_keys(s, true, &mut k, &cfg(8), &cancelled)
+        let err = radixsort_keys(vector, &mut k, &cfg(8), &cancelled)
             .expect_err("pre-cancelled key-only run must fail");
         assert!(matches!(err, EngineError::Cancelled), "{err}");
         assert_eq!(k.len(), keys.len());
         // the same columns sort under a fresh context
-        radixsort_pairs(s, true, &mut k, &mut p, &cfg(8), &policy).expect("fresh run must succeed");
+        radixsort_pairs(vector, &mut k, &mut p, &cfg(8), &policy).expect("fresh run must succeed");
         let mut expect = keys.clone();
         expect.sort_unstable();
         assert_eq!(k, expect);
@@ -262,12 +263,12 @@ mod tests {
     /// a denied reservation leaves zero bytes accounted.
     #[test]
     fn sort_budget_gates_scratch() {
-        let s = Portable::<16>::new();
+        let vector = KernelKind::Vector(Portable::<16>::new());
         let (mut keys, mut pays) = workload(10_000, 7);
         // sort needs 2 * 10_000 * 4 = 80_000 B of scratch; allow less
         let run = RunContext::new().with_memory_limit(1_000);
         let policy = ExecPolicy::new(2).with_run(run);
-        let err = radixsort_pairs(s, true, &mut keys, &mut pays, &cfg(8), &policy)
+        let err = radixsort_pairs(vector, &mut keys, &mut pays, &cfg(8), &policy)
             .expect_err("budget must deny the scratch columns");
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
         assert_eq!(policy.run.budget.used(), 0);
@@ -278,7 +279,7 @@ mod tests {
     /// morsel size, and the stats must account for every scheduled tuple.
     #[test]
     fn sort_schedule_independent() {
-        let s = Portable::<16>::new();
+        let vector = KernelKind::Vector(Portable::<16>::new());
         let (keys, pays) = workload(25_000, 117);
         let mut reference: Option<(Vec<u32>, Vec<u32>)> = None;
         for threads in [1usize, 2, 3, 8] {
@@ -286,7 +287,7 @@ mod tests {
                 let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
                 let mut k = keys.clone();
                 let mut p = pays.clone();
-                let stats = radixsort_pairs(s, true, &mut k, &mut p, &cfg(8), &policy).unwrap();
+                let stats = radixsort_pairs(vector, &mut k, &mut p, &cfg(8), &policy).unwrap();
                 // 4 passes at 8 bits, each scheduling every tuple through
                 // the histogram and shuffle queues (cleanup tasks add a
                 // few more scheduling units on top)
@@ -299,7 +300,7 @@ mod tests {
                     }
                 }
                 let mut ko = keys.clone();
-                radixsort_keys(s, true, &mut ko, &cfg(8), &policy).unwrap();
+                radixsort_keys(vector, &mut ko, &cfg(8), &policy).unwrap();
                 let r = reference.as_ref().unwrap();
                 let mut expect = r.0.clone();
                 expect.sort_unstable();
@@ -319,13 +320,13 @@ mod tests {
         if let Some(s) = rsv_simd::Avx512::new() {
             let mut k = keys.clone();
             let mut p = pays.clone();
-            radixsort_pairs(s, true, &mut k, &mut p, &cfg(8), &policy).unwrap();
+            radixsort_pairs(KernelKind::Vector(s), &mut k, &mut p, &cfg(8), &policy).unwrap();
             check_sorted_pairs(&k, &p, &keys);
         }
         if let Some(s) = rsv_simd::Avx2::new() {
             let mut k = keys.clone();
             let mut p = pays.clone();
-            radixsort_pairs(s, true, &mut k, &mut p, &cfg(8), &policy).unwrap();
+            radixsort_pairs(KernelKind::Vector(s), &mut k, &mut p, &cfg(8), &policy).unwrap();
             check_sorted_pairs(&k, &p, &keys);
         }
     }

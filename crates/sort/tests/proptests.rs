@@ -2,7 +2,7 @@
 //! arbitrary inputs, radix widths, and thread counts.
 
 use rsv_exec::ExecPolicy;
-use rsv_simd::{Backend, Portable};
+use rsv_simd::{Backend, KernelKind};
 use rsv_sort::multicol::{lsb_radixsort_multicol, PayloadColumn};
 use rsv_sort::{radixsort_keys, radixsort_pairs, SortConfig};
 use rsv_testkit as tk;
@@ -22,7 +22,7 @@ fn sorts_arbitrary_inputs() {
 
         let mut k = keys.clone();
         let mut p = pays.clone();
-        radixsort_pairs(Portable::<16>::new(), false, &mut k, &mut p, &cfg, &policy).unwrap();
+        radixsort_pairs(KernelKind::SCALAR, &mut k, &mut p, &cfg, &policy).unwrap();
         assert_eq!(&k, &expected, "scalar keys");
         check_stable(&keys, &k, &p);
 
@@ -30,12 +30,12 @@ fn sorts_arbitrary_inputs() {
         rsv_simd::dispatch!(backend, s => {
             let mut k = keys.clone();
             let mut p = pays.clone();
-            radixsort_pairs(s, true, &mut k, &mut p, &cfg, &policy).unwrap();
+            radixsort_pairs(KernelKind::Vector(s), &mut k, &mut p, &cfg, &policy).unwrap();
             assert_eq!(&k, &expected, "vector keys");
             check_stable(&keys, &k, &p);
 
             let mut k = keys.clone();
-            radixsort_keys(s, true, &mut k, &cfg, &policy).unwrap();
+            radixsort_keys(KernelKind::Vector(s), &mut k, &cfg, &policy).unwrap();
             assert_eq!(&k, &expected, "key-only");
         });
     });
