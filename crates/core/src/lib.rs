@@ -329,6 +329,8 @@ impl Engine {
     /// Fanouts past [`rsv_partition::twopass::MAX_DIRECT_FANOUT`] degrade
     /// transparently to a two-pass decomposition (the single-pass staging
     /// buffers would outgrow the cache) with byte-identical output.
+    /// Panics on a fanout past `u32::MAX`, which [`Engine::try_hash_partition`]
+    /// reports as [`EngineError::InputTooLarge`].
     pub fn hash_partition(&self, rel: &Relation, fanout: usize) -> (Relation, Vec<u32>) {
         expect_infallible(self.try_hash_partition(rel, fanout, &RunContext::default()))
     }
@@ -336,12 +338,21 @@ impl Engine {
     /// Fallible [`Engine::hash_partition`] under a [`RunContext`]: the
     /// output (and any two-pass scratch) columns are gated by the memory
     /// budget and cancellation is observed at morsel-claim boundaries.
+    /// The partition function scales a 32-bit hash by the fanout, so a
+    /// fanout past `u32::MAX` fails with [`EngineError::InputTooLarge`].
     pub fn try_hash_partition(
         &self,
         rel: &Relation,
         fanout: usize,
         run: &RunContext,
     ) -> Result<(Relation, Vec<u32>), EngineError> {
+        if fanout > u32::MAX as usize {
+            return Err(EngineError::InputTooLarge {
+                what: "fanout",
+                value: fanout as u64,
+                limit: u32::MAX.into(),
+            });
+        }
         let f = rsv_partition::HashFn::new(fanout.max(1));
         let _out = run.reserve(2 * column_bytes(rel.len()))?;
         let mut out_keys = vec![0u32; rel.len()];
@@ -372,7 +383,9 @@ impl Engine {
     /// keys are unique, so the result is schedule-independent.
     ///
     /// `expected_groups` sizes each worker's table; it may be any
-    /// estimate (e.g. `rel.len()`), since tables grow past it.
+    /// estimate (e.g. `rel.len()`), since tables grow past it. Estimates
+    /// past `rel.len()` are clamped to it: there cannot be more groups
+    /// than tuples.
     pub fn group_by_sum(&self, rel: &Relation, expected_groups: usize) -> Vec<(u32, u32, u64)> {
         expect_infallible(self.try_group_by_sum(rel, expected_groups, &RunContext::default()))
     }
@@ -389,11 +402,12 @@ impl Engine {
         expected_groups: usize,
         run: &RunContext,
     ) -> Result<Vec<(u32, u32, u64)>, EngineError> {
-        let table_bytes = rsv_hashtab::GroupAggTable::bytes_for(expected_groups.max(1), 0.5);
+        let groups = expected_groups.min(rel.len()).max(1);
+        let table_bytes = rsv_hashtab::GroupAggTable::bytes_for(groups, 0.5);
         let _tables = run.reserve(self.threads as u64 * table_bytes)?;
         let q = MorselQueue::new(rel.len(), &self.policy(run), 16);
         let (mut tables, _) = parallel_scope_try(self.threads, |ctx| {
-            let mut table = rsv_hashtab::GroupAggTable::new(expected_groups.max(1), 0.5);
+            let mut table = rsv_hashtab::GroupAggTable::new(groups, 0.5);
             for mo in ctx.morsels(&q) {
                 ctx.phase("aggregate", || {
                     let r = mo.range.clone();

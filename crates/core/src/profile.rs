@@ -237,6 +237,42 @@ mod tests {
         assert!(json.ends_with("}}"), "{json}");
     }
 
+    /// Two profiles running at once on two threads each harvest exactly
+    /// their own query's work, the work of the workers their schedulers
+    /// spawned included.
+    #[test]
+    fn concurrent_profiles_do_not_mix() {
+        let w = rsv_data::join_workload(4_000, 16_000, 1.0, 0.7, &mut rsv_data::rng(45));
+        let e = Engine::new().with_threads(2);
+        let work = || {
+            e.profile(Query::HashJoin {
+                inner: &w.inner,
+                outer: &w.outer,
+                variant: JoinVariant::MaxPartition,
+            })
+            .sink
+            .total()
+            .work_bytes()
+        };
+        let solo = work();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let runs: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (0..3).map(|_| work()).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for run in runs {
+                for bytes in run.join().unwrap_or_else(|p| std::panic::resume_unwind(p)) {
+                    assert_eq!(bytes, solo, "a concurrent profile's work differs");
+                }
+            }
+        });
+    }
+
     #[test]
     fn profiled_runs_leave_no_ambient_metering() {
         let r = rel(1_000, 44);

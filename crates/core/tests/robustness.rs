@@ -12,7 +12,11 @@
 //! * cuckoo rehash exhaustion degrades to a linear-probing table whose
 //!   probe output is byte-identical, counting `Metric::FallbackBuilds`,
 //! * oversized partition fanout transparently reroutes through the
-//!   two-pass partitioner with unchanged semantics.
+//!   two-pass partitioner with unchanged semantics,
+//! * size arguments past what the operator can use either get the right
+//!   answer (a group estimate above the tuple count) or a typed
+//!   [`EngineError::InputTooLarge`] (a fanout past `u32::MAX`), never an
+//!   allocation abort or a panic.
 //!
 //! These tests run in every tier-1 `cargo test` (no feature gate); the
 //! fault-injection counterpart (`fault_recovery.rs`) needs
@@ -486,4 +490,42 @@ fn oversized_fanout_degrades_to_two_pass_partitioning() {
     assert_eq!(try_part.keys, part.keys);
     assert_eq!(try_part.payloads, part.payloads);
     assert_eq!(try_starts, starts);
+}
+
+/// Oversized size arguments: a group estimate far past the tuple count is
+/// clamped (the right rows, no huge table reserved or allocated), and a
+/// fanout the 32-bit partition function cannot express is a typed error.
+/// Neither leaves anything reserved.
+#[test]
+fn oversized_size_arguments_answer_or_fail_typed() {
+    let engine = Engine::new().with_threads(2);
+    for n in [5, 3_000] {
+        let r = rel(n);
+        let expected = engine.group_by_sum(&r, r.len());
+        for groups in [1usize << 40, usize::MAX] {
+            let run = RunContext::new();
+            let rows = engine
+                .try_group_by_sum(&r, groups, &run)
+                .unwrap_or_else(|e| panic!("{n} tuples, {groups} groups: {e}"));
+            assert_eq!(rows, expected, "{n} tuples, {groups} groups");
+            assert_eq!(run.budget.used(), 0, "group-by leaked reservation");
+        }
+    }
+
+    let r = rel(1_000);
+    let run = RunContext::new();
+    let result = engine.try_hash_partition(&r, 1 << 33, &run);
+    assert_eq!(
+        result,
+        Err(EngineError::InputTooLarge {
+            what: "fanout",
+            value: 1 << 33,
+            limit: u32::MAX.into(),
+        })
+    );
+    assert_eq!(
+        run.budget.used(),
+        0,
+        "rejected partition leaked reservation"
+    );
 }

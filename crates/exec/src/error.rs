@@ -4,9 +4,9 @@
 //! method returns `Result<_, EngineError>`. The infallible `Engine`
 //! methods run the `try_` ones under a default
 //! [`RunContext`](crate::RunContext) and panic only on outcomes that
-//! cannot occur without an explicit one (cancellation, budgets) or on a
-//! genuine bug (a worker panic, which they re-raise with its original
-//! message).
+//! cannot occur without an explicit one (cancellation, budgets), on a
+//! size argument outside the operator's domain, or on a genuine bug (a
+//! worker panic, which they re-raise with its original message).
 
 use std::any::Any;
 
@@ -42,6 +42,15 @@ pub enum EngineError {
         /// Bytes already reserved when the request was made.
         used: u64,
     },
+    /// A size argument lies outside the domain the operator supports.
+    InputTooLarge {
+        /// The argument's name.
+        what: &'static str,
+        /// The value passed.
+        value: u64,
+        /// The largest accepted value.
+        limit: u64,
+    },
     /// A worker thread panicked inside a parallel scope. Siblings drained
     /// cleanly; the payload is the panic message.
     WorkerPanicked {
@@ -72,6 +81,9 @@ impl std::fmt::Display for EngineError {
                 f,
                 "memory budget exceeded: requested {requested} B with {used}/{limit} B reserved"
             ),
+            EngineError::InputTooLarge { what, value, limit } => {
+                write!(f, "{what} {value} exceeds the limit {limit}")
+            }
             EngineError::WorkerPanicked { payload, morsel } => match morsel {
                 Some(m) => write!(f, "worker panicked on morsel {m}: {payload}"),
                 None => write!(f, "worker panicked: {payload}"),
@@ -96,9 +108,10 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 /// Unwrap a fallible-operator result on an **infallible** path: a
 /// [`EngineError::WorkerPanicked`] re-raises the worker's panic (with its
-/// original message), anything else is a bug because the default
-/// [`RunContext`](crate::RunContext) can be neither cancelled nor
-/// budget-limited.
+/// original message), anything else panics with the error's message: the
+/// default [`RunContext`](crate::RunContext) can be neither cancelled nor
+/// budget-limited, so only a bug or an out-of-domain size argument
+/// ([`EngineError::InputTooLarge`]) gets here.
 pub fn expect_infallible<T>(r: Result<T, EngineError>) -> T {
     match r {
         Ok(v) => v,

@@ -38,4 +38,4 @@ pub use parallel::{
 pub use platform::{platform_report, PlatformReport};
 pub use run::{column_bytes, CancelToken, MemoryBudget, Reservation, RunContext};
 pub use shared::{SharedBuffer, SlotMap};
-pub use timing::{throughput_mtps, time, time_n, Timed};
+pub use timing::{throughput_mtps, time, Timed};

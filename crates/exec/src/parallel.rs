@@ -352,10 +352,10 @@ where
         abort: AtomicBool::new(false),
         panic: Mutex::new(None),
     };
-    // Metering follows the call tree: spawned workers inherit the calling
-    // thread's flag and flush their counters into the live session (by
-    // thread id, like the stats below) before they exit the scope.
-    let metering = rsv_metrics::enabled();
+    // Metering follows the call tree: every worker enters the calling
+    // thread's session and flushes its counters into it (by thread id,
+    // like the stats below) before it leaves the scope.
+    let session = rsv_metrics::Session::current();
     let record_panic =
         |worker: usize, morsel: Option<usize>, payload: Box<dyn std::any::Any + Send>| {
             // Abort must be visible before the barrier releases anyone, so
@@ -372,9 +372,6 @@ where
             }
         };
     let run = |thread_id: usize| -> Option<(R, WorkerStats)> {
-        if thread_id != 0 {
-            rsv_metrics::set_thread_metering(metering);
-        }
         let ctx = ParallelContext {
             thread_id,
             threads: t,
@@ -382,8 +379,11 @@ where
             stats: RefCell::new(WorkerStats::default()),
             last_morsel: Cell::new(None),
         };
-        let result = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-        rsv_metrics::flush_worker(thread_id);
+        let result = session.enter(|| {
+            let result = catch_unwind(AssertUnwindSafe(|| f(&ctx)));
+            rsv_metrics::flush_worker(thread_id);
+            result
+        });
         match result {
             Ok(r) => Some((r, ctx.stats.into_inner())),
             Err(payload) => {

@@ -136,17 +136,6 @@ impl<T> SlotMap<T> {
         slots[i].as_ref().expect("slot never filled before read")
     }
 
-    /// Mutably borrow slot `i` (panics if it was never filled).
-    ///
-    /// # Safety
-    /// Same contract as [`SlotMap::put`]: one worker per slot per phase.
-    // Documented panic: reading an unfilled slot violates the contract.
-    #[allow(clippy::mut_from_ref, clippy::expect_used)]
-    pub unsafe fn get_mut(&self, i: usize) -> &mut T {
-        let slots: &mut Vec<Option<T>> = &mut *self.slots.get();
-        slots[i].as_mut().expect("slot never filled before read")
-    }
-
     /// Recover all slots once every worker is done.
     pub fn into_values(self) -> Vec<Option<T>> {
         self.slots.into_inner()

@@ -21,23 +21,6 @@ pub fn time<R>(f: impl FnOnce() -> R) -> Timed<R> {
     }
 }
 
-/// Run `f` `n ≥ 1` times and report the *fastest* run, the conventional
-/// way to suppress timer and scheduler noise in microbenchmarks.
-// The `n >= 1` assert guarantees at least one iteration fills `best`.
-#[allow(clippy::expect_used)]
-pub fn time_n<R>(n: usize, mut f: impl FnMut() -> R) -> Timed<R> {
-    assert!(n >= 1);
-    let mut best: Option<Timed<R>> = None;
-    for _ in 0..n {
-        let t = time(&mut f);
-        match &best {
-            Some(b) if b.elapsed <= t.elapsed => {}
-            _ => best = Some(t),
-        }
-    }
-    best.expect("n >= 1")
-}
-
 /// Throughput in million tuples per second, the unit of almost every figure
 /// in the paper ("billion tuples / second" axes are just this / 1000).
 ///
@@ -62,17 +45,6 @@ mod tests {
         let t = time(|| 21 * 2);
         assert_eq!(t.value, 42);
         assert!(t.elapsed >= Duration::ZERO);
-    }
-
-    #[test]
-    fn time_n_keeps_fastest() {
-        let mut calls = 0;
-        let t = time_n(5, || {
-            calls += 1;
-            calls
-        });
-        assert_eq!(calls, 5);
-        assert!(t.value >= 1 && t.value <= 5);
     }
 
     #[test]

@@ -10,25 +10,29 @@
 //!
 //! * [`Metric`] — the flat counter namespace (plus a few histograms that
 //!   live directly on [`Counters`]),
-//! * [`MetricSink`] — where per-thread counters are absorbed;
-//!   [`NoopSink`] discards everything and [`CountingSink`] accumulates
-//!   per-worker [`Counters`] merged like `rsv_exec::SchedulerStats`,
-//! * [`collect`] / [`collect_with`] — run a closure with metering
-//!   enabled on the current thread (worker threads inherit the flag via
-//!   the scheduler in `rsv-exec`) and harvest the counters.
+//! * [`CountingSink`] — per-worker [`Counters`] merged like
+//!   `rsv_exec::SchedulerStats`,
+//! * [`collect`] — run a closure with metering enabled and harvest the
+//!   counters its call tree recorded.
+//!
+//! # Sessions follow the call tree
+//!
+//! A session is a value, not process state: [`collect`] makes a sink and
+//! installs a [`Session`] handle to it on the calling thread, and the
+//! scheduler in `rsv-exec` carries that handle into every worker it
+//! spawns. Sessions on different threads therefore never share a sink or
+//! wait for each other, and a nested `collect` only saves and restores
+//! the calling thread's handle.
 //!
 //! # Zero overhead when disabled
 //!
-//! Recording is gated per *thread*, not globally, so concurrently running
-//! tests never observe each other's counters. Kernels hoist one
-//! [`enabled`] check out of their hot loops and accumulate into stack
-//! locals, flushing once per call; with metering off the cost is one
-//! thread-local read per kernel invocation plus a well-predicted branch
-//! per loop. With the `noop` cargo feature, [`enabled`] is a constant
-//! `false` and every recording function has an empty inline body, so the
-//! compiler removes the metered paths entirely — CI's benchmark-parity
-//! check compares the two builds to show the default path is already
-//! within noise of the compiled-out one.
+//! Recording is gated per *thread*. Kernels hoist one [`enabled`] check
+//! out of their hot loops and accumulate into stack locals, flushing once
+//! per call; with metering off the cost is one thread-local read per
+//! kernel invocation plus a well-predicted branch per loop. With the
+//! `noop` cargo feature, [`enabled`] is a constant `false`, so the
+//! compiler removes every recording body and metered path — CI's
+//! benchmark-parity check runs both builds.
 //!
 //! # Determinism classes
 //!
@@ -48,9 +52,10 @@
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use std::cell::{Cell, RefCell};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Lanes-active histogram buckets (`0..=32` active lanes per vector).
 pub const LANE_BUCKETS: usize = 33;
@@ -418,36 +423,6 @@ impl Default for Counters {
     }
 }
 
-/// A destination for per-thread counter flushes.
-pub trait MetricSink {
-    /// Absorb the counters one worker accumulated. `thread_id` is the
-    /// worker's slot, mirroring `SchedulerStats`' thread-id order.
-    fn absorb(&mut self, thread_id: usize, c: &Counters);
-
-    /// Whether running under this sink should record at all. The default
-    /// is `true`; [`NoopSink`] returns `false` so [`collect_with`] runs
-    /// the closure with metering disabled.
-    fn metered(&self) -> bool {
-        true
-    }
-}
-
-/// Discards everything: `absorb` has an empty inline body and `metered`
-/// is `false`, so a [`collect_with`] run under a `NoopSink` records
-/// nothing and the per-kernel metered branches stay untaken.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl MetricSink for NoopSink {
-    #[inline(always)]
-    fn absorb(&mut self, _: usize, _: &Counters) {}
-
-    #[inline(always)]
-    fn metered(&self) -> bool {
-        false
-    }
-}
-
 /// Per-thread counters, merged worker-by-worker exactly like
 /// `rsv_exec::SchedulerStats`: slot `i` accumulates everything worker `i`
 /// flushed, and [`CountingSink::merge`] folds another region's sink in by
@@ -487,6 +462,15 @@ impl CountingSink {
         t
     }
 
+    /// Absorb the counters one worker accumulated into slot `thread_id`
+    /// (the worker's slot, mirroring `SchedulerStats`' thread-id order).
+    pub fn absorb(&mut self, thread_id: usize, c: &Counters) {
+        if self.workers.len() <= thread_id {
+            self.workers.resize(thread_id + 1, Counters::new());
+        }
+        self.workers[thread_id].add(c);
+    }
+
     /// Drop trailing all-zero worker slots (merging sinks from regions
     /// with different thread counts leaves empty tails).
     pub fn trim(&mut self) {
@@ -496,38 +480,18 @@ impl CountingSink {
     }
 }
 
-impl MetricSink for CountingSink {
-    fn absorb(&mut self, thread_id: usize, c: &Counters) {
-        if self.workers.len() <= thread_id {
-            self.workers.resize(thread_id + 1, Counters::new());
-        }
-        self.workers[thread_id].add(c);
-    }
-}
+// ---------------------------------------------------------------------
+// Call-tree-scoped recording machinery.
+// ---------------------------------------------------------------------
 
-// ---------------------------------------------------------------------
-// Thread-scoped recording machinery.
-// ---------------------------------------------------------------------
+/// A session's sink, shared by every thread of its call tree.
+type SharedSink = Arc<Mutex<CountingSink>>;
 
 thread_local! {
+    /// Mirrors `CURRENT.is_some()`, so [`enabled`] is one `Cell` read.
     static ENABLED: Cell<bool> = const { Cell::new(false) };
+    static CURRENT: RefCell<Option<SharedSink>> = const { RefCell::new(None) };
     static LOCAL: RefCell<Counters> = const { RefCell::new(Counters::new()) };
-}
-
-/// The collection target live sessions flush into. Guarded separately
-/// from [`SESSION`] so worker threads can flush while the session lock
-/// is held by the session owner.
-static DATA: Mutex<CountingSink> = Mutex::new(CountingSink::new());
-
-/// Serializes [`collect`] sessions: `cargo test` runs tests on many
-/// threads of one process, and two concurrent sessions would mix their
-/// counters in [`DATA`].
-static SESSION: Mutex<()> = Mutex::new(());
-
-/// Lock that shrugs off poisoning: a panicking metered test must not take
-/// every later session down with it.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Is metering enabled on the current thread? Kernels hoist this out of
@@ -544,33 +508,11 @@ pub fn enabled() -> bool {
     }
 }
 
-/// Set the current thread's metering flag. Schedulers capture
-/// [`enabled`] before spawning workers and mirror it into each worker so
-/// metering follows the session's call tree and nothing else.
-#[inline]
-pub fn set_thread_metering(on: bool) {
-    #[cfg(feature = "noop")]
-    {
-        let _ = on;
-    }
-    #[cfg(not(feature = "noop"))]
-    {
-        ENABLED.with(|e| e.set(on));
-    }
-}
-
 /// Add `n` to a flat counter (no-op when metering is off).
 #[inline]
 pub fn count(m: Metric, n: u64) {
-    #[cfg(feature = "noop")]
-    {
-        let _ = (m, n);
-    }
-    #[cfg(not(feature = "noop"))]
-    {
-        if enabled() && n != 0 {
-            LOCAL.with(|c| c.borrow_mut().counts[m as usize] += n);
-        }
+    if enabled() && n != 0 {
+        LOCAL.with(|c| c.borrow_mut().counts[m as usize] += n);
     }
 }
 
@@ -578,20 +520,13 @@ pub fn count(m: Metric, n: u64) {
 /// (`variant` indexes `ScanVariant::ALL`).
 #[inline]
 pub fn add_scan_lanes(variant: usize, hist: &[u64; LANE_BUCKETS]) {
-    #[cfg(feature = "noop")]
-    {
-        let _ = (variant, hist);
-    }
-    #[cfg(not(feature = "noop"))]
-    {
-        if enabled() {
-            LOCAL.with(|c| {
-                let mut c = c.borrow_mut();
-                for (a, b) in c.scan_lanes[variant].iter_mut().zip(hist) {
-                    *a += b;
-                }
-            });
-        }
+    if enabled() {
+        LOCAL.with(|c| {
+            let mut c = c.borrow_mut();
+            for (a, b) in c.scan_lanes[variant].iter_mut().zip(hist) {
+                *a += b;
+            }
+        });
     }
 }
 
@@ -599,146 +534,114 @@ pub fn add_scan_lanes(variant: usize, hist: &[u64; LANE_BUCKETS]) {
 /// [`Metric::ColBlocksDecoded`]).
 #[inline]
 pub fn count_blocks_decoded(width: usize, n: u64) {
-    #[cfg(feature = "noop")]
-    {
-        let _ = (width, n);
-    }
-    #[cfg(not(feature = "noop"))]
-    {
-        if enabled() && n != 0 {
-            LOCAL.with(|c| {
-                let mut c = c.borrow_mut();
-                c.counts[Metric::ColBlocksDecoded as usize] += n;
-                c.col_width_blocks[width.min(WIDTH_BUCKETS - 1)] += n;
-            });
-        }
+    if enabled() && n != 0 {
+        LOCAL.with(|c| {
+            let mut c = c.borrow_mut();
+            c.counts[Metric::ColBlocksDecoded as usize] += n;
+            c.col_width_blocks[width.min(WIDTH_BUCKETS - 1)] += n;
+        });
     }
 }
 
 /// Record one morsel phase latency into the log₂-nanosecond histogram.
 #[inline]
 pub fn record_phase_ns(ns: u64) {
-    #[cfg(feature = "noop")]
-    {
-        let _ = ns;
-    }
-    #[cfg(not(feature = "noop"))]
-    {
-        if enabled() {
-            let bucket = (64 - ns.leading_zeros() as usize).min(PHASE_BUCKETS - 1);
-            LOCAL.with(|c| c.borrow_mut().phase_ns[bucket] += 1);
-        }
+    if enabled() {
+        let bucket = (64 - ns.leading_zeros() as usize).min(PHASE_BUCKETS - 1);
+        LOCAL.with(|c| c.borrow_mut().phase_ns[bucket] += 1);
     }
 }
 
-/// Flush the current thread's counters into the live session as worker
+/// Flush the current thread's counters into its session as worker
 /// `thread_id`, clearing the thread-local accumulator. Called by the
-/// scheduler when a worker finishes and by sessions on the calling
+/// scheduler when a worker finishes and by [`collect`] on the calling
 /// thread.
 pub fn flush_worker(thread_id: usize) {
-    #[cfg(feature = "noop")]
-    {
-        let _ = thread_id;
+    if !enabled() {
+        return;
     }
-    #[cfg(not(feature = "noop"))]
-    {
-        if !enabled() {
+    LOCAL.with(|c| {
+        let mut c = c.borrow_mut();
+        if c.is_zero() {
             return;
         }
-        LOCAL.with(|c| {
-            let mut c = c.borrow_mut();
-            if !c.is_zero() {
-                lock(&DATA).absorb(thread_id, &c);
-                c.clear();
+        CURRENT.with(|s| {
+            if let Some(sink) = &*s.borrow() {
+                // A panicking metered thread must not take the session's
+                // later flushes down with it.
+                let mut sink = sink.lock().unwrap_or_else(PoisonError::into_inner);
+                sink.absorb(thread_id, &c);
             }
         });
+        c.clear();
+    });
+}
+
+/// Handle to the metering session a thread flushes into: the sink of the
+/// innermost [`collect`] on the call tree, or none when metering is off.
+/// Schedulers take [`Session::current`] before they spawn workers and
+/// [`Session::enter`] it on each, so metering follows the session's call
+/// tree and nothing else.
+#[derive(Debug)]
+pub struct Session(Option<SharedSink>);
+
+impl Session {
+    /// The calling thread's session (none when metering is off).
+    pub fn current() -> Session {
+        if !enabled() {
+            return Session(None);
+        }
+        Session(CURRENT.with(|s| s.borrow().clone()))
+    }
+
+    /// Run `f` with this session installed on the calling thread. The
+    /// thread's previous session is restored, and counts `f` left
+    /// unflushed are dropped, even when `f` panics.
+    pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        /// Reinstalls the saved session on drop.
+        struct Restore(Option<SharedSink>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                LOCAL.with(|c| c.borrow_mut().clear());
+                install(self.0.take());
+            }
+        }
+        let _restore = Restore(install(self.0.clone()));
+        f()
     }
 }
 
-/// Restores the thread flag (and drops stale thread-local counts) even
-/// when the metered closure panics.
-struct SessionReset {
-    prev: bool,
-}
-
-impl Drop for SessionReset {
-    fn drop(&mut self) {
-        LOCAL.with(|c| c.borrow_mut().clear());
-        set_thread_metering(self.prev);
-    }
-}
-
-thread_local! {
-    /// This thread's session nesting depth; a nested [`collect`] (e.g.
-    /// `Engine::profile` inside a bench harness metered re-run) must not
-    /// re-acquire [`SESSION`], which it transitively holds.
-    static DEPTH: Cell<u32> = const { Cell::new(0) };
-}
-
-/// Decrements [`DEPTH`] even when the metered closure panics.
-struct DepthGuard;
-
-impl Drop for DepthGuard {
-    fn drop(&mut self) {
-        DEPTH.with(|d| d.set(d.get() - 1));
-    }
+/// Make `session` the calling thread's session, returning the old one.
+fn install(session: Option<SharedSink>) -> Option<SharedSink> {
+    ENABLED.with(|e| e.set(session.is_some()));
+    CURRENT.with(|s| s.replace(session))
 }
 
 /// Run `f` with metering enabled on this thread (and, through the
 /// scheduler, on every worker it spawns), returning `f`'s result and the
-/// per-worker counters. Sessions are serialized process-wide; ambient
-/// counters recorded on this thread before the session are discarded.
+/// per-worker counters. Each call owns its sink, so sessions on different
+/// threads run at once without sharing or serializing anything.
 ///
-/// Sessions nest: a `collect` inside a metered closure parks the outer
-/// session's partial sink (after flushing this thread's pending counts
-/// into it), harvests its own, and restores the outer sink — the inner
-/// run's counts appear only in the inner result, not in the outer total.
+/// Sessions nest: a `collect` inside a metered closure first flushes this
+/// thread's pending counts into the enclosing session, then runs under its
+/// own sink and reinstalls the enclosing one. The inner run's counts
+/// appear only in the inner result, not in the outer total.
 pub fn collect<R>(f: impl FnOnce() -> R) -> (R, CountingSink) {
-    let nested = DEPTH.with(|d| {
-        let n = d.get();
-        d.set(n + 1);
-        n > 0
-    });
-    let _depth = DepthGuard;
-    let _session = if nested { None } else { Some(lock(&SESSION)) };
-    let saved = if nested {
-        flush_worker(0);
-        Some(std::mem::take(&mut *lock(&DATA)))
-    } else {
-        None
-    };
-    let reset = SessionReset { prev: enabled() };
-    LOCAL.with(|c| c.borrow_mut().clear());
-    lock(&DATA).workers.clear();
-    set_thread_metering(true);
-    let r = f();
     flush_worker(0);
-    drop(reset);
-    let mut sink = std::mem::take(&mut *lock(&DATA));
+    let sink = Arc::new(Mutex::new(CountingSink::new()));
+    let r = Session(Some(Arc::clone(&sink))).enter(|| {
+        let r = f();
+        flush_worker(0);
+        r
+    });
+    let mut sink = std::mem::take(&mut *sink.lock().unwrap_or_else(PoisonError::into_inner));
     sink.trim();
-    if let Some(saved) = saved {
-        *lock(&DATA) = saved;
-    }
     (r, sink)
-}
-
-/// Run `f` under an arbitrary [`MetricSink`]. A sink whose
-/// [`MetricSink::metered`] is `false` (e.g. [`NoopSink`]) runs `f` with
-/// metering disabled and absorbs nothing; otherwise this is [`collect`]
-/// with the harvested workers handed to `sink`.
-pub fn collect_with<S: MetricSink, R>(sink: &mut S, f: impl FnOnce() -> R) -> R {
-    if !sink.metered() {
-        return f();
-    }
-    let (r, data) = collect(f);
-    for (id, w) in data.workers.iter().enumerate() {
-        sink.absorb(id, w);
-    }
-    r
 }
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
 
     #[test]
@@ -796,25 +699,9 @@ mod tests {
         assert_eq!(sink2.total().get(Metric::ScanTuplesIn), 0, "no bleed");
     }
 
-    #[cfg(not(feature = "noop"))]
-    #[test]
-    fn noop_sink_runs_unmetered() {
-        let mut noop = NoopSink;
-        collect_with(&mut noop, || {
-            assert!(!enabled());
-            count(Metric::ScanTuplesIn, 5);
-        });
-        let mut counting = CountingSink::new();
-        collect_with(&mut counting, || {
-            assert!(enabled());
-            count(Metric::ScanTuplesIn, 5);
-        });
-        assert_eq!(counting.total().get(Metric::ScanTuplesIn), 5);
-    }
-
     /// A `collect` inside a metered closure (bench harness re-run around
-    /// `Engine::profile`) must neither deadlock on the session lock nor
-    /// leak its counts into the outer session's total.
+    /// `Engine::profile`) must neither deadlock nor leak its counts into
+    /// the outer session's total, and must hand the outer session back.
     #[cfg(not(feature = "noop"))]
     #[test]
     fn nested_sessions_do_not_deadlock_or_leak() {
