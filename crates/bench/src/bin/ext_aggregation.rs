@@ -2,7 +2,7 @@
 //!
 //! Not a numbered figure in the paper, but §5 names aggregation as the
 //! second major hash-table consumer ("insert and update partial
-//! aggregates") and [25] studies its contention behavior. This experiment
+//! aggregates") and \[25\] studies its contention behavior. This experiment
 //! sweeps the number of distinct groups from register-pressure-small to
 //! RAM-resident, comparing the scalar loop against the vertical vectorized
 //! update (lane-replicated tables while one copy per lane fits in L1d,

@@ -1,10 +1,14 @@
 //! Figure 10: Bloom filter probing vs. filter size (5 hash functions,
 //! 10 bits per item, 5% selectivity), scalar vs. vectorized.
 //!
+//! Next to the paper's classic filter it also times the register-blocked
+//! filter the Engine's semi-join runs (same size, all 5 bits of a key in
+//! one 64-bit block): `blocked-scalar` and `blocked-vector`.
+//!
 //! Usage: `cargo run --release -p rsv-bench --bin fig10_bloom [--scale X]`
 
 use rsv_bench::{banner, bench, fmt_bytes, mtps, record, Measurement, Scale, Table};
-use rsv_bloom::BloomFilter;
+use rsv_bloom::{BlockedBloomFilter, BloomFilter};
 use rsv_simd::dispatch;
 
 fn main() {
@@ -25,13 +29,22 @@ fn main() {
     let mut rng = rsv_data::rng(1010);
     let sizes: Vec<usize> = (12..=26).step_by(2).map(|b| 1usize << b).collect();
 
-    let mut table = Table::new(&["filter size", "scalar", "vector", "speedup"]);
+    let mut table = Table::new(&[
+        "filter size",
+        "scalar",
+        "vector",
+        "speedup",
+        "blocked-scalar",
+        "blocked-vector",
+    ]);
     for bytes in sizes {
         let items = bytes * 8 / 10; // 10 bits per item
         let all = rsv_data::unique_u32(items + items.min(1 << 22), &mut rng);
         let (inside, outside) = all.split_at(items);
         let mut filter = BloomFilter::new(items, 10, 5);
         filter.build(inside);
+        let mut blocked = BlockedBloomFilter::new(items, 10);
+        blocked.build(inside);
         // 5% of probes hit
         let pkeys: Vec<u32> = (0..probes)
             .map(|i| {
@@ -46,37 +59,53 @@ fn main() {
         let mut ok = vec![0u32; probes];
         let mut op = vec![0u32; probes];
 
-        let s_secs = bench(2, || {
-            filter.probe_scalar(&pkeys, &ppays, &mut ok, &mut op);
+        let series = [
+            (
+                "scalar",
+                bench(2, || {
+                    filter.probe_scalar(&pkeys, &ppays, &mut ok, &mut op);
+                }),
+            ),
+            (
+                "vector",
+                bench(2, || {
+                    dispatch!(backend, s => { filter.probe_vector(s, &pkeys, &ppays, &mut ok, &mut op) });
+                }),
+            ),
+            (
+                "blocked-scalar",
+                bench(2, || {
+                    blocked.probe_scalar(&pkeys, &ppays, &mut ok, &mut op);
+                }),
+            ),
+            (
+                "blocked-vector",
+                bench(2, || {
+                    dispatch!(backend, s => { blocked.probe_vector(s, &pkeys, &ppays, &mut ok, &mut op) });
+                }),
+            ),
+        ]
+        .map(|(series, secs)| {
+            let value = mtps(probes, secs);
+            record(&Measurement {
+                experiment: "fig10",
+                series,
+                x: bytes as f64,
+                value,
+                unit: "Mtps",
+                backend: backend.name(),
+                threads: 1,
+            });
+            value
         });
-        let v_secs = bench(2, || {
-            dispatch!(backend, s => { filter.probe_vector(s, &pkeys, &ppays, &mut ok, &mut op) });
-        });
-        let sm = mtps(probes, s_secs);
-        let vm = mtps(probes, v_secs);
-        record(&Measurement {
-            experiment: "fig10",
-            series: "scalar",
-            x: bytes as f64,
-            value: sm,
-            unit: "Mtps",
-            backend: backend.name(),
-            threads: 1,
-        });
-        record(&Measurement {
-            experiment: "fig10",
-            series: "vector",
-            x: bytes as f64,
-            value: vm,
-            unit: "Mtps",
-            backend: backend.name(),
-            threads: 1,
-        });
+        let [sm, vm, bsm, bvm] = series;
         table.row(vec![
             fmt_bytes(bytes),
             format!("{sm:.0}"),
             format!("{vm:.0}"),
             format!("{:.1}x", vm / sm),
+            format!("{bsm:.0}"),
+            format!("{bvm:.0}"),
         ]);
     }
     println!("throughput (million probes / second):\n");

@@ -1,6 +1,6 @@
 //! Figure 12: range partition function throughput vs. fanout — scalar
 //! branching/branchless binary search, vectorized binary search
-//! (Algorithm 12), and the horizontal SIMD tree index of [26].
+//! (Algorithm 12), and the horizontal SIMD tree index of \[26\].
 //!
 //! Usage: `cargo run --release -p rsv-bench --bin fig12_range_function [--scale X]`
 

@@ -5,12 +5,12 @@
 //!
 //! * [`Scale`] — a global problem-size multiplier (`--scale 0.1` or the
 //!   `RSV_SCALE` environment variable) so the experiments fit any machine,
-//! * [`bench`] — best-of-`reps` wall-clock measurement,
+//! * [`bench()`] — best-of-`reps` wall-clock measurement,
 //! * [`Table`] — aligned console tables shaped like the paper's plots,
 //! * [`record`] — optional JSON-lines output (`RSV_JSON=path`) consumed by
 //!   the EXPERIMENTS.md generator.
 //!
-//! When `RSV_METRICS=path` names a second JSON-lines file, [`bench`] runs
+//! When `RSV_METRICS=path` names a second JSON-lines file, [`bench()`] runs
 //! the measured closure one extra time under an `rsv_metrics` session and
 //! [`record`] appends the harvested work-counter snapshot there, carrying
 //! the same `experiment`/`series`/`x`/`backend`/`threads` descriptors as
@@ -193,7 +193,7 @@ pub struct Measurement<'a> {
 
 /// Append a measurement to the JSON-lines file named by `RSV_JSON`
 /// (silently does nothing when the variable is unset). With
-/// `RSV_METRICS=path` set and a metered [`bench`] snapshot pending, also
+/// `RSV_METRICS=path` set and a metered [`bench()`] snapshot pending, also
 /// appends the work-counter snapshot there under the same descriptors.
 pub fn record(m: &Measurement<'_>) {
     if let Ok(path) = std::env::var("RSV_JSON") {

@@ -10,13 +10,21 @@
 //! per-lane *function counter*: each iteration tests one bit per lane;
 //! lanes that fail a test or complete all `k` tests are recycled via
 //! selective loads, so every lane does useful work every iteration.
+//!
+//! [`BlockedBloomFilter`] is the register-blocked alternative the Engine's
+//! semi-join runs: all bits of a key share one 64-bit block, so a probe is
+//! one gather per key, nothing recirculates and survivors keep input
+//! order. [`build_parallel`] builds it on the morsel scheduler.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 // Engine code surfaces failures as typed errors, not panics.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
+mod blocked;
 pub mod diff;
+
+pub use blocked::{build_parallel, BlockedBloomFilter, MAX_BLOCKS};
 
 use rsv_simd::{MaskLike, Simd};
 

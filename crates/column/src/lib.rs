@@ -80,7 +80,7 @@ pub struct BlockMeta {
     /// Packed bits per value (0–32). Width 0 means every value equals
     /// `min` and the block stores no words.
     pub width: u8,
-    /// Start of this block's words in [`CompressedColumn::words`].
+    /// Start of this block's words in [`CompressedColumn::packed_words`].
     pub offset: usize,
 }
 
@@ -90,8 +90,7 @@ pub struct BlockMeta {
 /// packed words), decoded wholesale by [`CompressedColumn::unpack`], by
 /// random access ([`CompressedColumn::get`]), or — the point of the
 /// exercise — operated on directly by the fused kernels
-/// ([`CompressedColumn::select`] via [`CompressedRelation`],
-/// [`CompressedColumn::histogram`]).
+/// ([`CompressedRelation::select`], [`CompressedColumn::histogram`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressedColumn {
     pub(crate) len: usize,

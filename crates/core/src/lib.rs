@@ -36,7 +36,7 @@ pub use rsv_sort as sort;
 
 pub use profile::{Query, QueryProfile};
 
-pub use rsv_bloom::BloomFilter;
+pub use rsv_bloom::{BlockedBloomFilter, BloomFilter};
 pub use rsv_column::{CompressedColumn, CompressedRelation, RelationCompressExt};
 pub use rsv_data::Relation;
 pub use rsv_hashtab::JoinSink;
@@ -54,6 +54,10 @@ use rsv_partition::twopass::MAX_DIRECT_FANOUT;
 use rsv_partition::PartitionFn;
 use rsv_scan::{ScanPredicate, ScanVariant};
 use rsv_simd::{dispatch, KernelKind};
+
+/// Bits per filter key of [`Engine::bloom_semijoin`]'s filter: about a
+/// 1.7 % false-positive rate, which the join after it removes.
+pub const BLOOM_BITS_PER_KEY: usize = 10;
 
 /// A vectorized in-memory query engine over 32-bit key/payload columns.
 ///
@@ -255,15 +259,19 @@ impl Engine {
     }
 
     /// Bloom-filter semi-join (paper §6): keep the tuples of `rel` whose
-    /// key is (probably) present in `filter_keys`. Probing is
-    /// morsel-parallel; qualifiers keep input order.
+    /// key is (probably) present in `filter_keys`. The filter is a
+    /// [`BlockedBloomFilter`] at [`BLOOM_BITS_PER_KEY`] bits per key, built
+    /// per worker and OR-merged; probing is morsel-parallel, one block
+    /// gather per key, and qualifiers keep input order.
     pub fn bloom_semijoin(&self, rel: &Relation, filter_keys: &[u32]) -> Relation {
         expect_infallible(self.try_bloom_semijoin(rel, filter_keys, &RunContext::default()))
     }
 
     /// Fallible [`Engine::bloom_semijoin`] under a [`RunContext`]: the
-    /// probe's positions and the two output columns (12 bytes per input
-    /// tuple) are gated by the memory budget, cancellation is observed at
+    /// workers' build filters (`threads ×`
+    /// [`BlockedBloomFilter::bytes_for`]), then the merged filter and the
+    /// two output columns (8 bytes per input tuple) during the probe, are
+    /// gated by the memory budget; cancellation is observed at
     /// morsel-claim boundaries, and a worker panic surfaces as
     /// [`EngineError::WorkerPanicked`].
     pub fn try_bloom_semijoin(
@@ -272,30 +280,14 @@ impl Engine {
         filter_keys: &[u32],
         run: &RunContext,
     ) -> Result<Relation, EngineError> {
-        let n = rel.len();
-        // The morsels' probe positions in flight; the driver reserves the
-        // two output columns.
-        let _positions = run.reserve(column_bytes(n))?;
-        let mut filter = BloomFilter::new(filter_keys.len(), 10, 5);
-        filter.build(filter_keys);
+        let policy = self.policy(run);
+        let filter = rsv_bloom::build_parallel(filter_keys, BLOOM_BITS_PER_KEY, &policy)?;
+        let _filter = run.reserve(filter.size_bytes() as u64)?;
         let (keys, payloads, _) =
-            filter_parallel(n, 16, "bloom-probe", &self.policy(run), |r, ok, op| {
-                // Probe with the input *positions* as payloads: the vector
-                // probe recirculates partially-checked lanes and so emits
-                // qualifiers out of input order. Sorting the morsel's
-                // surviving positions restores it, and gathering through
-                // them fills in keys and payloads in place.
-                let positions: Vec<u32> = (r.start as u32..r.end as u32).collect();
-                let kept = dispatch!(self.backend, s => {
-                    filter.probe_vector(s, &rel.keys[r.clone()], &positions, ok, op)
-                });
-                op[..kept].sort_unstable();
-                for (k, p) in ok[..kept].iter_mut().zip(&mut op[..kept]) {
-                    let i = *p as usize;
-                    *k = rel.keys[i];
-                    *p = rel.payloads[i];
-                }
-                kept
+            filter_parallel(rel.len(), 16, "bloom-probe", &policy, |r, ok, op| {
+                dispatch!(self.backend, s => {
+                    filter.probe_vector(s, &rel.keys[r.clone()], &rel.payloads[r], ok, op)
+                })
             })?;
         Ok(Relation::new(keys, payloads))
     }
@@ -346,14 +338,7 @@ impl Engine {
         fanout: usize,
         run: &RunContext,
     ) -> Result<(Relation, Vec<u32>), EngineError> {
-        if fanout > u32::MAX as usize {
-            return Err(EngineError::InputTooLarge {
-                what: "fanout",
-                value: fanout as u64,
-                limit: u32::MAX.into(),
-            });
-        }
-        let f = rsv_partition::HashFn::new(fanout.max(1));
+        let f = hash_fn(fanout)?;
         let _out = run.reserve(2 * column_bytes(rel.len()))?;
         let mut out_keys = vec![0u32; rel.len()];
         let mut out_pays = vec![0u32; rel.len()];
@@ -366,9 +351,11 @@ impl Engine {
         Ok((Relation::new(out_keys, out_pays), pass.partition_starts))
     }
 
-    /// Which partition a key belongs to under [`Engine::hash_partition`].
-    pub fn hash_partition_of(&self, key: u32, fanout: usize) -> usize {
-        rsv_partition::HashFn::new(fanout.max(1)).partition(key)
+    /// Which partition a key belongs to under [`Engine::hash_partition`]
+    /// with `fanout` parts; a fanout past `u32::MAX` fails with
+    /// [`EngineError::InputTooLarge`], as in [`Engine::try_hash_partition`].
+    pub fn hash_partition_of(&self, key: u32, fanout: usize) -> Result<usize, EngineError> {
+        Ok(hash_fn(fanout)?.partition(key))
     }
 
     /// Group-by aggregation: per distinct key, `COUNT(*)` and
@@ -428,6 +415,20 @@ impl Engine {
         }
         Ok(merged.into_sorted_rows())
     }
+}
+
+/// The hash partition function of a `fanout`-way partition (0 clamps to
+/// 1). It scales a 32-bit hash by the fanout, so a fanout past `u32::MAX`
+/// is [`EngineError::InputTooLarge`].
+fn hash_fn(fanout: usize) -> Result<rsv_partition::HashFn, EngineError> {
+    if fanout > u32::MAX as usize {
+        return Err(EngineError::InputTooLarge {
+            what: "fanout",
+            value: fanout as u64,
+            limit: u32::MAX.into(),
+        });
+    }
+    Ok(rsv_partition::HashFn::new(fanout.max(1)))
 }
 
 #[cfg(test)]
@@ -535,7 +536,7 @@ mod tests {
                 out.len()
             };
             for q in starts[p] as usize..end {
-                assert_eq!(e.hash_partition_of(out.keys[q], 16), p);
+                assert_eq!(e.hash_partition_of(out.keys[q], 16), Ok(p));
             }
         }
     }

@@ -48,6 +48,7 @@ fn registry_covers_every_operator_family() {
         "horizontal-probe",
         "agg-group",
         "bloom-probe",
+        "bloom-blocked",
         "sort-radix",
         "sort-radix-keys",
         "join",

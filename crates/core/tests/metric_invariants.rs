@@ -12,7 +12,7 @@
 use rsv_core::column::{CompressedColumn, BLOCK_LEN};
 use rsv_core::hashtab::CuckooTable;
 use rsv_core::metrics::{Counters, Metric};
-use rsv_testkit::diff::{run_registry_metered, DiffConfig, MeteredRun, Registry};
+use rsv_testkit::diff::{run_registry_metered, CaseInput, DiffConfig, MeteredRun, Registry};
 use rsv_testkit::Rng;
 
 /// Same case stream as `differential.rs`.
@@ -38,11 +38,25 @@ fn out_len(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(le)
 }
 
-/// Mirrors `rsv_sort::diff`'s case-seeded radix width.
-fn sort_passes(case_seed: u64) -> u64 {
-    let mut rng = Rng::seed_from_u64(case_seed ^ 0x534F_5254);
+/// Passes the radixsort runs on the case: mirrors `rsv_sort::diff`'s
+/// case-seeded radix width and key column, then counts the digits on
+/// which some key differs from the first (the only passes that can
+/// reorder).
+fn sort_passes(input: &CaseInput) -> u64 {
+    let mut rng = Rng::seed_from_u64(input.seed ^ 0x534F_5254);
     let bits = [1u32, 4, 5, 8, 11, 16][rng.index(6)];
-    u64::from(32u32.div_ceil(bits))
+    let keep = if rng.index(3) == 0 { 0xFFFF } else { u32::MAX };
+    let diff = input
+        .keys
+        .iter()
+        .fold(0u32, |d, &k| d | ((k ^ input.keys[0]) & keep));
+    (0..32u32.div_ceil(bits))
+        .filter(|pass| {
+            let shift = pass * bits;
+            let digit = (1u64 << bits.min(32 - shift)) - 1;
+            u64::from(diff >> shift) & digit != 0
+        })
+        .count() as u64
 }
 
 /// Identities that hold for every operator, metered or not.
@@ -136,8 +150,13 @@ fn check(run: &MeteredRun<'_>) {
             // every probed key touches at least one filter word
             assert!(c.get(Metric::BloomWordsTouched) >= n);
         }
+        "bloom-blocked" => {
+            // one 64-bit block per probed key
+            assert_eq!(c.get(Metric::BloomKeysProbed), n);
+            assert_eq!(c.get(Metric::BloomWordsTouched), n);
+        }
         "sort-radix" | "sort-radix-keys" => {
-            let passes = sort_passes(run.input.seed);
+            let passes = sort_passes(run.input);
             // a key + payload pair moves 8 bytes per pass, a bare key 4
             let width = if run.op == "sort-radix" { 8 } else { 4 };
             assert_eq!(c.get(Metric::SortPasses), passes);

@@ -26,7 +26,10 @@ use rsv_core::hashtab::{FallbackTable, JoinSink, LinearTable, MulHash};
 use rsv_core::metrics::{self, Metric};
 use rsv_core::partition::twopass::MAX_DIRECT_FANOUT;
 use rsv_core::simd::KernelKind;
-use rsv_core::{CancelToken, Engine, EngineError, JoinVariant, Relation, RunContext};
+use rsv_core::{
+    BlockedBloomFilter, CancelToken, Engine, EngineError, JoinVariant, Relation, RunContext,
+    BLOOM_BITS_PER_KEY,
+};
 
 fn rel(n: usize) -> Relation {
     // Unique keys (join variants assume a key relation on the inner
@@ -252,13 +255,15 @@ fn budget_exceeded_is_typed_and_releases_everything() {
     assert_eq!(run.budget.used(), 0, "success path leaked reservation");
 }
 
-/// The operators reserve exactly their documented bytes per input tuple:
-/// 8 for the two selects (their two output columns), 12 for the Bloom
-/// semi-join (the output columns plus the probe positions), 8 for the sort
-/// (its ping-pong scratch columns), and 8 for a hash partition (its output
+/// The operators reserve exactly their documented bytes: per input tuple,
+/// 8 for the two selects (their two output columns), 8 for the sort (its
+/// ping-pong scratch columns), and 8 for a hash partition (its output
 /// columns) plus 8 more past `MAX_DIRECT_FANOUT` (the two-pass scratch
-/// columns). A budget of exactly that succeeds, one byte less fails, and
-/// both leave nothing reserved.
+/// columns). The Bloom semi-join reserves the workers' filters while it
+/// builds (`threads × BlockedBloomFilter::bytes_for`), then the merged
+/// filter plus 8 bytes per input tuple (its output columns) while it
+/// probes; the larger of the two is its peak. A budget of exactly that
+/// succeeds, one byte less fails, and both leave nothing reserved.
 #[test]
 fn operators_reserve_their_documented_bytes() {
     let engine = Engine::new().with_threads(2);
@@ -266,6 +271,11 @@ fn operators_reserve_their_documented_bytes() {
     let outer = rel(16_000);
     let packed = engine.compress(&outer);
     let n = outer.len() as u64;
+    let filter = BlockedBloomFilter::bytes_for(inner.len(), BLOOM_BITS_PER_KEY);
+    // A filter larger than the probe side's columns: the build is the peak.
+    let small = rel(1_000);
+    let large = rel(40_000);
+    let large_filter = BlockedBloomFilter::bytes_for(large.len(), BLOOM_BITS_PER_KEY);
 
     type Op<'a> = (
         &'a str,
@@ -289,10 +299,19 @@ fn operators_reserve_their_documented_bytes() {
         ),
         (
             "bloom-semijoin",
-            12 * n,
+            (2 * filter).max(filter + 8 * n),
             Box::new(|run| {
                 engine
                     .try_bloom_semijoin(&outer, &inner.keys, run)
+                    .map(|_| ())
+            }),
+        ),
+        (
+            "bloom-semijoin-large-filter",
+            (2 * large_filter).max(large_filter + 8 * small.len() as u64),
+            Box::new(|run| {
+                engine
+                    .try_bloom_semijoin(&small, &large.keys, run)
                     .map(|_| ())
             }),
         ),
@@ -391,7 +410,7 @@ fn zero_threads_and_zero_morsel_tuples_clamp_to_one() {
         .expect("fanout 0 clamps to 1");
     assert_eq!(pa, reference.hash_partition(&r, 1));
     assert_eq!(clamped.hash_partition(&r, 0), pa);
-    assert_eq!(clamped.hash_partition_of(r.keys[0], 0), 0);
+    assert_eq!(clamped.hash_partition_of(r.keys[0], 0), Ok(0));
 }
 
 /// Cuckoo rehash exhaustion (0.97 load factor is far past the two-choice
@@ -475,7 +494,11 @@ fn oversized_fanout_degrades_to_two_pass_partitioning() {
             r.len()
         };
         for &k in &part.keys[lo..hi] {
-            assert_eq!(engine.hash_partition_of(k, fanout), p, "key {k} misplaced");
+            assert_eq!(
+                engine.hash_partition_of(k, fanout),
+                Ok(p),
+                "key {k} misplaced"
+            );
         }
     }
     let mut input: Vec<u32> = r.keys.clone();
@@ -527,5 +550,13 @@ fn oversized_size_arguments_answer_or_fail_typed() {
         run.budget.used(),
         0,
         "rejected partition leaked reservation"
+    );
+    assert_eq!(
+        engine.hash_partition_of(7, 1 << 33),
+        Err(EngineError::InputTooLarge {
+            what: "fanout",
+            value: 1 << 33,
+            limit: u32::MAX.into(),
+        })
     );
 }

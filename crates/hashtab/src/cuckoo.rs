@@ -330,7 +330,7 @@ impl CuckooTable {
         }
     }
 
-    /// Scalar probe, branchless (Zukowski et al. [42]): always load both
+    /// Scalar probe, branchless (Zukowski et al. \[42\]): always load both
     /// buckets and combine them with bitwise arithmetic.
     pub fn probe_scalar_branchless(&self, keys: &[u32], pays: &[u32], out: &mut JoinSink) {
         assert_eq!(keys.len(), pays.len(), "column length mismatch");

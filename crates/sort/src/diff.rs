@@ -12,14 +12,24 @@ use rsv_simd::{dispatch, Backend, KernelKind, Simd};
 use rsv_testkit::diff::{ordered_pairs, put_len, put_u32s, CaseInput, DiffOp, Kernel, Registry};
 use rsv_testkit::Rng;
 
-/// A case-seeded radix width; the sorted output must not depend on it.
-fn radix_bits(input: &CaseInput) -> u32 {
+/// The case's radix width and key column. The width is case-seeded; the
+/// sorted output must not depend on it. In one case of three the keys'
+/// upper 16 bits are replaced by one case-seeded constant, so the digits
+/// above them are equal for every key and their passes are skipped.
+fn sort_case(input: &CaseInput) -> (u32, Vec<u32>) {
     let mut rng = Rng::seed_from_u64(input.seed ^ 0x534F_5254);
-    [1u32, 4, 5, 8, 11, 16][rng.index(6)]
+    let bits = [1u32, 4, 5, 8, 11, 16][rng.index(6)];
+    let keys = if rng.index(3) == 0 {
+        let upper = rng.next_u32() & 0xFFFF_0000;
+        input.keys.iter().map(|&k| upper | (k & 0xFFFF)).collect()
+    } else {
+        input.keys.clone()
+    };
+    (bits, keys)
 }
 
 fn sorted<S: Simd>(kind: KernelKind<S>, bits: u32, threads: usize, input: &CaseInput) -> Vec<u8> {
-    let mut keys = input.keys.clone();
+    let (_, mut keys) = sort_case(input);
     let mut pays = input.pays.clone();
     let cfg = SortConfig { radix_bits: bits };
     let policy = ExecPolicy::new(threads);
@@ -32,11 +42,11 @@ fn reference(input: &CaseInput) -> Vec<u8> {
 }
 
 fn run_scalar(_backend: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
-    sorted(KernelKind::SCALAR, radix_bits(input), threads, input)
+    sorted(KernelKind::SCALAR, sort_case(input).0, threads, input)
 }
 
 fn run_vector(backend: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
-    dispatch!(backend, s => { sorted(KernelKind::Vector(s), radix_bits(input), threads, input) })
+    dispatch!(backend, s => { sorted(KernelKind::Vector(s), sort_case(input).0, threads, input) })
 }
 
 /// Canonical bytes of an ordered key column.
@@ -48,17 +58,15 @@ fn ordered_keys(keys: &[u32]) -> Vec<u8> {
 }
 
 fn sorted_keys<S: Simd>(kind: KernelKind<S>, threads: usize, input: &CaseInput) -> Vec<u8> {
-    let mut keys = input.keys.clone();
-    let cfg = SortConfig {
-        radix_bits: radix_bits(input),
-    };
+    let (radix_bits, mut keys) = sort_case(input);
+    let cfg = SortConfig { radix_bits };
     let policy = ExecPolicy::new(threads);
     expect_infallible(radixsort_keys(kind, &mut keys, &cfg, &policy));
     ordered_keys(&keys)
 }
 
 fn reference_keys(input: &CaseInput) -> Vec<u8> {
-    let mut keys = input.keys.clone();
+    let (_, mut keys) = sort_case(input);
     keys.sort_unstable();
     ordered_keys(&keys)
 }

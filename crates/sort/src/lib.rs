@@ -36,7 +36,7 @@ pub mod multicol;
 
 use rsv_exec::{column_bytes, EngineError, ExecPolicy, SchedulerStats};
 use rsv_partition::parallel::{partition_pass, partition_pass_keys};
-use rsv_partition::RadixFn;
+use rsv_partition::{PartitionFn, RadixFn};
 use rsv_simd::{KernelKind, Simd};
 
 /// Radixsort tuning knobs (threads and morsel size come from the
@@ -66,6 +66,19 @@ impl SortConfig {
         let shift = pass * self.radix_bits;
         RadixFn::new(shift, self.radix_bits.min(32 - shift))
     }
+
+    /// The partition functions of the passes that can reorder `keys`: a
+    /// stable pass on a digit every key shares is the identity, so only
+    /// digits with a bit set in `OR_i (k_i ^ k_0)` get a pass. None for 0
+    /// or 1 keys or all keys equal.
+    fn live_passes(&self, keys: &[u32]) -> Vec<RadixFn> {
+        let first = keys.first().copied().unwrap_or(0);
+        let diff = keys.iter().fold(0u32, |d, &k| d | (k ^ first));
+        (0..self.passes())
+            .map(|pass| self.pass_fn(pass))
+            .filter(|f| f.partition(diff) != 0)
+            .collect()
+    }
 }
 
 /// Parallel LSB radixsort of `(key, payload)` pairs (stable) with
@@ -83,8 +96,7 @@ pub fn radixsort_pairs<S: Simd>(
     let mut stats = SchedulerStats::default();
     let mut dst_k = vec![0u32; n];
     let mut dst_p = vec![0u32; n];
-    for pass in 0..cfg.passes() {
-        let f = cfg.pass_fn(pass);
+    for f in cfg.live_passes(keys) {
         rsv_metrics::count(rsv_metrics::Metric::SortPasses, 1);
         rsv_metrics::count(rsv_metrics::Metric::SortBytesMoved, 8 * n as u64);
         let (_, pass_stats) = partition_pass(kind, f, keys, pays, &mut dst_k, &mut dst_p, policy)?;
@@ -107,8 +119,7 @@ pub fn radixsort_keys<S: Simd>(
     let _scratch = policy.run.reserve(column_bytes(n))?;
     let mut stats = SchedulerStats::default();
     let mut dst = vec![0u32; n];
-    for pass in 0..cfg.passes() {
-        let f = cfg.pass_fn(pass);
+    for f in cfg.live_passes(keys) {
         rsv_metrics::count(rsv_metrics::Metric::SortPasses, 1);
         rsv_metrics::count(rsv_metrics::Metric::SortBytesMoved, 4 * n as u64);
         let (_, pass_stats) = partition_pass_keys(kind, f, keys, &mut dst, policy)?;

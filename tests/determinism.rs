@@ -9,7 +9,8 @@
 //! inherently unstable in row order, but the row *multiset* must match.
 
 use rethinking_simd::{
-    data, exec::DEFAULT_MORSEL_TUPLES, Backend, BloomFilter, Engine, JoinVariant, Relation,
+    data, exec::DEFAULT_MORSEL_TUPLES, Backend, BlockedBloomFilter, Engine, JoinVariant, Relation,
+    BLOOM_BITS_PER_KEY,
 };
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
@@ -77,7 +78,7 @@ fn bloom_semijoin_keeps_input_order() {
         .into_iter()
         .chain((0..64).map(|i| i * 2))
         .collect();
-    let mut filter = BloomFilter::new(filter_keys.len(), 10, 5);
+    let mut filter = BlockedBloomFilter::new(filter_keys.len(), BLOOM_BITS_PER_KEY);
     filter.build(&filter_keys);
     for n in [0usize, 1, 15, 17, 1023, 1025] {
         // A 100-value domain, so keys repeat, with both ends mixed in.

@@ -173,7 +173,10 @@ fn hash_partition_matches_scalar_reference() {
         // the scalar reference: a stable bucket sort by partition id
         let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); fanout];
         for (k, p) in rel.iter() {
-            buckets[engine.hash_partition_of(k, fanout)].push((k, p));
+            let part = engine
+                .hash_partition_of(k, fanout)
+                .expect("fanout fits u32");
+            buckets[part].push((k, p));
         }
         let mut expected_keys = Vec::with_capacity(rel.len());
         let mut expected_pays = Vec::with_capacity(rel.len());
