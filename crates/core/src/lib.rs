@@ -50,7 +50,6 @@ use rsv_exec::{
     column_bytes, expect_infallible, filter_parallel, parallel_scope_try, ExecPolicy, MorselQueue,
     DEFAULT_MORSEL_TUPLES,
 };
-use rsv_partition::twopass::MAX_DIRECT_FANOUT;
 use rsv_partition::PartitionFn;
 use rsv_scan::{ScanPredicate, ScanVariant};
 use rsv_simd::{dispatch, KernelKind};
@@ -64,7 +63,9 @@ pub const BLOOM_BITS_PER_KEY: usize = 10;
 /// Parallel operators run on the morsel-driven work-stealing scheduler
 /// ([`rsv_exec::MorselQueue`]); their output is byte-identical for every
 /// thread count and morsel size (joins up to result row order, which is
-/// inherently unstable under vectorized probing).
+/// inherently unstable under vectorized probing). An input relation or
+/// filter-key slice longer than `u32::MAX` tuples fails every `try_*`
+/// operator with [`EngineError::InputTooLarge`].
 #[derive(Debug, Clone, Copy)]
 pub struct Engine {
     backend: Backend,
@@ -148,6 +149,7 @@ impl Engine {
         upper: u32,
         run: &RunContext,
     ) -> Result<Relation, EngineError> {
+        check_tuples(&[rel.len()])?;
         let (keys, payloads, _) = rsv_scan::scan_parallel(
             self.backend,
             ScanVariant::VectorSelStoreDirect,
@@ -191,6 +193,7 @@ impl Engine {
         upper: u32,
         run: &RunContext,
     ) -> Result<Relation, EngineError> {
+        check_tuples(&[rel.len()])?;
         let (keys, payloads, _) = rsv_column::select_fused_parallel(
             self.backend,
             ScanVariant::VectorSelStoreDirect,
@@ -241,6 +244,7 @@ impl Engine {
         variant: JoinVariant,
         run: &RunContext,
     ) -> Result<JoinResult, EngineError> {
+        check_tuples(&[inner.len(), outer.len()])?;
         let policy = self.policy(run);
         let (result, _) = dispatch!(self.backend, s => {
             match variant {
@@ -280,6 +284,7 @@ impl Engine {
         filter_keys: &[u32],
         run: &RunContext,
     ) -> Result<Relation, EngineError> {
+        check_tuples(&[rel.len(), filter_keys.len()])?;
         let policy = self.policy(run);
         let filter = rsv_bloom::build_parallel(filter_keys, BLOOM_BITS_PER_KEY, &policy)?;
         let _filter = run.reserve(filter.size_bytes() as u64)?;
@@ -303,6 +308,7 @@ impl Engine {
     /// On error the relation keeps its tuples (possibly partially
     /// reordered — rerun to completion to sort them).
     pub fn try_sort(&self, rel: &mut Relation, run: &RunContext) -> Result<(), EngineError> {
+        check_tuples(&[rel.len()])?;
         let policy = self.policy(run);
         dispatch!(self.backend, s => {
             rsv_sort::radixsort_pairs(
@@ -318,9 +324,10 @@ impl Engine {
     /// relation and the partition start offsets. A fanout of 0 is clamped
     /// to 1.
     ///
-    /// Fanouts past [`rsv_partition::twopass::MAX_DIRECT_FANOUT`] degrade
-    /// transparently to a two-pass decomposition (the single-pass staging
-    /// buffers would outgrow the cache) with byte-identical output.
+    /// Fanouts past [`rsv_partition::twopass::MAX_DIRECT_FANOUT`] (256)
+    /// take two passes, a wide one and an in-cache split of each region
+    /// (the single-pass staging buffers would outgrow the cache), with
+    /// byte-identical output.
     /// Panics on a fanout past `u32::MAX`, which [`Engine::try_hash_partition`]
     /// reports as [`EngineError::InputTooLarge`].
     pub fn hash_partition(&self, rel: &Relation, fanout: usize) -> (Relation, Vec<u32>) {
@@ -328,8 +335,11 @@ impl Engine {
     }
 
     /// Fallible [`Engine::hash_partition`] under a [`RunContext`]: the
-    /// output (and any two-pass scratch) columns are gated by the memory
-    /// budget and cancellation is observed at morsel-claim boundaries.
+    /// output columns (8 bytes per tuple) and, past
+    /// [`rsv_partition::twopass::MAX_DIRECT_FANOUT`], the split's worker
+    /// scratch (8 bytes per tuple of the `threads` largest regions) are
+    /// gated by the memory budget, and cancellation is observed at
+    /// morsel-claim boundaries.
     /// The partition function scales a 32-bit hash by the fanout, so a
     /// fanout past `u32::MAX` fails with [`EngineError::InputTooLarge`].
     pub fn try_hash_partition(
@@ -338,6 +348,7 @@ impl Engine {
         fanout: usize,
         run: &RunContext,
     ) -> Result<(Relation, Vec<u32>), EngineError> {
+        check_tuples(&[rel.len()])?;
         let f = hash_fn(fanout)?;
         let _out = run.reserve(2 * column_bytes(rel.len()))?;
         let mut out_keys = vec![0u32; rel.len()];
@@ -345,7 +356,7 @@ impl Engine {
         let (pass, _) = dispatch!(self.backend, s => {
             rsv_partition::twopass::hash_partition_twopass(
                 KernelKind::Vector(s), f, &rel.keys, &rel.payloads, &mut out_keys, &mut out_pays,
-                &self.policy(run), MAX_DIRECT_FANOUT,
+                &self.policy(run),
             )
         })?;
         Ok((Relation::new(out_keys, out_pays), pass.partition_starts))
@@ -389,6 +400,7 @@ impl Engine {
         expected_groups: usize,
         run: &RunContext,
     ) -> Result<Vec<(u32, u32, u64)>, EngineError> {
+        check_tuples(&[rel.len()])?;
         let groups = expected_groups.min(rel.len()).max(1);
         let table_bytes = rsv_hashtab::GroupAggTable::bytes_for(groups, 0.5);
         let _tables = run.reserve(self.threads as u64 * table_bytes)?;
@@ -414,6 +426,20 @@ impl Engine {
             merged.merge(table);
         }
         Ok(merged.into_sorted_rows())
+    }
+}
+
+/// Every operator input (relation or filter-key slice) is at most
+/// `u32::MAX` tuples long: partition offsets, histograms and group counts
+/// are `u32` and would wrap silently past that.
+fn check_tuples(lens: &[usize]) -> Result<(), EngineError> {
+    match lens.iter().find(|&&len| len > u32::MAX as usize) {
+        Some(&len) => Err(EngineError::InputTooLarge {
+            what: "tuples",
+            value: len as u64,
+            limit: u32::MAX.into(),
+        }),
+        None => Ok(()),
     }
 }
 
@@ -560,6 +586,20 @@ mod tests {
         for (k, c, s) in rows {
             assert_eq!(expected[&k], (c, s), "group {k}");
         }
+    }
+
+    #[test]
+    fn inputs_past_u32_max_tuples_are_too_large() {
+        let max = u32::MAX as usize;
+        assert_eq!(check_tuples(&[0, max]), Ok(()));
+        assert_eq!(
+            check_tuples(&[1, max + 1]),
+            Err(EngineError::InputTooLarge {
+                what: "tuples",
+                value: u64::from(u32::MAX) + 1,
+                limit: u32::MAX.into(),
+            })
+        );
     }
 
     #[test]

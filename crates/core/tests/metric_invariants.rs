@@ -11,6 +11,8 @@
 
 use rsv_core::column::{CompressedColumn, BLOCK_LEN};
 use rsv_core::hashtab::CuckooTable;
+use rsv_core::join::diff::SMALL_PART_TUPLES;
+use rsv_core::join::DEFAULT_PART_TUPLES;
 use rsv_core::metrics::{Counters, Metric};
 use rsv_testkit::diff::{run_registry_metered, CaseInput, DiffConfig, MeteredRun, Registry};
 use rsv_testkit::Rng;
@@ -174,6 +176,16 @@ fn check(run: &MeteredRun<'_>) {
             if run.kernel.starts_with("min-partition") {
                 assert_eq!(c.get(Metric::JoinPartitionFanout), run.threads as u64);
                 assert_eq!(c.get(Metric::PartShuffleTuples), b);
+            }
+            if run.kernel.starts_with("max-partition") {
+                // one partitioning of each relation into the parts it joins
+                let target = if run.kernel.ends_with("small-parts") {
+                    SMALL_PART_TUPLES
+                } else {
+                    DEFAULT_PART_TUPLES
+                };
+                let parts = b.div_ceil(target as u64).max(1);
+                assert_eq!(c.get(Metric::JoinPartitionFanout), parts);
             }
         }
         "column-roundtrip" => {

@@ -11,8 +11,8 @@
 //!   smallest working configuration instead of crashing,
 //! * cuckoo rehash exhaustion degrades to a linear-probing table whose
 //!   probe output is byte-identical, counting `Metric::FallbackBuilds`,
-//! * oversized partition fanout transparently reroutes through the
-//!   two-pass partitioner with unchanged semantics,
+//! * partition fanout past the one-pass limit transparently takes the
+//!   partitioner's two-level route with unchanged semantics,
 //! * size arguments past what the operator can use either get the right
 //!   answer (a group estimate above the tuple count) or a typed
 //!   [`EngineError::InputTooLarge`] (a fanout past `u32::MAX`), never an
@@ -258,8 +258,11 @@ fn budget_exceeded_is_typed_and_releases_everything() {
 /// The operators reserve exactly their documented bytes: per input tuple,
 /// 8 for the two selects (their two output columns), 8 for the sort (its
 /// ping-pong scratch columns), and 8 for a hash partition (its output
-/// columns) plus 8 more past `MAX_DIRECT_FANOUT` (the two-pass scratch
-/// columns). The Bloom semi-join reserves the workers' filters while it
+/// columns), plus, past `MAX_DIRECT_FANOUT`, 8 per tuple of the `threads`
+/// largest regions (the split's worker scratch). The max-partition join
+/// reserves 8 per inner and outer tuple (the partitioned copies), the
+/// no-partition join 16 per inner tuple (its shared table at 50 % load).
+/// The Bloom semi-join reserves the workers' filters while it
 /// builds (`threads × BlockedBloomFilter::bytes_for`), then the merged
 /// filter plus 8 bytes per input tuple (its output columns) while it
 /// probes; the larger of the two is its peak. A budget of exactly that
@@ -276,6 +279,19 @@ fn operators_reserve_their_documented_bytes() {
     let small = rel(1_000);
     let large = rel(40_000);
     let large_filter = BlockedBloomFilter::bytes_for(large.len(), BLOOM_BITS_PER_KEY);
+    // Past the pass limit, the first pass makes regions of two partitions;
+    // the split's two workers hold at most the two largest at once.
+    let wide = 2 * MAX_DIRECT_FANOUT;
+    let (_, starts) = engine.hash_partition(&outer, wide);
+    let mut regions: Vec<u64> = (0..wide)
+        .step_by(2)
+        .map(|p| {
+            let end = starts.get(p + 2).map_or(outer.len(), |&e| e as usize);
+            (end - starts[p] as usize) as u64
+        })
+        .collect();
+    regions.sort_unstable_by(|a, b| b.cmp(a));
+    let region_scratch = 8 * (regions[0] + regions[1]);
 
     type Op<'a> = (
         &'a str,
@@ -327,10 +343,20 @@ fn operators_reserve_their_documented_bytes() {
         ),
         (
             "hash-partition-two-pass",
-            16 * n,
+            8 * n + region_scratch,
+            Box::new(|run| engine.try_hash_partition(&outer, wide, run).map(|_| ())),
+        ),
+        (
+            "join-max-partition",
+            8 * (inner.len() + outer.len()) as u64,
+            Box::new(|run| engine.try_hash_join(&inner, &outer, run).map(|_| ())),
+        ),
+        (
+            "join-no-partition",
+            16 * inner.len() as u64,
             Box::new(|run| {
                 engine
-                    .try_hash_partition(&outer, 2 * MAX_DIRECT_FANOUT, run)
+                    .try_hash_join_variant(&inner, &outer, JoinVariant::NoPartition, run)
                     .map(|_| ())
             }),
         ),
@@ -471,8 +497,8 @@ fn healthy_cuckoo_build_counts_no_fallback() {
     assert_eq!(sink.total().get(Metric::FallbackBuilds), 0);
 }
 
-/// Fanout past `MAX_DIRECT_FANOUT` transparently degrades to the
-/// two-pass partitioner: the output is still a permutation of the input
+/// Fanout past `MAX_DIRECT_FANOUT` transparently takes the partitioner's
+/// two-level route: the output is still a permutation of the input
 /// where every partition region holds exactly the keys that hash to it,
 /// and the fallible variant agrees byte-for-byte.
 #[test]

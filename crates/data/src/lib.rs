@@ -8,6 +8,8 @@
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+// Generators and verifiers feed the engine; they do not unwrap either.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 mod gen;
 mod prng;

@@ -60,10 +60,10 @@ fn result_bytes(res: JoinResult) -> Vec<u8> {
     canonical_triples(res.sinks.iter().flat_map(|s| s.iter()).collect())
 }
 
-/// A max-partition part target small enough that fuzzed build sides
-/// (at most 700 tuples) get a first-level fanout above one and oversized
-/// parts that take the second-level split.
-const SMALL_PART_TUPLES: usize = 16;
+/// A max-partition part target of one tuple: a fuzzed build side (at most
+/// 700 tuples) makes as many parts as tuples, so every side above 256
+/// tuples takes the partitioner's two-level route.
+pub const SMALL_PART_TUPLES: usize = 1;
 
 macro_rules! join_kernel {
     ($name:literal, $func:ident, $s:ident => $kind:expr $(, $extra:expr)*) => {

@@ -7,8 +7,8 @@
 //! * [`join_min_partition`] — partition the inner relation `T` ways to
 //!   eliminate atomics; threads build private tables and every probe picks
 //!   both a table and a bucket — fully vectorizable,
-//! * [`join_max_partition`] — recursively partition *both* relations until
-//!   the inner parts fit a cache-resident hash table; build and probe in
+//! * [`join_max_partition`] — partition *both* relations into parts whose
+//!   inner side fits a cache-resident hash table; build and probe in
 //!   cache — fully vectorizable, and the paper's overall winner.
 //!
 //! All variants emit `(key, inner payload, outer payload)` triples into

@@ -183,7 +183,7 @@ pub fn shuffle_scalar_buffered<F: PartitionFn>(
 /// the [`histogram`] of `kind`, then its buffered shuffle
 /// ([`shuffle_scalar_buffered`] or [`shuffle_vector_buffered`]). Returns
 /// the partition starts and the histogram.
-pub fn partition_buffered<S: Simd, F: PartitionFn>(
+pub(crate) fn partition_buffered<S: Simd, F: PartitionFn>(
     kind: KernelKind<S>,
     f: F,
     keys: &[u32],

@@ -1,25 +1,27 @@
-//! Graceful degradation for oversized partition fanouts: a two-pass
-//! decomposition that stays byte-identical to the single-pass shuffle.
+//! The engine's one hash partitioner: a wide first pass, then an in-cache
+//! split of each region, byte-identical to a single-pass shuffle.
 //!
 //! The buffered single-pass shuffle allocates one staging line per
-//! partition *per morsel*; past a few thousand partitions that working set
+//! partition *per morsel*; past a few hundred partitions that working set
 //! evicts the very cache lines buffering was meant to protect (the paper's
-//! own argument for multi-pass partitioning, Section 7.4). Instead of
-//! asserting on a large fanout, [`hash_partition_twopass`] splits a
-//! fanout `F > max_direct` into
+//! own argument for multi-pass partitioning, Section 7.4). So
+//! [`hash_partition_twopass`] runs a fanout `F <= MAX_DIRECT_FANOUT` as
+//! one pass and splits a larger one into
 //!
-//! * **pass 1**: a stable partition on the *coarse* key
-//!   `p >> log2(max_direct)` (the high bits of the full partition index),
-//!   producing `ceil(F / max_direct)` contiguous regions, and
-//! * **pass 2**: an independent, stable, at-most-`max_direct`-way
-//!   partition of each region on the *fine* key `p - region_base`, run as
-//!   a task queue over regions.
+//! * **pass 1**: a stable, parallel partition straight into the output on
+//!   the *coarse* key `p >> log2(width)` (the high bits of the full
+//!   partition index), with `width = next_pow2(ceil(F / MAX_DIRECT_FANOUT))`,
+//!   producing at most `MAX_DIRECT_FANOUT` contiguous regions, and
+//! * **pass 2**: one task per region, which splits the region in place on
+//!   the *fine* key `p - region_base` (at most `width` ways) through a
+//!   worker-local scratch and copies it back. A region holds about
+//!   `n / MAX_DIRECT_FANOUT` tuples, so this pass runs in cache.
 //!
 //! Since the full partition index decomposes as
-//! `p = (p >> s) * max_direct + fine` with `fine < max_direct`, ordering
-//! stably by the coarse key and then stably by the fine key within each
-//! region orders stably by `p`: the output is **byte-identical** to a
-//! direct `F`-way stable pass, which is what the equivalence tests assert.
+//! `p = (p >> s) * width + fine` with `fine < width`, ordering stably by
+//! the coarse key and then stably by the fine key within each region
+//! orders stably by `p`: the output is **byte-identical** to a direct
+//! `F`-way stable pass, which is what the equivalence tests assert.
 
 use rsv_exec::{
     column_bytes, parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
@@ -32,10 +34,12 @@ use crate::parallel::{partition_pass, PassOutput};
 use crate::shuffle::partition_buffered;
 use crate::{HashFn, PartitionFn};
 
-/// Largest fanout the engine partitions in one pass; beyond it the
-/// per-morsel staging buffers outgrow L1/L2 and the two-pass decomposition
-/// takes over.
-pub const MAX_DIRECT_FANOUT: usize = 4096;
+/// Largest fanout the engine partitions in one pass, and the most regions
+/// the first of two passes makes. On a 2-vCPU AVX-512 host a single pass
+/// lost to two from fanout 1024–2048 up (2–3× slower at 4096), and at the
+/// max-partition join's sizes only a first pass of at most 256 ways,
+/// followed by the in-cache split, kept pace with a dedicated second level.
+pub const MAX_DIRECT_FANOUT: usize = 256;
 
 /// Pass 1's partition function: the high bits of the full partition index.
 #[derive(Debug, Clone, Copy)]
@@ -63,7 +67,7 @@ impl PartitionFn for CoarseFn {
 }
 
 /// Pass 2's partition function: the full index rebased to one coarse
-/// region (`p - region_base`, always `< max_direct`).
+/// region (`p - region_base`, always `< width`).
 #[derive(Debug, Clone, Copy)]
 struct FineFn {
     inner: HashFn,
@@ -88,13 +92,14 @@ impl PartitionFn for FineFn {
     }
 }
 
-/// Stable hash partition that transparently degrades to two passes when
-/// `f.fanout() > max_direct` (`max_direct` must be a power of two). The
-/// output — partitioned columns, histogram, partition starts — is
-/// byte-identical to a direct single-pass run at any fanout; only the
-/// route differs. Honours `policy.run` (cancellation at claim boundaries,
-/// memory budget for the inter-pass scratch columns).
-#[allow(clippy::too_many_arguments)]
+/// Stable hash partition of `src` into `dst` (both of the input length):
+/// one pass up to [`MAX_DIRECT_FANOUT`] partitions, a wide pass and an
+/// in-cache split of each region above it. The output — partitioned
+/// columns, histogram, partition starts — is byte-identical to a direct
+/// single-pass run at any fanout; only the route differs. Honours
+/// `policy.run`: cancellation at claim boundaries, and the memory budget
+/// for the split's worker scratch, 8 bytes per tuple of the `threads`
+/// largest regions.
 pub fn hash_partition_twopass<S: Simd>(
     kind: KernelKind<S>,
     f: HashFn,
@@ -103,70 +108,73 @@ pub fn hash_partition_twopass<S: Simd>(
     dst_k: &mut Vec<u32>,
     dst_p: &mut Vec<u32>,
     policy: &ExecPolicy,
-    max_direct: usize,
 ) -> Result<(PassOutput, SchedulerStats), EngineError> {
-    assert!(
-        max_direct.is_power_of_two(),
-        "max_direct must be a power of two"
-    );
     let fanout = f.fanout();
-    if fanout <= max_direct {
+    if fanout <= MAX_DIRECT_FANOUT {
         return partition_pass(kind, f, src_k, src_p, dst_k, dst_p, policy);
     }
-    let n = src_k.len();
     let t = policy.threads;
-    let shift = max_direct.trailing_zeros();
-    let regions = fanout.div_ceil(max_direct);
+    let width = fanout.div_ceil(MAX_DIRECT_FANOUT).next_power_of_two();
+    let regions = fanout.div_ceil(width);
     let coarse = CoarseFn {
         inner: f,
-        shift,
+        shift: width.trailing_zeros(),
         fanout: regions,
     };
 
-    // Pass 1 into scratch columns (the only extra memory the degradation
-    // costs — gated by the run's budget).
-    let _scratch = policy.run.reserve(2 * column_bytes(n))?;
-    let mut mid_k = vec![0u32; n];
-    let mut mid_p = vec![0u32; n];
-    let (coarse_out, mut stats) =
-        partition_pass(kind, coarse, src_k, src_p, &mut mid_k, &mut mid_p, policy)?;
+    // Pass 1 straight into the output columns.
+    let (coarse_out, mut stats) = partition_pass(kind, coarse, src_k, src_p, dst_k, dst_p, policy)?;
 
-    // Pass 2: one task per coarse region; each task histograms its region
-    // on the fine key and shuffles it — stably — into the region's slice
-    // of the final output. Regions are disjoint in both columns, so tasks
-    // never overlap.
+    // Each worker's scratch grows to the largest region it splits, so the
+    // workers together hold at most the `t` largest regions.
+    let mut sizes = coarse_out.hist.clone();
+    sizes.sort_unstable_by(|a, b| b.cmp(a));
+    let largest: usize = sizes.iter().take(t).map(|&c| c as usize).sum();
+    let _scratch = policy.run.reserve(2 * column_bytes(largest))?;
+
+    // Pass 2: one task per region; each task histograms its region on the
+    // fine key, shuffles it — stably — into its scratch and copies it
+    // back. Regions are disjoint in both columns, so tasks never overlap.
     let q = MorselQueue::tasks(regions, policy);
     let out_k = SharedBuffer::from_vec(std::mem::take(dst_k));
     let out_p = SharedBuffer::from_vec(std::mem::take(dst_p));
     let global_hist = SharedBuffer::from_vec(vec![0u32; fanout]);
     let scope = parallel_scope_try(t, |ctx| {
-        // SAFETY: task `r` touches only output tuples in coarse region
-        // `r`'s range and histogram entries in `r`'s partition-index
-        // range; both are disjoint across tasks, and every task id is
-        // claimed exactly once. Reads happen after the scope joins.
+        // SAFETY: task `r` touches only output tuples in region `r`'s
+        // range and histogram entries in `r`'s partition-index range; both
+        // are disjoint across tasks, and every task id is claimed exactly
+        // once. Reads happen after the scope joins.
         let (ok, op, gh) = unsafe { (out_k.view_mut(), out_p.view_mut(), global_hist.view_mut()) };
+        let mut sk: Vec<u32> = Vec::new();
+        let mut sp: Vec<u32> = Vec::new();
         for task in ctx.morsels(&q) {
             let _ = rsv_testkit::failpoint!("partition.twopass.region");
             ctx.phase("fine", || {
                 let r = task.id;
                 let start = coarse_out.partition_starts[r] as usize;
-                let len = coarse_out.hist[r] as usize;
-                let base = r * max_direct;
-                let fan2 = max_direct.min(fanout - base);
+                let range = start..start + coarse_out.hist[r] as usize;
+                let len = range.len();
+                if sk.len() < len {
+                    sk.resize(len, 0);
+                    sp.resize(len, 0);
+                }
+                let base = r * width;
                 let fine = FineFn {
                     inner: f,
                     base: base as u32,
-                    fanout: fan2,
+                    fanout: width.min(fanout - base),
                 };
                 let (_, h) = partition_buffered(
                     kind,
                     fine,
-                    &mid_k[start..start + len],
-                    &mid_p[start..start + len],
-                    &mut ok[start..start + len],
-                    &mut op[start..start + len],
+                    &ok[range.clone()],
+                    &op[range.clone()],
+                    &mut sk[..len],
+                    &mut sp[..len],
                 );
-                gh[base..base + fan2].copy_from_slice(&h);
+                ok[range.clone()].copy_from_slice(&sk[..len]);
+                op[range].copy_from_slice(&sp[..len]);
+                gh[base..base + h.len()].copy_from_slice(&h);
             });
         }
     });
@@ -201,9 +209,9 @@ mod tests {
         let mut rng = rsv_data::rng(977);
         let keys = rsv_data::uniform_u32(30_000, &mut rng);
         let pays: Vec<u32> = (0..30_000).collect();
-        // fanout 53 > max_direct 16 forces two passes (and a ragged last
-        // region: 53 = 3 * 16 + 5)
-        let f = HashFn::new(53);
+        // 517 partitions take two passes, 4 per region, and a ragged last
+        // region: 517 = 129 * 4 + 1
+        let f = HashFn::new(2 * MAX_DIRECT_FANOUT + 5);
         for kind in [KernelKind::Scalar, KernelKind::Vector(s)] {
             let mut rk = vec![0u32; keys.len()];
             let mut rp = vec![0u32; keys.len()];
@@ -215,7 +223,7 @@ mod tests {
                 let mut dk = vec![0u32; keys.len()];
                 let mut dp = vec![0u32; keys.len()];
                 let (out, stats) =
-                    hash_partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy, 16)
+                    hash_partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy)
                         .unwrap();
                 assert_eq!(dk, rk, "keys differ (t={threads} {kind:?})");
                 assert_eq!(dp, rp, "pays differ (t={threads} {kind:?})");
@@ -238,7 +246,7 @@ mod tests {
         let mut dk = vec![0u32; 1000];
         let mut dp = vec![0u32; 1000];
         let (out, _) =
-            hash_partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy, 16).unwrap();
+            hash_partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy).unwrap();
         let total: u32 = out.hist.iter().sum();
         assert_eq!(total, 1000);
     }
@@ -249,14 +257,15 @@ mod tests {
         let kind = KernelKind::Vector(Portable::<16>::new());
         let keys: Vec<u32> = (0..10_000u32).collect();
         let pays = keys.clone();
-        let f = HashFn::new(100);
-        // two-pass needs 2 * 10_000 * 4 = 80_000 B of scratch; allow less
-        let run = RunContext::new().with_memory_limit(10_000);
+        let f = HashFn::new(2 * MAX_DIRECT_FANOUT + 5);
+        // the split needs 8 B per tuple of the two largest regions (about
+        // 2 * 10_000 / 130 tuples); allow less
+        let run = RunContext::new().with_memory_limit(100);
         let policy = ExecPolicy::new(2).with_run(run);
         let mut dk = vec![0u32; keys.len()];
         let mut dp = vec![0u32; keys.len()];
-        let err = hash_partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy, 16)
-            .expect_err("budget must deny the scratch columns");
+        let err = hash_partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy)
+            .expect_err("budget must deny the region scratch");
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
         // nothing stays reserved after the failure
         assert_eq!(policy.run.budget.used(), 0);

@@ -46,6 +46,8 @@
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
+// Kernel code has no recoverable failures to unwrap; keep it that way.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 mod backend;
 mod mask;
