@@ -5,7 +5,8 @@
 //! workers — each morsel decodes its blocks independently. Results are
 //! schedule-independent: the fused scan is one call of the
 //! order-preserving filter driver ([`rsv_exec::filter_parallel`]), which
-//! compacts per-morsel qualifier runs in morsel order (identical to the
+//! counts each morsel's qualifiers first and then writes them to the
+//! offsets the counts' prefix sum gives the morsel (identical to the
 //! sequential scan's output), and the histogram merges per-worker counts
 //! by commutative addition.
 
@@ -25,7 +26,8 @@ use crate::{
 /// Returns the qualifying keys and payloads in input order, plus
 /// per-worker scheduler stats. Output matches the sequential
 /// [`select_fused`](crate::select_fused) byte for byte at any thread
-/// count. The two output columns are reserved on `policy.run`'s budget;
+/// count. The two output columns are reserved on `policy.run`'s budget
+/// at the qualifier count;
 /// the run's cancel token is checked at every morsel claim, and worker
 /// panics surface as [`EngineError::WorkerPanicked`].
 pub fn select_fused_parallel(

@@ -136,7 +136,7 @@ impl Engine {
     }
 
     /// Fallible [`Engine::select`] under a [`RunContext`]: the two output
-    /// columns (8 bytes per input tuple) are gated by the run's memory
+    /// columns (8 bytes per qualifying tuple) are gated by the run's memory
     /// budget, cancellation is observed at morsel-claim boundaries (so the
     /// latency from [`CancelToken::cancel`] to return is bounded by one
     /// morsel), and a worker panic surfaces as
@@ -185,7 +185,8 @@ impl Engine {
     }
 
     /// Fallible [`Engine::select_compressed`] under a [`RunContext`], with
-    /// the guarantees of [`Engine::try_select`].
+    /// the guarantees of [`Engine::try_select`]: its two output columns
+    /// (8 bytes per qualifying tuple) are gated by the run's memory budget.
     pub fn try_select_compressed(
         &self,
         rel: &CompressedRelation,
@@ -274,7 +275,7 @@ impl Engine {
     /// Fallible [`Engine::bloom_semijoin`] under a [`RunContext`]: the
     /// workers' build filters (`threads ×`
     /// [`BlockedBloomFilter::bytes_for`]), then the merged filter and the
-    /// two output columns (8 bytes per input tuple) during the probe, are
+    /// two output columns (8 bytes per qualifying tuple) during the probe, are
     /// gated by the memory budget; cancellation is observed at
     /// morsel-claim boundaries, and a worker panic surfaces as
     /// [`EngineError::WorkerPanicked`].

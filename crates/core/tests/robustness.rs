@@ -255,18 +255,19 @@ fn budget_exceeded_is_typed_and_releases_everything() {
     assert_eq!(run.budget.used(), 0, "success path leaked reservation");
 }
 
-/// The operators reserve exactly their documented bytes: per input tuple,
-/// 8 for the two selects (their two output columns), 8 for the sort (its
-/// ping-pong scratch columns), and 8 for a hash partition (its output
-/// columns), plus, past `MAX_DIRECT_FANOUT`, 8 per tuple of the `threads`
-/// largest regions (the split's worker scratch). The max-partition join
-/// reserves 8 per inner and outer tuple (the partitioned copies), the
-/// no-partition join 16 per inner tuple (its shared table at 50 % load).
-/// The Bloom semi-join reserves the workers' filters while it
-/// builds (`threads × BlockedBloomFilter::bytes_for`), then the merged
-/// filter plus 8 bytes per input tuple (its output columns) while it
-/// probes; the larger of the two is its peak. A budget of exactly that
-/// succeeds, one byte less fails, and both leave nothing reserved.
+/// The operators reserve exactly their documented bytes: 8 per qualifying
+/// tuple for the two selects (their two output columns), and per input
+/// tuple 8 for the sort (its ping-pong scratch columns) and 8 for a hash
+/// partition (its output columns), plus, past `MAX_DIRECT_FANOUT`, 8 per
+/// tuple of the `threads` largest regions (the split's worker scratch).
+/// The max-partition join reserves 8 per inner and outer tuple (the
+/// partitioned copies), the no-partition join 16 per inner tuple (its
+/// shared table at 50 % load). The Bloom semi-join reserves the workers'
+/// filters while it builds (`threads × BlockedBloomFilter::bytes_for`),
+/// then the merged filter plus 8 bytes per qualifying tuple (its output
+/// columns) while it probes; the larger of the two is its peak. A budget
+/// of exactly that succeeds, one byte less fails, and both leave nothing
+/// reserved.
 #[test]
 fn operators_reserve_their_documented_bytes() {
     let engine = Engine::new().with_threads(2);
@@ -292,6 +293,13 @@ fn operators_reserve_their_documented_bytes() {
         .collect();
     regions.sort_unstable_by(|a, b| b.cmp(a));
     let region_scratch = 8 * (regions[0] + regions[1]);
+    // The filters' output columns hold exactly their qualifiers. The
+    // full-range selects keep every tuple, so only the half-range rows
+    // and the semi-joins tell the qualifier count from the input length.
+    let half = u32::MAX / 2;
+    let kept_half = engine.select(&outer, 0, half).len() as u64;
+    let kept_bloom = engine.bloom_semijoin(&outer, &inner.keys).len() as u64;
+    let kept_bloom_large = engine.bloom_semijoin(&small, &large.keys).len() as u64;
 
     type Op<'a> = (
         &'a str,
@@ -314,8 +322,22 @@ fn operators_reserve_their_documented_bytes() {
             }),
         ),
         (
+            "select-half",
+            8 * kept_half,
+            Box::new(|run| engine.try_select(&outer, 0, half, run).map(|_| ())),
+        ),
+        (
+            "select-compressed-half",
+            8 * kept_half,
+            Box::new(|run| {
+                engine
+                    .try_select_compressed(&packed, 0, half, run)
+                    .map(|_| ())
+            }),
+        ),
+        (
             "bloom-semijoin",
-            (2 * filter).max(filter + 8 * n),
+            (2 * filter).max(filter + 8 * kept_bloom),
             Box::new(|run| {
                 engine
                     .try_bloom_semijoin(&outer, &inner.keys, run)
@@ -324,7 +346,7 @@ fn operators_reserve_their_documented_bytes() {
         ),
         (
             "bloom-semijoin-large-filter",
-            (2 * large_filter).max(large_filter + 8 * small.len() as u64),
+            (2 * large_filter).max(large_filter + 8 * kept_bloom_large),
             Box::new(|run| {
                 engine
                     .try_bloom_semijoin(&small, &large.keys, run)

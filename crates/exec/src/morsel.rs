@@ -195,25 +195,6 @@ impl MorselQueue {
         self.bounds[id]..self.bounds[id + 1]
     }
 
-    /// Compact per-morsel output runs to the front of both columns, in
-    /// morsel order, and return the total run length. Morsel `id` left a
-    /// run of `counts[id]` values at the start of its own range
-    /// ([`MorselQueue::range_of`]). Runs only move left (a run's
-    /// destination never lies past its source), so copying front to back
-    /// never clobbers a run that has not moved yet.
-    fn compact_runs(&self, counts: &[usize], keys: &mut [u32], pays: &mut [u32]) -> usize {
-        let mut dest = 0usize;
-        for (id, &c) in counts.iter().enumerate() {
-            let src = self.range_of(id).start;
-            if src != dest {
-                keys.copy_within(src..src + c, dest);
-                pays.copy_within(src..src + c, dest);
-            }
-            dest += c;
-        }
-        dest
-    }
-
     /// Claim the next morsel for `worker`: own span first, then steal from
     /// the other workers in round-robin order. Returns `None` once every
     /// span is drained (cursors only grow, so `None` is final) **or the
@@ -250,23 +231,42 @@ impl MorselQueue {
     }
 }
 
+/// Tuples a filter kernel call covers (rounded up to the morsel
+/// alignment): the worker's staging pair, 2 × 8 KiB, stays in L1 between
+/// the kernel's stores and the copy out.
+const FILTER_CHUNK_TUPLES: usize = 2048;
+
 /// Morsel-parallel, order-preserving filter over `0..n` tuples: the one
 /// driver behind the selection scans and the Bloom semi-join.
 ///
-/// Reserves and allocates two `n`-value output columns on `policy.run`,
-/// morselizes `0..n` with interior boundaries aligned to `align`, and
-/// calls `kernel(range, out_keys, out_pays)` once per morsel under the
-/// timed phase `phase`. The kernel writes the morsel's qualifiers to the
-/// front of the two slices — the morsel's own output region, as long as
-/// `range` — and returns how many it wrote. The runs are then compacted
-/// in morsel order, so the returned columns hold exactly what a
-/// sequential pass over `0..n` would keep, for every thread count and
-/// morsel size, at their exact length.
+/// Morselizes `0..n` with interior boundaries aligned to `align` and
+/// runs each morsel chunk by chunk: `kernel(range, out_keys, out_pays)`
+/// writes the qualifiers of `range` to the front of the two slices (the
+/// worker's staging pair, at least as long as `range`) and returns how
+/// many it wrote. Every chunk starts on an `align` boundary. It runs in
+/// two passes, like the paper's partitioning (§7) with one partition per
+/// morsel:
+///
+/// 1. **Count**: every morsel is filtered into the staging pair and only
+///    its qualifier count is kept. This pass runs
+///    [`unmetered`](rsv_metrics::unmetered), so the kernel's work
+///    counters and the morsel claims are metered once, by the next pass.
+/// 2. **Write**: a prefix sum of the counts gives each morsel its
+///    output offset; both columns are reserved on `policy.run` and
+///    allocated at exactly the qualifier count, and every morsel is
+///    filtered again, its chunks' qualifiers copied to their final slots.
+///
+/// The columns hold exactly what a sequential pass over `0..n` would
+/// keep, for every thread count and morsel size, and their capacity is
+/// their length. The kernel must therefore be a function of `range`
+/// alone; a morsel whose second count differs from its first fails the
+/// write pass as a worker panic. The returned stats are the write
+/// pass's.
 ///
 /// Fails with [`EngineError::BudgetExceeded`] when the two columns do not
 /// fit the budget, [`EngineError::Cancelled`] once the run is cancelled
-/// (checked at every morsel claim) and [`EngineError::WorkerPanicked`]
-/// when a kernel panics.
+/// (checked at every morsel claim of both passes) and
+/// [`EngineError::WorkerPanicked`] when a kernel panics.
 pub fn filter_parallel<K>(
     n: usize,
     align: usize,
@@ -277,33 +277,65 @@ pub fn filter_parallel<K>(
 where
     K: Fn(Range<usize>, &mut [u32], &mut [u32]) -> usize + Sync,
 {
-    let _out = policy.run.reserve(2 * column_bytes(n))?;
-    let q = MorselQueue::new(n, policy, align);
+    let chunk = FILTER_CHUNK_TUPLES.next_multiple_of(align);
+    let chunks = move |r: Range<usize>| {
+        r.clone()
+            .step_by(chunk)
+            .map(move |s| s..r.end.min(s + chunk))
+    };
+    // A queue serves one pass; both passes cut the same morsels.
+    let queue = || MorselQueue::new(n, policy, align);
+    let q = queue();
     let counts = SharedBuffer::zeroed(q.morsel_count());
-    let keys = SharedBuffer::zeroed(n);
-    let pays = SharedBuffer::zeroed(n);
+    rsv_metrics::unmetered(|| {
+        parallel_scope_try(policy.threads, |ctx| {
+            let (mut sk, mut sp) = (vec![0u32; chunk], vec![0u32; chunk]);
+            // SAFETY: each morsel id is claimed exactly once and writes
+            // only its own count slot; reads happen after the scope joins.
+            let cs = unsafe { counts.view_mut() };
+            for mo in ctx.morsels(&q) {
+                cs[mo.id] = ctx.phase(phase, || {
+                    chunks(mo.range).map(|c| kernel(c, &mut sk, &mut sp)).sum()
+                });
+            }
+        })
+    })?;
+    policy.run.check_cancelled()?;
+    let mut starts = counts.into_vec();
+    let mut kept = 0usize;
+    for c in starts.iter_mut() {
+        kept += std::mem::replace(c, kept);
+    }
+    starts.push(kept);
+
+    let _out = policy.run.reserve(2 * column_bytes(kept))?;
+    let keys = SharedBuffer::zeroed(kept);
+    let pays = SharedBuffer::zeroed(kept);
+    let q = queue();
     let (_, stats) = parallel_scope_try(policy.threads, |ctx| {
-        // SAFETY: each morsel writes only the output region at its own
-        // input offsets plus its own count slot, and every morsel id is
-        // claimed exactly once; reads happen after the scope joins.
-        let (ok, op, cs) = unsafe { (keys.view_mut(), pays.view_mut(), counts.view_mut()) };
+        let (mut sk, mut sp) = (vec![0u32; chunk], vec![0u32; chunk]);
+        // SAFETY: each morsel id is claimed exactly once and writes only
+        // its own output slots `starts[id]..starts[id + 1]`, which the
+        // prefix sum makes disjoint; reads happen after the scope joins.
+        let (ok, op) = unsafe { (keys.view_mut(), pays.view_mut()) };
         for mo in ctx.morsels(&q) {
             let _ = rsv_testkit::failpoint!("exec.filter.morsel");
-            let r = mo.range;
-            cs[mo.id] = ctx.phase(phase, || {
-                kernel(r.clone(), &mut ok[r.clone()], &mut op[r.clone()])
+            let slots = starts[mo.id]..starts[mo.id + 1];
+            let (ok, op) = (&mut ok[slots.clone()], &mut op[slots]);
+            ctx.phase(phase, || {
+                let mut at = 0;
+                for c in chunks(mo.range) {
+                    let k = kernel(c, &mut sk, &mut sp);
+                    ok[at..at + k].copy_from_slice(&sk[..k]);
+                    op[at..at + k].copy_from_slice(&sp[..k]);
+                    at += k;
+                }
+                assert_eq!(at, ok.len(), "filter kernel counted differently twice");
             });
         }
     })?;
     policy.run.check_cancelled()?;
-    let (mut keys, mut pays) = (keys.into_vec(), pays.into_vec());
-    let kept = q.compact_runs(&counts.into_vec(), &mut keys, &mut pays);
-    // Truncate, do not shrink: a shrinking realloc turns the n-word
-    // blocks into smaller ones whose later free moves glibc's dynamic
-    // mmap threshold, which made peak memory vary from run to run.
-    keys.truncate(kept);
-    pays.truncate(kept);
-    Ok((keys, pays, stats))
+    Ok((keys.into_vec(), pays.into_vec(), stats))
 }
 
 #[cfg(test)]
@@ -410,56 +442,116 @@ mod tests {
     }
 
     /// The driver against a sequential filter: every schedule keeps the
-    /// same qualifiers in input order, whatever fraction a kernel keeps.
+    /// same qualifiers in input order, whatever fraction a kernel keeps,
+    /// in columns whose capacity is their length. The lengths cut morsels
+    /// into several chunks with a short last one.
     #[test]
     fn filter_parallel_matches_sequential_filter() {
         let keep: [fn(usize) -> bool; 3] = [|_| false, |_| true, |i| i % 3 == 0];
-        for n in [0usize, 1, 1000] {
+        for n in [0usize, 1, 1000, 5003] {
             let vals: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2654435761)).collect();
             for (k, keeps) in keep.iter().enumerate() {
                 let kept: Vec<usize> = (0..n).filter(|&i| keeps(i)).collect();
                 let want_keys: Vec<u32> = kept.iter().map(|&i| vals[i]).collect();
                 let want_pays: Vec<u32> = kept.iter().map(|&i| i as u32).collect();
-                for threads in [1usize, 2, 3, 8] {
-                    for morsel in [1usize, 7, 1024, usize::MAX] {
-                        let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
-                        let (keys, pays, stats) =
-                            filter_parallel(n, 4, "filter", &policy, |r, ok, op| {
-                                let mut c = 0;
-                                for i in r.filter(|&i| keeps(i)) {
-                                    ok[c] = vals[i];
-                                    op[c] = i as u32;
-                                    c += 1;
-                                }
-                                c
-                            })
-                            .unwrap();
-                        let at = format!("n={n} kernel={k} t={threads} morsel={morsel}");
-                        assert_eq!(keys, want_keys, "{at}");
-                        assert_eq!(pays, want_pays, "{at}");
-                        assert_eq!(stats.total_tuples(), n as u64, "{at}");
+                for align in [4usize, 16, 512] {
+                    for threads in [1usize, 2, 3, 8] {
+                        for morsel in [1usize, 7, 513, 4097, usize::MAX] {
+                            let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
+                            let (keys, pays, stats) =
+                                filter_parallel(n, align, "filter", &policy, |r, ok, op| {
+                                    assert_eq!(r.start % align, 0, "unaligned chunk");
+                                    assert!(ok.len() >= r.len() && op.len() >= r.len());
+                                    let mut c = 0;
+                                    for i in r.filter(|&i| keeps(i)) {
+                                        ok[c] = vals[i];
+                                        op[c] = i as u32;
+                                        c += 1;
+                                    }
+                                    c
+                                })
+                                .unwrap();
+                            let at = format!(
+                                "n={n} kernel={k} align={align} t={threads} morsel={morsel}"
+                            );
+                            assert_eq!(keys, want_keys, "{at}");
+                            assert_eq!(pays, want_pays, "{at}");
+                            assert_eq!(keys.capacity(), keys.len(), "{at}");
+                            assert_eq!(pays.capacity(), pays.len(), "{at}");
+                            assert_eq!(stats.total_tuples(), n as u64, "{at}");
+                        }
                     }
                 }
             }
         }
     }
 
+    /// The budget covers the two output columns at the qualifier count,
+    /// not at the input length.
     #[test]
     fn filter_parallel_reserves_both_columns() {
-        let n = 100;
-        let kernel = |r: Range<usize>, _: &mut [u32], _: &mut [u32]| r.len();
-        let exact = RunContext::new().with_memory_limit(2 * column_bytes(n));
+        let (n, kept) = (100, 50);
+        let kernel = |r: Range<usize>, ok: &mut [u32], _: &mut [u32]| {
+            let mut c = 0;
+            for i in r.filter(|i| i % 2 == 0) {
+                ok[c] = i as u32;
+                c += 1;
+            }
+            c
+        };
+        let exact = RunContext::new().with_memory_limit(2 * column_bytes(kept));
         let policy = ExecPolicy::new(2).with_run(exact.clone());
         let (keys, _, _) = filter_parallel(n, 16, "filter", &policy, kernel).unwrap();
-        assert_eq!(keys.len(), n);
+        assert_eq!(keys.len(), kept);
         assert_eq!(exact.budget.used(), 0);
-        let short = RunContext::new().with_memory_limit(2 * column_bytes(n) - 1);
+        let short = RunContext::new().with_memory_limit(2 * column_bytes(kept) - 1);
         let policy = ExecPolicy::new(2).with_run(short.clone());
         assert!(matches!(
             filter_parallel(n, 16, "filter", &policy, kernel),
             Err(EngineError::BudgetExceeded { .. })
         ));
         assert_eq!(short.budget.used(), 0);
+    }
+
+    /// The kernel runs twice per tuple, but only the write pass is
+    /// metered: a metered run sees every tuple and every morsel once.
+    #[test]
+    fn filter_parallel_meters_each_tuple_once() {
+        let n = 10_000;
+        let policy = ExecPolicy::new(2).with_morsel_tuples(1000);
+        let morsels = MorselQueue::new(n, &policy, 16).morsel_count() as u64;
+        let ((on, kept), sink) = rsv_metrics::collect(|| {
+            let (keys, _, _) = filter_parallel(n, 16, "filter", &policy, |r, _, _| {
+                rsv_metrics::count(rsv_metrics::Metric::ScanTuplesIn, r.len() as u64);
+                0
+            })
+            .unwrap();
+            (rsv_metrics::enabled(), keys.len())
+        });
+        assert_eq!(kept, 0);
+        if !on {
+            return; // metering compiled out
+        }
+        let total = sink.total();
+        assert_eq!(total.get(rsv_metrics::Metric::ScanTuplesIn), n as u64);
+        assert_eq!(total.get(rsv_metrics::Metric::MorselsClaimed), morsels);
+    }
+
+    /// A kernel that keeps a different count the second time would write
+    /// past its morsel's slots; the write pass stops it as a worker
+    /// panic instead.
+    #[test]
+    fn filter_parallel_rejects_a_kernel_that_counts_differently() {
+        let calls = AtomicUsize::new(0);
+        let policy = ExecPolicy::new(2);
+        let result = filter_parallel(100, 16, "filter", &policy, |r, ok, _| {
+            let extra = calls.fetch_add(1, Ordering::Relaxed) > 0;
+            let c = r.len() / 2 + usize::from(extra);
+            ok[..c].fill(1);
+            c
+        });
+        assert!(matches!(result, Err(EngineError::WorkerPanicked { .. })));
+        assert_eq!(policy.run.budget.used(), 0);
     }
 
     #[test]

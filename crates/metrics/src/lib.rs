@@ -13,7 +13,8 @@
 //! * [`CountingSink`] — per-worker [`Counters`] merged like
 //!   `rsv_exec::SchedulerStats`,
 //! * [`collect`] — run a closure with metering enabled and harvest the
-//!   counters its call tree recorded.
+//!   counters its call tree recorded; [`unmetered`] runs one with
+//!   metering off inside a session.
 //!
 //! # Sessions follow the call tree
 //!
@@ -639,6 +640,18 @@ pub fn collect<R>(f: impl FnOnce() -> R) -> (R, CountingSink) {
     (r, sink)
 }
 
+/// Run `f` with metering off on this thread and on every worker it
+/// spawns, then reinstall the enclosing session. For work that repeats
+/// what a metered pass will do anyway (a count pass ahead of a write
+/// pass), so each tuple is metered once.
+///
+/// Like [`collect`], it first flushes this thread's pending counts into
+/// the enclosing session: reinstalling a session drops unflushed counts.
+pub fn unmetered<R>(f: impl FnOnce() -> R) -> R {
+    flush_worker(0);
+    Session(None).enter(f)
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -713,6 +726,29 @@ mod tests {
         });
         assert_eq!(outer.total().get(Metric::ScanTuplesIn), 16);
         assert!(!enabled(), "metering flag restored");
+    }
+
+    /// `unmetered` keeps the counts made before it, drops the ones made
+    /// inside it, and hands the session back for the counts after it.
+    #[cfg(not(feature = "noop"))]
+    #[test]
+    fn unmetered_keeps_counts_around_it_and_drops_its_own() {
+        let ((), sink) = collect(|| {
+            count(Metric::ScanTuplesIn, 5);
+            unmetered(|| {
+                assert!(!enabled(), "metering off inside");
+                count(Metric::ScanTuplesIn, 100);
+                assert!(Session::current().0.is_none(), "no session to hand on");
+            });
+            assert!(enabled(), "session reinstalled");
+            count(Metric::ScanTuplesOut, 3);
+        });
+        assert_eq!(sink.total().get(Metric::ScanTuplesIn), 5);
+        assert_eq!(sink.total().get(Metric::ScanTuplesOut), 3);
+        assert!(!enabled(), "metering flag restored");
+        // Outside any session, it is a plain call.
+        assert_eq!(unmetered(|| 7), 7);
+        assert!(!enabled());
     }
 
     #[cfg(not(feature = "noop"))]

@@ -1,11 +1,12 @@
 //! Morsel-driven parallel selection scan.
 //!
 //! One call of the order-preserving filter driver
-//! ([`rsv_exec::filter_parallel`]) with 16-tuple-aligned morsels: each
-//! morsel is scanned into its own output region, and the per-morsel
-//! qualifier runs are compacted in morsel order, so the qualifier list is
-//! exactly the sequential scan's output for every thread count and morsel
-//! size.
+//! ([`rsv_exec::filter_parallel`]) with 16-tuple-aligned morsels: a count
+//! pass scans each morsel into a worker's L1 staging pair and keeps its
+//! qualifier count, and a write pass scans it again and copies its
+//! qualifiers to the offsets the counts' prefix sum gives it. The
+//! qualifier list is exactly the sequential scan's output for every
+//! thread count and morsel size, in columns of exactly that length.
 
 use rsv_exec::{filter_parallel, EngineError, ExecPolicy, SchedulerStats};
 use rsv_simd::Backend;
@@ -16,7 +17,7 @@ use crate::{scan, ScanPredicate, ScanVariant};
 ///
 /// Returns the qualifying keys and payloads in input order, plus
 /// per-worker scheduler stats. The two output columns are reserved on
-/// `policy.run`'s budget; the run's cancel token is checked at every
+/// `policy.run`'s budget at the qualifier count; the run's cancel token is checked at every
 /// morsel claim, and worker panics surface as
 /// [`EngineError::WorkerPanicked`].
 pub fn scan_parallel(
