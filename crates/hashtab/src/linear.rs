@@ -126,7 +126,15 @@ impl LinearTable {
     /// chain and emit all matches.
     pub fn probe_scalar(&self, keys: &[u32], pays: &[u32], out: &mut JoinSink) {
         let _ = rsv_testkit::failpoint!("hashtab.lp.probe");
-        lp_probe_raw(KernelKind::SCALAR, &self.pairs, self.hash, keys, pays, out);
+        lp_probe_raw(
+            KernelKind::SCALAR,
+            &self.pairs,
+            self.hash,
+            keys,
+            pays,
+            false,
+            out,
+        );
     }
 
     /// Vertically vectorized build (paper Algorithm 7): a different input
@@ -151,17 +159,11 @@ impl LinearTable {
     /// Vertically vectorized probe (paper Algorithm 5): a different probe
     /// key per lane; finished lanes are selectively reloaded from the input
     /// so every lane stays busy ("out-of-order" probing — the output order
-    /// differs from the input order).
+    /// differs from the input order). This is the one-strand case of
+    /// [`lp_probe_vertical_strands_raw`].
     pub fn probe_vertical<S: Simd>(&self, s: S, keys: &[u32], pays: &[u32], out: &mut JoinSink) {
         let _ = rsv_testkit::failpoint!("hashtab.lp.probe");
-        lp_probe_raw(
-            KernelKind::Vector(s),
-            &self.pairs,
-            self.hash,
-            keys,
-            pays,
-            out,
-        );
+        lp_probe_vertical_strands_raw::<S, 1>(s, &self.pairs, self.hash, keys, pays, false, out);
     }
 
     /// Vertically vectorized probe with four interleaved probe states (see
@@ -174,7 +176,7 @@ impl LinearTable {
         pays: &[u32],
         out: &mut JoinSink,
     ) {
-        lp_probe_vertical_strands_raw::<S, 4>(s, &self.pairs, self.hash, keys, pays, out);
+        lp_probe_vertical_strands_raw::<S, 4>(s, &self.pairs, self.hash, keys, pays, false, out);
     }
 }
 
@@ -473,13 +475,18 @@ impl DoubleHashTable {
 // ---------------------------------------------------------------------
 
 /// Scalar insert (Algorithm 6 inner loop) starting `offset` buckets past
-/// the hash bucket.
+/// the hash bucket. Returns `true` if the walk passed a bucket that already
+/// holds `key`.
+///
+/// Buckets never empty again, so of two equal keys the later insert always
+/// walks over the earlier one: a build whose inserts all return `false` is
+/// duplicate-free.
 ///
 /// # Panics
 /// If `key` is the empty sentinel. The caller must guarantee at least one
 /// empty bucket remains or the probe loop will not terminate.
 #[inline]
-pub fn lp_insert_raw(pairs: &mut [u64], hash: MulHash, key: u32, pay: u32, offset: usize) {
+pub fn lp_insert_raw(pairs: &mut [u64], hash: MulHash, key: u32, pay: u32, offset: usize) -> bool {
     assert_ne!(
         key, EMPTY_KEY,
         "key {key:#x} is the reserved empty sentinel"
@@ -489,17 +496,26 @@ pub fn lp_insert_raw(pairs: &mut [u64], hash: MulHash, key: u32, pay: u32, offse
     if h >= t {
         h -= t;
     }
-    while pairs[h] as u32 != EMPTY_KEY {
+    let mut dup = false;
+    loop {
+        let tk = pairs[h] as u32;
+        if tk == EMPTY_KEY {
+            break;
+        }
+        dup |= tk == key;
         h += 1;
         if h == t {
             h = 0;
         }
     }
     pairs[h] = u64::from(key) | (u64::from(pay) << 32);
+    dup
 }
 
 /// Scalar probe of one key (Algorithm 4 inner loop), resuming `offset`
-/// buckets into its chain.
+/// buckets into its chain. On a `unique` (duplicate-free) table the walk
+/// stops at the key's match; otherwise it emits every match up to the
+/// first empty bucket.
 #[inline]
 pub fn lp_probe_one_raw(
     pairs: &[u64],
@@ -507,6 +523,7 @@ pub fn lp_probe_one_raw(
     key: u32,
     pay: u32,
     offset: usize,
+    unique: bool,
     out: &mut JoinSink,
 ) {
     let t = pairs.len();
@@ -524,6 +541,9 @@ pub fn lp_probe_one_raw(
         }
         if tk == key {
             out.push(key, (pair >> 32) as u32, pay);
+            if unique {
+                break;
+            }
         }
         h += 1;
         if h == t {
@@ -535,51 +555,70 @@ pub fn lp_probe_one_raw(
 
 /// Build into a raw bucket slice with `kind`'s kernel: scalar
 /// (Algorithm 6) or vertically vectorized (Algorithm 7). The caller must
-/// leave at least one bucket empty.
+/// leave at least one bucket empty. Returns `true` if the keys are
+/// duplicate-free, which lets [`lp_probe_raw`] retire a key at its match.
 pub fn lp_build_raw<S: Simd>(
     kind: KernelKind<S>,
     pairs: &mut [u64],
     hash: MulHash,
     keys: &[u32],
     pays: &[u32],
-) {
+) -> bool {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
     assert!(keys.len() < pairs.len(), "bucket slice too small for build");
     rsv_metrics::count(Metric::LpKeysBuilt, keys.len() as u64);
     match kind {
         KernelKind::Scalar => {
+            let mut dup = false;
             for (&k, &p) in keys.iter().zip(pays) {
-                lp_insert_raw(pairs, hash, k, p, 0);
+                dup |= lp_insert_raw(pairs, hash, k, p, 0);
             }
+            !dup
         }
         KernelKind::Vector(s) => build_vertical_raw(s, pairs, hash, keys, pays),
     }
 }
 
 /// Probe a raw bucket slice with `kind`'s kernel: scalar (Algorithm 4) or
-/// vertically vectorized (Algorithm 5).
+/// vertically vectorized in four strands
+/// ([`lp_probe_vertical_strands_raw`]). `unique` is [`lp_build_raw`]'s
+/// flag: on a duplicate-free table a key stops at its match, otherwise it
+/// walks to the first empty bucket.
 pub fn lp_probe_raw<S: Simd>(
     kind: KernelKind<S>,
     pairs: &[u64],
     hash: MulHash,
     keys: &[u32],
     pays: &[u32],
+    unique: bool,
     out: &mut JoinSink,
 ) {
-    assert_eq!(keys.len(), pays.len(), "column length mismatch");
-    rsv_metrics::count(Metric::LpKeysProbed, keys.len() as u64);
     match kind {
         KernelKind::Scalar => {
+            assert_eq!(keys.len(), pays.len(), "column length mismatch");
+            rsv_metrics::count(Metric::LpKeysProbed, keys.len() as u64);
             for (&k, &p) in keys.iter().zip(pays) {
-                lp_probe_one_raw(pairs, hash, k, p, 0, out);
+                lp_probe_one_raw(pairs, hash, k, p, 0, unique, out);
             }
         }
-        KernelKind::Vector(s) => probe_vertical_raw(s, pairs, hash, keys, pays, out),
+        KernelKind::Vector(s) => {
+            lp_probe_vertical_strands_raw::<S, 4>(s, pairs, hash, keys, pays, unique, out)
+        }
     }
 }
 
-/// The body of [`lp_build_raw`]'s vector kernel.
-fn build_vertical_raw<S: Simd>(s: S, pairs: &mut [u64], hash: MulHash, keys: &[u32], pays: &[u32]) {
+/// The body of [`lp_build_raw`]'s vector kernel; returns its
+/// duplicate-free flag. A lane compares every occupied bucket it gathers
+/// with its key, and a lane that loses an empty bucket to another lane
+/// gathers the winner's key and compares that too, so no bucket a lane
+/// walks past goes unchecked.
+fn build_vertical_raw<S: Simd>(
+    s: S,
+    pairs: &mut [u64],
+    hash: MulHash,
+    keys: &[u32],
+    pays: &[u32],
+) -> bool {
     debug_assert!(
         !keys.contains(&EMPTY_KEY),
         "empty-sentinel key in build input"
@@ -599,6 +638,7 @@ fn build_vertical_raw<S: Simd>(s: S, pairs: &mut [u64], hash: MulHash, keys: &[u
             let mut v = s.zero();
             let mut o = s.zero();
             let mut m = S::M::all();
+            let mut dup = S::M::none();
             let mut retries = 0u64;
             let mut i = 0usize;
             while i + w <= n {
@@ -610,12 +650,18 @@ fn build_vertical_raw<S: Simd>(s: S, pairs: &mut [u64], hash: MulHash, keys: &[u
                 h = s.blend(over, s.sub(h, tn), h);
                 let (tk, _) = s.gather_pairs(pairs, h);
                 let empt = s.cmpeq(tk, empty);
+                dup = dup.or(empt.andnot(s.cmpeq(tk, k)));
                 // conflict detection: scatter unique lane ids, gather back
                 s.scatter_pairs_masked(pairs, empt, h, lane_ids, s.zero());
                 let (back, _) = s.gather_pairs_masked((s.zero(), s.zero()), empt, pairs, h);
                 let ok = empt.and(s.cmpeq(back, lane_ids));
                 s.scatter_pairs_masked(pairs, ok, h, k, v);
-                retries += (empt.count() - ok.count()) as u64;
+                let lost = ok.andnot(empt);
+                if lost.any() {
+                    let (won, _) = s.gather_pairs_masked((s.zero(), s.zero()), lost, pairs, h);
+                    dup = dup.or(lost.and(s.cmpeq(won, k)));
+                }
+                retries += lost.count() as u64;
                 o = s.blend(ok, s.zero(), s.add(o, one));
                 m = ok;
             }
@@ -626,93 +672,40 @@ fn build_vertical_raw<S: Simd>(s: S, pairs: &mut [u64], hash: MulHash, keys: &[u
             s.store(k, &mut ka[..w]);
             s.store(v, &mut va[..w]);
             s.store(o, &mut oa[..w]);
+            let mut scalar_dup = false;
             for lane in m.not().iter_set() {
-                lp_insert_raw(pairs, hash, ka[lane], va[lane], oa[lane] as usize);
+                scalar_dup |= lp_insert_raw(pairs, hash, ka[lane], va[lane], oa[lane] as usize);
             }
             for idx in i..n {
-                lp_insert_raw(pairs, hash, keys[idx], pays[idx], 0);
+                scalar_dup |= lp_insert_raw(pairs, hash, keys[idx], pays[idx], 0);
             }
+            !(scalar_dup || dup.any())
         },
-    );
+    )
 }
 
-/// The body of [`lp_probe_raw`]'s vector kernel.
-fn probe_vertical_raw<S: Simd>(
-    s: S,
-    pairs: &[u64],
-    hash: MulHash,
-    keys: &[u32],
-    pays: &[u32],
-    out: &mut JoinSink,
-) {
-    s.vectorize(
-        #[inline(always)]
-        || {
-            let w = S::LANES;
-            let n = keys.len();
-            let t = pairs.len();
-            let f = s.splat(hash.factor());
-            let tn = s.splat(t as u32);
-            let empty = s.splat(EMPTY_KEY);
-            let one = s.splat(1);
-            let mut k = s.zero();
-            let mut v = s.zero();
-            let mut o = s.zero();
-            let mut m = S::M::all();
-            let mut probes = 0u64;
-            let mut i = 0usize;
-            while i + w <= n {
-                k = s.selective_load(k, m, &keys[i..]);
-                v = s.selective_load(v, m, &pays[i..]);
-                i += m.count();
-                let mut h = s.add(s.mulhi(s.mullo(k, f), tn), o);
-                let over = s.cmpge(h, tn);
-                h = s.blend(over, s.sub(h, tn), h);
-                let (tk, tv) = s.gather_pairs(pairs, h);
-                probes += w as u64;
-                m = s.cmpeq(tk, empty);
-                let hit = m.andnot(s.cmpeq(tk, k));
-                if hit.any() {
-                    let (ok, oi, oo) = out.spare(w);
-                    s.selective_store(ok, hit, k);
-                    s.selective_store(oi, hit, tv);
-                    let c = s.selective_store(oo, hit, v);
-                    out.advance(c);
-                }
-                o = s.blend(m, s.zero(), s.add(o, one));
-            }
-            rsv_metrics::count(Metric::LpProbes, probes);
-            let mut ka = [0u32; MAX_LANES];
-            let mut va = [0u32; MAX_LANES];
-            let mut oa = [0u32; MAX_LANES];
-            s.store(k, &mut ka[..w]);
-            s.store(v, &mut va[..w]);
-            s.store(o, &mut oa[..w]);
-            for lane in m.not().iter_set() {
-                lp_probe_one_raw(pairs, hash, ka[lane], va[lane], oa[lane] as usize, out);
-            }
-            for idx in i..n {
-                lp_probe_one_raw(pairs, hash, keys[idx], pays[idx], 0, out);
-            }
-        },
-    );
-}
-
-/// Vertically vectorized probe with `STRANDS` interleaved, independent
-/// probe states (an *extension* of the paper's Algorithm 5).
+/// Vertically vectorized probe (paper Algorithm 5) with `STRANDS`
+/// interleaved, independent probe states. `STRANDS = 1` is Algorithm 5
+/// itself: a different probe key per lane, finished lanes selectively
+/// reloaded from the input so every lane stays busy ("out-of-order"
+/// probing — the output order differs from the input order).
 ///
-/// The plain vertical probe is latency-bound on out-of-order CPUs: the
-/// selective reload's input cursor depends on the previous iteration's
-/// gather, serializing the loop. The paper's Xeon Phi hides that chain
-/// with 4-way SMT; a single modern core can do the same in software by
-/// probing `STRANDS` input chunks in lockstep so several gathers are in
-/// flight at once.
+/// One strand is latency-bound on out-of-order CPUs: the selective
+/// reload's input cursor depends on the previous iteration's gather,
+/// serializing the loop. The paper's Xeon Phi hides that chain with 4-way
+/// SMT; a single modern core can do the same in software by probing
+/// `STRANDS` input chunks in lockstep so several gathers are in flight at
+/// once (an *extension* of the paper).
+///
+/// On a `unique` (duplicate-free) table a lane retires at its match;
+/// otherwise it retires at the first empty bucket.
 pub fn lp_probe_vertical_strands_raw<S: Simd, const STRANDS: usize>(
     s: S,
     pairs: &[u64],
     hash: MulHash,
     keys: &[u32],
     pays: &[u32],
+    unique: bool,
     out: &mut JoinSink,
 ) {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
@@ -770,6 +763,9 @@ pub fn lp_probe_vertical_strands_raw<S: Simd, const STRANDS: usize>(
                         let c = s.selective_store(oo, hit, v[st]);
                         out.advance(c);
                     }
+                    if unique {
+                        m[st] = m[st].or(hit);
+                    }
                     o[st] = s.blend(m[st], s.zero(), s.add(o[st], one));
                 }
             }
@@ -783,10 +779,11 @@ pub fn lp_probe_vertical_strands_raw<S: Simd, const STRANDS: usize>(
                 s.store(v[st], &mut va[..w]);
                 s.store(o[st], &mut oa[..w]);
                 for lane in m[st].not().iter_set() {
-                    lp_probe_one_raw(pairs, hash, ka[lane], va[lane], oa[lane] as usize, out);
+                    let (key, pay, off) = (ka[lane], va[lane], oa[lane] as usize);
+                    lp_probe_one_raw(pairs, hash, key, pay, off, unique, out);
                 }
                 for idx in cur[st]..end[st] {
-                    lp_probe_one_raw(pairs, hash, keys[idx], pays[idx], 0, out);
+                    lp_probe_one_raw(pairs, hash, keys[idx], pays[idx], 0, unique, out);
                 }
             }
         },
@@ -1258,6 +1255,206 @@ mod dh_strand_tests {
                 rows.sort_unstable();
                 assert_eq!(rows, expected, "avx512 np={np}");
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod unique_tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+    use super::*;
+    use crate::EMPTY_PAIR;
+    use rsv_metrics::collect;
+    use rsv_simd::Portable;
+    use std::collections::HashMap;
+
+    type Rows = Vec<(u32, u32, u32)>;
+
+    fn reference_rows(bk: &[u32], bp: &[u32], pk: &[u32], pp: &[u32]) -> Rows {
+        let mut map: HashMap<u32, Vec<u32>> = HashMap::new();
+        for (&k, &p) in bk.iter().zip(bp) {
+            map.entry(k).or_default().push(p);
+        }
+        let mut rows: Rows = pk
+            .iter()
+            .zip(pp)
+            .flat_map(|(&k, &p)| map.get(&k).into_iter().flatten().map(move |&b| (k, b, p)))
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    /// Slots a probe of `key` inspects in the built `pairs`: its chain up
+    /// to the first empty bucket, or on a `unique` table up to its match.
+    fn reference_walk(pairs: &[u64], hash: MulHash, key: u32, unique: bool) -> u64 {
+        let t = pairs.len();
+        let mut h = hash.bucket(key, t);
+        let mut steps = 1;
+        loop {
+            let tk = pairs[h] as u32;
+            if tk == EMPTY_KEY || (unique && tk == key) {
+                return steps;
+            }
+            steps += 1;
+            h = (h + 1) % t;
+        }
+    }
+
+    /// Probe with `strands` vector strands (0 = the scalar kernel),
+    /// returning the sorted rows and the metered slot inspections.
+    #[allow(clippy::too_many_arguments)]
+    fn probe<S: Simd>(
+        s: S,
+        strands: usize,
+        pairs: &[u64],
+        hash: MulHash,
+        keys: &[u32],
+        pays: &[u32],
+        unique: bool,
+    ) -> (Rows, u64) {
+        let mut sink = JoinSink::with_capacity(0);
+        let ((), counts) = collect(|| match strands {
+            0 => lp_probe_raw(
+                KernelKind::<S>::Scalar,
+                pairs,
+                hash,
+                keys,
+                pays,
+                unique,
+                &mut sink,
+            ),
+            1 => {
+                lp_probe_vertical_strands_raw::<S, 1>(s, pairs, hash, keys, pays, unique, &mut sink)
+            }
+            _ => lp_probe_raw(
+                KernelKind::Vector(s),
+                pairs,
+                hash,
+                keys,
+                pays,
+                unique,
+                &mut sink,
+            ),
+        });
+        let c = counts.total();
+        assert_eq!(c.get(Metric::LpKeysProbed), keys.len() as u64);
+        let mut rows: Rows = sink.iter().collect();
+        rows.sort_unstable();
+        (rows, c.get(Metric::LpProbes))
+    }
+
+    /// Build with both kernels, then probe in both modes the table admits
+    /// with the scalar kernel and with 1 and 4 strands: the rows match the
+    /// reference and `LpProbes` equals the reference walk over the table
+    /// the build left.
+    fn check_counts<S: Simd>(s: S, bk: &[u32], pk: &[u32], duplicate_free: bool) {
+        let hash = MulHash::nth(0);
+        let bp: Vec<u32> = (0..bk.len() as u32).collect();
+        let pp: Vec<u32> = (0..pk.len() as u32).map(|i| i + 5000).collect();
+        let expected = reference_rows(bk, &bp, pk, &pp);
+        for (build, kind) in [
+            ("scalar", KernelKind::Scalar),
+            (s.name(), KernelKind::Vector(s)),
+        ] {
+            let mut pairs = vec![EMPTY_PAIR; bk.len() * 2 + 3];
+            let unique = lp_build_raw(kind, &mut pairs, hash, bk, &bp);
+            assert_eq!(unique, duplicate_free, "{build} build");
+            let modes: &[bool] = if unique { &[true, false] } else { &[false] };
+            for &mode in modes {
+                let walk: u64 = pk
+                    .iter()
+                    .map(|&k| reference_walk(&pairs, hash, k, mode))
+                    .sum();
+                for strands in [0, 1, 4] {
+                    let (rows, probes) = probe(s, strands, &pairs, hash, pk, &pp, mode);
+                    let what = format!("{build} build, unique={mode} strands={strands}");
+                    assert_eq!(rows, expected, "{what}");
+                    assert_eq!(probes, walk, "{what}");
+                }
+            }
+        }
+    }
+
+    fn probe_keys(bk: &[u32], n: usize) -> Vec<u32> {
+        (0..n)
+            .map(|i| {
+                let k = bk[(i * 7) % bk.len()];
+                if i % 5 == 4 {
+                    k ^ 0x00F0_0F00
+                } else {
+                    k
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lp_probes_equal_the_reference_walk() {
+        let mut rng = rsv_data::rng(81);
+        let uniq = rsv_data::unique_u32(900, &mut rng);
+        let dups: Vec<u32> = (0..900).map(|i| uniq[i % 250]).collect();
+        let narrow = Portable::<8>::new();
+        let wide = Portable::<16>::new();
+        for (bk, duplicate_free) in [(&uniq, true), (&dups, false)] {
+            let pk = probe_keys(bk, 3001);
+            check_counts(wide, bk, &pk, duplicate_free);
+            check_counts(narrow, bk, &pk, duplicate_free);
+            #[cfg(target_arch = "x86_64")]
+            if let Some(s) = rsv_simd::Avx512::new() {
+                check_counts(s, bk, &pk, duplicate_free);
+            }
+            #[cfg(target_arch = "x86_64")]
+            if let Some(s) = rsv_simd::Avx2::new() {
+                check_counts(s, bk, &pk, duplicate_free);
+            }
+        }
+        // a duplicate in the scalar tail of the vector build
+        let mut tail = uniq[..40].to_vec();
+        tail[39] = tail[2];
+        check_counts(wide, &tail, &probe_keys(&tail, 100), false);
+    }
+
+    /// Two equal keys in one vector share their home bucket, which is
+    /// empty: one lane wins it, and the other moves on without ever
+    /// gathering that bucket again. Only the loser's read of the winner's
+    /// key can report the duplicate.
+    fn check_conflict_loser<S: Simd>(s: S) {
+        let hash = MulHash::nth(0);
+        let mut rng = rsv_data::rng(82);
+        let mut bk = rsv_data::unique_u32(S::LANES, &mut rng);
+        bk[1] = bk[0];
+        let bp: Vec<u32> = (0..bk.len() as u32).collect();
+        let mut pairs = vec![EMPTY_PAIR; 8 * S::LANES];
+        let (unique, counts) =
+            collect(|| lp_build_raw(KernelKind::Vector(s), &mut pairs, hash, &bk, &bp));
+        assert!(!unique, "{}: the repeated key went unnoticed", s.name());
+        assert!(counts.total().get(Metric::LpBuildConflictRetries) >= 1);
+        let mut sink = JoinSink::with_capacity(0);
+        lp_probe_raw(
+            KernelKind::Vector(s),
+            &pairs,
+            hash,
+            &bk[..1],
+            &[7],
+            unique,
+            &mut sink,
+        );
+        let mut rows: Rows = sink.iter().collect();
+        rows.sort_unstable();
+        assert_eq!(rows, vec![(bk[0], 0, 7), (bk[0], 1, 7)], "{}", s.name());
+    }
+
+    #[test]
+    fn vector_build_flags_equal_keys_that_collide_in_one_vector() {
+        check_conflict_loser(Portable::<16>::new());
+        check_conflict_loser(Portable::<8>::new());
+        #[cfg(target_arch = "x86_64")]
+        if let Some(s) = rsv_simd::Avx512::new() {
+            check_conflict_loser(s);
+        }
+        #[cfg(target_arch = "x86_64")]
+        if let Some(s) = rsv_simd::Avx2::new() {
+            check_conflict_loser(s);
         }
     }
 }

@@ -15,12 +15,29 @@ use rsv_simd::{dispatch, KernelKind};
 use rsv_testkit::diff::{canonical_triples, CaseInput, DiffOp, Kernel, Registry};
 use std::collections::HashMap;
 
+/// Whether the case's inner relation repeats build keys: one case in three
+/// (seeds divisible by 3) with at least four build keys. The generated
+/// build keys are duplicate-free, so every other case's table is too.
+pub fn repeats_build_keys(input: &CaseInput) -> bool {
+    input.seed.is_multiple_of(3) && input.build_keys.len() >= 4
+}
+
 /// The case's inner and outer relations. The case's probe keys are drawn
 /// independently of its build keys and so almost never match; every other
 /// outer key is therefore replaced by a build key it selects, so about
 /// half the probes hit and a join that misplaces tuples changes the output.
+///
+/// Where [`repeats_build_keys`] holds, every fourth build key is replaced
+/// by a copy of an earlier one (with its own payload), so the joins also
+/// probe tables that hold repeated keys, where a probe must walk past its
+/// first match.
 fn relations(input: &CaseInput) -> (Relation, Relation) {
-    let build = &input.build_keys;
+    let mut build = input.build_keys.clone();
+    if repeats_build_keys(input) {
+        for i in (3..build.len()).step_by(4) {
+            build[i] = build[i / 4];
+        }
+    }
     let outer_keys = input
         .keys
         .iter()
@@ -34,7 +51,7 @@ fn relations(input: &CaseInput) -> (Relation, Relation) {
         })
         .collect();
     (
-        Relation::new(build.clone(), input.build_pays.clone()),
+        Relation::new(build, input.build_pays.clone()),
         Relation::new(outer_keys, input.pays.clone()),
     )
 }

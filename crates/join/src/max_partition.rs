@@ -72,9 +72,10 @@ pub fn join_max_partition<S: Simd>(
     let partition = t0.elapsed();
 
     // ------------------------------------------------------------------
-    // Phase 2+3: per part, build a cache-resident table and probe it.
-    // Each part is one stealable task; build/probe interleave per part,
-    // so the reported split is the workers' accumulated time.
+    // Phase 2+3: per part, build a cache-resident table and probe it; a
+    // part whose inner keys are duplicate-free stops each probe at its
+    // match. Each part is one stealable task; build/probe interleave per
+    // part, so the reported split is the workers' accumulated time.
     // ------------------------------------------------------------------
     let t0 = Instant::now();
     let task_q = MorselQueue::tasks(fanout, policy);
@@ -99,11 +100,11 @@ pub fn join_max_partition<S: Simd>(
                 let buckets = (ir.len() * 2 + 1).max(2);
                 let mut pairs = vec![EMPTY_PAIR; buckets];
                 let (ks, ps) = (&ik[ir.clone()], &ip[ir]);
-                lp_build_raw(kind, &mut pairs, table_hash, ks, ps);
+                let unique = lp_build_raw(kind, &mut pairs, table_hash, ks, ps);
                 build_ns += tb.elapsed().as_nanos() as u64;
                 let tp = Instant::now();
                 let (ks, ps) = (&ok_[or.clone()], &op[or]);
-                lp_probe_raw(kind, &pairs, table_hash, ks, ps, &mut sink);
+                lp_probe_raw(kind, &pairs, table_hash, ks, ps, unique, &mut sink);
                 probe_ns += tp.elapsed().as_nanos() as u64;
             });
         }

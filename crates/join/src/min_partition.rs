@@ -69,10 +69,11 @@ pub fn join_min_partition<S: Simd>(
     let _table = policy.run.reserve(table_bytes)?;
     let table = SharedBuffer::from_vec(vec![EMPTY_PAIR; parts * tsize]);
     let build_q = MorselQueue::tasks(parts, policy);
-    let (_, build_stats) = parallel_scope_try(threads, |ctx| {
+    let (uniques, build_stats) = parallel_scope_try(threads, |ctx| {
         // SAFETY: each task touches only its own part's sub-table slice,
         // and every task id is claimed exactly once.
         let view = unsafe { table.view_mut() };
+        let mut unique = true;
         for task in ctx.morsels(&build_q) {
             let _ = rsv_testkit::failpoint!("join.task");
             ctx.phase("build", || {
@@ -80,7 +81,7 @@ pub fn join_min_partition<S: Simd>(
                 let start = pass.partition_starts[p] as usize;
                 let end = start + pass.hist[p] as usize;
                 let sub = &mut view[p * tsize..(p + 1) * tsize];
-                lp_build_raw(
+                unique &= lp_build_raw(
                     kind,
                     sub,
                     table_hash,
@@ -89,10 +90,14 @@ pub fn join_min_partition<S: Simd>(
                 );
             });
         }
+        unique
     })?;
     policy.run.check_cancelled()?;
     let build = t0.elapsed();
     stats.merge(&build_stats);
+    // Equal keys share a part, so the sub-tables are duplicate-free
+    // together exactly when each one is.
+    let unique = uniques.iter().all(|&u| u);
 
     // Phase 3: probe across the T sub-tables, morsel by morsel.
     // SAFETY: the build threads were joined; the table is read-only now.
@@ -106,7 +111,9 @@ pub fn join_min_partition<S: Simd>(
             ctx.phase("probe", || {
                 let r = mo.range.clone();
                 let (ks, ps) = (&outer.keys[r.clone()], &outer.payloads[r]);
-                probe_multi(kind, pairs, tsize, part_fn, table_hash, ks, ps, &mut sink);
+                probe_multi(
+                    kind, pairs, tsize, part_fn, table_hash, ks, ps, unique, &mut sink,
+                );
             });
         }
         sink
@@ -130,7 +137,8 @@ pub fn join_min_partition<S: Simd>(
 
 /// Probe across `parts` concatenated sub-tables of `tsize` buckets each
 /// with `kind`'s kernel: per key, the scalar loop hashes to a table and
-/// walks its chain; the vector kernel is [`probe_vertical_multi`].
+/// walks its chain; the vector kernel is [`probe_vertical_multi`]. On
+/// `unique` (duplicate-free) sub-tables a key stops at its match.
 #[allow(clippy::too_many_arguments)]
 fn probe_multi<S: Simd>(
     kind: KernelKind<S>,
@@ -140,6 +148,7 @@ fn probe_multi<S: Simd>(
     table_hash: MulHash,
     keys: &[u32],
     pays: &[u32],
+    unique: bool,
     out: &mut JoinSink,
 ) {
     match kind {
@@ -147,19 +156,21 @@ fn probe_multi<S: Simd>(
             rsv_metrics::count(rsv_metrics::Metric::LpKeysProbed, keys.len() as u64);
             for (&k, &v) in keys.iter().zip(pays) {
                 let p = part_fn.partition(k);
-                lp_probe_one_raw(&pairs[p * tsize..(p + 1) * tsize], table_hash, k, v, 0, out);
+                let sub = &pairs[p * tsize..(p + 1) * tsize];
+                lp_probe_one_raw(sub, table_hash, k, v, 0, unique, out);
             }
         }
-        KernelKind::Vector(s) => {
-            probe_vertical_multi(s, pairs, tsize, part_fn, table_hash, keys, pays, out)
-        }
+        KernelKind::Vector(s) => probe_vertical_multi(
+            s, pairs, tsize, part_fn, table_hash, keys, pays, unique, out,
+        ),
     }
 }
 
 /// Vertically vectorized probe across `parts` concatenated sub-tables of
 /// `tsize` buckets each: per lane, the partition function picks the table
 /// and multiplicative hashing picks the bucket (the paper's "probe across
-/// the T hash tables" modification of Algorithm 5).
+/// the T hash tables" modification of Algorithm 5). On `unique` sub-tables
+/// a lane retires at its match.
 #[allow(clippy::too_many_arguments)]
 fn probe_vertical_multi<S: Simd>(
     s: S,
@@ -169,6 +180,7 @@ fn probe_vertical_multi<S: Simd>(
     table_hash: MulHash,
     keys: &[u32],
     pays: &[u32],
+    unique: bool,
     out: &mut JoinSink,
 ) {
     s.vectorize(
@@ -207,6 +219,9 @@ fn probe_vertical_multi<S: Simd>(
                     let c = s.selective_store(oo, hit, v);
                     out.advance(c);
                 }
+                if unique {
+                    m = m.or(hit);
+                }
                 o = s.blend(m, s.zero(), s.add(o, one));
             }
             rsv_metrics::count(rsv_metrics::Metric::LpProbes, probes);
@@ -216,27 +231,16 @@ fn probe_vertical_multi<S: Simd>(
             s.store(k, &mut ka[..w]);
             s.store(v, &mut va[..w]);
             s.store(o, &mut oa[..w]);
+            let probe_one = |key: u32, pay: u32, off: usize, out: &mut JoinSink| {
+                let p = part_fn.partition(key);
+                let sub = &pairs[p * tsize..(p + 1) * tsize];
+                lp_probe_one_raw(sub, table_hash, key, pay, off, unique, out);
+            };
             for lane in m.not().iter_set() {
-                let p = part_fn.partition(ka[lane]);
-                lp_probe_one_raw(
-                    &pairs[p * tsize..(p + 1) * tsize],
-                    table_hash,
-                    ka[lane],
-                    va[lane],
-                    oa[lane] as usize,
-                    out,
-                );
+                probe_one(ka[lane], va[lane], oa[lane] as usize, out);
             }
             for idx in i..n {
-                let p = part_fn.partition(keys[idx]);
-                lp_probe_one_raw(
-                    &pairs[p * tsize..(p + 1) * tsize],
-                    table_hash,
-                    keys[idx],
-                    pays[idx],
-                    0,
-                    out,
-                );
+                probe_one(keys[idx], pays[idx], 0, out);
             }
         },
     );

@@ -12,10 +12,23 @@ use rsv_simd::{KernelKind, Simd};
 
 use crate::{JoinResult, JoinTimings};
 
+/// How many tuples ahead of its insert the build prefetches a home bucket:
+/// enough to cover a miss to memory while the `lock cmpxchg`s in between
+/// serialize (Chen et al., "Improving Hash Join Performance through
+/// Prefetching", ICDE 2004).
+const PREFETCH_AHEAD: usize = 16;
+
 /// Insert one tuple into the shared table with a CAS loop over the linear
-/// probe chain.
+/// probe chain. Returns `true` if the walk passed a bucket holding `key`:
+/// both the loaded value and a failed CAS's current value are compared.
+/// A bucket changes only once, from empty to its final pair, so of two
+/// equal keys the later insert always passes the earlier one, whatever the
+/// workers' interleaving. `Relaxed` suffices for that: each bucket is one
+/// atomic, and a failed exchange reads the latest value in its
+/// modification order, which is the winner's pair. The pairs are published
+/// to the probe by joining the build's workers.
 #[inline]
-fn atomic_insert(table: &[AtomicU64], hash: MulHash, key: u32, pay: u32) {
+fn atomic_insert(table: &[AtomicU64], hash: MulHash, key: u32, pay: u32) -> bool {
     assert_ne!(
         key, EMPTY_KEY,
         "key {key:#x} is the reserved empty sentinel"
@@ -23,15 +36,16 @@ fn atomic_insert(table: &[AtomicU64], hash: MulHash, key: u32, pay: u32) {
     let t = table.len();
     let pair = u64::from(key) | (u64::from(pay) << 32);
     let mut h = hash.bucket(key, t);
+    let mut dup = false;
     loop {
-        let cur = table[h].load(Ordering::Relaxed);
-        if cur as u32 == EMPTY_KEY
-            && table[h]
-                .compare_exchange(cur, pair, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
-            return;
+        let mut seen = table[h].load(Ordering::Relaxed);
+        if seen as u32 == EMPTY_KEY {
+            match table[h].compare_exchange(seen, pair, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => return dup,
+                Err(won) => seen = won,
+            }
         }
+        dup |= seen as u32 == key;
         h += 1;
         if h == t {
             h = 0;
@@ -43,7 +57,8 @@ fn atomic_insert(table: &[AtomicU64], hash: MulHash, key: u32, pay: u32) {
 /// per-worker scheduler stats. `kind` selects the probe kernel; the build
 /// is scalar either way (paper: "building the hash table cannot be
 /// fully vectorized because atomic operations are not supported in
-/// SIMD").
+/// SIMD"). When the build finds no repeated key, each probe stops at its
+/// match.
 ///
 /// Honours `policy.run`: the shared hash table is gated by the memory
 /// budget, cancellation is observed at every morsel-claim boundary (build
@@ -64,21 +79,29 @@ pub fn join_no_partition<S: Simd>(
     let _table = policy.run.reserve(table_bytes)?;
     let table: Vec<AtomicU64> = (0..buckets).map(|_| AtomicU64::new(EMPTY_PAIR)).collect();
 
-    // Build: workers claim inner-relation morsels and insert with CAS.
+    // Build: workers claim inner-relation morsels and insert with CAS,
+    // prefetching the home bucket of the tuple PREFETCH_AHEAD ahead.
     let t0 = Instant::now();
     let build_q = MorselQueue::new(inner.len(), policy, 1);
-    let (_, mut stats) = parallel_scope_try(t, |ctx| {
+    let (dups, mut stats) = parallel_scope_try(t, |ctx| {
+        let mut dup = false;
         for mo in ctx.morsels(&build_q) {
             let _ = rsv_testkit::failpoint!("join.build.morsel");
             ctx.phase("build", || {
                 for i in mo.range.clone() {
-                    atomic_insert(&table, hash, inner.keys[i], inner.payloads[i]);
+                    if let Some(&ahead) = inner.keys.get(i + PREFETCH_AHEAD) {
+                        rsv_simd::prefetch_read(&table, hash.bucket(ahead, buckets));
+                    }
+                    dup |= atomic_insert(&table, hash, inner.keys[i], inner.payloads[i]);
                 }
             });
         }
+        dup
     })?;
     policy.run.check_cancelled()?;
     let build = t0.elapsed();
+    // A duplicate-free table lets each probe stop at its match.
+    let unique = !dups.contains(&true);
 
     // The build threads were joined: the table is now plain read-only data.
     // SAFETY: AtomicU64 has the same in-memory representation as u64 and
@@ -102,6 +125,7 @@ pub fn join_no_partition<S: Simd>(
                     hash,
                     &outer.keys[r.clone()],
                     &outer.payloads[r],
+                    unique,
                     &mut sink,
                 );
             });
@@ -165,6 +189,36 @@ mod tests {
         let r = join(kind, &w.inner, &w.outer, 2);
         assert_eq!(r.matches(), n);
         assert_eq!(r.fingerprint(), expected);
+    }
+
+    /// Copies of a key land in morsels that different workers claim, so
+    /// their CAS inserts interleave in every order over the repeats. The
+    /// build must notice the copies each time, or the probe stops at the
+    /// first copy and loses the others' matches.
+    #[test]
+    fn equal_keys_inserted_by_different_workers_all_match() {
+        let mut rng = rsv_data::rng(205);
+        let uniq = rsv_data::unique_u32(2_048, &mut rng);
+        // one repeated key among unique ones, and every key twice
+        let mut one = uniq.clone();
+        one[1_900] = one[3];
+        let twice: Vec<u32> = uniq.iter().chain(&uniq).copied().collect();
+        let outer = Relation::new(uniq.clone(), (0..uniq.len() as u32).collect());
+        let policy = ExecPolicy::new(8).with_morsel_tuples(64);
+        for keys in [one, twice] {
+            let inner = Relation::new(keys.clone(), (0..keys.len() as u32).collect());
+            let (expected, n) = reference_fingerprint(&inner, &outer);
+            for kind in [
+                KernelKind::Scalar,
+                KernelKind::Vector(Portable::<16>::new()),
+            ] {
+                for _ in 0..25 {
+                    let r = join_no_partition(kind, &inner, &outer, &policy).unwrap().0;
+                    assert_eq!(r.matches(), n, "{kind:?}");
+                    assert_eq!(r.fingerprint(), expected);
+                }
+            }
+        }
     }
 
     #[test]

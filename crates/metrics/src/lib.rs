@@ -47,7 +47,7 @@
 //! * [`MetricClass::WidthDependent`] — deterministic for a fixed lane
 //!   width and thread count, but legitimately different between 8- and
 //!   16-lane backends (lanes-active histograms, conflict serializations,
-//!   staging-buffer flushes).
+//!   staging-buffer flushes, linear-probe slot inspections).
 //! * [`MetricClass::Unstable`] — timing- or schedule-dependent (steals,
 //!   phase-latency histograms); never compared.
 
@@ -83,7 +83,11 @@ pub enum Metric {
     /// Keys probed against a linear-probing table.
     LpKeysProbed,
     /// Linear-probe slot inspections (≥ keys probed; the excess is the
-    /// chain-walk cost the paper's Figure 7 is about).
+    /// chain-walk cost the paper's Figure 7 is about). Width-dependent: on
+    /// a duplicate-free table a probe stops at its key's bucket, and where
+    /// the vertical build puts colliding keys depends on the lane count.
+    /// A concurrent shared build (the no-partition join) also places them
+    /// in the workers' claim order.
     LpProbes,
     /// Keys probed against a double-hashing table.
     DhKeysProbed,
@@ -226,13 +230,12 @@ impl Metric {
     pub fn class(self) -> MetricClass {
         use Metric::*;
         match self {
-            ScanTuplesIn | ScanTuplesOut | LpKeysProbed | LpProbes | DhKeysProbed | DhProbes
-            | LpKeysBuilt | CuckooKeysBuilt | BloomKeysProbed | BloomWordsTouched
-            | PartHistTuples | PartShuffleTuples | ColBlocksDecoded | SortPasses
-            | SortBytesMoved | JoinBuildTuples | JoinProbeTuples | JoinPartitionFanout => {
-                MetricClass::Work
-            }
-            LpBuildConflictRetries
+            ScanTuplesIn | ScanTuplesOut | LpKeysProbed | DhKeysProbed | DhProbes | LpKeysBuilt
+            | CuckooKeysBuilt | BloomKeysProbed | BloomWordsTouched | PartHistTuples
+            | PartShuffleTuples | ColBlocksDecoded | SortPasses | SortBytesMoved
+            | JoinBuildTuples | JoinProbeTuples | JoinPartitionFanout => MetricClass::Work,
+            LpProbes
+            | LpBuildConflictRetries
             | CuckooDisplacements
             | PartConflictsSerialized
             | PartBufferFlushes

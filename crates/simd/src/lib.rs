@@ -69,6 +69,23 @@ pub use avx2::Avx2;
 #[cfg(target_arch = "x86_64")]
 pub use avx512::Avx512;
 
+/// Hint the CPU to bring `slice[i]` into cache ahead of a read: a
+/// `prefetcht0` on x86_64, a no-op on other targets or when `i` is out of
+/// range. A prefetch never faults and never changes a result; it only
+/// starts a cache miss early so other work can overlap it.
+#[inline(always)]
+pub fn prefetch_read<T>(slice: &[T], i: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(x) = slice.get(i) {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: `x` points into a live slice, and SSE (which provides
+        // `prefetcht0`) is part of the x86_64 baseline.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>((x as *const T).cast::<i8>()) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (slice, i);
+}
+
 /// The vector width (number of 32-bit lanes) the paper's Xeon Phi platform
 /// uses, and the width of the [`Avx512`] and default [`Portable`] backends.
 pub const PHI_LANES: usize = 16;
