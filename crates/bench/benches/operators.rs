@@ -217,7 +217,7 @@ fn bench_sort_and_join(t: &mut Table) {
     let secs = bench(REPS, || {
         let (r, _) = expect_infallible(dispatch!(backend, s => {
             rsv_join::join_max_partition(
-                KernelKind::Vector(s), &w.inner, &w.outer, &ExecPolicy::new(1), rsv_join::DEFAULT_PART_TUPLES,
+                KernelKind::Vector(s), &w.inner, &w.outer, &ExecPolicy::new(1), rsv_join::part_tuples(w.inner.len()),
             )
         }));
         std::hint::black_box(r.matches());

@@ -9,8 +9,7 @@ use rsv_bench::{banner, bench, record, Measurement, Scale, Table};
 use rsv_data::Relation;
 use rsv_exec::{expect_infallible, ExecPolicy};
 use rsv_join::{
-    join_max_partition, join_min_partition, join_no_partition, JoinResult, JoinVariant,
-    DEFAULT_PART_TUPLES,
+    join_max_partition, join_min_partition, join_no_partition, part_tuples, JoinResult, JoinVariant,
 };
 use rsv_simd::{dispatch, KernelKind, Simd};
 
@@ -26,7 +25,7 @@ fn join<S: Simd>(
         JoinVariant::NoPartition => join_no_partition(kind, inner, outer, policy),
         JoinVariant::MinPartition => join_min_partition(kind, inner, outer, policy),
         JoinVariant::MaxPartition => {
-            join_max_partition(kind, inner, outer, policy, DEFAULT_PART_TUPLES)
+            join_max_partition(kind, inner, outer, policy, part_tuples(inner.len()))
         }
     });
     r

@@ -7,7 +7,7 @@
 
 use rsv_bench::{banner, bench, record, Measurement, Scale, Table};
 use rsv_exec::{expect_infallible, ExecPolicy};
-use rsv_join::{join_max_partition, DEFAULT_PART_TUPLES};
+use rsv_join::{join_max_partition, part_tuples};
 use rsv_simd::{dispatch, Backend, KernelKind};
 use rsv_sort::{radixsort_pairs, SortConfig};
 
@@ -52,7 +52,7 @@ fn main() {
         });
         let join_s = bench(2, || {
             let (r, _) = expect_infallible(dispatch!(b, s => {
-                join_max_partition(KernelKind::Vector(s), &w.inner, &w.outer, &policy, DEFAULT_PART_TUPLES)
+                join_max_partition(KernelKind::Vector(s), &w.inner, &w.outer, &policy, part_tuples(w.inner.len()))
             }));
             assert_eq!(r.matches(), w.expected_matches);
         });

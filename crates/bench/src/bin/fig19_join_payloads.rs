@@ -9,7 +9,7 @@
 
 use rsv_bench::{banner, bench, record, Measurement, Scale, Table};
 use rsv_exec::{expect_infallible, ExecPolicy};
-use rsv_join::{join_max_partition, DEFAULT_PART_TUPLES};
+use rsv_join::{join_max_partition, part_tuples};
 use rsv_partition::histogram::histogram_scalar;
 use rsv_partition::multicol::{apply_destinations_u64, compute_destinations};
 use rsv_partition::HashFn;
@@ -72,14 +72,15 @@ fn main() {
         let secs = bench(2, || {
             dispatch!(backend, s => {
                 // carry every payload column through one partitioning pass
-                let fanout = (n_r / 2048).clamp(2, 256);
+                // at the join's own fanout
+                let fanout = n_r.div_ceil(part_tuples(n_r)).clamp(2, 256);
                 let (_rk, _rcols) = partition_with_columns(s, &w.inner.keys, &r_cols, fanout);
                 let (_sk, _scols) = partition_with_columns(s, &w.outer.keys, &s_cols, fanout);
                 // join on (key, rid); wide payloads are dereferenced via the
                 // rids in the join output
                 let policy = ExecPolicy::new(1);
                 let (r, _) = expect_infallible(join_max_partition(
-                    KernelKind::Vector(s), &w.inner, &w.outer, &policy, DEFAULT_PART_TUPLES,
+                    KernelKind::Vector(s), &w.inner, &w.outer, &policy, part_tuples(w.inner.len()),
                 ));
                 matches = r.matches();
             });

@@ -47,8 +47,7 @@ pub use rsv_sort::SortConfig;
 pub use rsv_exec::{CancelToken, EngineError, MemoryBudget, RunContext};
 
 use rsv_exec::{
-    column_bytes, expect_infallible, filter_parallel, parallel_scope_try, ExecPolicy, MorselQueue,
-    DEFAULT_MORSEL_TUPLES,
+    column_bytes, expect_infallible, filter_parallel, ExecPolicy, DEFAULT_MORSEL_TUPLES,
 };
 use rsv_partition::PartitionFn;
 use rsv_scan::{ScanPredicate, ScanVariant};
@@ -256,7 +255,7 @@ impl Engine {
                     rsv_join::join_min_partition(KernelKind::Vector(s), inner, outer, &policy)
                 }
                 JoinVariant::MaxPartition => rsv_join::join_max_partition(
-                    KernelKind::Vector(s), inner, outer, &policy, rsv_join::DEFAULT_PART_TUPLES,
+                    KernelKind::Vector(s), inner, outer, &policy, rsv_join::part_tuples(inner.len()),
                 ),
             }
         })?;
@@ -355,7 +354,7 @@ impl Engine {
         let mut out_keys = vec![0u32; rel.len()];
         let mut out_pays = vec![0u32; rel.len()];
         let (pass, _) = dispatch!(self.backend, s => {
-            rsv_partition::twopass::hash_partition_twopass(
+            rsv_partition::twopass::partition_twopass(
                 KernelKind::Vector(s), f, &rel.keys, &rel.payloads, &mut out_keys, &mut out_pays,
                 &self.policy(run),
             )
@@ -376,25 +375,31 @@ impl Engine {
     /// key, one per distinct key. Every `u32` key is accepted, `u32::MAX`
     /// included.
     ///
-    /// Workers aggregate claimed morsels into private tables. The other
-    /// tables are then merged in place into the one holding the most
-    /// groups, whose rows are sorted by key. The merge is commutative and
-    /// keys are unique, so the result is schedule-independent.
-    ///
-    /// `expected_groups` sizes each worker's table; it may be any
-    /// estimate (e.g. `rel.len()`), since tables grow past it. Estimates
-    /// past `rel.len()` are clamped to it: there cannot be more groups
-    /// than tuples.
+    /// `expected_groups` bounds the group count; it may be any estimate
+    /// (e.g. `rel.len()`), since tables grow past it, and it is clamped to
+    /// `rel.len()`. While a table for that bound is smaller than
+    /// [`rsv_exec::L2_BYTES`] (fewer than 64K groups), workers aggregate
+    /// claimed morsels into private tables that are then merged and
+    /// sorted. Past it, the bound is also capped by the keys' span; if that
+    /// still needs a larger table, one radix pass cuts the input into key
+    /// ranges of about [`rsv_hashtab::group::AGG_PART_GROUPS`] groups,
+    /// each aggregated in its own L2-resident table, and the ranges' rows
+    /// concatenate in key order ([`rsv_hashtab::group::group_by_sum`]).
+    /// Either way the result is schedule-independent.
     pub fn group_by_sum(&self, rel: &Relation, expected_groups: usize) -> Vec<(u32, u32, u64)> {
         expect_infallible(self.try_group_by_sum(rel, expected_groups, &RunContext::default()))
     }
 
     /// Fallible [`Engine::group_by_sum`] under a [`RunContext`]:
-    /// cancellation is observed at morsel-claim boundaries and a worker
-    /// panic surfaces as [`EngineError::WorkerPanicked`] after the sibling
-    /// workers drain. The workers' tables as sized by `expected_groups`
-    /// are reserved against the budget first, so a budget smaller than
-    /// that fails with [`EngineError::BudgetExceeded`].
+    /// cancellation is observed at morsel- and task-claim boundaries and a
+    /// worker panic surfaces as [`EngineError::WorkerPanicked`] after the
+    /// sibling workers drain. The single-table route reserves the workers'
+    /// tables as sized by the bound (`threads` tables); the partitioned
+    /// route reserves its partitioned copy (8 bytes per tuple) and
+    /// `min(threads, parts)` part tables, plus, while it runs, the extra
+    /// bytes of a larger table for a part that holds far more than its
+    /// share of the groups. A budget smaller than that fails with
+    /// [`EngineError::BudgetExceeded`].
     pub fn try_group_by_sum(
         &self,
         rel: &Relation,
@@ -402,31 +407,14 @@ impl Engine {
         run: &RunContext,
     ) -> Result<Vec<(u32, u32, u64)>, EngineError> {
         check_tuples(&[rel.len()])?;
-        let groups = expected_groups.min(rel.len()).max(1);
-        let table_bytes = rsv_hashtab::GroupAggTable::bytes_for(groups, 0.5);
-        let _tables = run.reserve(self.threads as u64 * table_bytes)?;
-        let q = MorselQueue::new(rel.len(), &self.policy(run), 16);
-        let (mut tables, _) = parallel_scope_try(self.threads, |ctx| {
-            let mut table = rsv_hashtab::GroupAggTable::new(groups, 0.5);
-            for mo in ctx.morsels(&q) {
-                ctx.phase("aggregate", || {
-                    let r = mo.range.clone();
-                    dispatch!(self.backend, s => {
-                        table.update_vector(s, &rel.keys[r.clone()], &rel.payloads[r])
-                    });
-                });
-            }
-            table
+        let policy = self.policy(run);
+        let (rows, _) = dispatch!(self.backend, s => {
+            rsv_hashtab::group::group_by_sum(
+                KernelKind::Vector(s), &rel.keys, &rel.payloads, expected_groups,
+                rsv_hashtab::group::AGG_PART_GROUPS, &policy,
+            )
         })?;
-        run.check_cancelled()?;
-        let Some(largest) = (0..tables.len()).max_by_key(|&i| tables[i].groups()) else {
-            return Ok(Vec::new());
-        };
-        let mut merged = tables.swap_remove(largest);
-        for table in &tables {
-            merged.merge(table);
-        }
-        Ok(merged.into_sorted_rows())
+        Ok(rows)
     }
 }
 
@@ -586,6 +574,44 @@ mod tests {
         assert_eq!(rows.len(), expected.len());
         for (k, c, s) in rows {
             assert_eq!(expected[&k], (c, s), "group {k}");
+        }
+    }
+
+    /// A group count past the single-table limit takes the partitioned
+    /// route: 150K keys vary in their low 18 bits (the two `u32::MAX` keys
+    /// live in the side slot and do not count), so 32 parts of 8192
+    /// possible keys. The rows match a `BTreeMap` reference at every
+    /// thread count, and a small group-by stays on the single table.
+    #[test]
+    fn group_by_sum_partitions_past_l2() {
+        use rsv_metrics::Metric;
+        let mut rng = rsv_data::rng(307);
+        let n = 200_000;
+        let mut keys: Vec<u32> = rsv_data::uniform_u32(n, &mut rng)
+            .iter()
+            .map(|k| k % 150_000)
+            .collect();
+        keys[7] = u32::MAX;
+        keys[n - 1] = u32::MAX;
+        let rel = Relation::new(keys, rsv_data::uniform_u32(n, &mut rng));
+        let mut expected: std::collections::BTreeMap<u32, (u32, u64)> = Default::default();
+        for (k, v) in rel.iter() {
+            let e = expected.entry(k).or_default();
+            e.0 += 1;
+            e.1 += u64::from(v);
+        }
+        let expected: Vec<(u32, u32, u64)> =
+            expected.into_iter().map(|(k, (c, s))| (k, c, s)).collect();
+        for threads in [1usize, 2] {
+            let e = Engine::new().with_threads(threads);
+            let (rows, sink) = rsv_metrics::collect(|| e.group_by_sum(&rel, 150_000));
+            let c = sink.total();
+            assert_eq!(rows, expected, "t={threads}");
+            assert_eq!(c.get(Metric::AggPartitionFanout), 32, "t={threads}");
+            assert_eq!(c.get(Metric::PartShuffleTuples), n as u64, "t={threads}");
+            let (_, sink) = rsv_metrics::collect(|| e.group_by_sum(&rel, 16));
+            let c = sink.total();
+            assert_eq!(c.get(Metric::AggPartitionFanout), 0, "t={threads}");
         }
     }
 

@@ -139,6 +139,19 @@ fn op_group_by(e: &Engine, run: &RunContext) -> Result<u64, EngineError> {
     Ok(d)
 }
 
+/// Past 64K groups (a table larger than L2) the group-by partitions its
+/// input and aggregates one part per task.
+fn op_group_by_partitioned(e: &Engine, run: &RunContext) -> Result<u64, EngineError> {
+    let rows = e.try_group_by_sum(&rel(100_000), 100_000, run)?;
+    let mut d = 0u64;
+    for (k, c, s) in rows {
+        d = d
+            .wrapping_mul(31)
+            .wrapping_add(u64::from(k) ^ u64::from(c) ^ s);
+    }
+    Ok(d)
+}
+
 const OPS: &[Op] = &[
     ("select", op_select),
     ("select-compressed", op_select_compressed),
@@ -150,6 +163,7 @@ const OPS: &[Op] = &[
     ("hash-partition", op_partition),
     ("hash-partition-twopass", op_partition_twopass),
     ("group-by-sum", op_group_by),
+    ("group-by-sum-partitioned", op_group_by_partitioned),
 ];
 
 /// Failpoints that fire on the coordinating thread, outside any

@@ -10,9 +10,10 @@
 //! failing oracle prints a seed that re-runs exactly the offending case.
 
 use rsv_core::column::{CompressedColumn, BLOCK_LEN};
+use rsv_core::hashtab::diff::{agg_keys, SMALL_PART_GROUPS};
 use rsv_core::hashtab::CuckooTable;
 use rsv_core::join::diff::SMALL_PART_TUPLES;
-use rsv_core::join::DEFAULT_PART_TUPLES;
+use rsv_core::join::part_tuples;
 use rsv_core::metrics::{Counters, Metric};
 use rsv_testkit::diff::{run_registry_metered, CaseInput, DiffConfig, MeteredRun, Registry};
 use rsv_testkit::Rng;
@@ -59,6 +60,25 @@ fn sort_passes(input: &CaseInput) -> u64 {
             u64::from(diff >> shift) & digit != 0
         })
         .count() as u64
+}
+
+/// Parts the partitioned group-by kernel cuts the case into, and the
+/// tuples its partition pass shuffles: every tuple, unless one part needs
+/// no pass.
+fn agg_parts(input: &CaseInput) -> (u64, u64) {
+    let keys = agg_keys(input);
+    // the sentinel's group lives in the side slot and picks no radix bit
+    let ordinary: Vec<u32> = keys.iter().copied().filter(|&k| k != u32::MAX).collect();
+    let first = ordinary.first().copied().unwrap_or(0);
+    let diff = ordinary.iter().fold(0u32, |d, &k| d | (k ^ first));
+    let span = 1u64 << (32 - diff.leading_zeros());
+    let bound = (input.capacity.min(keys.len()).max(1) as u64).min(span);
+    let parts = bound
+        .div_ceil(SMALL_PART_GROUPS as u64)
+        .next_power_of_two()
+        .min(256)
+        .min(span);
+    (parts, if parts > 1 { keys.len() as u64 } else { 0 })
 }
 
 /// Identities that hold for every operator, metered or not.
@@ -182,7 +202,7 @@ fn check(run: &MeteredRun<'_>) {
                 let target = if run.kernel.ends_with("small-parts") {
                     SMALL_PART_TUPLES
                 } else {
-                    DEFAULT_PART_TUPLES
+                    part_tuples(b as usize)
                 };
                 let parts = b.div_ceil(target as u64).max(1);
                 assert_eq!(c.get(Metric::JoinPartitionFanout), parts);
@@ -229,9 +249,24 @@ fn check(run: &MeteredRun<'_>) {
                 assert_eq!(c.get(Metric::ColBlocksDecoded), blocks);
             }
         }
-        // horizontal buckets and aggregate groups are width-dependent by
-        // construction and deliberately unmetered
-        "horizontal-probe" | "agg-group" => {}
+        "agg-group" => {
+            if run.kernel == "partitioned-small-parts" {
+                // one part per key range: the group bound (capped by the
+                // key span 2^v) over the part bound, rounded up to a power
+                // of two, at most 256 and at most 2^v
+                let (fanout, shuffled) = agg_parts(run.input);
+                assert_eq!(c.get(Metric::AggPartitionFanout), fanout);
+                assert_eq!(c.get(Metric::PartHistTuples), shuffled);
+                assert_eq!(c.get(Metric::PartShuffleTuples), shuffled);
+                assert_eq!(staged, shuffled);
+            } else {
+                // the tables themselves are unmetered
+                assert_eq!(c.get(Metric::AggPartitionFanout), 0);
+            }
+        }
+        // horizontal buckets are width-dependent by construction and
+        // deliberately unmetered
+        "horizontal-probe" => {}
         other => panic!("diff op `{other}` has no metric oracle — add one"),
     }
 }

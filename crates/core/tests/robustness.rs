@@ -22,7 +22,8 @@
 //! fault-injection counterpart (`fault_recovery.rs`) needs
 //! `--features failpoints`.
 
-use rsv_core::hashtab::{FallbackTable, JoinSink, LinearTable, MulHash};
+use rsv_core::hashtab::group::AGG_PART_GROUPS;
+use rsv_core::hashtab::{FallbackTable, GroupAggTable, JoinSink, LinearTable, MulHash};
 use rsv_core::metrics::{self, Metric};
 use rsv_core::partition::twopass::MAX_DIRECT_FANOUT;
 use rsv_core::simd::KernelKind;
@@ -63,6 +64,8 @@ fn cancelled_run_fails_every_operator_without_claiming_work() {
     let inner = rel(4_000);
     let outer = rel(16_000);
     let packed = engine.compress(&outer);
+    // more groups than one L2-sized table holds: the partitioned route
+    let many_groups = rel(100_000);
 
     type Op<'a> = (
         &'a str,
@@ -132,6 +135,14 @@ fn cancelled_run_fails_every_operator_without_claiming_work() {
                     .map(|_| ())
             }),
         ),
+        (
+            "group-by-sum-partitioned",
+            Box::new(|run| {
+                engine
+                    .try_group_by_sum(&many_groups, many_groups.len(), run)
+                    .map(|_| ())
+            }),
+        ),
     ];
 
     for (name, op) in &ops {
@@ -163,6 +174,8 @@ fn budget_exceeded_is_typed_and_releases_everything() {
     let inner = rel(4_000);
     let outer = rel(16_000);
     let packed = engine.compress(&outer);
+    // more groups than one L2-sized table holds: the partitioned route
+    let many_groups = rel(100_000);
 
     type Op<'a> = (
         &'a str,
@@ -227,6 +240,14 @@ fn budget_exceeded_is_typed_and_releases_everything() {
         (
             "group-by-sum",
             Box::new(|run| engine.try_group_by_sum(&outer, 1_000, run).map(|_| ())),
+        ),
+        (
+            "group-by-sum-partitioned",
+            Box::new(|run| {
+                engine
+                    .try_group_by_sum(&many_groups, many_groups.len(), run)
+                    .map(|_| ())
+            }),
         ),
     ];
 
@@ -300,6 +321,16 @@ fn operators_reserve_their_documented_bytes() {
     let kept_half = engine.select(&outer, 0, half).len() as u64;
     let kept_bloom = engine.bloom_semijoin(&outer, &inner.keys).len() as u64;
     let kept_bloom_large = engine.bloom_semijoin(&small, &large.keys).len() as u64;
+    // Past 64K groups (a table larger than L2), the group-by partitions
+    // 100K distinct keys into 16 parts of 6250 groups; its two workers hold
+    // one part table each.
+    let many_groups = rel(100_000);
+    let many = many_groups.len() as u64;
+    let parts = many_groups
+        .len()
+        .div_ceil(AGG_PART_GROUPS)
+        .next_power_of_two();
+    let many_per_part = many_groups.len().div_ceil(parts);
 
     type Op<'a> = (
         &'a str,
@@ -379,6 +410,20 @@ fn operators_reserve_their_documented_bytes() {
             Box::new(|run| {
                 engine
                     .try_hash_join_variant(&inner, &outer, JoinVariant::NoPartition, run)
+                    .map(|_| ())
+            }),
+        ),
+        (
+            "group-by-sum",
+            2 * GroupAggTable::bytes_for(1_000, 0.5),
+            Box::new(|run| engine.try_group_by_sum(&outer, 1_000, run).map(|_| ())),
+        ),
+        (
+            "group-by-sum-partitioned",
+            8 * many + 2 * GroupAggTable::bytes_for(many_per_part, 0.5),
+            Box::new(|run| {
+                engine
+                    .try_group_by_sum(&many_groups, many_groups.len(), run)
                     .map(|_| ())
             }),
         ),

@@ -35,7 +35,7 @@ pub use parallel::{
     chunk_ranges, parallel_scope, parallel_scope_try, Morsels, ParallelContext, SchedulerStats,
     WorkerPanic, WorkerStats,
 };
-pub use platform::{platform_report, PlatformReport};
+pub use platform::{platform_report, PlatformReport, L2_BYTES, PART_TABLE_BYTES};
 pub use run::{column_bytes, CancelToken, MemoryBudget, Reservation, RunContext};
 pub use shared::{SharedBuffer, SlotMap};
 pub use timing::{throughput_mtps, time, Timed};

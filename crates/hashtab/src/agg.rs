@@ -24,8 +24,11 @@
 //!
 //! Partial tables combine with [`GroupAggTable::merge`], and
 //! [`GroupAggTable::into_sorted_rows`] emits the result ordered by key.
+//! The engine's group-by ([`crate::group`]) uses one such table per
+//! worker while a table for its groups is smaller than L2, and one per
+//! key-range part past that.
 
-use rsv_simd::{MaskLike, Simd};
+use rsv_simd::{KernelKind, MaskLike, Simd};
 
 use crate::{bucket_count, MulHash, EMPTY_KEY};
 
@@ -234,6 +237,20 @@ impl GroupAggTable {
         assert_eq!(keys.len(), values.len(), "column length mismatch");
         for (&k, &v) in keys.iter().zip(values) {
             self.update(k, v);
+        }
+    }
+
+    /// Aggregate whole columns with `kind`'s kernel:
+    /// [`GroupAggTable::update_scalar`] or [`GroupAggTable::update_vector`].
+    pub(crate) fn update_with<S: Simd>(
+        &mut self,
+        kind: KernelKind<S>,
+        keys: &[u32],
+        values: &[u32],
+    ) {
+        match kind {
+            KernelKind::Scalar => self.update_scalar(keys, values),
+            KernelKind::Vector(s) => self.update_vector(s, keys, values),
         }
     }
 

@@ -6,13 +6,16 @@
 //! aggregate groups) — placement is an implementation detail, the result
 //! set is not.
 
+use crate::group::group_by_partitioned;
 use crate::{
     BucketScheme, BucketizedTable, CuckooTable, DoubleHashTable, GroupAggTable, JoinSink,
-    LinearTable,
+    LinearTable, EMPTY_KEY,
 };
-use rsv_simd::{dispatch, Backend};
+use rsv_exec::{expect_infallible, ExecPolicy};
+use rsv_simd::{dispatch, Backend, KernelKind};
 use rsv_testkit::diff::{canonical_triples, CaseInput, DiffOp, Kernel, Registry};
 use rsv_testkit::Rng;
+use std::collections::BTreeMap;
 
 fn sink_bytes(sink: JoinSink) -> Vec<u8> {
     canonical_triples(sink.iter().collect())
@@ -122,8 +125,39 @@ fn horizontal_reference(input: &CaseInput) -> Vec<u8> {
 
 // --- grouped aggregation ----------------------------------------------
 
-fn agg_bytes(t: GroupAggTable) -> Vec<u8> {
-    let groups = t.into_sorted_rows();
+/// A part bound of one group: the partitioned kernel cuts every fuzzed
+/// case with more than one key into as many parts as its group bound
+/// allows (up to the 256-way pass limit).
+pub const SMALL_PART_GROUPS: usize = 1;
+
+/// The case's aggregation keys. The generator never emits the sentinel
+/// and rarely crowds one key range, so, by case seed:
+///
+/// * 1 mod 4: every fifth key becomes [`EMPTY_KEY`] (`u32::MAX`), whose
+///   side-slot group must sort last on every route;
+/// * 2 mod 4: seven keys in eight become the case's first key, so one
+///   part holds most tuples while the rest keep their spread;
+/// * otherwise the keys stay as drawn. That includes uniform keys over
+///   the full `u32` range (bit 31 varies) and all-equal keys (no bit
+///   varies, so the partitioned route makes one part).
+pub fn agg_keys(input: &CaseInput) -> Vec<u32> {
+    let mut keys = input.keys.clone();
+    match input.seed % 4 {
+        1 => keys.iter_mut().step_by(5).for_each(|k| *k = EMPTY_KEY),
+        2 => {
+            let first = keys.first().copied().unwrap_or(0);
+            for (i, k) in keys.iter_mut().enumerate() {
+                if i % 8 != 7 {
+                    *k = first;
+                }
+            }
+        }
+        _ => {}
+    }
+    keys
+}
+
+fn agg_bytes(groups: Vec<(u32, u32, u64)>) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 * groups.len());
     for (k, c, s) in groups {
         out.extend_from_slice(&k.to_le_bytes());
@@ -133,18 +167,24 @@ fn agg_bytes(t: GroupAggTable) -> Vec<u8> {
     out
 }
 
+/// A `BTreeMap` group-by, sharing no table or row emission with the
+/// kernels.
 fn agg_reference(input: &CaseInput) -> Vec<u8> {
-    let mut t = GroupAggTable::new(input.capacity, input.load_factor);
-    t.update_scalar(&input.keys, &input.pays);
-    agg_bytes(t)
+    let mut groups: BTreeMap<u32, (u32, u64)> = BTreeMap::new();
+    for (k, &v) in agg_keys(input).into_iter().zip(&input.pays) {
+        let g = groups.entry(k).or_default();
+        g.0 += 1;
+        g.1 += u64::from(v);
+    }
+    agg_bytes(groups.into_iter().map(|(k, (c, s))| (k, c, s)).collect())
 }
 
 /// Aggregate `threads` contiguous chunks of the input into one table each
 /// with the vector kernel, then merge them all into the first.
 fn agg_vector_merged(b: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
-    let chunk = input.keys.len().div_ceil(threads.max(1)).max(1);
-    let mut tables = input
-        .keys
+    let keys = agg_keys(input);
+    let chunk = keys.len().div_ceil(threads.max(1)).max(1);
+    let mut tables = keys
         .chunks(chunk)
         .zip(input.pays.chunks(chunk))
         .map(|(keys, pays)| {
@@ -158,7 +198,20 @@ fn agg_vector_merged(b: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
     for t in tables {
         merged.merge(&t);
     }
-    agg_bytes(merged)
+    agg_bytes(merged.into_sorted_rows())
+}
+
+/// The partitioned group-by route at [`SMALL_PART_GROUPS`], with the
+/// case's capacity as the group estimate.
+fn agg_partitioned(b: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
+    let keys = agg_keys(input);
+    let policy = ExecPolicy::new(threads);
+    let (rows, _) = expect_infallible(dispatch!(b, s => {
+        group_by_partitioned(
+            KernelKind::Vector(s), &keys, &input.pays, input.capacity, SMALL_PART_GROUPS, &policy,
+        )
+    }));
+    agg_bytes(rows)
 }
 
 /// Register the linear-probing, double-hashing, cuckoo, horizontal and
@@ -312,8 +365,8 @@ pub fn register(r: &mut Registry) {
                 threaded: false,
                 run: |b, _, i| {
                     let mut t = GroupAggTable::new(i.capacity, i.load_factor);
-                    dispatch!(b, s => { t.update_vector(s, &i.keys, &i.pays) });
-                    agg_bytes(t)
+                    dispatch!(b, s => { t.update_vector(s, &agg_keys(i), &i.pays) });
+                    agg_bytes(t.into_sorted_rows())
                 },
             },
             Kernel {
@@ -321,6 +374,41 @@ pub fn register(r: &mut Registry) {
                 threaded: true,
                 run: agg_vector_merged,
             },
+            Kernel {
+                name: "partitioned-small-parts",
+                threaded: true,
+                run: agg_partitioned,
+            },
         ],
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rsv_partition::varying_bits_where;
+
+    /// The aggregation cases reach every edge of the partitioned route.
+    #[test]
+    fn agg_cases_cover_the_partitioned_route() {
+        let (mut sentinel, mut top_bit, mut one_key, mut crowded) = (false, false, false, false);
+        for seed in 0..500u64 {
+            let input = rsv_testkit::arbitrary::case_input(seed);
+            let keys = agg_keys(&input);
+            if keys.len() < 16 {
+                continue;
+            }
+            // the sentinel picks no radix bit
+            let varying = varying_bits_where(&keys, |k| k != EMPTY_KEY);
+            sentinel |= keys.contains(&EMPTY_KEY) && varying > 0;
+            top_bit |= varying >> 31 == 1;
+            one_key |= varying == 0;
+            crowded |= keys.iter().filter(|&&k| k == keys[0]).count() * 8 >= keys.len() * 7
+                && varying >> 31 == 1;
+        }
+        assert!(sentinel, "no partitioned case holds the sentinel key");
+        assert!(top_bit, "no case varies in bit 31");
+        assert!(one_key, "no case has a single distinct key");
+        assert!(crowded, "no case crowds one part");
+    }
 }

@@ -22,6 +22,10 @@
 //! inserting it panics in debug builds and is rejected by `try_insert`.
 //! [`GroupAggTable`] accepts it, aggregating its group out of band in a
 //! side slot.
+//!
+//! [`group::group_by_sum`] is the engine's group-by on these tables: one
+//! table per worker, or, past an L2-sized table, one radix-partitioned
+//! key range per task.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -34,6 +38,7 @@ mod agg;
 mod cuckoo;
 pub mod diff;
 mod fallback;
+pub mod group;
 mod horizontal;
 mod linear;
 mod sink;

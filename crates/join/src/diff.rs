@@ -6,9 +6,7 @@
 //! unspecified (vectorized probing is unstable and sinks are
 //! per-thread), so results compare as sorted triple multisets.
 
-use crate::{
-    join_max_partition, join_min_partition, join_no_partition, JoinResult, DEFAULT_PART_TUPLES,
-};
+use crate::{join_max_partition, join_min_partition, join_no_partition, part_tuples, JoinResult};
 use rsv_data::Relation;
 use rsv_exec::{expect_infallible, ExecPolicy};
 use rsv_simd::{dispatch, KernelKind};
@@ -82,8 +80,10 @@ fn result_bytes(res: JoinResult) -> Vec<u8> {
 /// tuples takes the partitioner's two-level route.
 pub const SMALL_PART_TUPLES: usize = 1;
 
+/// A join kernel; a max-partition kernel also names its part-target rule,
+/// a function of the inner size.
 macro_rules! join_kernel {
-    ($name:literal, $func:ident, $s:ident => $kind:expr $(, $extra:expr)*) => {
+    ($name:literal, $func:ident, $s:ident => $kind:expr $(, $target:expr)?) => {
         Kernel {
             name: $name,
             threaded: true,
@@ -91,7 +91,7 @@ macro_rules! join_kernel {
                 let (inner, outer) = relations(i);
                 let policy = ExecPolicy::new(t);
                 let (res, _) = expect_infallible(dispatch!(b, $s => {
-                    $func($kind, &inner, &outer, &policy $(, $extra)*)
+                    $func($kind, &inner, &outer, &policy $(, ($target)(inner.len()))?)
                 }));
                 result_bytes(res)
             },
@@ -115,25 +115,25 @@ pub fn register(r: &mut Registry) {
                 "max-partition-scalar",
                 join_max_partition,
                 _s => KernelKind::SCALAR,
-                DEFAULT_PART_TUPLES
+                part_tuples
             ),
             join_kernel!(
                 "max-partition-vector",
                 join_max_partition,
                 s => KernelKind::Vector(s),
-                DEFAULT_PART_TUPLES
+                part_tuples
             ),
             join_kernel!(
                 "max-partition-scalar-small-parts",
                 join_max_partition,
                 _s => KernelKind::SCALAR,
-                SMALL_PART_TUPLES
+                |_| SMALL_PART_TUPLES
             ),
             join_kernel!(
                 "max-partition-vector-small-parts",
                 join_max_partition,
                 s => KernelKind::Vector(s),
-                SMALL_PART_TUPLES
+                |_| SMALL_PART_TUPLES
             ),
         ],
     });

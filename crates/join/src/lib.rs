@@ -8,7 +8,7 @@
 //!   eliminate atomics; threads build private tables and every probe picks
 //!   both a table and a bucket — fully vectorizable,
 //! * [`join_max_partition`] — partition *both* relations into parts whose
-//!   inner side fits a cache-resident hash table; build and probe in
+//!   inner side fits an L2-resident hash table; build and probe in
 //!   cache — fully vectorizable, and the paper's overall winner.
 //!
 //! All variants emit `(key, inner payload, outer payload)` triples into
@@ -27,7 +27,7 @@ mod max_partition;
 mod min_partition;
 mod no_partition;
 
-pub use max_partition::{join_max_partition, DEFAULT_PART_TUPLES};
+pub use max_partition::{join_max_partition, part_tuples};
 pub use min_partition::join_min_partition;
 pub use no_partition::join_no_partition;
 

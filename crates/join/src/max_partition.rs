@@ -1,46 +1,59 @@
 //! The *max-partition* hash join (paper §9): hash-partition **both**
-//! relations into parts whose inner side fits a cache-resident table, then
+//! relations into parts whose inner side fits an L2-resident table, then
 //! build and probe entirely in cache — the paper's fastest variant and its
 //! flagship argument for buffered vectorized partitioning. Both relations
-//! go through the engine's one hash partitioner,
-//! [`hash_partition_twopass`], whose 256-way pass limit bounds the fanout
-//! of each pass.
+//! go through [`partition_then_tasks`], which partitions them and runs
+//! one task per part; its partitioner's 256-way pass limit bounds the
+//! fanout of each pass.
 
 use std::time::Instant;
 
 use rsv_data::Relation;
-use rsv_exec::{
-    column_bytes, parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
-};
+use rsv_exec::{EngineError, ExecPolicy, SchedulerStats, L2_BYTES, PART_TABLE_BYTES};
 use rsv_hashtab::{lp_build_raw, lp_probe_raw, JoinSink, MulHash, EMPTY_PAIR};
-use rsv_partition::parallel::PassOutput;
-use rsv_partition::twopass::hash_partition_twopass;
+use rsv_partition::tasks::partition_then_tasks;
+use rsv_partition::twopass::MAX_DIRECT_FANOUT;
 use rsv_partition::HashFn;
 use rsv_simd::{KernelKind, Simd};
 
 use crate::{JoinResult, JoinTimings};
 
-/// Default cache-resident part size in tuples: 2048 tuples build a
-/// 32 KB table at 50% load — the paper's "typically the L1" target.
-pub const DEFAULT_PART_TUPLES: usize = 2048;
+/// Table bytes per inner tuple: 8-byte buckets at 50 % load.
+const TABLE_BYTES_PER_TUPLE: usize = 16;
 
-/// Per-worker task-phase results: a sink plus build/probe nanoseconds.
-type TaskResults = Vec<(JoinSink, u64, u64)>;
+/// The inner-part tuple target for a build of `inner` tuples: one
+/// partition pass of at most 256 ways while the parts' tables stay
+/// between [`PART_TABLE_BYTES`] (16K tuples) and half of [`L2_BYTES`]
+/// (64K tuples), i.e. `clamp(ceil(inner / 256), 16K, 64K)`. That is
+/// 64 parts at 1M tuples and 256 from 4M to 16M; only builds past 16M
+/// take two passes, and builds under 16K tuples make one part.
+///
+/// On a 2-vCPU AVX-512 host this rule's cells were the fastest of a sweep
+/// from 2K to 128K tuples per part at 1M, 4M and 16M inner tuples, 12–37 %
+/// faster than the paper's 32 KiB "typically the L1" tables (2K tuples),
+/// which needed a second pass from 512K tuples up.
+pub fn part_tuples(inner: usize) -> usize {
+    inner.div_ceil(MAX_DIRECT_FANOUT).clamp(
+        PART_TABLE_BYTES / TABLE_BYTES_PER_TUPLE,
+        L2_BYTES / 2 / TABLE_BYTES_PER_TUPLE,
+    )
+}
+
+/// Per-worker task state: a sink plus build/probe nanoseconds.
+type TaskState = (JoinSink, u64, u64);
 
 /// Execute the max-partition join with `kind`'s kernels, morsel
-/// scheduling and an inner-part tuple target ([`DEFAULT_PART_TUPLES`] by
-/// default), returning per-worker scheduler stats. Both relations are
-/// hash-partitioned into `max(1, ceil(inner / part_target))` parts, and
-/// each part becomes one stealable build+probe task, so a worker stuck on
-/// a skew-inflated part does not stall the join.
+/// scheduling and an inner-part tuple target ([`part_tuples`] of the
+/// inner size by default), returning per-worker scheduler stats. Both
+/// relations are hash-partitioned into `max(1, ceil(inner / part_target))`
+/// parts, and each part becomes one stealable build+probe task, so a
+/// worker stuck on a skew-inflated part does not stall the join.
 ///
-/// Honours `policy.run`: the partitioned copies of both relations (8 bytes
-/// per inner and outer tuple) are gated by the memory budget, as is the
-/// partitioner's region scratch past [`MAX_DIRECT_FANOUT`] parts;
-/// cancellation is observed at every morsel/task claim, and worker panics
-/// surface as [`EngineError::WorkerPanicked`].
-///
-/// [`MAX_DIRECT_FANOUT`]: rsv_partition::twopass::MAX_DIRECT_FANOUT
+/// Honours `policy.run` as [`partition_then_tasks`] does: the partitioned
+/// copies of both relations (8 bytes per inner and outer tuple) and the
+/// partitioner's region scratch past 256 parts are gated by the memory
+/// budget, cancellation is observed at every morsel/task claim, and
+/// worker panics surface as [`EngineError::WorkerPanicked`].
 pub fn join_max_partition<S: Simd>(
     kind: KernelKind<S>,
     inner: &Relation,
@@ -48,108 +61,63 @@ pub fn join_max_partition<S: Simd>(
     policy: &ExecPolicy,
     part_target: usize,
 ) -> Result<(JoinResult, SchedulerStats), EngineError> {
-    let threads = policy.threads;
     assert!(part_target >= 1);
     let table_hash = MulHash::nth(0);
-
-    // ------------------------------------------------------------------
-    // Phase 1: partition both relations with the same function into parts
-    // of about `part_target` inner tuples.
-    // ------------------------------------------------------------------
-    let t0 = Instant::now();
     let fanout = inner.len().div_ceil(part_target).max(1);
     rsv_metrics::count(rsv_metrics::Metric::JoinBuildTuples, inner.len() as u64);
     rsv_metrics::count(rsv_metrics::Metric::JoinProbeTuples, outer.len() as u64);
     rsv_metrics::count(rsv_metrics::Metric::JoinPartitionFanout, fanout as u64);
     let f = HashFn::with_factor(fanout, MulHash::nth(2).factor());
 
-    let mut stats = SchedulerStats::default();
-    let _cols = policy
-        .run
-        .reserve(2 * column_bytes(inner.len() + outer.len()))?;
-    let (ik, ip, ipass) = partition_relation(kind, f, inner, policy, &mut stats)?;
-    let (ok_, op, opass) = partition_relation(kind, f, outer, policy, &mut stats)?;
-    let partition = t0.elapsed();
-
-    // ------------------------------------------------------------------
-    // Phase 2+3: per part, build a cache-resident table and probe it; a
-    // part whose inner keys are duplicate-free stops each probe at its
-    // match. Each part is one stealable task; build/probe interleave per
-    // part, so the reported split is the workers' accumulated time.
-    // ------------------------------------------------------------------
+    // Per part, build a cache-resident table and probe it; a part whose
+    // inner keys are duplicate-free stops each probe at its match. An
+    // empty inner part still probes its outer tuples (against an empty
+    // table), so every outer tuple is probed exactly once. Build and probe
+    // interleave per part, so the reported split is the workers'
+    // accumulated time.
     let t0 = Instant::now();
-    let task_q = MorselQueue::tasks(fanout, policy);
-    let part = |pass: &PassOutput, p: usize| {
-        let s = pass.partition_starts[p] as usize;
-        s..s + pass.hist[p] as usize
-    };
-    let (results, task_stats): (TaskResults, _) = parallel_scope_try(threads, |ctx| {
-        let mut sink = JoinSink::with_capacity(1024);
-        let mut build_ns = 0u64;
-        let mut probe_ns = 0u64;
-        for task in ctx.morsels(&task_q) {
-            let _ = rsv_testkit::failpoint!("join.task");
-            let (ir, or) = (part(&ipass, task.id), part(&opass, task.id));
-            // an empty inner part still probes its outer tuples (against
-            // an empty table), so every outer tuple is probed exactly once
-            if or.is_empty() {
-                continue;
+    let run = partition_then_tasks(
+        kind,
+        f,
+        [
+            (&inner.keys, &inner.payloads),
+            (&outer.keys, &outer.payloads),
+        ],
+        policy,
+        "build+probe",
+        || (JoinSink::with_capacity(1024), 0, 0),
+        |(sink, build_ns, probe_ns): &mut TaskState, _, [(ik, ip), (ok, op)]| {
+            if ok.is_empty() {
+                return Ok(());
             }
-            ctx.phase("build+probe", || {
-                let tb = Instant::now();
-                let buckets = (ir.len() * 2 + 1).max(2);
-                let mut pairs = vec![EMPTY_PAIR; buckets];
-                let (ks, ps) = (&ik[ir.clone()], &ip[ir]);
-                let unique = lp_build_raw(kind, &mut pairs, table_hash, ks, ps);
-                build_ns += tb.elapsed().as_nanos() as u64;
-                let tp = Instant::now();
-                let (ks, ps) = (&ok_[or.clone()], &op[or]);
-                lp_probe_raw(kind, &pairs, table_hash, ks, ps, unique, &mut sink);
-                probe_ns += tp.elapsed().as_nanos() as u64;
-            });
-        }
-        (sink, build_ns, probe_ns)
-    })?;
-    policy.run.check_cancelled()?;
-    let build_probe = t0.elapsed();
-    stats.merge(&task_stats);
+            let tb = Instant::now();
+            let mut pairs = vec![EMPTY_PAIR; (ik.len() * 2 + 1).max(2)];
+            let unique = lp_build_raw(kind, &mut pairs, table_hash, ik, ip);
+            *build_ns += tb.elapsed().as_nanos() as u64;
+            let tp = Instant::now();
+            lp_probe_raw(kind, &pairs, table_hash, ok, op, unique, sink);
+            *probe_ns += tp.elapsed().as_nanos() as u64;
+            Ok(())
+        },
+    )?;
+    let build_probe = t0.elapsed().saturating_sub(run.partition);
 
     // Split the build+probe wall time by the workers' accumulated ratios.
-    let total_build: u64 = results.iter().map(|r| r.1).sum();
-    let total_probe: u64 = results.iter().map(|r| r.2).sum();
+    let total_build: u64 = run.workers.iter().map(|w| w.1).sum();
+    let total_probe: u64 = run.workers.iter().map(|w| w.2).sum();
     let denom = (total_build + total_probe).max(1);
     let build = build_probe.mul_f64(total_build as f64 / denom as f64);
-    let probe = build_probe.saturating_sub(build);
-    let sinks = results.into_iter().map(|r| r.0).collect();
-
     Ok((
         JoinResult {
-            sinks,
+            sinks: run.workers.into_iter().map(|w| w.0).collect(),
             timings: JoinTimings {
-                partition,
+                partition: run.partition,
                 build,
-                probe,
+                probe: build_probe.saturating_sub(build),
             },
         },
-        stats,
+        run.stats,
     ))
-}
-
-/// Partition one relation with `f`; returns the partitioned columns and
-/// the pass output, merging scheduler stats into `stats`.
-fn partition_relation<S: Simd>(
-    kind: KernelKind<S>,
-    f: HashFn,
-    rel: &Relation,
-    policy: &ExecPolicy,
-    stats: &mut SchedulerStats,
-) -> Result<(Vec<u32>, Vec<u32>, PassOutput), EngineError> {
-    let mut dk = vec![0u32; rel.len()];
-    let mut dp = vec![0u32; rel.len()];
-    let (pass, pass_stats) =
-        hash_partition_twopass(kind, f, &rel.keys, &rel.payloads, &mut dk, &mut dp, policy)?;
-    stats.merge(&pass_stats);
-    Ok((dk, dp, pass))
 }
 
 #[cfg(test)]
@@ -228,11 +196,30 @@ mod tests {
     }
 
     #[test]
+    fn part_target_fits_l2_in_one_pass() {
+        // one part up to 16K tuples, then 16K-tuple parts up to 4M, then
+        // 256 parts up to 16M, then 64K-tuple parts in two passes
+        for (inner, parts) in [
+            (0usize, 1usize),
+            (5, 1),
+            (16 << 10, 1),
+            ((16 << 10) + 1, 2),
+            (200_000, 13),
+            (1 << 20, 64),
+            (4 << 20, 256),
+            (16 << 20, 256),
+            (32 << 20, 512),
+        ] {
+            assert_eq!(inner.div_ceil(part_tuples(inner)).max(1), parts, "{inner}");
+        }
+    }
+
+    #[test]
     fn default_target_join() {
         let kind = KernelKind::Vector(Portable::<16>::new());
         let (inner, outer) = workload(5_000, 5_000, 224);
         let (expected, n) = reference_fingerprint(&inner, &outer);
-        let r = join(kind, &inner, &outer, 1, DEFAULT_PART_TUPLES);
+        let r = join(kind, &inner, &outer, 1, part_tuples(inner.len()));
         assert_eq!(r.matches(), n);
         assert_eq!(r.fingerprint(), expected);
     }

@@ -3,7 +3,7 @@
 
 use rsv_data::Relation;
 use rsv_exec::ExecPolicy;
-use rsv_join::{join_max_partition, join_min_partition, join_no_partition, DEFAULT_PART_TUPLES};
+use rsv_join::{join_max_partition, join_min_partition, join_no_partition, part_tuples};
 use rsv_simd::{Backend, KernelKind};
 use rsv_testkit as tk;
 use std::collections::HashMap;
@@ -54,7 +54,7 @@ fn all_variants_match_reference() {
                 assert_eq!(r.fingerprint(), expected_fp);
 
                 let (r, _) =
-                    join_max_partition(kind, &inner, &outer, &policy, DEFAULT_PART_TUPLES).unwrap();
+                    join_max_partition(kind, &inner, &outer, &policy, part_tuples(inner.len())).unwrap();
                 assert_eq!(r.matches(), expected_n, "max-partition {kind:?}");
                 assert_eq!(r.fingerprint(), expected_fp);
             }

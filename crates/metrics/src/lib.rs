@@ -142,6 +142,9 @@ pub enum Metric {
     /// Hash-table builds that degraded from cuckoo to linear probing after
     /// exhausting the rehash budget.
     FallbackBuilds,
+    /// Sum of the part counts of the group-bys that took the partitioned
+    /// route (zero for a single-table group-by).
+    AggPartitionFanout,
 }
 
 /// Reproducibility class of a counter (see the module docs).
@@ -158,7 +161,7 @@ pub enum MetricClass {
 
 impl Metric {
     /// Number of flat counters.
-    pub const COUNT: usize = Metric::FallbackBuilds as usize + 1;
+    pub const COUNT: usize = Metric::AggPartitionFanout as usize + 1;
 
     /// Every counter, in index order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -190,7 +193,16 @@ impl Metric {
         Metric::MorselsClaimed,
         Metric::MorselsStolen,
         Metric::FallbackBuilds,
+        Metric::AggPartitionFanout,
     ];
+
+    /// [`MetricClass::Work`] counters added after the layout of
+    /// [`Counters::work_bytes`] was fixed. They are encoded after the
+    /// others, and only when nonzero, so the work bytes (and the
+    /// fingerprints taken of them) of a query that never records one stay
+    /// what they were. A temporary second layout: add no counter here
+    /// (ROADMAP item 10).
+    const APPENDED_WORK: [Metric; 1] = [Metric::AggPartitionFanout];
 
     /// Snake-case label used in JSON snapshots.
     pub fn label(self) -> &'static str {
@@ -223,6 +235,7 @@ impl Metric {
             Metric::MorselsClaimed => "morsels_claimed",
             Metric::MorselsStolen => "morsels_stolen",
             Metric::FallbackBuilds => "fallback_builds",
+            Metric::AggPartitionFanout => "agg_partition_fanout",
         }
     }
 
@@ -233,7 +246,9 @@ impl Metric {
             ScanTuplesIn | ScanTuplesOut | LpKeysProbed | DhKeysProbed | DhProbes | LpKeysBuilt
             | CuckooKeysBuilt | BloomKeysProbed | BloomWordsTouched | PartHistTuples
             | PartShuffleTuples | ColBlocksDecoded | SortPasses | SortBytesMoved
-            | JoinBuildTuples | JoinProbeTuples | JoinPartitionFanout => MetricClass::Work,
+            | JoinBuildTuples | JoinProbeTuples | JoinPartitionFanout | AggPartitionFanout => {
+                MetricClass::Work
+            }
             LpProbes
             | LpBuildConflictRetries
             | CuckooDisplacements
@@ -322,16 +337,23 @@ impl Counters {
     /// Canonical little-endian bytes of the [`MetricClass::Work`]
     /// counters (including the per-width block histogram, whose buckets
     /// are fixed by the canonical 16-lane block format). Byte-identical
-    /// across backends of any lane width.
+    /// across backends of any lane width. Counters added later follow as
+    /// `(index, value)` pairs, each only when nonzero.
     pub fn work_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         for m in Metric::ALL {
-            if m.class() == MetricClass::Work {
+            if m.class() == MetricClass::Work && !Metric::APPENDED_WORK.contains(&m) {
                 out.extend_from_slice(&self.get(m).to_le_bytes());
             }
         }
         for b in self.col_width_blocks {
             out.extend_from_slice(&b.to_le_bytes());
+        }
+        for m in Metric::APPENDED_WORK {
+            if self.get(m) != 0 {
+                out.extend_from_slice(&(m as u64).to_le_bytes());
+                out.extend_from_slice(&self.get(m).to_le_bytes());
+            }
         }
         out
     }
@@ -778,6 +800,22 @@ mod tests {
         assert!(j.contains("\"scan_tuples_out\":40"), "{j}");
         assert!(j.contains("\"scan_lanes\":{\"5\":[0,0,0,2]}"), "{j}");
         assert!(!j.contains("lp_probes"), "zero counters omitted: {j}");
+    }
+
+    #[test]
+    fn appended_work_counters_add_bytes_only_when_recorded() {
+        let mut a = Counters::new();
+        a.bump(Metric::ScanTuplesIn, 10);
+        let dense = Metric::ALL
+            .iter()
+            .filter(|m| m.class() == MetricClass::Work)
+            .count()
+            - Metric::APPENDED_WORK.len();
+        assert_eq!(a.work_bytes().len(), 8 * (dense + WIDTH_BUCKETS));
+        let mut b = a.clone();
+        b.bump(Metric::AggPartitionFanout, 32);
+        assert_eq!(b.work_bytes().len(), a.work_bytes().len() + 16);
+        assert!(b.work_bytes().starts_with(&a.work_bytes()));
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! generation, conflict serialization, and (buffered) data shuffling.
 //!
 //! Partitioning splits a large input into cache-conscious, non-overlapping
-//! sub-problems and underlies both radixsort (Section 8) and partitioned
-//! hash join (Section 9). The paper vectorizes all three partition-function
-//! types:
+//! sub-problems and underlies radixsort (Section 8), the partitioned hash
+//! join (Section 9) and the partitioned group-by; the last two share
+//! [`tasks::partition_then_tasks`]. The paper vectorizes all three
+//! partition-function types:
 //!
 //! * **radix** — a bit-range of the key ([`RadixFn`]),
 //! * **hash** — multiplicative hashing ([`HashFn`]),
@@ -32,6 +33,7 @@ pub mod multicol;
 pub mod parallel;
 pub mod range;
 pub mod shuffle;
+pub mod tasks;
 pub mod twopass;
 
 use rsv_simd::Simd;
@@ -46,6 +48,26 @@ pub trait PartitionFn: Copy {
     fn partition(&self, key: u32) -> usize;
     /// Partitions of a vector of keys.
     fn partition_vector<S: Simd>(&self, s: S, keys: S::V) -> S::V;
+}
+
+/// The bits in which `keys` differ: `OR_i (k_i ^ k_0)`, 0 for no keys, one
+/// key or all keys equal. Every key agrees with `k_0` above the highest
+/// set bit, so a radix digit with no bit set here is the same for every
+/// key (radixsort skips its pass), and a radix function on the top
+/// varying bits splits the keys into ascending key ranges (the
+/// partitioned group-by's parts).
+pub fn varying_bits(keys: &[u32]) -> u32 {
+    varying_bits_where(keys, |_| true)
+}
+
+/// [`varying_bits`] over the keys that `keep` accepts; the others are
+/// skipped, so they neither set a bit nor serve as `k_0`.
+pub fn varying_bits_where(keys: &[u32], keep: impl Fn(u32) -> bool) -> u32 {
+    let Some(&first) = keys.iter().find(|&&k| keep(k)) else {
+        return 0;
+    };
+    keys.iter()
+        .fold(0, |d, &k| if keep(k) { d | (k ^ first) } else { d })
 }
 
 /// Radix partitioning: the bit field `key[shift .. shift+bits)`.
@@ -224,6 +246,17 @@ mod tests {
         let mut out = [0u32; 8];
         s.store(p, &mut out);
         assert_eq!(out, [1, 2, 15, 15, 0, 15, 7, 8]);
+    }
+
+    #[test]
+    fn varying_bits_skips_rejected_keys() {
+        assert_eq!(varying_bits(&[]), 0);
+        assert_eq!(varying_bits(&[9, 9]), 0);
+        assert_eq!(varying_bits(&[0b100, 0b110, 0b101]), 0b011);
+        let keys = [u32::MAX, 0x10, 0x13, u32::MAX];
+        assert_eq!(varying_bits(&keys), !0x10);
+        assert_eq!(varying_bits_where(&keys, |k| k != u32::MAX), 0b11);
+        assert_eq!(varying_bits_where(&[u32::MAX; 3], |k| k != u32::MAX), 0);
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! The engine's one hash partitioner: a wide first pass, then an in-cache
+//! The engine's one partitioner: a wide first pass, then an in-cache
 //! split of each region, byte-identical to a single-pass shuffle.
 //!
 //! The buffered single-pass shuffle allocates one staging line per
 //! partition *per morsel*; past a few hundred partitions that working set
 //! evicts the very cache lines buffering was meant to protect (the paper's
 //! own argument for multi-pass partitioning, Section 7.4). So
-//! [`hash_partition_twopass`] runs a fanout `F <= MAX_DIRECT_FANOUT` as
+//! [`partition_twopass`] runs a fanout `F <= MAX_DIRECT_FANOUT` as
 //! one pass and splits a larger one into
 //!
 //! * **pass 1**: a stable, parallel partition straight into the output on
@@ -32,7 +32,7 @@ use rsv_simd::{KernelKind, Simd};
 use crate::histogram::prefix_sum;
 use crate::parallel::{partition_pass, PassOutput};
 use crate::shuffle::partition_buffered;
-use crate::{HashFn, PartitionFn};
+use crate::PartitionFn;
 
 /// Largest fanout the engine partitions in one pass, and the most regions
 /// the first of two passes makes. On a 2-vCPU AVX-512 host a single pass
@@ -43,13 +43,13 @@ pub const MAX_DIRECT_FANOUT: usize = 256;
 
 /// Pass 1's partition function: the high bits of the full partition index.
 #[derive(Debug, Clone, Copy)]
-struct CoarseFn {
-    inner: HashFn,
+struct CoarseFn<F> {
+    inner: F,
     shift: u32,
     fanout: usize,
 }
 
-impl PartitionFn for CoarseFn {
+impl<F: PartitionFn> PartitionFn for CoarseFn<F> {
     #[inline(always)]
     fn fanout(&self) -> usize {
         self.fanout
@@ -69,13 +69,13 @@ impl PartitionFn for CoarseFn {
 /// Pass 2's partition function: the full index rebased to one coarse
 /// region (`p - region_base`, always `< width`).
 #[derive(Debug, Clone, Copy)]
-struct FineFn {
-    inner: HashFn,
+struct FineFn<F> {
+    inner: F,
     base: u32,
     fanout: usize,
 }
 
-impl PartitionFn for FineFn {
+impl<F: PartitionFn> PartitionFn for FineFn<F> {
     #[inline(always)]
     fn fanout(&self) -> usize {
         self.fanout
@@ -92,17 +92,17 @@ impl PartitionFn for FineFn {
     }
 }
 
-/// Stable hash partition of `src` into `dst` (both of the input length):
-/// one pass up to [`MAX_DIRECT_FANOUT`] partitions, a wide pass and an
-/// in-cache split of each region above it. The output — partitioned
+/// Stable partition of `src` into `dst` (both of the input length) with
+/// `f`: one pass up to [`MAX_DIRECT_FANOUT`] partitions, a wide pass and
+/// an in-cache split of each region above it. The output — partitioned
 /// columns, histogram, partition starts — is byte-identical to a direct
 /// single-pass run at any fanout; only the route differs. Honours
 /// `policy.run`: cancellation at claim boundaries, and the memory budget
 /// for the split's worker scratch, 8 bytes per tuple of the `threads`
 /// largest regions.
-pub fn hash_partition_twopass<S: Simd>(
+pub fn partition_twopass<S: Simd, F: PartitionFn + Sync>(
     kind: KernelKind<S>,
-    f: HashFn,
+    f: F,
     src_k: &[u32],
     src_p: &[u32],
     dst_k: &mut Vec<u32>,
@@ -198,6 +198,7 @@ pub fn hash_partition_twopass<S: Simd>(
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use crate::HashFn;
     use rsv_simd::Portable;
 
     /// The two-pass route must be byte-identical to the direct single-pass
@@ -223,8 +224,7 @@ mod tests {
                 let mut dk = vec![0u32; keys.len()];
                 let mut dp = vec![0u32; keys.len()];
                 let (out, stats) =
-                    hash_partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy)
-                        .unwrap();
+                    partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy).unwrap();
                 assert_eq!(dk, rk, "keys differ (t={threads} {kind:?})");
                 assert_eq!(dp, rp, "pays differ (t={threads} {kind:?})");
                 assert_eq!(out.hist, reference.hist);
@@ -245,8 +245,7 @@ mod tests {
         let policy = ExecPolicy::new(2);
         let mut dk = vec![0u32; 1000];
         let mut dp = vec![0u32; 1000];
-        let (out, _) =
-            hash_partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy).unwrap();
+        let (out, _) = partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy).unwrap();
         let total: u32 = out.hist.iter().sum();
         assert_eq!(total, 1000);
     }
@@ -264,7 +263,7 @@ mod tests {
         let policy = ExecPolicy::new(2).with_run(run);
         let mut dk = vec![0u32; keys.len()];
         let mut dp = vec![0u32; keys.len()];
-        let err = hash_partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy)
+        let err = partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy)
             .expect_err("budget must deny the region scratch");
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
         // nothing stays reserved after the failure

@@ -36,7 +36,7 @@ pub mod multicol;
 
 use rsv_exec::{column_bytes, EngineError, ExecPolicy, SchedulerStats};
 use rsv_partition::parallel::{partition_pass, partition_pass_keys};
-use rsv_partition::{PartitionFn, RadixFn};
+use rsv_partition::{varying_bits, PartitionFn, RadixFn};
 use rsv_simd::{KernelKind, Simd};
 
 /// Radixsort tuning knobs (threads and morsel size come from the
@@ -72,8 +72,7 @@ impl SortConfig {
     /// digits with a bit set in `OR_i (k_i ^ k_0)` get a pass. None for 0
     /// or 1 keys or all keys equal.
     fn live_passes(&self, keys: &[u32]) -> Vec<RadixFn> {
-        let first = keys.first().copied().unwrap_or(0);
-        let diff = keys.iter().fold(0u32, |d, &k| d | (k ^ first));
+        let diff = varying_bits(keys);
         (0..self.passes())
             .map(|pass| self.pass_fn(pass))
             .filter(|f| f.partition(diff) != 0)
