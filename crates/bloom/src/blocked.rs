@@ -14,7 +14,7 @@
 //! what [`build_parallel`] relies on: every worker inserts its morsels
 //! into a private filter and the private filters are merged word by word.
 
-use rsv_exec::{parallel_scope_try, EngineError, ExecPolicy, MorselQueue};
+use rsv_exec::{parallel_scope_try, Budgeted, EngineError, ExecPolicy, MorselQueue};
 use rsv_simd::{MaskLike, Simd};
 
 /// Largest block count: the vector kernels gather blocks through signed
@@ -69,11 +69,6 @@ impl BlockedBloomFilter {
     /// past [`MAX_BLOCKS`], where `new` panics).
     pub fn bytes_for(items: usize, bits_per_item: usize) -> u64 {
         (blocks_for(items, bits_per_item) as u64).saturating_mul(8)
-    }
-
-    /// Size of the bit array in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.blocks.len() * 8
     }
 
     /// The key's block index and the mask of its bits in that block.
@@ -245,17 +240,19 @@ impl BlockedBloomFilter {
 /// word-for-word the filter a serial [`BlockedBloomFilter::build`] makes,
 /// for every thread count and morsel size.
 ///
-/// Reserves the workers' filters (`threads × bytes_for(keys.len(),
-/// bits_per_item)`) on the run first. Fails with
-/// [`EngineError::InputTooLarge`] when the filter would need more than
-/// [`MAX_BLOCKS`] blocks, [`EngineError::BudgetExceeded`] when the
-/// filters do not fit the budget, [`EngineError::Cancelled`] once the run
-/// is cancelled and [`EngineError::WorkerPanicked`] when a worker panics.
-pub fn build_parallel(
+/// Each worker's filter holds `bytes_for(keys.len(), bits_per_item)` of
+/// the run's budget from the worker's start, so the build holds `threads`
+/// filters; the merged filter comes back holding its own bytes until the
+/// caller drops it. Fails with [`EngineError::InputTooLarge`] when the
+/// filter would need more than [`MAX_BLOCKS`] blocks,
+/// [`EngineError::BudgetExceeded`] when the filters do not fit the
+/// budget, [`EngineError::Cancelled`] once the run is cancelled and
+/// [`EngineError::WorkerPanicked`] when a worker panics.
+pub fn build_parallel<'run>(
     keys: &[u32],
     bits_per_item: usize,
-    policy: &ExecPolicy,
-) -> Result<BlockedBloomFilter, EngineError> {
+    policy: &'run ExecPolicy,
+) -> Result<Budgeted<'run, BlockedBloomFilter>, EngineError> {
     let blocks = blocks_for(keys.len(), bits_per_item);
     if blocks > MAX_BLOCKS {
         return Err(EngineError::InputTooLarge {
@@ -265,29 +262,23 @@ pub fn build_parallel(
         });
     }
     let bytes = BlockedBloomFilter::bytes_for(keys.len(), bits_per_item);
-    let _filters = policy
-        .run
-        .reserve((policy.threads as u64).saturating_mul(bytes))?;
     let q = MorselQueue::new(keys.len(), policy, 1);
     let (filters, _) = parallel_scope_try(policy.threads, |ctx| {
-        // A worker that claims no morsel allocates no filter.
-        let mut filter: Option<BlockedBloomFilter> = None;
+        let mut filter = policy
+            .run
+            .hold(bytes, || BlockedBloomFilter::new(keys.len(), bits_per_item))?;
         for mo in ctx.morsels(&q) {
-            ctx.phase("bloom-build", || {
-                filter
-                    .get_or_insert_with(|| BlockedBloomFilter::new(keys.len(), bits_per_item))
-                    .build(&keys[mo.range]);
-            });
+            ctx.phase("bloom-build", || filter.build(&keys[mo.range]));
         }
-        filter
+        Ok::<_, EngineError>(filter)
     })?;
     policy.run.check_cancelled()?;
-    let mut filters = filters.into_iter().flatten();
-    let mut merged = filters
-        .next()
-        .unwrap_or_else(|| BlockedBloomFilter::new(keys.len(), bits_per_item));
+    let mut filters = filters.into_iter();
+    // Infallible: the scope returns one result per worker, at least one.
+    #[allow(clippy::expect_used)]
+    let mut merged = filters.next().expect("one filter per worker")?;
     for f in filters {
-        merged.union(&f);
+        merged.union(&*f?);
     }
     Ok(merged)
 }
@@ -321,7 +312,7 @@ mod tests {
             for threads in [1usize, 2, 3, 8] {
                 for morsel in [1usize, 7, 1024, usize::MAX] {
                     let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
-                    let got = build_parallel(&keys, 10, &policy).unwrap();
+                    let got = build_parallel(&keys, 10, &policy).unwrap().into_inner();
                     assert_eq!(
                         got,
                         want,
@@ -338,7 +329,9 @@ mod tests {
         let keys: Vec<u32> = (0..10_000).collect();
         let bytes = 3 * BlockedBloomFilter::bytes_for(keys.len(), 10);
         let policy = ExecPolicy::new(3).with_run(RunContext::new().with_memory_limit(bytes));
-        build_parallel(&keys, 10, &policy).unwrap();
+        let merged = build_parallel(&keys, 10, &policy).unwrap();
+        assert_eq!(policy.run.budget.used(), bytes / 3, "the merged filter");
+        drop(merged);
         assert_eq!(policy.run.budget.used(), 0);
         let policy = ExecPolicy::new(3).with_run(RunContext::new().with_memory_limit(bytes - 1));
         assert!(matches!(
@@ -351,9 +344,9 @@ mod tests {
     #[test]
     fn oversized_filter_is_a_typed_error() {
         let keys = [1u32, 2, 3];
-        let result = build_parallel(&keys, usize::MAX, &ExecPolicy::new(1));
+        let policy = ExecPolicy::new(1);
         assert!(matches!(
-            result,
+            build_parallel(&keys, usize::MAX, &policy),
             Err(EngineError::InputTooLarge {
                 what: "bloom filter blocks",
                 ..

@@ -46,9 +46,7 @@ pub use rsv_sort::SortConfig;
 
 pub use rsv_exec::{CancelToken, EngineError, MemoryBudget, RunContext};
 
-use rsv_exec::{
-    column_bytes, expect_infallible, filter_parallel, ExecPolicy, DEFAULT_MORSEL_TUPLES,
-};
+use rsv_exec::{expect_infallible, filter_parallel, ExecPolicy, DEFAULT_MORSEL_TUPLES};
 use rsv_partition::PartitionFn;
 use rsv_scan::{ScanPredicate, ScanVariant};
 use rsv_simd::{dispatch, KernelKind};
@@ -273,9 +271,10 @@ impl Engine {
 
     /// Fallible [`Engine::bloom_semijoin`] under a [`RunContext`]: the
     /// workers' build filters (`threads ×`
-    /// [`BlockedBloomFilter::bytes_for`]), then the merged filter and the
-    /// two output columns (8 bytes per qualifying tuple) during the probe, are
-    /// gated by the memory budget; cancellation is observed at
+    /// [`BlockedBloomFilter::bytes_for`]), then the merged filter (still
+    /// holding its build bytes) and the two output columns (8 bytes per
+    /// qualifying tuple) during the probe, are gated by the memory
+    /// budget; cancellation is observed at
     /// morsel-claim boundaries, and a worker panic surfaces as
     /// [`EngineError::WorkerPanicked`].
     pub fn try_bloom_semijoin(
@@ -287,7 +286,6 @@ impl Engine {
         check_tuples(&[rel.len(), filter_keys.len()])?;
         let policy = self.policy(run);
         let filter = rsv_bloom::build_parallel(filter_keys, BLOOM_BITS_PER_KEY, &policy)?;
-        let _filter = run.reserve(filter.size_bytes() as u64)?;
         let (keys, payloads, _) =
             filter_parallel(rel.len(), 16, "bloom-probe", &policy, |r, ok, op| {
                 dispatch!(self.backend, s => {
@@ -350,16 +348,16 @@ impl Engine {
     ) -> Result<(Relation, Vec<u32>), EngineError> {
         check_tuples(&[rel.len()])?;
         let f = hash_fn(fanout)?;
-        let _out = run.reserve(2 * column_bytes(rel.len()))?;
-        let mut out_keys = vec![0u32; rel.len()];
-        let mut out_pays = vec![0u32; rel.len()];
+        let mut out_keys = run.vec(rel.len(), 0u32)?;
+        let mut out_pays = run.vec(rel.len(), 0u32)?;
         let (pass, _) = dispatch!(self.backend, s => {
             rsv_partition::twopass::partition_twopass(
                 KernelKind::Vector(s), f, &rel.keys, &rel.payloads, &mut out_keys, &mut out_pays,
                 &self.policy(run),
             )
         })?;
-        Ok((Relation::new(out_keys, out_pays), pass.partition_starts))
+        let out = Relation::new(out_keys.into_inner(), out_pays.into_inner());
+        Ok((out, pass.partition_starts))
     }
 
     /// Which partition a key belongs to under [`Engine::hash_partition`]
@@ -396,10 +394,11 @@ impl Engine {
     /// sibling workers drain. The single-table route reserves the workers'
     /// tables as sized by the bound (`threads` tables); the partitioned
     /// route reserves its partitioned copy (8 bytes per tuple) and
-    /// `min(threads, parts)` part tables, plus, while it runs, the extra
-    /// bytes of a larger table for a part that holds far more than its
-    /// share of the groups. A budget smaller than that fails with
-    /// [`EngineError::BudgetExceeded`].
+    /// `min(threads, parts)` part tables, a larger one for a part that
+    /// holds far more than its share of the groups. A table that grows
+    /// past an underestimated bound is charged for its growth by the end
+    /// of the morsel, merge or part that grew it. A budget smaller than
+    /// that fails with [`EngineError::BudgetExceeded`].
     pub fn try_group_by_sum(
         &self,
         rel: &Relation,

@@ -128,8 +128,13 @@ fn op_partition_twopass(e: &Engine, run: &RunContext) -> Result<u64, EngineError
     Ok(digest(&[&part.keys, &part.payloads, &starts]))
 }
 
-fn op_group_by(e: &Engine, run: &RunContext) -> Result<u64, EngineError> {
-    let rows = e.try_group_by_sum(&rel(12_000), 12_000, run)?;
+fn group_by_digest(
+    e: &Engine,
+    rel: &Relation,
+    expected_groups: usize,
+    run: &RunContext,
+) -> Result<u64, EngineError> {
+    let rows = e.try_group_by_sum(rel, expected_groups, run)?;
     let mut d = 0u64;
     for (k, c, s) in rows {
         d = d
@@ -139,17 +144,20 @@ fn op_group_by(e: &Engine, run: &RunContext) -> Result<u64, EngineError> {
     Ok(d)
 }
 
+fn op_group_by(e: &Engine, run: &RunContext) -> Result<u64, EngineError> {
+    group_by_digest(e, &rel(12_000), 12_000, run)
+}
+
+/// An estimate far below the 12K groups: the tables grow, and each
+/// growth is charged to the budget.
+fn op_group_by_grows(e: &Engine, run: &RunContext) -> Result<u64, EngineError> {
+    group_by_digest(e, &rel(12_000), 100, run)
+}
+
 /// Past 64K groups (a table larger than L2) the group-by partitions its
 /// input and aggregates one part per task.
 fn op_group_by_partitioned(e: &Engine, run: &RunContext) -> Result<u64, EngineError> {
-    let rows = e.try_group_by_sum(&rel(100_000), 100_000, run)?;
-    let mut d = 0u64;
-    for (k, c, s) in rows {
-        d = d
-            .wrapping_mul(31)
-            .wrapping_add(u64::from(k) ^ u64::from(c) ^ s);
-    }
-    Ok(d)
+    group_by_digest(e, &rel(100_000), 100_000, run)
 }
 
 const OPS: &[Op] = &[
@@ -163,10 +171,11 @@ const OPS: &[Op] = &[
     ("hash-partition", op_partition),
     ("hash-partition-twopass", op_partition_twopass),
     ("group-by-sum", op_group_by),
+    ("group-by-sum-grows", op_group_by_grows),
     ("group-by-sum-partitioned", op_group_by_partitioned),
 ];
 
-/// Failpoints that fire on the coordinating thread, outside any
+/// Failpoints that may fire on the coordinating thread, outside any
 /// panic-isolated worker scope. A `Panic` armed there would unwind
 /// through the caller by design — their intended injections are
 /// `DenyAlloc` (budget) and `Cancel`.
@@ -325,6 +334,47 @@ fn injected_alloc_denial_surfaces_as_budget_exceeded() {
             assert_recovers(name, "exec.budget.reserve", op, &engine, reference);
         }
     }
+}
+
+/// DenyAlloc at a group-by table's growth: on one worker the first
+/// budget charge is the worker's table and the later ones are its growth
+/// past the estimate (and the merged table's). Denying the first growth
+/// fails with [`EngineError::BudgetExceeded`], releases everything, and
+/// the engine recovers.
+#[test]
+fn injected_growth_denial_surfaces_as_budget_exceeded() {
+    let _guard = serialize();
+    let engine = Engine::new().with_threads(1);
+    fault::reset();
+    let reference = op_group_by_grows(&engine, &RunContext::new()).expect("reference");
+    let charges = fault::trace()
+        .into_iter()
+        .find(|&(p, _)| p == "exec.budget.reserve")
+        .map_or(0, |(_, hits)| hits);
+    assert!(
+        charges >= 2,
+        "growth never reached the budget: {charges} charges"
+    );
+    let run = RunContext::new();
+    fault::reset();
+    fault::arm(
+        "exec.budget.reserve",
+        Trigger::Nth(2),
+        FaultAction::DenyAlloc,
+    );
+    let result = op_group_by_grows(&engine, &run);
+    assert!(
+        matches!(result, Err(EngineError::BudgetExceeded { .. })),
+        "expected BudgetExceeded, got {result:?}"
+    );
+    assert_eq!(run.budget.used(), 0, "leaked reservation");
+    assert_recovers(
+        "group-by-sum-grows",
+        "exec.budget.reserve",
+        op_group_by_grows,
+        &engine,
+        reference,
+    );
 }
 
 /// The hashtable-internal failpoints (`hashtab.cuckoo.build`,

@@ -286,9 +286,14 @@ fn budget_exceeded_is_typed_and_releases_everything() {
 /// shared table at 50 % load). The Bloom semi-join reserves the workers'
 /// filters while it builds (`threads × BlockedBloomFilter::bytes_for`),
 /// then the merged filter plus 8 bytes per qualifying tuple (its output
-/// columns) while it probes; the larger of the two is its peak. A budget
+/// columns) while it probes; the larger of the two is its peak. The
+/// group-by reserves one table per worker for its estimate. A budget
 /// of exactly that succeeds, one byte less fails, and both leave nothing
 /// reserved.
+///
+/// A group-by table that outgrows its estimate is charged for the growth:
+/// 16K distinct keys with an estimate of 1,000 fail under the two tables
+/// the estimate asks for, where one merged table alone takes 512,000 B.
 #[test]
 fn operators_reserve_their_documented_bytes() {
     let engine = Engine::new().with_threads(2);
@@ -414,9 +419,9 @@ fn operators_reserve_their_documented_bytes() {
             }),
         ),
         (
-            "group-by-sum",
-            2 * GroupAggTable::bytes_for(1_000, 0.5),
-            Box::new(|run| engine.try_group_by_sum(&outer, 1_000, run).map(|_| ())),
+            "group-by-sum-exact-estimate",
+            2 * GroupAggTable::bytes_for(16_000, 0.5),
+            Box::new(|run| engine.try_group_by_sum(&outer, 16_000, run).map(|_| ())),
         ),
         (
             "group-by-sum-partitioned",
@@ -441,6 +446,36 @@ fn operators_reserve_their_documented_bytes() {
             "{name}: expected BudgetExceeded one byte short, got {result:?}"
         );
         assert_eq!(run.budget.used(), 0, "{name}: failure leaked reservation");
+    }
+
+    let run = RunContext::new().with_memory_limit(2 * GroupAggTable::bytes_for(1_000, 0.5));
+    let result = engine.try_group_by_sum(&outer, 1_000, &run);
+    assert!(
+        matches!(result, Err(EngineError::BudgetExceeded { .. })),
+        "group-by-sum: uncharged table growth, got {result:?}"
+    );
+    assert_eq!(
+        run.budget.used(),
+        0,
+        "group-by-sum: failure leaked reservation"
+    );
+}
+
+/// A sort whose keys need no radix pass (no keys, one key, all keys
+/// equal) reserves and allocates nothing: it succeeds under a 0-byte
+/// budget and leaves the relation as it was.
+#[test]
+fn sort_without_a_pass_reserves_nothing() {
+    let engine = Engine::new().with_threads(2);
+    let equal = Relation::new(vec![42; 1_000], (0..1_000).collect());
+    for rel in [rel(0), rel(1), equal] {
+        let run = RunContext::new().with_memory_limit(0);
+        let mut sorted = rel.clone();
+        engine
+            .try_sort(&mut sorted, &run)
+            .unwrap_or_else(|e| panic!("{} tuples: {e}", rel.len()));
+        assert_eq!(run.budget.used(), 0);
+        assert_eq!(sorted, rel);
     }
 }
 

@@ -36,6 +36,6 @@ pub use parallel::{
     WorkerPanic, WorkerStats,
 };
 pub use platform::{platform_report, PlatformReport, L2_BYTES, PART_TABLE_BYTES};
-pub use run::{column_bytes, CancelToken, MemoryBudget, Reservation, RunContext};
+pub use run::{Budgeted, CancelToken, MemoryBudget, RunContext};
 pub use shared::{SharedBuffer, SlotMap};
 pub use timing::{throughput_mtps, time, Timed};

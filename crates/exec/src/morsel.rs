@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::error::EngineError;
 use crate::parallel::{chunk_ranges, parallel_scope_try, SchedulerStats};
-use crate::run::{column_bytes, CancelToken, RunContext};
+use crate::run::{CancelToken, RunContext};
 use crate::shared::SharedBuffer;
 
 /// Default morsel size in tuples. 16K tuples of key+payload (128 KB) fit
@@ -62,11 +62,6 @@ impl ExecPolicy {
         }
     }
 
-    /// Single worker, default morsel size.
-    pub fn single_threaded() -> ExecPolicy {
-        ExecPolicy::new(1)
-    }
-
     /// Replace the morsel size.
     pub fn with_morsel_tuples(mut self, morsel_tuples: usize) -> ExecPolicy {
         assert!(morsel_tuples > 0, "morsels must hold at least one tuple");
@@ -90,7 +85,7 @@ impl ExecPolicy {
 
 impl Default for ExecPolicy {
     fn default() -> ExecPolicy {
-        ExecPolicy::single_threaded()
+        ExecPolicy::new(1)
     }
 }
 
@@ -286,7 +281,7 @@ where
     // A queue serves one pass; both passes cut the same morsels.
     let queue = || MorselQueue::new(n, policy, align);
     let q = queue();
-    let counts = SharedBuffer::zeroed(q.morsel_count());
+    let counts = SharedBuffer::from_vec(vec![0; q.morsel_count()]);
     rsv_metrics::unmetered(|| {
         parallel_scope_try(policy.threads, |ctx| {
             let (mut sk, mut sp) = (vec![0u32; chunk], vec![0u32; chunk]);
@@ -308,9 +303,8 @@ where
     }
     starts.push(kept);
 
-    let _out = policy.run.reserve(2 * column_bytes(kept))?;
-    let keys = SharedBuffer::zeroed(kept);
-    let pays = SharedBuffer::zeroed(kept);
+    let keys = policy.run.vec(kept, 0u32)?.map(SharedBuffer::from_vec);
+    let pays = policy.run.vec(kept, 0u32)?.map(SharedBuffer::from_vec);
     let q = queue();
     let (_, stats) = parallel_scope_try(policy.threads, |ctx| {
         let (mut sk, mut sp) = (vec![0u32; chunk], vec![0u32; chunk]);
@@ -335,6 +329,7 @@ where
         }
     })?;
     policy.run.check_cancelled()?;
+    let (keys, pays) = (keys.into_inner(), pays.into_inner());
     Ok((keys.into_vec(), pays.into_vec(), stats))
 }
 
@@ -499,12 +494,12 @@ mod tests {
             }
             c
         };
-        let exact = RunContext::new().with_memory_limit(2 * column_bytes(kept));
+        let exact = RunContext::new().with_memory_limit(8 * kept as u64);
         let policy = ExecPolicy::new(2).with_run(exact.clone());
         let (keys, _, _) = filter_parallel(n, 16, "filter", &policy, kernel).unwrap();
         assert_eq!(keys.len(), kept);
         assert_eq!(exact.budget.used(), 0);
-        let short = RunContext::new().with_memory_limit(2 * column_bytes(kept) - 1);
+        let short = RunContext::new().with_memory_limit(8 * kept as u64 - 1);
         let policy = ExecPolicy::new(2).with_run(short.clone());
         assert!(matches!(
             filter_parallel(n, 16, "filter", &policy, kernel),

@@ -57,87 +57,33 @@ pub struct MemoryBudget {
 }
 
 impl MemoryBudget {
-    /// An unlimited budget (reservations always succeed).
-    pub fn unlimited() -> Self {
-        Self::default()
-    }
-
-    /// A budget of `limit` bytes.
-    pub fn bytes(limit: u64) -> Self {
-        MemoryBudget {
-            state: Some(Arc::new(BudgetState {
-                limit,
-                used: AtomicU64::new(0),
-            })),
-        }
-    }
-
-    /// Reserve `bytes` against the budget until the returned
-    /// [`Reservation`] drops. Fails (without reserving) when the limit
-    /// would be exceeded. The `exec.budget.reserve` failpoint can deny any
-    /// reservation deterministically.
-    pub fn reserve(&self, bytes: u64) -> Result<Reservation<'_>, EngineError> {
+    /// Add `bytes` to the reserved total, or fail and leave it untouched;
+    /// concurrent charges never overshoot the limit. The
+    /// `exec.budget.reserve` failpoint can deny any charge; on an
+    /// unlimited budget a charge is only that check.
+    fn charge(&self, bytes: u64) -> Result<(), EngineError> {
         let injected = rsv_testkit::failpoint!("exec.budget.reserve");
-        let Some(state) = &self.state else {
-            return if injected {
-                Err(EngineError::BudgetExceeded {
-                    requested: bytes,
-                    limit: 0,
-                    used: 0,
-                })
-            } else {
-                Ok(Reservation {
-                    budget: self,
-                    bytes,
-                })
-            };
+        let (limit, used) = match &self.state {
+            None if !injected => return Ok(()),
+            None => (0, 0),
+            Some(state) => {
+                let fits = |used: u64| {
+                    Some(used.saturating_add(bytes)).filter(|&t| !injected && t <= state.limit)
+                };
+                match state
+                    .used
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, fits)
+                {
+                    Ok(_) => return Ok(()),
+                    Err(used) => (state.limit, used),
+                }
+            }
         };
-        // CAS loop: reserve only if the new total stays within the limit,
-        // so concurrent reservations never overshoot and a failed attempt
-        // leaves the accounting untouched.
-        let mut used = state.used.load(Ordering::Relaxed);
-        loop {
-            let requested_total = used.saturating_add(bytes);
-            if injected || requested_total > state.limit {
-                return Err(EngineError::BudgetExceeded {
-                    requested: bytes,
-                    limit: state.limit,
-                    used,
-                });
-            }
-            match state.used.compare_exchange_weak(
-                used,
-                requested_total,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    return Ok(Reservation {
-                        budget: self,
-                        bytes,
-                    })
-                }
-                Err(cur) => used = cur,
-            }
-        }
-    }
-
-    fn release(&self, bytes: u64) {
-        if let Some(state) = &self.state {
-            let mut used = state.used.load(Ordering::Relaxed);
-            loop {
-                let next = used.saturating_sub(bytes);
-                match state.used.compare_exchange_weak(
-                    used,
-                    next,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return,
-                    Err(cur) => used = cur,
-                }
-            }
-        }
+        Err(EngineError::BudgetExceeded {
+            requested: bytes,
+            limit,
+            used,
+        })
     }
 
     /// Bytes currently reserved (0 for an unlimited budget).
@@ -153,25 +99,68 @@ impl MemoryBudget {
     }
 }
 
-/// Bytes of one `n`-value `u32` column, the unit of the operators' budget
-/// reservations.
-pub fn column_bytes(n: usize) -> u64 {
-    (n as u64) * std::mem::size_of::<u32>() as u64
-}
-
-/// Bytes reserved against a [`MemoryBudget`], returned to it when the
-/// guard drops — on success, on an early `?` return and during a panic
-/// unwind alike, so no exit path can leak a reservation.
-#[must_use = "dropping a Reservation releases its bytes at once"]
+/// Bytes charged to a [`MemoryBudget`], released when the guard drops.
 #[derive(Debug)]
-pub struct Reservation<'a> {
+struct Reservation<'a> {
     budget: &'a MemoryBudget,
     bytes: u64,
 }
 
 impl Drop for Reservation<'_> {
     fn drop(&mut self) {
-        self.budget.release(self.bytes);
+        if let Some(state) = &self.budget.state {
+            state.used.fetch_sub(self.bytes, Ordering::Relaxed);
+        }
+    }
+}
+
+/// A buffer that owns the budget bytes paying for it, made by
+/// [`RunContext::vec`] or [`RunContext::hold`]. It derefs to the buffer
+/// and returns the bytes when it drops (on success, an early `?` return
+/// or a panic unwind alike) or hands the buffer out.
+#[derive(Debug)]
+pub struct Budgeted<'run, B> {
+    buf: B,
+    reservation: Reservation<'run>,
+}
+
+impl<'run, B> Budgeted<'run, B> {
+    /// The buffer, its bytes returned to the budget.
+    pub fn into_inner(self) -> B {
+        self.buf
+    }
+
+    /// Raise the reservation to `bytes` for a buffer that grew; a smaller
+    /// `bytes` is a no-op. On failure nothing changes.
+    pub fn grow_to(&mut self, bytes: u64) -> Result<(), EngineError> {
+        let held = &mut self.reservation;
+        if bytes > held.bytes {
+            held.budget.charge(bytes - held.bytes)?;
+            held.bytes = bytes;
+        }
+        Ok(())
+    }
+
+    /// The same bytes, paying for `f(buffer)` instead.
+    pub fn map<C>(self, f: impl FnOnce(B) -> C) -> Budgeted<'run, C> {
+        Budgeted {
+            buf: f(self.buf),
+            reservation: self.reservation,
+        }
+    }
+}
+
+impl<B> std::ops::Deref for Budgeted<'_, B> {
+    type Target = B;
+
+    fn deref(&self) -> &B {
+        &self.buf
+    }
+}
+
+impl<B> std::ops::DerefMut for Budgeted<'_, B> {
+    fn deref_mut(&mut self) -> &mut B {
+        &mut self.buf
     }
 }
 
@@ -200,7 +189,10 @@ impl RunContext {
 
     /// Limit the context to `limit` bytes of large-buffer allocations.
     pub fn with_memory_limit(mut self, limit: u64) -> Self {
-        self.budget = MemoryBudget::bytes(limit);
+        self.budget.state = Some(Arc::new(BudgetState {
+            limit,
+            used: AtomicU64::new(0),
+        }));
         self
     }
 
@@ -224,11 +216,32 @@ impl RunContext {
         }
     }
 
-    /// Reserve `bytes` against the budget until the returned
-    /// [`Reservation`] drops, first honouring cancellation.
-    pub fn reserve(&self, bytes: u64) -> Result<Reservation<'_>, EngineError> {
+    /// Reserve `bytes`, then `make` the buffer they pay for (one that
+    /// knows its size: a table, a filter, growing scratch). Fails with
+    /// [`EngineError::Cancelled`] once cancelled, and with
+    /// [`EngineError::BudgetExceeded`], making nothing, when over budget.
+    pub fn hold<B>(
+        &self,
+        bytes: u64,
+        make: impl FnOnce() -> B,
+    ) -> Result<Budgeted<'_, B>, EngineError> {
         self.check_cancelled()?;
-        self.budget.reserve(bytes)
+        self.budget.charge(bytes)?;
+        let reservation = Reservation {
+            budget: &self.budget,
+            bytes,
+        };
+        Ok(Budgeted {
+            buf: make(),
+            reservation,
+        })
+    }
+
+    /// `vec![fill; n]` (a zero fill stays a zeroed allocation), holding
+    /// `n × size_of::<T>()` bytes.
+    pub fn vec<T: Clone>(&self, n: usize, fill: T) -> Result<Budgeted<'_, Vec<T>>, EngineError> {
+        let bytes = (n as u64).saturating_mul(std::mem::size_of::<T>() as u64);
+        self.hold(bytes, || vec![fill; n])
     }
 }
 
@@ -242,7 +255,7 @@ mod tests {
         let ctx = RunContext::new();
         assert!(!ctx.is_cancelled());
         ctx.check_cancelled().unwrap();
-        let _all = ctx.reserve(u64::MAX).unwrap();
+        let _all = ctx.hold(u64::MAX, || ()).unwrap();
         assert_eq!(ctx.budget.used(), 0);
         assert_eq!(ctx.budget.limit(), None);
     }
@@ -255,15 +268,15 @@ mod tests {
         token.cancel();
         assert!(ctx.is_cancelled());
         assert_eq!(ctx.check_cancelled(), Err(EngineError::Cancelled));
-        assert_eq!(ctx.reserve(1).unwrap_err(), EngineError::Cancelled);
+        assert_eq!(ctx.hold(1, || ()).unwrap_err(), EngineError::Cancelled);
     }
 
     #[test]
     fn budget_reserves_and_releases() {
-        let b = MemoryBudget::bytes(100);
-        let sixty = b.reserve(60).unwrap();
-        let _forty = b.reserve(40).unwrap();
-        let err = b.reserve(1).unwrap_err();
+        let run = RunContext::new().with_memory_limit(100);
+        let sixty = run.hold(60, || ()).unwrap();
+        let _forty = run.hold(40, || ()).unwrap();
+        let err = run.hold(1, || ()).unwrap_err();
         assert_eq!(
             err,
             EngineError::BudgetExceeded {
@@ -273,32 +286,73 @@ mod tests {
             }
         );
         drop(sixty);
-        let _thirty = b.reserve(30).unwrap();
-        assert_eq!(b.used(), 70);
+        let _thirty = run.hold(30, || ()).unwrap();
+        assert_eq!(run.budget.used(), 70);
     }
 
     #[test]
     fn failed_reserve_leaves_accounting_untouched() {
-        let b = MemoryBudget::bytes(10);
-        assert!(b.reserve(11).is_err());
-        assert_eq!(b.used(), 0);
-        let _ten = b.reserve(10).unwrap();
-        assert_eq!(b.used(), 10);
+        let run = RunContext::new().with_memory_limit(10);
+        assert!(run.hold(11, || ()).is_err());
+        assert_eq!(run.budget.used(), 0);
+        let _ten = run.hold(10, || ()).unwrap();
+        assert_eq!(run.budget.used(), 10);
     }
 
     /// A reservation held across a failing `?` or a panic is released by
-    /// the unwinding, not by the code that failed.
+    /// the unwinding, not by the code that failed; so are a `Budgeted`
+    /// buffer's bytes, and `into_inner` returns them at once. A failed
+    /// `grow_to` changes nothing.
     #[test]
     fn reservation_released_on_early_return_and_unwind() {
         fn work(run: &RunContext) -> Result<(), EngineError> {
-            let _scratch = run.budget.reserve(64)?;
-            assert_eq!(run.budget.used(), 64);
+            let _scratch = run.hold(64, || ())?;
+            let _column = run.vec(4, 0u32)?;
+            assert_eq!(run.budget.used(), 80);
             run.check_cancelled()?;
             panic!("worker died holding its reservation");
         }
         let run = RunContext::new().with_memory_limit(100);
         assert!(std::panic::catch_unwind(|| work(&run)).is_err());
         assert_eq!(run.budget.used(), 0);
+
+        let column = run.vec(5, 7u32).unwrap();
+        assert_eq!((column.len(), run.budget.used()), (5, 20));
+        assert_eq!(column.into_inner(), vec![7; 5]);
+        assert_eq!(run.budget.used(), 0);
+        drop(run.vec(25, 0u32).unwrap());
+        assert_eq!(run.budget.used(), 0);
+
+        // `grow_to` charges only the growth and ignores a smaller size; a
+        // growth that does not fit leaves the accounting and the buffer
+        // as they were.
+        let mut buf = run.hold(40, || vec![1u8; 40]).unwrap();
+        buf.grow_to(30).unwrap();
+        assert_eq!(run.budget.used(), 40);
+        buf.extend([2; 20]);
+        buf.grow_to(60).unwrap();
+        assert_eq!(run.budget.used(), 60);
+        let other = run.vec(30, 0u8).unwrap();
+        assert_eq!(
+            buf.grow_to(80),
+            Err(EngineError::BudgetExceeded {
+                requested: 20,
+                limit: 100,
+                used: 90
+            })
+        );
+        assert_eq!((run.budget.used(), buf.len(), buf[59]), (90, 60, 2));
+        drop(other);
+        buf.grow_to(80).unwrap();
+        let shared = buf.map(|v| v.len());
+        assert_eq!((*shared, run.budget.used()), (60, 80));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = shared;
+            panic!("worker died holding a grown buffer");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(run.budget.used(), 0);
+
         run.cancel_token().cancel();
         assert_eq!(work(&run), Err(EngineError::Cancelled));
         assert_eq!(run.budget.used(), 0);

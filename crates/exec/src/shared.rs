@@ -22,13 +22,6 @@ pub struct SharedBuffer<T: Copy> {
 unsafe impl<T: Copy + Send> Send for SharedBuffer<T> {}
 unsafe impl<T: Copy + Send> Sync for SharedBuffer<T> {}
 
-impl<T: Copy + Default> SharedBuffer<T> {
-    /// A zero-initialized shared buffer of `len` elements.
-    pub fn zeroed(len: usize) -> Self {
-        Self::from_vec(vec![T::default(); len])
-    }
-}
-
 impl<T: Copy> SharedBuffer<T> {
     /// Wrap an existing vector.
     pub fn from_vec(v: Vec<T>) -> Self {
@@ -150,7 +143,7 @@ mod tests {
 
     #[test]
     fn disjoint_parallel_writes() {
-        let buf: SharedBuffer<u32> = SharedBuffer::zeroed(4 * 1000);
+        let buf = SharedBuffer::from_vec(vec![0u32; 4 * 1000]);
         parallel_scope(4, |ctx| {
             // SAFETY: each worker writes only indexes == its id mod 4.
             let view = unsafe { buf.view_mut() };

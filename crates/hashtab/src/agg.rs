@@ -45,20 +45,6 @@ pub(crate) fn replicas_fit_l1(buckets: usize, lanes: usize) -> bool {
     buckets * lanes * 4 * std::mem::size_of::<u32>() <= REPLICA_BYTES
 }
 
-/// The error returned by [`GroupAggTable::try_update`] when inserting a
-/// new group would saturate the table (no empty bucket would remain, so a
-/// later probe for a missing key could never terminate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AggTableFull;
-
-impl std::fmt::Display for AggTableFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "aggregation table is full")
-    }
-}
-
-impl std::error::Error for AggTableFull {}
-
 /// An aggregation hash table: per group key, `COUNT(*)` and `SUM(value)`.
 ///
 /// Keys live in their own array; counts and 64-bit sums are stored as two
@@ -71,8 +57,8 @@ impl std::error::Error for AggTableFull {}
 /// for a missing key, so the table never fills past `buckets − 1` groups.
 /// [`GroupAggTable::update`] (and the vectorized kernel) *grow* the table
 /// — doubling the bucket array and rehashing — before that point is
-/// reached; [`GroupAggTable::try_update`] instead reports saturation as
-/// [`AggTableFull`] for callers that sized the table deliberately.
+/// reached. A caller under a memory budget charges the growth from
+/// [`GroupAggTable::size_bytes`].
 ///
 /// # The sentinel key
 ///
@@ -115,6 +101,11 @@ impl GroupAggTable {
         (bucket_count(capacity, load_factor) * 4 * std::mem::size_of::<u32>()) as u64
     }
 
+    /// Bytes the bucket arrays take now, past `bytes_for` once grown.
+    pub fn size_bytes(&self) -> u64 {
+        (self.buckets() * 4 * std::mem::size_of::<u32>()) as u64
+    }
+
     /// Number of distinct groups seen so far.
     pub fn groups(&self) -> usize {
         self.groups + usize::from(self.sentinel.is_some())
@@ -129,21 +120,6 @@ impl GroupAggTable {
     /// group would otherwise saturate it.
     pub fn update(&mut self, key: u32, value: u32) {
         self.add(key, 1, u64::from(value));
-    }
-
-    /// Update one tuple, refusing (rather than growing) when a new group
-    /// would leave no empty bucket.
-    ///
-    /// The probe loop always terminates: the table keeps the invariant
-    /// `groups ≤ buckets − 1` (at least one empty bucket), and a probe
-    /// that would break it returns [`AggTableFull`] *before* inserting.
-    /// [`EMPTY_KEY`] goes to the side slot and always succeeds.
-    ///
-    /// # Errors
-    /// [`AggTableFull`] if `key` is a new group and `groups + 1` would
-    /// reach the bucket count. Existing groups always update.
-    pub fn try_update(&mut self, key: u32, value: u32) -> Result<(), AggTableFull> {
-        self.try_add(key, 1, u64::from(value))
     }
 
     /// Add every group of `other` (count and sum) into `self`, growing
@@ -167,18 +143,21 @@ impl GroupAggTable {
 
     /// [`GroupAggTable::try_add`], growing until the group fits.
     fn add(&mut self, key: u32, count: u32, sum: u64) {
-        while self.try_add(key, count, sum).is_err() {
+        while !self.try_add(key, count, sum) {
             self.grow();
         }
     }
 
-    /// Add `count` tuples summing to `sum` to `key`'s group.
-    fn try_add(&mut self, key: u32, count: u32, sum: u64) -> Result<(), AggTableFull> {
+    /// Add `count` tuples summing to `sum` to `key`'s group; `false`,
+    /// adding nothing, when a new group would take the last empty bucket
+    /// (the probe for a missing key ends at an empty bucket, so the table
+    /// keeps one).
+    fn try_add(&mut self, key: u32, count: u32, sum: u64) -> bool {
         if key == EMPTY_KEY {
             let slot = self.sentinel.get_or_insert((0, 0));
             slot.0 += count;
             slot.1 += sum;
-            return Ok(());
+            return true;
         }
         let t = self.keys.len();
         let mut h = self.hash.bucket(key, t);
@@ -189,7 +168,7 @@ impl GroupAggTable {
             }
             if k == EMPTY_KEY {
                 if self.groups + 1 >= t {
-                    return Err(AggTableFull);
+                    return false;
                 }
                 self.keys[h] = key;
                 self.groups += 1;
@@ -204,7 +183,7 @@ impl GroupAggTable {
         let (lo, carry) = self.sum_lo[h].overflowing_add(sum as u32);
         self.sum_lo[h] = lo;
         self.sum_hi[h] += (sum >> 32) as u32 + u32::from(carry);
-        Ok(())
+        true
     }
 
     /// Double the bucket array and rehash every group.
@@ -642,7 +621,7 @@ mod tests {
     /// Regression: pre-fix, a full table died on an `assert!` deep in the
     /// probe loop (and with the assert removed the probe would spin
     /// forever). With `groups == buckets − 1` the scalar and vector paths
-    /// must terminate — growing for `update`, `Err` for `try_update`.
+    /// must terminate, growing only for a new group.
     #[test]
     fn saturated_table_updates_terminate() {
         let mut t = GroupAggTable::new(6, 0.9);
@@ -654,11 +633,9 @@ mod tests {
         assert_eq!(t.groups(), buckets - 1);
         assert_eq!(t.buckets(), buckets, "filling must not grow yet");
         // an existing group still updates without growing
-        assert_eq!(t.try_update(0, 1), Ok(()));
-        // a new group is refused by try_update (terminates, no insert) …
-        assert_eq!(t.try_update(buckets as u32, 1), Err(AggTableFull));
-        assert_eq!(t.groups(), buckets - 1);
-        // … and absorbed by update via growth
+        t.update(0, 1);
+        assert_eq!((t.groups(), t.buckets()), (buckets - 1, buckets));
+        // a new group is absorbed via growth
         t.update(buckets as u32, 7);
         assert!(t.buckets() > buckets, "update must grow at saturation");
         assert_eq!(t.groups(), buckets);
@@ -724,7 +701,9 @@ mod tests {
         for k in 0..full.buckets() as u32 - 1 {
             full.update(k, 1);
         }
-        assert_eq!(full.try_update(EMPTY_KEY, 5), Ok(()));
+        let buckets = full.buckets();
+        full.update(EMPTY_KEY, 5);
+        assert_eq!(full.buckets(), buckets);
         assert_eq!(collect(&full)[&EMPTY_KEY], (1, 5));
     }
 

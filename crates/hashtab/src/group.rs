@@ -64,9 +64,11 @@ const SINGLE_TABLE_PARTS: usize = L2_BYTES / PART_TABLE_BYTES;
 ///
 /// Honours `policy.run`: the single route reserves `threads` tables for
 /// its bound; the partitioned route reserves its partitioned copy and
-/// its part tables. Cancellation is observed at every morsel and task
-/// claim, and a worker panic surfaces as [`EngineError::WorkerPanicked`].
-/// Tables grow past their reservation when the bound is an underestimate.
+/// its part tables. A table that outgrows an underestimated bound is
+/// charged by the end of the morsel, merge or part that grew it, or the
+/// group-by fails with [`EngineError::BudgetExceeded`]. Cancellation is
+/// observed at every morsel and task claim, and a worker panic surfaces
+/// as [`EngineError::WorkerPanicked`].
 pub fn group_by_sum<S: Simd>(
     kind: KernelKind<S>,
     keys: &[u32],
@@ -108,9 +110,10 @@ pub fn group_by_sum<S: Simd>(
 /// so keys crowded into a few ranges make a few large parts, each one
 /// task.
 ///
-/// Reserves the partitioned copy (8 bytes per tuple) and `min(threads, F)`
-/// tables of `ceil(b / F)` groups against `policy.run`'s budget; a task
-/// whose table is larger reserves the difference while it runs.
+/// Reserves the partitioned copy (8 bytes per tuple) and, for each of
+/// its `min(threads, F)` workers, a table of `ceil(b / F)` groups against
+/// `policy.run`'s budget. A larger part table, or one that grew, raises
+/// its worker's reservation to its size until the tasks finish.
 pub fn group_by_partitioned<S: Simd>(
     kind: KernelKind<S>,
     keys: &[u32],
@@ -156,29 +159,33 @@ fn single_table<S: Simd>(
     policy: &ExecPolicy,
 ) -> Result<(Vec<GroupRow>, SchedulerStats), EngineError> {
     let table_bytes = GroupAggTable::bytes_for(groups, LOAD);
-    let _tables = policy.run.reserve(policy.threads as u64 * table_bytes)?;
     let q = MorselQueue::new(keys.len(), policy, 16);
-    let (mut tables, stats) = parallel_scope_try(policy.threads, |ctx| {
-        let mut table = GroupAggTable::new(groups, LOAD);
+    let (tables, stats) = parallel_scope_try(policy.threads, |ctx| {
+        let mut table = policy
+            .run
+            .hold(table_bytes, || GroupAggTable::new(groups, LOAD))?;
         for mo in ctx.morsels(&q) {
             let r = mo.range.clone();
             ctx.phase("aggregate", || {
                 table.update_with(kind, &keys[r.clone()], &pays[r])
             });
+            table.grow_to(table.size_bytes())?;
         }
-        table
+        Ok::<_, EngineError>(table)
     })?;
     policy.run.check_cancelled()?;
+    let mut tables = tables.into_iter().collect::<Result<Vec<_>, _>>()?;
     // The merge is commutative and keys are unique, so merging into the
     // table holding the most groups is schedule-independent.
     let Some(largest) = (0..tables.len()).max_by_key(|&i| tables[i].groups()) else {
         return Ok((Vec::new(), stats));
     };
     let mut merged = tables.swap_remove(largest);
-    for table in &tables {
-        merged.merge(table);
+    for table in tables {
+        merged.merge(&table);
+        merged.grow_to(merged.size_bytes())?;
     }
-    Ok((merged.into_sorted_rows(), stats))
+    Ok((merged.into_inner().into_sorted_rows(), stats))
 }
 
 /// The partitioned route for at most `groups` groups of keys that vary in
@@ -205,8 +212,6 @@ fn partitioned<S: Simd>(
         return single_table(kind, keys, pays, per_part, policy);
     }
     let table_bytes = GroupAggTable::bytes_for(per_part, LOAD);
-    let tables = policy.threads.min(parts as usize) as u64;
-    let _tables = policy.run.reserve(tables * table_bytes)?;
 
     // The top `bits` of the `v` varying bits: `parts ≤ 2^v`, so they fit.
     let v = 32 - varying.leading_zeros();
@@ -220,14 +225,16 @@ fn partitioned<S: Simd>(
         [(keys, pays)],
         policy,
         "aggregate",
-        Vec::new,
-        |done: &mut Vec<(usize, Vec<GroupRow>)>, p, [(keys, pays)]| {
+        // a worker's part table lives in its slot, which holds a table
+        // for `per_part` groups from the worker's start
+        || Ok((policy.run.hold(table_bytes, || None)?, Vec::new())),
+        |(slot, done), p, [(keys, pays)]| {
             if keys.is_empty() {
                 return Ok(());
             }
             // a part whose share of the bound would fill its table past
-            // 75 % (1.5 × per_part) gets a table for its share and
-            // reserves the extra bytes
+            // 75 % (1.5 × per_part) gets a table for its share, and the
+            // slot grows to hold it
             let share = (bound * keys.len() as u64).div_ceil(len);
             let groups = if 2 * share > 3 * per_part as u64 {
                 share.min(part_span) as usize
@@ -235,17 +242,16 @@ fn partitioned<S: Simd>(
                 per_part
             };
             let groups = groups.min(keys.len());
-            let bytes = GroupAggTable::bytes_for(groups, LOAD);
-            let _excess = (bytes > table_bytes)
-                .then(|| policy.run.reserve(bytes - table_bytes))
-                .transpose()?;
-            let mut table = GroupAggTable::new(groups, LOAD);
+            slot.grow_to(GroupAggTable::bytes_for(groups, LOAD))?;
+            let table = slot.insert(GroupAggTable::new(groups, LOAD));
             table.update_with(kind, keys, pays);
-            done.push((p, table.into_sorted_rows()));
+            let grown = table.size_bytes();
+            slot.grow_to(grown)?;
+            done.extend(slot.take().map(|table| (p, table.into_sorted_rows())));
             Ok(())
         },
     )?;
-    let mut done: Vec<(usize, Vec<GroupRow>)> = run.workers.into_iter().flatten().collect();
+    let mut done: Vec<_> = run.workers.into_iter().flat_map(|(_, done)| done).collect();
     done.sort_unstable_by_key(|&(p, _)| p);
     let mut rows = Vec::with_capacity(done.iter().map(|(_, rows)| rows.len()).sum());
     for (_, part_rows) in done {

@@ -43,7 +43,7 @@ mod horizontal;
 mod linear;
 mod sink;
 
-pub use agg::{AggTableFull, GroupAggTable};
+pub use agg::GroupAggTable;
 pub use cuckoo::{CuckooBuildError, CuckooTable};
 pub use fallback::FallbackTable;
 pub use horizontal::{BucketScheme, BucketizedCuckoo, BucketizedTable};

@@ -85,7 +85,7 @@ pub fn join_max_partition<S: Simd>(
         ],
         policy,
         "build+probe",
-        || (JoinSink::with_capacity(1024), 0, 0),
+        || Ok((JoinSink::with_capacity(1024), 0, 0)),
         |(sink, build_ns, probe_ns): &mut TaskState, _, [(ik, ip), (ok, op)]| {
             if ok.is_empty() {
                 return Ok(());

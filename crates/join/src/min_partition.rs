@@ -7,8 +7,7 @@ use std::time::Instant;
 
 use rsv_data::Relation;
 use rsv_exec::{
-    column_bytes, parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
-    SharedBuffer,
+    parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats, SharedBuffer,
 };
 use rsv_hashtab::{lp_build_raw, lp_probe_one_raw, JoinSink, MulHash, EMPTY_KEY, EMPTY_PAIR};
 use rsv_partition::parallel::partition_pass;
@@ -45,9 +44,8 @@ pub fn join_min_partition<S: Simd>(
     // Phase 1: partition the inner relation into one part per thread (the
     // pass itself runs morselized).
     let t0 = Instant::now();
-    let _cols = policy.run.reserve(2 * column_bytes(inner.len()))?;
-    let mut part_k = vec![0u32; inner.len()];
-    let mut part_p = vec![0u32; inner.len()];
+    let mut part_k = policy.run.vec(inner.len(), 0u32)?;
+    let mut part_p = policy.run.vec(inner.len(), 0u32)?;
     let (pass, mut stats) = partition_pass(
         kind,
         part_fn,
@@ -65,9 +63,10 @@ pub fn join_min_partition<S: Simd>(
     let t0 = Instant::now();
     let max_part = pass.hist.iter().copied().max().unwrap_or(0) as usize;
     let tsize = (max_part * 2 + 1).next_multiple_of(2).max(2);
-    let table_bytes = (parts * tsize * std::mem::size_of::<u64>()) as u64;
-    let _table = policy.run.reserve(table_bytes)?;
-    let table = SharedBuffer::from_vec(vec![EMPTY_PAIR; parts * tsize]);
+    let table = policy
+        .run
+        .vec(parts * tsize, EMPTY_PAIR)?
+        .map(SharedBuffer::from_vec);
     let build_q = MorselQueue::tasks(parts, policy);
     let (uniques, build_stats) = parallel_scope_try(threads, |ctx| {
         // SAFETY: each task touches only its own part's sub-table slice,

@@ -75,9 +75,12 @@ pub fn join_no_partition<S: Simd>(
     rsv_metrics::count(rsv_metrics::Metric::JoinProbeTuples, outer.len() as u64);
     let hash = MulHash::nth(0);
     let buckets = (inner.len() * 2).max(inner.len() + 1).max(2);
-    let table_bytes = (buckets * std::mem::size_of::<u64>()) as u64;
-    let _table = policy.run.reserve(table_bytes)?;
-    let table: Vec<AtomicU64> = (0..buckets).map(|_| AtomicU64::new(EMPTY_PAIR)).collect();
+    let table_bytes = (buckets * std::mem::size_of::<AtomicU64>()) as u64;
+    let table = policy.run.hold(table_bytes, || {
+        (0..buckets)
+            .map(|_| AtomicU64::new(EMPTY_PAIR))
+            .collect::<Vec<_>>()
+    })?;
 
     // Build: workers claim inner-relation morsels and insert with CAS,
     // prefetching the home bucket of the tuple PREFETCH_AHEAD ahead.

@@ -10,9 +10,7 @@
 
 use std::time::{Duration, Instant};
 
-use rsv_exec::{
-    column_bytes, parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
-};
+use rsv_exec::{parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats};
 use rsv_simd::{KernelKind, Simd};
 
 use crate::twopass::partition_twopass;
@@ -36,8 +34,9 @@ pub struct PartTasks<W> {
 /// part keeps its tuples in input order), then call
 /// `task(state, p, parts)` once for every part `p < f.fanout()`, where
 /// `parts[r]` is relation `r`'s part `p` — empty parts included. Each
-/// part is one stealable task timed as `phase`; each worker starts from
-/// `init()` and its final state is returned. A task's error stops its
+/// part is one stealable task timed as `phase`. The tasks run on
+/// `min(threads, f.fanout())` workers; each starts from `init()` and its
+/// final state is returned. An error from `init` or a task stops its
 /// worker and is returned once the other workers have finished.
 ///
 /// Honours `policy.run`: the partitioned copies (8 bytes per input tuple,
@@ -53,7 +52,7 @@ pub fn partition_then_tasks<S, F, W, const N: usize>(
     rels: [Columns<'_>; N],
     policy: &ExecPolicy,
     phase: &'static str,
-    init: impl Fn() -> W + Sync,
+    init: impl Fn() -> Result<W, EngineError> + Sync,
     task: impl Fn(&mut W, usize, [Columns<'_>; N]) -> Result<(), EngineError> + Sync,
 ) -> Result<PartTasks<W>, EngineError>
 where
@@ -62,22 +61,25 @@ where
     W: Send,
 {
     let t0 = Instant::now();
-    let tuples: usize = rels.iter().map(|(keys, _)| keys.len()).sum();
-    let _copies = policy.run.reserve(2 * column_bytes(tuples))?;
     let mut stats = SchedulerStats::default();
     let mut parted = Vec::with_capacity(N);
     for (keys, pays) in rels {
-        let mut dk = vec![0u32; keys.len()];
-        let mut dp = vec![0u32; keys.len()];
+        let mut dk = policy.run.vec(keys.len(), 0u32)?;
+        let mut dp = policy.run.vec(keys.len(), 0u32)?;
         let (pass, pass_stats) = partition_twopass(kind, f, keys, pays, &mut dk, &mut dp, policy)?;
         stats.merge(&pass_stats);
         parted.push((dk, dp, pass));
     }
     let partition = t0.elapsed();
 
-    let q = MorselQueue::tasks(f.fanout(), policy);
-    let (workers, task_stats) = parallel_scope_try(policy.threads, |ctx| {
-        let mut state = init();
+    // A worker past the part count would find no task, so none starts.
+    let tasks = ExecPolicy {
+        threads: policy.threads.min(f.fanout()).max(1),
+        ..policy.clone()
+    };
+    let q = MorselQueue::tasks(f.fanout(), &tasks);
+    let (workers, task_stats) = parallel_scope_try(tasks.threads, |ctx| {
+        let mut state = init()?;
         for t in ctx.morsels(&q) {
             let _ = rsv_testkit::failpoint!("partition.task");
             let parts = std::array::from_fn(|r| {
@@ -127,7 +129,7 @@ mod tests {
                     [(&a, &pa), (&b, &pb)],
                     &policy,
                     "check",
-                    Vec::new,
+                    || Ok(Vec::new()),
                     |seen, p, [(ak, ap), (bk, bp)]| {
                         assert!(ak.iter().chain(bk).all(|&k| f.partition(k) == p));
                         assert!(ap.windows(2).all(|w| w[0] < w[1]), "unstable part");
@@ -159,7 +161,7 @@ mod tests {
                 [(&keys, &keys)],
                 &policy,
                 "check",
-                || (),
+                || Ok(()),
                 |_, _, _| Ok(()),
             );
             assert_eq!(run.is_ok(), ok, "limit {limit}");

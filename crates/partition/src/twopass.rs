@@ -23,9 +23,10 @@
 //! orders stably by `p`: the output is **byte-identical** to a direct
 //! `F`-way stable pass, which is what the equivalence tests assert.
 
+use std::sync::{Mutex, PoisonError};
+
 use rsv_exec::{
-    column_bytes, parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
-    SharedBuffer,
+    parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats, SharedBuffer,
 };
 use rsv_simd::{KernelKind, Simd};
 
@@ -125,12 +126,16 @@ pub fn partition_twopass<S: Simd, F: PartitionFn + Sync>(
     // Pass 1 straight into the output columns.
     let (coarse_out, mut stats) = partition_pass(kind, coarse, src_k, src_p, dst_k, dst_p, policy)?;
 
-    // Each worker's scratch grows to the largest region it splits, so the
-    // workers together hold at most the `t` largest regions.
+    // Each worker's scratch grows to exactly the largest region it splits,
+    // so the workers together hold at most the `t` largest regions.
     let mut sizes = coarse_out.hist.clone();
     sizes.sort_unstable_by(|a, b| b.cmp(a));
     let largest: usize = sizes.iter().take(t).map(|&c| c as usize).sum();
-    let _scratch = policy.run.reserve(2 * column_bytes(largest))?;
+    let scratch = policy.run.hold(8 * largest as u64, || {
+        (0..t)
+            .map(|_| Mutex::new((vec![], vec![])))
+            .collect::<Vec<_>>()
+    })?;
 
     // Pass 2: one task per region; each task histograms its region on the
     // fine key, shuffles it — stably — into its scratch and copies it
@@ -145,8 +150,10 @@ pub fn partition_twopass<S: Simd, F: PartitionFn + Sync>(
         // are disjoint across tasks, and every task id is claimed exactly
         // once. Reads happen after the scope joins.
         let (ok, op, gh) = unsafe { (out_k.view_mut(), out_p.view_mut(), global_hist.view_mut()) };
-        let mut sk: Vec<u32> = Vec::new();
-        let mut sp: Vec<u32> = Vec::new();
+        let mut mine = scratch[ctx.thread_id]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let (sk, sp) = &mut *mine;
         for task in ctx.morsels(&q) {
             let _ = rsv_testkit::failpoint!("partition.twopass.region");
             ctx.phase("fine", || {
@@ -155,8 +162,9 @@ pub fn partition_twopass<S: Simd, F: PartitionFn + Sync>(
                 let range = start..start + coarse_out.hist[r] as usize;
                 let len = range.len();
                 if sk.len() < len {
-                    sk.resize(len, 0);
-                    sp.resize(len, 0);
+                    // free, then allocate exactly (`resize` may double)
+                    drop((std::mem::take(sk), std::mem::take(sp)));
+                    (*sk, *sp) = (vec![0; len], vec![0; len]);
                 }
                 let base = r * width;
                 let fine = FineFn {

@@ -22,9 +22,11 @@
 //! Both parallel sorts take an [`ExecPolicy`] and return
 //! `Result<SchedulerStats, EngineError>`: cancellation is observed at
 //! morsel-claim boundaries of every pass, worker panics surface as
-//! [`EngineError::WorkerPanicked`], and the ping-pong scratch column is
-//! gated by the run's memory budget. On error the columns keep their
-//! length and hold the last completed pass's tuple order.
+//! [`EngineError::WorkerPanicked`], and the ping-pong scratch columns are
+//! gated by the run's memory budget. Keys that need no pass (none, one,
+//! or all equal) are left as they are, and no scratch is reserved or
+//! allocated for them. On error the columns keep their length and hold
+//! the last completed pass's tuple order.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -34,7 +36,7 @@
 pub mod diff;
 pub mod multicol;
 
-use rsv_exec::{column_bytes, EngineError, ExecPolicy, SchedulerStats};
+use rsv_exec::{EngineError, ExecPolicy, SchedulerStats};
 use rsv_partition::parallel::{partition_pass, partition_pass_keys};
 use rsv_partition::{varying_bits, PartitionFn, RadixFn};
 use rsv_simd::{KernelKind, Simd};
@@ -91,17 +93,20 @@ pub fn radixsort_pairs<S: Simd>(
 ) -> Result<SchedulerStats, EngineError> {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
     let n = keys.len();
-    let _scratch = policy.run.reserve(2 * column_bytes(n))?;
     let mut stats = SchedulerStats::default();
-    let mut dst_k = vec![0u32; n];
-    let mut dst_p = vec![0u32; n];
-    for f in cfg.live_passes(keys) {
+    let passes = cfg.live_passes(keys);
+    if passes.is_empty() {
+        return policy.run.check_cancelled().map(|()| stats);
+    }
+    let mut dst_k = policy.run.vec(n, 0u32)?;
+    let mut dst_p = policy.run.vec(n, 0u32)?;
+    for f in passes {
         rsv_metrics::count(rsv_metrics::Metric::SortPasses, 1);
         rsv_metrics::count(rsv_metrics::Metric::SortBytesMoved, 8 * n as u64);
         let (_, pass_stats) = partition_pass(kind, f, keys, pays, &mut dst_k, &mut dst_p, policy)?;
         stats.merge(&pass_stats);
-        std::mem::swap(keys, &mut dst_k);
-        std::mem::swap(pays, &mut dst_p);
+        std::mem::swap(keys, &mut *dst_k);
+        std::mem::swap(pays, &mut *dst_p);
     }
     Ok(stats)
 }
@@ -115,15 +120,18 @@ pub fn radixsort_keys<S: Simd>(
     policy: &ExecPolicy,
 ) -> Result<SchedulerStats, EngineError> {
     let n = keys.len();
-    let _scratch = policy.run.reserve(column_bytes(n))?;
     let mut stats = SchedulerStats::default();
-    let mut dst = vec![0u32; n];
-    for f in cfg.live_passes(keys) {
+    let passes = cfg.live_passes(keys);
+    if passes.is_empty() {
+        return policy.run.check_cancelled().map(|()| stats);
+    }
+    let mut dst = policy.run.vec(n, 0u32)?;
+    for f in passes {
         rsv_metrics::count(rsv_metrics::Metric::SortPasses, 1);
         rsv_metrics::count(rsv_metrics::Metric::SortBytesMoved, 4 * n as u64);
         let (_, pass_stats) = partition_pass_keys(kind, f, keys, &mut dst, policy)?;
         stats.merge(&pass_stats);
-        std::mem::swap(keys, &mut dst);
+        std::mem::swap(keys, &mut *dst);
     }
     Ok(stats)
 }

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use rethinking_simd::{data, Engine, JoinVariant, Relation};
+use rethinking_simd::{data, Engine, JoinResult, JoinVariant, Relation, RunContext};
 
 fn reference_pipeline(facts: &Relation, dims: &Relation, lo: u32, hi: u32) -> Vec<(u32, u32, u32)> {
     let dim_map: HashMap<u32, Vec<u32>> = {
@@ -51,11 +51,32 @@ fn full_pipeline_matches_reference() {
         // the bloom filter may pass false positives — the join removes them
         assert!(filtered.len() >= expected.len().min(selected.len()));
         let joined = engine.hash_join(&dims, &filtered);
+        assert_eq!(sorted_rows(&joined), expected, "threads={threads}");
 
-        let mut rows: Vec<(u32, u32, u32)> = joined.sinks.iter().flat_map(|s| s.iter()).collect();
-        rows.sort_unstable();
-        assert_eq!(rows, expected, "threads={threads}");
+        // The same pipeline through the fallible operators under one
+        // finite budget: the same rows, and each operator returns every
+        // byte it reserved.
+        let run = RunContext::new().with_memory_limit(4 << 20);
+        let selected = engine.try_select(&facts, lo, hi, &run).expect("select");
+        assert_eq!(run.budget.used(), 0, "select, threads={threads}");
+        let filtered = engine
+            .try_bloom_semijoin(&selected, &dims.keys, &run)
+            .expect("bloom semi-join");
+        assert_eq!(run.budget.used(), 0, "semi-join, threads={threads}");
+        let joined = engine.try_hash_join(&dims, &filtered, &run).expect("join");
+        assert_eq!(run.budget.used(), 0, "join, threads={threads}");
+        assert_eq!(
+            sorted_rows(&joined),
+            expected,
+            "budgeted, threads={threads}"
+        );
     }
+}
+
+fn sorted_rows(joined: &JoinResult) -> Vec<(u32, u32, u32)> {
+    let mut rows: Vec<(u32, u32, u32)> = joined.sinks.iter().flat_map(|s| s.iter()).collect();
+    rows.sort_unstable();
+    rows
 }
 
 #[test]
