@@ -195,31 +195,12 @@ impl BlockedBloomFilter {
         let n = keys.len();
         rsv_metrics::count(rsv_metrics::Metric::BloomKeysProbed, n as u64);
         rsv_metrics::count(rsv_metrics::Metric::BloomWordsTouched, n as u64);
-        let nblocks = s.splat(self.blocks.len() as u32);
-        let block_seed = s.splat(BLOCK_SEED);
-        let bit_seed = s.splat(BIT_SEED);
-        let one = s.splat(1);
-        let low5 = s.splat(31);
-        let high_half = s.splat(32);
-        let zero = s.zero();
+        let probe = VectorProbe::new(s, self);
         let mut out = 0usize;
         let mut i = 0usize;
         while i + w <= n {
             let k = s.load(&keys[i..]);
-            let block = s.mulhi(s.mullo(k, block_seed), nblocks);
-            let h = s.mullo(k, bit_seed);
-            // Bit positions 0..31 go to the block's low word, 32..63 to
-            // its high word.
-            let (mut lo, mut hi) = (zero, zero);
-            for shift in FIELD_SHIFTS {
-                let pos = s.shr(h, shift);
-                let bit = s.shlv(one, s.and(pos, low5));
-                let upper = s.cmpne(s.and(pos, high_half), zero);
-                lo = s.or(lo, s.blend(upper, zero, bit));
-                hi = s.or(hi, s.blend(upper, bit, zero));
-            }
-            let (wlo, whi) = s.gather_pairs(&self.blocks, block);
-            let pass = s.cmpeq(s.and(wlo, lo), lo).and(s.cmpeq(s.and(whi, hi), hi));
+            let pass = probe.pass(k);
             let v = s.load(&pays[i..]);
             s.selective_store(&mut out_keys[out..], pass, k);
             out += s.selective_store(&mut out_pays[out..], pass, v);
@@ -231,6 +212,77 @@ impl BlockedBloomFilter {
             &mut out_keys[out..],
             &mut out_pays[out..],
         )
+    }
+
+    /// The probe's predicate half: mark the keys that pass the filter in
+    /// `bits` (one bit per key, see [`rsv_simd::bitmap`]) and return
+    /// their count, with the same one block gather per key and the same
+    /// counters as [`BlockedBloomFilter::probe_vector`].
+    /// [`rsv_simd::bitmap::take`] then moves the survivors without
+    /// probing again.
+    pub fn mark_vector<S: Simd>(&self, s: S, keys: &[u32], bits: &mut [u16]) -> usize {
+        let n = keys.len();
+        rsv_metrics::count(rsv_metrics::Metric::BloomKeysProbed, n as u64);
+        rsv_metrics::count(rsv_metrics::Metric::BloomWordsTouched, n as u64);
+        s.vectorize(
+            #[inline(always)]
+            || {
+                let probe = VectorProbe::new(s, self);
+                rsv_simd::bitmap::mark::<S>(
+                    n,
+                    bits,
+                    #[inline(always)]
+                    |i| probe.pass(s.load(&keys[i..])),
+                    #[inline(always)]
+                    |t| self.hit(keys[t]),
+                )
+            },
+        )
+    }
+}
+
+/// A vector probe's loop-invariant operands: the block count and the
+/// hash seeds splatted once per call.
+struct VectorProbe<'f, S: Simd> {
+    s: S,
+    blocks: &'f [u64],
+    nblocks: S::V,
+    block_seed: S::V,
+    bit_seed: S::V,
+}
+
+impl<'f, S: Simd> VectorProbe<'f, S> {
+    #[inline(always)]
+    fn new(s: S, filter: &'f BlockedBloomFilter) -> Self {
+        VectorProbe {
+            s,
+            blocks: &filter.blocks,
+            nblocks: s.splat(filter.blocks.len() as u32),
+            block_seed: s.splat(BLOCK_SEED),
+            bit_seed: s.splat(BIT_SEED),
+        }
+    }
+
+    /// The lanes of `k` whose keys pass the filter: one block gather per
+    /// lane, both 32-bit halves tested against the lanes' bit masks.
+    #[inline(always)]
+    fn pass(&self, k: S::V) -> S::M {
+        let s = self.s;
+        let (one, low5, high_half, zero) = (s.splat(1), s.splat(31), s.splat(32), s.zero());
+        let block = s.mulhi(s.mullo(k, self.block_seed), self.nblocks);
+        let h = s.mullo(k, self.bit_seed);
+        // Bit positions 0..31 go to the block's low word, 32..63 to its
+        // high word.
+        let (mut lo, mut hi) = (zero, zero);
+        for shift in FIELD_SHIFTS {
+            let pos = s.shr(h, shift);
+            let bit = s.shlv(one, s.and(pos, low5));
+            let upper = s.cmpne(s.and(pos, high_half), zero);
+            lo = s.or(lo, s.blend(upper, zero, bit));
+            hi = s.or(hi, s.blend(upper, bit, zero));
+        }
+        let (wlo, whi) = s.gather_pairs(self.blocks, block);
+        s.cmpeq(s.and(wlo, lo), lo).and(s.cmpeq(s.and(whi, hi), hi))
     }
 }
 
@@ -377,6 +429,8 @@ mod tests {
         assert!(rate < 0.025, "dense keys: false positive rate {rate}");
     }
 
+    /// The vector probe, and the vector mark followed by a take, keep
+    /// exactly the scalar probe's survivors in input order.
     #[test]
     fn vector_probe_equals_scalar_probe_in_input_order() {
         let mut rng = rsv_data::rng(57);
@@ -401,6 +455,15 @@ mod tests {
                     f.probe_vector(s, &keys, &pays, &mut vk, &mut vp)
                 });
                 check(backend.name(), &vk, &vp, nv);
+                // mark, then take the marked keys
+                let (mut mk, mut mp) = (vec![0u32; n], vec![0u32; n]);
+                let mut bits = vec![u16::MAX; n.div_ceil(16)];
+                let (marked, taken) = rsv_simd::dispatch!(backend, s => {
+                    let marked = f.mark_vector(s, &keys, &mut bits);
+                    (marked, rsv_simd::bitmap::take(s, &keys, &pays, &bits, &mut mk, &mut mp))
+                });
+                assert_eq!(marked, taken, "n={n} {} mark-take", backend.name());
+                check("mark-take", &mk, &mp, taken);
             }
         }
     }

@@ -8,8 +8,7 @@
 //!   vectorized, or by random access.
 //! * `column-select-fused` — the fused compressed scan must match the
 //!   scalar scan over the raw column byte-for-byte (ordered qualifiers)
-//!   for all six variants plus the morsel-parallel run (with the
-//!   `Engine`'s direct selective-store variant).
+//!   for all six variants plus the morsel-parallel mark-then-take run.
 //! * `column-histogram-fused` — the fused compressed histogram must match
 //!   the scalar histogram over the raw column, sequential and parallel.
 
@@ -81,7 +80,6 @@ fn run_select_parallel(backend: Backend, threads: usize, input: &CaseInput) -> V
     let c = CompressedRelation::compress_with(backend, &rel);
     let (ok, op, _) = expect_infallible(select_fused_parallel(
         backend,
-        ScanVariant::VectorSelStoreDirect,
         &c.keys,
         &c.payloads,
         pred(input),

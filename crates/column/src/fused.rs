@@ -10,7 +10,7 @@ use std::ops::Range;
 
 use rsv_partition::PartitionFn;
 use rsv_scan::{scan_scalar_branching, scan_scalar_branchless, ScanPredicate, ScanVariant};
-use rsv_simd::{dispatch, Backend, MaskLike, Simd};
+use rsv_simd::{bitmap, dispatch, Backend, MaskLike, Simd};
 
 use crate::pack::{decode_one, decode_vec};
 use crate::{assert_lanes, width_mask, BlockMeta, CompressedColumn, BLOCK_LEN, FORMAT_LANES};
@@ -96,11 +96,10 @@ pub fn select_fused(
     )
 }
 
-/// [`select_fused`] over `range` (`range.start` must be block-aligned,
-/// which morsel boundaries snapped to [`BLOCK_LEN`] guarantee).
+/// [`select_fused`] over `range` (`range.start` must be block-aligned).
 /// Qualifiers land at the *front* of the output slices.
 #[allow(clippy::too_many_arguments)]
-pub fn select_fused_range(
+fn select_fused_range(
     backend: Backend,
     variant: ScanVariant,
     keys: &CompressedColumn,
@@ -141,6 +140,113 @@ pub fn select_fused_range(
             select_vector_indirect(s, keys, pays, pred, true, range, out_keys, out_pays)
         }),
     }
+}
+
+/// The predicate half of the parallel fused scan over `range`
+/// (`range.start` block-aligned): decode only the key blocks, mark the
+/// qualifiers in `bits` (one bit per tuple of `range`, see
+/// [`rsv_simd::bitmap`]) and return their count. It counts every key
+/// block it decodes and, for each block holding a qualifier, the payload
+/// block [`take_fused_range`] will decode, so the decoded-block counters
+/// equal the sequential direct scan's.
+pub(crate) fn mark_fused_range<S: Simd>(
+    s: S,
+    keys: &CompressedColumn,
+    pays: &CompressedColumn,
+    pred: ScanPredicate,
+    range: Range<usize>,
+    bits: &mut [u16],
+) -> usize {
+    assert_eq!(keys.len, pays.len, "column length mismatch");
+    assert_lanes::<S>();
+    check_range(keys, &range);
+    s.vectorize(
+        #[inline(always)]
+        || {
+            let lower = s.splat(pred.lower);
+            let upper = s.splat(pred.upper);
+            let mut count = 0;
+            for start in range.clone().step_by(BLOCK_LEN) {
+                let bi = start / BLOCK_LEN;
+                let blk_len = (range.end - start).min(BLOCK_LEN);
+                let kc: BlockCtx<'_, S> = BlockCtx::new(s, keys, &keys.blocks[bi]);
+                let word = (start - range.start) / bitmap::WORD_TUPLES;
+                let c = bitmap::mark::<S>(
+                    blk_len,
+                    &mut bits[word..],
+                    #[inline(always)]
+                    |off| {
+                        let k = kc.decode(s, off);
+                        s.cmpge(k, lower).and(s.cmple(k, upper))
+                    },
+                    #[inline(always)]
+                    |t| pred.matches(kc.decode_one(t)),
+                );
+                if c > 0 {
+                    rsv_metrics::count_blocks_decoded(usize::from(pays.blocks[bi].width), 1);
+                }
+                count += c;
+            }
+            count
+        },
+    )
+}
+
+/// The materialization half of the parallel fused scan: take the tuples
+/// of `range` (`range.start` block-aligned) marked in `bits` by
+/// [`mark_fused_range`] to the fronts of the output slices, in input
+/// order, and return how many were taken. A block with no mark is
+/// skipped; in the others, the key and payload vectors holding a mark
+/// are decoded and leave through one selective store each. Its decodes
+/// count as decoded blocks, so it runs unmetered after the mark pass,
+/// which counted them.
+pub(crate) fn take_fused_range<S: Simd>(
+    s: S,
+    keys: &CompressedColumn,
+    pays: &CompressedColumn,
+    range: Range<usize>,
+    bits: &[u16],
+    out_keys: &mut [u32],
+    out_pays: &mut [u32],
+) -> usize {
+    assert_eq!(keys.len, pays.len, "column length mismatch");
+    assert_lanes::<S>();
+    check_range(keys, &range);
+    s.vectorize(
+        #[inline(always)]
+        || {
+            let w = S::LANES;
+            let mut j = 0;
+            for start in range.clone().step_by(BLOCK_LEN) {
+                let bi = start / BLOCK_LEN;
+                let blk_len = (range.end - start).min(BLOCK_LEN);
+                let word = (start - range.start) / bitmap::WORD_TUPLES;
+                let bits = &bits[word..word + blk_len.div_ceil(bitmap::WORD_TUPLES)];
+                if bits.iter().all(|&b| b == 0) {
+                    continue;
+                }
+                let kc: BlockCtx<'_, S> = BlockCtx::new(s, keys, &keys.blocks[bi]);
+                let pc: BlockCtx<'_, S> = BlockCtx::new(s, pays, &pays.blocks[bi]);
+                let mut off = 0;
+                while off + w <= blk_len {
+                    let m = bitmap::lanes::<S>(bits, off);
+                    if m.any() {
+                        s.selective_store(&mut out_keys[j..], m, kc.decode(s, off));
+                        j += s.selective_store(&mut out_pays[j..], m, pc.decode(s, off));
+                    }
+                    off += w;
+                }
+                for t in off..blk_len {
+                    if bitmap::is_marked(bits, t) {
+                        out_keys[j] = kc.decode_one(t);
+                        out_pays[j] = pc.decode_one(t);
+                        j += 1;
+                    }
+                }
+            }
+            j
+        },
+    )
 }
 
 /// Scalar fused scan: decode one block into stack buffers, then run the

@@ -50,8 +50,7 @@ mod pack;
 mod parallel;
 
 pub use fused::{
-    histogram_fused, histogram_fused_into, histogram_fused_range_into, reduce_partial,
-    select_fused, select_fused_range,
+    histogram_fused, histogram_fused_into, histogram_fused_range_into, reduce_partial, select_fused,
 };
 pub use parallel::{histogram_fused_parallel, select_fused_parallel};
 

@@ -48,8 +48,8 @@ pub use rsv_exec::{CancelToken, EngineError, MemoryBudget, RunContext};
 
 use rsv_exec::{expect_infallible, filter_parallel, ExecPolicy, DEFAULT_MORSEL_TUPLES};
 use rsv_partition::PartitionFn;
-use rsv_scan::{ScanPredicate, ScanVariant};
-use rsv_simd::{dispatch, KernelKind};
+use rsv_scan::ScanPredicate;
+use rsv_simd::{bitmap, dispatch, KernelKind};
 
 /// Bits per filter key of [`Engine::bloom_semijoin`]'s filter: about a
 /// 1.7 % false-positive rate, which the join after it removes.
@@ -123,17 +123,21 @@ impl Engine {
     }
 
     /// Selection scan: all tuples with `lower ≤ key ≤ upper` (paper §4),
-    /// morsel-parallel, in input order. Qualifiers are materialized
-    /// directly with one selective store per vector
-    /// ([`ScanVariant::VectorSelStoreDirect`]): the input is read once and
-    /// the payload vector is already in a register. It measured no slower
-    /// than the paper's rid-buffering Algorithm 3 at any selectivity.
+    /// morsel-parallel, in input order. The scan's two halves run as two
+    /// passes over a bitmap of one bit per tuple: predicate evaluation
+    /// reads only the keys and marks the qualifiers, and materialization
+    /// moves the marked keys and payloads with one selective store per
+    /// vector, as [`ScanVariant::VectorSelStoreDirect`] does. The
+    /// predicate is evaluated once per tuple.
+    ///
+    /// [`ScanVariant::VectorSelStoreDirect`]: rsv_scan::ScanVariant::VectorSelStoreDirect
     pub fn select(&self, rel: &Relation, lower: u32, upper: u32) -> Relation {
         expect_infallible(self.try_select(rel, lower, upper, &RunContext::default()))
     }
 
-    /// Fallible [`Engine::select`] under a [`RunContext`]: the two output
-    /// columns (8 bytes per qualifying tuple) are gated by the run's memory
+    /// Fallible [`Engine::select`] under a [`RunContext`]: the selection
+    /// bitmap (2 bytes per 16 input tuples) and the two output columns
+    /// (8 bytes per qualifying tuple) are gated by the run's memory
     /// budget, cancellation is observed at morsel-claim boundaries (so the
     /// latency from [`CancelToken::cancel`] to return is bounded by one
     /// morsel), and a worker panic surfaces as
@@ -149,7 +153,6 @@ impl Engine {
         check_tuples(&[rel.len()])?;
         let (keys, payloads, _) = rsv_scan::scan_parallel(
             self.backend,
-            ScanVariant::VectorSelStoreDirect,
             &rel.keys,
             &rel.payloads,
             ScanPredicate { lower, upper },
@@ -172,18 +175,23 @@ impl Engine {
     /// Fused compressed selection scan: like [`Engine::select`], but the
     /// input stays bit-packed and qualifying blocks are decompressed into
     /// registers on the fly (never materialized), morsel-parallel with
-    /// block-aligned morsels. Each key vector is decoded and compared; a
-    /// payload block is decoded only once one of its vectors qualifies,
-    /// and both vectors leave through one selective store each
-    /// ([`ScanVariant::VectorSelStoreDirect`]). Output is byte-identical
+    /// block-aligned morsels. A first pass decodes and compares the key
+    /// blocks only, marking the qualifiers in a bitmap; a second pass
+    /// decodes the key and payload vectors of the blocks holding a mark
+    /// and moves the marked tuples with one selective store each, as
+    /// [`ScanVariant::VectorSelStoreDirect`] does. Blocks without a
+    /// qualifier never touch the payload column. Output is byte-identical
     /// to `self.select(&self.decompress(rel), lower, upper)`.
+    ///
+    /// [`ScanVariant::VectorSelStoreDirect`]: rsv_scan::ScanVariant::VectorSelStoreDirect
     pub fn select_compressed(&self, rel: &CompressedRelation, lower: u32, upper: u32) -> Relation {
         expect_infallible(self.try_select_compressed(rel, lower, upper, &RunContext::default()))
     }
 
     /// Fallible [`Engine::select_compressed`] under a [`RunContext`], with
-    /// the guarantees of [`Engine::try_select`]: its two output columns
-    /// (8 bytes per qualifying tuple) are gated by the run's memory budget.
+    /// the guarantees of [`Engine::try_select`]: its selection bitmap (2
+    /// bytes per 16 tuples) and its two output columns (8 bytes per
+    /// qualifying tuple) are gated by the run's memory budget.
     pub fn try_select_compressed(
         &self,
         rel: &CompressedRelation,
@@ -194,7 +202,6 @@ impl Engine {
         check_tuples(&[rel.len()])?;
         let (keys, payloads, _) = rsv_column::select_fused_parallel(
             self.backend,
-            ScanVariant::VectorSelStoreDirect,
             &rel.keys,
             &rel.payloads,
             ScanPredicate { lower, upper },
@@ -264,7 +271,8 @@ impl Engine {
     /// key is (probably) present in `filter_keys`. The filter is a
     /// [`BlockedBloomFilter`] at [`BLOOM_BITS_PER_KEY`] bits per key, built
     /// per worker and OR-merged; probing is morsel-parallel, one block
-    /// gather per key, and qualifiers keep input order.
+    /// gather per key into a bitmap of survivors, which a second pass
+    /// compacts in input order.
     pub fn bloom_semijoin(&self, rel: &Relation, filter_keys: &[u32]) -> Relation {
         expect_infallible(self.try_bloom_semijoin(rel, filter_keys, &RunContext::default()))
     }
@@ -272,9 +280,9 @@ impl Engine {
     /// Fallible [`Engine::bloom_semijoin`] under a [`RunContext`]: the
     /// workers' build filters (`threads ×`
     /// [`BlockedBloomFilter::bytes_for`]), then the merged filter (still
-    /// holding its build bytes) and the two output columns (8 bytes per
-    /// qualifying tuple) during the probe, are gated by the memory
-    /// budget; cancellation is observed at
+    /// holding its build bytes), the probe's survivor bitmap (2 bytes
+    /// per 16 tuples) and the two output columns (8 bytes per qualifying
+    /// tuple) during the probe, are gated by the memory budget; cancellation is observed at
     /// morsel-claim boundaries, and a worker panic surfaces as
     /// [`EngineError::WorkerPanicked`].
     pub fn try_bloom_semijoin(
@@ -286,12 +294,18 @@ impl Engine {
         check_tuples(&[rel.len(), filter_keys.len()])?;
         let policy = self.policy(run);
         let filter = rsv_bloom::build_parallel(filter_keys, BLOOM_BITS_PER_KEY, &policy)?;
-        let (keys, payloads, _) =
-            filter_parallel(rel.len(), 16, "bloom-probe", &policy, |r, ok, op| {
-                dispatch!(self.backend, s => {
-                    filter.probe_vector(s, &rel.keys[r.clone()], &rel.payloads[r], ok, op)
-                })
-            })?;
+        let (keys, payloads, _) = dispatch!(self.backend, s => {
+            filter_parallel(
+                rel.len(),
+                bitmap::WORD_TUPLES,
+                "bloom-probe",
+                &policy,
+                |r, bits| filter.mark_vector(s, &rel.keys[r], bits),
+                |r, bits, ok, op| {
+                    bitmap::take(s, &rel.keys[r.clone()], &rel.payloads[r], bits, ok, op)
+                },
+            )
+        })?;
         Ok(Relation::new(keys, payloads))
     }
 
@@ -394,8 +408,8 @@ impl Engine {
     /// sibling workers drain. The single-table route reserves the workers'
     /// tables as sized by the bound (`threads` tables); the partitioned
     /// route reserves its partitioned copy (8 bytes per tuple) and
-    /// `min(threads, parts)` part tables, a larger one for a part that
-    /// holds far more than its share of the groups. A table that grows
+    /// `min(threads, parts)` part tables, each sized for the largest
+    /// part's share of the groups. A table that grows
     /// past an underestimated bound is charged for its growth by the end
     /// of the morsel, merge or part that grew it. A budget smaller than
     /// that fails with [`EngineError::BudgetExceeded`].

@@ -276,18 +276,23 @@ fn budget_exceeded_is_typed_and_releases_everything() {
     assert_eq!(run.budget.used(), 0, "success path leaked reservation");
 }
 
-/// The operators reserve exactly their documented bytes: 8 per qualifying
-/// tuple for the two selects (their two output columns), and per input
-/// tuple 8 for the sort (its ping-pong scratch columns) and 8 for a hash
-/// partition (its output columns), plus, past `MAX_DIRECT_FANOUT`, 8 per
-/// tuple of the `threads` largest regions (the split's worker scratch).
-/// The max-partition join reserves 8 per inner and outer tuple (the
-/// partitioned copies), the no-partition join 16 per inner tuple (its
-/// shared table at 50 % load). The Bloom semi-join reserves the workers'
-/// filters while it builds (`threads × BlockedBloomFilter::bytes_for`),
-/// then the merged filter plus 8 bytes per qualifying tuple (its output
-/// columns) while it probes; the larger of the two is its peak. The
-/// group-by reserves one table per worker for its estimate. A budget
+/// The operators reserve exactly their documented bytes: for the two
+/// selects, 2 per 16 input tuples (the selection bitmap between their
+/// mark and take passes) plus 8 per qualifying tuple (their two output
+/// columns); per input tuple 8 for the sort (its ping-pong scratch
+/// columns) and 8 for a hash partition (its output columns), plus, past
+/// `MAX_DIRECT_FANOUT`, 8 per tuple of the `threads` largest regions (the
+/// split's worker scratch). The max-partition join reserves 8 per inner
+/// and outer tuple (the partitioned copies) plus each running task's
+/// part table, 8 × (2 × part + 1) bytes (here one part, so one task);
+/// the no-partition join 16 per inner tuple (its shared table at 50 %
+/// load). The Bloom semi-join reserves the workers' filters while it
+/// builds (`threads × BlockedBloomFilter::bytes_for`), then the merged
+/// filter, the probe's bitmap and 8 bytes per qualifying tuple (its
+/// output columns) while it probes; the larger of the two is its peak.
+/// The group-by reserves one table per worker for its estimate; past
+/// 64K groups, the partitioned copy (8 bytes per tuple) and per worker a
+/// table for the largest part's share of the groups. A budget
 /// of exactly that succeeds, one byte less fails, and both leave nothing
 /// reserved.
 ///
@@ -326,16 +331,26 @@ fn operators_reserve_their_documented_bytes() {
     let kept_half = engine.select(&outer, 0, half).len() as u64;
     let kept_bloom = engine.bloom_semijoin(&outer, &inner.keys).len() as u64;
     let kept_bloom_large = engine.bloom_semijoin(&small, &large.keys).len() as u64;
+    // The mark pass's bitmap: one bit per input tuple in 2-byte words.
+    let bitmap = |tuples: usize| 2 * tuples.div_ceil(16) as u64;
+    let (marks, small_marks) = (bitmap(outer.len()), bitmap(small.len()));
+    // The one part's table: 8-byte buckets, twice the inner tuples plus one.
+    let part_table = 8 * (2 * inner.len() as u64 + 1);
     // Past 64K groups (a table larger than L2), the group-by partitions
-    // 100K distinct keys into 16 parts of 6250 groups; its two workers hold
-    // one part table each.
+    // 100K distinct keys on their top 4 bits into 16 parts of about 6250
+    // groups; each of its two workers holds a table for the largest part.
     let many_groups = rel(100_000);
     let many = many_groups.len() as u64;
     let parts = many_groups
         .len()
         .div_ceil(AGG_PART_GROUPS)
         .next_power_of_two();
-    let many_per_part = many_groups.len().div_ceil(parts);
+    assert_eq!(parts, 16);
+    let mut part_sizes = [0usize; 16];
+    for k in &many_groups.keys {
+        part_sizes[(k >> 28) as usize] += 1;
+    }
+    let largest_part = part_sizes.into_iter().max().unwrap_or(0);
 
     type Op<'a> = (
         &'a str,
@@ -345,12 +360,12 @@ fn operators_reserve_their_documented_bytes() {
     let ops: Vec<Op> = vec![
         (
             "select",
-            8 * n,
+            8 * n + marks,
             Box::new(|run| engine.try_select(&outer, 0, u32::MAX, run).map(|_| ())),
         ),
         (
             "select-compressed",
-            8 * n,
+            8 * n + marks,
             Box::new(|run| {
                 engine
                     .try_select_compressed(&packed, 0, u32::MAX, run)
@@ -359,12 +374,12 @@ fn operators_reserve_their_documented_bytes() {
         ),
         (
             "select-half",
-            8 * kept_half,
+            8 * kept_half + marks,
             Box::new(|run| engine.try_select(&outer, 0, half, run).map(|_| ())),
         ),
         (
             "select-compressed-half",
-            8 * kept_half,
+            8 * kept_half + marks,
             Box::new(|run| {
                 engine
                     .try_select_compressed(&packed, 0, half, run)
@@ -373,7 +388,7 @@ fn operators_reserve_their_documented_bytes() {
         ),
         (
             "bloom-semijoin",
-            (2 * filter).max(filter + 8 * kept_bloom),
+            (2 * filter).max(filter + marks + 8 * kept_bloom),
             Box::new(|run| {
                 engine
                     .try_bloom_semijoin(&outer, &inner.keys, run)
@@ -382,7 +397,7 @@ fn operators_reserve_their_documented_bytes() {
         ),
         (
             "bloom-semijoin-large-filter",
-            (2 * large_filter).max(large_filter + 8 * kept_bloom_large),
+            (2 * large_filter).max(large_filter + small_marks + 8 * kept_bloom_large),
             Box::new(|run| {
                 engine
                     .try_bloom_semijoin(&small, &large.keys, run)
@@ -406,7 +421,7 @@ fn operators_reserve_their_documented_bytes() {
         ),
         (
             "join-max-partition",
-            8 * (inner.len() + outer.len()) as u64,
+            8 * (inner.len() + outer.len()) as u64 + part_table,
             Box::new(|run| engine.try_hash_join(&inner, &outer, run).map(|_| ())),
         ),
         (
@@ -425,7 +440,7 @@ fn operators_reserve_their_documented_bytes() {
         ),
         (
             "group-by-sum-partitioned",
-            8 * many + 2 * GroupAggTable::bytes_for(many_per_part, 0.5),
+            8 * many + 2 * GroupAggTable::bytes_for(largest_part, 0.5),
             Box::new(|run| {
                 engine
                     .try_group_by_sum(&many_groups, many_groups.len(), run)

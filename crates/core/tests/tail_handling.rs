@@ -253,3 +253,80 @@ fn fused_scan_handles_tails_every_width() {
         }
     }
 }
+
+/// Lengths for the morsel filter driver: the vector-width boundaries,
+/// both sides of a 16-tuple bitmap word and of a 2048-tuple take chunk.
+fn driver_lens(w: usize) -> [usize; 10] {
+    [0, 1, w - 1, w + 1, 15, 17, 63, 65, 2047, 2049]
+}
+
+/// The three operators on the mark-then-take filter driver, against
+/// their sequential kernels: the select against the direct
+/// selective-store scan, the Bloom semi-join against one vector probe of
+/// a serially built filter, and the compressed select against the
+/// sequential fused scan. Byte-identical at every morsel size and thread
+/// count, morsels ending mid-word included.
+#[test]
+fn filter_driver_operators_handle_tails() {
+    use rsv_bloom::BlockedBloomFilter;
+    use rsv_column::select_fused;
+    use rsv_core::{Engine, Relation, BLOOM_BITS_PER_KEY};
+
+    for backend in Backend::all_available() {
+        for n in driver_lens(backend.lanes()) {
+            let keys = keys_of_len(n);
+            let pays: Vec<u32> = (0..n as u32).collect();
+            let rel = Relation::new(keys.clone(), pays.clone());
+            let (lower, upper) = (u32::MAX / 4, u32::MAX / 4 * 3);
+            let pred = ScanPredicate { lower, upper };
+            let direct = ScanVariant::VectorSelStoreDirect;
+            let (mut sk, mut sp) = (vec![0u32; n], vec![0u32; n]);
+            let sc = scan(backend, direct, &keys, &pays, pred, &mut sk, &mut sp);
+            let select = Relation::new(sk[..sc].to_vec(), sp[..sc].to_vec());
+
+            // every other key of the input, plus as many absent ones
+            let filter_keys: Vec<u32> = keys
+                .iter()
+                .step_by(2)
+                .copied()
+                .chain(keys_of_len(n + 1000).into_iter().take(n / 2))
+                .collect();
+            let mut filter = BlockedBloomFilter::new(filter_keys.len(), BLOOM_BITS_PER_KEY);
+            filter.build(&filter_keys);
+            let (mut bk, mut bp) = (vec![0u32; n], vec![0u32; n]);
+            let bc = dispatch!(backend, s => {
+                filter.probe_vector(s, &keys, &pays, &mut bk, &mut bp)
+            });
+            let bloom = Relation::new(bk[..bc].to_vec(), bp[..bc].to_vec());
+
+            let packed = Engine::with_backend(backend).compress(&rel);
+            let (mut fk, mut fp) = (vec![0u32; n], vec![0u32; n]);
+            let fc = select_fused(
+                backend,
+                direct,
+                &packed.keys,
+                &packed.payloads,
+                pred,
+                &mut fk,
+                &mut fp,
+            );
+            let fused = Relation::new(fk[..fc].to_vec(), fp[..fc].to_vec());
+
+            for morsel in [16usize, 48, 1000] {
+                for threads in [1usize, 2, 8] {
+                    let e = Engine::with_backend(backend)
+                        .with_threads(threads)
+                        .with_morsel_tuples(morsel);
+                    let at = format!("{} n={n} morsel={morsel} t={threads}", backend.name());
+                    assert_eq!(e.select(&rel, lower, upper), select, "select {at}");
+                    assert_eq!(e.bloom_semijoin(&rel, &filter_keys), bloom, "bloom {at}");
+                    assert_eq!(
+                        e.select_compressed(&packed, lower, upper),
+                        fused,
+                        "select_compressed {at}"
+                    );
+                }
+            }
+        }
+    }
+}

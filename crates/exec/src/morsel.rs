@@ -22,6 +22,7 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 use crate::error::EngineError;
 use crate::parallel::{chunk_ranges, parallel_scope_try, SchedulerStats};
@@ -226,76 +227,89 @@ impl MorselQueue {
     }
 }
 
-/// Tuples a filter kernel call covers (rounded up to the morsel
-/// alignment): the worker's staging pair, 2 × 8 KiB, stays in L1 between
-/// the kernel's stores and the copy out.
+/// Tuples a take call covers (rounded up to the morsel alignment): the
+/// worker's staging pair, 2 × 8 KiB, stays in L1 between the take's
+/// stores and the copy out.
 const FILTER_CHUNK_TUPLES: usize = 2048;
+
+/// Tuples per word of the driver's selection bitmap (`u16` words).
+const MARK_WORD_TUPLES: usize = u16::BITS as usize;
 
 /// Morsel-parallel, order-preserving filter over `0..n` tuples: the one
 /// driver behind the selection scans and the Bloom semi-join.
 ///
-/// Morselizes `0..n` with interior boundaries aligned to `align` and
-/// runs each morsel chunk by chunk: `kernel(range, out_keys, out_pays)`
-/// writes the qualifiers of `range` to the front of the two slices (the
-/// worker's staging pair, at least as long as `range`) and returns how
-/// many it wrote. Every chunk starts on an `align` boundary. It runs in
-/// two passes, like the paper's partitioning (§7) with one partition per
-/// morsel:
+/// Morselizes `0..n` with interior boundaries aligned to `align` (at
+/// least 16, so no two morsels share a bitmap word) and splits each
+/// selection into the paper's two halves (§4), predicate evaluation and
+/// materialization, with a bitmap of one bit per tuple between them:
 ///
-/// 1. **Count**: every morsel is filtered into the staging pair and only
-///    its qualifier count is kept. This pass runs
-///    [`unmetered`](rsv_metrics::unmetered), so the kernel's work
-///    counters and the morsel claims are metered once, by the next pass.
-/// 2. **Write**: a prefix sum of the counts gives each morsel its
-///    output offset; both columns are reserved on `policy.run` and
-///    allocated at exactly the qualifier count, and every morsel is
-///    filtered again, its chunks' qualifiers copied to their final slots.
+/// 1. **Mark**: `mark(range, bits)` evaluates the predicate over one
+///    non-empty morsel, sets one bit per qualifying tuple in `bits` (the
+///    morsel's `u16` words, bit `t % 16` of word `t / 16` for tuple
+///    `range.start + t`; every word is overwritten) and returns how many
+///    qualify. This pass is metered, so every work counter and morsel
+///    claim is counted once.
+/// 2. **Take**: a prefix sum of the counts gives each morsel its output
+///    offset; both columns are reserved on `policy.run` and allocated at
+///    exactly the qualifier count. The morsels are then cut into chunks
+///    of about 2048 tuples, each starting on an `align` boundary, and
+///    `take(range, bits, out_keys, out_pays)` writes a chunk's marked
+///    tuples to the front of the worker's L1 staging pair (at least as
+///    long as `range`) and returns how many it wrote; the driver copies
+///    them to their final slots. This pass runs
+///    [`unmetered`](rsv_metrics::unmetered): it only moves what the mark
+///    pass counted.
 ///
-/// The columns hold exactly what a sequential pass over `0..n` would
-/// keep, for every thread count and morsel size, and their capacity is
-/// their length. The kernel must therefore be a function of `range`
-/// alone; a morsel whose second count differs from its first fails the
-/// write pass as a worker panic. The returned stats are the write
-/// pass's.
+/// The bitmap (`2 × ceil(n / 16)` bytes) is reserved on `policy.run`
+/// before the mark pass and freed before the driver returns. The columns
+/// hold exactly what a sequential pass over `0..n` would keep, for every
+/// thread count and morsel size, and their capacity is their length; a
+/// morsel whose takes write a different count than its mark fails the
+/// take pass as a worker panic. The returned stats hold the mark pass's
+/// claims and both passes' phase time.
 ///
-/// Fails with [`EngineError::BudgetExceeded`] when the two columns do not
-/// fit the budget, [`EngineError::Cancelled`] once the run is cancelled
-/// (checked at every morsel claim of both passes) and
+/// Fails with [`EngineError::BudgetExceeded`] when the bitmap and the two
+/// columns do not fit the budget, [`EngineError::Cancelled`] once the run
+/// is cancelled (checked at every morsel claim of both passes) and
 /// [`EngineError::WorkerPanicked`] when a kernel panics.
-pub fn filter_parallel<K>(
+pub fn filter_parallel<M, T>(
     n: usize,
     align: usize,
     phase: &'static str,
     policy: &ExecPolicy,
-    kernel: K,
+    mark: M,
+    take: T,
 ) -> Result<(Vec<u32>, Vec<u32>, SchedulerStats), EngineError>
 where
-    K: Fn(Range<usize>, &mut [u32], &mut [u32]) -> usize + Sync,
+    M: Fn(Range<usize>, &mut [u16]) -> usize + Sync,
+    T: Fn(Range<usize>, &[u16], &mut [u32], &mut [u32]) -> usize + Sync,
 {
-    let chunk = FILTER_CHUNK_TUPLES.next_multiple_of(align);
-    let chunks = move |r: Range<usize>| {
-        r.clone()
-            .step_by(chunk)
-            .map(move |s| s..r.end.min(s + chunk))
-    };
+    let align = align.max(MARK_WORD_TUPLES);
+    // A non-empty range's bitmap words (it starts on a word).
+    let words = |r: &Range<usize>| r.start / MARK_WORD_TUPLES..r.end.div_ceil(MARK_WORD_TUPLES);
+    let bits = policy
+        .run
+        .vec(n.div_ceil(MARK_WORD_TUPLES), 0u16)?
+        .map(SharedBuffer::from_vec);
     // A queue serves one pass; both passes cut the same morsels.
     let queue = || MorselQueue::new(n, policy, align);
     let q = queue();
     let counts = SharedBuffer::from_vec(vec![0; q.morsel_count()]);
-    rsv_metrics::unmetered(|| {
-        parallel_scope_try(policy.threads, |ctx| {
-            let (mut sk, mut sp) = (vec![0u32; chunk], vec![0u32; chunk]);
-            // SAFETY: each morsel id is claimed exactly once and writes
-            // only its own count slot; reads happen after the scope joins.
-            let cs = unsafe { counts.view_mut() };
-            for mo in ctx.morsels(&q) {
-                cs[mo.id] = ctx.phase(phase, || {
-                    chunks(mo.range).map(|c| kernel(c, &mut sk, &mut sp)).sum()
-                });
+    let (_, mut stats) = parallel_scope_try(policy.threads, |ctx| {
+        // SAFETY: each morsel id is claimed exactly once and writes only
+        // its own count slot and its own bitmap words (interior morsel
+        // boundaries are word-aligned); reads happen after the scope joins.
+        let (cs, bs) = unsafe { (counts.view_mut(), bits.view_mut()) };
+        for mo in ctx.morsels(&q) {
+            // An empty morsel (past an unaligned `n`) owns no word.
+            if !mo.range.is_empty() {
+                let ws = words(&mo.range);
+                cs[mo.id] = ctx.phase(phase, || mark(mo.range, &mut bs[ws]));
             }
-        })
+        }
     })?;
     policy.run.check_cancelled()?;
+    let bits = bits.map(SharedBuffer::into_vec);
     let mut starts = counts.into_vec();
     let mut kept = 0usize;
     for c in starts.iter_mut() {
@@ -305,30 +319,52 @@ where
 
     let keys = policy.run.vec(kept, 0u32)?.map(SharedBuffer::from_vec);
     let pays = policy.run.vec(kept, 0u32)?.map(SharedBuffer::from_vec);
+    let chunk = FILTER_CHUNK_TUPLES.next_multiple_of(align);
     let q = queue();
-    let (_, stats) = parallel_scope_try(policy.threads, |ctx| {
-        let (mut sk, mut sp) = (vec![0u32; chunk], vec![0u32; chunk]);
-        // SAFETY: each morsel id is claimed exactly once and writes only
-        // its own output slots `starts[id]..starts[id + 1]`, which the
-        // prefix sum makes disjoint; reads happen after the scope joins.
-        let (ok, op) = unsafe { (keys.view_mut(), pays.view_mut()) };
-        for mo in ctx.morsels(&q) {
-            let _ = rsv_testkit::failpoint!("exec.filter.morsel");
-            let slots = starts[mo.id]..starts[mo.id + 1];
-            let (ok, op) = (&mut ok[slots.clone()], &mut op[slots]);
-            ctx.phase(phase, || {
-                let mut at = 0;
-                for c in chunks(mo.range) {
-                    let k = kernel(c, &mut sk, &mut sp);
-                    ok[at..at + k].copy_from_slice(&sk[..k]);
-                    op[at..at + k].copy_from_slice(&sp[..k]);
-                    at += k;
-                }
-                assert_eq!(at, ok.len(), "filter kernel counted differently twice");
-            });
-        }
+    let (latencies, mut take_stats) = rsv_metrics::unmetered(|| {
+        parallel_scope_try(policy.threads, |ctx| {
+            let mut latencies = Vec::new();
+            let (mut sk, mut sp) = (vec![0u32; chunk], vec![0u32; chunk]);
+            // SAFETY: each morsel id is claimed exactly once and writes
+            // only its own output slots `starts[id]..starts[id + 1]`,
+            // which the prefix sum makes disjoint; reads happen after the
+            // scope joins.
+            let (ok, op) = unsafe { (keys.view_mut(), pays.view_mut()) };
+            for mo in ctx.morsels(&q) {
+                let _ = rsv_testkit::failpoint!("exec.filter.morsel");
+                let slots = starts[mo.id]..starts[mo.id + 1];
+                let (ok, op) = (&mut ok[slots.clone()], &mut op[slots]);
+                let ns = ctx.phase(phase, || {
+                    let t = Instant::now();
+                    let mut at = 0;
+                    for s in mo.range.clone().step_by(chunk) {
+                        let c = s..mo.range.end.min(s + chunk);
+                        let k = take(c.clone(), &bits[words(&c)], &mut sk, &mut sp);
+                        ok[at..at + k].copy_from_slice(&sk[..k]);
+                        op[at..at + k].copy_from_slice(&sp[..k]);
+                        at += k;
+                    }
+                    assert_eq!(at, ok.len(), "take wrote a different count than mark");
+                    t.elapsed().as_nanos() as u64
+                });
+                latencies.push(ns);
+            }
+            latencies
+        })
     })?;
     policy.run.check_cancelled()?;
+    drop(bits);
+    // The take pass's time joins the mark pass's, so the stats and the
+    // phase histogram cover the whole filter; its claims are not counted
+    // again.
+    for w in &mut take_stats.workers {
+        (w.morsels, w.steals, w.tuples) = (0, 0, 0);
+    }
+    stats.merge(&take_stats);
+    latencies
+        .iter()
+        .flatten()
+        .for_each(|&ns| rsv_metrics::record_phase_ns(ns));
     let (keys, pays) = (keys.into_inner(), pays.into_inner());
     Ok((keys.into_vec(), pays.into_vec(), stats))
 }
@@ -436,10 +472,49 @@ mod tests {
         assert!(q.claim(0).is_none());
     }
 
+    /// A mark kernel keeping the tuples of `range` that pass `keeps`: one
+    /// bit per tuple, every word of the morsel written.
+    fn mark_where(keeps: impl Fn(usize) -> bool) -> impl Fn(Range<usize>, &mut [u16]) -> usize {
+        move |r, bits| {
+            bits.fill(0);
+            let mut c = 0;
+            for (t, i) in r.enumerate() {
+                if keeps(i) {
+                    bits[t / 16] |= 1 << (t % 16);
+                    c += 1;
+                }
+            }
+            c
+        }
+    }
+
+    /// A take kernel writing the marked tuples of `range` as
+    /// `(vals[i], i)`, after checking the chunk's alignment and its
+    /// staging length.
+    fn take_from<'a>(
+        vals: &'a [u32],
+        align: usize,
+    ) -> impl Fn(Range<usize>, &[u16], &mut [u32], &mut [u32]) -> usize + 'a {
+        move |r, bits, ok, op| {
+            assert_eq!(r.start % align, 0, "unaligned chunk");
+            assert!(ok.len() >= r.len() && op.len() >= r.len());
+            assert_eq!(bits.len(), r.len().div_ceil(16));
+            let mut c = 0;
+            for (t, i) in r.enumerate() {
+                if bits[t / 16] >> (t % 16) & 1 != 0 {
+                    ok[c] = vals[i];
+                    op[c] = i as u32;
+                    c += 1;
+                }
+            }
+            c
+        }
+    }
+
     /// The driver against a sequential filter: every schedule keeps the
     /// same qualifiers in input order, whatever fraction a kernel keeps,
     /// in columns whose capacity is their length. The lengths cut morsels
-    /// into several chunks with a short last one.
+    /// into several chunks with a short last one, and end mid-word.
     #[test]
     fn filter_parallel_matches_sequential_filter() {
         let keep: [fn(usize) -> bool; 3] = [|_| false, |_| true, |i| i % 3 == 0];
@@ -453,19 +528,15 @@ mod tests {
                     for threads in [1usize, 2, 3, 8] {
                         for morsel in [1usize, 7, 513, 4097, usize::MAX] {
                             let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
-                            let (keys, pays, stats) =
-                                filter_parallel(n, align, "filter", &policy, |r, ok, op| {
-                                    assert_eq!(r.start % align, 0, "unaligned chunk");
-                                    assert!(ok.len() >= r.len() && op.len() >= r.len());
-                                    let mut c = 0;
-                                    for i in r.filter(|&i| keeps(i)) {
-                                        ok[c] = vals[i];
-                                        op[c] = i as u32;
-                                        c += 1;
-                                    }
-                                    c
-                                })
-                                .unwrap();
+                            let (keys, pays, stats) = filter_parallel(
+                                n,
+                                align,
+                                "filter",
+                                &policy,
+                                mark_where(keeps),
+                                take_from(&vals, align),
+                            )
+                            .unwrap();
                             let at = format!(
                                 "n={n} kernel={k} align={align} t={threads} morsel={morsel}"
                             );
@@ -481,72 +552,138 @@ mod tests {
         }
     }
 
-    /// The budget covers the two output columns at the qualifier count,
-    /// not at the input length.
+    /// Two workers write neighbouring morsels' bitmap words at once, and
+    /// the last morsel ends in the middle of a word (small enough for
+    /// Miri, which checks that the word writes stay disjoint).
     #[test]
-    fn filter_parallel_reserves_both_columns() {
-        let (n, kept) = (100, 50);
-        let kernel = |r: Range<usize>, ok: &mut [u32], _: &mut [u32]| {
-            let mut c = 0;
-            for i in r.filter(|i| i % 2 == 0) {
-                ok[c] = i as u32;
-                c += 1;
-            }
-            c
-        };
-        let exact = RunContext::new().with_memory_limit(8 * kept as u64);
-        let policy = ExecPolicy::new(2).with_run(exact.clone());
-        let (keys, _, _) = filter_parallel(n, 16, "filter", &policy, kernel).unwrap();
-        assert_eq!(keys.len(), kept);
-        assert_eq!(exact.budget.used(), 0);
-        let short = RunContext::new().with_memory_limit(8 * kept as u64 - 1);
-        let policy = ExecPolicy::new(2).with_run(short.clone());
-        assert!(matches!(
-            filter_parallel(n, 16, "filter", &policy, kernel),
-            Err(EngineError::BudgetExceeded { .. })
-        ));
-        assert_eq!(short.budget.used(), 0);
+    fn filter_parallel_writes_disjoint_bitmap_words() {
+        let n = 5 * 16 + 7;
+        let vals: Vec<u32> = (0..n as u32).map(|i| i ^ 0x5a5a).collect();
+        let keeps = |i: usize| i % 5 != 1;
+        let policy = ExecPolicy::new(2).with_morsel_tuples(16);
+        assert!(MorselQueue::new(n, &policy, 16).morsel_count() > 2);
+        let (keys, pays, _) = filter_parallel(
+            n,
+            16,
+            "filter",
+            &policy,
+            mark_where(keeps),
+            take_from(&vals, 16),
+        )
+        .unwrap();
+        let kept: Vec<usize> = (0..n).filter(|&i| keeps(i)).collect();
+        assert_eq!(keys, kept.iter().map(|&i| vals[i]).collect::<Vec<_>>());
+        assert_eq!(pays, kept.iter().map(|&i| i as u32).collect::<Vec<_>>());
     }
 
-    /// The kernel runs twice per tuple, but only the write pass is
-    /// metered: a metered run sees every tuple and every morsel once.
+    /// The budget covers the bitmap (2 bytes per 16 input tuples) and
+    /// the two output columns at the qualifier count, not at the input
+    /// length; success and failure both leave nothing reserved.
+    #[test]
+    fn filter_parallel_reserves_bitmap_and_both_columns() {
+        let (n, kept) = (100usize, 50);
+        let vals: Vec<u32> = (0..n as u32).collect();
+        let bytes = 8 * kept as u64 + 2 * n.div_ceil(16) as u64;
+        let run = |limit: u64| {
+            let policy = ExecPolicy::new(2).with_run(RunContext::new().with_memory_limit(limit));
+            let result = filter_parallel(
+                n,
+                16,
+                "filter",
+                &policy,
+                mark_where(|i| i % 2 == 0),
+                take_from(&vals, 16),
+            );
+            assert_eq!(policy.run.budget.used(), 0);
+            result
+        };
+        assert_eq!(run(bytes).unwrap().0.len(), kept);
+        assert!(matches!(
+            run(bytes - 1),
+            Err(EngineError::BudgetExceeded { .. })
+        ));
+        assert!(matches!(
+            run(2 * n.div_ceil(16) as u64 - 1),
+            Err(EngineError::BudgetExceeded { .. })
+        ));
+    }
+
+    /// Only the mark pass is metered: a metered run sees every tuple and
+    /// every morsel once, though the take pass claims every morsel again
+    /// and its kernel counts too. The returned stats also claim every
+    /// morsel once, but time both passes, and the phase histogram holds
+    /// both passes' samples.
     #[test]
     fn filter_parallel_meters_each_tuple_once() {
         let n = 10_000;
         let policy = ExecPolicy::new(2).with_morsel_tuples(1000);
         let morsels = MorselQueue::new(n, &policy, 16).morsel_count() as u64;
-        let ((on, kept), sink) = rsv_metrics::collect(|| {
-            let (keys, _, _) = filter_parallel(n, 16, "filter", &policy, |r, _, _| {
-                rsv_metrics::count(rsv_metrics::Metric::ScanTuplesIn, r.len() as u64);
-                0
-            })
+        let pause = std::time::Duration::from_millis(2);
+        let ((on, kept, stats), sink) = rsv_metrics::collect(|| {
+            let (keys, _, stats) = filter_parallel(
+                n,
+                16,
+                "filter",
+                &policy,
+                |r, bits| {
+                    rsv_metrics::count(rsv_metrics::Metric::ScanTuplesIn, r.len() as u64);
+                    bits.fill(0);
+                    0
+                },
+                |r, _, _, _| {
+                    rsv_metrics::count(rsv_metrics::Metric::ScanTuplesIn, r.len() as u64);
+                    std::thread::sleep(pause);
+                    0
+                },
+            )
             .unwrap();
-            (rsv_metrics::enabled(), keys.len())
+            (rsv_metrics::enabled(), keys.len(), stats)
         });
         assert_eq!(kept, 0);
+        assert_eq!(stats.total_morsels(), morsels);
+        assert_eq!(stats.total_tuples(), n as u64);
+        let timed: u64 = stats
+            .workers
+            .iter()
+            .flat_map(|w| &w.phase_ns)
+            .map(|e| e.1)
+            .sum();
+        assert!(
+            timed >= morsels * pause.as_nanos() as u64,
+            "take time missing"
+        );
         if !on {
             return; // metering compiled out
         }
         let total = sink.total();
         assert_eq!(total.get(rsv_metrics::Metric::ScanTuplesIn), n as u64);
         assert_eq!(total.get(rsv_metrics::Metric::MorselsClaimed), morsels);
+        assert_eq!(total.phase_ns.iter().sum::<u64>(), 2 * morsels);
     }
 
-    /// A kernel that keeps a different count the second time would write
-    /// past its morsel's slots; the write pass stops it as a worker
-    /// panic instead.
+    /// A take that writes fewer or more tuples than its mark counted
+    /// would leave slots unwritten or run past its morsel's slots; the
+    /// take pass stops it as a worker panic and releases the budget.
     #[test]
-    fn filter_parallel_rejects_a_kernel_that_counts_differently() {
-        let calls = AtomicUsize::new(0);
-        let policy = ExecPolicy::new(2);
-        let result = filter_parallel(100, 16, "filter", &policy, |r, ok, _| {
-            let extra = calls.fetch_add(1, Ordering::Relaxed) > 0;
-            let c = r.len() / 2 + usize::from(extra);
-            ok[..c].fill(1);
-            c
-        });
-        assert!(matches!(result, Err(EngineError::WorkerPanicked { .. })));
-        assert_eq!(policy.run.budget.used(), 0);
+    fn filter_parallel_rejects_a_take_that_disagrees_with_its_mark() {
+        let vals: Vec<u32> = (0..100).collect();
+        for extra in [-1isize, 1] {
+            let policy = ExecPolicy::new(2).with_run(RunContext::new().with_memory_limit(1 << 20));
+            let take = take_from(&vals, 16);
+            let result = filter_parallel(
+                100,
+                16,
+                "filter",
+                &policy,
+                mark_where(|i| i % 2 == 0),
+                |r, bits, ok, op| take(r, bits, ok, op).saturating_add_signed(extra),
+            );
+            assert!(
+                matches!(result, Err(EngineError::WorkerPanicked { .. })),
+                "extra={extra}: {result:?}"
+            );
+            assert_eq!(policy.run.budget.used(), 0);
+        }
     }
 
     #[test]

@@ -38,6 +38,13 @@ const MAX_LANES: usize = 32;
 /// L1d bytes the per-lane replicas of the replicated kernel may occupy.
 const REPLICA_BYTES: usize = 32 << 10;
 
+/// Groups a `buckets`-bucket table holds at `load_factor` before it
+/// grows: `load_factor` of the buckets, at least one and at most
+/// `buckets − 1`.
+fn growth_limit(buckets: usize, load_factor: f64) -> usize {
+    ((buckets as f64 * load_factor) as usize).clamp(1, buckets - 1)
+}
+
 /// Do `lanes` replicas of a `buckets`-bucket table (four `u32` arrays
 /// each) fit in L1d? If so, [`GroupAggTable::update_vector`] runs the
 /// replicated kernel; otherwise the conflict-deferring one.
@@ -53,12 +60,13 @@ pub(crate) fn replicas_fit_l1(buckets: usize, lanes: usize) -> bool {
 ///
 /// # Saturation
 ///
-/// Linear probing needs at least one empty bucket to terminate a probe
-/// for a missing key, so the table never fills past `buckets − 1` groups.
+/// The table holds at most `load_factor` of its buckets in groups (at
+/// least one group, and never all buckets: linear probing needs an empty
+/// bucket to end a probe for a missing key).
 /// [`GroupAggTable::update`] (and the vectorized kernel) *grow* the table
-/// — doubling the bucket array and rehashing — before that point is
-/// reached. A caller under a memory budget charges the growth from
-/// [`GroupAggTable::size_bytes`].
+/// — doubling the bucket array and rehashing — when a new group would
+/// pass that threshold. A caller under a memory budget charges the growth
+/// from [`GroupAggTable::size_bytes`].
 ///
 /// # The sentinel key
 ///
@@ -72,6 +80,11 @@ pub struct GroupAggTable {
     sum_lo: Vec<u32>,
     sum_hi: Vec<u32>,
     hash: MulHash,
+    /// Occupancy the table grows to keep.
+    load_factor: f64,
+    /// Groups the bucket array holds before the table grows:
+    /// [`growth_limit`] of the buckets.
+    limit: usize,
     /// Groups stored in the bucket array (the side slot excluded).
     groups: usize,
     /// `(count, sum)` of the [`EMPTY_KEY`] group, once it has been seen.
@@ -89,6 +102,8 @@ impl GroupAggTable {
             sum_lo: vec![0; buckets],
             sum_hi: vec![0; buckets],
             hash: MulHash::nth(0),
+            load_factor,
+            limit: growth_limit(buckets, load_factor),
             groups: 0,
             sentinel: None,
         }
@@ -149,9 +164,7 @@ impl GroupAggTable {
     }
 
     /// Add `count` tuples summing to `sum` to `key`'s group; `false`,
-    /// adding nothing, when a new group would take the last empty bucket
-    /// (the probe for a missing key ends at an empty bucket, so the table
-    /// keeps one).
+    /// adding nothing, when a new group would pass the growth limit.
     fn try_add(&mut self, key: u32, count: u32, sum: u64) -> bool {
         if key == EMPTY_KEY {
             let slot = self.sentinel.get_or_insert((0, 0));
@@ -167,7 +180,7 @@ impl GroupAggTable {
                 break;
             }
             if k == EMPTY_KEY {
-                if self.groups + 1 >= t {
+                if self.groups == self.limit {
                     return false;
                 }
                 self.keys[h] = key;
@@ -189,6 +202,7 @@ impl GroupAggTable {
     /// Double the bucket array and rehash every group.
     fn grow(&mut self) {
         let new_buckets = (self.keys.len() * 2).max(4);
+        self.limit = growth_limit(new_buckets, self.load_factor);
         let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY_KEY; new_buckets]);
         let old_counts = std::mem::replace(&mut self.counts, vec![0; new_buckets]);
         let old_lo = std::mem::replace(&mut self.sum_lo, vec![0; new_buckets]);
@@ -351,9 +365,8 @@ impl GroupAggTable {
     fn update_conflict<S: Simd>(&mut self, s: S, keys: &[u32], values: &[u32]) {
         let w = S::LANES;
         let n = keys.len();
-        let mut t = self.keys.len();
         let f = s.splat(self.hash.factor());
-        let mut tn = s.splat(t as u32);
+        let mut tn = s.splat(self.keys.len() as u32);
         let empty = s.splat(EMPTY_KEY);
         let one = s.splat(1);
         let lane_ids = s.iota();
@@ -363,18 +376,6 @@ impl GroupAggTable {
         let mut m = S::M::all(); // lanes to refill
         let mut i = 0usize;
         while i + w <= n {
-            // Grow *between* vectors when a full vector of new groups
-            // could saturate the table (`groups + W + 1 > buckets` would
-            // break the one-empty-bucket probe-termination invariant).
-            // In-flight lanes have not updated anything yet, so resetting
-            // their probe offsets and re-probing the rehashed table is
-            // safe.
-            while self.groups + w + 1 >= t {
-                self.grow();
-                t = self.keys.len();
-                tn = s.splat(t as u32);
-                o = s.zero();
-            }
             k = s.selective_load(k, m, &keys[i..]);
             v = s.selective_load(v, m, &values[i..]);
             i += m.count();
@@ -394,10 +395,23 @@ impl GroupAggTable {
                 s.scatter_masked(&mut self.keys, empt, h, lane_ids);
                 let back = s.gather_masked(lane_ids, empt, &self.keys, h);
                 let won = empt.and(s.cmpeq(back, lane_ids));
+                if self.groups + won.count() > self.limit {
+                    // The new groups would pass the growth limit (which
+                    // also keeps the empty bucket that ends a probe for a
+                    // missing key): empty the claimed buckets again and
+                    // grow. No lane has updated a bucket in this vector,
+                    // so the probing lanes restart on the rehashed table;
+                    // only the sentinel lanes, already in the side slot,
+                    // are refilled.
+                    s.scatter_masked(&mut self.keys, won, h, empty);
+                    self.grow();
+                    tn = s.splat(self.keys.len() as u32);
+                    o = s.zero();
+                    m = sent;
+                    continue;
+                }
                 s.scatter_masked(&mut self.keys, won, h, k);
                 self.groups += won.count();
-                // the loop-top grow guard keeps at least one empty bucket
-                debug_assert!(self.groups + 1 < t, "saturation guard failed");
                 // losers must retry (their o stays; bucket now occupied)
             }
             // Re-read bucket keys (claims may have just landed).
@@ -533,6 +547,42 @@ mod tests {
                 );
             }
             assert_eq!(kernels, [true; 2], "{}: both kernels run", b.name());
+        }
+    }
+
+    /// A table sized for one group and fed 10K distinct keys grows at its
+    /// load factor: after every update, scalar or one vector call per
+    /// chunk, its groups fill at most half its buckets, and its rows equal
+    /// the reference.
+    #[test]
+    fn growth_keeps_the_load_factor() {
+        let keys: Vec<u32> = (0..10_000u32).map(|i| i.wrapping_mul(2654435761)).collect();
+        let values: Vec<u32> = (0..10_000).collect();
+        let within = |t: &GroupAggTable| t.groups() as f64 <= 0.5 * t.buckets() as f64;
+        let mut t = GroupAggTable::new(1, 0.5);
+        for (&k, &v) in keys.iter().zip(&values) {
+            t.update(k, v);
+            assert!(
+                within(&t),
+                "{} groups in {} buckets",
+                t.groups(),
+                t.buckets()
+            );
+        }
+        assert_eq!(collect(&t), reference(&keys, &values));
+        for b in rsv_simd::Backend::all_available() {
+            let mut t = GroupAggTable::new(1, 0.5);
+            for (k, v) in keys.chunks(37).zip(values.chunks(37)) {
+                rsv_simd::dispatch!(b, s => { t.update_vector(s, k, v) });
+                assert!(
+                    within(&t),
+                    "{}: {} groups in {} buckets",
+                    b.name(),
+                    t.groups(),
+                    t.buckets()
+                );
+            }
+            assert_eq!(collect(&t), reference(&keys, &values), "{}", b.name());
         }
     }
 

@@ -104,15 +104,16 @@ pub fn group_by_sum<S: Simd>(
 /// instead.
 ///
 /// Each part is aggregated in a table for `ceil(b / F)` groups, or, when
-/// its share of the bound, `ceil(b × part_len / len)`, is more than 1.5
-/// times that, for its share (at most its `2^v / F` possible keys). Either
-/// way the table holds at most the part's tuples. Parts are key ranges,
-/// so keys crowded into a few ranges make a few large parts, each one
-/// task.
+/// its share of the bound, `ceil(b × part_len / len)`, is more than that,
+/// for its share (at most its `2^v / F` possible keys), so a part whose
+/// share is right never grows its table. Either way the table holds at
+/// most the part's tuples. Parts are key ranges, so keys crowded into a
+/// few ranges make a few large parts, each one task.
 ///
 /// Reserves the partitioned copy (8 bytes per tuple) and, for each of
-/// its `min(threads, F)` workers, a table of `ceil(b / F)` groups against
-/// `policy.run`'s budget. A larger part table, or one that grew, raises
+/// its `min(threads, F)` workers, the largest part's table against
+/// `policy.run`'s budget, so the reservation does not depend on which
+/// worker ran which part. A part table that grew past its bound raises
 /// its worker's reservation to its size until the tasks finish.
 pub fn group_by_partitioned<S: Simd>(
     kind: KernelKind<S>,
@@ -211,7 +212,6 @@ fn partitioned<S: Simd>(
     if parts == 1 {
         return single_table(kind, keys, pays, per_part, policy);
     }
-    let table_bytes = GroupAggTable::bytes_for(per_part, LOAD);
 
     // The top `bits` of the `v` varying bits: `parts ≤ 2^v`, so they fit.
     let v = 32 - varying.leading_zeros();
@@ -219,31 +219,39 @@ fn partitioned<S: Simd>(
     let f = RadixFn::new(v - bits, bits);
     let part_span = span >> bits;
     let len = keys.len() as u64;
+    // A part of `tuples` tuples gets a table for `per_part` groups, or,
+    // when its share of the bound is more (which would grow that table
+    // past its load factor), for its share; never for more groups than
+    // tuples. The groups grow with the part, so the largest part's table
+    // is the largest.
+    let table_groups = |tuples: usize| {
+        let share = (bound * tuples as u64).div_ceil(len);
+        let groups = if share > per_part as u64 {
+            share.min(part_span) as usize
+        } else {
+            per_part
+        };
+        groups.min(tuples)
+    };
     let run = partition_then_tasks(
         kind,
         f,
         [(keys, pays)],
         policy,
         "aggregate",
-        // a worker's part table lives in its slot, which holds a table
-        // for `per_part` groups from the worker's start
-        || Ok((policy.run.hold(table_bytes, || None)?, Vec::new())),
+        // a worker's slot holds the largest part's table from the
+        // worker's start, so the reservation does not depend on which
+        // parts the worker claims
+        |[sizes]| {
+            let largest = sizes.iter().max().map_or(0, |&t| t as usize);
+            let bytes = GroupAggTable::bytes_for(table_groups(largest), LOAD);
+            Ok((policy.run.hold(bytes, || None)?, Vec::new()))
+        },
         |(slot, done), p, [(keys, pays)]| {
             if keys.is_empty() {
                 return Ok(());
             }
-            // a part whose share of the bound would fill its table past
-            // 75 % (1.5 × per_part) gets a table for its share, and the
-            // slot grows to hold it
-            let share = (bound * keys.len() as u64).div_ceil(len);
-            let groups = if 2 * share > 3 * per_part as u64 {
-                share.min(part_span) as usize
-            } else {
-                per_part
-            };
-            let groups = groups.min(keys.len());
-            slot.grow_to(GroupAggTable::bytes_for(groups, LOAD))?;
-            let table = slot.insert(GroupAggTable::new(groups, LOAD));
+            let table = slot.insert(GroupAggTable::new(table_groups(keys.len()), LOAD));
             table.update_with(kind, keys, pays);
             let grown = table.size_bytes();
             slot.grow_to(grown)?;
@@ -367,8 +375,8 @@ mod tests {
     /// The sentinel does not choose the radix bits: 4096 dense keys with
     /// `u32::MAX` among them split into 64 parts of 64 keys, every table
     /// fits its share, and the documented bytes suffice exactly. A real
-    /// outlier key crowds the dense keys into part 0, whose larger table
-    /// reserves the difference.
+    /// outlier key crowds the dense keys into part 0, so each worker
+    /// reserves part 0's larger table.
     #[test]
     fn part_tables_follow_their_share() {
         let kind = KernelKind::Vector(Portable::<16>::new());
@@ -383,8 +391,8 @@ mod tests {
         for (keys, bytes, fanout) in [
             (&keys, 8 * keys.len() as u64 + 2 * table(64), 64),
             // 4097 groups at part bound 64: 128 parts of 33 groups, but
-            // part 0 holds 4096 keys, so one of the two tables is larger
-            (&outlier, 8 * 4_097 + table(33) + table(4_096), 128),
+            // part 0 holds 4096 keys, so both workers hold its table
+            (&outlier, 8 * 4_097 + 2 * table(4_096), 128),
         ] {
             let want = reference(keys, keys);
             for (limit, ok) in [(bytes, true), (bytes - 1, false)] {
@@ -407,8 +415,16 @@ mod tests {
     fn partitioned_route_budget_and_cancel() {
         let kind = KernelKind::Vector(Portable::<16>::new());
         let keys: Vec<u32> = (0..4_096u32).map(|i| i.wrapping_mul(2654435761)).collect();
-        // 4096 groups at part bound 64: 64 parts of 64 groups, 2 tables
-        let bytes = 8 * 4_096 + 2 * GroupAggTable::bytes_for(64, LOAD);
+        // 4096 distinct keys at part bound 64: 64 parts on the top 6 key
+        // bits, of about 64 groups each; both workers hold a table for the
+        // largest part, whichever parts they run
+        let mut sizes = [0usize; 64];
+        for k in &keys {
+            sizes[(k >> 26) as usize] += 1;
+        }
+        let largest = sizes.into_iter().max().unwrap();
+        assert!(largest > 64, "no part above its share of the bound");
+        let bytes = 8 * 4_096 + 2 * GroupAggTable::bytes_for(largest, LOAD);
         for (limit, ok) in [(bytes, true), (bytes - 1, false)] {
             let policy = ExecPolicy::new(2).with_run(RunContext::new().with_memory_limit(limit));
             let result = group_by_sum(kind, &keys, &keys, 4_096, 64, &policy);

@@ -50,9 +50,10 @@ type TaskState = (JoinSink, u64, u64);
 /// worker stuck on a skew-inflated part does not stall the join.
 ///
 /// Honours `policy.run` as [`partition_then_tasks`] does: the partitioned
-/// copies of both relations (8 bytes per inner and outer tuple) and the
-/// partitioner's region scratch past 256 parts are gated by the memory
-/// budget, cancellation is observed at every morsel/task claim, and
+/// copies of both relations (8 bytes per inner and outer tuple), the
+/// partitioner's region scratch past 256 parts and each task's part table
+/// (`8 × (2 × part + 1)` bytes, held while the task runs) are gated by
+/// the memory budget, cancellation is observed at every morsel/task claim, and
 /// worker panics surface as [`EngineError::WorkerPanicked`].
 pub fn join_max_partition<S: Simd>(
     kind: KernelKind<S>,
@@ -85,13 +86,13 @@ pub fn join_max_partition<S: Simd>(
         ],
         policy,
         "build+probe",
-        || Ok((JoinSink::with_capacity(1024), 0, 0)),
+        |_| Ok((JoinSink::with_capacity(1024), 0, 0)),
         |(sink, build_ns, probe_ns): &mut TaskState, _, [(ik, ip), (ok, op)]| {
             if ok.is_empty() {
                 return Ok(());
             }
             let tb = Instant::now();
-            let mut pairs = vec![EMPTY_PAIR; (ik.len() * 2 + 1).max(2)];
+            let mut pairs = policy.run.vec((ik.len() * 2 + 1).max(2), EMPTY_PAIR)?;
             let unique = lp_build_raw(kind, &mut pairs, table_hash, ik, ip);
             *build_ns += tb.elapsed().as_nanos() as u64;
             let tp = Instant::now();
@@ -191,6 +192,14 @@ mod tests {
         let policy = ExecPolicy::new(2).with_run(run);
         let err = join_max_partition(kind, &inner, &outer, &policy, 128)
             .expect_err("budget must deny the partitioned columns");
+        assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
+        assert_eq!(policy.run.budget.used(), 0);
+        // room for the partitioned copies but not for a part table
+        let copies = 8 * (inner.len() + outer.len()) as u64;
+        let run = RunContext::new().with_memory_limit(copies);
+        let policy = ExecPolicy::new(2).with_run(run);
+        let err = join_max_partition(kind, &inner, &outer, &policy, 128)
+            .expect_err("budget must deny the part tables");
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
         assert_eq!(policy.run.budget.used(), 0);
     }

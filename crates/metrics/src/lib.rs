@@ -666,9 +666,9 @@ pub fn collect<R>(f: impl FnOnce() -> R) -> (R, CountingSink) {
 }
 
 /// Run `f` with metering off on this thread and on every worker it
-/// spawns, then reinstall the enclosing session. For work that repeats
-/// what a metered pass will do anyway (a count pass ahead of a write
-/// pass), so each tuple is metered once.
+/// spawns, then reinstall the enclosing session. For work whose tuples a
+/// metered pass has counted already (the filter driver's take pass after
+/// its mark pass), so each tuple is metered once.
 ///
 /// Like [`collect`], it first flushes this thread's pending counts into
 /// the enclosing session: reinstalling a session drops unflushed counts.

@@ -35,7 +35,8 @@ pub struct PartTasks<W> {
 /// `task(state, p, parts)` once for every part `p < f.fanout()`, where
 /// `parts[r]` is relation `r`'s part `p` — empty parts included. Each
 /// part is one stealable task timed as `phase`. The tasks run on
-/// `min(threads, f.fanout())` workers; each starts from `init()` and its
+/// `min(threads, f.fanout())` workers; each starts from `init(sizes)`,
+/// where `sizes[r]` holds relation `r`'s tuple count per part, and its
 /// final state is returned. An error from `init` or a task stops its
 /// worker and is returned once the other workers have finished.
 ///
@@ -52,7 +53,7 @@ pub fn partition_then_tasks<S, F, W, const N: usize>(
     rels: [Columns<'_>; N],
     policy: &ExecPolicy,
     phase: &'static str,
-    init: impl Fn() -> Result<W, EngineError> + Sync,
+    init: impl Fn([&[u32]; N]) -> Result<W, EngineError> + Sync,
     task: impl Fn(&mut W, usize, [Columns<'_>; N]) -> Result<(), EngineError> + Sync,
 ) -> Result<PartTasks<W>, EngineError>
 where
@@ -78,8 +79,9 @@ where
         ..policy.clone()
     };
     let q = MorselQueue::tasks(f.fanout(), &tasks);
+    let sizes: [&[u32]; N] = std::array::from_fn(|r| &parted[r].2.hist[..]);
     let (workers, task_stats) = parallel_scope_try(tasks.threads, |ctx| {
-        let mut state = init()?;
+        let mut state = init(sizes)?;
         for t in ctx.morsels(&q) {
             let _ = rsv_testkit::failpoint!("partition.task");
             let parts = std::array::from_fn(|r| {
@@ -129,7 +131,10 @@ mod tests {
                     [(&a, &pa), (&b, &pb)],
                     &policy,
                     "check",
-                    || Ok(Vec::new()),
+                    |sizes| {
+                        assert_eq!(sizes.map(|s| s.iter().sum::<u32>()), [5_000, 3_000]);
+                        Ok(Vec::new())
+                    },
                     |seen, p, [(ak, ap), (bk, bp)]| {
                         assert!(ak.iter().chain(bk).all(|&k| f.partition(k) == p));
                         assert!(ap.windows(2).all(|w| w[0] < w[1]), "unstable part");
@@ -161,7 +166,7 @@ mod tests {
                 [(&keys, &keys)],
                 &policy,
                 "check",
-                || Ok(()),
+                |_| Ok(()),
                 |_, _, _| Ok(()),
             );
             assert_eq!(run.is_ok(), ok, "limit {limit}");

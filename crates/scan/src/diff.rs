@@ -43,7 +43,6 @@ fn reference(input: &CaseInput) -> Vec<u8> {
 fn run_parallel(backend: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
     let (ok, op, _) = expect_infallible(scan_parallel(
         backend,
-        ScanVariant::VectorSelStoreDirect,
         &input.keys,
         &input.pays,
         pred(input),
@@ -64,8 +63,7 @@ macro_rules! variant_kernel {
 
 /// Register the scan operator: scalar-branching reference against the
 /// branchless scalar, all four vector variants, and the morsel-parallel
-/// scan (with the `Engine`'s direct selective-store variant) across thread
-/// counts.
+/// mark-then-take scan across thread counts.
 pub fn register(r: &mut Registry) {
     r.register(DiffOp {
         name: "scan",
@@ -77,7 +75,7 @@ pub fn register(r: &mut Registry) {
             variant_kernel!("vector-bitextract-indirect", VectorBitExtractIndirect),
             variant_kernel!("vector-selstore-indirect", VectorSelStoreIndirect),
             Kernel {
-                name: "parallel-selstore-direct",
+                name: "parallel-mark-take",
                 threaded: true,
                 run: run_parallel,
             },

@@ -1,36 +1,47 @@
 //! Morsel-driven parallel selection scan.
 //!
 //! One call of the order-preserving filter driver
-//! ([`rsv_exec::filter_parallel`]) with 16-tuple-aligned morsels: a count
-//! pass scans each morsel into a worker's L1 staging pair and keeps its
-//! qualifier count, and a write pass scans it again and copies its
-//! qualifiers to the offsets the counts' prefix sum gives it. The
-//! qualifier list is exactly the sequential scan's output for every
-//! thread count and morsel size, in columns of exactly that length.
+//! ([`rsv_exec::filter_parallel`]) with 16-tuple-aligned morsels, split
+//! as in the paper's §4: a mark pass compares each morsel's keys and sets
+//! one bit per qualifier in a bitmap (`mark_selection`), and a take
+//! pass compacts the marked keys and payloads with one selective store
+//! per vector ([`rsv_simd::bitmap::take`]) into the offsets the counts'
+//! prefix sum gives the morsel. The predicate is evaluated once per
+//! tuple, and payloads are read only by the take. The qualifier list is
+//! exactly the sequential scan's output for every thread count and
+//! morsel size, in columns of exactly that length.
 
 use rsv_exec::{filter_parallel, EngineError, ExecPolicy, SchedulerStats};
-use rsv_simd::Backend;
+use rsv_simd::{bitmap, dispatch, Backend};
 
-use crate::{scan, ScanPredicate, ScanVariant};
+use crate::vector::mark_selection;
+use crate::ScanPredicate;
 
 /// Parallel selection scan with morsel-driven scheduling.
 ///
 /// Returns the qualifying keys and payloads in input order, plus
-/// per-worker scheduler stats. The two output columns are reserved on
-/// `policy.run`'s budget at the qualifier count; the run's cancel token is checked at every
-/// morsel claim, and worker panics surface as
+/// per-worker scheduler stats. The selection bitmap (2 bytes per 16
+/// input tuples) and the two output columns (8 bytes per qualifier) are
+/// reserved on `policy.run`'s budget; the run's cancel token is checked
+/// at every morsel claim, and worker panics surface as
 /// [`EngineError::WorkerPanicked`].
 pub fn scan_parallel(
     backend: Backend,
-    variant: ScanVariant,
     keys: &[u32],
     pays: &[u32],
     pred: ScanPredicate,
     policy: &ExecPolicy,
 ) -> Result<(Vec<u32>, Vec<u32>, SchedulerStats), EngineError> {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
-    filter_parallel(keys.len(), 16, "scan", policy, |r, ok, op| {
-        scan(backend, variant, &keys[r.clone()], &pays[r], pred, ok, op)
+    dispatch!(backend, s => {
+        filter_parallel(
+            keys.len(),
+            bitmap::WORD_TUPLES,
+            "scan",
+            policy,
+            |r, bits| mark_selection(s, &keys[r], pred, bits),
+            |r, bits, ok, op| bitmap::take(s, &keys[r.clone()], &pays[r], bits, ok, op),
+        )
     })
 }
 
@@ -38,6 +49,7 @@ pub fn scan_parallel(
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use crate::{scan, ScanVariant};
 
     #[test]
     fn parallel_scan_matches_sequential() {
@@ -53,19 +65,21 @@ mod tests {
             lower: 1_000,
             upper: 4_000,
         };
-        let backend = Backend::best();
-        let variant = ScanVariant::VectorSelStoreIndirect;
         let mut ek = vec![0u32; n];
         let mut ep = vec![0u32; n];
-        let expect_n = scan(backend, variant, &keys, &pays, pred, &mut ek, &mut ep);
-        for threads in [1usize, 2, 3, 8] {
-            for morsel in [1_000usize, 16 * 1024, usize::MAX] {
-                let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
-                let (gk, gp, stats) =
-                    scan_parallel(backend, variant, &keys, &pays, pred, &policy).unwrap();
-                assert_eq!(gk, &ek[..expect_n], "t={threads} morsel={morsel}");
-                assert_eq!(gp, &ep[..expect_n]);
-                assert_eq!(stats.total_tuples(), n as u64);
+        for backend in Backend::all_available() {
+            let variant = ScanVariant::VectorSelStoreIndirect;
+            let expect_n = scan(backend, variant, &keys, &pays, pred, &mut ek, &mut ep);
+            for threads in [1usize, 2, 3, 8] {
+                for morsel in [1_000usize, 16 * 1024, usize::MAX] {
+                    let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
+                    let (gk, gp, stats) =
+                        scan_parallel(backend, &keys, &pays, pred, &policy).unwrap();
+                    let at = format!("{} t={threads} morsel={morsel}", backend.name());
+                    assert_eq!(gk, &ek[..expect_n], "{at}");
+                    assert_eq!(gp, &ep[..expect_n], "{at}");
+                    assert_eq!(stats.total_tuples(), n as u64);
+                }
             }
         }
     }
@@ -75,7 +89,6 @@ mod tests {
         let policy = ExecPolicy::new(4);
         let (ok, op, _) = scan_parallel(
             Backend::best(),
-            ScanVariant::ScalarBranchless,
             &[],
             &[],
             ScanPredicate { lower: 0, upper: 1 },

@@ -119,6 +119,50 @@ pub fn scan_vector_selstore_direct<S: Simd>(
     )
 }
 
+/// The predicate half of a selection: mark the qualifying tuples of
+/// `keys` in `bits` (one bit per tuple, see [`rsv_simd::bitmap`]) and
+/// return their count. Reads only the key column; counts the scan's
+/// tuples in and out and its lanes-active histogram (under
+/// [`ScanVariant::VectorSelStoreDirect`], whose selective stores
+/// [`rsv_simd::bitmap::take`] then performs).
+pub(crate) fn mark_selection<S: Simd>(
+    s: S,
+    keys: &[u32],
+    pred: ScanPredicate,
+    bits: &mut [u16],
+) -> usize {
+    let count = s.vectorize(
+        #[inline(always)]
+        || {
+            let lower = s.splat(pred.lower);
+            let upper = s.splat(pred.upper);
+            let metered = rsv_metrics::enabled();
+            let mut lanes = [0u64; rsv_metrics::LANE_BUCKETS];
+            let count = rsv_simd::bitmap::mark::<S>(
+                keys.len(),
+                bits,
+                #[inline(always)]
+                |i| {
+                    let m = predicate_mask(s, s.load(&keys[i..]), lower, upper);
+                    if metered {
+                        lanes[m.count()] += 1;
+                    }
+                    m
+                },
+                #[inline(always)]
+                |t| pred.matches(keys[t]),
+            );
+            if metered {
+                rsv_metrics::add_scan_lanes(ScanVariant::VectorSelStoreDirect.index(), &lanes);
+            }
+            count
+        },
+    );
+    rsv_metrics::count(rsv_metrics::Metric::ScanTuplesIn, keys.len() as u64);
+    rsv_metrics::count(rsv_metrics::Metric::ScanTuplesOut, count as u64);
+    count
+}
+
 /// Bit-extract qualifier indexes into a cache-resident buffer; flush by
 /// gathering the columns (indirect materialization).
 pub fn scan_vector_bitextract_indirect<S: Simd>(

@@ -50,6 +50,7 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 mod backend;
+pub mod bitmap;
 mod mask;
 mod portable;
 mod simd_trait;
