@@ -239,9 +239,13 @@ impl Engine {
     }
 
     /// Fallible [`Engine::hash_join_variant`] under a [`RunContext`]:
-    /// partitioned columns and hash tables are gated by the memory budget,
-    /// cancellation is observed at every morsel/task claim, and worker
-    /// panics surface as [`EngineError::WorkerPanicked`].
+    /// partitioned columns, hash tables and the workers' result sinks
+    /// (12 bytes per result slot, charged as each worker's sink grows
+    /// after a probe morsel or part task) are gated by the memory budget;
+    /// the sinks' bytes are released when the join returns, so the
+    /// returned [`JoinResult`] holds no reservation. Cancellation is
+    /// observed at every morsel/task claim, and worker panics surface as
+    /// [`EngineError::WorkerPanicked`].
     pub fn try_hash_join_variant(
         &self,
         inner: &Relation,

@@ -286,7 +286,10 @@ fn budget_exceeded_is_typed_and_releases_everything() {
 /// and outer tuple (the partitioned copies) plus each running task's
 /// part table, 8 × (2 × part + 1) bytes (here one part, so one task);
 /// the no-partition join 16 per inner tuple (its shared table at 50 %
-/// load). The Bloom semi-join reserves the workers' filters while it
+/// load). Both joins also hold each worker's result sink, 12 bytes per
+/// result slot: here one worker's 4,000 matches in slots doubled from
+/// 1,024 to 4,096, and no slots for the worker whose outer tuples do not
+/// match. The Bloom semi-join reserves the workers' filters while it
 /// builds (`threads × BlockedBloomFilter::bytes_for`), then the merged
 /// filter, the probe's bitmap and 8 bytes per qualifying tuple (its
 /// output columns) while it probes; the larger of the two is its peak.
@@ -336,6 +339,10 @@ fn operators_reserve_their_documented_bytes() {
     let (marks, small_marks) = (bitmap(outer.len()), bitmap(small.len()));
     // The one part's table: 8-byte buckets, twice the inner tuples plus one.
     let part_table = 8 * (2 * inner.len() as u64 + 1);
+    // The first 4,000 outer keys are the inner keys, so one worker's sink
+    // holds every match.
+    assert_eq!(engine.hash_join(&inner, &outer).matches(), 4_000);
+    let sink = 12 * 4_096;
     // Past 64K groups (a table larger than L2), the group-by partitions
     // 100K distinct keys on their top 4 bits into 16 parts of about 6250
     // groups; each of its two workers holds a table for the largest part.
@@ -421,12 +428,12 @@ fn operators_reserve_their_documented_bytes() {
         ),
         (
             "join-max-partition",
-            8 * (inner.len() + outer.len()) as u64 + part_table,
+            8 * (inner.len() + outer.len()) as u64 + part_table + sink,
             Box::new(|run| engine.try_hash_join(&inner, &outer, run).map(|_| ())),
         ),
         (
             "join-no-partition",
-            16 * inner.len() as u64,
+            16 * inner.len() as u64 + sink,
             Box::new(|run| {
                 engine
                     .try_hash_join_variant(&inner, &outer, JoinVariant::NoPartition, run)
@@ -474,6 +481,51 @@ fn operators_reserve_their_documented_bytes() {
         0,
         "group-by-sum: failure leaked reservation"
     );
+}
+
+/// The joins charge their result sinks as they grow: a join whose every
+/// outer tuple matches fails with `BudgetExceeded` under a budget that
+/// holds everything but its sinks (the least budget that the same join
+/// passes with no matching outer tuple), and passes with room for them.
+/// Both ways nothing stays reserved.
+#[test]
+fn join_sinks_are_charged() {
+    let engine = Engine::new().with_threads(2);
+    let inner = rel(10_000);
+    let repeat = |keys: &[u32]| -> Vec<u32> { keys.iter().cycle().take(40_000).copied().collect() };
+    let outer = Relation::new(repeat(&inner.keys), repeat(&inner.payloads));
+    let misses = Relation::new(
+        outer.keys.iter().map(|k| k ^ 1).collect(),
+        outer.payloads.clone(),
+    );
+    // every worker's sink in slots doubled past its share of the matches
+    let sinks = 2 * 12 * outer.len().next_power_of_two() as u64;
+    for variant in JoinVariant::ALL {
+        let join = |rel: &Relation, limit: u64| {
+            let run = RunContext::new().with_memory_limit(limit);
+            let result = engine.try_hash_join_variant(&inner, rel, variant, &run);
+            assert_eq!(run.budget.used(), 0, "{variant:?}: leaked reservation");
+            result
+        };
+        let (mut lo, mut hi) = (0, 1u64 << 30);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if join(&misses, mid).is_ok() {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        let result = join(&outer, lo).map(|r| r.matches());
+        assert!(
+            matches!(result, Err(EngineError::BudgetExceeded { .. })),
+            "{variant:?}: uncharged sinks under {lo} B, got {result:?}"
+        );
+        let matches = join(&outer, lo + sinks)
+            .unwrap_or_else(|e| panic!("{variant:?}: no room for the sinks: {e}"))
+            .matches();
+        assert_eq!(matches, outer.len(), "{variant:?}");
+    }
 }
 
 /// A sort whose keys need no radix pass (no keys, one key, all keys

@@ -270,16 +270,41 @@ pub fn register(r: &mut Registry) {
     r.register(DiffOp {
         name: "dh-probe",
         reference: dh_reference,
-        kernels: vec![Kernel {
-            name: "probe-vertical",
-            threaded: false,
-            run: |b, _, i| {
-                let t = dh_table(i);
-                let mut sink = JoinSink::default();
-                dispatch!(b, s => { t.probe_vertical(s, &i.keys, &i.pays, &mut sink) });
-                sink_bytes(sink)
+        kernels: vec![
+            Kernel {
+                name: "probe-vertical",
+                threaded: false,
+                run: |b, _, i| {
+                    let t = dh_table(i);
+                    let mut sink = JoinSink::default();
+                    dispatch!(b, s => { t.probe_vertical(s, &i.keys, &i.pays, &mut sink) });
+                    sink_bytes(sink)
+                },
             },
-        }],
+            Kernel {
+                name: "probe-vertical-interleaved",
+                threaded: false,
+                run: |b, _, i| {
+                    let t = dh_table(i);
+                    let mut sink = JoinSink::default();
+                    dispatch!(b, s => { t.probe_vertical_interleaved(s, &i.keys, &i.pays, &mut sink) });
+                    sink_bytes(sink)
+                },
+            },
+            Kernel {
+                name: "build-vertical+probe-vertical",
+                threaded: false,
+                run: |b, _, i| {
+                    let mut t = DoubleHashTable::new(i.capacity, i.load_factor);
+                    let mut sink = JoinSink::default();
+                    dispatch!(b, s => {
+                        t.build_vertical(s, &i.build_keys, &i.build_pays);
+                        t.probe_vertical(s, &i.keys, &i.pays, &mut sink);
+                    });
+                    sink_bytes(sink)
+                },
+            },
+        ],
     });
     r.register(DiffOp {
         name: "cuckoo-probe",

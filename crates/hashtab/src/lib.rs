@@ -15,6 +15,15 @@
 //! gather fetches a whole bucket (paper §5.1 "fewer wider gathers",
 //! Appendix E).
 //!
+//! The open-addressing pair tables share one kernel set: one scalar
+//! insert, one scalar probe walk, one vertical build and one vertical
+//! probe in `STRANDS` interleaved strands, generic over an
+//! [`Addressing`] scheme that gives a key's bucket sequence — linear
+//! probing ([`Linear`]), double hashing, or the min-partition join's
+//! sub-tables ([`SubTables`]). [`build_raw`] and [`probe_raw`] run them
+//! over a caller-managed bucket slice (the joins); [`LinearTable`] and
+//! [`DoubleHashTable`] are the figures' tables on top of them.
+//!
 //! # Key domain
 //!
 //! `u32::MAX` is the *empty bucket* sentinel ([`EMPTY_KEY`]). The join
@@ -48,8 +57,7 @@ pub use cuckoo::{CuckooBuildError, CuckooTable};
 pub use fallback::FallbackTable;
 pub use horizontal::{BucketScheme, BucketizedCuckoo, BucketizedTable};
 pub use linear::{
-    dh_probe_vertical_strands_raw, lp_build_raw, lp_insert_raw, lp_probe_one_raw, lp_probe_raw,
-    lp_probe_vertical_strands_raw, DoubleHashTable, LinearTable,
+    build_raw, probe_raw, Addressing, DoubleHashTable, Linear, LinearTable, SubTables,
 };
 pub use sink::JoinSink;
 

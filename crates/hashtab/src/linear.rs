@@ -1,7 +1,12 @@
-//! Linear probing (§5.1) and double hashing (§5.2) tables with scalar and
-//! vertically vectorized build/probe.
+//! Open-addressing pair tables: one set of scalar and vertically
+//! vectorized kernels, generic over the [`Addressing`] that gives a key's
+//! bucket sequence — linear probing ([`Linear`], §5.1), double hashing
+//! (Algorithm 8, §5.2) or the min-partition join's concatenated
+//! sub-tables ([`SubTables`], §9) — and the figure tables
+//! [`LinearTable`] and [`DoubleHashTable`] on top of them.
 
 use rsv_metrics::Metric;
+use rsv_partition::PartitionFn;
 use rsv_simd::{KernelKind, MaskLike, Simd};
 
 use crate::sink::JoinSink;
@@ -10,12 +15,169 @@ use crate::{bucket_count, next_prime, MulHash, EMPTY_KEY, EMPTY_PAIR};
 /// Maximum vector width any backend exposes (for stack lane buffers).
 const MAX_LANES: usize = 32;
 
+/// The bucket sequence a key walks in an interleaved pair slice: the one
+/// thing in which linear probing, double hashing and min-partition's
+/// sub-tables differ. The build, the probe walk and the vector loops are
+/// written once over it, so every kernel visits a key's buckets in the
+/// same order.
+pub trait Addressing: Copy {
+    /// The counter of keys probed.
+    const KEYS_PROBED: Metric;
+    /// The counter of buckets the probes inspect.
+    const PROBES: Metric;
+
+    /// The first bucket of `key`.
+    fn first(self, key: u32) -> usize;
+
+    /// The bucket after `h` in `key`'s sequence.
+    fn next(self, key: u32, h: usize) -> usize;
+
+    /// The vector form of both: per lane, the first bucket of its key in
+    /// the lanes of `fresh` (keys just loaded) and the bucket after `h` in
+    /// the others.
+    fn first_or_next<S: Simd>(self, s: S, fresh: S::M, keys: S::V, h: S::V) -> S::V;
+}
+
+/// Linear probing (§5.1): the multiplicative hash's bucket, then the next
+/// bucket, wrapping at the end.
+#[derive(Debug, Clone, Copy)]
+pub struct Linear {
+    hash: MulHash,
+    buckets: usize,
+}
+
+impl Linear {
+    /// Linear probing with `hash` over `buckets` buckets.
+    pub fn new(hash: MulHash, buckets: usize) -> Self {
+        Linear { hash, buckets }
+    }
+}
+
+impl Addressing for Linear {
+    const KEYS_PROBED: Metric = Metric::LpKeysProbed;
+    const PROBES: Metric = Metric::LpProbes;
+
+    #[inline(always)]
+    fn first(self, key: u32) -> usize {
+        self.hash.bucket(key, self.buckets)
+    }
+
+    #[inline(always)]
+    fn next(self, _: u32, h: usize) -> usize {
+        if h + 1 == self.buckets {
+            0
+        } else {
+            h + 1
+        }
+    }
+
+    #[inline(always)]
+    fn first_or_next<S: Simd>(self, s: S, fresh: S::M, keys: S::V, h: S::V) -> S::V {
+        let t = s.splat(self.buckets as u32);
+        let first = s.mulhi(s.mullo(keys, s.splat(self.hash.factor())), t);
+        let next = s.add(h, s.splat(1));
+        let next = s.blend(s.cmpeq(next, t), s.zero(), next);
+        s.blend(fresh, first, next)
+    }
+}
+
+/// Double hashing (§5.2, Algorithm 8): `h1`'s bucket, then steps of
+/// `1 + mulhi(k·f2, |T|-1)`, so repeats of one key do not cluster. A
+/// prime bucket count makes the sequence visit every bucket.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Double {
+    h1: MulHash,
+    h2: MulHash,
+    buckets: usize,
+}
+
+impl Addressing for Double {
+    const KEYS_PROBED: Metric = Metric::DhKeysProbed;
+    const PROBES: Metric = Metric::DhProbes;
+
+    #[inline(always)]
+    fn first(self, key: u32) -> usize {
+        self.h1.bucket(key, self.buckets)
+    }
+
+    #[inline(always)]
+    fn next(self, key: u32, h: usize) -> usize {
+        let h = h + 1 + self.h2.bucket(key, self.buckets - 1);
+        if h >= self.buckets {
+            h - self.buckets
+        } else {
+            h
+        }
+    }
+
+    /// Algorithm 8 in one multiply: fresh lanes hash with `f1` into
+    /// `[0, |T|)`, the others advance by `1 + mulhi(k·f2, |T|-1)`.
+    #[inline(always)]
+    fn first_or_next<S: Simd>(self, s: S, fresh: S::M, keys: S::V, h: S::V) -> S::V {
+        let t = s.splat(self.buckets as u32);
+        let f = s.blend(fresh, s.splat(self.h1.factor()), s.splat(self.h2.factor()));
+        let range = s.blend(fresh, t, s.splat(self.buckets as u32 - 1));
+        let from = s.blend(fresh, s.zero(), s.add(h, s.splat(1)));
+        let h = s.add(from, s.mulhi(s.mullo(keys, f), range));
+        s.blend(s.cmpge(h, t), s.sub(h, t), h)
+    }
+}
+
+/// The min-partition join's sub-tables (§9): `parts` linear-probing tables
+/// of `tsize` buckets each in one slice. The partition function picks a
+/// key's sub-table, and linear probing with `hash` its bucket there,
+/// wrapping inside the sub-table.
+#[derive(Debug, Clone, Copy)]
+pub struct SubTables<F> {
+    part: F,
+    hash: MulHash,
+    tsize: usize,
+}
+
+impl<F: PartitionFn + Copy> SubTables<F> {
+    /// Sub-tables of `tsize` buckets, picked by `part` and probed
+    /// linearly with `hash`.
+    pub fn new(part: F, hash: MulHash, tsize: usize) -> Self {
+        SubTables { part, hash, tsize }
+    }
+}
+
+impl<F: PartitionFn + Copy> Addressing for SubTables<F> {
+    const KEYS_PROBED: Metric = Metric::LpKeysProbed;
+    const PROBES: Metric = Metric::LpProbes;
+
+    #[inline(always)]
+    fn first(self, key: u32) -> usize {
+        self.part.partition(key) * self.tsize + self.hash.bucket(key, self.tsize)
+    }
+
+    #[inline(always)]
+    fn next(self, key: u32, h: usize) -> usize {
+        let base = self.part.partition(key) * self.tsize;
+        if h + 1 == base + self.tsize {
+            base
+        } else {
+            h + 1
+        }
+    }
+
+    #[inline(always)]
+    fn first_or_next<S: Simd>(self, s: S, fresh: S::M, keys: S::V, h: S::V) -> S::V {
+        let t = s.splat(self.tsize as u32);
+        let base = s.mullo(self.part.partition_vector(s, keys), t);
+        let first = s.add(base, s.mulhi(s.mullo(keys, s.splat(self.hash.factor())), t));
+        let next = s.add(h, s.splat(1));
+        let next = s.blend(s.cmpeq(next, s.add(base, t)), base, next);
+        s.blend(fresh, first, next)
+    }
+}
+
 /// An open-addressing hash table with **linear probing** and interleaved
 /// key/payload buckets (paper §5.1).
 #[derive(Debug, Clone)]
 pub struct LinearTable {
     pairs: Vec<u64>,
-    hash: MulHash,
+    addr: Linear,
     len: usize,
 }
 
@@ -30,7 +192,7 @@ impl LinearTable {
         let buckets = bucket_count(capacity, load_factor);
         LinearTable {
             pairs: vec![EMPTY_PAIR; buckets],
-            hash,
+            addr: Linear::new(hash, buckets),
             len: 0,
         }
     }
@@ -56,23 +218,11 @@ impl LinearTable {
         self.pairs.len() * 8
     }
 
-    #[inline(always)]
-    fn check_space(&self) {
-        assert!(self.len < self.pairs.len(), "hash table is full");
-    }
-
-    /// Insert one tuple (paper Algorithm 6 inner loop), starting `offset`
-    /// buckets past the hash bucket (used to resume vector-lane probes).
-    #[inline]
-    fn insert_from(&mut self, key: u32, pay: u32, offset: usize) {
-        self.check_space();
-        lp_insert_raw(&mut self.pairs, self.hash, key, pay, offset);
-        self.len += 1;
-    }
-
     /// Insert one tuple (paper Algorithm 6).
     pub fn insert(&mut self, key: u32, pay: u32) {
-        self.insert_from(key, pay, 0);
+        assert!(self.len < self.pairs.len(), "hash table is full");
+        insert(&mut self.pairs, self.addr, key, pay, self.addr.first(key));
+        self.len += 1;
     }
 
     /// Fallible [`LinearTable::insert`]: a full table is reported as
@@ -84,18 +234,13 @@ impl LinearTable {
                 buckets: self.pairs.len(),
             });
         }
-        lp_insert_raw(&mut self.pairs, self.hash, key, pay, 0);
-        self.len += 1;
+        self.insert(key, pay);
         Ok(())
     }
 
     /// Build the table from columns with scalar code (Algorithm 6).
     pub fn build_scalar(&mut self, keys: &[u32], pays: &[u32]) {
-        assert_eq!(keys.len(), pays.len(), "column length mismatch");
-        rsv_metrics::count(Metric::LpKeysBuilt, keys.len() as u64);
-        for (&k, &p) in keys.iter().zip(pays) {
-            self.insert(k, p);
-        }
+        self.build(KernelKind::SCALAR, keys, pays);
     }
 
     /// Fallible [`LinearTable::build_scalar`]: rejects inputs that do not
@@ -114,22 +259,34 @@ impl LinearTable {
                 buckets: self.pairs.len(),
             });
         }
-        rsv_metrics::count(Metric::LpKeysBuilt, keys.len() as u64);
-        for (&k, &p) in keys.iter().zip(pays) {
-            lp_insert_raw(&mut self.pairs, self.hash, k, p, 0);
-            self.len += 1;
-        }
+        self.build_scalar(keys, pays);
         Ok(())
+    }
+
+    /// Vertically vectorized build (paper Algorithm 7): a different input
+    /// tuple per lane; gathers check for empty buckets, scatters insert,
+    /// and a scatter/gather-back round detects lane conflicts.
+    pub fn build_vertical<S: Simd>(&mut self, s: S, keys: &[u32], pays: &[u32]) {
+        self.build(KernelKind::Vector(s), keys, pays);
+    }
+
+    fn build<S: Simd>(&mut self, kind: KernelKind<S>, keys: &[u32], pays: &[u32]) {
+        assert!(
+            self.len + keys.len() < self.pairs.len(),
+            "hash table too small for build"
+        );
+        build_raw(kind, &mut self.pairs, self.addr, keys, pays);
+        self.len += keys.len();
     }
 
     /// Scalar probe (paper Algorithm 4): for every probe tuple, walk the
     /// chain and emit all matches.
     pub fn probe_scalar(&self, keys: &[u32], pays: &[u32], out: &mut JoinSink) {
         let _ = rsv_testkit::failpoint!("hashtab.lp.probe");
-        lp_probe_raw(
+        probe_raw(
             KernelKind::SCALAR,
             &self.pairs,
-            self.hash,
+            self.addr,
             keys,
             pays,
             false,
@@ -137,37 +294,18 @@ impl LinearTable {
         );
     }
 
-    /// Vertically vectorized build (paper Algorithm 7): a different input
-    /// tuple per lane; gathers check for empty buckets, scatters insert,
-    /// and a scatter/gather-back round detects lane conflicts.
-    pub fn build_vertical<S: Simd>(&mut self, s: S, keys: &[u32], pays: &[u32]) {
-        assert_eq!(keys.len(), pays.len(), "column length mismatch");
-        assert!(
-            self.len + keys.len() < self.pairs.len(),
-            "hash table too small for build"
-        );
-        lp_build_raw(
-            KernelKind::Vector(s),
-            &mut self.pairs,
-            self.hash,
-            keys,
-            pays,
-        );
-        self.len += keys.len();
-    }
-
     /// Vertically vectorized probe (paper Algorithm 5): a different probe
     /// key per lane; finished lanes are selectively reloaded from the input
     /// so every lane stays busy ("out-of-order" probing — the output order
-    /// differs from the input order). This is the one-strand case of
-    /// [`lp_probe_vertical_strands_raw`].
+    /// differs from the input order). The one-strand case of
+    /// [`probe_raw`]'s vector kernel.
     pub fn probe_vertical<S: Simd>(&self, s: S, keys: &[u32], pays: &[u32], out: &mut JoinSink) {
         let _ = rsv_testkit::failpoint!("hashtab.lp.probe");
-        lp_probe_vertical_strands_raw::<S, 1>(s, &self.pairs, self.hash, keys, pays, false, out);
+        probe_vertical::<S, _, 1>(s, &self.pairs, self.addr, keys, pays, false, out);
     }
 
-    /// Vertically vectorized probe with four interleaved probe states (see
-    /// [`lp_probe_vertical_strands_raw`]) — the software analogue of the
+    /// Vertically vectorized probe with four interleaved probe states, as
+    /// in [`probe_raw`]'s vector kernel — the software analogue of the
     /// 4-way SMT the paper's Xeon Phi uses to hide gather latency.
     pub fn probe_vertical_interleaved<S: Simd>(
         &self,
@@ -176,7 +314,7 @@ impl LinearTable {
         pays: &[u32],
         out: &mut JoinSink,
     ) {
-        lp_probe_vertical_strands_raw::<S, 4>(s, &self.pairs, self.hash, keys, pays, false, out);
+        probe_vertical::<S, _, 4>(s, &self.pairs, self.addr, keys, pays, false, out);
     }
 }
 
@@ -187,8 +325,7 @@ impl LinearTable {
 #[derive(Debug, Clone)]
 pub struct DoubleHashTable {
     pairs: Vec<u64>,
-    h1: MulHash,
-    h2: MulHash,
+    addr: Double,
     len: usize,
 }
 
@@ -203,8 +340,7 @@ impl DoubleHashTable {
         let buckets = next_prime(bucket_count(capacity, load_factor));
         DoubleHashTable {
             pairs: vec![EMPTY_PAIR; buckets],
-            h1,
-            h2,
+            addr: Double { h1, h2, buckets },
             len: 0,
         }
     }
@@ -229,151 +365,54 @@ impl DoubleHashTable {
         self.pairs.len() * 8
     }
 
-    /// The step of `key`'s probe sequence: `1 + mulhi(k·f2, |T|-1) ∈ [1, |T|-1]`.
-    #[inline(always)]
-    fn step(&self, key: u32) -> usize {
-        1 + self.h2.bucket(key, self.pairs.len() - 1)
-    }
-
     /// Insert one tuple.
     pub fn insert(&mut self, key: u32, pay: u32) {
-        assert_ne!(
-            key, EMPTY_KEY,
-            "key {key:#x} is the reserved empty sentinel"
-        );
         assert!(self.len < self.pairs.len(), "hash table is full");
-        let t = self.pairs.len();
-        let mut h = self.h1.bucket(key, t);
-        let step = self.step(key);
-        while self.pairs[h] as u32 != EMPTY_KEY {
-            h += step;
-            if h >= t {
-                h -= t;
-            }
-        }
-        self.pairs[h] = u64::from(key) | (u64::from(pay) << 32);
+        insert(&mut self.pairs, self.addr, key, pay, self.addr.first(key));
         self.len += 1;
     }
 
     /// Build the table from columns with scalar code.
     pub fn build_scalar(&mut self, keys: &[u32], pays: &[u32]) {
-        assert_eq!(keys.len(), pays.len(), "column length mismatch");
-        rsv_metrics::count(Metric::LpKeysBuilt, keys.len() as u64);
-        for (&k, &p) in keys.iter().zip(pays) {
-            self.insert(k, p);
-        }
+        self.build(KernelKind::SCALAR, keys, pays);
     }
 
-    /// Probe one key starting at bucket `h` (or its first bucket if `h` is
-    /// `None`), emitting `(key, table payload, probe payload)` matches.
-    #[inline]
-    fn probe_one_from(&self, key: u32, pay: u32, h: Option<usize>, out: &mut JoinSink) {
-        let t = self.pairs.len();
-        let step = self.step(key);
-        let mut h = h.unwrap_or_else(|| self.h1.bucket(key, t));
-        let mut steps = 0u64;
-        loop {
-            let pair = self.pairs[h];
-            steps += 1;
-            let tk = pair as u32;
-            if tk == EMPTY_KEY {
-                break;
-            }
-            if tk == key {
-                out.push(key, (pair >> 32) as u32, pay);
-            }
-            h += step;
-            if h >= t {
-                h -= t;
-            }
-        }
-        rsv_metrics::count(Metric::DhProbes, steps);
+    /// Vertically vectorized build (Algorithm 7 with the Algorithm 8 hash).
+    pub fn build_vertical<S: Simd>(&mut self, s: S, keys: &[u32], pays: &[u32]) {
+        self.build(KernelKind::Vector(s), keys, pays);
+    }
+
+    fn build<S: Simd>(&mut self, kind: KernelKind<S>, keys: &[u32], pays: &[u32]) {
+        assert!(
+            self.len + keys.len() < self.pairs.len(),
+            "hash table too small for build"
+        );
+        build_raw(kind, &mut self.pairs, self.addr, keys, pays);
+        self.len += keys.len();
     }
 
     /// Scalar probe.
     pub fn probe_scalar(&self, keys: &[u32], pays: &[u32], out: &mut JoinSink) {
-        assert_eq!(keys.len(), pays.len(), "column length mismatch");
-        rsv_metrics::count(Metric::DhKeysProbed, keys.len() as u64);
-        for (&k, &p) in keys.iter().zip(pays) {
-            self.probe_one_from(k, p, None, out);
-        }
+        probe_raw(
+            KernelKind::SCALAR,
+            &self.pairs,
+            self.addr,
+            keys,
+            pays,
+            false,
+            out,
+        );
     }
 
     /// Vertically vectorized probe using the paper's double hashing
     /// function (Algorithm 8 embedded in the Algorithm 5 probe loop).
     pub fn probe_vertical<S: Simd>(&self, s: S, keys: &[u32], pays: &[u32], out: &mut JoinSink) {
-        assert_eq!(keys.len(), pays.len(), "column length mismatch");
-        s.vectorize(
-            #[inline(always)]
-            || self.probe_vertical_impl(s, keys, pays, out),
-        );
+        probe_vertical::<S, _, 1>(s, &self.pairs, self.addr, keys, pays, false, out);
     }
 
-    fn probe_vertical_impl<S: Simd>(&self, s: S, keys: &[u32], pays: &[u32], out: &mut JoinSink) {
-        let w = S::LANES;
-        let n = keys.len();
-        let t = self.pairs.len();
-        rsv_metrics::count(Metric::DhKeysProbed, n as u64);
-        let f1 = s.splat(self.h1.factor());
-        let f2 = s.splat(self.h2.factor());
-        let tn = s.splat(t as u32);
-        let tn1 = s.splat(t as u32 - 1);
-        let empty = s.splat(EMPTY_KEY);
-        let one = s.splat(1);
-        let mut k = s.zero();
-        let mut v = s.zero();
-        let mut h = s.zero();
-        let mut m = S::M::all();
-        let mut probes = 0u64;
-        let mut i = 0usize;
-        while i + w <= n {
-            k = s.selective_load(k, m, &keys[i..]);
-            v = s.selective_load(v, m, &pays[i..]);
-            i += m.count();
-            // Algorithm 8: new lanes hash with f1 into [0, |T|); old lanes
-            // advance by 1 + mulhi(k·f2, |T|-1).
-            let fl = s.blend(m, f1, f2);
-            let fh = s.blend(m, tn, tn1);
-            h = s.blend(m, s.zero(), s.add(h, one));
-            h = s.add(h, s.mulhi(s.mullo(k, fl), fh));
-            let over = s.cmpge(h, tn);
-            h = s.blend(over, s.sub(h, tn), h);
-            let (tk, tv) = s.gather_pairs(&self.pairs, h);
-            probes += w as u64;
-            m = s.cmpeq(tk, empty);
-            let hit = m.andnot(s.cmpeq(tk, k));
-            if hit.any() {
-                let (ok, oi, oo) = out.spare(w);
-                s.selective_store(ok, hit, k);
-                s.selective_store(oi, hit, tv);
-                let c = s.selective_store(oo, hit, v);
-                out.advance(c);
-            }
-        }
-        rsv_metrics::count(Metric::DhProbes, probes);
-        let mut ka = [0u32; MAX_LANES];
-        let mut va = [0u32; MAX_LANES];
-        let mut ha = [0u32; MAX_LANES];
-        s.store(k, &mut ka[..w]);
-        s.store(v, &mut va[..w]);
-        s.store(h, &mut ha[..w]);
-        for lane in m.not().iter_set() {
-            // Resume from the *next* bucket of this lane's sequence.
-            let t = self.pairs.len();
-            let mut hh = ha[lane] as usize + self.step(ka[lane]);
-            if hh >= t {
-                hh -= t;
-            }
-            self.probe_one_from(ka[lane], va[lane], Some(hh), out);
-        }
-        for idx in i..n {
-            self.probe_one_from(keys[idx], pays[idx], None, out);
-        }
-    }
-
-    /// Vertically vectorized probe with four interleaved probe states —
-    /// the software analogue of the 4-way SMT the paper's Xeon Phi uses to
-    /// hide gather latency (see [`lp_probe_vertical_strands_raw`]).
+    /// Vertically vectorized probe with four interleaved probe states, as
+    /// in [`probe_raw`]'s vector kernel — the software analogue of the
+    /// 4-way SMT the paper's Xeon Phi uses to hide gather latency.
     pub fn probe_vertical_interleaved<S: Simd>(
         &self,
         s: S,
@@ -381,121 +420,33 @@ impl DoubleHashTable {
         pays: &[u32],
         out: &mut JoinSink,
     ) {
-        dh_probe_vertical_strands_raw::<S, 4>(s, &self.pairs, self.h1, self.h2, keys, pays, out);
-    }
-
-    /// Vertically vectorized build (Algorithm 7 with the Algorithm 8 hash).
-    pub fn build_vertical<S: Simd>(&mut self, s: S, keys: &[u32], pays: &[u32]) {
-        assert_eq!(keys.len(), pays.len(), "column length mismatch");
-        rsv_metrics::count(Metric::LpKeysBuilt, keys.len() as u64);
-        s.vectorize(
-            #[inline(always)]
-            || self.build_vertical_impl(s, keys, pays),
-        );
-    }
-
-    fn build_vertical_impl<S: Simd>(&mut self, s: S, keys: &[u32], pays: &[u32]) {
-        let w = S::LANES;
-        let n = keys.len();
-        let t = self.pairs.len();
-        assert!(self.len + n < t, "hash table too small for build");
-        debug_assert!(
-            !keys.contains(&EMPTY_KEY),
-            "empty-sentinel key in build input"
-        );
-        let f1 = s.splat(self.h1.factor());
-        let f2 = s.splat(self.h2.factor());
-        let tn = s.splat(t as u32);
-        let tn1 = s.splat(t as u32 - 1);
-        let empty = s.splat(EMPTY_KEY);
-        let one = s.splat(1);
-        let lane_ids = s.iota();
-        let mut k = s.zero();
-        let mut v = s.zero();
-        let mut h = s.zero();
-        let mut m = S::M::all();
-        let mut retries = 0u64;
-        let mut i = 0usize;
-        while i + w <= n {
-            k = s.selective_load(k, m, &keys[i..]);
-            v = s.selective_load(v, m, &pays[i..]);
-            i += m.count();
-            let fl = s.blend(m, f1, f2);
-            let fh = s.blend(m, tn, tn1);
-            h = s.blend(m, s.zero(), s.add(h, one));
-            h = s.add(h, s.mulhi(s.mullo(k, fl), fh));
-            let over = s.cmpge(h, tn);
-            h = s.blend(over, s.sub(h, tn), h);
-            let (tk, _) = s.gather_pairs(&self.pairs, h);
-            let empt = s.cmpeq(tk, empty);
-            s.scatter_pairs_masked(&mut self.pairs, empt, h, lane_ids, s.zero());
-            let (back, _) = s.gather_pairs_masked((s.zero(), s.zero()), empt, &self.pairs, h);
-            let ok = empt.and(s.cmpeq(back, lane_ids));
-            s.scatter_pairs_masked(&mut self.pairs, ok, h, k, v);
-            retries += (empt.count() - ok.count()) as u64;
-            self.len += ok.count();
-            m = ok;
-        }
-        rsv_metrics::count(Metric::LpBuildConflictRetries, retries);
-        let mut ka = [0u32; MAX_LANES];
-        let mut va = [0u32; MAX_LANES];
-        let mut ha = [0u32; MAX_LANES];
-        s.store(k, &mut ka[..w]);
-        s.store(v, &mut va[..w]);
-        s.store(h, &mut ha[..w]);
-        for lane in m.not().iter_set() {
-            // Continue this lane's probe sequence from its next bucket.
-            let key = ka[lane];
-            let step = self.step(key);
-            let mut hh = ha[lane] as usize;
-            loop {
-                hh += step;
-                if hh >= t {
-                    hh -= t;
-                }
-                if self.pairs[hh] as u32 == EMPTY_KEY {
-                    self.pairs[hh] = u64::from(key) | (u64::from(va[lane]) << 32);
-                    self.len += 1;
-                    break;
-                }
-            }
-        }
-        for idx in i..n {
-            self.insert(keys[idx], pays[idx]);
-        }
+        probe_vertical::<S, _, 4>(s, &self.pairs, self.addr, keys, pays, false, out);
     }
 }
 
 // ---------------------------------------------------------------------
-// Raw linear-probing kernels over externally managed bucket arrays.
-//
-// The partitioned join variants (Section 9) manage many sub-tables inside
-// one allocation; these free functions run the same Algorithms 4–7 over a
-// caller-provided interleaved bucket slice.
+// The kernels, over a caller-managed interleaved bucket slice: the joins
+// (Section 9) keep their tables outside these types.
 // ---------------------------------------------------------------------
 
-/// Scalar insert (Algorithm 6 inner loop) starting `offset` buckets past
-/// the hash bucket. Returns `true` if the walk passed a bucket that already
-/// holds `key`.
+/// Insert one tuple into the first empty bucket of `key`'s sequence from
+/// bucket `h` on (paper Algorithm 6's inner loop): `h` is `a.first(key)`,
+/// or the next bucket of a vector lane that lost its bucket. Returns
+/// `true` if the walk passed a bucket that already holds `key`.
 ///
-/// Buckets never empty again, so of two equal keys the later insert always
-/// walks over the earlier one: a build whose inserts all return `false` is
-/// duplicate-free.
+/// Buckets never empty again and equal keys share a sequence, so of two
+/// equal keys the later insert always walks over the earlier one: a build
+/// whose inserts all return `false` is duplicate-free.
 ///
 /// # Panics
 /// If `key` is the empty sentinel. The caller must guarantee at least one
-/// empty bucket remains or the probe loop will not terminate.
+/// empty bucket remains or the walk will not terminate.
 #[inline]
-pub fn lp_insert_raw(pairs: &mut [u64], hash: MulHash, key: u32, pay: u32, offset: usize) -> bool {
+fn insert<A: Addressing>(pairs: &mut [u64], a: A, key: u32, pay: u32, mut h: usize) -> bool {
     assert_ne!(
         key, EMPTY_KEY,
         "key {key:#x} is the reserved empty sentinel"
     );
-    let t = pairs.len();
-    let mut h = hash.bucket(key, t) + offset;
-    if h >= t {
-        h -= t;
-    }
     let mut dup = false;
     loop {
         let tk = pairs[h] as u32;
@@ -503,64 +454,53 @@ pub fn lp_insert_raw(pairs: &mut [u64], hash: MulHash, key: u32, pay: u32, offse
             break;
         }
         dup |= tk == key;
-        h += 1;
-        if h == t {
-            h = 0;
-        }
+        h = a.next(key, h);
     }
     pairs[h] = u64::from(key) | (u64::from(pay) << 32);
     dup
 }
 
-/// Scalar probe of one key (Algorithm 4 inner loop), resuming `offset`
-/// buckets into its chain. On a `unique` (duplicate-free) table the walk
-/// stops at the key's match; otherwise it emits every match up to the
-/// first empty bucket.
+/// Probe one key from bucket `h` of its sequence on (paper Algorithm 4's
+/// inner loop), returning the buckets inspected. On a `unique`
+/// (duplicate-free) table the walk stops at the key's match; otherwise it
+/// emits every match up to the first empty bucket.
 #[inline]
-pub fn lp_probe_one_raw(
+fn walk<A: Addressing>(
     pairs: &[u64],
-    hash: MulHash,
+    a: A,
     key: u32,
     pay: u32,
-    offset: usize,
+    mut h: usize,
     unique: bool,
     out: &mut JoinSink,
-) {
-    let t = pairs.len();
-    let mut h = hash.bucket(key, t) + offset;
-    if h >= t {
-        h -= t;
-    }
-    let mut steps = 0u64;
+) -> u64 {
+    let mut steps = 0;
     loop {
         let pair = pairs[h];
         steps += 1;
         let tk = pair as u32;
         if tk == EMPTY_KEY {
-            break;
+            return steps;
         }
         if tk == key {
             out.push(key, (pair >> 32) as u32, pay);
             if unique {
-                break;
+                return steps;
             }
         }
-        h += 1;
-        if h == t {
-            h = 0;
-        }
+        h = a.next(key, h);
     }
-    rsv_metrics::count(Metric::LpProbes, steps);
 }
 
-/// Build into a raw bucket slice with `kind`'s kernel: scalar
-/// (Algorithm 6) or vertically vectorized (Algorithm 7). The caller must
-/// leave at least one bucket empty. Returns `true` if the keys are
-/// duplicate-free, which lets [`lp_probe_raw`] retire a key at its match.
-pub fn lp_build_raw<S: Simd>(
+/// Build into a raw bucket slice along `a`'s sequences with `kind`'s
+/// kernel: scalar (Algorithm 6) or vertically vectorized (Algorithm 7).
+/// The caller must leave at least one bucket empty. Returns `true` if the
+/// keys are duplicate-free, which lets [`probe_raw`] retire a key at its
+/// match.
+pub fn build_raw<S: Simd, A: Addressing>(
     kind: KernelKind<S>,
     pairs: &mut [u64],
-    hash: MulHash,
+    a: A,
     keys: &[u32],
     pays: &[u32],
 ) -> bool {
@@ -571,23 +511,23 @@ pub fn lp_build_raw<S: Simd>(
         KernelKind::Scalar => {
             let mut dup = false;
             for (&k, &p) in keys.iter().zip(pays) {
-                dup |= lp_insert_raw(pairs, hash, k, p, 0);
+                dup |= insert(pairs, a, k, p, a.first(k));
             }
             !dup
         }
-        KernelKind::Vector(s) => build_vertical_raw(s, pairs, hash, keys, pays),
+        KernelKind::Vector(s) => build_vertical(s, pairs, a, keys, pays),
     }
 }
 
-/// Probe a raw bucket slice with `kind`'s kernel: scalar (Algorithm 4) or
-/// vertically vectorized in four strands
-/// ([`lp_probe_vertical_strands_raw`]). `unique` is [`lp_build_raw`]'s
-/// flag: on a duplicate-free table a key stops at its match, otherwise it
-/// walks to the first empty bucket.
-pub fn lp_probe_raw<S: Simd>(
+/// Probe a raw bucket slice along `a`'s sequences with `kind`'s kernel:
+/// scalar (Algorithm 4) or vertically vectorized (Algorithm 5) in four
+/// interleaved strands. `unique` is [`build_raw`]'s flag: on a
+/// duplicate-free table a key stops at its match, otherwise it walks to
+/// the first empty bucket.
+pub fn probe_raw<S: Simd, A: Addressing>(
     kind: KernelKind<S>,
     pairs: &[u64],
-    hash: MulHash,
+    a: A,
     keys: &[u32],
     pays: &[u32],
     unique: bool,
@@ -596,26 +536,27 @@ pub fn lp_probe_raw<S: Simd>(
     match kind {
         KernelKind::Scalar => {
             assert_eq!(keys.len(), pays.len(), "column length mismatch");
-            rsv_metrics::count(Metric::LpKeysProbed, keys.len() as u64);
-            for (&k, &p) in keys.iter().zip(pays) {
-                lp_probe_one_raw(pairs, hash, k, p, 0, unique, out);
-            }
+            rsv_metrics::count(A::KEYS_PROBED, keys.len() as u64);
+            let probes: u64 = keys
+                .iter()
+                .zip(pays)
+                .map(|(&k, &p)| walk(pairs, a, k, p, a.first(k), unique, out))
+                .sum();
+            rsv_metrics::count(A::PROBES, probes);
         }
-        KernelKind::Vector(s) => {
-            lp_probe_vertical_strands_raw::<S, 4>(s, pairs, hash, keys, pays, unique, out)
-        }
+        KernelKind::Vector(s) => probe_vertical::<S, A, 4>(s, pairs, a, keys, pays, unique, out),
     }
 }
 
-/// The body of [`lp_build_raw`]'s vector kernel; returns its
-/// duplicate-free flag. A lane compares every occupied bucket it gathers
-/// with its key, and a lane that loses an empty bucket to another lane
-/// gathers the winner's key and compares that too, so no bucket a lane
-/// walks past goes unchecked.
-fn build_vertical_raw<S: Simd>(
+/// The body of [`build_raw`]'s vector kernel; returns its duplicate-free
+/// flag. A lane compares every occupied bucket it gathers with its key,
+/// and a lane that loses an empty bucket to another lane gathers the
+/// winner's key and compares that too, so no bucket a lane walks past goes
+/// unchecked.
+fn build_vertical<S: Simd, A: Addressing>(
     s: S,
     pairs: &mut [u64],
-    hash: MulHash,
+    a: A,
     keys: &[u32],
     pays: &[u32],
 ) -> bool {
@@ -628,15 +569,11 @@ fn build_vertical_raw<S: Simd>(
         || {
             let w = S::LANES;
             let n = keys.len();
-            let t = pairs.len();
-            let f = s.splat(hash.factor());
-            let tn = s.splat(t as u32);
             let empty = s.splat(EMPTY_KEY);
-            let one = s.splat(1);
             let lane_ids = s.iota();
             let mut k = s.zero();
             let mut v = s.zero();
-            let mut o = s.zero();
+            let mut h = s.zero();
             let mut m = S::M::all();
             let mut dup = S::M::none();
             let mut retries = 0u64;
@@ -645,9 +582,7 @@ fn build_vertical_raw<S: Simd>(
                 k = s.selective_load(k, m, &keys[i..]);
                 v = s.selective_load(v, m, &pays[i..]);
                 i += m.count();
-                let mut h = s.add(s.mulhi(s.mullo(k, f), tn), o);
-                let over = s.cmpge(h, tn);
-                h = s.blend(over, s.sub(h, tn), h);
+                h = a.first_or_next(s, m, k, h);
                 let (tk, _) = s.gather_pairs(pairs, h);
                 let empt = s.cmpeq(tk, empty);
                 dup = dup.or(empt.andnot(s.cmpeq(tk, k)));
@@ -662,22 +597,23 @@ fn build_vertical_raw<S: Simd>(
                     dup = dup.or(lost.and(s.cmpeq(won, k)));
                 }
                 retries += lost.count() as u64;
-                o = s.blend(ok, s.zero(), s.add(o, one));
                 m = ok;
             }
             rsv_metrics::count(Metric::LpBuildConflictRetries, retries);
+            // finish in-flight lanes from their next bucket, then the tail
             let mut ka = [0u32; MAX_LANES];
             let mut va = [0u32; MAX_LANES];
-            let mut oa = [0u32; MAX_LANES];
+            let mut ha = [0u32; MAX_LANES];
             s.store(k, &mut ka[..w]);
             s.store(v, &mut va[..w]);
-            s.store(o, &mut oa[..w]);
+            s.store(h, &mut ha[..w]);
             let mut scalar_dup = false;
             for lane in m.not().iter_set() {
-                scalar_dup |= lp_insert_raw(pairs, hash, ka[lane], va[lane], oa[lane] as usize);
+                let from = a.next(ka[lane], ha[lane] as usize);
+                scalar_dup |= insert(pairs, a, ka[lane], va[lane], from);
             }
-            for idx in i..n {
-                scalar_dup |= lp_insert_raw(pairs, hash, keys[idx], pays[idx], 0);
+            for (&key, &pay) in keys[i..].iter().zip(&pays[i..]) {
+                scalar_dup |= insert(pairs, a, key, pay, a.first(key));
             }
             !(scalar_dup || dup.any())
         },
@@ -699,10 +635,10 @@ fn build_vertical_raw<S: Simd>(
 ///
 /// On a `unique` (duplicate-free) table a lane retires at its match;
 /// otherwise it retires at the first empty bucket.
-pub fn lp_probe_vertical_strands_raw<S: Simd, const STRANDS: usize>(
+fn probe_vertical<S: Simd, A: Addressing, const STRANDS: usize>(
     s: S,
     pairs: &[u64],
-    hash: MulHash,
+    a: A,
     keys: &[u32],
     pays: &[u32],
     unique: bool,
@@ -710,113 +646,15 @@ pub fn lp_probe_vertical_strands_raw<S: Simd, const STRANDS: usize>(
 ) {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
     assert!(STRANDS >= 1);
-    rsv_metrics::count(Metric::LpKeysProbed, keys.len() as u64);
+    rsv_metrics::count(A::KEYS_PROBED, keys.len() as u64);
     s.vectorize(
         #[inline(always)]
         || {
             let w = S::LANES;
             let n = keys.len();
-            let t = pairs.len();
-            let f = s.splat(hash.factor());
-            let tn = s.splat(t as u32);
             let empty = s.splat(EMPTY_KEY);
-            let one = s.splat(1);
             let mut probes = 0u64;
             // per-strand state over contiguous input chunks
-            let chunk = n / STRANDS;
-            let mut k = [s.zero(); STRANDS];
-            let mut v = [s.zero(); STRANDS];
-            let mut o = [s.zero(); STRANDS];
-            let mut m = [S::M::all(); STRANDS];
-            let mut cur = [0usize; STRANDS];
-            let mut end = [0usize; STRANDS];
-            for st in 0..STRANDS {
-                cur[st] = st * chunk;
-                end[st] = if st + 1 == STRANDS {
-                    n
-                } else {
-                    (st + 1) * chunk
-                };
-            }
-            let mut live = STRANDS;
-            while live > 0 {
-                live = 0;
-                for st in 0..STRANDS {
-                    if cur[st] + w > end[st] {
-                        continue;
-                    }
-                    live += 1;
-                    k[st] = s.selective_load(k[st], m[st], &keys[cur[st]..]);
-                    v[st] = s.selective_load(v[st], m[st], &pays[cur[st]..]);
-                    cur[st] += m[st].count();
-                    let mut h = s.add(s.mulhi(s.mullo(k[st], f), tn), o[st]);
-                    let over = s.cmpge(h, tn);
-                    h = s.blend(over, s.sub(h, tn), h);
-                    let (tk, tv) = s.gather_pairs(pairs, h);
-                    probes += w as u64;
-                    m[st] = s.cmpeq(tk, empty);
-                    let hit = m[st].andnot(s.cmpeq(tk, k[st]));
-                    if hit.any() {
-                        let (ok, oi, oo) = out.spare(w);
-                        s.selective_store(ok, hit, k[st]);
-                        s.selective_store(oi, hit, tv);
-                        let c = s.selective_store(oo, hit, v[st]);
-                        out.advance(c);
-                    }
-                    if unique {
-                        m[st] = m[st].or(hit);
-                    }
-                    o[st] = s.blend(m[st], s.zero(), s.add(o[st], one));
-                }
-            }
-            rsv_metrics::count(Metric::LpProbes, probes);
-            // drain in-flight lanes and chunk tails with scalar code
-            let mut ka = [0u32; MAX_LANES];
-            let mut va = [0u32; MAX_LANES];
-            let mut oa = [0u32; MAX_LANES];
-            for st in 0..STRANDS {
-                s.store(k[st], &mut ka[..w]);
-                s.store(v[st], &mut va[..w]);
-                s.store(o[st], &mut oa[..w]);
-                for lane in m[st].not().iter_set() {
-                    let (key, pay, off) = (ka[lane], va[lane], oa[lane] as usize);
-                    lp_probe_one_raw(pairs, hash, key, pay, off, unique, out);
-                }
-                for idx in cur[st]..end[st] {
-                    lp_probe_one_raw(pairs, hash, keys[idx], pays[idx], 0, unique, out);
-                }
-            }
-        },
-    );
-}
-
-/// Vertically vectorized **double hashing** probe with `STRANDS`
-/// interleaved probe states — see [`lp_probe_vertical_strands_raw`].
-pub fn dh_probe_vertical_strands_raw<S: Simd, const STRANDS: usize>(
-    s: S,
-    pairs: &[u64],
-    h1: MulHash,
-    h2: MulHash,
-    keys: &[u32],
-    pays: &[u32],
-    out: &mut JoinSink,
-) {
-    assert_eq!(keys.len(), pays.len(), "column length mismatch");
-    assert!(STRANDS >= 1);
-    rsv_metrics::count(Metric::DhKeysProbed, keys.len() as u64);
-    s.vectorize(
-        #[inline(always)]
-        || {
-            let w = S::LANES;
-            let n = keys.len();
-            let t = pairs.len();
-            let mut probes = 0u64;
-            let f1 = s.splat(h1.factor());
-            let f2 = s.splat(h2.factor());
-            let tn = s.splat(t as u32);
-            let tn1 = s.splat(t as u32 - 1);
-            let empty = s.splat(EMPTY_KEY);
-            let one = s.splat(1);
             let chunk = n / STRANDS;
             let mut k = [s.zero(); STRANDS];
             let mut v = [s.zero(); STRANDS];
@@ -843,13 +681,7 @@ pub fn dh_probe_vertical_strands_raw<S: Simd, const STRANDS: usize>(
                     k[st] = s.selective_load(k[st], m[st], &keys[cur[st]..]);
                     v[st] = s.selective_load(v[st], m[st], &pays[cur[st]..]);
                     cur[st] += m[st].count();
-                    // Algorithm 8 hash update
-                    let fl = s.blend(m[st], f1, f2);
-                    let fh = s.blend(m[st], tn, tn1);
-                    h[st] = s.blend(m[st], s.zero(), s.add(h[st], one));
-                    h[st] = s.add(h[st], s.mulhi(s.mullo(k[st], fl), fh));
-                    let over = s.cmpge(h[st], tn);
-                    h[st] = s.blend(over, s.sub(h[st], tn), h[st]);
+                    h[st] = a.first_or_next(s, m[st], k[st], h[st]);
                     let (tk, tv) = s.gather_pairs(pairs, h[st]);
                     probes += w as u64;
                     m[st] = s.cmpeq(tk, empty);
@@ -861,9 +693,13 @@ pub fn dh_probe_vertical_strands_raw<S: Simd, const STRANDS: usize>(
                         let c = s.selective_store(oo, hit, v[st]);
                         out.advance(c);
                     }
+                    if unique {
+                        m[st] = m[st].or(hit);
+                    }
                 }
             }
-            // drain: continue each pending lane's probe sequence scalar
+            // drain in-flight lanes from their next bucket, then the chunk
+            // tails, with the scalar walk
             let mut ka = [0u32; MAX_LANES];
             let mut va = [0u32; MAX_LANES];
             let mut ha = [0u32; MAX_LANES];
@@ -872,52 +708,18 @@ pub fn dh_probe_vertical_strands_raw<S: Simd, const STRANDS: usize>(
                 s.store(v[st], &mut va[..w]);
                 s.store(h[st], &mut ha[..w]);
                 for lane in m[st].not().iter_set() {
-                    let key = ka[lane];
-                    let step = 1 + h2.bucket(key, t - 1);
-                    let mut hh = ha[lane] as usize + step;
-                    if hh >= t {
-                        hh -= t;
-                    }
-                    loop {
-                        let pair = pairs[hh];
-                        probes += 1;
-                        let tk = pair as u32;
-                        if tk == EMPTY_KEY {
-                            break;
-                        }
-                        if tk == key {
-                            out.push(key, (pair >> 32) as u32, va[lane]);
-                        }
-                        hh += step;
-                        if hh >= t {
-                            hh -= t;
-                        }
-                    }
+                    let (key, pay) = (ka[lane], va[lane]);
+                    let from = a.next(key, ha[lane] as usize);
+                    probes += walk(pairs, a, key, pay, from, unique, out);
                 }
                 for idx in cur[st]..end[st] {
                     let key = keys[idx];
-                    let step = 1 + h2.bucket(key, t - 1);
-                    let mut hh = h1.bucket(key, t);
-                    loop {
-                        let pair = pairs[hh];
-                        probes += 1;
-                        let tk = pair as u32;
-                        if tk == EMPTY_KEY {
-                            break;
-                        }
-                        if tk == key {
-                            out.push(key, (pair >> 32) as u32, pays[idx]);
-                        }
-                        hh += step;
-                        if hh >= t {
-                            hh -= t;
-                        }
-                    }
+                    probes += walk(pairs, a, key, pays[idx], a.first(key), unique, out);
                 }
             }
-            rsv_metrics::count(Metric::DhProbes, probes);
+            rsv_metrics::count(A::PROBES, probes);
         },
-    );
+    )
 }
 
 #[cfg(test)]
@@ -1135,136 +937,11 @@ mod tests {
 }
 
 #[cfg(test)]
-mod strand_tests {
-    use super::*;
-    use rsv_simd::Portable;
-    use std::collections::HashMap;
-
-    #[test]
-    fn interleaved_probe_matches_reference() {
-        let mut rng = rsv_data::rng(61);
-        let bk = rsv_data::unique_u32(700, &mut rng);
-        let bp: Vec<u32> = (0..700).collect();
-        let mut t = LinearTable::new(bk.len(), 0.5);
-        t.build_scalar(&bk, &bp);
-
-        for np in [0usize, 1, 10, 63, 64, 65, 5000] {
-            let pk: Vec<u32> = (0..np)
-                .map(|i| {
-                    if i % 6 == 5 {
-                        bk[i % 700] ^ 1
-                    } else {
-                        bk[(i * 3) % 700]
-                    }
-                })
-                .collect();
-            let pp: Vec<u32> = (0..np as u32).collect();
-            let map: HashMap<u32, u32> = bk.iter().copied().zip(bp.iter().copied()).collect();
-            let mut expected: Vec<(u32, u32, u32)> = pk
-                .iter()
-                .zip(&pp)
-                .filter_map(|(&k, &p)| map.get(&k).map(|&b| (k, b, p)))
-                .collect();
-            expected.sort_unstable();
-
-            let s = Portable::<16>::new();
-            let mut sink = JoinSink::with_capacity(0);
-            t.probe_vertical_interleaved(s, &pk, &pp, &mut sink);
-            let mut rows: Vec<_> = sink.iter().collect();
-            rows.sort_unstable();
-            assert_eq!(rows, expected, "np={np}");
-
-            #[cfg(target_arch = "x86_64")]
-            if let Some(s) = rsv_simd::Avx512::new() {
-                let mut sink = JoinSink::with_capacity(0);
-                t.probe_vertical_interleaved(s, &pk, &pp, &mut sink);
-                let mut rows: Vec<_> = sink.iter().collect();
-                rows.sort_unstable();
-                assert_eq!(rows, expected, "avx512 np={np}");
-            }
-        }
-    }
-
-    #[test]
-    fn interleaved_probe_with_duplicates() {
-        let bk: Vec<u32> = (0..300).map(|i| i % 60).collect();
-        let bp: Vec<u32> = (0..300).collect();
-        let mut t = LinearTable::new(bk.len(), 0.5);
-        t.build_scalar(&bk, &bp);
-        let pk: Vec<u32> = (0..60).collect();
-        let pp: Vec<u32> = (100..160).collect();
-        let s = Portable::<16>::new();
-        let mut sink = JoinSink::with_capacity(0);
-        t.probe_vertical_interleaved(s, &pk, &pp, &mut sink);
-        assert_eq!(sink.len(), 300);
-    }
-}
-
-#[cfg(test)]
-mod dh_strand_tests {
-    use super::*;
-    use rsv_simd::Portable;
-    use std::collections::HashMap;
-
-    #[test]
-    fn dh_interleaved_probe_matches_reference() {
-        let mut rng = rsv_data::rng(62);
-        let bk: Vec<u32> = {
-            // include duplicates
-            let uniq = rsv_data::unique_u32(300, &mut rng);
-            (0..600).map(|i| uniq[i % 300]).collect()
-        };
-        let bp: Vec<u32> = (0..600).collect();
-        let mut t = DoubleHashTable::new(bk.len(), 0.5);
-        t.build_scalar(&bk, &bp);
-
-        for np in [0usize, 1, 17, 64, 3000] {
-            let pk: Vec<u32> = (0..np)
-                .map(|i| {
-                    if i % 4 == 3 {
-                        bk[i % 600] ^ 7
-                    } else {
-                        bk[(i * 3) % 600]
-                    }
-                })
-                .collect();
-            let pp: Vec<u32> = (0..np as u32).collect();
-            let mut map: HashMap<u32, Vec<u32>> = HashMap::new();
-            for (&k, &p) in bk.iter().zip(&bp) {
-                map.entry(k).or_default().push(p);
-            }
-            let mut expected: Vec<(u32, u32, u32)> = pk
-                .iter()
-                .zip(&pp)
-                .flat_map(|(&k, &p)| map.get(&k).into_iter().flatten().map(move |&b| (k, b, p)))
-                .collect();
-            expected.sort_unstable();
-
-            let s = Portable::<16>::new();
-            let mut sink = JoinSink::with_capacity(0);
-            t.probe_vertical_interleaved(s, &pk, &pp, &mut sink);
-            let mut rows: Vec<_> = sink.iter().collect();
-            rows.sort_unstable();
-            assert_eq!(rows, expected, "np={np}");
-
-            #[cfg(target_arch = "x86_64")]
-            if let Some(s) = rsv_simd::Avx512::new() {
-                let mut sink = JoinSink::with_capacity(0);
-                t.probe_vertical_interleaved(s, &pk, &pp, &mut sink);
-                let mut rows: Vec<_> = sink.iter().collect();
-                rows.sort_unstable();
-                assert_eq!(rows, expected, "avx512 np={np}");
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod unique_tests {
+mod kernel_tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use crate::EMPTY_PAIR;
     use rsv_metrics::collect;
+    use rsv_partition::HashFn;
     use rsv_simd::Portable;
     use std::collections::HashMap;
 
@@ -1284,52 +961,115 @@ mod unique_tests {
         rows
     }
 
-    /// Slots a probe of `key` inspects in the built `pairs`: its chain up
-    /// to the first empty bucket, or on a `unique` table up to its match.
-    fn reference_walk(pairs: &[u64], hash: MulHash, key: u32, unique: bool) -> u64 {
-        let t = pairs.len();
-        let mut h = hash.bucket(key, t);
-        let mut steps = 1;
-        loop {
-            let tk = pairs[h] as u32;
-            if tk == EMPTY_KEY || (unique && tk == key) {
-                return steps;
-            }
-            steps += 1;
-            h = (h + 1) % t;
+    /// An addressing scheme under test, with its `i`-th bucket of a key
+    /// written out independently of its [`Addressing`] impl.
+    trait Scheme: Addressing {
+        /// A table for `keys`: its scheme and empty buckets.
+        fn for_keys(keys: &[u32]) -> (Self, Vec<u64>);
+        /// The `i`-th bucket of `key`'s sequence.
+        fn bucket(self, key: u32, i: usize) -> usize;
+        /// Build `keys` with `kind`'s kernel; the duplicate-free flag.
+        fn build<S: Simd>(self, kind: KernelKind<S>, pairs: &mut [u64], keys: &[u32]) -> bool {
+            let pays: Vec<u32> = (0..keys.len() as u32).collect();
+            build_raw(kind, pairs, self, keys, &pays)
+        }
+        /// Whether probes may stop at a match on a duplicate-free build.
+        const EARLY_EXIT: bool = true;
+    }
+
+    impl Scheme for Linear {
+        fn for_keys(keys: &[u32]) -> (Self, Vec<u64>) {
+            let t = keys.len() * 2 + 3;
+            (Linear::new(MulHash::nth(0), t), vec![EMPTY_PAIR; t])
+        }
+        fn bucket(self, key: u32, i: usize) -> usize {
+            (self.hash.bucket(key, self.buckets) + i) % self.buckets
         }
     }
 
-    /// Probe with `strands` vector strands (0 = the scalar kernel),
-    /// returning the sorted rows and the metered slot inspections.
+    impl Scheme for Double {
+        fn for_keys(keys: &[u32]) -> (Self, Vec<u64>) {
+            let t = next_prime(keys.len() * 2 + 3);
+            let (h1, h2) = (MulHash::nth(0), MulHash::nth(1));
+            (Double { h1, h2, buckets: t }, vec![EMPTY_PAIR; t])
+        }
+        fn bucket(self, key: u32, i: usize) -> usize {
+            let step = 1 + self.h2.bucket(key, self.buckets - 1);
+            (self.h1.bucket(key, self.buckets) + i * step) % self.buckets
+        }
+        const EARLY_EXIT: bool = false;
+    }
+
+    /// Three sub-tables, sized and built part by part as the min-partition
+    /// join does.
+    impl Scheme for SubTables<HashFn> {
+        fn for_keys(keys: &[u32]) -> (Self, Vec<u64>) {
+            let part = HashFn::with_factor(3, MulHash::nth(2).factor());
+            let mut sizes = [0usize; 3];
+            for &k in keys {
+                sizes[part.partition(k)] += 1;
+            }
+            let tsize = (sizes.iter().max().unwrap() * 2 + 1).next_multiple_of(2);
+            let a = SubTables::new(part, MulHash::nth(0), tsize);
+            (a, vec![EMPTY_PAIR; 3 * tsize])
+        }
+        fn bucket(self, key: u32, i: usize) -> usize {
+            let local = (self.hash.bucket(key, self.tsize) + i) % self.tsize;
+            self.part.partition(key) * self.tsize + local
+        }
+        fn build<S: Simd>(self, kind: KernelKind<S>, pairs: &mut [u64], keys: &[u32]) -> bool {
+            let mut unique = true;
+            for (p, sub) in pairs.chunks_mut(self.tsize).enumerate() {
+                let (pk, pp): (Vec<u32>, Vec<u32>) = (0..keys.len() as u32)
+                    .filter(|&i| self.part.partition(keys[i as usize]) == p)
+                    .map(|i| (keys[i as usize], i))
+                    .unzip();
+                unique &= build_raw(kind, sub, Linear::new(self.hash, self.tsize), &pk, &pp);
+            }
+            unique
+        }
+    }
+
+    /// Buckets a probe of `key` inspects: its sequence up to the first
+    /// empty bucket, or on a `unique` table up to its match.
+    fn reference_walk<A: Scheme>(a: A, pairs: &[u64], key: u32, unique: bool) -> u64 {
+        for i in 0.. {
+            let tk = pairs[a.bucket(key, i)] as u32;
+            if tk == EMPTY_KEY || (unique && tk == key) {
+                return i as u64 + 1;
+            }
+        }
+        unreachable!()
+    }
+
+    /// Probe with the scalar kernel (`strands == 0`) or `strands` vector
+    /// strands, returning the sorted rows and the metered bucket reads.
     #[allow(clippy::too_many_arguments)]
-    fn probe<S: Simd>(
+    fn probe<S: Simd, A: Addressing>(
         s: S,
         strands: usize,
         pairs: &[u64],
-        hash: MulHash,
+        a: A,
         keys: &[u32],
         pays: &[u32],
         unique: bool,
     ) -> (Rows, u64) {
         let mut sink = JoinSink::with_capacity(0);
         let ((), counts) = collect(|| match strands {
-            0 => lp_probe_raw(
+            0 => probe_raw(
                 KernelKind::<S>::Scalar,
                 pairs,
-                hash,
+                a,
                 keys,
                 pays,
                 unique,
                 &mut sink,
             ),
-            1 => {
-                lp_probe_vertical_strands_raw::<S, 1>(s, pairs, hash, keys, pays, unique, &mut sink)
-            }
-            _ => lp_probe_raw(
+            1 => probe_vertical::<S, A, 1>(s, pairs, a, keys, pays, unique, &mut sink),
+            _ => probe_raw(
                 KernelKind::Vector(s),
                 pairs,
-                hash,
+                a,
                 keys,
                 pays,
                 unique,
@@ -1337,39 +1077,44 @@ mod unique_tests {
             ),
         });
         let c = counts.total();
-        assert_eq!(c.get(Metric::LpKeysProbed), keys.len() as u64);
+        assert_eq!(c.get(A::KEYS_PROBED), keys.len() as u64);
         let mut rows: Rows = sink.iter().collect();
         rows.sort_unstable();
-        (rows, c.get(Metric::LpProbes))
+        (rows, c.get(A::PROBES))
     }
 
-    /// Build with both kernels, then probe in both modes the table admits
-    /// with the scalar kernel and with 1 and 4 strands: the rows match the
-    /// reference and `LpProbes` equals the reference walk over the table
-    /// the build left.
-    fn check_counts<S: Simd>(s: S, bk: &[u32], pk: &[u32], duplicate_free: bool) {
-        let hash = MulHash::nth(0);
+    /// Build `bk` with both kernels, then probe prefixes of `pk` with the
+    /// scalar kernel and 1 and 4 strands, in every mode the build admits:
+    /// the build reports `duplicate_free`, the rows match the reference,
+    /// and the metered probes equal the reference walk over the table the
+    /// build left.
+    fn check<S: Simd, A: Scheme>(s: S, bk: &[u32], pk: &[u32], duplicate_free: bool) {
         let bp: Vec<u32> = (0..bk.len() as u32).collect();
         let pp: Vec<u32> = (0..pk.len() as u32).map(|i| i + 5000).collect();
-        let expected = reference_rows(bk, &bp, pk, &pp);
+        let w = S::LANES;
         for (build, kind) in [
             ("scalar", KernelKind::Scalar),
             (s.name(), KernelKind::Vector(s)),
         ] {
-            let mut pairs = vec![EMPTY_PAIR; bk.len() * 2 + 3];
-            let unique = lp_build_raw(kind, &mut pairs, hash, bk, &bp);
+            let (a, mut pairs) = A::for_keys(bk);
+            let unique = a.build(kind, &mut pairs, bk);
             assert_eq!(unique, duplicate_free, "{build} build");
-            let modes: &[bool] = if unique { &[true, false] } else { &[false] };
+            let modes: &[bool] = if unique && A::EARLY_EXIT {
+                &[false, true]
+            } else {
+                &[false]
+            };
             for &mode in modes {
-                let walk: u64 = pk
-                    .iter()
-                    .map(|&k| reference_walk(&pairs, hash, k, mode))
-                    .sum();
-                for strands in [0, 1, 4] {
-                    let (rows, probes) = probe(s, strands, &pairs, hash, pk, &pp, mode);
-                    let what = format!("{build} build, unique={mode} strands={strands}");
-                    assert_eq!(rows, expected, "{what}");
-                    assert_eq!(probes, walk, "{what}");
+                for n in [0, 1, w - 1, w + 1, 63, 65, pk.len()] {
+                    let (pk, pp) = (&pk[..n], &pp[..n]);
+                    let expected = reference_rows(bk, &bp, pk, pp);
+                    let walk: u64 = pk.iter().map(|&k| reference_walk(a, &pairs, k, mode)).sum();
+                    for strands in [0, 1, 4] {
+                        let (rows, probes) = probe(s, strands, &pairs, a, pk, pp, mode);
+                        let what = format!("{build} build, unique={mode} n={n} strands={strands}");
+                        assert_eq!(rows, expected, "{what}");
+                        assert_eq!(probes, walk, "{what}");
+                    }
                 }
             }
         }
@@ -1388,30 +1133,33 @@ mod unique_tests {
             .collect()
     }
 
-    #[test]
-    fn lp_probes_equal_the_reference_walk() {
+    fn check_scheme<A: Scheme>() {
         let mut rng = rsv_data::rng(81);
         let uniq = rsv_data::unique_u32(900, &mut rng);
         let dups: Vec<u32> = (0..900).map(|i| uniq[i % 250]).collect();
-        let narrow = Portable::<8>::new();
-        let wide = Portable::<16>::new();
-        for (bk, duplicate_free) in [(&uniq, true), (&dups, false)] {
-            let pk = probe_keys(bk, 3001);
-            check_counts(wide, bk, &pk, duplicate_free);
-            check_counts(narrow, bk, &pk, duplicate_free);
-            #[cfg(target_arch = "x86_64")]
-            if let Some(s) = rsv_simd::Avx512::new() {
-                check_counts(s, bk, &pk, duplicate_free);
-            }
-            #[cfg(target_arch = "x86_64")]
-            if let Some(s) = rsv_simd::Avx2::new() {
-                check_counts(s, bk, &pk, duplicate_free);
-            }
-        }
         // a duplicate in the scalar tail of the vector build
         let mut tail = uniq[..40].to_vec();
         tail[39] = tail[2];
-        check_counts(wide, &tail, &probe_keys(&tail, 100), false);
+        for (bk, duplicate_free) in [(&uniq, true), (&dups, false), (&tail, false)] {
+            let pk = probe_keys(bk, 5000);
+            check::<_, A>(Portable::<16>::new(), bk, &pk, duplicate_free);
+            check::<_, A>(Portable::<8>::new(), bk, &pk, duplicate_free);
+            #[cfg(target_arch = "x86_64")]
+            if let Some(s) = rsv_simd::Avx512::new() {
+                check::<_, A>(s, bk, &pk, duplicate_free);
+            }
+            #[cfg(target_arch = "x86_64")]
+            if let Some(s) = rsv_simd::Avx2::new() {
+                check::<_, A>(s, bk, &pk, duplicate_free);
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_walk_the_reference_sequence() {
+        check_scheme::<Linear>();
+        check_scheme::<Double>();
+        check_scheme::<SubTables<HashFn>>();
     }
 
     /// Two equal keys in one vector share their home bucket, which is
@@ -1419,21 +1167,21 @@ mod unique_tests {
     /// gathering that bucket again. Only the loser's read of the winner's
     /// key can report the duplicate.
     fn check_conflict_loser<S: Simd>(s: S) {
-        let hash = MulHash::nth(0);
         let mut rng = rsv_data::rng(82);
         let mut bk = rsv_data::unique_u32(S::LANES, &mut rng);
         bk[1] = bk[0];
         let bp: Vec<u32> = (0..bk.len() as u32).collect();
         let mut pairs = vec![EMPTY_PAIR; 8 * S::LANES];
+        let a = Linear::new(MulHash::nth(0), pairs.len());
         let (unique, counts) =
-            collect(|| lp_build_raw(KernelKind::Vector(s), &mut pairs, hash, &bk, &bp));
+            collect(|| build_raw(KernelKind::Vector(s), &mut pairs, a, &bk, &bp));
         assert!(!unique, "{}: the repeated key went unnoticed", s.name());
         assert!(counts.total().get(Metric::LpBuildConflictRetries) >= 1);
         let mut sink = JoinSink::with_capacity(0);
-        lp_probe_raw(
+        probe_raw(
             KernelKind::Vector(s),
             &pairs,
-            hash,
+            a,
             &bk[..1],
             &[7],
             unique,

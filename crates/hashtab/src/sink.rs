@@ -35,6 +35,12 @@ impl JoinSink {
         self.len == 0
     }
 
+    /// Bytes the three columns hold allocated.
+    pub fn size_bytes(&self) -> u64 {
+        let slots = self.keys.capacity() + self.inner_pays.capacity() + self.outer_pays.capacity();
+        4 * slots as u64
+    }
+
     /// Spare space (at least `slack` entries) past the current end, as
     /// `(keys, inner payloads, outer payloads)` slices.
     #[inline]
@@ -126,6 +132,7 @@ mod tests {
         o[0] = 9;
         sink.advance(1);
         assert_eq!(sink.columns(), (&[7u32][..], &[8u32][..], &[9u32][..]));
+        assert_eq!(sink.size_bytes(), 12 * 1024);
     }
 
     #[test]

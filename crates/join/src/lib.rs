@@ -11,11 +11,15 @@
 //!   inner side fits an L2-resident hash table; build and probe in
 //!   cache — fully vectorizable, and the paper's overall winner.
 //!
-//! All variants emit `(key, inner payload, outer payload)` triples into
-//! per-thread [`JoinSink`]s and report a per-phase timing breakdown
-//! (the Figure 15 stacked bars). Each is one fallible function taking an
-//! [`rsv_exec::ExecPolicy`] and returning the result with per-worker
-//! scheduler stats, or a typed [`rsv_exec::EngineError`].
+//! All variants build and probe with rsv-hashtab's one open-addressing
+//! kernel set ([`rsv_hashtab::build_raw`], [`rsv_hashtab::probe_raw`]):
+//! max- and no-partition along [`rsv_hashtab::Linear`] sequences,
+//! min-partition along [`rsv_hashtab::SubTables`]. They emit `(key, inner
+//! payload, outer payload)` triples into per-thread [`JoinSink`]s, which
+//! the memory budget charges as they grow, and report a per-phase timing
+//! breakdown (the Figure 15 stacked bars). Each is one fallible function
+//! taking an [`rsv_exec::ExecPolicy`] and returning the result with
+//! per-worker scheduler stats, or a typed [`rsv_exec::EngineError`].
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

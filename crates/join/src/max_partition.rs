@@ -9,8 +9,8 @@
 use std::time::Instant;
 
 use rsv_data::Relation;
-use rsv_exec::{EngineError, ExecPolicy, SchedulerStats, L2_BYTES, PART_TABLE_BYTES};
-use rsv_hashtab::{lp_build_raw, lp_probe_raw, JoinSink, MulHash, EMPTY_PAIR};
+use rsv_exec::{Budgeted, EngineError, ExecPolicy, SchedulerStats, L2_BYTES, PART_TABLE_BYTES};
+use rsv_hashtab::{build_raw, probe_raw, JoinSink, Linear, MulHash, EMPTY_PAIR};
 use rsv_partition::tasks::partition_then_tasks;
 use rsv_partition::twopass::MAX_DIRECT_FANOUT;
 use rsv_partition::HashFn;
@@ -39,8 +39,8 @@ pub fn part_tuples(inner: usize) -> usize {
     )
 }
 
-/// Per-worker task state: a sink plus build/probe nanoseconds.
-type TaskState = (JoinSink, u64, u64);
+/// Per-worker task state: a budgeted sink plus build/probe nanoseconds.
+type TaskState<'run> = (Budgeted<'run, JoinSink>, u64, u64);
 
 /// Execute the max-partition join with `kind`'s kernels, morsel
 /// scheduling and an inner-part tuple target ([`part_tuples`] of the
@@ -51,10 +51,12 @@ type TaskState = (JoinSink, u64, u64);
 ///
 /// Honours `policy.run` as [`partition_then_tasks`] does: the partitioned
 /// copies of both relations (8 bytes per inner and outer tuple), the
-/// partitioner's region scratch past 256 parts and each task's part table
-/// (`8 × (2 × part + 1)` bytes, held while the task runs) are gated by
-/// the memory budget, cancellation is observed at every morsel/task claim, and
-/// worker panics surface as [`EngineError::WorkerPanicked`].
+/// partitioner's region scratch past 256 parts, each task's part table
+/// (`8 × (2 × part + 1)` bytes, held while the task runs) and each
+/// worker's result sink (charged after each task, while its table is
+/// still held, and released on return) are gated by the memory budget,
+/// cancellation is observed at every morsel/task claim, and worker panics
+/// surface as [`EngineError::WorkerPanicked`].
 pub fn join_max_partition<S: Simd>(
     kind: KernelKind<S>,
     inner: &Relation,
@@ -86,19 +88,20 @@ pub fn join_max_partition<S: Simd>(
         ],
         policy,
         "build+probe",
-        |_| Ok((JoinSink::with_capacity(1024), 0, 0)),
+        |_| Ok((policy.run.hold(0, JoinSink::default)?, 0, 0)),
         |(sink, build_ns, probe_ns): &mut TaskState, _, [(ik, ip), (ok, op)]| {
             if ok.is_empty() {
                 return Ok(());
             }
             let tb = Instant::now();
             let mut pairs = policy.run.vec((ik.len() * 2 + 1).max(2), EMPTY_PAIR)?;
-            let unique = lp_build_raw(kind, &mut pairs, table_hash, ik, ip);
+            let table = Linear::new(table_hash, pairs.len());
+            let unique = build_raw(kind, &mut pairs, table, ik, ip);
             *build_ns += tb.elapsed().as_nanos() as u64;
             let tp = Instant::now();
-            lp_probe_raw(kind, &pairs, table_hash, ok, op, unique, sink);
+            probe_raw(kind, &pairs, table, ok, op, unique, sink);
             *probe_ns += tp.elapsed().as_nanos() as u64;
-            Ok(())
+            sink.grow_to(sink.size_bytes())
         },
     )?;
     let build_probe = t0.elapsed().saturating_sub(run.partition);
@@ -110,7 +113,7 @@ pub fn join_max_partition<S: Simd>(
     let build = build_probe.mul_f64(total_build as f64 / denom as f64);
     Ok((
         JoinResult {
-            sinks: run.workers.into_iter().map(|w| w.0).collect(),
+            sinks: run.workers.into_iter().map(|w| w.0.into_inner()).collect(),
             timings: JoinTimings {
                 partition: run.partition,
                 build,

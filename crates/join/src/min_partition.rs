@@ -7,26 +7,25 @@ use std::time::Instant;
 
 use rsv_data::Relation;
 use rsv_exec::{
-    parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats, SharedBuffer,
+    parallel_scope_try, Budgeted, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
+    SharedBuffer,
 };
-use rsv_hashtab::{lp_build_raw, lp_probe_one_raw, JoinSink, MulHash, EMPTY_KEY, EMPTY_PAIR};
+use rsv_hashtab::{build_raw, probe_raw, JoinSink, Linear, MulHash, SubTables, EMPTY_PAIR};
 use rsv_partition::parallel::partition_pass;
-use rsv_partition::{HashFn, PartitionFn};
-use rsv_simd::{KernelKind, MaskLike, Simd};
+use rsv_partition::HashFn;
+use rsv_simd::{KernelKind, Simd};
 
 use crate::{JoinResult, JoinTimings};
-
-/// Maximum vector width any backend exposes (for stack lane buffers).
-const MAX_LANES: usize = 32;
 
 /// Execute the min-partition join with `kind`'s kernels and morsel
 /// scheduling (and one inner partition per worker), returning per-worker
 /// scheduler stats.
 ///
-/// Honours `policy.run`: the partitioned columns and the shared sub-table
-/// allocation are gated by the memory budget, cancellation is observed at
-/// every morsel/task claim, and worker panics surface as
-/// [`EngineError::WorkerPanicked`].
+/// Honours `policy.run`: the partitioned columns, the shared sub-table
+/// allocation and each worker's result sink (charged after each probe
+/// morsel, released on return) are gated by the memory budget,
+/// cancellation is observed at every morsel/task claim, and worker panics
+/// surface as [`EngineError::WorkerPanicked`].
 pub fn join_min_partition<S: Simd>(
     kind: KernelKind<S>,
     inner: &Relation,
@@ -80,10 +79,10 @@ pub fn join_min_partition<S: Simd>(
                 let start = pass.partition_starts[p] as usize;
                 let end = start + pass.hist[p] as usize;
                 let sub = &mut view[p * tsize..(p + 1) * tsize];
-                unique &= lp_build_raw(
+                unique &= build_raw(
                     kind,
                     sub,
-                    table_hash,
+                    Linear::new(table_hash, tsize),
                     &part_k[start..end],
                     &part_p[start..end],
                 );
@@ -98,28 +97,34 @@ pub fn join_min_partition<S: Simd>(
     // together exactly when each one is.
     let unique = uniques.iter().all(|&u| u);
 
-    // Phase 3: probe across the T sub-tables, morsel by morsel.
+    // Phase 3: probe across the T sub-tables, morsel by morsel: per key,
+    // the partition function picks the sub-table (the paper's "probe
+    // across the T hash tables" modification of Algorithm 5).
     // SAFETY: the build threads were joined; the table is read-only now.
     let pairs: &[u64] = unsafe { table.view() };
+    let sub_tables = SubTables::new(part_fn, table_hash, tsize);
     let t0 = Instant::now();
     let probe_q = MorselQueue::new(outer.len(), policy, S::LANES);
     let (sinks, probe_stats) = parallel_scope_try(threads, |ctx| {
-        let mut sink = JoinSink::with_capacity(1024);
+        let mut sink = policy.run.hold(0, JoinSink::default)?;
         for mo in ctx.morsels(&probe_q) {
             let _ = rsv_testkit::failpoint!("join.probe.morsel");
             ctx.phase("probe", || {
                 let r = mo.range.clone();
                 let (ks, ps) = (&outer.keys[r.clone()], &outer.payloads[r]);
-                probe_multi(
-                    kind, pairs, tsize, part_fn, table_hash, ks, ps, unique, &mut sink,
-                );
+                probe_raw(kind, pairs, sub_tables, ks, ps, unique, &mut sink);
             });
+            sink.grow_to(sink.size_bytes())?;
         }
-        sink
+        Ok::<_, EngineError>(sink)
     })?;
     policy.run.check_cancelled()?;
     let probe = t0.elapsed();
     stats.merge(&probe_stats);
+    let sinks = sinks
+        .into_iter()
+        .map(|sink| sink.map(Budgeted::into_inner))
+        .collect::<Result<_, _>>()?;
 
     Ok((
         JoinResult {
@@ -132,117 +137,6 @@ pub fn join_min_partition<S: Simd>(
         },
         stats,
     ))
-}
-
-/// Probe across `parts` concatenated sub-tables of `tsize` buckets each
-/// with `kind`'s kernel: per key, the scalar loop hashes to a table and
-/// walks its chain; the vector kernel is [`probe_vertical_multi`]. On
-/// `unique` (duplicate-free) sub-tables a key stops at its match.
-#[allow(clippy::too_many_arguments)]
-fn probe_multi<S: Simd>(
-    kind: KernelKind<S>,
-    pairs: &[u64],
-    tsize: usize,
-    part_fn: HashFn,
-    table_hash: MulHash,
-    keys: &[u32],
-    pays: &[u32],
-    unique: bool,
-    out: &mut JoinSink,
-) {
-    match kind {
-        KernelKind::Scalar => {
-            rsv_metrics::count(rsv_metrics::Metric::LpKeysProbed, keys.len() as u64);
-            for (&k, &v) in keys.iter().zip(pays) {
-                let p = part_fn.partition(k);
-                let sub = &pairs[p * tsize..(p + 1) * tsize];
-                lp_probe_one_raw(sub, table_hash, k, v, 0, unique, out);
-            }
-        }
-        KernelKind::Vector(s) => probe_vertical_multi(
-            s, pairs, tsize, part_fn, table_hash, keys, pays, unique, out,
-        ),
-    }
-}
-
-/// Vertically vectorized probe across `parts` concatenated sub-tables of
-/// `tsize` buckets each: per lane, the partition function picks the table
-/// and multiplicative hashing picks the bucket (the paper's "probe across
-/// the T hash tables" modification of Algorithm 5). On `unique` sub-tables
-/// a lane retires at its match.
-#[allow(clippy::too_many_arguments)]
-fn probe_vertical_multi<S: Simd>(
-    s: S,
-    pairs: &[u64],
-    tsize: usize,
-    part_fn: HashFn,
-    table_hash: MulHash,
-    keys: &[u32],
-    pays: &[u32],
-    unique: bool,
-    out: &mut JoinSink,
-) {
-    s.vectorize(
-        #[inline(always)]
-        || {
-            let w = S::LANES;
-            let n = keys.len();
-            rsv_metrics::count(rsv_metrics::Metric::LpKeysProbed, n as u64);
-            let mut probes = 0u64;
-            let f = s.splat(table_hash.factor());
-            let tn = s.splat(tsize as u32);
-            let empty = s.splat(EMPTY_KEY);
-            let one = s.splat(1);
-            let mut k = s.zero();
-            let mut v = s.zero();
-            let mut o = s.zero();
-            let mut m = S::M::all();
-            let mut i = 0usize;
-            while i + w <= n {
-                k = s.selective_load(k, m, &keys[i..]);
-                v = s.selective_load(v, m, &pays[i..]);
-                i += m.count();
-                let part = part_fn.partition_vector(s, k);
-                let mut local = s.add(s.mulhi(s.mullo(k, f), tn), o);
-                let over = s.cmpge(local, tn);
-                local = s.blend(over, s.sub(local, tn), local);
-                let h = s.add(s.mullo(part, tn), local);
-                let (tk, tv) = s.gather_pairs(pairs, h);
-                probes += w as u64;
-                m = s.cmpeq(tk, empty);
-                let hit = m.andnot(s.cmpeq(tk, k));
-                if hit.any() {
-                    let (ok, oi, oo) = out.spare(w);
-                    s.selective_store(ok, hit, k);
-                    s.selective_store(oi, hit, tv);
-                    let c = s.selective_store(oo, hit, v);
-                    out.advance(c);
-                }
-                if unique {
-                    m = m.or(hit);
-                }
-                o = s.blend(m, s.zero(), s.add(o, one));
-            }
-            rsv_metrics::count(rsv_metrics::Metric::LpProbes, probes);
-            let mut ka = [0u32; MAX_LANES];
-            let mut va = [0u32; MAX_LANES];
-            let mut oa = [0u32; MAX_LANES];
-            s.store(k, &mut ka[..w]);
-            s.store(v, &mut va[..w]);
-            s.store(o, &mut oa[..w]);
-            let probe_one = |key: u32, pay: u32, off: usize, out: &mut JoinSink| {
-                let p = part_fn.partition(key);
-                let sub = &pairs[p * tsize..(p + 1) * tsize];
-                lp_probe_one_raw(sub, table_hash, key, pay, off, unique, out);
-            };
-            for lane in m.not().iter_set() {
-                probe_one(ka[lane], va[lane], oa[lane] as usize, out);
-            }
-            for idx in i..n {
-                probe_one(keys[idx], pays[idx], 0, out);
-            }
-        },
-    );
 }
 
 #[cfg(test)]

@@ -6,8 +6,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use rsv_data::Relation;
-use rsv_exec::{parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats};
-use rsv_hashtab::{lp_probe_raw, JoinSink, MulHash, EMPTY_KEY, EMPTY_PAIR};
+use rsv_exec::{
+    parallel_scope_try, Budgeted, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
+};
+use rsv_hashtab::{probe_raw, Addressing, JoinSink, Linear, MulHash, EMPTY_KEY, EMPTY_PAIR};
 use rsv_simd::{KernelKind, Simd};
 
 use crate::{JoinResult, JoinTimings};
@@ -18,8 +20,8 @@ use crate::{JoinResult, JoinTimings};
 /// Prefetching", ICDE 2004).
 const PREFETCH_AHEAD: usize = 16;
 
-/// Insert one tuple into the shared table with a CAS loop over the linear
-/// probe chain. Returns `true` if the walk passed a bucket holding `key`:
+/// Insert one tuple into the shared table with a CAS loop along `key`'s
+/// linear-probing sequence. Returns `true` if the walk passed a bucket holding `key`:
 /// both the loaded value and a failed CAS's current value are compared.
 /// A bucket changes only once, from empty to its final pair, so of two
 /// equal keys the later insert always passes the earlier one, whatever the
@@ -28,14 +30,13 @@ const PREFETCH_AHEAD: usize = 16;
 /// modification order, which is the winner's pair. The pairs are published
 /// to the probe by joining the build's workers.
 #[inline]
-fn atomic_insert(table: &[AtomicU64], hash: MulHash, key: u32, pay: u32) -> bool {
+fn atomic_insert(table: &[AtomicU64], lin: Linear, key: u32, pay: u32) -> bool {
     assert_ne!(
         key, EMPTY_KEY,
         "key {key:#x} is the reserved empty sentinel"
     );
-    let t = table.len();
     let pair = u64::from(key) | (u64::from(pay) << 32);
-    let mut h = hash.bucket(key, t);
+    let mut h = lin.first(key);
     let mut dup = false;
     loop {
         let mut seen = table[h].load(Ordering::Relaxed);
@@ -46,10 +47,7 @@ fn atomic_insert(table: &[AtomicU64], hash: MulHash, key: u32, pay: u32) -> bool
             }
         }
         dup |= seen as u32 == key;
-        h += 1;
-        if h == t {
-            h = 0;
-        }
+        h = lin.next(key, h);
     }
 }
 
@@ -60,9 +58,10 @@ fn atomic_insert(table: &[AtomicU64], hash: MulHash, key: u32, pay: u32) -> bool
 /// SIMD"). When the build finds no repeated key, each probe stops at its
 /// match.
 ///
-/// Honours `policy.run`: the shared hash table is gated by the memory
-/// budget, cancellation is observed at every morsel-claim boundary (build
-/// and probe), and a worker panic surfaces as
+/// Honours `policy.run`: the shared hash table and each worker's result
+/// sink (charged after each probe morsel, released on return) are gated
+/// by the memory budget, cancellation is observed at every morsel-claim
+/// boundary (build and probe), and a worker panic surfaces as
 /// [`EngineError::WorkerPanicked`] after the sibling workers drain.
 pub fn join_no_partition<S: Simd>(
     kind: KernelKind<S>,
@@ -73,8 +72,8 @@ pub fn join_no_partition<S: Simd>(
     let t = policy.threads;
     rsv_metrics::count(rsv_metrics::Metric::JoinBuildTuples, inner.len() as u64);
     rsv_metrics::count(rsv_metrics::Metric::JoinProbeTuples, outer.len() as u64);
-    let hash = MulHash::nth(0);
     let buckets = (inner.len() * 2).max(inner.len() + 1).max(2);
+    let lin = Linear::new(MulHash::nth(0), buckets);
     let table_bytes = (buckets * std::mem::size_of::<AtomicU64>()) as u64;
     let table = policy.run.hold(table_bytes, || {
         (0..buckets)
@@ -93,9 +92,9 @@ pub fn join_no_partition<S: Simd>(
             ctx.phase("build", || {
                 for i in mo.range.clone() {
                     if let Some(&ahead) = inner.keys.get(i + PREFETCH_AHEAD) {
-                        rsv_simd::prefetch_read(&table, hash.bucket(ahead, buckets));
+                        rsv_simd::prefetch_read(&table, lin.first(ahead));
                     }
-                    dup |= atomic_insert(&table, hash, inner.keys[i], inner.payloads[i]);
+                    dup |= atomic_insert(&table, lin, inner.keys[i], inner.payloads[i]);
                 }
             });
         }
@@ -117,27 +116,25 @@ pub fn join_no_partition<S: Simd>(
     let t0 = Instant::now();
     let probe_q = MorselQueue::new(outer.len(), policy, S::LANES);
     let (sinks, probe_stats) = parallel_scope_try(t, |ctx| {
-        let mut sink = JoinSink::with_capacity(1024);
+        let mut sink = policy.run.hold(0, JoinSink::default)?;
         for mo in ctx.morsels(&probe_q) {
             let _ = rsv_testkit::failpoint!("join.probe.morsel");
             ctx.phase("probe", || {
                 let r = mo.range.clone();
-                lp_probe_raw(
-                    kind,
-                    pairs,
-                    hash,
-                    &outer.keys[r.clone()],
-                    &outer.payloads[r],
-                    unique,
-                    &mut sink,
-                );
+                let (ks, ps) = (&outer.keys[r.clone()], &outer.payloads[r]);
+                probe_raw(kind, pairs, lin, ks, ps, unique, &mut sink);
             });
+            sink.grow_to(sink.size_bytes())?;
         }
-        sink
+        Ok::<_, EngineError>(sink)
     })?;
     policy.run.check_cancelled()?;
     let probe = t0.elapsed();
     stats.merge(&probe_stats);
+    let sinks = sinks
+        .into_iter()
+        .map(|sink| sink.map(Budgeted::into_inner))
+        .collect::<Result<_, _>>()?;
 
     Ok((
         JoinResult {

@@ -91,7 +91,9 @@ pub enum Metric {
     LpProbes,
     /// Keys probed against a double-hashing table.
     DhKeysProbed,
-    /// Double-hashing slot inspections.
+    /// Double-hashing slot inspections. In the work class, but like
+    /// `LpProbes` width-dependent on a table the vertical build filled;
+    /// it stays there so that the work bytes keep their layout.
     DhProbes,
     /// Keys inserted into linear-probing tables.
     LpKeysBuilt,
