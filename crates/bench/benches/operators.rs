@@ -215,7 +215,7 @@ fn bench_sort_and_join(t: &mut Table) {
     let mut rng = rsv_data::rng(2003);
     let w = rsv_data::join_workload(N / 8, N, 1.0, 1.0, &mut rng);
     let secs = bench(REPS, || {
-        let (r, _) = expect_infallible(dispatch!(backend, s => {
+        let r = expect_infallible(dispatch!(backend, s => {
             rsv_join::join_max_partition(
                 KernelKind::Vector(s), &w.inner, &w.outer, &ExecPolicy::new(1), rsv_join::part_tuples(w.inner.len()),
             )

@@ -10,7 +10,7 @@
 //!
 //! Usage: `cargo run --release -p rsv-bench --bin ablation_skew [--scale X]`
 
-use rsv_bench::{banner, bench, mtps, record, Measurement, Scale, Table};
+use rsv_bench::{banner, bench, mtps, record, worker_report, Measurement, Scale, Table};
 use rsv_exec::{expect_infallible, ExecPolicy, DEFAULT_MORSEL_TUPLES};
 use rsv_hashtab::{JoinSink, LinearTable};
 use rsv_partition::histogram::histogram_scalar;
@@ -130,13 +130,12 @@ fn main() {
             ] {
                 let mut ok = vec![0u32; n];
                 let mut op = vec![0u32; n];
-                let mut stats = None;
-                let secs = bench(2, || {
-                    let (_, st) = expect_infallible(dispatch!(backend, s => {
+                let mut pass = || {
+                    expect_infallible(dispatch!(backend, s => {
                         partition_pass(KernelKind::Vector(s), f, keys, &pays, &mut ok, &mut op, &policy)
                     }));
-                    stats = Some(st);
-                });
+                };
+                let secs = bench(2, &mut pass);
                 let m = mtps(n, secs);
                 record(&Measurement {
                     experiment: "ablation-sched",
@@ -151,10 +150,8 @@ fn main() {
                     threads,
                 });
                 if sched == "morsel" {
-                    reports.push((
-                        format!("{name} t={threads} ({sched})"),
-                        stats.map(|s| s.to_string()).unwrap_or_default(),
-                    ));
+                    // one more run, metered, after the timed ones
+                    reports.push((format!("{name} t={threads} ({sched})"), worker_report(pass)));
                 }
                 per_schedule.push(m);
             }

@@ -67,13 +67,13 @@ fn main() {
             });
         });
         let single_secs = bench(2, || {
-            let (rows, _) = expect_infallible(dispatch!(backend, s => {
+            let rows = expect_infallible(dispatch!(backend, s => {
                 group_by_sum(KernelKind::Vector(s), &keys, &values, groups, usize::MAX, &policy)
             }));
             assert!(rows.len() <= groups);
         });
         let part_secs = bench(2, || {
-            let (rows, _) = expect_infallible(dispatch!(backend, s => {
+            let rows = expect_infallible(dispatch!(backend, s => {
                 group_by_partitioned(
                     KernelKind::Vector(s), &keys, &values, groups, AGG_PART_GROUPS, &policy,
                 )

@@ -21,14 +21,13 @@ fn join<S: Simd>(
     outer: &Relation,
     policy: &ExecPolicy,
 ) -> JoinResult {
-    let (r, _) = expect_infallible(match variant {
+    expect_infallible(match variant {
         JoinVariant::NoPartition => join_no_partition(kind, inner, outer, policy),
         JoinVariant::MinPartition => join_min_partition(kind, inner, outer, policy),
         JoinVariant::MaxPartition => {
             join_max_partition(kind, inner, outer, policy, part_tuples(inner.len()))
         }
-    });
-    r
+    })
 }
 
 fn main() {

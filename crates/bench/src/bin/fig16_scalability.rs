@@ -8,13 +8,13 @@
 //! The numbers and the caveat are both recorded. The join's parts follow
 //! `part_tuples` of the inner size, as the engine's do.
 //!
-//! Besides wall time, each thread count prints the per-worker scheduler
-//! breakdown (morsels claimed, morsels stolen, tuples, per-phase time) of
-//! the final vectorized sort and join runs.
+//! Besides wall time, each thread count prints the per-worker breakdown
+//! (morsels claimed, morsels stolen, per-phase time) of one metered
+//! vectorized sort and join run after the timed ones.
 //!
 //! Usage: `cargo run --release -p rsv-bench --bin fig16_scalability [--scale X]`
 
-use rsv_bench::{banner, bench, record, Measurement, Scale, Table};
+use rsv_bench::{banner, bench, record, worker_report, Measurement, Scale, Table};
 use rsv_exec::{expect_infallible, ExecPolicy};
 use rsv_join::{join_max_partition, part_tuples};
 use rsv_simd::{dispatch, KernelKind};
@@ -69,17 +69,16 @@ fn main() {
                 &policy,
             ));
         });
-        let mut sort_stats = None;
-        let sv = bench(2, || {
+        let sort_vector = || {
             let mut k = keys.clone();
             let mut p = pays.clone();
-            let st = expect_infallible(dispatch!(backend, s => {
+            expect_infallible(dispatch!(backend, s => {
                 radixsort_pairs(KernelKind::Vector(s), &mut k, &mut p, &cfg, &policy)
             }));
-            sort_stats = Some(st);
-        });
+        };
+        let sv = bench(2, sort_vector);
         let js = bench(2, || {
-            let (r, _) = expect_infallible(join_max_partition(
+            let r = expect_infallible(join_max_partition(
                 KernelKind::SCALAR,
                 &w.inner,
                 &w.outer,
@@ -88,14 +87,13 @@ fn main() {
             ));
             assert_eq!(r.matches(), w.expected_matches);
         });
-        let mut join_stats = None;
-        let jv = bench(2, || {
-            let (r, st) = expect_infallible(dispatch!(backend, s => {
+        let join_vector = || {
+            let r = expect_infallible(dispatch!(backend, s => {
                 join_max_partition(KernelKind::Vector(s), &w.inner, &w.outer, &policy, part_tuples(w.inner.len()))
             }));
             assert_eq!(r.matches(), w.expected_matches);
-            join_stats = Some(st);
-        });
+        };
+        let jv = bench(2, join_vector);
         for (series, v) in [
             ("sort-scalar", ss),
             ("sort-vector", sv),
@@ -119,10 +117,11 @@ fn main() {
             format!("{js:.3}"),
             format!("{jv:.3}"),
         ]);
+        // one more run of each, metered, after the timed ones
         worker_reports.push((
             threads,
-            sort_stats.map(|s| s.to_string()).unwrap_or_default(),
-            join_stats.map(|s| s.to_string()).unwrap_or_default(),
+            worker_report(sort_vector),
+            worker_report(join_vector),
         ));
     }
     println!("wall time (seconds, lower is better):\n");

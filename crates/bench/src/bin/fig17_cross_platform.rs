@@ -51,7 +51,7 @@ fn main() {
             }));
         });
         let join_s = bench(2, || {
-            let (r, _) = expect_infallible(dispatch!(b, s => {
+            let r = expect_infallible(dispatch!(b, s => {
                 join_max_partition(KernelKind::Vector(s), &w.inner, &w.outer, &policy, part_tuples(w.inner.len()))
             }));
             assert_eq!(r.matches(), w.expected_matches);

@@ -79,7 +79,7 @@ fn main() {
                 // join on (key, rid); wide payloads are dereferenced via the
                 // rids in the join output
                 let policy = ExecPolicy::new(1);
-                let (r, _) = expect_infallible(join_max_partition(
+                let r = expect_infallible(join_max_partition(
                     KernelKind::Vector(s), &w.inner, &w.outer, &policy, part_tuples(w.inner.len()),
                 ));
                 matches = r.matches();

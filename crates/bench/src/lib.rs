@@ -308,6 +308,24 @@ pub fn fmt_bytes(bytes: usize) -> String {
     }
 }
 
+/// Run `f` once under a metering session and format what each worker
+/// did, one line per worker slot: morsels claimed, morsels stolen, and
+/// the milliseconds of every named phase. Empty under the `noop` build.
+pub fn worker_report(f: impl FnOnce()) -> String {
+    use rsv_metrics::Metric;
+    let ((), sink) = rsv_metrics::collect(f);
+    let mut out = String::new();
+    for (id, w) in sink.workers.iter().enumerate() {
+        let (claimed, stolen) = (w.get(Metric::MorselsClaimed), w.get(Metric::MorselsStolen));
+        out += &format!("  worker {id}: {claimed:>5} morsels ({stolen:>3} stolen)");
+        for (name, p) in &w.phases {
+            out += &format!("  {name} {:.2}ms", p.ns as f64 / 1e6);
+        }
+        out.push('\n');
+    }
+    out
+}
+
 /// Standard experiment banner.
 pub fn banner(id: &str, title: &str, shape: &str) {
     println!("=== {id}: {title} ===");

@@ -315,7 +315,7 @@ pub fn build_parallel<'run>(
     }
     let bytes = BlockedBloomFilter::bytes_for(keys.len(), bits_per_item);
     let q = MorselQueue::new(keys.len(), policy, 1);
-    let (filters, _) = parallel_scope_try(policy.threads, |ctx| {
+    let filters = parallel_scope_try(policy.threads, |ctx| {
         let mut filter = policy
             .run
             .hold(bytes, || BlockedBloomFilter::new(keys.len(), bits_per_item))?;

@@ -78,7 +78,7 @@ fn run_select_variant(backend: Backend, variant: ScanVariant, input: &CaseInput)
 fn run_select_parallel(backend: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
     let rel = rsv_data::Relation::new(input.keys.clone(), input.pays.clone());
     let c = CompressedRelation::compress_with(backend, &rel);
-    let (ok, op, _) = expect_infallible(select_fused_parallel(
+    let (ok, op) = expect_infallible(select_fused_parallel(
         backend,
         &c.keys,
         &c.payloads,
@@ -188,7 +188,7 @@ pub fn register(r: &mut Registry) {
                 threaded: true,
                 run: |b, t, i| {
                     let col = CompressedColumn::pack(b, &i.keys);
-                    let (hist, _) = expect_infallible(crate::histogram_fused_parallel(
+                    let hist = expect_infallible(crate::histogram_fused_parallel(
                         b,
                         &col,
                         radix(i),

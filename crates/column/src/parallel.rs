@@ -12,9 +12,7 @@
 //! (identical to the sequential scan's output). The histogram merges
 //! per-worker counts by commutative addition.
 
-use rsv_exec::{
-    filter_parallel, parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
-};
+use rsv_exec::{filter_parallel, parallel_scope_try, EngineError, ExecPolicy, MorselQueue};
 use rsv_partition::PartitionFn;
 use rsv_scan::ScanPredicate;
 use rsv_simd::{Backend, Simd};
@@ -24,8 +22,9 @@ use crate::{histogram_fused_range_into, reduce_partial, CompressedColumn, BLOCK_
 
 /// Parallel fused compressed selection scan.
 ///
-/// Returns the qualifying keys and payloads in input order, plus
-/// per-worker scheduler stats. Output matches the sequential
+/// Returns the qualifying keys and payloads in input order; under a
+/// metering session the pass times go to the `"fused-scan"` phase.
+/// Output matches the sequential
 /// [`select_fused`](crate::select_fused) byte for byte at any thread
 /// count, and so do the decoded-block counters of its direct variants.
 /// The selection bitmap (2 bytes per 16 tuples) and the two output
@@ -38,7 +37,7 @@ pub fn select_fused_parallel(
     pays: &CompressedColumn,
     pred: ScanPredicate,
     policy: &ExecPolicy,
-) -> Result<(Vec<u32>, Vec<u32>, SchedulerStats), EngineError> {
+) -> Result<(Vec<u32>, Vec<u32>), EngineError> {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
     // Block-aligned morsels and chunks: both kernels need ranges that
     // start on a block.
@@ -63,9 +62,9 @@ pub fn histogram_fused_parallel<F: PartitionFn + Send + Sync>(
     col: &CompressedColumn,
     f: F,
     policy: &ExecPolicy,
-) -> Result<(Vec<u32>, SchedulerStats), EngineError> {
+) -> Result<Vec<u32>, EngineError> {
     let q = MorselQueue::new(col.len(), policy, BLOCK_LEN);
-    let (hists, stats) = parallel_scope_try(policy.threads, |ctx| {
+    let hists = parallel_scope_try(policy.threads, |ctx| {
         rsv_simd::dispatch!(backend, s => {
             let mut partial = vec![0u32; f.fanout() * S::LANES];
             for mo in ctx.morsels(&q) {
@@ -83,7 +82,7 @@ pub fn histogram_fused_parallel<F: PartitionFn + Send + Sync>(
             *a += b;
         }
     }
-    Ok((hist, stats))
+    Ok(hist)
 }
 
 #[cfg(test)]
@@ -124,19 +123,24 @@ mod tests {
             let variant = ScanVariant::VectorSelStoreDirect;
             let mut ek = vec![0u32; n];
             let mut ep = vec![0u32; n];
-            let (en, want) = rsv_metrics::collect(|| {
-                select_fused(backend, variant, &ck, &cp, pred, &mut ek, &mut ep)
+            let ((en, on), want) = rsv_metrics::collect(|| {
+                let en = select_fused(backend, variant, &ck, &cp, pred, &mut ek, &mut ep);
+                (en, rsv_metrics::enabled())
             });
             for threads in [1usize, 2, 3, 8] {
                 for morsel in [700usize, 4 * BLOCK_LEN, usize::MAX] {
                     let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
-                    let ((gk, gp, stats), got) = rsv_metrics::collect(|| {
+                    let ((gk, gp), got) = rsv_metrics::collect(|| {
                         select_fused_parallel(backend, &ck, &cp, pred, &policy).unwrap()
                     });
                     let at = format!("{} t={threads} morsel={morsel}", backend.name());
                     assert_eq!(gk, &ek[..en], "{at}");
                     assert_eq!(gp, &ep[..en], "{at}");
-                    assert_eq!(stats.total_tuples(), n as u64);
+                    if on {
+                        let m = MorselQueue::new(n, &policy, BLOCK_LEN).morsel_count() as u64;
+                        let claimed = got.total().get(rsv_metrics::Metric::MorselsClaimed);
+                        assert_eq!(claimed, m, "{at}");
+                    }
                     assert_eq!(
                         got.total().col_width_blocks,
                         want.total().col_width_blocks,
@@ -159,7 +163,7 @@ mod tests {
         let col = CompressedColumn::pack(backend, &keys);
         for threads in [1usize, 2, 8] {
             let policy = ExecPolicy::new(threads).with_morsel_tuples(3 * BLOCK_LEN);
-            let (got, _) = histogram_fused_parallel(backend, &col, f, &policy).unwrap();
+            let got = histogram_fused_parallel(backend, &col, f, &policy).unwrap();
             assert_eq!(got, expected, "t={threads}");
         }
     }

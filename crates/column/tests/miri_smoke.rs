@@ -83,7 +83,7 @@ fn parallel_select_small() {
     let mut ep = vec![0u32; n];
     let e = select_fused(backend, variant, &ck, &cp, pred, &mut ek, &mut ep);
     let policy = ExecPolicy::new(2).with_morsel_tuples(BLOCK_LEN);
-    let (gk, gp, _) = select_fused_parallel(backend, &ck, &cp, pred, &policy).unwrap();
+    let (gk, gp) = select_fused_parallel(backend, &ck, &cp, pred, &policy).unwrap();
     assert_eq!(gk, &ek[..e]);
     assert_eq!(gp, &ep[..e]);
 }

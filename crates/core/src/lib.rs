@@ -79,11 +79,7 @@ impl Default for Engine {
 impl Engine {
     /// Engine on the best available SIMD backend, single-threaded.
     pub fn new() -> Self {
-        Engine {
-            backend: Backend::best(),
-            threads: 1,
-            morsel_tuples: DEFAULT_MORSEL_TUPLES,
-        }
+        Self::with_backend(Backend::best())
     }
 
     /// Engine on a specific backend.
@@ -151,7 +147,7 @@ impl Engine {
         run: &RunContext,
     ) -> Result<Relation, EngineError> {
         check_tuples(&[rel.len()])?;
-        let (keys, payloads, _) = rsv_scan::scan_parallel(
+        let (keys, payloads) = rsv_scan::scan_parallel(
             self.backend,
             &rel.keys,
             &rel.payloads,
@@ -200,7 +196,7 @@ impl Engine {
         run: &RunContext,
     ) -> Result<Relation, EngineError> {
         check_tuples(&[rel.len()])?;
-        let (keys, payloads, _) = rsv_column::select_fused_parallel(
+        let (keys, payloads) = rsv_column::select_fused_parallel(
             self.backend,
             &rel.keys,
             &rel.payloads,
@@ -227,19 +223,10 @@ impl Engine {
         expect_infallible(self.try_hash_join_variant(inner, outer, variant, &RunContext::default()))
     }
 
-    /// Fallible [`Engine::hash_join`] (max-partition variant) under a
-    /// [`RunContext`].
-    pub fn try_hash_join(
-        &self,
-        inner: &Relation,
-        outer: &Relation,
-        run: &RunContext,
-    ) -> Result<JoinResult, EngineError> {
-        self.try_hash_join_variant(inner, outer, JoinVariant::MaxPartition, run)
-    }
-
-    /// Fallible [`Engine::hash_join_variant`] under a [`RunContext`]:
-    /// partitioned columns, hash tables and the workers' result sinks
+    /// Fallible [`Engine::hash_join_variant`] (and, with
+    /// [`JoinVariant::MaxPartition`], [`Engine::hash_join`]) under a
+    /// [`RunContext`]: partitioned columns, the partition passes' staging
+    /// buffers, hash tables and the workers' result sinks
     /// (12 bytes per result slot, charged as each worker's sink grows
     /// after a probe morsel or part task) are gated by the memory budget;
     /// the sinks' bytes are released when the join returns, so the
@@ -255,7 +242,7 @@ impl Engine {
     ) -> Result<JoinResult, EngineError> {
         check_tuples(&[inner.len(), outer.len()])?;
         let policy = self.policy(run);
-        let (result, _) = dispatch!(self.backend, s => {
+        dispatch!(self.backend, s => {
             match variant {
                 JoinVariant::NoPartition => {
                     rsv_join::join_no_partition(KernelKind::Vector(s), inner, outer, &policy)
@@ -267,8 +254,7 @@ impl Engine {
                     KernelKind::Vector(s), inner, outer, &policy, rsv_join::part_tuples(inner.len()),
                 ),
             }
-        })?;
-        Ok(result)
+        })
     }
 
     /// Bloom-filter semi-join (paper §6): keep the tuples of `rel` whose
@@ -298,7 +284,7 @@ impl Engine {
         check_tuples(&[rel.len(), filter_keys.len()])?;
         let policy = self.policy(run);
         let filter = rsv_bloom::build_parallel(filter_keys, BLOOM_BITS_PER_KEY, &policy)?;
-        let (keys, payloads, _) = dispatch!(self.backend, s => {
+        let (keys, payloads) = dispatch!(self.backend, s => {
             filter_parallel(
                 rel.len(),
                 bitmap::WORD_TUPLES,
@@ -319,8 +305,11 @@ impl Engine {
     }
 
     /// Fallible [`Engine::sort`] under a [`RunContext`]: the radixsort's
-    /// ping-pong scratch columns are gated by the memory budget and
-    /// cancellation is observed at morsel-claim boundaries of every pass.
+    /// ping-pong scratch columns (8 bytes per tuple) and, during each
+    /// pass, its staging buffers (one line of lanes × 8 bytes per
+    /// partition per morsel; see [`rsv_partition::parallel::partition_pass`])
+    /// are gated by the memory budget, and cancellation is observed at
+    /// morsel-claim boundaries of every pass.
     /// On error the relation keeps its tuples (possibly partially
     /// reordered — rerun to completion to sort them).
     pub fn try_sort(&self, rel: &mut Relation, run: &RunContext) -> Result<(), EngineError> {
@@ -331,8 +320,7 @@ impl Engine {
                 KernelKind::Vector(s), &mut rel.keys, &mut rel.payloads, &SortConfig::default(),
                 &policy,
             )
-        })?;
-        Ok(())
+        })
     }
 
     /// Hash-partition a relation into `fanout` parts (paper §7, buffered
@@ -351,7 +339,9 @@ impl Engine {
     }
 
     /// Fallible [`Engine::hash_partition`] under a [`RunContext`]: the
-    /// output columns (8 bytes per tuple) and, past
+    /// output columns (8 bytes per tuple), the pass's staging buffers
+    /// (lanes × 8 bytes per partition per morsel, held during the pass;
+    /// see [`rsv_partition::parallel::partition_pass`]) and, past
     /// [`rsv_partition::twopass::MAX_DIRECT_FANOUT`], the split's worker
     /// scratch (8 bytes per tuple of the `threads` largest regions) are
     /// gated by the memory budget, and cancellation is observed at
@@ -368,7 +358,7 @@ impl Engine {
         let f = hash_fn(fanout)?;
         let mut out_keys = run.vec(rel.len(), 0u32)?;
         let mut out_pays = run.vec(rel.len(), 0u32)?;
-        let (pass, _) = dispatch!(self.backend, s => {
+        let pass = dispatch!(self.backend, s => {
             rsv_partition::twopass::partition_twopass(
                 KernelKind::Vector(s), f, &rel.keys, &rel.payloads, &mut out_keys, &mut out_pays,
                 &self.policy(run),
@@ -411,7 +401,8 @@ impl Engine {
     /// worker panic surfaces as [`EngineError::WorkerPanicked`] after the
     /// sibling workers drain. The single-table route reserves the workers'
     /// tables as sized by the bound (`threads` tables); the partitioned
-    /// route reserves its partitioned copy (8 bytes per tuple) and
+    /// route reserves its partitioned copy (8 bytes per tuple), its
+    /// partition pass's staging buffers while the pass runs, and then
     /// `min(threads, parts)` part tables, each sized for the largest
     /// part's share of the groups. A table that grows
     /// past an underestimated bound is charged for its growth by the end
@@ -425,13 +416,12 @@ impl Engine {
     ) -> Result<Vec<(u32, u32, u64)>, EngineError> {
         check_tuples(&[rel.len()])?;
         let policy = self.policy(run);
-        let (rows, _) = dispatch!(self.backend, s => {
+        dispatch!(self.backend, s => {
             rsv_hashtab::group::group_by_sum(
                 KernelKind::Vector(s), &rel.keys, &rel.payloads, expected_groups,
                 rsv_hashtab::group::AGG_PART_GROUPS, &policy,
             )
-        })?;
-        Ok(rows)
+        })
     }
 }
 

@@ -71,8 +71,8 @@ fn all_kernels_match_their_scalar_reference() {
 /// decoded, bytes sorted — `MetricClass::Work`) must be byte-identical
 /// across backends at a fixed kernel × case × thread count, exactly like
 /// the kernels' output. Width-dependent counters (conflict retries,
-/// buffer flushes, displacement chains, linear-probe slot inspections)
-/// additionally match between backends with the same lane count.
+/// buffer flushes, displacement chains, linear-probe and double-hashing
+/// slot inspections) additionally match between backends with the same lane count.
 #[test]
 fn work_counters_are_backend_invariant() {
     /// First-seen backend name and its canonical counter bytes.
@@ -87,17 +87,7 @@ fn work_counters_are_backend_invariant() {
     run_registry_metered(&registry(), &cfg, &mut |run| {
         let kernel = format!("{}/{}", run.op, run.kernel);
         let key = (kernel.clone(), run.threads, run.input.seed);
-        // Where the vertical build puts colliding keys depends on the lane
-        // count, so on a double-hashing table it built the probes' slot
-        // inspections do too (as `LpProbes` on a linear-probing one).
-        // `DhProbes` stays in the work class so that the work bytes keep
-        // their layout; those runs compare it between equal-lane backends
-        // below.
-        let mut work_counters = run.counters.clone();
-        if run.op == "dh-probe" && run.kernel.starts_with("build-vertical") {
-            work_counters.counts[Metric::DhProbes as usize] = 0;
-        }
-        let bytes = work_counters.work_bytes();
+        let bytes = run.counters.work_bytes();
         match work.entry(key) {
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert((run.backend.name().to_string(), bytes));

@@ -275,3 +275,112 @@ fn check(run: &MeteredRun<'_>) {
 fn metric_invariants_hold_for_every_kernel() {
     run_registry_metered(&registry(), &DiffConfig::from_env(BASE_SEED), &mut check);
 }
+
+/// Each `Engine` operator, metered, reports the named phases its workers
+/// ran, each in the slot of a worker of the call, with one histogram
+/// sample per call; under `unmetered` the same call records nothing.
+#[test]
+fn engine_operators_report_their_phases_by_name() {
+    use rsv_core::{metrics, Engine, JoinVariant, Relation};
+    let threads = 2;
+    let engine = Engine::new()
+        .with_threads(threads)
+        .with_morsel_tuples(4_096);
+    let mut rng = rsv_core::data::rng(0x5048_4153);
+    let rel = Relation::with_rid_payloads(rsv_core::data::uniform_u32(100_000, &mut rng));
+    let dims = Relation::with_rid_payloads(rsv_core::data::unique_u32(20_000, &mut rng));
+    let packed = engine.compress(&rel);
+    let (lo, hi) = (0, u32::MAX / 2);
+    let pass = ["histogram", "shuffle", "cleanup"];
+    let with = |more: &[&'static str]| [&pass[..], more].concat();
+    type Op<'a> = (&'a str, Box<dyn Fn() + 'a>, Vec<&'static str>);
+    let ops: Vec<Op> = vec![
+        (
+            "select",
+            Box::new(|| drop(engine.select(&rel, lo, hi))),
+            vec!["scan"],
+        ),
+        (
+            "select_compressed",
+            Box::new(|| drop(engine.select_compressed(&packed, lo, hi))),
+            vec!["fused-scan"],
+        ),
+        (
+            "bloom_semijoin",
+            Box::new(|| drop(engine.bloom_semijoin(&rel, &dims.keys))),
+            vec!["bloom-build", "bloom-probe"],
+        ),
+        (
+            "join no-partition",
+            Box::new(|| drop(engine.hash_join_variant(&dims, &rel, JoinVariant::NoPartition))),
+            vec!["build", "probe"],
+        ),
+        (
+            "join min-partition",
+            Box::new(|| drop(engine.hash_join_variant(&dims, &rel, JoinVariant::MinPartition))),
+            with(&["build", "probe"]),
+        ),
+        (
+            "join max-partition",
+            Box::new(|| drop(engine.hash_join(&dims, &rel))),
+            with(&["build+probe"]),
+        ),
+        (
+            "sort",
+            Box::new(|| engine.sort(&mut rel.clone())),
+            with(&[]),
+        ),
+        (
+            "hash_partition",
+            Box::new(|| drop(engine.hash_partition(&rel, 16))),
+            with(&[]),
+        ),
+        (
+            "hash_partition two-pass",
+            Box::new(|| drop(engine.hash_partition(&rel, 1_000))),
+            with(&["fine"]),
+        ),
+        (
+            "group_by_sum",
+            Box::new(|| drop(engine.group_by_sum(&dims, 1_000))),
+            vec!["aggregate"],
+        ),
+        (
+            "group_by_sum partitioned",
+            Box::new(|| drop(engine.group_by_sum(&rel, rel.len()))),
+            with(&["aggregate"]),
+        ),
+    ];
+    for (name, op, mut want) in ops {
+        let (on, sink) = metrics::collect(|| {
+            op();
+            metrics::enabled()
+        });
+        if !on {
+            return; // metering compiled out
+        }
+        want.sort_unstable();
+        let total = sink.total();
+        let got: Vec<&str> = total.phases.keys().copied().collect();
+        assert_eq!(got, want, "{name}");
+        assert!(
+            sink.workers.len() <= threads,
+            "{name}: {} slots",
+            sink.workers.len()
+        );
+        for (phase, p) in &total.phases {
+            let calls: u64 = sink
+                .workers
+                .iter()
+                .map(|w| w.phases.get(phase).map_or(0, |p| p.calls()))
+                .sum();
+            assert!(p.calls() > 0, "{name}: {phase}");
+            assert_eq!(calls, p.calls(), "{name}: {phase}");
+        }
+        let ((), sink) = metrics::collect(|| metrics::unmetered(&op));
+        assert!(
+            sink.workers.is_empty(),
+            "{name}: unmetered call recorded {sink:?}"
+        );
+    }
+}

@@ -22,14 +22,15 @@
 //! fault-injection counterpart (`fault_recovery.rs`) needs
 //! `--features failpoints`.
 
+use rsv_core::exec::{ExecPolicy, MorselQueue};
 use rsv_core::hashtab::group::AGG_PART_GROUPS;
 use rsv_core::hashtab::{FallbackTable, GroupAggTable, JoinSink, LinearTable, MulHash};
 use rsv_core::metrics::{self, Metric};
 use rsv_core::partition::twopass::MAX_DIRECT_FANOUT;
 use rsv_core::simd::KernelKind;
 use rsv_core::{
-    BlockedBloomFilter, CancelToken, Engine, EngineError, JoinVariant, Relation, RunContext,
-    BLOOM_BITS_PER_KEY,
+    Backend, BlockedBloomFilter, CancelToken, Engine, EngineError, JoinVariant, Relation,
+    RunContext, BLOOM_BITS_PER_KEY,
 };
 
 fn rel(n: usize) -> Relation {
@@ -40,6 +41,16 @@ fn rel(n: usize) -> Relation {
         .collect();
     let pays: Vec<u32> = keys.iter().map(|k| k ^ 0x5a5a_5a5a).collect();
     Relation::new(keys, pays)
+}
+
+/// Bytes of the staging buffers a partition pass of `tuples` tuples into
+/// `fanout` parts holds on `threads` workers of `backend` at the default
+/// morsel size: one line of lanes × 8-byte tuples per partition, for
+/// every morsel of the pass.
+fn staging(backend: Backend, threads: usize, tuples: usize, fanout: usize) -> u64 {
+    let lanes = backend.lanes();
+    let morsels = MorselQueue::new(tuples, &ExecPolicy::new(threads), lanes).morsel_count();
+    (morsels * fanout * lanes * 8) as u64
 }
 
 fn cancelled_run() -> RunContext {
@@ -280,10 +291,14 @@ fn budget_exceeded_is_typed_and_releases_everything() {
 /// selects, 2 per 16 input tuples (the selection bitmap between their
 /// mark and take passes) plus 8 per qualifying tuple (their two output
 /// columns); per input tuple 8 for the sort (its ping-pong scratch
-/// columns) and 8 for a hash partition (its output columns), plus, past
-/// `MAX_DIRECT_FANOUT`, 8 per tuple of the `threads` largest regions (the
-/// split's worker scratch). The max-partition join reserves 8 per inner
-/// and outer tuple (the partitioned copies) plus each running task's
+/// columns) and 8 for a hash partition (its output columns). During each
+/// partition pass the sort and the hash partition also hold every
+/// morsel's staging buffer, one line of lanes × 8 bytes per partition;
+/// past `MAX_DIRECT_FANOUT`, the split's worker scratch (8 per tuple of
+/// the `threads` largest regions) follows once the first pass has freed
+/// its staging, so the larger of the two is the peak. The max-partition
+/// join reserves 8 per inner and outer tuple (the partitioned copies)
+/// plus, once both passes' staging is freed, each running task's
 /// part table, 8 × (2 × part + 1) bytes (here one part, so one task);
 /// the no-partition join 16 per inner tuple (its shared table at 50 %
 /// load). Both joins also hold each worker's result sink, 12 bytes per
@@ -295,7 +310,8 @@ fn budget_exceeded_is_typed_and_releases_everything() {
 /// output columns) while it probes; the larger of the two is its peak.
 /// The group-by reserves one table per worker for its estimate; past
 /// 64K groups, the partitioned copy (8 bytes per tuple) and per worker a
-/// table for the largest part's share of the groups. A budget
+/// table for the largest part's share of the groups (here larger than
+/// its pass's staging). A budget
 /// of exactly that succeeds, one byte less fails, and both leave nothing
 /// reserved.
 ///
@@ -327,6 +343,7 @@ fn operators_reserve_their_documented_bytes() {
         .collect();
     regions.sort_unstable_by(|a, b| b.cmp(a));
     let region_scratch = 8 * (regions[0] + regions[1]);
+    let staged = |fanout| staging(engine.backend(), 2, outer.len(), fanout);
     // The filters' output columns hold exactly their qualifiers. The
     // full-range selects keep every tuple, so only the half-range rows
     // and the semi-joins tell the qualifier count from the input length.
@@ -413,23 +430,27 @@ fn operators_reserve_their_documented_bytes() {
         ),
         (
             "sort",
-            8 * n,
+            8 * n + staged(256),
             Box::new(|run| engine.try_sort(&mut outer.clone(), run)),
         ),
         (
             "hash-partition",
-            8 * n,
+            8 * n + staged(16),
             Box::new(|run| engine.try_hash_partition(&outer, 16, run).map(|_| ())),
         ),
         (
             "hash-partition-two-pass",
-            8 * n + region_scratch,
+            8 * n + region_scratch.max(staged(MAX_DIRECT_FANOUT)),
             Box::new(|run| engine.try_hash_partition(&outer, wide, run).map(|_| ())),
         ),
         (
             "join-max-partition",
-            8 * (inner.len() + outer.len()) as u64 + part_table + sink,
-            Box::new(|run| engine.try_hash_join(&inner, &outer, run).map(|_| ())),
+            8 * (inner.len() + outer.len()) as u64 + (part_table + sink).max(staged(1)),
+            Box::new(|run| {
+                engine
+                    .try_hash_join_variant(&inner, &outer, JoinVariant::MaxPartition, run)
+                    .map(|_| ())
+            }),
         ),
         (
             "join-no-partition",
@@ -481,6 +502,52 @@ fn operators_reserve_their_documented_bytes() {
         0,
         "group-by-sum: failure leaked reservation"
     );
+}
+
+/// A partition pass keeps every morsel's staging buffer until its
+/// cleanup, and those buffers are on the budget: at 1M tuples in 256
+/// partitions they come on top of the 8 bytes per tuple the output
+/// columns (or the sort's scratch) need, so a budget of exactly 8 bytes
+/// per tuple fails cleanly, and one that adds the staging bytes runs.
+/// The staging size follows the backend's lane count; the test holds for
+/// every backend.
+#[test]
+fn partition_staging_buffers_are_charged() {
+    let engine = Engine::new().with_threads(2);
+    let big = rel(1 << 20);
+    let columns = 8 * big.len() as u64;
+    let staged = staging(engine.backend(), 2, big.len(), 256);
+    assert!(
+        staged > 0,
+        "no staging at {} lanes",
+        engine.backend().lanes()
+    );
+    type Op<'a> = (
+        &'a str,
+        Box<dyn Fn(&RunContext) -> Result<(), EngineError> + 'a>,
+    );
+    let ops: [Op; 2] = [
+        (
+            "hash-partition",
+            Box::new(|run| engine.try_hash_partition(&big, 256, run).map(|_| ())),
+        ),
+        (
+            "sort",
+            Box::new(|run| engine.try_sort(&mut big.clone(), run)),
+        ),
+    ];
+    for (name, op) in &ops {
+        let run = RunContext::new().with_memory_limit(columns);
+        let result = op(&run);
+        assert!(
+            matches!(result, Err(EngineError::BudgetExceeded { .. })),
+            "{name}: expected BudgetExceeded under 8 B per tuple, got {result:?}"
+        );
+        assert_eq!(run.budget.used(), 0, "{name}: failure leaked reservation");
+        let run = RunContext::new().with_memory_limit(columns + staged);
+        op(&run).unwrap_or_else(|e| panic!("{name}: columns + staging failed: {e}"));
+        assert_eq!(run.budget.used(), 0, "{name}: success leaked reservation");
+    }
 }
 
 /// The joins charge their result sinks as they grow: a join whose every

@@ -9,8 +9,10 @@
 //! cursors, stealing when their own span runs dry. [`filter_parallel`] is
 //! the one order-preserving morsel filter the selection scans and the
 //! Bloom semi-join run on. The crate also provides the 64-byte aligned
-//! buffers the buffered-shuffling and streaming-store code paths need,
-//! and per-worker scheduler instrumentation ([`SchedulerStats`]).
+//! buffers the buffered-shuffling and streaming-store code paths need.
+//! What each worker did (morsels claimed and stolen, named phase times)
+//! is recorded in the metering session ([`rsv_metrics::collect`]), in
+//! that worker's slot.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -32,8 +34,7 @@ pub use aligned::AlignedVec;
 pub use error::{expect_infallible, panic_message, EngineError};
 pub use morsel::{filter_parallel, ExecPolicy, Morsel, MorselQueue, DEFAULT_MORSEL_TUPLES};
 pub use parallel::{
-    chunk_ranges, parallel_scope, parallel_scope_try, Morsels, ParallelContext, SchedulerStats,
-    WorkerPanic, WorkerStats,
+    chunk_ranges, parallel_scope, parallel_scope_try, Morsels, ParallelContext, WorkerPanic,
 };
 pub use platform::{platform_report, PlatformReport, L2_BYTES, PART_TABLE_BYTES};
 pub use run::{Budgeted, CancelToken, MemoryBudget, RunContext};

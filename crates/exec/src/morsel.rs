@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use crate::error::EngineError;
-use crate::parallel::{chunk_ranges, parallel_scope_try, SchedulerStats};
+use crate::parallel::{chunk_ranges, parallel_scope_try};
 use crate::run::{CancelToken, RunContext};
 use crate::shared::SharedBuffer;
 
@@ -256,17 +256,18 @@ const MARK_WORD_TUPLES: usize = u16::BITS as usize;
 ///    `take(range, bits, out_keys, out_pays)` writes a chunk's marked
 ///    tuples to the front of the worker's L1 staging pair (at least as
 ///    long as `range`) and returns how many it wrote; the driver copies
-///    them to their final slots. This pass runs
-///    [`unmetered`](rsv_metrics::unmetered): it only moves what the mark
-///    pass counted.
+///    them to their final slots. Each worker runs its take loop
+///    [`unmetered`](rsv_metrics::unmetered), since it only moves what the
+///    mark pass counted, and then records its takes' time under `phase`
+///    in its own slot of the session.
 ///
 /// The bitmap (`2 × ceil(n / 16)` bytes) is reserved on `policy.run`
 /// before the mark pass and freed before the driver returns. The columns
 /// hold exactly what a sequential pass over `0..n` would keep, for every
 /// thread count and morsel size, and their capacity is their length; a
 /// morsel whose takes write a different count than its mark fails the
-/// take pass as a worker panic. The returned stats hold the mark pass's
-/// claims and both passes' phase time.
+/// take pass as a worker panic. Under a metering session, `phase` holds
+/// both passes' time, one call per morsel and pass.
 ///
 /// Fails with [`EngineError::BudgetExceeded`] when the bitmap and the two
 /// columns do not fit the budget, [`EngineError::Cancelled`] once the run
@@ -279,7 +280,7 @@ pub fn filter_parallel<M, T>(
     policy: &ExecPolicy,
     mark: M,
     take: T,
-) -> Result<(Vec<u32>, Vec<u32>, SchedulerStats), EngineError>
+) -> Result<(Vec<u32>, Vec<u32>), EngineError>
 where
     M: Fn(Range<usize>, &mut [u16]) -> usize + Sync,
     T: Fn(Range<usize>, &[u16], &mut [u32], &mut [u32]) -> usize + Sync,
@@ -295,7 +296,7 @@ where
     let queue = || MorselQueue::new(n, policy, align);
     let q = queue();
     let counts = SharedBuffer::from_vec(vec![0; q.morsel_count()]);
-    let (_, mut stats) = parallel_scope_try(policy.threads, |ctx| {
+    parallel_scope_try(policy.threads, |ctx| {
         // SAFETY: each morsel id is claimed exactly once and writes only
         // its own count slot and its own bitmap words (interior morsel
         // boundaries are word-aligned); reads happen after the scope joins.
@@ -321,52 +322,43 @@ where
     let pays = policy.run.vec(kept, 0u32)?.map(SharedBuffer::from_vec);
     let chunk = FILTER_CHUNK_TUPLES.next_multiple_of(align);
     let q = queue();
-    let (latencies, mut take_stats) = rsv_metrics::unmetered(|| {
-        parallel_scope_try(policy.threads, |ctx| {
-            let mut latencies = Vec::new();
-            let (mut sk, mut sp) = (vec![0u32; chunk], vec![0u32; chunk]);
-            // SAFETY: each morsel id is claimed exactly once and writes
-            // only its own output slots `starts[id]..starts[id + 1]`,
-            // which the prefix sum makes disjoint; reads happen after the
-            // scope joins.
-            let (ok, op) = unsafe { (keys.view_mut(), pays.view_mut()) };
+    parallel_scope_try(policy.threads, |ctx| {
+        let (mut sk, mut sp) = (vec![0u32; chunk], vec![0u32; chunk]);
+        // SAFETY: each morsel id is claimed exactly once and writes only
+        // its own output slots `starts[id]..starts[id + 1]`, which the
+        // prefix sum makes disjoint; reads happen after the scope joins.
+        let (ok, op) = unsafe { (keys.view_mut(), pays.view_mut()) };
+        // Metering is off inside the loop, so the clock is read only when
+        // the session is there to take the time afterwards.
+        let timed = rsv_metrics::enabled();
+        let took = rsv_metrics::unmetered(|| {
+            let mut took = Vec::new();
             for mo in ctx.morsels(&q) {
                 let _ = rsv_testkit::failpoint!("exec.filter.morsel");
+                let t = timed.then(Instant::now);
                 let slots = starts[mo.id]..starts[mo.id + 1];
                 let (ok, op) = (&mut ok[slots.clone()], &mut op[slots]);
-                let ns = ctx.phase(phase, || {
-                    let t = Instant::now();
-                    let mut at = 0;
-                    for s in mo.range.clone().step_by(chunk) {
-                        let c = s..mo.range.end.min(s + chunk);
-                        let k = take(c.clone(), &bits[words(&c)], &mut sk, &mut sp);
-                        ok[at..at + k].copy_from_slice(&sk[..k]);
-                        op[at..at + k].copy_from_slice(&sp[..k]);
-                        at += k;
-                    }
-                    assert_eq!(at, ok.len(), "take wrote a different count than mark");
-                    t.elapsed().as_nanos() as u64
-                });
-                latencies.push(ns);
+                let mut at = 0;
+                for s in mo.range.clone().step_by(chunk) {
+                    let c = s..mo.range.end.min(s + chunk);
+                    let k = take(c.clone(), &bits[words(&c)], &mut sk, &mut sp);
+                    ok[at..at + k].copy_from_slice(&sk[..k]);
+                    op[at..at + k].copy_from_slice(&sp[..k]);
+                    at += k;
+                }
+                assert_eq!(at, ok.len(), "take wrote a different count than mark");
+                took.extend(t.map(|t| t.elapsed().as_nanos() as u64));
             }
-            latencies
-        })
+            took
+        });
+        for ns in took {
+            rsv_metrics::record_phase(phase, ns);
+        }
     })?;
     policy.run.check_cancelled()?;
     drop(bits);
-    // The take pass's time joins the mark pass's, so the stats and the
-    // phase histogram cover the whole filter; its claims are not counted
-    // again.
-    for w in &mut take_stats.workers {
-        (w.morsels, w.steals, w.tuples) = (0, 0, 0);
-    }
-    stats.merge(&take_stats);
-    latencies
-        .iter()
-        .flatten()
-        .for_each(|&ns| rsv_metrics::record_phase_ns(ns));
     let (keys, pays) = (keys.into_inner(), pays.into_inner());
-    Ok((keys.into_vec(), pays.into_vec(), stats))
+    Ok((keys.into_vec(), pays.into_vec()))
 }
 
 #[cfg(test)]
@@ -374,6 +366,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::parallel::parallel_scope;
+    use rsv_metrics::Metric;
 
     #[test]
     fn covers_input_with_aligned_boundaries() {
@@ -473,9 +466,11 @@ mod tests {
     }
 
     /// A mark kernel keeping the tuples of `range` that pass `keeps`: one
-    /// bit per tuple, every word of the morsel written.
+    /// bit per tuple, every word of the morsel written, each tuple
+    /// metered as scanned.
     fn mark_where(keeps: impl Fn(usize) -> bool) -> impl Fn(Range<usize>, &mut [u16]) -> usize {
         move |r, bits| {
+            rsv_metrics::count(rsv_metrics::Metric::ScanTuplesIn, r.len() as u64);
             bits.fill(0);
             let mut c = 0;
             for (t, i) in r.enumerate() {
@@ -514,7 +509,8 @@ mod tests {
     /// The driver against a sequential filter: every schedule keeps the
     /// same qualifiers in input order, whatever fraction a kernel keeps,
     /// in columns whose capacity is their length. The lengths cut morsels
-    /// into several chunks with a short last one, and end mid-word.
+    /// into several chunks with a short last one, and end mid-word. Each
+    /// morsel is claimed once and each tuple marked once.
     #[test]
     fn filter_parallel_matches_sequential_filter() {
         let keep: [fn(usize) -> bool; 3] = [|_| false, |_| true, |i| i % 3 == 0];
@@ -528,15 +524,18 @@ mod tests {
                     for threads in [1usize, 2, 3, 8] {
                         for morsel in [1usize, 7, 513, 4097, usize::MAX] {
                             let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
-                            let (keys, pays, stats) = filter_parallel(
-                                n,
-                                align,
-                                "filter",
-                                &policy,
-                                mark_where(keeps),
-                                take_from(&vals, align),
-                            )
-                            .unwrap();
+                            let ((keys, pays, on), sink) = rsv_metrics::collect(|| {
+                                let (keys, pays) = filter_parallel(
+                                    n,
+                                    align,
+                                    "filter",
+                                    &policy,
+                                    mark_where(keeps),
+                                    take_from(&vals, align),
+                                )
+                                .unwrap();
+                                (keys, pays, rsv_metrics::enabled())
+                            });
                             let at = format!(
                                 "n={n} kernel={k} align={align} t={threads} morsel={morsel}"
                             );
@@ -544,7 +543,12 @@ mod tests {
                             assert_eq!(pays, want_pays, "{at}");
                             assert_eq!(keys.capacity(), keys.len(), "{at}");
                             assert_eq!(pays.capacity(), pays.len(), "{at}");
-                            assert_eq!(stats.total_tuples(), n as u64, "{at}");
+                            if on {
+                                let c = sink.total();
+                                let m = MorselQueue::new(n, &policy, align).morsel_count();
+                                assert_eq!(c.get(Metric::MorselsClaimed), m as u64, "{at}");
+                                assert_eq!(c.get(Metric::ScanTuplesIn), n as u64, "{at}");
+                            }
                         }
                     }
                 }
@@ -562,7 +566,7 @@ mod tests {
         let keeps = |i: usize| i % 5 != 1;
         let policy = ExecPolicy::new(2).with_morsel_tuples(16);
         assert!(MorselQueue::new(n, &policy, 16).morsel_count() > 2);
-        let (keys, pays, _) = filter_parallel(
+        let (keys, pays) = filter_parallel(
             n,
             16,
             "filter",
@@ -610,17 +614,16 @@ mod tests {
 
     /// Only the mark pass is metered: a metered run sees every tuple and
     /// every morsel once, though the take pass claims every morsel again
-    /// and its kernel counts too. The returned stats also claim every
-    /// morsel once, but time both passes, and the phase histogram holds
-    /// both passes' samples.
+    /// and its kernel counts too. The phase times both passes, one call
+    /// per morsel and pass, in the slots of the workers that ran them.
     #[test]
     fn filter_parallel_meters_each_tuple_once() {
         let n = 10_000;
         let policy = ExecPolicy::new(2).with_morsel_tuples(1000);
         let morsels = MorselQueue::new(n, &policy, 16).morsel_count() as u64;
         let pause = std::time::Duration::from_millis(2);
-        let ((on, kept, stats), sink) = rsv_metrics::collect(|| {
-            let (keys, _, stats) = filter_parallel(
+        let ((on, kept), sink) = rsv_metrics::collect(|| {
+            let (keys, _) = filter_parallel(
                 n,
                 16,
                 "filter",
@@ -637,28 +640,26 @@ mod tests {
                 },
             )
             .unwrap();
-            (rsv_metrics::enabled(), keys.len(), stats)
+            (rsv_metrics::enabled(), keys.len())
         });
         assert_eq!(kept, 0);
-        assert_eq!(stats.total_morsels(), morsels);
-        assert_eq!(stats.total_tuples(), n as u64);
-        let timed: u64 = stats
-            .workers
-            .iter()
-            .flat_map(|w| &w.phase_ns)
-            .map(|e| e.1)
-            .sum();
-        assert!(
-            timed >= morsels * pause.as_nanos() as u64,
-            "take time missing"
-        );
         if !on {
             return; // metering compiled out
         }
         let total = sink.total();
         assert_eq!(total.get(rsv_metrics::Metric::ScanTuplesIn), n as u64);
         assert_eq!(total.get(rsv_metrics::Metric::MorselsClaimed), morsels);
-        assert_eq!(total.phase_ns.iter().sum::<u64>(), 2 * morsels);
+        let filter = total.phases["filter"];
+        assert_eq!(filter.calls(), 2 * morsels);
+        assert!(
+            filter.ns >= morsels * pause.as_nanos() as u64,
+            "take time missing"
+        );
+        // Each worker's takes land in its own slot, next to its marks.
+        for w in &sink.workers {
+            let calls = w.phases.get("filter").map_or(0, |p| p.calls());
+            assert!(calls >= w.get(rsv_metrics::Metric::MorselsClaimed));
+        }
     }
 
     /// A take that writes fewer or more tuples than its mark counted

@@ -9,11 +9,11 @@
 //! [`WorkerPanic`], which `?` converts into
 //! [`EngineError::WorkerPanicked`](crate::EngineError::WorkerPanicked).
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::morsel::{Morsel, MorselQueue};
@@ -47,95 +47,6 @@ pub fn chunk_ranges(n: usize, t: usize, align: usize) -> Vec<Range<usize>> {
         prev = end;
     }
     ranges
-}
-
-/// What one worker did during a [`parallel_scope_try`] region.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Morsels this worker claimed (own span and stolen).
-    pub morsels: u64,
-    /// Morsels claimed from *another* worker's span.
-    pub steals: u64,
-    /// Tuples covered by the claimed morsels.
-    pub tuples: u64,
-    /// Wall-clock nanoseconds per named phase, in first-use order
-    /// (repeated phases — e.g. one histogram phase per radix pass —
-    /// accumulate into one entry).
-    pub phase_ns: Vec<(&'static str, u64)>,
-}
-
-impl WorkerStats {
-    fn record_claim(&mut self, m: &Morsel) {
-        self.morsels += 1;
-        self.steals += u64::from(m.stolen);
-        self.tuples += m.range.len() as u64;
-    }
-
-    fn record_phase(&mut self, name: &'static str, ns: u64) {
-        if let Some(e) = self.phase_ns.iter_mut().find(|e| e.0 == name) {
-            e.1 += ns;
-        } else {
-            self.phase_ns.push((name, ns));
-        }
-    }
-}
-
-/// Per-worker scheduler instrumentation for one parallel region.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SchedulerStats {
-    /// One entry per worker, in thread-id order.
-    pub workers: Vec<WorkerStats>,
-}
-
-impl SchedulerStats {
-    /// Total morsels claimed across workers.
-    pub fn total_morsels(&self) -> u64 {
-        self.workers.iter().map(|w| w.morsels).sum()
-    }
-
-    /// Total steals across workers.
-    pub fn total_steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals).sum()
-    }
-
-    /// Total tuples claimed across workers.
-    pub fn total_tuples(&self) -> u64 {
-        self.workers.iter().map(|w| w.tuples).sum()
-    }
-
-    /// Fold another region's stats into this one, worker by worker (for
-    /// operators that run several parallel regions back to back).
-    pub fn merge(&mut self, other: &SchedulerStats) {
-        if self.workers.len() < other.workers.len() {
-            self.workers
-                .resize(other.workers.len(), WorkerStats::default());
-        }
-        for (into, from) in self.workers.iter_mut().zip(&other.workers) {
-            into.morsels += from.morsels;
-            into.steals += from.steals;
-            into.tuples += from.tuples;
-            for &(name, ns) in &from.phase_ns {
-                into.record_phase(name, ns);
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for SchedulerStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (id, w) in self.workers.iter().enumerate() {
-            write!(
-                f,
-                "  worker {id}: {:>5} morsels ({:>3} stolen) {:>10} tuples",
-                w.morsels, w.steals, w.tuples
-            )?;
-            for (name, ns) in &w.phase_ns {
-                write!(f, "  {name} {:.2}ms", *ns as f64 / 1e6)?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
-    }
 }
 
 /// A worker panic captured by [`parallel_scope_try`]. Siblings of the
@@ -174,10 +85,7 @@ impl std::fmt::Debug for WorkerPanic {
 fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     // Worker panics are caught and never unwind through these guards, but
     // shrug poisoning off anyway: the protected state stays consistent.
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A phase barrier that tolerates defecting (panicked) participants.
@@ -220,10 +128,7 @@ impl PoisonBarrier {
             return;
         }
         while st.generation == gen {
-            st = match self.cv.wait(st) {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -258,7 +163,6 @@ pub struct ParallelContext<'a> {
     /// Total number of workers.
     pub threads: usize,
     shared: &'a ScopeShared,
-    stats: RefCell<WorkerStats>,
     last_morsel: Cell<Option<usize>>,
 }
 
@@ -270,8 +174,9 @@ impl ParallelContext<'_> {
         self.shared.barrier.wait();
     }
 
-    /// Iterate over this worker's share of `queue`, claiming morsels
-    /// (own span first, then stealing) and recording scheduler stats.
+    /// Iterate over this worker's share of `queue`, claiming morsels (own
+    /// span first, then stealing) and counting the claims and steals in
+    /// the metering session.
     pub fn morsels<'c, 'q>(&'c self, queue: &'q MorselQueue) -> Morsels<'c, 'q>
     where
         'q: 'c,
@@ -279,14 +184,17 @@ impl ParallelContext<'_> {
         Morsels { ctx: self, queue }
     }
 
-    /// Run `f` as a named phase, accumulating its wall-clock time into
-    /// this worker's stats.
+    /// Run `f` as a named phase. While metering is on, its wall-clock
+    /// time goes to this worker's slot of the session
+    /// ([`rsv_metrics::record_phase`]); otherwise `f` just runs, with no
+    /// clock read.
     pub fn phase<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
+        if !rsv_metrics::enabled() {
+            return f();
+        }
         let t = Instant::now();
         let r = f();
-        let ns = t.elapsed().as_nanos() as u64;
-        rsv_metrics::record_phase_ns(ns);
-        self.stats.borrow_mut().record_phase(name, ns);
+        rsv_metrics::record_phase(name, t.elapsed().as_nanos() as u64);
         r
     }
 }
@@ -309,7 +217,6 @@ impl Iterator for Morsels<'_, '_> {
         let m = self.queue.claim(self.ctx.thread_id)?;
         rsv_metrics::count(rsv_metrics::Metric::MorselsClaimed, 1);
         rsv_metrics::count(rsv_metrics::Metric::MorselsStolen, u64::from(m.stolen));
-        self.ctx.stats.borrow_mut().record_claim(&m);
         self.ctx.last_morsel.set(Some(m.id));
         Some(m)
     }
@@ -324,16 +231,17 @@ where
     F: Fn(&ParallelContext<'_>) -> R + Sync,
 {
     match parallel_scope_try(t, f) {
-        Ok((results, _)) => results,
+        Ok(results) => results,
         Err(wp) => std::panic::resume_unwind(wp.payload),
     }
 }
 
 /// Run `t` workers, giving each a [`ParallelContext`], and collect their
-/// results in thread-id order plus per-worker scheduler stats (morsels
-/// claimed, steals, tuples, per-phase times). Workers run on `t - 1`
-/// spawned threads plus the calling thread, so `t == 1` has no spawn
-/// overhead.
+/// results in thread-id order. Workers run on `t - 1` spawned threads
+/// plus the calling thread, so `t == 1` has no spawn overhead. Under a
+/// metering session ([`rsv_metrics::collect`]) each worker records into
+/// slot `thread_id` of the session's sink: its claims, steals, work
+/// counters and phase times.
 ///
 /// If any worker panics, the first panic is returned as [`WorkerPanic`]
 /// (worker id, last claimed morsel, original payload) instead of
@@ -341,7 +249,7 @@ where
 /// stop at their next morsel-claim boundary — and defects from the phase
 /// barrier, so the scope always joins; no lock the workers share through
 /// the scope is left poisoned.
-pub fn parallel_scope_try<R, F>(t: usize, f: F) -> Result<(Vec<R>, SchedulerStats), WorkerPanic>
+pub fn parallel_scope_try<R, F>(t: usize, f: F) -> Result<Vec<R>, WorkerPanic>
 where
     R: Send,
     F: Fn(&ParallelContext<'_>) -> R + Sync,
@@ -353,8 +261,8 @@ where
         panic: Mutex::new(None),
     };
     // Metering follows the call tree: every worker enters the calling
-    // thread's session and flushes its counters into it (by thread id,
-    // like the stats below) before it leaves the scope.
+    // thread's session and flushes its counters into it (by thread id)
+    // before it leaves the scope.
     let session = rsv_metrics::Session::current();
     let record_panic =
         |worker: usize, morsel: Option<usize>, payload: Box<dyn std::any::Any + Send>| {
@@ -371,12 +279,11 @@ where
                 });
             }
         };
-    let run = |thread_id: usize| -> Option<(R, WorkerStats)> {
+    let run = |thread_id: usize| -> Option<R> {
         let ctx = ParallelContext {
             thread_id,
             threads: t,
             shared: &shared,
-            stats: RefCell::new(WorkerStats::default()),
             last_morsel: Cell::new(None),
         };
         let result = session.enter(|| {
@@ -385,52 +292,44 @@ where
             result
         });
         match result {
-            Ok(r) => Some((r, ctx.stats.into_inner())),
+            Ok(r) => Some(r),
             Err(payload) => {
                 record_panic(thread_id, ctx.last_morsel.get(), payload);
                 None
             }
         }
     };
-    let per_worker: Vec<Option<(R, WorkerStats)>> = if t == 1 {
-        vec![run(0)]
-    } else {
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(t - 1);
-            for thread_id in 1..t {
+    let per_worker: Vec<Option<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..t)
+            .map(|thread_id| {
                 let run = &run;
-                handles.push(scope.spawn(move || run(thread_id)));
-            }
-            let mut results = vec![run(0)];
-            for (i, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(v) => results.push(v),
-                    Err(payload) => {
-                        // A panic escaped the worker's catch_unwind (only
-                        // possible outside the user closure, e.g. in the
-                        // metrics flush). Treat it like an in-closure panic.
-                        record_panic(i + 1, None, payload);
-                        results.push(None);
-                    }
-                }
-            }
-            results
-        })
-    };
+                scope.spawn(move || run(thread_id))
+            })
+            .collect();
+        let mut results = vec![run(0)];
+        for (i, h) in handles.into_iter().enumerate() {
+            results.push(h.join().unwrap_or_else(|payload| {
+                // A panic escaped the worker's catch_unwind (only possible
+                // outside the user closure, e.g. in the metrics flush).
+                // Treat it like an in-closure panic.
+                record_panic(i + 1, None, payload);
+                None
+            }));
+        }
+        results
+    });
     if let Some(wp) = lock_unpoisoned(&shared.panic).take() {
         return Err(wp);
     }
-    let mut results = Vec::with_capacity(t);
-    let mut stats = SchedulerStats::default();
-    for slot in per_worker {
-        // No recorded panic means every worker completed.
-        let Some((r, w)) = slot else {
-            unreachable!("worker produced no result and no panic was recorded")
-        };
-        results.push(r);
-        stats.workers.push(w);
-    }
-    Ok((results, stats))
+    // No recorded panic means every worker completed.
+    Ok(per_worker
+        .into_iter()
+        .map(|slot| {
+            slot.unwrap_or_else(|| {
+                unreachable!("worker produced no result and no panic was recorded")
+            })
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -546,58 +445,45 @@ mod tests {
         assert_eq!(r, vec![1]);
     }
 
+    /// A metered scope records each worker's claims and its calls of a
+    /// named phase in that worker's slot; an unmetered one records none.
     #[test]
-    fn stats_account_for_every_tuple() {
+    fn session_records_claims_and_phases_per_worker() {
+        use rsv_metrics::Metric;
         let n = 100_000;
         let policy = ExecPolicy::new(3).with_morsel_tuples(1024);
-        let queue = MorselQueue::new(n, &policy, 16);
-        let (sums, stats) = parallel_scope_try(3, |ctx| {
-            let mut sum = 0usize;
-            for m in ctx.morsels(&queue) {
-                sum += ctx.phase("work", || m.range.len());
-            }
-            sum
-        })
-        .unwrap();
+        let queue = || MorselQueue::new(n, &policy, 16);
+        let work = |q: &MorselQueue| {
+            parallel_scope_try(3, |ctx| {
+                let mut sum = 0usize;
+                for m in ctx.morsels(q) {
+                    sum += ctx.phase("work", || m.range.len());
+                }
+                sum
+            })
+            .unwrap()
+        };
+        let q = queue();
+        let ((sums, on), sink) = rsv_metrics::collect(|| (work(&q), rsv_metrics::enabled()));
         assert_eq!(sums.iter().sum::<usize>(), n);
-        assert_eq!(stats.total_tuples(), n as u64);
-        assert_eq!(stats.total_morsels(), queue.morsel_count() as u64);
-        assert_eq!(stats.workers.len(), 3);
-        for w in &stats.workers {
-            if w.morsels > 0 {
-                assert_eq!(w.phase_ns.len(), 1);
-                assert_eq!(w.phase_ns[0].0, "work");
-            }
+        if !on {
+            return; // metering compiled out
         }
-    }
-
-    #[test]
-    fn merge_accumulates_by_worker() {
-        let mut a = SchedulerStats {
-            workers: vec![WorkerStats {
-                morsels: 1,
-                steals: 0,
-                tuples: 10,
-                phase_ns: vec![("x", 5)],
-            }],
-        };
-        let b = SchedulerStats {
-            workers: vec![
-                WorkerStats {
-                    morsels: 2,
-                    steals: 1,
-                    tuples: 20,
-                    phase_ns: vec![("x", 7), ("y", 1)],
-                },
-                WorkerStats::default(),
-            ],
-        };
-        a.merge(&b);
-        assert_eq!(a.workers.len(), 2);
-        assert_eq!(a.workers[0].morsels, 3);
-        assert_eq!(a.workers[0].tuples, 30);
-        assert_eq!(a.workers[0].phase_ns, vec![("x", 12), ("y", 1)]);
-        assert_eq!(a.total_steals(), 1);
+        let total = sink.total();
+        assert_eq!(total.get(Metric::MorselsClaimed), q.morsel_count() as u64);
+        assert!(sink.workers.len() <= 3);
+        for w in &sink.workers {
+            let claims = w.get(Metric::MorselsClaimed);
+            let calls = w.phases.get("work").map_or(0, |p| p.calls());
+            assert_eq!(calls, claims);
+        }
+        let q = queue();
+        let ((), sink) = rsv_metrics::collect(|| {
+            rsv_metrics::unmetered(|| {
+                work(&q);
+            })
+        });
+        assert!(sink.workers.is_empty(), "{sink:?}");
     }
 
     #[test]

@@ -206,7 +206,7 @@ fn agg_vector_merged(b: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
 fn agg_partitioned(b: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
     let keys = agg_keys(input);
     let policy = ExecPolicy::new(threads);
-    let (rows, _) = expect_infallible(dispatch!(b, s => {
+    let rows = expect_infallible(dispatch!(b, s => {
         group_by_partitioned(
             KernelKind::Vector(s), &keys, &input.pays, input.capacity, SMALL_PART_GROUPS, &policy,
         )

@@ -19,8 +19,7 @@
 //!   worker tables and no global sort.
 
 use rsv_exec::{
-    parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats, L2_BYTES,
-    PART_TABLE_BYTES,
+    parallel_scope_try, EngineError, ExecPolicy, MorselQueue, L2_BYTES, PART_TABLE_BYTES,
 };
 use rsv_metrics::Metric;
 use rsv_partition::tasks::partition_then_tasks;
@@ -76,7 +75,7 @@ pub fn group_by_sum<S: Simd>(
     expected_groups: usize,
     part_groups: usize,
     policy: &ExecPolicy,
-) -> Result<(Vec<GroupRow>, SchedulerStats), EngineError> {
+) -> Result<Vec<GroupRow>, EngineError> {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
     assert!(part_groups >= 1, "part bound must be at least one group");
     let single_limit = part_groups.saturating_mul(SINGLE_TABLE_PARTS);
@@ -110,7 +109,8 @@ pub fn group_by_sum<S: Simd>(
 /// most the part's tuples. Parts are key ranges, so keys crowded into a
 /// few ranges make a few large parts, each one task.
 ///
-/// Reserves the partitioned copy (8 bytes per tuple) and, for each of
+/// Reserves the partitioned copy (8 bytes per tuple), the partition
+/// pass's staging buffers for the length of the pass, and, for each of
 /// its `min(threads, F)` workers, the largest part's table against
 /// `policy.run`'s budget, so the reservation does not depend on which
 /// worker ran which part. A part table that grew past its bound raises
@@ -122,7 +122,7 @@ pub fn group_by_partitioned<S: Simd>(
     expected_groups: usize,
     part_groups: usize,
     policy: &ExecPolicy,
-) -> Result<(Vec<GroupRow>, SchedulerStats), EngineError> {
+) -> Result<Vec<GroupRow>, EngineError> {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
     assert!(part_groups >= 1, "part bound must be at least one group");
     let groups = expected_groups.min(keys.len()).max(1);
@@ -158,10 +158,10 @@ fn single_table<S: Simd>(
     pays: &[u32],
     groups: usize,
     policy: &ExecPolicy,
-) -> Result<(Vec<GroupRow>, SchedulerStats), EngineError> {
+) -> Result<Vec<GroupRow>, EngineError> {
     let table_bytes = GroupAggTable::bytes_for(groups, LOAD);
     let q = MorselQueue::new(keys.len(), policy, 16);
-    let (tables, stats) = parallel_scope_try(policy.threads, |ctx| {
+    let tables = parallel_scope_try(policy.threads, |ctx| {
         let mut table = policy
             .run
             .hold(table_bytes, || GroupAggTable::new(groups, LOAD))?;
@@ -179,14 +179,14 @@ fn single_table<S: Simd>(
     // The merge is commutative and keys are unique, so merging into the
     // table holding the most groups is schedule-independent.
     let Some(largest) = (0..tables.len()).max_by_key(|&i| tables[i].groups()) else {
-        return Ok((Vec::new(), stats));
+        return Ok(Vec::new());
     };
     let mut merged = tables.swap_remove(largest);
     for table in tables {
         merged.merge(&table);
         merged.grow_to(merged.size_bytes())?;
     }
-    Ok((merged.into_inner().into_sorted_rows(), stats))
+    Ok(merged.into_inner().into_sorted_rows())
 }
 
 /// The partitioned route for at most `groups` groups of keys that vary in
@@ -199,7 +199,7 @@ fn partitioned<S: Simd>(
     varying: u32,
     part_groups: usize,
     policy: &ExecPolicy,
-) -> Result<(Vec<GroupRow>, SchedulerStats), EngineError> {
+) -> Result<Vec<GroupRow>, EngineError> {
     let span = span(varying);
     let bound = (groups as u64).min(span);
     let parts = bound
@@ -265,7 +265,7 @@ fn partitioned<S: Simd>(
     for (_, part_rows) in done {
         rows.extend_from_slice(&part_rows);
     }
-    Ok((rows, run.stats))
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -328,9 +328,7 @@ mod tests {
             for threads in [1usize, 2, 8] {
                 let policy = ExecPolicy::new(threads).with_morsel_tuples(1_000);
                 let (rows, got) = metered_fanout(|| {
-                    group_by_sum(kind, keys, &pays, expected, 64, &policy)
-                        .unwrap()
-                        .0
+                    group_by_sum(kind, keys, &pays, expected, 64, &policy).unwrap()
                 });
                 assert_eq!(rows, want, "expected {expected} t={threads}");
                 assert_eq!(got, fanout, "expected {expected} t={threads}");
@@ -349,9 +347,7 @@ mod tests {
             let one = vec![7u32; 1_000];
             let pays: Vec<u32> = (0..1_000).collect();
             let (rows, fanout) = metered_fanout(|| {
-                group_by_partitioned(kind, &one, &pays, 1_000, 1, &policy)
-                    .unwrap()
-                    .0
+                group_by_partitioned(kind, &one, &pays, 1_000, 1, &policy).unwrap()
             });
             assert_eq!((rows, fanout), (reference(&one, &pays), 1));
             // the sentinel lands last; bit 31 varies; most tuples in part 0
@@ -359,22 +355,22 @@ mod tests {
             keys.extend([u32::MAX, 1 << 31, u32::MAX, 12345]);
             let pays: Vec<u32> = (0..keys.len() as u32).collect();
             let (rows, fanout) = metered_fanout(|| {
-                group_by_partitioned(kind, &keys, &pays, keys.len(), 1, &policy)
-                    .unwrap()
-                    .0
+                group_by_partitioned(kind, &keys, &pays, keys.len(), 1, &policy).unwrap()
             });
             assert_eq!(rows, reference(&keys, &pays));
             assert_eq!(rows.last().map(|r| r.0), Some(u32::MAX));
             assert_eq!(fanout, 256);
             // no input
-            let (rows, _) = group_by_partitioned(kind, &[], &[], 10, 1, &policy).unwrap();
+            let rows = group_by_partitioned(kind, &[], &[], 10, 1, &policy).unwrap();
             assert!(rows.is_empty());
         }
     }
 
     /// The sentinel does not choose the radix bits: 4096 dense keys with
     /// `u32::MAX` among them split into 64 parts of 64 keys, every table
-    /// fits its share, and the documented bytes suffice exactly. A real
+    /// fits its share, and the documented bytes suffice exactly: the
+    /// partitioned copy, plus the larger of the pass's staging buffers
+    /// (released before the tasks start) and the workers' tables. A real
     /// outlier key crowds the dense keys into part 0, so each worker
     /// reserves part 0's larger table.
     #[test]
@@ -388,8 +384,12 @@ mod tests {
         }
         let outlier: Vec<u32> = (0..4_096u32).chain([1 << 31]).collect();
         let table = |groups| GroupAggTable::bytes_for(groups, LOAD);
+        // 2 morsels, one 16-lane line of 8-byte tuples per part each
+        let staging = |parts: u64| 2 * parts * 16 * 8;
+        assert!(staging(64) > 2 * table(64));
+        assert!(staging(128) < 2 * table(4_096));
         for (keys, bytes, fanout) in [
-            (&keys, 8 * keys.len() as u64 + 2 * table(64), 64),
+            (&keys, 8 * keys.len() as u64 + staging(64), 64),
             // 4097 groups at part bound 64: 128 parts of 33 groups, but
             // part 0 holds 4096 keys, so both workers hold its table
             (&outlier, 8 * 4_097 + 2 * table(4_096), 128),
@@ -401,7 +401,7 @@ mod tests {
                 let (result, got) = metered_fanout(|| {
                     let result = group_by_sum(kind, keys, keys, keys.len(), 64, &policy);
                     assert_eq!(result.is_ok(), ok, "limit {limit}");
-                    result.map(|r| r.0).unwrap_or_default()
+                    result.unwrap_or_default()
                 });
                 if ok {
                     assert_eq!((result, got), (want.clone(), fanout));
@@ -424,7 +424,10 @@ mod tests {
         }
         let largest = sizes.into_iter().max().unwrap();
         assert!(largest > 64, "no part above its share of the bound");
-        let bytes = 8 * 4_096 + 2 * GroupAggTable::bytes_for(largest, LOAD);
+        // the pass's staging (2 morsels × 64 parts × 16 lanes × 8 bytes)
+        // is released before the tables are reserved
+        let tables = 2 * GroupAggTable::bytes_for(largest, LOAD);
+        let bytes = 8 * 4_096 + tables.max(2 * 64 * 16 * 8);
         for (limit, ok) in [(bytes, true), (bytes - 1, false)] {
             let policy = ExecPolicy::new(2).with_run(RunContext::new().with_memory_limit(limit));
             let result = group_by_sum(kind, &keys, &keys, 4_096, 64, &policy);

@@ -90,7 +90,7 @@ macro_rules! join_kernel {
             run: |b, t, i| {
                 let (inner, outer) = relations(i);
                 let policy = ExecPolicy::new(t);
-                let (res, _) = expect_infallible(dispatch!(b, $s => {
+                let res = expect_infallible(dispatch!(b, $s => {
                     $func($kind, &inner, &outer, &policy $(, ($target)(inner.len()))?)
                 }));
                 result_bytes(res)

@@ -17,9 +17,11 @@
 //! min-partition along [`rsv_hashtab::SubTables`]. They emit `(key, inner
 //! payload, outer payload)` triples into per-thread [`JoinSink`]s, which
 //! the memory budget charges as they grow, and report a per-phase timing
-//! breakdown (the Figure 15 stacked bars). Each is one fallible function
-//! taking an [`rsv_exec::ExecPolicy`] and returning the result with
-//! per-worker scheduler stats, or a typed [`rsv_exec::EngineError`].
+//! breakdown (the Figure 15 stacked bars); under a metering session each
+//! worker's time per named phase (`"build"`, `"probe"`, ...) goes to its
+//! slot of the session. Each is one fallible function taking an
+//! [`rsv_exec::ExecPolicy`] and returning the result, or a typed
+//! [`rsv_exec::EngineError`].
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -35,8 +37,11 @@ pub use max_partition::{join_max_partition, part_tuples};
 pub use min_partition::join_min_partition;
 pub use no_partition::join_no_partition;
 
-use rsv_hashtab::JoinSink;
-use std::time::Duration;
+use rsv_data::Relation;
+use rsv_exec::{parallel_scope_try, Budgeted, EngineError, ExecPolicy, MorselQueue};
+use rsv_hashtab::{probe_raw, Addressing, JoinSink};
+use rsv_simd::{KernelKind, Simd};
+use std::time::{Duration, Instant};
 
 /// Per-phase wall-clock breakdown of one join execution.
 #[derive(Debug, Clone, Copy, Default)]
@@ -76,6 +81,42 @@ impl JoinResult {
     pub fn fingerprint(&self) -> (u64, u64) {
         rsv_data::multiset_fingerprint(self.sinks.iter().flat_map(|s| s.iter()))
     }
+}
+
+/// The probe phase of the no- and min-partition joins: workers claim
+/// `outer`'s morsels and probe each against the built `pairs` along `a`'s
+/// bucket sequences into their own sink, which the budget charges after
+/// every morsel and releases on return. The result carries `timings`
+/// (the phases before) with the probe time filled in.
+fn probe_phase<S: Simd, A: Addressing + Sync>(
+    kind: KernelKind<S>,
+    pairs: &[u64],
+    a: A,
+    outer: &Relation,
+    unique: bool,
+    policy: &ExecPolicy,
+    mut timings: JoinTimings,
+) -> Result<JoinResult, EngineError> {
+    let t0 = Instant::now();
+    let probe_q = MorselQueue::new(outer.len(), policy, S::LANES);
+    let sinks = parallel_scope_try(policy.threads, |ctx| {
+        let mut sink = policy.run.hold(0, JoinSink::default)?;
+        for mo in ctx.morsels(&probe_q) {
+            let _ = rsv_testkit::failpoint!("join.probe.morsel");
+            ctx.phase("probe", || {
+                let r = mo.range.clone();
+                let (ks, ps) = (&outer.keys[r.clone()], &outer.payloads[r]);
+                probe_raw(kind, pairs, a, ks, ps, unique, &mut sink);
+            });
+            sink.grow_to(sink.size_bytes())?;
+        }
+        Ok::<_, EngineError>(sink)
+    })?;
+    policy.run.check_cancelled()?;
+    let sinks = sinks.into_iter().map(|s| s.map(Budgeted::into_inner));
+    let sinks = sinks.collect::<Result<_, _>>()?;
+    timings.probe = t0.elapsed();
+    Ok(JoinResult { sinks, timings })
 }
 
 /// The three join variants (paper Section 9), for experiment sweeps.

@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use rsv_data::Relation;
-use rsv_exec::{Budgeted, EngineError, ExecPolicy, SchedulerStats, L2_BYTES, PART_TABLE_BYTES};
+use rsv_exec::{Budgeted, EngineError, ExecPolicy, L2_BYTES, PART_TABLE_BYTES};
 use rsv_hashtab::{build_raw, probe_raw, JoinSink, Linear, MulHash, EMPTY_PAIR};
 use rsv_partition::tasks::partition_then_tasks;
 use rsv_partition::twopass::MAX_DIRECT_FANOUT;
@@ -44,14 +44,15 @@ type TaskState<'run> = (Budgeted<'run, JoinSink>, u64, u64);
 
 /// Execute the max-partition join with `kind`'s kernels, morsel
 /// scheduling and an inner-part tuple target ([`part_tuples`] of the
-/// inner size by default), returning per-worker scheduler stats. Both
-/// relations are hash-partitioned into `max(1, ceil(inner / part_target))`
+/// inner size by default), its tasks timed as the phase `"build+probe"`.
+/// Both relations are hash-partitioned into `max(1, ceil(inner / part_target))`
 /// parts, and each part becomes one stealable build+probe task, so a
 /// worker stuck on a skew-inflated part does not stall the join.
 ///
 /// Honours `policy.run` as [`partition_then_tasks`] does: the partitioned
-/// copies of both relations (8 bytes per inner and outer tuple), the
-/// partitioner's region scratch past 256 parts, each task's part table
+/// copies of both relations (8 bytes per inner and outer tuple), each
+/// partition pass's staging buffers, the partitioner's region scratch
+/// past 256 parts, each task's part table
 /// (`8 × (2 × part + 1)` bytes, held while the task runs) and each
 /// worker's result sink (charged after each task, while its table is
 /// still held, and released on return) are gated by the memory budget,
@@ -63,7 +64,7 @@ pub fn join_max_partition<S: Simd>(
     outer: &Relation,
     policy: &ExecPolicy,
     part_target: usize,
-) -> Result<(JoinResult, SchedulerStats), EngineError> {
+) -> Result<JoinResult, EngineError> {
     assert!(part_target >= 1);
     let table_hash = MulHash::nth(0);
     let fanout = inner.len().div_ceil(part_target).max(1);
@@ -111,17 +112,14 @@ pub fn join_max_partition<S: Simd>(
     let total_probe: u64 = run.workers.iter().map(|w| w.2).sum();
     let denom = (total_build + total_probe).max(1);
     let build = build_probe.mul_f64(total_build as f64 / denom as f64);
-    Ok((
-        JoinResult {
-            sinks: run.workers.into_iter().map(|w| w.0.into_inner()).collect(),
-            timings: JoinTimings {
-                partition: run.partition,
-                build,
-                probe: build_probe.saturating_sub(build),
-            },
+    Ok(JoinResult {
+        sinks: run.workers.into_iter().map(|w| w.0.into_inner()).collect(),
+        timings: JoinTimings {
+            partition: run.partition,
+            build,
+            probe: build_probe.saturating_sub(build),
         },
-        run.stats,
-    ))
+    })
 }
 
 #[cfg(test)]
@@ -138,9 +136,7 @@ mod tests {
         threads: usize,
         target: usize,
     ) -> JoinResult {
-        join_max_partition(kind, inner, outer, &ExecPolicy::new(threads), target)
-            .unwrap()
-            .0
+        join_max_partition(kind, inner, outer, &ExecPolicy::new(threads), target).unwrap()
     }
 
     #[test]

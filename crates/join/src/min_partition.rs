@@ -6,22 +6,20 @@
 use std::time::Instant;
 
 use rsv_data::Relation;
-use rsv_exec::{
-    parallel_scope_try, Budgeted, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
-    SharedBuffer,
-};
-use rsv_hashtab::{build_raw, probe_raw, JoinSink, Linear, MulHash, SubTables, EMPTY_PAIR};
+use rsv_exec::{parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SharedBuffer};
+use rsv_hashtab::{build_raw, Linear, MulHash, SubTables, EMPTY_PAIR};
 use rsv_partition::parallel::partition_pass;
 use rsv_partition::HashFn;
 use rsv_simd::{KernelKind, Simd};
 
-use crate::{JoinResult, JoinTimings};
+use crate::{probe_phase, JoinResult, JoinTimings};
 
 /// Execute the min-partition join with `kind`'s kernels and morsel
-/// scheduling (and one inner partition per worker), returning per-worker
-/// scheduler stats.
+/// scheduling (and one inner partition per worker), in the phases of the
+/// partition pass and then `"build"` and `"probe"`.
 ///
-/// Honours `policy.run`: the partitioned columns, the shared sub-table
+/// Honours `policy.run`: the partitioned columns, the pass's staging
+/// buffers (see [`partition_pass`]), the shared sub-table
 /// allocation and each worker's result sink (charged after each probe
 /// morsel, released on return) are gated by the memory budget,
 /// cancellation is observed at every morsel/task claim, and worker panics
@@ -31,7 +29,7 @@ pub fn join_min_partition<S: Simd>(
     inner: &Relation,
     outer: &Relation,
     policy: &ExecPolicy,
-) -> Result<(JoinResult, SchedulerStats), EngineError> {
+) -> Result<JoinResult, EngineError> {
     let threads = policy.threads;
     let parts = threads;
     rsv_metrics::count(rsv_metrics::Metric::JoinBuildTuples, inner.len() as u64);
@@ -45,7 +43,7 @@ pub fn join_min_partition<S: Simd>(
     let t0 = Instant::now();
     let mut part_k = policy.run.vec(inner.len(), 0u32)?;
     let mut part_p = policy.run.vec(inner.len(), 0u32)?;
-    let (pass, mut stats) = partition_pass(
+    let pass = partition_pass(
         kind,
         part_fn,
         &inner.keys,
@@ -67,7 +65,7 @@ pub fn join_min_partition<S: Simd>(
         .vec(parts * tsize, EMPTY_PAIR)?
         .map(SharedBuffer::from_vec);
     let build_q = MorselQueue::tasks(parts, policy);
-    let (uniques, build_stats) = parallel_scope_try(threads, |ctx| {
+    let uniques = parallel_scope_try(threads, |ctx| {
         // SAFETY: each task touches only its own part's sub-table slice,
         // and every task id is claimed exactly once.
         let view = unsafe { table.view_mut() };
@@ -92,7 +90,6 @@ pub fn join_min_partition<S: Simd>(
     })?;
     policy.run.check_cancelled()?;
     let build = t0.elapsed();
-    stats.merge(&build_stats);
     // Equal keys share a part, so the sub-tables are duplicate-free
     // together exactly when each one is.
     let unique = uniques.iter().all(|&u| u);
@@ -103,40 +100,12 @@ pub fn join_min_partition<S: Simd>(
     // SAFETY: the build threads were joined; the table is read-only now.
     let pairs: &[u64] = unsafe { table.view() };
     let sub_tables = SubTables::new(part_fn, table_hash, tsize);
-    let t0 = Instant::now();
-    let probe_q = MorselQueue::new(outer.len(), policy, S::LANES);
-    let (sinks, probe_stats) = parallel_scope_try(threads, |ctx| {
-        let mut sink = policy.run.hold(0, JoinSink::default)?;
-        for mo in ctx.morsels(&probe_q) {
-            let _ = rsv_testkit::failpoint!("join.probe.morsel");
-            ctx.phase("probe", || {
-                let r = mo.range.clone();
-                let (ks, ps) = (&outer.keys[r.clone()], &outer.payloads[r]);
-                probe_raw(kind, pairs, sub_tables, ks, ps, unique, &mut sink);
-            });
-            sink.grow_to(sink.size_bytes())?;
-        }
-        Ok::<_, EngineError>(sink)
-    })?;
-    policy.run.check_cancelled()?;
-    let probe = t0.elapsed();
-    stats.merge(&probe_stats);
-    let sinks = sinks
-        .into_iter()
-        .map(|sink| sink.map(Budgeted::into_inner))
-        .collect::<Result<_, _>>()?;
-
-    Ok((
-        JoinResult {
-            sinks,
-            timings: JoinTimings {
-                partition,
-                build,
-                probe,
-            },
-        },
-        stats,
-    ))
+    let timings = JoinTimings {
+        partition,
+        build,
+        ..Default::default()
+    };
+    probe_phase(kind, pairs, sub_tables, outer, unique, policy, timings)
 }
 
 #[cfg(test)]
@@ -152,9 +121,7 @@ mod tests {
         outer: &Relation,
         threads: usize,
     ) -> JoinResult {
-        join_min_partition(kind, inner, outer, &ExecPolicy::new(threads))
-            .unwrap()
-            .0
+        join_min_partition(kind, inner, outer, &ExecPolicy::new(threads)).unwrap()
     }
 
     #[test]

@@ -6,13 +6,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use rsv_data::Relation;
-use rsv_exec::{
-    parallel_scope_try, Budgeted, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
-};
-use rsv_hashtab::{probe_raw, Addressing, JoinSink, Linear, MulHash, EMPTY_KEY, EMPTY_PAIR};
+use rsv_exec::{parallel_scope_try, EngineError, ExecPolicy, MorselQueue};
+use rsv_hashtab::{Addressing, Linear, MulHash, EMPTY_KEY, EMPTY_PAIR};
 use rsv_simd::{KernelKind, Simd};
 
-use crate::{JoinResult, JoinTimings};
+use crate::{probe_phase, JoinResult, JoinTimings};
 
 /// How many tuples ahead of its insert the build prefetches a home bucket:
 /// enough to cover a miss to memory while the `lock cmpxchg`s in between
@@ -51,8 +49,8 @@ fn atomic_insert(table: &[AtomicU64], lin: Linear, key: u32, pay: u32) -> bool {
     }
 }
 
-/// Execute the no-partition join with morsel scheduling, returning
-/// per-worker scheduler stats. `kind` selects the probe kernel; the build
+/// Execute the no-partition join with morsel scheduling, in the phases
+/// `"build"` and `"probe"`. `kind` selects the probe kernel; the build
 /// is scalar either way (paper: "building the hash table cannot be
 /// fully vectorized because atomic operations are not supported in
 /// SIMD"). When the build finds no repeated key, each probe stops at its
@@ -68,7 +66,7 @@ pub fn join_no_partition<S: Simd>(
     inner: &Relation,
     outer: &Relation,
     policy: &ExecPolicy,
-) -> Result<(JoinResult, SchedulerStats), EngineError> {
+) -> Result<JoinResult, EngineError> {
     let t = policy.threads;
     rsv_metrics::count(rsv_metrics::Metric::JoinBuildTuples, inner.len() as u64);
     rsv_metrics::count(rsv_metrics::Metric::JoinProbeTuples, outer.len() as u64);
@@ -85,7 +83,7 @@ pub fn join_no_partition<S: Simd>(
     // prefetching the home bucket of the tuple PREFETCH_AHEAD ahead.
     let t0 = Instant::now();
     let build_q = MorselQueue::new(inner.len(), policy, 1);
-    let (dups, mut stats) = parallel_scope_try(t, |ctx| {
+    let dups = parallel_scope_try(t, |ctx| {
         let mut dup = false;
         for mo in ctx.morsels(&build_q) {
             let _ = rsv_testkit::failpoint!("join.build.morsel");
@@ -111,42 +109,13 @@ pub fn join_no_partition<S: Simd>(
     let pairs: &[u64] =
         unsafe { core::slice::from_raw_parts(table.as_ptr() as *const u64, table.len()) };
 
-    // Probe: workers claim outer-relation morsels; no synchronization
-    // needed, matches accumulate in per-worker sinks.
-    let t0 = Instant::now();
-    let probe_q = MorselQueue::new(outer.len(), policy, S::LANES);
-    let (sinks, probe_stats) = parallel_scope_try(t, |ctx| {
-        let mut sink = policy.run.hold(0, JoinSink::default)?;
-        for mo in ctx.morsels(&probe_q) {
-            let _ = rsv_testkit::failpoint!("join.probe.morsel");
-            ctx.phase("probe", || {
-                let r = mo.range.clone();
-                let (ks, ps) = (&outer.keys[r.clone()], &outer.payloads[r]);
-                probe_raw(kind, pairs, lin, ks, ps, unique, &mut sink);
-            });
-            sink.grow_to(sink.size_bytes())?;
-        }
-        Ok::<_, EngineError>(sink)
-    })?;
-    policy.run.check_cancelled()?;
-    let probe = t0.elapsed();
-    stats.merge(&probe_stats);
-    let sinks = sinks
-        .into_iter()
-        .map(|sink| sink.map(Budgeted::into_inner))
-        .collect::<Result<_, _>>()?;
-
-    Ok((
-        JoinResult {
-            sinks,
-            timings: JoinTimings {
-                partition: Default::default(),
-                build,
-                probe,
-            },
-        },
-        stats,
-    ))
+    // Probe: no synchronization needed, matches accumulate in per-worker
+    // sinks.
+    let timings = JoinTimings {
+        build,
+        ..Default::default()
+    };
+    probe_phase(kind, pairs, lin, outer, unique, policy, timings)
 }
 
 #[cfg(test)]
@@ -162,9 +131,7 @@ mod tests {
         outer: &Relation,
         threads: usize,
     ) -> JoinResult {
-        join_no_partition(kind, inner, outer, &ExecPolicy::new(threads))
-            .unwrap()
-            .0
+        join_no_partition(kind, inner, outer, &ExecPolicy::new(threads)).unwrap()
     }
 
     #[test]
@@ -213,7 +180,7 @@ mod tests {
                 KernelKind::Vector(Portable::<16>::new()),
             ] {
                 for _ in 0..25 {
-                    let r = join_no_partition(kind, &inner, &outer, &policy).unwrap().0;
+                    let r = join_no_partition(kind, &inner, &outer, &policy).unwrap();
                     assert_eq!(r.matches(), n, "{kind:?}");
                     assert_eq!(r.fingerprint(), expected);
                 }

@@ -45,15 +45,15 @@ fn all_variants_match_reference() {
         let backend = Backend::best();
         rsv_simd::dispatch!(backend, s => {
             for kind in [KernelKind::Scalar, KernelKind::Vector(s)] {
-                let (r, _) = join_no_partition(kind, &inner, &outer, &policy).unwrap();
+                let r = join_no_partition(kind, &inner, &outer, &policy).unwrap();
                 assert_eq!(r.matches(), expected_n, "no-partition {kind:?}");
                 assert_eq!(r.fingerprint(), expected_fp);
 
-                let (r, _) = join_min_partition(kind, &inner, &outer, &policy).unwrap();
+                let r = join_min_partition(kind, &inner, &outer, &policy).unwrap();
                 assert_eq!(r.matches(), expected_n, "min-partition {kind:?}");
                 assert_eq!(r.fingerprint(), expected_fp);
 
-                let (r, _) =
+                let r =
                     join_max_partition(kind, &inner, &outer, &policy, part_tuples(inner.len())).unwrap();
                 assert_eq!(r.matches(), expected_n, "max-partition {kind:?}");
                 assert_eq!(r.fingerprint(), expected_fp);

@@ -10,8 +10,10 @@
 //!
 //! * [`Metric`] — the flat counter namespace (plus a few histograms that
 //!   live directly on [`Counters`]),
-//! * [`CountingSink`] — per-worker [`Counters`] merged like
-//!   `rsv_exec::SchedulerStats`,
+//! * [`record_phase`] — wall time per named operator phase (histogram,
+//!   shuffle, build, probe, ...), kept per worker in [`Counters::phases`],
+//! * [`CountingSink`] — one [`Counters`] slot per worker, the one record
+//!   of what each worker of a metered run did,
 //! * [`collect`] — run a closure with metering enabled and harvest the
 //!   counters its call tree recorded; [`unmetered`] runs one with
 //!   metering off inside a session.
@@ -47,15 +49,18 @@
 //! * [`MetricClass::WidthDependent`] — deterministic for a fixed lane
 //!   width and thread count, but legitimately different between 8- and
 //!   16-lane backends (lanes-active histograms, conflict serializations,
-//!   staging-buffer flushes, linear-probe slot inspections).
+//!   staging-buffer flushes, linear-probe and double-hashing slot
+//!   inspections).
 //! * [`MetricClass::Unstable`] — timing- or schedule-dependent (steals,
-//!   phase-latency histograms); never compared.
+//!   the named phase times); never compared, and never part of
+//!   [`Counters::work_bytes`] or [`Counters::deterministic_bytes`].
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Lanes-active histogram buckets (`0..=32` active lanes per vector).
@@ -68,7 +73,7 @@ pub const SCAN_VARIANTS: usize = 6;
 /// Column-width histogram buckets (packed widths `0..=32` bits).
 pub const WIDTH_BUCKETS: usize = 33;
 
-/// Log₂-nanosecond buckets for morsel phase latencies.
+/// Log₂-nanosecond buckets of a phase's latency histogram.
 pub const PHASE_BUCKETS: usize = 40;
 
 /// One named work counter. The discriminant is the index into
@@ -91,9 +96,9 @@ pub enum Metric {
     LpProbes,
     /// Keys probed against a double-hashing table.
     DhKeysProbed,
-    /// Double-hashing slot inspections. In the work class, but like
-    /// `LpProbes` width-dependent on a table the vertical build filled;
-    /// it stays there so that the work bytes keep their layout.
+    /// Double-hashing slot inspections. Width-dependent like `LpProbes`:
+    /// where the vertical build puts colliding keys depends on the lane
+    /// count, and so do the probes' slot inspections.
     DhProbes,
     /// Keys inserted into linear-probing tables.
     LpKeysBuilt,
@@ -198,14 +203,6 @@ impl Metric {
         Metric::AggPartitionFanout,
     ];
 
-    /// [`MetricClass::Work`] counters added after the layout of
-    /// [`Counters::work_bytes`] was fixed. They are encoded after the
-    /// others, and only when nonzero, so the work bytes (and the
-    /// fingerprints taken of them) of a query that never records one stay
-    /// what they were. A temporary second layout: add no counter here
-    /// (ROADMAP item 10).
-    const APPENDED_WORK: [Metric; 1] = [Metric::AggPartitionFanout];
-
     /// Snake-case label used in JSON snapshots.
     pub fn label(self) -> &'static str {
         match self {
@@ -245,13 +242,14 @@ impl Metric {
     pub fn class(self) -> MetricClass {
         use Metric::*;
         match self {
-            ScanTuplesIn | ScanTuplesOut | LpKeysProbed | DhKeysProbed | DhProbes | LpKeysBuilt
+            ScanTuplesIn | ScanTuplesOut | LpKeysProbed | DhKeysProbed | LpKeysBuilt
             | CuckooKeysBuilt | BloomKeysProbed | BloomWordsTouched | PartHistTuples
             | PartShuffleTuples | ColBlocksDecoded | SortPasses | SortBytesMoved
             | JoinBuildTuples | JoinProbeTuples | JoinPartitionFanout | AggPartitionFanout => {
                 MetricClass::Work
             }
             LpProbes
+            | DhProbes
             | LpBuildConflictRetries
             | CuckooDisplacements
             | PartConflictsSerialized
@@ -262,6 +260,37 @@ impl Metric {
             | MorselsClaimed
             | FallbackBuilds => MetricClass::WidthDependent,
             MorselsStolen => MetricClass::Unstable,
+        }
+    }
+}
+
+/// The time one worker spent in one named phase (class
+/// [`MetricClass::Unstable`]: never compared, only reported).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PhaseTime {
+    /// Total wall-clock nanoseconds over every call.
+    pub ns: u64,
+    /// Per-call latencies in log₂-nanosecond buckets; they sum to the
+    /// number of calls.
+    pub log2: [u64; PHASE_BUCKETS],
+}
+
+impl PhaseTime {
+    /// No calls.
+    pub const ZERO: PhaseTime = PhaseTime {
+        ns: 0,
+        log2: [0; PHASE_BUCKETS],
+    };
+
+    /// Number of recorded calls.
+    pub fn calls(&self) -> u64 {
+        self.log2.iter().sum()
+    }
+
+    fn add(&mut self, other: &PhaseTime) {
+        self.ns += other.ns;
+        for (a, b) in self.log2.iter_mut().zip(&other.log2) {
+            *a += b;
         }
     }
 }
@@ -278,9 +307,8 @@ pub struct Counters {
     pub scan_lanes: [[u64; LANE_BUCKETS]; SCAN_VARIANTS],
     /// Compressed blocks decoded per packed bit width.
     pub col_width_blocks: [u64; WIDTH_BUCKETS],
-    /// Morsel phase latencies in log₂-nanosecond buckets (class
-    /// [`MetricClass::Unstable`]: never compared, only reported).
-    pub phase_ns: [u64; PHASE_BUCKETS],
+    /// Time per named phase, by name (class [`MetricClass::Unstable`]).
+    pub phases: BTreeMap<&'static str, PhaseTime>,
 }
 
 impl Counters {
@@ -290,7 +318,7 @@ impl Counters {
             counts: [0; Metric::COUNT],
             scan_lanes: [[0; LANE_BUCKETS]; SCAN_VARIANTS],
             col_width_blocks: [0; WIDTH_BUCKETS],
-            phase_ns: [0; PHASE_BUCKETS],
+            phases: BTreeMap::new(),
         }
     }
 
@@ -302,6 +330,13 @@ impl Counters {
     /// Add `n` to one flat counter.
     pub fn bump(&mut self, m: Metric, n: u64) {
         self.counts[m as usize] += n;
+    }
+
+    /// Add one call of `ns` nanoseconds to phase `name`.
+    pub fn add_phase(&mut self, name: &'static str, ns: u64) {
+        let p = self.phases.entry(name).or_insert(PhaseTime::ZERO);
+        p.ns += ns;
+        p.log2[(64 - ns.leading_zeros() as usize).min(PHASE_BUCKETS - 1)] += 1;
     }
 
     /// Element-wise accumulate `other` into `self`.
@@ -321,8 +356,8 @@ impl Counters {
         {
             *a += b;
         }
-        for (a, b) in self.phase_ns.iter_mut().zip(&other.phase_ns) {
-            *a += b;
+        for (&name, p) in &other.phases {
+            self.phases.entry(name).or_insert(PhaseTime::ZERO).add(p);
         }
     }
 
@@ -337,25 +372,18 @@ impl Counters {
     }
 
     /// Canonical little-endian bytes of the [`MetricClass::Work`]
-    /// counters (including the per-width block histogram, whose buckets
-    /// are fixed by the canonical 16-lane block format). Byte-identical
-    /// across backends of any lane width. Counters added later follow as
-    /// `(index, value)` pairs, each only when nonzero.
+    /// counters in [`Metric::ALL`] order, then the per-width block
+    /// histogram (whose buckets are fixed by the canonical 16-lane block
+    /// format). Byte-identical across backends of any lane width.
     pub fn work_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         for m in Metric::ALL {
-            if m.class() == MetricClass::Work && !Metric::APPENDED_WORK.contains(&m) {
+            if m.class() == MetricClass::Work {
                 out.extend_from_slice(&self.get(m).to_le_bytes());
             }
         }
         for b in self.col_width_blocks {
             out.extend_from_slice(&b.to_le_bytes());
-        }
-        for m in Metric::APPENDED_WORK {
-            if self.get(m) != 0 {
-                out.extend_from_slice(&(m as u64).to_le_bytes());
-                out.extend_from_slice(&self.get(m).to_le_bytes());
-            }
         }
         out
     }
@@ -380,68 +408,46 @@ impl Counters {
 
     /// Compact JSON object in the style of the bench harness rows: flat
     /// counters by label (zero counters omitted), then the non-empty
-    /// histograms.
+    /// histograms, then the phases as `"phases":{name:{"ns":…,"log2":[…]}}`.
     pub fn to_json(&self) -> String {
-        fn trim(h: &[u64]) -> &[u64] {
+        fn array(h: &[u64]) -> String {
             let last = h.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1);
-            &h[..last]
+            let vals: Vec<String> = h[..last].iter().map(u64::to_string).collect();
+            format!("[{}]", vals.join(","))
         }
-        fn put_array(out: &mut String, vals: &[u64]) {
-            out.push('[');
-            for (i, v) in vals.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&v.to_string());
-            }
-            out.push(']');
+        fn object(fields: impl IntoIterator<Item = (String, String)>) -> String {
+            let fields: Vec<String> = fields
+                .into_iter()
+                .map(|(k, v)| format!("\"{k}\":{v}"))
+                .collect();
+            format!("{{{}}}", fields.join(","))
         }
-        let mut out = String::from("{");
-        let mut first = true;
-        let mut field = |out: &mut String, name: &str| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('"');
-            out.push_str(name);
-            out.push_str("\":");
-        };
-        for m in Metric::ALL {
-            let v = self.get(m);
-            if v != 0 {
-                field(&mut out, m.label());
-                out.push_str(&v.to_string());
-            }
-        }
-        if self.scan_lanes.iter().any(|v| v.iter().any(|&b| b != 0)) {
-            field(&mut out, "scan_lanes");
-            out.push('{');
-            let mut first_v = true;
-            for (vi, v) in self.scan_lanes.iter().enumerate() {
-                let t = trim(v);
-                if t.is_empty() {
-                    continue;
-                }
-                if !first_v {
-                    out.push(',');
-                }
-                first_v = false;
-                out.push_str(&format!("\"{vi}\":"));
-                put_array(&mut out, t);
-            }
-            out.push('}');
+        let mut fields: Vec<(String, String)> = Metric::ALL
+            .iter()
+            .filter(|&&m| self.get(m) != 0)
+            .map(|&m| (m.label().to_string(), self.get(m).to_string()))
+            .collect();
+        let lanes: Vec<(String, String)> = self
+            .scan_lanes
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| v.iter().any(|&b| b != 0))
+            .map(|(vi, v)| (vi.to_string(), array(v)))
+            .collect();
+        if !lanes.is_empty() {
+            fields.push(("scan_lanes".into(), object(lanes)));
         }
         if self.col_width_blocks.iter().any(|&b| b != 0) {
-            field(&mut out, "col_width_blocks");
-            put_array(&mut out, trim(&self.col_width_blocks));
+            fields.push(("col_width_blocks".into(), array(&self.col_width_blocks)));
         }
-        if self.phase_ns.iter().any(|&b| b != 0) {
-            field(&mut out, "phase_ns_log2");
-            put_array(&mut out, trim(&self.phase_ns));
+        if !self.phases.is_empty() {
+            let phases = self.phases.iter().map(|(name, p)| {
+                let time = format!("{{\"ns\":{},\"log2\":{}}}", p.ns, array(&p.log2));
+                (name.to_string(), time)
+            });
+            fields.push(("phases".into(), object(phases)));
         }
-        out.push('}');
-        out
+        object(fields)
     }
 }
 
@@ -451,10 +457,10 @@ impl Default for Counters {
     }
 }
 
-/// Per-thread counters, merged worker-by-worker exactly like
-/// `rsv_exec::SchedulerStats`: slot `i` accumulates everything worker `i`
-/// flushed, and [`CountingSink::merge`] folds another region's sink in by
-/// matching slots.
+/// Per-worker counters: slot `i` accumulates everything worker `i`
+/// flushed (its claims, steals, work and phase times), and
+/// [`CountingSink::merge`] folds another region's sink in by matching
+/// slots.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CountingSink {
     /// One entry per worker, in thread-id order.
@@ -491,7 +497,7 @@ impl CountingSink {
     }
 
     /// Absorb the counters one worker accumulated into slot `thread_id`
-    /// (the worker's slot, mirroring `SchedulerStats`' thread-id order).
+    /// (the worker's index in its parallel scope).
     pub fn absorb(&mut self, thread_id: usize, c: &Counters) {
         if self.workers.len() <= thread_id {
             self.workers.resize(thread_id + 1, Counters::new());
@@ -571,12 +577,12 @@ pub fn count_blocks_decoded(width: usize, n: u64) {
     }
 }
 
-/// Record one morsel phase latency into the log₂-nanosecond histogram.
+/// Record one call of phase `name` that took `ns` nanoseconds (no-op
+/// when metering is off).
 #[inline]
-pub fn record_phase_ns(ns: u64) {
+pub fn record_phase(name: &'static str, ns: u64) {
     if enabled() {
-        let bucket = (64 - ns.leading_zeros() as usize).min(PHASE_BUCKETS - 1);
-        LOCAL.with(|c| c.borrow_mut().phase_ns[bucket] += 1);
+        LOCAL.with(|c| c.borrow_mut().add_phase(name, ns));
     }
 }
 
@@ -805,19 +811,28 @@ mod tests {
     }
 
     #[test]
-    fn appended_work_counters_add_bytes_only_when_recorded() {
-        let mut a = Counters::new();
-        a.bump(Metric::ScanTuplesIn, 10);
-        let dense = Metric::ALL
+    fn work_bytes_are_dense() {
+        let work = Metric::ALL
             .iter()
             .filter(|m| m.class() == MetricClass::Work)
-            .count()
-            - Metric::APPENDED_WORK.len();
-        assert_eq!(a.work_bytes().len(), 8 * (dense + WIDTH_BUCKETS));
-        let mut b = a.clone();
-        b.bump(Metric::AggPartitionFanout, 32);
-        assert_eq!(b.work_bytes().len(), a.work_bytes().len() + 16);
-        assert!(b.work_bytes().starts_with(&a.work_bytes()));
+            .count();
+        let mut a = Counters::new();
+        assert_eq!(a.work_bytes().len(), 8 * (work + WIDTH_BUCKETS));
+        a.bump(Metric::AggPartitionFanout, 32);
+        assert_eq!(a.work_bytes().len(), 8 * (work + WIDTH_BUCKETS));
+    }
+
+    #[test]
+    fn json_lists_phases_by_name() {
+        let mut c = Counters::new();
+        c.add_phase("probe", 3);
+        c.add_phase("build", 1000);
+        c.add_phase("build", 1);
+        let j = c.to_json();
+        let want = "{\"phases\":{\"build\":{\"ns\":1001,\"log2\":[0,1,0,0,0,0,0,0,0,0,1]},\
+                    \"probe\":{\"ns\":3,\"log2\":[0,0,1]}}}";
+        assert_eq!(j, want);
+        assert_eq!(c.phases["build"].calls(), 2);
     }
 
     #[test]
@@ -828,8 +843,11 @@ mod tests {
         b.bump(Metric::ScanTuplesIn, 10);
         b.bump(Metric::PartBufferFlushes, 5); // width-dependent
         b.scan_lanes[2][8] = 1; // width-dependent
-        b.phase_ns[10] = 1; // unstable
         assert_eq!(a.work_bytes(), b.work_bytes());
         assert_ne!(a.deterministic_bytes(), b.deterministic_bytes());
+        // Phase times are unstable: in neither byte string.
+        let mut c = a.clone();
+        c.add_phase("scan", 10);
+        assert_eq!(a.deterministic_bytes(), c.deterministic_bytes());
     }
 }

@@ -171,7 +171,7 @@ fn run_pass<S: Simd>(kind: KernelKind<S>, threads: usize, input: &CaseInput) -> 
     let mut dk = vec![0u32; n];
     let mut dp = vec![0u32; n];
     let policy = ExecPolicy::new(threads);
-    let (pass, _) = expect_infallible(partition_pass(
+    let pass = expect_infallible(partition_pass(
         kind,
         f,
         &input.keys,

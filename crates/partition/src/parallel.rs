@@ -22,8 +22,7 @@
 //! which runs after the barrier and therefore after every flush.
 
 use rsv_exec::{
-    parallel_scope_try, AlignedVec, EngineError, ExecPolicy, MorselQueue, SchedulerStats,
-    SharedBuffer, SlotMap,
+    parallel_scope_try, AlignedVec, EngineError, ExecPolicy, MorselQueue, SharedBuffer, SlotMap,
 };
 use rsv_simd::{KernelKind, Simd};
 
@@ -65,16 +64,22 @@ pub struct PassOutput {
 
 /// Run one stable buffered-shuffle partitioning pass with `kind`'s
 /// kernels and morsel scheduling, writing the partitioned columns into
-/// `dst_k`/`dst_p` (which must have the input length) and returning
-/// per-worker scheduler stats alongside the pass output.
+/// `dst_k`/`dst_p` (which must have the input length).
 ///
 /// The output is byte-identical for every `policy.threads` value; it also
 /// does not depend on `policy.morsel_tuples`, because the interleaved
 /// offsets key each morsel's slice to the morsel's *input order*, making
 /// the pass a stable partition of the input regardless of granularity.
 /// Honours `policy.run`'s cancel token at every morsel/task claim and
-/// surfaces worker panics as [`EngineError::WorkerPanicked`]. On error the
-/// output vectors keep their length but hold unspecified contents.
+/// surfaces worker panics as [`EngineError::WorkerPanicked`]. Every
+/// morsel's staging buffer (one line of `slots` tuples per partition)
+/// stays live until the cleanup after the barrier, so the pass reserves
+/// `morsels × fanout × slots × tuple size` bytes on `policy.run`'s
+/// budget before its shuffle, `slots` being the lane count (or
+/// 16 for the scalar kernel) and a tuple 8 bytes (4 for
+/// [`partition_pass_keys`]); [`EngineError::BudgetExceeded`] leaves the
+/// output vectors untouched. On other errors they keep their length but
+/// hold unspecified contents.
 pub fn partition_pass<S: Simd, F: PartitionFn + Sync>(
     kind: KernelKind<S>,
     f: F,
@@ -83,7 +88,7 @@ pub fn partition_pass<S: Simd, F: PartitionFn + Sync>(
     dst_k: &mut Vec<u32>,
     dst_p: &mut Vec<u32>,
     policy: &ExecPolicy,
-) -> Result<(PassOutput, SchedulerStats), EngineError> {
+) -> Result<PassOutput, EngineError> {
     assert_eq!(src_k.len(), src_p.len(), "column length mismatch");
     assert_eq!(dst_p.len(), src_p.len(), "output length mismatch");
     pass::<S, F, u64>(kind, f, src_k, src_p, dst_k, dst_p, policy)
@@ -97,7 +102,7 @@ pub fn partition_pass_keys<S: Simd, F: PartitionFn + Sync>(
     src_k: &[u32],
     dst_k: &mut Vec<u32>,
     policy: &ExecPolicy,
-) -> Result<(PassOutput, SchedulerStats), EngineError> {
+) -> Result<PassOutput, EngineError> {
     // bare-key staging drops the payload: the key column stands in for it,
     // and no payload column is written
     let mut no_pays = Vec::new();
@@ -114,7 +119,7 @@ fn pass<S: Simd, F: PartitionFn + Sync, T: Staged>(
     dst_k: &mut Vec<u32>,
     dst_p: &mut Vec<u32>,
     policy: &ExecPolicy,
-) -> Result<(PassOutput, SchedulerStats), EngineError> {
+) -> Result<PassOutput, EngineError> {
     assert_eq!(dst_k.len(), src_k.len(), "output length mismatch");
     let n = src_k.len();
     let t = policy.threads;
@@ -123,7 +128,7 @@ fn pass<S: Simd, F: PartitionFn + Sync, T: Staged>(
     let hist_q = MorselQueue::new(n, policy, S::LANES);
     let m = hist_q.morsel_count();
     let hist_slots: SlotMap<Vec<u32>> = SlotMap::new(m);
-    let (_, mut stats) = parallel_scope_try(t, |ctx| {
+    parallel_scope_try(t, |ctx| {
         for mo in ctx.morsels(&hist_q) {
             let _ = rsv_testkit::failpoint!("partition.histogram.morsel");
             let h = ctx.phase("histogram", || histogram(kind, f, &src_k[mo.range.clone()]));
@@ -162,6 +167,8 @@ fn pass<S: Simd, F: PartitionFn + Sync, T: Staged>(
         KernelKind::Scalar => SCALAR_SLOTS,
         KernelKind::Vector(_) => S::LANES,
     };
+    let staging = (m * f.fanout() * slots * std::mem::size_of::<T>()) as u64;
+    let _staging = policy.run.hold(staging, || ())?;
     let out_k = SharedBuffer::from_vec(std::mem::take(dst_k));
     let out_p = SharedBuffer::from_vec(std::mem::take(dst_p));
     let shuffle_scope = parallel_scope_try(t, |ctx| {
@@ -204,17 +211,14 @@ fn pass<S: Simd, F: PartitionFn + Sync, T: Staged>(
     });
     *dst_k = out_k.into_vec();
     *dst_p = out_p.into_vec();
-    stats.merge(&shuffle_scope?.1);
+    shuffle_scope?;
     policy.run.check_cancelled()?;
 
     let (partition_starts, _) = prefix_sum(&hist, 0);
-    Ok((
-        PassOutput {
-            partition_starts,
-            hist,
-        },
-        stats,
-    ))
+    Ok(PassOutput {
+        partition_starts,
+        hist,
+    })
 }
 
 #[cfg(test)]
@@ -222,7 +226,40 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::{HashFn, PartitionFn};
+    use rsv_metrics::Metric;
     use rsv_simd::Portable;
+
+    /// Every morsel's staging buffer is on the budget until the cleanup:
+    /// one byte short of them fails before the shuffle, with the output
+    /// vectors untouched and nothing left reserved.
+    #[test]
+    fn pass_reserves_every_morsels_staging_buffer() {
+        use rsv_exec::RunContext;
+        let kind = KernelKind::Vector(Portable::<16>::new());
+        let keys: Vec<u32> = (0..50_000u32).map(|i| i.wrapping_mul(2654435761)).collect();
+        let f = HashFn::new(64);
+        for threads in [1usize, 2] {
+            let policy = ExecPolicy::new(threads).with_morsel_tuples(4096);
+            let m = MorselQueue::new(keys.len(), &policy, 16).morsel_count();
+            let staging = (m * 64 * 16 * 8) as u64;
+            let run = |limit: u64| {
+                let policy = policy
+                    .clone()
+                    .with_run(RunContext::new().with_memory_limit(limit));
+                let (mut dk, mut dp) = (vec![7u32; keys.len()], vec![7u32; keys.len()]);
+                let out = partition_pass(kind, f, &keys, &keys, &mut dk, &mut dp, &policy);
+                assert_eq!(policy.run.budget.used(), 0);
+                (out, dk)
+            };
+            assert!(run(staging).0.is_ok(), "t={threads}");
+            let (err, dk) = run(staging - 1);
+            assert!(
+                matches!(err, Err(EngineError::BudgetExceeded { .. })),
+                "t={threads}"
+            );
+            assert!(dk.iter().all(|&k| k == 7), "output touched");
+        }
+    }
 
     #[test]
     fn interleaved_offsets_layout() {
@@ -244,7 +281,7 @@ mod tests {
         out: &PassOutput,
     ) {
         let mut ko = vec![0u32; keys.len()];
-        let (out_k, _) = partition_pass_keys(kind, f, keys, &mut ko, policy).unwrap();
+        let out_k = partition_pass_keys(kind, f, keys, &mut ko, policy).unwrap();
         let ctx = format!(
             "{kind:?} t={} morsel={}",
             policy.threads, policy.morsel_tuples
@@ -266,8 +303,7 @@ mod tests {
                 let mut dk = vec![0u32; keys.len()];
                 let mut dp = vec![0u32; keys.len()];
                 let policy = ExecPolicy::new(threads);
-                let (out, _) =
-                    partition_pass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy).unwrap();
+                let out = partition_pass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy).unwrap();
                 // region check + stability within each morsel's slice is
                 // implied; check partition function and global stability
                 for p in 0..f.fanout() {
@@ -292,7 +328,8 @@ mod tests {
 
     /// The pass output must not depend on thread count or morsel size. The
     /// small morsels make the cleanup repair first lines across morsel
-    /// boundaries, at both staging widths.
+    /// boundaries, at both staging widths. Histogram, shuffle and cleanup
+    /// each claim every morsel once, and the shuffle moves every tuple.
     #[test]
     fn pass_output_independent_of_schedule() {
         let kind = KernelKind::Vector(Portable::<16>::new());
@@ -306,9 +343,16 @@ mod tests {
                 let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
                 let mut dk = vec![0u32; keys.len()];
                 let mut dp = vec![0u32; keys.len()];
-                let (out, stats) =
-                    partition_pass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy).unwrap();
-                assert!(stats.total_tuples() > 0);
+                let ((out, on), sink) = rsv_metrics::collect(|| {
+                    let out = partition_pass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy);
+                    (out.unwrap(), rsv_metrics::enabled())
+                });
+                if on {
+                    let c = sink.total();
+                    let m = MorselQueue::new(keys.len(), &policy, 16).morsel_count() as u64;
+                    assert_eq!(c.get(Metric::MorselsClaimed), 3 * m);
+                    assert_eq!(c.get(Metric::PartShuffleTuples), keys.len() as u64);
+                }
                 assert_keys_pass_matches(kind, f, &keys, &policy, &dk, &out);
                 match &reference {
                     None => reference = Some((dk, dp)),

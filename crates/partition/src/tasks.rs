@@ -10,7 +10,7 @@
 
 use std::time::{Duration, Instant};
 
-use rsv_exec::{parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats};
+use rsv_exec::{parallel_scope_try, EngineError, ExecPolicy, MorselQueue};
 use rsv_simd::{KernelKind, Simd};
 
 use crate::twopass::partition_twopass;
@@ -26,8 +26,6 @@ pub struct PartTasks<W> {
     pub workers: Vec<W>,
     /// Wall time of the partition phase.
     pub partition: Duration,
-    /// Scheduler stats of both phases.
-    pub stats: SchedulerStats,
 }
 
 /// Partition each of the `N` relations in `rels` with `f` (stable, so a
@@ -41,12 +39,14 @@ pub struct PartTasks<W> {
 /// worker and is returned once the other workers have finished.
 ///
 /// Honours `policy.run`: the partitioned copies (8 bytes per input tuple,
-/// held until the tasks finish) and the partitioner's region scratch past
-/// [`MAX_DIRECT_FANOUT`] parts are gated by the memory budget,
+/// held until the tasks finish), each pass's staging buffers (held for
+/// that pass; see [`partition_pass`]) and the partitioner's region
+/// scratch past [`MAX_DIRECT_FANOUT`] parts are gated by the memory budget,
 /// cancellation is observed at every morsel and task claim, and a worker
 /// panic surfaces as [`EngineError::WorkerPanicked`].
 ///
 /// [`MAX_DIRECT_FANOUT`]: crate::twopass::MAX_DIRECT_FANOUT
+/// [`partition_pass`]: crate::parallel::partition_pass
 pub fn partition_then_tasks<S, F, W, const N: usize>(
     kind: KernelKind<S>,
     f: F,
@@ -62,13 +62,11 @@ where
     W: Send,
 {
     let t0 = Instant::now();
-    let mut stats = SchedulerStats::default();
     let mut parted = Vec::with_capacity(N);
     for (keys, pays) in rels {
         let mut dk = policy.run.vec(keys.len(), 0u32)?;
         let mut dp = policy.run.vec(keys.len(), 0u32)?;
-        let (pass, pass_stats) = partition_twopass(kind, f, keys, pays, &mut dk, &mut dp, policy)?;
-        stats.merge(&pass_stats);
+        let pass = partition_twopass(kind, f, keys, pays, &mut dk, &mut dp, policy)?;
         parted.push((dk, dp, pass));
     }
     let partition = t0.elapsed();
@@ -80,7 +78,7 @@ where
     };
     let q = MorselQueue::tasks(f.fanout(), &tasks);
     let sizes: [&[u32]; N] = std::array::from_fn(|r| &parted[r].2.hist[..]);
-    let (workers, task_stats) = parallel_scope_try(tasks.threads, |ctx| {
+    let workers = parallel_scope_try(tasks.threads, |ctx| {
         let mut state = init(sizes)?;
         for t in ctx.morsels(&q) {
             let _ = rsv_testkit::failpoint!("partition.task");
@@ -96,12 +94,7 @@ where
     })?;
     policy.run.check_cancelled()?;
     let workers = workers.into_iter().collect::<Result<_, _>>()?;
-    stats.merge(&task_stats);
-    Ok(PartTasks {
-        workers,
-        partition,
-        stats,
-    })
+    Ok(PartTasks { workers, partition })
 }
 
 #[cfg(test)]
@@ -153,11 +146,13 @@ mod tests {
         }
     }
 
+    /// The partitioned copies and, past them, the pass's staging
+    /// buffers (2 morsels × 16 parts × 16 lanes × 8 bytes).
     #[test]
     fn budget_gates_the_partitioned_copies() {
         let kind = KernelKind::Vector(Portable::<16>::new());
         let keys: Vec<u32> = (0..1_000).collect();
-        let bytes = 8 * keys.len() as u64;
+        let bytes = 8 * keys.len() as u64 + 2 * 16 * 16 * 8;
         for (limit, ok) in [(bytes, true), (bytes - 1, false)] {
             let policy = ExecPolicy::new(2).with_run(RunContext::new().with_memory_limit(limit));
             let run = partition_then_tasks(

@@ -25,9 +25,7 @@
 
 use std::sync::{Mutex, PoisonError};
 
-use rsv_exec::{
-    parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SchedulerStats, SharedBuffer,
-};
+use rsv_exec::{parallel_scope_try, EngineError, ExecPolicy, MorselQueue, SharedBuffer};
 use rsv_simd::{KernelKind, Simd};
 
 use crate::histogram::prefix_sum;
@@ -99,8 +97,9 @@ impl<F: PartitionFn> PartitionFn for FineFn<F> {
 /// columns, histogram, partition starts — is byte-identical to a direct
 /// single-pass run at any fanout; only the route differs. Honours
 /// `policy.run`: cancellation at claim boundaries, and the memory budget
-/// for the split's worker scratch, 8 bytes per tuple of the `threads`
-/// largest regions.
+/// for the first pass's staging buffers (see [`partition_pass`]) and the
+/// split's worker scratch, 8 bytes per tuple of the `threads` largest
+/// regions.
 pub fn partition_twopass<S: Simd, F: PartitionFn + Sync>(
     kind: KernelKind<S>,
     f: F,
@@ -109,7 +108,7 @@ pub fn partition_twopass<S: Simd, F: PartitionFn + Sync>(
     dst_k: &mut Vec<u32>,
     dst_p: &mut Vec<u32>,
     policy: &ExecPolicy,
-) -> Result<(PassOutput, SchedulerStats), EngineError> {
+) -> Result<PassOutput, EngineError> {
     let fanout = f.fanout();
     if fanout <= MAX_DIRECT_FANOUT {
         return partition_pass(kind, f, src_k, src_p, dst_k, dst_p, policy);
@@ -124,7 +123,7 @@ pub fn partition_twopass<S: Simd, F: PartitionFn + Sync>(
     };
 
     // Pass 1 straight into the output columns.
-    let (coarse_out, mut stats) = partition_pass(kind, coarse, src_k, src_p, dst_k, dst_p, policy)?;
+    let coarse_out = partition_pass(kind, coarse, src_k, src_p, dst_k, dst_p, policy)?;
 
     // Each worker's scratch grows to exactly the largest region it splits,
     // so the workers together hold at most the `t` largest regions.
@@ -188,18 +187,15 @@ pub fn partition_twopass<S: Simd, F: PartitionFn + Sync>(
     });
     *dst_k = out_k.into_vec();
     *dst_p = out_p.into_vec();
-    stats.merge(&scope?.1);
+    scope?;
     policy.run.check_cancelled()?;
 
     let hist = global_hist.into_vec();
     let (partition_starts, _) = prefix_sum(&hist, 0);
-    Ok((
-        PassOutput {
-            partition_starts,
-            hist,
-        },
-        stats,
-    ))
+    Ok(PassOutput {
+        partition_starts,
+        hist,
+    })
 }
 
 #[cfg(test)]
@@ -207,6 +203,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::HashFn;
+    use rsv_metrics::Metric;
     use rsv_simd::Portable;
 
     /// The two-pass route must be byte-identical to the direct single-pass
@@ -225,19 +222,30 @@ mod tests {
             let mut rk = vec![0u32; keys.len()];
             let mut rp = vec![0u32; keys.len()];
             let policy = ExecPolicy::new(1);
-            let (reference, _) =
+            let reference =
                 partition_pass(kind, f, &keys, &pays, &mut rk, &mut rp, &policy).unwrap();
             for threads in [1usize, 2, 8] {
                 let policy = ExecPolicy::new(threads).with_morsel_tuples(1024);
                 let mut dk = vec![0u32; keys.len()];
                 let mut dp = vec![0u32; keys.len()];
-                let (out, stats) =
-                    partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy).unwrap();
+                let ((out, on), sink) = rsv_metrics::collect(|| {
+                    let out = partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy);
+                    (out.unwrap(), rsv_metrics::enabled())
+                });
                 assert_eq!(dk, rk, "keys differ (t={threads} {kind:?})");
                 assert_eq!(dp, rp, "pays differ (t={threads} {kind:?})");
                 assert_eq!(out.hist, reference.hist);
                 assert_eq!(out.partition_starts, reference.partition_starts);
-                assert!(stats.total_tuples() > 0);
+                if on {
+                    // Pass 1's three phases claim every morsel once each,
+                    // pass 2 claims one task per region; both passes
+                    // shuffle every tuple.
+                    let c = sink.total();
+                    let m = MorselQueue::new(keys.len(), &policy, 16).morsel_count() as u64;
+                    let regions = (2 * MAX_DIRECT_FANOUT + 5).div_ceil(4) as u64;
+                    assert_eq!(c.get(Metric::MorselsClaimed), 3 * m + regions);
+                    assert_eq!(c.get(Metric::PartShuffleTuples), 2 * keys.len() as u64);
+                }
             }
         }
     }
@@ -253,28 +261,55 @@ mod tests {
         let policy = ExecPolicy::new(2);
         let mut dk = vec![0u32; 1000];
         let mut dp = vec![0u32; 1000];
-        let (out, _) = partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy).unwrap();
+        let out = partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy).unwrap();
         let total: u32 = out.hist.iter().sum();
         assert_eq!(total, 1000);
     }
 
+    /// Pass 1's staging buffers are released before the split, whose
+    /// scratch (8 B per tuple of the two largest regions) is the larger
+    /// reservation here: exactly that much budget suffices, one byte less
+    /// fails after pass 1 ran, and nothing stays reserved either way.
     #[test]
     fn budget_gates_scratch_columns() {
         use rsv_exec::RunContext;
         let kind = KernelKind::Vector(Portable::<16>::new());
-        let keys: Vec<u32> = (0..10_000u32).collect();
+        let keys: Vec<u32> = (0..1u32 << 19).collect();
         let pays = keys.clone();
         let f = HashFn::new(2 * MAX_DIRECT_FANOUT + 5);
-        // the split needs 8 B per tuple of the two largest regions (about
-        // 2 * 10_000 / 130 tuples); allow less
-        let run = RunContext::new().with_memory_limit(100);
-        let policy = ExecPolicy::new(2).with_run(run);
+        let policy = |limit| {
+            let run = RunContext::new().with_memory_limit(limit);
+            ExecPolicy::new(2).with_morsel_tuples(1 << 20).with_run(run)
+        };
         let mut dk = vec![0u32; keys.len()];
         let mut dp = vec![0u32; keys.len()];
-        let err = partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy)
+        let out = partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &policy(u64::MAX));
+        // 130 coarse regions of 4 partitions each
+        let hist = out.unwrap().hist;
+        let mut regions: Vec<u64> = hist
+            .chunks(4)
+            .map(|c| c.iter().map(|&n| u64::from(n)).sum())
+            .collect();
+        assert_eq!(regions.len(), 130);
+        regions.sort_unstable_by(|a, b| b.cmp(a));
+        let scratch = 8 * (regions[0] + regions[1]);
+        // 2 morsels × 130 regions × 16 slots × 8 B
+        let staging = 2 * 130 * 16 * 8;
+        assert_eq!(
+            MorselQueue::new(keys.len(), &policy(0), 16).morsel_count(),
+            2
+        );
+        assert!(
+            staging < scratch,
+            "staging {staging} B, scratch {scratch} B"
+        );
+        let exact = policy(scratch);
+        partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &exact).unwrap();
+        assert_eq!(exact.run.budget.used(), 0);
+        let short = policy(scratch - 1);
+        let err = partition_twopass(kind, f, &keys, &pays, &mut dk, &mut dp, &short)
             .expect_err("budget must deny the region scratch");
         assert!(matches!(err, EngineError::BudgetExceeded { .. }), "{err}");
-        // nothing stays reserved after the failure
-        assert_eq!(policy.run.budget.used(), 0);
+        assert_eq!(short.run.budget.used(), 0);
     }
 }

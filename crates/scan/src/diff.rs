@@ -41,7 +41,7 @@ fn reference(input: &CaseInput) -> Vec<u8> {
 }
 
 fn run_parallel(backend: Backend, threads: usize, input: &CaseInput) -> Vec<u8> {
-    let (ok, op, _) = expect_infallible(scan_parallel(
+    let (ok, op) = expect_infallible(scan_parallel(
         backend,
         &input.keys,
         &input.pays,

@@ -11,7 +11,7 @@
 //! exactly the sequential scan's output for every thread count and
 //! morsel size, in columns of exactly that length.
 
-use rsv_exec::{filter_parallel, EngineError, ExecPolicy, SchedulerStats};
+use rsv_exec::{filter_parallel, EngineError, ExecPolicy};
 use rsv_simd::{bitmap, dispatch, Backend};
 
 use crate::vector::mark_selection;
@@ -19,8 +19,8 @@ use crate::ScanPredicate;
 
 /// Parallel selection scan with morsel-driven scheduling.
 ///
-/// Returns the qualifying keys and payloads in input order, plus
-/// per-worker scheduler stats. The selection bitmap (2 bytes per 16
+/// Returns the qualifying keys and payloads in input order; under a
+/// metering session the pass times go to the `"scan"` phase. The selection bitmap (2 bytes per 16
 /// input tuples) and the two output columns (8 bytes per qualifier) are
 /// reserved on `policy.run`'s budget; the run's cancel token is checked
 /// at every morsel claim, and worker panics surface as
@@ -31,7 +31,7 @@ pub fn scan_parallel(
     pays: &[u32],
     pred: ScanPredicate,
     policy: &ExecPolicy,
-) -> Result<(Vec<u32>, Vec<u32>, SchedulerStats), EngineError> {
+) -> Result<(Vec<u32>, Vec<u32>), EngineError> {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
     dispatch!(backend, s => {
         filter_parallel(
@@ -50,6 +50,8 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::{scan, ScanVariant};
+    use rsv_exec::MorselQueue;
+    use rsv_metrics::Metric;
 
     #[test]
     fn parallel_scan_matches_sequential() {
@@ -73,12 +75,19 @@ mod tests {
             for threads in [1usize, 2, 3, 8] {
                 for morsel in [1_000usize, 16 * 1024, usize::MAX] {
                     let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
-                    let (gk, gp, stats) =
-                        scan_parallel(backend, &keys, &pays, pred, &policy).unwrap();
+                    let ((gk, gp, on), sink) = rsv_metrics::collect(|| {
+                        let (gk, gp) = scan_parallel(backend, &keys, &pays, pred, &policy).unwrap();
+                        (gk, gp, rsv_metrics::enabled())
+                    });
                     let at = format!("{} t={threads} morsel={morsel}", backend.name());
                     assert_eq!(gk, &ek[..expect_n], "{at}");
                     assert_eq!(gp, &ep[..expect_n], "{at}");
-                    assert_eq!(stats.total_tuples(), n as u64);
+                    if on {
+                        let c = sink.total();
+                        let m = MorselQueue::new(n, &policy, 16).morsel_count() as u64;
+                        assert_eq!(c.get(Metric::MorselsClaimed), m, "{at}");
+                        assert_eq!(c.get(Metric::ScanTuplesIn), n as u64, "{at}");
+                    }
                 }
             }
         }
@@ -87,7 +96,7 @@ mod tests {
     #[test]
     fn parallel_scan_empty_input() {
         let policy = ExecPolicy::new(4);
-        let (ok, op, _) = scan_parallel(
+        let (ok, op) = scan_parallel(
             Backend::best(),
             &[],
             &[],

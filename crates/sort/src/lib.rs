@@ -20,10 +20,12 @@
 //!   columns of mixed widths via destination replay (Figure 18).
 //!
 //! Both parallel sorts take an [`ExecPolicy`] and return
-//! `Result<SchedulerStats, EngineError>`: cancellation is observed at
-//! morsel-claim boundaries of every pass, worker panics surface as
-//! [`EngineError::WorkerPanicked`], and the ping-pong scratch columns are
-//! gated by the run's memory budget. Keys that need no pass (none, one,
+//! `Result<(), EngineError>`: cancellation is observed at morsel-claim
+//! boundaries of every pass, worker panics surface as
+//! [`EngineError::WorkerPanicked`], and the ping-pong scratch columns and
+//! each pass's staging buffers (see
+//! [`partition_pass`]) are gated
+//! by the run's memory budget. Keys that need no pass (none, one,
 //! or all equal) are left as they are, and no scratch is reserved or
 //! allocated for them. On error the columns keep their length and hold
 //! the last completed pass's tuple order.
@@ -36,7 +38,7 @@
 pub mod diff;
 pub mod multicol;
 
-use rsv_exec::{EngineError, ExecPolicy, SchedulerStats};
+use rsv_exec::{EngineError, ExecPolicy};
 use rsv_partition::parallel::{partition_pass, partition_pass_keys};
 use rsv_partition::{varying_bits, PartitionFn, RadixFn};
 use rsv_simd::{KernelKind, Simd};
@@ -90,25 +92,23 @@ pub fn radixsort_pairs<S: Simd>(
     pays: &mut Vec<u32>,
     cfg: &SortConfig,
     policy: &ExecPolicy,
-) -> Result<SchedulerStats, EngineError> {
+) -> Result<(), EngineError> {
     assert_eq!(keys.len(), pays.len(), "column length mismatch");
     let n = keys.len();
-    let mut stats = SchedulerStats::default();
     let passes = cfg.live_passes(keys);
     if passes.is_empty() {
-        return policy.run.check_cancelled().map(|()| stats);
+        return policy.run.check_cancelled();
     }
     let mut dst_k = policy.run.vec(n, 0u32)?;
     let mut dst_p = policy.run.vec(n, 0u32)?;
     for f in passes {
         rsv_metrics::count(rsv_metrics::Metric::SortPasses, 1);
         rsv_metrics::count(rsv_metrics::Metric::SortBytesMoved, 8 * n as u64);
-        let (_, pass_stats) = partition_pass(kind, f, keys, pays, &mut dst_k, &mut dst_p, policy)?;
-        stats.merge(&pass_stats);
+        partition_pass(kind, f, keys, pays, &mut dst_k, &mut dst_p, policy)?;
         std::mem::swap(keys, &mut *dst_k);
         std::mem::swap(pays, &mut *dst_p);
     }
-    Ok(stats)
+    Ok(())
 }
 
 /// Parallel LSB radixsort of a key column with `kind`'s partitioning
@@ -118,29 +118,28 @@ pub fn radixsort_keys<S: Simd>(
     keys: &mut Vec<u32>,
     cfg: &SortConfig,
     policy: &ExecPolicy,
-) -> Result<SchedulerStats, EngineError> {
+) -> Result<(), EngineError> {
     let n = keys.len();
-    let mut stats = SchedulerStats::default();
     let passes = cfg.live_passes(keys);
     if passes.is_empty() {
-        return policy.run.check_cancelled().map(|()| stats);
+        return policy.run.check_cancelled();
     }
     let mut dst = policy.run.vec(n, 0u32)?;
     for f in passes {
         rsv_metrics::count(rsv_metrics::Metric::SortPasses, 1);
         rsv_metrics::count(rsv_metrics::Metric::SortBytesMoved, 4 * n as u64);
-        let (_, pass_stats) = partition_pass_keys(kind, f, keys, &mut dst, policy)?;
-        stats.merge(&pass_stats);
+        partition_pass_keys(kind, f, keys, &mut dst, policy)?;
         std::mem::swap(keys, &mut *dst);
     }
-    Ok(stats)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use rsv_exec::{RunContext, DEFAULT_MORSEL_TUPLES};
+    use rsv_exec::{MorselQueue, RunContext, DEFAULT_MORSEL_TUPLES};
+    use rsv_metrics::Metric;
     use rsv_simd::Portable;
 
     fn workload(n: usize, seed: u64) -> (Vec<u32>, Vec<u32>) {
@@ -294,7 +293,8 @@ mod tests {
     }
 
     /// Sorted output must be byte-identical for any thread count and
-    /// morsel size, and the stats must account for every scheduled tuple.
+    /// morsel size, and the session must see every pass claim every
+    /// morsel in each of its three phases and shuffle every tuple.
     #[test]
     fn sort_schedule_independent() {
         let vector = KernelKind::Vector(Portable::<16>::new());
@@ -305,11 +305,19 @@ mod tests {
                 let policy = ExecPolicy::new(threads).with_morsel_tuples(morsel);
                 let mut k = keys.clone();
                 let mut p = pays.clone();
-                let stats = radixsort_pairs(vector, &mut k, &mut p, &cfg(8), &policy).unwrap();
-                // 4 passes at 8 bits, each scheduling every tuple through
-                // the histogram and shuffle queues (cleanup tasks add a
-                // few more scheduling units on top)
-                assert!(stats.total_tuples() >= 4 * 2 * keys.len() as u64);
+                let (on, sink) = rsv_metrics::collect(|| {
+                    radixsort_pairs(vector, &mut k, &mut p, &cfg(8), &policy).unwrap();
+                    rsv_metrics::enabled()
+                });
+                if on {
+                    // 4 passes at 8 bits, each claiming every morsel in
+                    // its histogram, shuffle and cleanup phases
+                    let c = sink.total();
+                    let m = MorselQueue::new(keys.len(), &policy, 16).morsel_count() as u64;
+                    assert_eq!(c.get(Metric::SortPasses), 4);
+                    assert_eq!(c.get(Metric::MorselsClaimed), 4 * 3 * m);
+                    assert_eq!(c.get(Metric::PartShuffleTuples), 4 * keys.len() as u64);
+                }
                 match &reference {
                     None => reference = Some((k, p)),
                     Some((rk, rp)) => {

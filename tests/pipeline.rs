@@ -63,7 +63,9 @@ fn full_pipeline_matches_reference() {
             .try_bloom_semijoin(&selected, &dims.keys, &run)
             .expect("bloom semi-join");
         assert_eq!(run.budget.used(), 0, "semi-join, threads={threads}");
-        let joined = engine.try_hash_join(&dims, &filtered, &run).expect("join");
+        let joined = engine
+            .try_hash_join_variant(&dims, &filtered, JoinVariant::MaxPartition, &run)
+            .expect("join");
         assert_eq!(run.budget.used(), 0, "join, threads={threads}");
         assert_eq!(
             sorted_rows(&joined),
