@@ -1,6 +1,6 @@
 //! Differential-harness registration for the compressed-column kernels.
 //!
-//! Three ops cover the subsystem:
+//! Two ops cover the subsystem:
 //!
 //! * `column-roundtrip` — the packed bytes are canonical (every backend
 //!   must produce the scalar reference's exact words, directory included)
@@ -9,11 +9,8 @@
 //! * `column-select-fused` — the fused compressed scan must match the
 //!   scalar scan over the raw column byte-for-byte (ordered qualifiers)
 //!   for all six variants plus the morsel-parallel mark-then-take run.
-//! * `column-histogram-fused` — the fused compressed histogram must match
-//!   the scalar histogram over the raw column, sequential and parallel.
 
 use rsv_exec::{expect_infallible, ExecPolicy};
-use rsv_partition::{histogram::histogram_scalar, RadixFn};
 use rsv_scan::{scan_scalar_branching, ScanPredicate, ScanVariant};
 use rsv_simd::Backend;
 use rsv_testkit::diff::{ordered_pairs, put_len, put_u32s, CaseInput, DiffOp, Kernel, Registry};
@@ -49,14 +46,6 @@ fn pred(input: &CaseInput) -> ScanPredicate {
     }
 }
 
-/// The radix function for the fused histogram, derived from the case
-/// seed like every other case parameter.
-fn radix(input: &CaseInput) -> RadixFn {
-    let bits = 1 + (input.seed % 10) as u32;
-    let shift = ((input.seed >> 8) % u64::from(33 - bits)) as u32;
-    RadixFn::new(shift, bits)
-}
-
 fn select_reference(input: &CaseInput) -> Vec<u8> {
     let n = input.keys.len();
     let mut ok = vec![0u32; n];
@@ -86,14 +75,6 @@ fn run_select_parallel(backend: Backend, threads: usize, input: &CaseInput) -> V
         &ExecPolicy::new(threads),
     ));
     ordered_pairs(&ok, &op)
-}
-
-fn histogram_reference(input: &CaseInput) -> Vec<u8> {
-    let hist = histogram_scalar(radix(input), &input.keys);
-    let mut out = Vec::new();
-    put_len(&mut out, hist.len());
-    put_u32s(&mut out, &hist);
-    out
 }
 
 macro_rules! select_kernel {
@@ -167,41 +148,6 @@ pub fn register(r: &mut Registry) {
             },
         ],
     });
-    r.register(DiffOp {
-        name: "column-histogram-fused",
-        reference: histogram_reference,
-        kernels: vec![
-            Kernel {
-                name: "fused",
-                threaded: false,
-                run: |b, _, i| {
-                    let col = CompressedColumn::pack(b, &i.keys);
-                    let hist = col.histogram(b, radix(i));
-                    let mut out = Vec::new();
-                    put_len(&mut out, hist.len());
-                    put_u32s(&mut out, &hist);
-                    out
-                },
-            },
-            Kernel {
-                name: "parallel-fused",
-                threaded: true,
-                run: |b, t, i| {
-                    let col = CompressedColumn::pack(b, &i.keys);
-                    let hist = expect_infallible(crate::histogram_fused_parallel(
-                        b,
-                        &col,
-                        radix(i),
-                        &ExecPolicy::new(t),
-                    ));
-                    let mut out = Vec::new();
-                    put_len(&mut out, hist.len());
-                    put_u32s(&mut out, &hist);
-                    out
-                },
-            },
-        ],
-    });
 }
 
 #[cfg(test)]
@@ -209,28 +155,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn radix_params_always_valid() {
-        for seed in 0..2_000u64 {
-            let input = CaseInput {
-                seed,
-                keys: vec![],
-                pays: vec![],
-                build_keys: vec![],
-                build_pays: vec![],
-                bounds: (0, 0),
-                fanout: 1,
-                capacity: 1,
-                load_factor: 0.5,
-            };
-            // RadixFn::new panics on an invalid bit range.
-            let _ = radix(&input);
-        }
-    }
-
-    #[test]
     fn registration_smoke() {
         let mut r = Registry::new();
         register(&mut r);
-        assert_eq!(r.ops().len(), 3);
+        assert_eq!(r.ops().len(), 2);
     }
 }

@@ -8,7 +8,6 @@
 
 use std::ops::Range;
 
-use rsv_partition::PartitionFn;
 use rsv_scan::{scan_scalar_branching, scan_scalar_branchless, ScanPredicate, ScanVariant};
 use rsv_simd::{bitmap, dispatch, Backend, MaskLike, Simd};
 
@@ -458,89 +457,9 @@ fn flush_rids(
     j
 }
 
-/// Fused compressed histogram (Algorithm 11 over compressed input) with
-/// `W`-way replicated counts: one count per partition of `f`.
-pub fn histogram_fused<S: Simd, F: PartitionFn>(s: S, col: &CompressedColumn, f: F) -> Vec<u32> {
-    let mut partial = vec![0u32; f.fanout() * S::LANES];
-    histogram_fused_range_into(s, col, f, 0..col.len, &mut partial);
-    reduce_partial(s, &partial, f.fanout())
-}
-
-/// Accumulate the whole column into a replicated partial-count array of
-/// `f.fanout() × S::LANES` entries (reduce with [`reduce_partial`]).
-pub fn histogram_fused_into<S: Simd, F: PartitionFn>(
-    s: S,
-    col: &CompressedColumn,
-    f: F,
-    partial: &mut [u32],
-) {
-    histogram_fused_range_into(s, col, f, 0..col.len, partial);
-}
-
-/// Accumulate `range` of the column into a replicated partial-count
-/// array. `range.start` must be block-aligned; partial counts from
-/// disjoint ranges sum to the whole column's counts, which is what makes
-/// the parallel merge schedule-independent.
-pub fn histogram_fused_range_into<S: Simd, F: PartitionFn>(
-    s: S,
-    col: &CompressedColumn,
-    f: F,
-    range: Range<usize>,
-    partial: &mut [u32],
-) {
-    assert_lanes::<S>();
-    let w = S::LANES;
-    assert_eq!(
-        partial.len(),
-        f.fanout() * w,
-        "partial counts must be fanout × lanes"
-    );
-    check_range(col, &range);
-    s.vectorize(
-        #[inline(always)]
-        || {
-            let lane = s.iota();
-            let wv = s.splat(w as u32);
-            let one = s.splat(1);
-            let mut start = range.start;
-            while start < range.end {
-                let bi = start / BLOCK_LEN;
-                let blk_len = (range.end - start).min(BLOCK_LEN);
-                let bc: BlockCtx<'_, S> = BlockCtx::new(s, col, &col.blocks[bi]);
-                let mut off = 0;
-                while off + w <= blk_len {
-                    let k = bc.decode(s, off);
-                    let h = f.partition_vector(s, k);
-                    // lane j increments partial[p·W + j]: conflict-free
-                    let idx = s.add(s.mullo(h, wv), lane);
-                    let c = s.gather(partial, idx);
-                    s.scatter(partial, idx, s.add(c, one));
-                    off += w;
-                }
-                for t in off..blk_len {
-                    partial[f.partition(bc.decode_one(t)) * w] += 1;
-                }
-                start += blk_len;
-            }
-        },
-    );
-}
-
-/// Sum each partition's `W` replicated counts into one.
-pub fn reduce_partial<S: Simd>(s: S, partial: &[u32], fanout: usize) -> Vec<u32> {
-    let w = S::LANES;
-    assert_eq!(partial.len(), fanout * w);
-    let mut hist = vec![0u32; fanout];
-    for (p, h) in hist.iter_mut().enumerate() {
-        *h = s.reduce_add_u64(s.load(&partial[p * w..])) as u32;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsv_partition::{histogram::histogram_scalar, RadixFn};
     use rsv_scan::scan;
 
     fn workload(n: usize, seed: u64) -> (Vec<u32>, Vec<u32>) {
@@ -689,26 +608,6 @@ mod tests {
                         "{} {} [{lower}, {upper}]",
                         backend.name(),
                         variant.label()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "heavy sweep; miri runs the small smoke tests")]
-    fn fused_histogram_matches_scalar() {
-        for n in [0usize, 1, 31, BLOCK_LEN, 3 * BLOCK_LEN + 5] {
-            let (keys, _) = workload(n, 0xAB + n as u64);
-            for f in [RadixFn::new(0, 6), RadixFn::new(13, 8), RadixFn::new(24, 8)] {
-                let expected = histogram_scalar(f, &keys);
-                for backend in Backend::all_available() {
-                    let col = CompressedColumn::pack(backend, &keys);
-                    assert_eq!(
-                        col.histogram(backend, f),
-                        expected,
-                        "{} n={n}",
-                        backend.name()
                     );
                 }
             }

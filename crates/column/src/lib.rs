@@ -1,9 +1,9 @@
 //! SIMD bit-packed compressed column storage with fused
 //! decompress-and-operate kernels.
 //!
-//! The paper's vertical kernels (selection scan §4, histogram §7) read
-//! uncompressed 32-bit columns, so at production scale they are
-//! memory-bandwidth-bound long before the SIMD lanes saturate. Following
+//! The paper's vertical selection scan (§4) reads uncompressed 32-bit
+//! columns, so at production scale it is memory-bandwidth-bound long
+//! before the SIMD lanes saturate. Following
 //! Lemire & Boytsov ("Decoding billions of integers per second through
 //! vectorization"), horizontal SIMD bit-packing decodes far faster than
 //! memory can deliver raw values — so a compressed column layer is a net
@@ -28,16 +28,16 @@
 //! contiguous vector loads and *uniform* shifts: no gathers, no per-lane
 //! shift counts. See DESIGN.md §5c.
 //!
-//! # Fused kernels
+//! # Fused scan
 //!
-//! [`select_fused`] and [`histogram_fused`] decompress one vector of
-//! values into registers and feed it straight into the paper's vertical
-//! operators without materializing the column. All six [`ScanVariant`]s
-//! are reachable; the indirect variants decode payloads *per qualifier*
+//! [`select_fused`] decompresses one vector of values into registers and
+//! feeds it straight into the paper's vertical selection scan without
+//! materializing the column. All six [`ScanVariant`]s are reachable;
+//! the indirect variants decode payloads *per qualifier*
 //! through the random-access directory, never touching payload blocks
 //! whose tuples all fail the predicate. Parallel runs go through
 //! `rsv-exec`'s morsel scheduler with morsel boundaries snapped to block
-//! boundaries ([`select_fused_parallel`], [`histogram_fused_parallel`]).
+//! boundaries ([`select_fused_parallel`]).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -49,10 +49,8 @@ mod fused;
 mod pack;
 mod parallel;
 
-pub use fused::{
-    histogram_fused, histogram_fused_into, histogram_fused_range_into, reduce_partial, select_fused,
-};
-pub use parallel::{histogram_fused_parallel, select_fused_parallel};
+pub use fused::select_fused;
+pub use parallel::select_fused_parallel;
 
 use rsv_data::Relation;
 use rsv_scan::{ScanPredicate, ScanVariant};
@@ -88,8 +86,8 @@ pub struct BlockMeta {
 /// Built by [`CompressedColumn::pack`] (any backend produces byte-identical
 /// packed words), decoded wholesale by [`CompressedColumn::unpack`], by
 /// random access ([`CompressedColumn::get`]), or — the point of the
-/// exercise — operated on directly by the fused kernels
-/// ([`CompressedRelation::select`], [`CompressedColumn::histogram`]).
+/// exercise — scanned directly by the fused kernel
+/// ([`CompressedRelation::select`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressedColumn {
     pub(crate) len: usize,
@@ -152,12 +150,6 @@ impl CompressedColumn {
             blk.min,
             i % BLOCK_LEN,
         )
-    }
-
-    /// Fused compressed histogram (paper §7.1 over compressed input): one
-    /// count per partition of `f`, without materializing the column.
-    pub fn histogram<F: rsv_partition::PartitionFn>(&self, backend: Backend, f: F) -> Vec<u32> {
-        dispatch!(backend, s => { histogram_fused(s, self, f) })
     }
 
     /// Number of (logical, uncompressed) values.

@@ -1,6 +1,6 @@
 //! Morsel-driven parallel fused kernels.
 //!
-//! Both entry points snap interior morsel boundaries to [`BLOCK_LEN`], so
+//! The fused scan snaps interior morsel boundaries to [`BLOCK_LEN`], so
 //! every morsel starts on a block boundary and no block is split across
 //! workers — each morsel decodes its blocks independently. Results are
 //! schedule-independent: the fused scan is one call of the
@@ -9,16 +9,14 @@
 //! qualifier in a bitmap; its take pass decodes the keys and payloads of
 //! the blocks holding a mark, skips the others, and writes the marked
 //! tuples to the offsets the counts' prefix sum gives the morsel
-//! (identical to the sequential scan's output). The histogram merges
-//! per-worker counts by commutative addition.
+//! (identical to the sequential scan's output).
 
-use rsv_exec::{filter_parallel, parallel_scope_try, EngineError, ExecPolicy, MorselQueue};
-use rsv_partition::PartitionFn;
+use rsv_exec::{filter_parallel, EngineError, ExecPolicy};
 use rsv_scan::ScanPredicate;
-use rsv_simd::{Backend, Simd};
+use rsv_simd::Backend;
 
 use crate::fused::{mark_fused_range, take_fused_range};
-use crate::{histogram_fused_range_into, reduce_partial, CompressedColumn, BLOCK_LEN};
+use crate::{CompressedColumn, BLOCK_LEN};
 
 /// Parallel fused compressed selection scan.
 ///
@@ -53,44 +51,12 @@ pub fn select_fused_parallel(
     })
 }
 
-/// Parallel fused compressed histogram: per-worker replicated partial
-/// counts over block-aligned morsels, merged by addition (commutative, so
-/// the result is independent of the steal schedule). Fails like
-/// [`select_fused_parallel`].
-pub fn histogram_fused_parallel<F: PartitionFn + Send + Sync>(
-    backend: Backend,
-    col: &CompressedColumn,
-    f: F,
-    policy: &ExecPolicy,
-) -> Result<Vec<u32>, EngineError> {
-    let q = MorselQueue::new(col.len(), policy, BLOCK_LEN);
-    let hists = parallel_scope_try(policy.threads, |ctx| {
-        rsv_simd::dispatch!(backend, s => {
-            let mut partial = vec![0u32; f.fanout() * S::LANES];
-            for mo in ctx.morsels(&q) {
-                ctx.phase("fused-histogram", || {
-                    histogram_fused_range_into(s, col, f, mo.range.clone(), &mut partial);
-                });
-            }
-            reduce_partial(s, &partial, f.fanout())
-        })
-    })?;
-    policy.run.check_cancelled()?;
-    let mut hist = vec![0u32; f.fanout()];
-    for h in hists {
-        for (a, b) in hist.iter_mut().zip(h) {
-            *a += b;
-        }
-    }
-    Ok(hist)
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::select_fused;
-    use rsv_partition::{histogram::histogram_scalar, RadixFn};
+    use rsv_exec::MorselQueue;
     use rsv_scan::ScanVariant;
 
     /// Every schedule keeps the sequential direct scan's qualifiers and
@@ -148,23 +114,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    #[cfg_attr(miri, ignore = "heavy sweep; miri runs the small smoke tests")]
-    fn parallel_fused_histogram_matches_scalar() {
-        let mut rng = rsv_data::rng(0x4157);
-        let n = 23 * BLOCK_LEN + 77;
-        let keys = rsv_data::uniform_u32(n, &mut rng);
-        let f = RadixFn::new(20, 9);
-        let expected = histogram_scalar(f, &keys);
-        let backend = Backend::best();
-        let col = CompressedColumn::pack(backend, &keys);
-        for threads in [1usize, 2, 8] {
-            let policy = ExecPolicy::new(threads).with_morsel_tuples(3 * BLOCK_LEN);
-            let got = histogram_fused_parallel(backend, &col, f, &policy).unwrap();
-            assert_eq!(got, expected, "t={threads}");
         }
     }
 }

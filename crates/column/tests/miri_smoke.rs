@@ -3,13 +3,12 @@
 //! The exhaustive sweeps in the unit/property tests are `#[cfg_attr(miri,
 //! ignore)]` — interpreting millions of decode steps is not what Miri is
 //! for. These cover the same code paths (vector pack/unpack, every fused
-//! scan variant, the gather/scatter histogram, and the shared-buffer
-//! parallel kernels whose aliasing discipline Miri actually checks) on a
-//! couple of blocks so the whole crate stays under a minute interpreted.
+//! scan variant, and the shared-buffer parallel kernels whose aliasing
+//! discipline Miri actually checks) on a couple of blocks so the whole
+//! crate stays under a minute interpreted.
 
 use rsv_column::{select_fused, select_fused_parallel, CompressedColumn, BLOCK_LEN};
 use rsv_exec::ExecPolicy;
-use rsv_partition::{histogram::histogram_scalar, RadixFn};
 use rsv_scan::{scan, ScanPredicate, ScanVariant};
 use rsv_simd::Backend;
 
@@ -53,17 +52,6 @@ fn fused_select_small() {
             assert_eq!(&gk[..g], &ek[..e]);
             assert_eq!(&gp[..g], &ep[..e]);
         }
-    }
-}
-
-#[test]
-fn fused_histogram_small() {
-    let (keys, _) = small_input(BLOCK_LEN + 19);
-    let f = RadixFn::new(4, 5);
-    let expected = histogram_scalar(f, &keys);
-    for backend in Backend::all_available() {
-        let col = CompressedColumn::pack(backend, &keys);
-        assert_eq!(col.histogram(backend, f), expected);
     }
 }
 

@@ -3,7 +3,6 @@
 //! the raw operators — on arbitrary inputs, every backend, every variant.
 
 use rsv_column::{select_fused, CompressedColumn, CompressedRelation};
-use rsv_partition::{histogram::histogram_scalar, RadixFn};
 use rsv_scan::{scan, ScanPredicate, ScanVariant};
 use rsv_simd::Backend;
 use rsv_testkit as tk;
@@ -109,22 +108,6 @@ fn fused_select_equals_raw_scan() {
                 assert_eq!(&gk[..g], &ek[..e], "{} {}", backend.name(), variant.label());
                 assert_eq!(&gp[..g], &ep[..e], "{} {}", backend.name(), variant.label());
             }
-        }
-    });
-}
-
-#[test]
-#[cfg_attr(miri, ignore = "heavy sweep; miri runs the small smoke tests")]
-fn fused_histogram_equals_scalar() {
-    tk::check("fused_histogram_equals_scalar", 48, 0xC05, |rng| {
-        let keys = arbitrary_column(rng);
-        let bits = 1 + rng.below(10) as u32;
-        let shift = rng.below(u64::from(33 - bits)) as u32;
-        let f = RadixFn::new(shift, bits);
-        let expected = histogram_scalar(f, &keys);
-        for backend in Backend::all_available() {
-            let col = CompressedColumn::pack(backend, &keys);
-            assert_eq!(col.histogram(backend, f), expected, "{}", backend.name());
         }
     });
 }

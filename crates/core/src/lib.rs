@@ -34,7 +34,7 @@ pub use rsv_scan as scan;
 pub use rsv_simd as simd;
 pub use rsv_sort as sort;
 
-pub use profile::{Query, QueryProfile};
+pub use profile::QueryProfile;
 
 pub use rsv_bloom::{BlockedBloomFilter, BloomFilter};
 pub use rsv_column::{CompressedColumn, CompressedRelation, RelationCompressExt};

@@ -1,116 +1,31 @@
-//! Operator-level query profiling ([`Engine::profile`]).
+//! Query profiling ([`Engine::profile`]).
 //!
-//! Runs one engine operation with the metrics layer enabled
-//! ([`rsv_metrics`]) and returns a [`QueryProfile`]: every work counter
-//! the operator kernels recorded, per worker thread, plus wall time and
-//! tuple counts — serializable as one compact JSON row in the same style
-//! as the bench harness.
+//! Runs a closure of engine calls with the metrics layer enabled
+//! ([`rsv_metrics`]) and returns its result with a [`QueryProfile`]: every
+//! work counter the operator kernels recorded, per worker thread, plus
+//! wall time — serializable as one compact JSON row in the same style as
+//! the bench harness.
 //!
-//! Profiled runs produce byte-identical operator output to the plain
-//! engine methods; metering only adds counter accumulation.
+//! Profiled runs produce byte-identical operator output to unprofiled
+//! ones; metering only adds counter accumulation.
 
 use std::time::Instant;
 
-use rsv_column::CompressedRelation;
-use rsv_data::Relation;
-use rsv_join::JoinVariant;
 use rsv_metrics::CountingSink;
 
 use crate::Engine;
 
-/// One engine operation to run under [`Engine::profile`].
-pub enum Query<'a> {
-    /// Selection scan: tuples with `lower ≤ key ≤ upper`.
-    Select {
-        /// Scanned relation.
-        rel: &'a Relation,
-        /// Inclusive lower bound.
-        lower: u32,
-        /// Inclusive upper bound.
-        upper: u32,
-    },
-    /// Fused compressed selection scan over a bit-packed relation.
-    SelectCompressed {
-        /// Scanned compressed relation.
-        rel: &'a CompressedRelation,
-        /// Inclusive lower bound.
-        lower: u32,
-        /// Inclusive upper bound.
-        upper: u32,
-    },
-    /// Hash join `inner ⋈ outer` on the key columns.
-    HashJoin {
-        /// Build-side relation.
-        inner: &'a Relation,
-        /// Probe-side relation.
-        outer: &'a Relation,
-        /// Join strategy.
-        variant: JoinVariant,
-    },
-    /// Bloom-filter semi-join of `rel` against `filter_keys`.
-    BloomSemijoin {
-        /// Probed relation.
-        rel: &'a Relation,
-        /// Keys the filter is built from.
-        filter_keys: &'a [u32],
-    },
-    /// Stable LSB radixsort by key (the input is not mutated).
-    Sort {
-        /// Relation to sort.
-        rel: &'a Relation,
-    },
-    /// Hash partitioning into `fanout` parts.
-    HashPartition {
-        /// Partitioned relation.
-        rel: &'a Relation,
-        /// Partition count.
-        fanout: usize,
-    },
-}
-
-impl Query<'_> {
-    /// Short operation name used in the profile row.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Query::Select { .. } => "select",
-            Query::SelectCompressed { .. } => "select-compressed",
-            Query::HashJoin { variant, .. } => match variant {
-                JoinVariant::NoPartition => "join-no-partition",
-                JoinVariant::MinPartition => "join-min-partition",
-                JoinVariant::MaxPartition => "join-max-partition",
-            },
-            Query::BloomSemijoin { .. } => "bloom-semijoin",
-            Query::Sort { .. } => "sort",
-            Query::HashPartition { .. } => "hash-partition",
-        }
-    }
-
-    fn tuples_in(&self) -> u64 {
-        match self {
-            Query::Select { rel, .. }
-            | Query::BloomSemijoin { rel, .. }
-            | Query::Sort { rel }
-            | Query::HashPartition { rel, .. } => rel.len() as u64,
-            Query::SelectCompressed { rel, .. } => rel.len() as u64,
-            Query::HashJoin { inner, outer, .. } => (inner.len() + outer.len()) as u64,
-        }
-    }
-}
-
-/// The result of [`Engine::profile`]: one operation's work counters (per
-/// worker thread), wall time and tuple counts.
+/// The profile of one [`Engine::profile`] run: its work counters (per
+/// worker thread) and wall time.
 #[derive(Debug, Clone)]
 pub struct QueryProfile {
-    /// Operation label ([`Query::label`]).
+    /// The caller's label for the profiled query: a plain name such as
+    /// `"select"`, written into [`QueryProfile::to_json`] unescaped.
     pub label: &'static str,
     /// SIMD backend name the engine ran on.
     pub backend: &'static str,
     /// Worker thread count.
     pub threads: usize,
-    /// Input tuples (both relations for a join).
-    pub tuples_in: u64,
-    /// Output tuples (match count for a join).
-    pub tuples_out: u64,
     /// Wall time of the profiled run.
     pub elapsed_ns: u64,
     /// Per-worker metric counters harvested from the run.
@@ -123,13 +38,10 @@ impl QueryProfile {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"query\":\"{}\",\"backend\":\"{}\",\"threads\":{},\
-             \"tuples_in\":{},\"tuples_out\":{},\"elapsed_ns\":{},\
-             \"metrics\":{}}}",
+             \"elapsed_ns\":{},\"metrics\":{}}}",
             self.label,
             self.backend,
             self.threads,
-            self.tuples_in,
-            self.tuples_out,
             self.elapsed_ns,
             self.sink.total().to_json(),
         )
@@ -137,51 +49,37 @@ impl QueryProfile {
 }
 
 impl Engine {
-    /// Run `query` with metering enabled and return its [`QueryProfile`].
+    /// Run `query` — any closure of engine calls, one operator or several —
+    /// with metering enabled, and return its result with its
+    /// [`QueryProfile`].
     ///
-    /// The operator output is byte-identical to the corresponding plain
-    /// engine method; the profile adds the counters every operator crate
-    /// records (scan tuples, probe chain lengths, partition flushes,
-    /// blocks decoded, sort passes, morsel scheduling…).
-    pub fn profile(&self, query: Query<'_>) -> QueryProfile {
-        let label = query.label();
-        let tuples_in = query.tuples_in();
+    /// Like [`rsv_metrics::collect`], but the profile also carries the
+    /// label, the engine's backend and thread count, and the wall time.
+    /// The closure's output is byte-identical to an unprofiled run; the
+    /// profile adds the counters every operator crate records (scan
+    /// tuples, probe chain lengths, partition flushes, blocks decoded,
+    /// sort passes, group-by parts, morsel scheduling…). Work the closure
+    /// does besides engine calls is timed too, so prepare inputs (such as
+    /// a copy to sort in place) before the call.
+    pub fn profile<R>(&self, label: &'static str, query: impl FnOnce() -> R) -> (R, QueryProfile) {
         let t0 = Instant::now();
-        let (tuples_out, sink) = rsv_metrics::collect(|| match query {
-            Query::Select { rel, lower, upper } => self.select(rel, lower, upper).len() as u64,
-            Query::SelectCompressed { rel, lower, upper } => {
-                self.select_compressed(rel, lower, upper).len() as u64
-            }
-            Query::HashJoin {
-                inner,
-                outer,
-                variant,
-            } => self.hash_join_variant(inner, outer, variant).matches() as u64,
-            Query::BloomSemijoin { rel, filter_keys } => {
-                self.bloom_semijoin(rel, filter_keys).len() as u64
-            }
-            Query::Sort { rel } => {
-                let mut sorted = rel.clone();
-                self.sort(&mut sorted);
-                sorted.len() as u64
-            }
-            Query::HashPartition { rel, fanout } => self.hash_partition(rel, fanout).0.len() as u64,
-        });
-        QueryProfile {
+        let (out, sink) = rsv_metrics::collect(query);
+        let profile = QueryProfile {
             label,
             backend: self.backend().name(),
             threads: self.threads,
-            tuples_in,
-            tuples_out,
             elapsed_ns: t0.elapsed().as_nanos() as u64,
             sink,
-        }
+        };
+        (out, profile)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsv_data::Relation;
+    use rsv_join::JoinVariant;
     use rsv_metrics::Metric;
 
     fn rel(n: usize, seed: u64) -> Relation {
@@ -194,16 +92,11 @@ mod tests {
         let r = rel(10_000, 41);
         let e = Engine::new().with_threads(2);
         let expected = e.select(&r, 0, u32::MAX / 2);
-        let p = e.profile(Query::Select {
-            rel: &r,
-            lower: 0,
-            upper: u32::MAX / 2,
-        });
+        let (out, p) = e.profile("select", || e.select(&r, 0, u32::MAX / 2));
         let total = p.sink.total();
-        assert_eq!(p.tuples_in, r.len() as u64);
-        assert_eq!(p.tuples_out, expected.len() as u64);
+        assert_eq!(out, expected);
         assert_eq!(total.get(Metric::ScanTuplesIn), r.len() as u64);
-        assert_eq!(total.get(Metric::ScanTuplesOut), p.tuples_out);
+        assert_eq!(total.get(Metric::ScanTuplesOut), out.len() as u64);
         assert!(total.get(Metric::MorselsClaimed) > 0);
     }
 
@@ -211,13 +104,11 @@ mod tests {
     fn join_profile_splits_build_and_probe() {
         let w = rsv_data::join_workload(1_000, 4_000, 1.0, 0.7, &mut rsv_data::rng(42));
         let e = Engine::new().with_threads(2);
-        let p = e.profile(Query::HashJoin {
-            inner: &w.inner,
-            outer: &w.outer,
-            variant: JoinVariant::MaxPartition,
+        let (out, p) = e.profile("join", || {
+            e.hash_join_variant(&w.inner, &w.outer, JoinVariant::MaxPartition)
         });
         let total = p.sink.total();
-        assert_eq!(p.tuples_out, w.expected_matches as u64);
+        assert_eq!(out.matches(), w.expected_matches);
         assert_eq!(total.get(Metric::JoinBuildTuples), w.inner.len() as u64);
         assert_eq!(total.get(Metric::JoinProbeTuples), w.outer.len() as u64);
         // every outer tuple reaches exactly one cache-resident table probe
@@ -225,11 +116,47 @@ mod tests {
         assert!(total.get(Metric::LpProbes) >= total.get(Metric::LpKeysProbed));
     }
 
+    /// A group-by past L2 takes the partitioned route, and its profile
+    /// shows the parts.
+    #[test]
+    fn group_by_profile_reports_its_partitions() {
+        let mut rng = rsv_data::rng(307);
+        let n = 200_000;
+        let keys: Vec<u32> = rsv_data::uniform_u32(n, &mut rng)
+            .iter()
+            .map(|k| k % 150_000)
+            .collect();
+        let r = Relation::new(keys, rsv_data::uniform_u32(n, &mut rng));
+        let e = Engine::new().with_threads(2);
+        let (rows, p) = e.profile("group-by", || e.group_by_sum(&r, 150_000));
+        assert_eq!(rows, e.group_by_sum(&r, 150_000));
+        assert_eq!(p.sink.total().get(Metric::AggPartitionFanout), 32);
+    }
+
+    /// One profile spans a multi-operator query: the select's input and
+    /// the join's probe side, which is the select's output.
+    #[test]
+    fn select_then_join_profiles_both_operators() {
+        let w = rsv_data::join_workload(2_000, 8_000, 1.0, 0.7, &mut rsv_data::rng(46));
+        let e = Engine::new().with_threads(2);
+        let ((selected, joined), p) = e.profile("select-join", || {
+            let selected = e.select(&w.outer, 0, u32::MAX / 2);
+            let joined = e.hash_join(&w.inner, &selected);
+            (selected, joined)
+        });
+        let total = p.sink.total();
+        assert_eq!(selected, e.select(&w.outer, 0, u32::MAX / 2));
+        assert_eq!(joined.matches(), e.hash_join(&w.inner, &selected).matches());
+        assert_eq!(total.get(Metric::ScanTuplesIn), w.outer.len() as u64);
+        assert_eq!(total.get(Metric::JoinProbeTuples), selected.len() as u64);
+    }
+
     #[test]
     fn profile_json_has_run_descriptors_and_metrics() {
         let r = rel(2_000, 43);
         let e = Engine::new();
-        let p = e.profile(Query::Sort { rel: &r });
+        let mut sorted = r.clone();
+        let ((), p) = e.profile("sort", || e.sort(&mut sorted));
         let json = p.to_json();
         assert!(json.starts_with("{\"query\":\"sort\""), "{json}");
         assert!(json.contains("\"metrics\":{"), "{json}");
@@ -245,11 +172,10 @@ mod tests {
         let w = rsv_data::join_workload(4_000, 16_000, 1.0, 0.7, &mut rsv_data::rng(45));
         let e = Engine::new().with_threads(2);
         let work = || {
-            e.profile(Query::HashJoin {
-                inner: &w.inner,
-                outer: &w.outer,
-                variant: JoinVariant::MaxPartition,
+            e.profile("join", || {
+                e.hash_join_variant(&w.inner, &w.outer, JoinVariant::MaxPartition)
             })
+            .1
             .sink
             .total()
             .work_bytes()
@@ -277,11 +203,7 @@ mod tests {
     fn profiled_runs_leave_no_ambient_metering() {
         let r = rel(1_000, 44);
         let e = Engine::new();
-        let _ = e.profile(Query::Select {
-            rel: &r,
-            lower: 0,
-            upper: 10,
-        });
+        let _ = e.profile("select", || e.select(&r, 0, 10));
         assert!(!rsv_metrics::enabled());
         let (_, sink) = rsv_metrics::collect(|| ());
         assert!(sink.total().is_zero());

@@ -55,7 +55,6 @@ fn registry_covers_every_operator_family() {
         "join",
         "column-roundtrip",
         "column-select-fused",
-        "column-histogram-fused",
     ] {
         assert!(names.contains(&expected), "missing diff op `{expected}`");
     }

@@ -241,14 +241,6 @@ fn check(run: &MeteredRun<'_>) {
                 assert_eq!(c.get(Metric::ColBlocksDecoded), blocks);
             }
         }
-        "column-histogram-fused" => {
-            let blocks = CompressedColumn::pack_scalar(&run.input.keys).block_count() as u64;
-            if run.kernel.starts_with("parallel") {
-                assert!(c.get(Metric::ColBlocksDecoded) >= blocks);
-            } else {
-                assert_eq!(c.get(Metric::ColBlocksDecoded), blocks);
-            }
-        }
         "agg-group" => {
             if run.kernel == "partitioned-small-parts" {
                 // one part per key range: the group bound (capped by the

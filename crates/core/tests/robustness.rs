@@ -9,8 +9,6 @@
 //!   correctly — errors never poison the engine,
 //! * degenerate configuration (0 threads, 0-tuple morsels) clamps to the
 //!   smallest working configuration instead of crashing,
-//! * cuckoo rehash exhaustion degrades to a linear-probing table whose
-//!   probe output is byte-identical, counting `Metric::FallbackBuilds`,
 //! * partition fanout past the one-pass limit transparently takes the
 //!   partitioner's two-level route with unchanged semantics,
 //! * size arguments past what the operator can use either get the right
@@ -24,10 +22,9 @@
 
 use rsv_core::exec::{ExecPolicy, MorselQueue};
 use rsv_core::hashtab::group::AGG_PART_GROUPS;
-use rsv_core::hashtab::{FallbackTable, GroupAggTable, JoinSink, LinearTable, MulHash};
+use rsv_core::hashtab::GroupAggTable;
 use rsv_core::metrics::{self, Metric};
 use rsv_core::partition::twopass::MAX_DIRECT_FANOUT;
-use rsv_core::simd::KernelKind;
 use rsv_core::{
     Backend, BlockedBloomFilter, CancelToken, Engine, EngineError, JoinVariant, Relation,
     RunContext, BLOOM_BITS_PER_KEY,
@@ -673,64 +670,6 @@ fn zero_threads_and_zero_morsel_tuples_clamp_to_one() {
     assert_eq!(pa, reference.hash_partition(&r, 1));
     assert_eq!(clamped.hash_partition(&r, 0), pa);
     assert_eq!(clamped.hash_partition_of(r.keys[0], 0), Ok(0));
-}
-
-/// Cuckoo rehash exhaustion (0.97 load factor is far past the two-choice
-/// threshold) degrades to linear probing: the [`FallbackTable`]'s probe
-/// output is byte-identical to a directly built [`LinearTable`] with the
-/// same capacity and hash, and exactly one `FallbackBuilds` is counted.
-#[test]
-fn cuckoo_exhaustion_falls_back_byte_identically() {
-    let n = 2_000;
-    let keys: Vec<u32> = (1..=n as u32)
-        .map(|i| i.wrapping_mul(0x9e37_79b9) | 1)
-        .collect();
-    let pays: Vec<u32> = keys.iter().map(|k| !k).collect();
-    let probe_keys: Vec<u32> = keys.iter().rev().copied().collect();
-    let probe_pays: Vec<u32> = probe_keys.iter().map(|k| k >> 1).collect();
-
-    let backend = rsv_core::simd::Backend::best();
-    let ((fallback_out, direct_out, fell_back), sink) = metrics::collect(|| {
-        rsv_core::simd::dispatch!(backend, s => {
-            let table = FallbackTable::build(KernelKind::Vector(s), &keys, &pays, n, 0.97);
-            let mut out = JoinSink::with_capacity(n);
-            table.probe(KernelKind::Vector(s), &probe_keys, &probe_pays, &mut out);
-
-            let mut direct = LinearTable::with_hash(n, 0.97, MulHash::nth(0));
-            direct.build_vertical(s, &keys, &pays);
-            let mut direct_sink = JoinSink::with_capacity(n);
-            direct.probe_vertical(s, &probe_keys, &probe_pays, &mut direct_sink);
-
-            (out.finish(), direct_sink.finish(), table.fell_back())
-        })
-    });
-
-    assert!(
-        fell_back,
-        "0.97 load factor should exhaust cuckoo rehashing"
-    );
-    assert_eq!(
-        sink.total().get(Metric::FallbackBuilds),
-        1,
-        "exactly one fallback build should be counted"
-    );
-    assert_eq!(fallback_out.0.len(), n, "every probe key must match");
-    assert_eq!(fallback_out, direct_out, "fallback probe output diverges");
-}
-
-/// A healthy load factor stays on the cuckoo path and counts nothing.
-#[test]
-fn healthy_cuckoo_build_counts_no_fallback() {
-    let keys: Vec<u32> = (1..=1_000u32).collect();
-    let pays = keys.clone();
-    let backend = rsv_core::simd::Backend::best();
-    let (fell_back, sink) = metrics::collect(|| {
-        rsv_core::simd::dispatch!(backend, s => {
-            FallbackTable::build(KernelKind::Vector(s), &keys, &pays, 1_000, 0.5).fell_back()
-        })
-    });
-    assert!(!fell_back);
-    assert_eq!(sink.total().get(Metric::FallbackBuilds), 0);
 }
 
 /// Fanout past `MAX_DIRECT_FANOUT` transparently takes the partitioner's

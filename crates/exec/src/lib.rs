@@ -1,5 +1,5 @@
-//! Execution substrate: thread parallelism, cache-aligned buffers, timing
-//! and platform inspection.
+//! Execution substrate: thread parallelism, cache-aligned buffers and
+//! platform inspection.
 //!
 //! The paper parallelizes each operator by splitting the input equally
 //! among threads and synchronizing with barriers (Sections 8 and 9). This
@@ -28,7 +28,6 @@ mod parallel;
 mod platform;
 mod run;
 mod shared;
-mod timing;
 
 pub use aligned::AlignedVec;
 pub use error::{expect_infallible, panic_message, EngineError};
@@ -39,4 +38,3 @@ pub use parallel::{
 pub use platform::{platform_report, PlatformReport, L2_BYTES, PART_TABLE_BYTES};
 pub use run::{Budgeted, CancelToken, MemoryBudget, RunContext};
 pub use shared::{SharedBuffer, SlotMap};
-pub use timing::{throughput_mtps, time, Timed};

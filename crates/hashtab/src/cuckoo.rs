@@ -109,7 +109,7 @@ impl CuckooTable {
 
     /// Insert one tuple, displacing occupants as needed. A completely full
     /// table is reported as an error (the displacement chain can never
-    /// terminate), not a panic — callers degrade instead of crashing.
+    /// terminate), not a panic.
     pub fn try_insert(&mut self, key: u32, pay: u32) -> Result<(), CuckooBuildError> {
         assert_ne!(
             key, EMPTY_KEY,
@@ -535,29 +535,55 @@ mod tests {
         }
     }
 
+    /// 2,000 spread odd keys at load 0.97, far past cuckoo's two-choice
+    /// threshold, exhaust every rehash attempt on the scalar build and on
+    /// the vertical build of every backend, and the engine sees a typed
+    /// `RehashExhausted`.
     #[test]
-    fn build_error_on_overfull_table() {
-        // load factor ~1: displacement will fail quickly for some input
-        let mut rng = rsv_data::rng(31);
-        let keys = rsv_data::unique_u32(4000, &mut rng);
-        let pays = vec![0u32; keys.len()];
-        let mut t = CuckooTable::new(keys.len(), 0.999);
-        // may or may not fail depending on hashing; force tiny table instead
-        let r = t.build_scalar(&keys, &pays);
-        if r.is_ok() {
-            // fill beyond reasonable cuckoo occupancy must eventually fail
-            let extra = rsv_data::unique_u32(keys.len(), &mut rng);
-            let mut failed = false;
-            for &k in &extra {
-                if t.len() >= t.buckets() - 1 {
-                    break;
-                }
-                if t.try_insert(k, 0).is_err() {
-                    failed = true;
-                    break;
-                }
-            }
-            assert!(failed || t.len() >= t.buckets() - 1);
+    fn rehash_exhaustion_is_a_typed_error() {
+        let keys: Vec<u32> = (1..=2_000u32)
+            .map(|i| i.wrapping_mul(0x9e37_79b9) | 1)
+            .collect();
+        let pays: Vec<u32> = keys.iter().map(|k| !k).collect();
+        let build = |t: &mut CuckooTable, b: Option<rsv_simd::Backend>| match b {
+            None => t.build_scalar(&keys, &pays),
+            Some(b) => rsv_simd::dispatch!(b, s => { t.build_vertical(s, &keys, &pays) }),
+        };
+        let kernels =
+            std::iter::once(None).chain(rsv_simd::Backend::all_available().into_iter().map(Some));
+        for b in kernels {
+            let err = build(&mut CuckooTable::new(keys.len(), 0.97), b).unwrap_err();
+            assert_eq!(err.attempts, CuckooTable::MAX_REHASH, "{b:?}");
+            assert!(
+                matches!(
+                    rsv_exec::EngineError::from(err),
+                    rsv_exec::EngineError::RehashExhausted { attempts: 16, .. }
+                ),
+                "{b:?}"
+            );
+        }
+    }
+
+    /// Keys 1..=1000 at load 0.5 build on every kernel, and every key
+    /// probes back to its payload.
+    #[test]
+    fn healthy_load_builds_and_probes_back() {
+        let keys: Vec<u32> = (1..=1_000u32).collect();
+        let pays: Vec<u32> = keys.iter().map(|k| k * 7).collect();
+        let expected: Vec<_> = keys.iter().map(|&k| (k, k * 7, k)).collect();
+        let mut t = CuckooTable::new(keys.len(), 0.5);
+        t.build_scalar(&keys, &pays).unwrap();
+        let mut sink = JoinSink::with_capacity(0);
+        t.probe_scalar_branching(&keys, &keys, &mut sink);
+        assert_eq!(sorted_rows(&sink), expected, "scalar");
+        for b in rsv_simd::Backend::all_available() {
+            let mut t = CuckooTable::new(keys.len(), 0.5);
+            let mut sink = JoinSink::with_capacity(0);
+            rsv_simd::dispatch!(b, s => {
+                t.build_vertical(s, &keys, &pays).unwrap();
+                t.probe_vertical_select(s, &keys, &keys, &mut sink);
+            });
+            assert_eq!(sorted_rows(&sink), expected, "{}", b.name());
         }
     }
 

@@ -35,6 +35,14 @@
 //! [`group::group_by_sum`] is the engine's group-by on these tables: one
 //! table per worker, or, past an L2-sized table, one radix-partitioned
 //! key range per task.
+//!
+//! # Build failures
+//!
+//! A cuckoo build that still cannot place a key after
+//! [`CuckooTable::MAX_REHASH`] rebuilds with fresh hash functions returns
+//! a typed [`CuckooBuildError`], which converts to the engine's
+//! `RehashExhausted` error. Cuckoo tables serve the paper's figures
+//! (Figs. 7–9) only: no engine operator builds one.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -46,7 +54,6 @@
 mod agg;
 mod cuckoo;
 pub mod diff;
-mod fallback;
 pub mod group;
 mod horizontal;
 mod linear;
@@ -54,7 +61,6 @@ mod sink;
 
 pub use agg::GroupAggTable;
 pub use cuckoo::{CuckooBuildError, CuckooTable};
-pub use fallback::FallbackTable;
 pub use horizontal::{BucketScheme, BucketizedCuckoo, BucketizedTable};
 pub use linear::{
     build_raw, probe_raw, Addressing, DoubleHashTable, Linear, LinearTable, SubTables,

@@ -147,7 +147,11 @@ pub enum Metric {
     /// Morsels claimed from *another* worker's span.
     MorselsStolen,
     /// Hash-table builds that degraded from cuckoo to linear probing after
-    /// exhausting the rehash budget.
+    /// exhausting the rehash budget. Nothing writes it: no engine path
+    /// builds a cuckoo table, and an exhausted cuckoo build returns a typed
+    /// `RehashExhausted` error instead. It stays only because the
+    /// benchmark's `hashtab.fallback_builds` layer row reads it; the
+    /// variant and that row go together.
     FallbackBuilds,
     /// Sum of the part counts of the group-bys that took the partitioned
     /// route (zero for a single-table group-by).

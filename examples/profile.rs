@@ -1,14 +1,15 @@
 //! Observability: profile a query and read its work counters.
 //!
-//! `Engine::profile` runs one query under a metering session and returns
-//! a [`QueryProfile`]: the result cardinality plus every operator-level
-//! work counter the kernels recorded (tuples scanned, hash slots probed,
-//! partitions flushed, sort bytes moved, …). The JSON form is the same
-//! row style the bench harness emits (see README "Observability").
+//! `Engine::profile` runs a closure of engine calls under a metering
+//! session and returns the closure's result with a [`QueryProfile`]: every
+//! operator-level work counter the kernels recorded (tuples scanned, hash
+//! slots probed, partitions flushed, sort bytes moved, group-by parts, …)
+//! and the wall time. The JSON form is the same row style the bench
+//! harness emits (see README "Observability").
 //!
 //! Run with: `cargo run --release --example profile`
 
-use rethinking_simd::{Engine, Query, Relation};
+use rethinking_simd::{Engine, JoinVariant, QueryProfile, Relation};
 
 fn main() {
     let engine = Engine::new().with_threads(2);
@@ -19,27 +20,37 @@ fn main() {
 
     // Profile a selection scan: which fraction qualified, and how much
     // work did the kernel actually do per tuple?
-    let p = engine.profile(Query::Select {
-        rel: &orders,
-        lower: 1 << 20,
-        upper: 1 << 23,
-    });
-    println!("{}", p.to_json());
+    let (cheap, p) = engine.profile("select", || engine.select(&orders, 1 << 20, 1 << 23));
+    report(&p, cheap.len());
 
     // Profile a sort of the same relation: the counters show the radix
-    // pass structure (4 passes × 8 bits over 32-bit keys).
-    let p = engine.profile(Query::Sort { rel: &orders });
-    println!("{}", p.to_json());
+    // pass structure (4 passes × 8 bits over 32-bit keys). The copy to
+    // sort in place is made outside the profiled closure.
+    let mut sorted = orders.clone();
+    let ((), p) = engine.profile("sort", || engine.sort(&mut sorted));
+    report(&p, sorted.len());
 
     // Profile a max-partition hash join.
     let lookup = Relation::new(
         (0..4_096u32).map(|i| i.wrapping_mul(48_271)).collect(),
         (0..4_096).collect(),
     );
-    let p = engine.profile(Query::HashJoin {
-        inner: &lookup,
-        outer: &orders,
-        variant: rethinking_simd::JoinVariant::MaxPartition,
+    let (joined, p) = engine.profile("join-max-partition", || {
+        engine.hash_join_variant(&lookup, &orders, JoinVariant::MaxPartition)
     });
+    report(&p, joined.matches());
+
+    // Profile a group-by: (count, sum) per value of the orders' key bits
+    // 8..24, up to 65,536 groups.
+    let by_region = Relation::new(
+        orders.keys.iter().map(|k| k >> 8).collect(),
+        orders.payloads.clone(),
+    );
+    let (groups, p) = engine.profile("group-by", || engine.group_by_sum(&by_region, 1 << 16));
+    report(&p, groups.len());
+}
+
+fn report(p: &QueryProfile, rows: usize) {
+    println!("{} rows: {}", p.label, rows);
     println!("{}", p.to_json());
 }
